@@ -92,8 +92,8 @@ from repro.elastic.fork import EagerFork
 from repro.elastic.functional import Func
 from repro.elastic.node import Node
 from repro.errors import CombinationalLoopError
+from repro.netlist.graphalg import levelize
 from repro.sim.monitors import ProtocolMonitor
-from repro.sim.sensitivity import _levelize
 from repro.sim.stats import ChannelStats
 
 __all__ = [
@@ -717,7 +717,7 @@ def _build_plan(netlist):
             wi = writer.get((ci, sig))
             if wi is not None and wi != ni:
                 succ[wi].add(ni)
-    order = _levelize(range(len(nodes)), succ)
+    order = levelize(range(len(nodes)), succ)
     plan.deferred = [ni for ni in order if ni in demoted]
 
     # A channel adjacent to any deferred (or missing) endpoint stays boxed

@@ -21,10 +21,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import networkx as nx
-
 from repro.elastic.eemux import EarlyEvalMux
 from repro.errors import TransformError
+from repro.netlist.graphalg import sccs
 from repro.transform.bubbles import insert_bubble, insert_zbl_buffer
 from repro.transform.early_eval import convert_to_early_eval
 from repro.transform.shannon import shannon_decompose
@@ -47,13 +46,11 @@ class SpeculationReport:
 
 
 def node_graph(netlist):
-    """Directed node-level graph of the netlist (edges follow channels)."""
-    graph = nx.MultiDiGraph()
-    graph.add_nodes_from(netlist.nodes)
+    """Node-level adjacency of the netlist: node name -> successor names,
+    one entry per channel."""
+    graph = {name: [] for name in netlist.nodes}
     for channel in netlist.channels.values():
-        src, _ = channel.producer
-        dst, _ = channel.consumer
-        graph.add_edge(src, dst, channel=channel.name)
+        graph[channel.producer[0]].append(channel.consumer[0])
     return graph
 
 
@@ -67,7 +64,7 @@ def find_speculation_candidates(netlist):
     graph = node_graph(netlist)
     components = {
         node: idx
-        for idx, comp in enumerate(nx.strongly_connected_components(graph))
+        for idx, comp in enumerate(sccs(graph, graph))
         for node in comp
     }
     candidates = []

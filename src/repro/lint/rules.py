@@ -26,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.lint.diagnostics import CODES, Diagnostic
+from repro.netlist.graphalg import cyclic_sccs
 
 # -- registry -----------------------------------------------------------------
 
@@ -95,63 +96,10 @@ def _adjacency(nodes, edges):
     return adj
 
 
-def _sccs(nodes, adj):
-    """Iterative Tarjan: strongly connected components, as name lists."""
-    index = {}
-    low = {}
-    on_stack = set()
-    stack = []
-    result = []
-    counter = [0]
-    for root in nodes:
-        if root in index:
-            continue
-        work = [(root, iter(adj[root]))]
-        index[root] = low[root] = counter[0]
-        counter[0] += 1
-        stack.append(root)
-        on_stack.add(root)
-        while work:
-            node, successors = work[-1]
-            advanced = False
-            for succ in successors:
-                if succ not in index:
-                    index[succ] = low[succ] = counter[0]
-                    counter[0] += 1
-                    stack.append(succ)
-                    on_stack.add(succ)
-                    work.append((succ, iter(adj[succ])))
-                    advanced = True
-                    break
-                if succ in on_stack:
-                    low[node] = min(low[node], index[succ])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
-            if low[node] == index[node]:
-                component = []
-                while True:
-                    member = stack.pop()
-                    on_stack.discard(member)
-                    component.append(member)
-                    if member == node:
-                        break
-                result.append(component)
-    return result
-
-
 def _cyclic_sccs(nodes, edges):
     """SCCs that actually contain a cycle (size > 1, or a self-loop)."""
-    adj = _adjacency(nodes, edges)
-    self_loops = {src for src, dst, _ch in edges if src == dst}
-    return [
-        sorted(component)
-        for component in _sccs(list(nodes), adj)
-        if len(component) > 1 or component[0] in self_loops
-    ]
+    return [sorted(component)
+            for component in cyclic_sccs(list(nodes), _adjacency(nodes, edges))]
 
 
 def _scc_label(component, limit=6):

@@ -11,6 +11,15 @@ marking = capacity - tokens); the backward edges express finite capacity —
 they are why a capacity-1 buffer (``C < Lf + Lb``) halves throughput, and
 why the Figure 1(b) bubble-in-a-one-token-loop yields exactly 1/2.
 
+The minimum is computed exactly, without enumerating cycles, by
+:func:`repro.netlist.graphalg.min_cycle_ratio`: a parametric
+negative-cycle search over :class:`~fractions.Fraction` ratios that runs
+``O(log(T * D**2))`` Bellman-Ford probes of ``O(V * E)`` each on the
+contracted graph (``V`` combinational clouds, ``E`` = two edges per
+buffer, ``T`` the total tokens, ``D`` the total latency).  Parallel
+buffers between the same clouds cost one edge each, not a product of
+choices per cycle.
+
 Early evaluation and speculation *break* the marked-graph abstraction (that
 is the point of the paper); for those designs use simulation
 (:mod:`repro.perf.throughput`).  :func:`marked_graph_throughput` refuses
@@ -20,11 +29,9 @@ early-evaluation designs unless ``force=True``.
 from __future__ import annotations
 
 import weakref
-from fractions import Fraction
-
-import networkx as nx
 
 from repro.errors import NetlistError
+from repro.netlist import graphalg
 
 
 def _cloud_graph(netlist):
@@ -35,8 +42,8 @@ def _cloud_graph(netlist):
     elastic buffer then contributes a forward edge (latency ``Lf``, marking
     = its tokens) from its input-channel cloud to its output-channel cloud,
     and a backward capacity edge (latency ``Lb``, marking = capacity -
-    tokens).  Returns a MultiDiGraph whose edges carry ``tokens`` and
-    ``latency``.
+    tokens).  Returns the edges as ``(src, dst, tokens, latency)``
+    tuples, the input of :func:`repro.netlist.graphalg.min_cycle_ratio`.
     """
     parent = {name: name for name in netlist.channels}
 
@@ -59,7 +66,7 @@ def _cloud_graph(netlist):
         connected = [node.channel(p).name for p in node.ports if p in node._channels]
         for other in connected[1:]:
             union(connected[0], other)
-    graph = nx.MultiDiGraph()
+    edges = []
     for eb in buffers:
         src_cloud = find(eb.channel("i").name)
         dst_cloud = find(eb.channel("o").name)
@@ -67,12 +74,9 @@ def _cloud_graph(netlist):
         anti = max(-eb.count, 0)
         lf = 1
         lb = 0 if eb.kind == "zbl_eb" else 1
-        graph.add_edge(src_cloud, dst_cloud, tokens=tokens - anti, latency=lf, eb=eb.name)
-        graph.add_edge(
-            dst_cloud, src_cloud,
-            tokens=eb.capacity - tokens + anti, latency=lb, eb=f"{eb.name}~cap",
-        )
-    return graph
+        edges.append((src_cloud, dst_cloud, tokens - anti, lf))
+        edges.append((dst_cloud, src_cloud, eb.capacity - tokens + anti, lb))
+    return edges
 
 
 def _has_early_eval(netlist):
@@ -90,51 +94,18 @@ def min_cycle_ratio(netlist, force=False):
             "marked-graph analysis is not valid for early-evaluation / "
             "speculative designs; use simulation (pass force=True to override)"
         )
-    graph = _cloud_graph(netlist)
-    best = None
-    # Collapse the multigraph for cycle enumeration, keeping parallel edges
-    # as alternatives: enumerate cycles on the simple projection, then take
-    # the per-hop minimum-ratio edge (any cycle through a parallel edge pair
-    # is dominated by the worse edge).
-    simple = nx.DiGraph()
-    for u, v, data in graph.edges(data=True):
-        if simple.has_edge(u, v):
-            simple.edges[u, v]["variants"].append(data)
-        else:
-            simple.add_edge(u, v, variants=[data])
-    for cycle in nx.simple_cycles(simple):
-        pairs = list(zip(cycle, cycle[1:] + cycle[:1]))
-        for choice in _edge_choices(simple, pairs):
-            tokens = sum(d["tokens"] for d in choice)
-            latency = sum(d["latency"] for d in choice)
-            if latency == 0:
-                if tokens <= 0:
-                    raise NetlistError(
-                        "zero-latency cycle with no slack (combinational "
-                        "capacity loop)"
-                    )
-                continue
-            if tokens <= 0:
-                raise NetlistError(
-                    f"cycle with {tokens} tokens and latency {latency}: "
-                    "structural deadlock"
-                )
-            ratio = Fraction(tokens, latency)
-            if best is None or ratio < best:
-                best = ratio
-    return best
-
-
-def _edge_choices(simple, pairs):
-    """All combinations of parallel-edge variants along a cycle (bounded:
-    parallel pairs only arise from EB forward/backward duals)."""
-    choices = [[]]
-    for u, v in pairs:
-        variants = simple.edges[u, v]["variants"]
-        choices = [prefix + [d] for prefix in choices for d in variants]
-        if len(choices) > 4096:
-            raise NetlistError("cycle enumeration blew up; netlist too dense")
-    return choices
+    try:
+        return graphalg.min_cycle_ratio(_cloud_graph(netlist))
+    except graphalg.NonPositiveCycle as witness:
+        if witness.latency == 0:
+            raise NetlistError(
+                "zero-latency cycle with no slack (combinational "
+                "capacity loop)"
+            ) from None
+        raise NetlistError(
+            f"cycle with {witness.tokens} tokens and latency "
+            f"{witness.latency}: structural deadlock"
+        ) from None
 
 
 #: netlist -> (structural version, force flag, ratio) memo for
@@ -147,8 +118,10 @@ def cached_min_cycle_ratio(netlist, force=False):
     """:func:`min_cycle_ratio` memoized on the netlist's structural
     ``version``.
 
-    The session-attached analysis mode of the transform loop: cycle
-    enumeration is only redone after an actual structural edit, so
+    The session-attached analysis mode of the transform loop: the
+    parametric search (a few Bellman-Ford probes over the contracted
+    graph, see :func:`repro.netlist.graphalg.min_cycle_ratio`) is only
+    redone after an actual structural edit, so
     repeated scoring of an unchanged design point (or pure undo/redo
     round-trips back to a cached version... which still bumps the version,
     and therefore recomputes — the memo is per *current* version only) is
@@ -167,7 +140,7 @@ def cached_min_cycle_ratio(netlist, force=False):
 def marked_graph_throughput(netlist, force=False, cached=False):
     """Analytical steady-state throughput in transfers/cycle (<= 1.0).
 
-    ``cached=True`` memoizes the cycle enumeration on the netlist's
+    ``cached=True`` memoizes the cycle-ratio search on the netlist's
     structural version (see :func:`cached_min_cycle_ratio`).
     """
     if cached:

@@ -31,9 +31,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import networkx as nx
-
 from repro.errors import NetlistError
+from repro.netlist.graphalg import CycleError, topological_order
 from repro.tech.library import DEFAULT_TECH
 
 DATA = "D"
@@ -94,26 +93,26 @@ def _node_arcs(node, tech):
 
 
 def timing_graph(netlist, tech=None):
-    """Three-plane timing DAG of the design."""
+    """Three-plane timing DAG of the design, as ``{u: {v: delay}}`` over
+    ``(node, port, plane)`` vertices (a repeated arc keeps its last delay)."""
     tech = tech or DEFAULT_TECH
-    graph = nx.DiGraph()
+    graph = {}
+
+    def arc(u, v, delay):
+        graph.setdefault(u, {})
+        graph.setdefault(v, {})
+        graph[u][v] = delay
+
     for node in netlist.nodes.values():
         for f_port, f_plane, t_port, t_plane, delay in _node_arcs(node, tech):
-            graph.add_edge(
-                (node.name, f_port, f_plane),
-                (node.name, t_port, t_plane),
-                delay=delay,
-            )
+            arc((node.name, f_port, f_plane), (node.name, t_port, t_plane),
+                delay)
     for channel in netlist.channels.values():
         src_node, src_port = channel.producer
         dst_node, dst_port = channel.consumer
         for plane in (DATA, VALID):
-            graph.add_edge(
-                (src_node, src_port, plane), (dst_node, dst_port, plane), delay=0.0
-            )
-        graph.add_edge(
-            (dst_node, dst_port, BWD), (src_node, src_port, BWD), delay=0.0
-        )
+            arc((src_node, src_port, plane), (dst_node, dst_port, plane), 0.0)
+        arc((dst_node, dst_port, BWD), (src_node, src_port, BWD), 0.0)
     return graph
 
 
@@ -135,19 +134,18 @@ def analyze_timing(netlist, tech=None):
     tech = tech or DEFAULT_TECH
     graph = timing_graph(netlist, tech)
     try:
-        order = list(nx.topological_sort(graph))
-    except nx.NetworkXUnfeasible:
-        cycle = nx.find_cycle(graph)
-        pretty = " -> ".join(f"{u[0]}.{u[1]}[{u[2]}]" for u, _v in cycle)
+        order = topological_order(graph, graph)
+    except CycleError as loop:
+        pretty = " -> ".join(f"{u[0]}.{u[1]}[{u[2]}]" for u in loop.cycle)
         raise NetlistError(
             f"combinational timing loop (chained zero-latency control?): {pretty}"
-        )
-    dist = {v: 0.0 for v in graph.nodes}
+        ) from None
+    dist = dict.fromkeys(graph, 0.0)
     pred = {}
     for u in order:
-        for v in graph.successors(u):
-            cand = dist[u] + graph.edges[u, v]["delay"]
-            if cand > dist.get(v, 0.0):
+        for v, delay in graph[u].items():
+            cand = dist[u] + delay
+            if cand > dist[v]:
                 dist[v] = cand
                 pred[v] = u
     if not dist:

@@ -50,10 +50,9 @@ design, not the number of edits ever applied.
 
 from __future__ import annotations
 
-from collections import deque
-
 from repro.elastic.channel import N_SIGNALS, SIG_INDEX
 from repro.netlist.edits import ADD_NODE, CONNECT, DISCONNECT, REMOVE_NODE
+from repro.netlist.graphalg import levelize
 
 
 def sensitivity_tables(nodes, n_channels):
@@ -80,38 +79,8 @@ def sensitivity_tables(nodes, n_channels):
             for rj in readers[state.base + SIG_INDEX[signal]]:
                 if rj != ni:
                     succ[ni].add(rj)
-    order = _levelize(range(len(nodes)), succ)
+    order = levelize(range(len(nodes)), succ)
     return [tuple(r) for r in readers], order
-
-
-def _levelize(indices, succ):
-    """Kahn topological sort of ``indices`` over the ``succ`` adjacency
-    (``succ[i]`` iterable of successors), with the scan fallback that seeds
-    cyclic regions in declaration order."""
-    live = list(indices)
-    indegree = {i: 0 for i in live}
-    for i in live:
-        for j in succ[i]:
-            indegree[j] += 1
-    order = []
-    placed = set()
-    ready = deque(i for i in live if indegree[i] == 0)
-    scan = 0
-    while len(order) < len(live):
-        if not ready:
-            while live[scan] in placed:
-                scan += 1
-            ready.append(live[scan])
-        i = ready.popleft()
-        if i in placed:
-            continue
-        placed.add(i)
-        order.append(i)
-        for j in succ[i]:
-            indegree[j] -= 1
-            if indegree[j] == 0 and j not in placed:
-                ready.append(j)
-    return order
 
 
 class SensitivityMap:
@@ -360,7 +329,7 @@ class SensitivityMap:
         (no netlist traversal); mutates :attr:`order` in place so held
         references stay valid."""
         live = [i for i, node in enumerate(self.node_slots) if node is not None]
-        order = _levelize(live, self._succ)
+        order = levelize(live, self._succ)
         self.order[:] = order
         for i in range(len(self.pos)):
             self.pos[i] = None

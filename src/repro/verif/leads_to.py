@@ -20,7 +20,7 @@ which the verification tests demonstrate.
 
 from __future__ import annotations
 
-import networkx as nx
+from repro.netlist.graphalg import cyclic_sccs
 
 
 def _token_waiting(packed_signals, channel_index):
@@ -52,10 +52,12 @@ def check_leads_to(result, in_channel, out_channel=None):
 
     ``result`` is an :class:`~repro.verif.explore.ExplorationResult`;
     ``out_channel`` is the shared module's corresponding output.  Returns
-    ``(ok, lasso)`` where ``lasso`` lists the state indices of a starving
-    cycle when ``ok`` is False.
+    ``(ok, lasso)`` where ``lasso`` lists, in ascending order, the state
+    indices of a starving strongly connected component when ``ok`` is
+    False: of all such components (more than one state, or one state with
+    a starving self-loop), the one holding the lowest state index.
     """
-    graph = nx.DiGraph()
+    graph = {}
     states = result.states
     in_index = result.channel_index(in_channel)
     out_index = (result.channel_index(out_channel)
@@ -73,14 +75,12 @@ def check_leads_to(result, in_channel, out_channel=None):
                 continue
             if _released(t, result, in_channel, out_channel, out_index):
                 continue
-            graph.add_edge(t.source, t.target)
-    for component in nx.strongly_connected_components(graph):
-        if len(component) > 1:
-            return False, sorted(component)
-        node = next(iter(component))
-        if graph.has_edge(node, node):
-            return False, [node]
-    return True, []
+            graph.setdefault(t.source, set()).add(t.target)
+            graph.setdefault(t.target, set())
+    starving = cyclic_sccs(sorted(graph), graph)
+    if not starving:
+        return True, []
+    return False, sorted(min(starving, key=min))
 
 
 def starvation_free(result, channel_pairs):
