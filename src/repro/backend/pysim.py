@@ -47,8 +47,9 @@ instances at run time — so a parameter sweep over one topology compiles
 exactly once.  ``build(env)`` re-binds a cached module to a concrete
 simulator's nodes, channels, stats and monitor.
 
-Structural edits (the PR 4 ``NetlistEdit`` log) mark the backend dirty;
-the next ``step``/``reset`` re-elaborates against the edited netlist —
+Structural edits (the PR 4 ``NetlistEdit`` log) mark the simulator
+dirty; its shared post-edit refresh, run before the next
+``step``/``reset``, re-elaborates against the edited netlist —
 which is a cache *hit* when the new topology has been seen before — so a
 mutated design can never execute stale generated code.  A netlist whose
 ``version`` advanced without ``Simulator.apply_edit`` raises on ``step``,
@@ -77,8 +78,12 @@ from collections import deque
 from repro.elastic.buffers import ElasticBuffer, ZeroBackwardLatencyBuffer
 from repro.elastic.channel import (
     CONSUMER,
+    EV_BACKWARD,
+    EV_CANCEL,
+    EV_IDLE,
     PRODUCER,
     SIGNALS_BY_ROLE,
+    ChannelEvents,
 )
 from repro.elastic.environment import (
     KillerSink,
@@ -91,10 +96,8 @@ from repro.elastic.environment import (
 from repro.elastic.fork import EagerFork
 from repro.elastic.functional import Func
 from repro.elastic.node import Node
-from repro.errors import CombinationalLoopError
 from repro.netlist.graphalg import levelize
 from repro.sim.monitors import ProtocolMonitor
-from repro.sim.stats import ChannelStats
 
 __all__ = [
     "CodegenBackend",
@@ -913,7 +916,7 @@ def _generate_source(netlist, check_protocol, profile, content_hash):
             )
         else:
             body.append(f"if {_LOC['vp']}{ci} and {_LOC['data']}{ci} is None:")
-        body.append("    _diag(cycle)")
+        body.append("    _diag()")
 
     # -- protocol monitor, inlined (exact ProtocolMonitor.observe mirror) ---
     if check_protocol:
@@ -1000,7 +1003,7 @@ def _generate_source(netlist, check_protocol, profile, content_hash):
         "_tr": "_stats.transfers", "_ca": "_stats.cancels",
         "_ba": "_stats.backwards", "_sl": "_stats.stalls",
         "_il": "_stats.idles",
-        "_sim": 'env["backend"]', "_net": 'env["netlist"]',
+        "_sim": 'env["sim"]', "_net": 'env["netlist"]',
         "_diag": 'env["diagnose"]',
         "EV_IDLE": 'env["EV_IDLE"]', "EV_CANCEL": 'env["EV_CANCEL"]',
         "EV_BACKWARD": 'env["EV_BACKWARD"]',
@@ -1106,183 +1109,46 @@ def clear_module_cache():
 
 
 # ---------------------------------------------------------------------------
-# runtime backend (the engine="codegen" delegate of Simulator)
+# runtime backend (the engine="codegen" elaborator of Simulator)
 # ---------------------------------------------------------------------------
 
 
 class CodegenBackend:
-    """Owns one compiled-cycle function for one netlist.
+    """Elaborates one :class:`~repro.sim.engine.Simulator`'s netlist into
+    a compiled cycle function.
 
-    :class:`~repro.sim.engine.Simulator` delegates to this exactly like it
-    delegates ``engine="batch"`` to a one-lane ``BatchSimulator``; the
-    stats / monitor objects are shared with the wrapper, and structural
-    edits re-elaborate lazily on the next ``step``/``reset`` (see the
-    module docstring on caching and staleness).
+    The simulator owns everything engine-independent — stats, monitor,
+    observers, the cycle counter, edit bookkeeping, ``reset``, choice
+    listing, the loop diagnosis and profile aggregation — and calls
+    :attr:`cycle_fn` ``(cycle, choices)`` in place of its interpreted
+    cycle.  Construction elaborates once; :meth:`elaborate` re-runs
+    against the simulator's current structures after structural edits
+    (see the module docstring on caching and staleness).
     """
 
-    def __init__(self, netlist, check_protocol=True, observers=None,
-                 profile=False):
-        self.netlist = netlist
-        self.check_protocol = bool(check_protocol)
-        self.profile = bool(profile)
-        self.observers = observers if observers is not None else []
-        self.cycle = 0
-        self.stats = ChannelStats(netlist)
-        self.monitor = ProtocolMonitor(netlist) if check_protocol else None
-        self._structures_dirty = False
-        self._edited_channels = set()
-        self.re_elaborations = 0
-        if self.profile:
-            self.evals_per_cycle = []
-            self.sweeps_per_cycle = []
-        self._nodes = []
-        self._elaborate()
-        netlist.reset()
+    def __init__(self, sim):
+        self.sim = sim
+        self.elaborate()
 
-    # -- elaboration --------------------------------------------------------
-
-    def _elaborate(self):
-        prev_nodes = self._nodes
-        netlist = self.netlist
-        self._nodes = list(netlist.nodes.values())
-        self._channels = list(netlist.channels.values())
-        self._choosers = [node for node in self._nodes
-                          if type(node).choice_space is not Node.choice_space]
-        # Take ownership naive-style: detach any change log a previous
-        # worklist simulator registered (its step() will say so).
-        for channel in self._channels:
-            channel.state.log = None
-        if self.profile:
-            counts = {node.name: calls for node, calls
-                      in zip(prev_nodes, getattr(self, "comb_calls", []))}
-            self.comb_calls = [counts.get(node.name, 0) for node in self._nodes]
-        module = _module_for(netlist, self.check_protocol, self.profile)
-        self.module = module
-        self.re_elaborations += 1
+    def elaborate(self):
+        """(Re-)bind the module for the simulator's current topology
+        (compiling it on a cache miss); returns the new :attr:`cycle_fn`."""
+        sim = self.sim
+        module = _module_for(sim.netlist, sim.monitor is not None, sim.profile)
         env = {
-            "nodes": self._nodes,
-            "channels": self._channels,
-            "stats": self.stats,
-            "monitor": self.monitor,
-            "backend": self,
-            "netlist": netlist,
-            "diagnose": self._diagnose,
-            "EV_IDLE": _ev().EV_IDLE,
-            "EV_CANCEL": _ev().EV_CANCEL,
-            "EV_BACKWARD": _ev().EV_BACKWARD,
-            "ChannelEvents": _ev().ChannelEvents,
+            "nodes": sim._nodes,
+            "channels": sim._channels,
+            "stats": sim.stats,
+            "monitor": sim.monitor,
+            "sim": sim,
+            "netlist": sim.netlist,
+            "diagnose": sim._check_resolved,
+            "EV_IDLE": EV_IDLE,
+            "EV_CANCEL": EV_CANCEL,
+            "EV_BACKWARD": EV_BACKWARD,
+            "ChannelEvents": ChannelEvents,
         }
-        if self.profile:
-            env["comb_calls"] = self.comb_calls
-        self._cycle_fn = module.build(env)
-
-    def _refresh(self):
-        """Deferred re-elaboration after one or more structural edits."""
-        self._structures_dirty = False
-        self._elaborate()
-        if self.monitor is not None:
-            self.monitor.structure_changed()
-            for name in self._edited_channels:
-                self.monitor._prev.pop(name, None)
-        self._edited_channels.clear()
-
-    def apply_edit(self, edit):
-        """Record one structural edit; the compiled cycle is rebuilt (via
-        the module cache) right before the next step — stale generated
-        code is never executed."""
-        from repro.netlist.edits import CONNECT, DISCONNECT
-
-        if edit.op == CONNECT:
-            self.stats.add_channel(edit.channel)
-        if edit.op in (CONNECT, DISCONNECT):
-            self._edited_channels.add(edit.channel)
-        self._structures_dirty = True
-
-    # -- per-cycle drive ----------------------------------------------------
-
-    def _check_ownership(self):
-        channels = self._channels
-        if channels and channels[0].state.log is not None:
-            raise RuntimeError(
-                "netlist is now owned by a newer Simulator; this simulator "
-                "would bypass the new simulator's change log — construct a "
-                "fresh Simulator instead of reusing this one"
-            )
-
-    def _diagnose(self, cycle):
-        """Exact ``Simulator._check_resolved`` mirror over the (already
-        flushed) channel states; only called when a quick inline test saw
-        an unresolved signal, and always raises."""
-        unresolved = []
-        for channel in self._channels:
-            state = channel.state
-            if not state.resolved():
-                unresolved.extend(
-                    f"{channel.name}.{sig}"
-                    for sig in state.unresolved_signals()
-                )
-            elif state.vp and state.data is None:
-                unresolved.append(f"{channel.name}.data")
-        raise CombinationalLoopError(unresolved, cycle=cycle)
-
-    def step(self):
-        # Ownership first: a dirty refresh would re-null the channel logs
-        # and silently steal the netlist back from a newer simulator.
-        self._check_ownership()
-        if self._structures_dirty:
-            self._refresh()
-        self._cycle_fn(self.cycle, None)
-        done = self.cycle
-        self.cycle += 1
-        return done
-
-    def step_with_choices(self, choices):
-        self._check_ownership()
-        if self._structures_dirty:
-            self._refresh()
-        events = self._cycle_fn(self.cycle, choices)
-        self.cycle += 1
-        return events
-
-    def choice_nodes(self):
-        if self._structures_dirty:
-            self._refresh()
-        return [node for node in self._choosers if node.choice_space() > 1]
-
-    def reset(self):
-        if self._structures_dirty:
-            self._refresh()
-        self.netlist.reset()
-        self.cycle = 0
-        self.stats.reset()
-        if self.monitor is not None:
-            self.monitor.reset()
-
-    # -- profiling ----------------------------------------------------------
-
-    def profile_report(self):
-        if self._structures_dirty:
-            self._refresh()
-        from repro.sim.profile import ProfileReport
-
-        by_kind = {}
-        for node, calls in zip(self._nodes, self.comb_calls):
-            entry = by_kind.setdefault(node.kind, [0, 0])
-            entry[0] += calls
-            entry[1] += 1
-        return ProfileReport(
-            engine="codegen",
-            cycles=self.cycle,
-            n_nodes=len(self._nodes),
-            comb_calls_by_kind={k: tuple(v) for k, v in sorted(by_kind.items())},
-            total_comb_calls=sum(self.comb_calls),
-            evals_per_cycle=list(self.evals_per_cycle),
-            sweeps_per_cycle=list(self.sweeps_per_cycle),
-        )
-
-
-def _ev():
-    """Late import of the interned event constants (kept in one place)."""
-    from repro.elastic import channel
-
-    return channel
+        if sim.profile:
+            env["comb_calls"] = sim.comb_calls
+        self.cycle_fn = module.build(env)
+        return self.cycle_fn

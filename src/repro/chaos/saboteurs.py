@@ -17,10 +17,11 @@ The three saboteurs below make that theorem executable:
   streams; corruption must be *visible* (or repaired by fig7-style
   replay) — both directions are checked by :mod:`repro.chaos.verify`.
 
-Every saboteur is implemented for all four engines: scalar ``comb()``,
-a batched Kleene kernel (``batch_comb``), and codegen signal tasks
-registered with :mod:`repro.backend.pysim` at the bottom of this module.
-The differential fuzz suites pin the four bit-identical.
+Every saboteur is implemented for every engine: scalar ``comb()``
+(worklist and naive), a batched Kleene kernel (``batch_comb``, the lane
+engine), and codegen signal tasks registered with
+:mod:`repro.backend.pysim` at the bottom of this module.  The
+differential fuzz suites pin them all bit-identical.
 
 Saboteurs obey the SELF protocol (Retry+/Retry-/Invariant hold on both
 sides): an injection may only *begin* on a cycle where it does not

@@ -16,16 +16,17 @@ Usage (after installation)::
     python -m repro serve ROOT [--max-queue 8] [--deadline S]   # persistent job server
     python -m repro submit KIND --root ROOT [--design D]        # run a job on the server
 
-The global ``--engine {worklist,naive,batch,codegen}`` option (before the
+The global ``--engine {worklist,naive,codegen}`` option (before the
 subcommand) selects the fix-point engine for every simulation and
 model-checking run; the event-driven worklist engine is the default, the
-dense-sweep naive engine is kept for cross-checking, the lane-parallel
-batch engine bit-packs N sweep configurations per fix-point pass
-(``sweep --lanes N`` groups same-topology configurations into batches
-inside each worker), and the codegen engine compiles each topology into a
-specialized straight-line Python module (``elaborate`` inspects the
-generated source).  Unknown engine names are rejected up front with the
-valid-choices list.
+dense-sweep naive engine is kept for cross-checking, and the codegen
+engine compiles each topology into a specialized straight-line Python
+module (``elaborate`` inspects the generated source).  Unknown engine
+names are rejected up front with the valid-choices list.  The
+lane-parallel engine is selected by ``--lanes N`` alone, on ``sweep``
+(same-topology configurations are bit-packed N per fix-point pass inside
+each worker) and ``verify`` (N frontier expansions per pass); it does not
+combine with ``--engine``.
 
 Long-running subcommands are resilient: ``sweep`` and ``verify`` accept
 ``--checkpoint`` / ``--timeout`` / ``--retries`` (supervised workers with
@@ -164,7 +165,7 @@ def _cmd_verify(args):
     from repro.verif.explore import StateExplorer
     from repro.verif.leads_to import check_leads_to
 
-    if args.lanes > 1 and args.engine in ("worklist", "naive", "codegen"):
+    if args.lanes > 1 and args.engine is not None:
         print(f"error: --engine {args.engine} is a scalar engine; "
               "--lanes implies the lane-batched explorer", file=sys.stderr)
         return 2
@@ -288,7 +289,7 @@ def _cmd_sweep(args):
     # process and ships it inside every worker payload — spawn workers do
     # not inherit set_default_engine().  The flag is also passed explicitly
     # so an `--engine worklist ... --lanes 4` conflict is rejected instead
-    # of silently running the batch engine.
+    # of silently running the lane-parallel engine.
     try:
         result = run_sweep(spec, n_workers=args.workers, lanes=args.lanes,
                            engine=args.engine, timeout=args.timeout,
@@ -703,11 +704,12 @@ def build_parser():
         description="Speculation in Elastic Systems (DAC 2009) — reproduction toolkit",
     )
     parser.add_argument(
-        "--engine", choices=["worklist", "naive", "batch", "codegen"],
+        "--engine", choices=["worklist", "naive", "codegen"],
         default=None,
         help="fix-point engine for all simulation/verification "
-             "(default: worklist; batch = lane-parallel bit-packed engine; "
-             "codegen = compiled straight-line module per topology)",
+             "(default: worklist; codegen = compiled straight-line module "
+             "per topology; the lane-parallel engine is selected by "
+             "sweep/verify --lanes N instead)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -737,8 +739,8 @@ def build_parser():
     p.add_argument("--max-states", type=int, default=60000)
     p.add_argument("--lanes", type=int, default=1,
                    help="frontier expansions batched per fix-point pass "
-                        "(lane-batched exploration; implies the batch "
-                        "engine)")
+                        "(lane-batched exploration; not combinable with "
+                        "--engine)")
     p.add_argument("--checkpoint", metavar="DIR", default=None,
                    help="checkpoint directory: each exploration saves its "
                         "progress atomically and resumes after a crash or "
@@ -772,7 +774,8 @@ def build_parser():
     p.add_argument("--lanes", type=int, default=1,
                    help="simulation lanes per batch: group same-topology "
                         "configurations and advance N of them per "
-                        "fix-point pass (implies the batch engine)")
+                        "fix-point pass (lane-parallel engine; not "
+                        "combinable with --engine)")
     p.add_argument("--cycles", type=int, default=None,
                    help="override simulated cycles per configuration")
     p.add_argument("--json", metavar="PATH", default=None,

@@ -273,14 +273,6 @@ class BatchChannelState:
         """Mask of lanes whose four control bits are all known."""
         return self.vp_k & self.sp_k & self.vm_k & self.sm_k
 
-    def unresolved_signals(self, lane):
-        """Unresolved control-signal names of one lane (scalar order)."""
-        bit = 1 << lane
-        return [
-            name for name in CONTROL_SIGNALS
-            if not getattr(self, _BATCH_ATTRS[name][0]) & bit
-        ]
-
 
 @dataclass(frozen=True)
 class ChannelEvents:

@@ -30,8 +30,10 @@ advance every lane per fix-point pass.  Static analysis (area, timing) is
 unchanged, configurations measured on the marked graph (``channel=None``)
 take the scalar path, and each lane's measured throughput is bit-identical
 to a scalar run of that configuration — so the merged rows are identical
-to a ``lanes=1`` sweep except for the recorded ``engine`` (``"batch"``),
-regardless of how configurations landed in groups or workers.
+to a ``lanes=1`` sweep except for the recorded ``engine`` label
+(``"batch"``, which names the lane engine in rows and checkpoint keys but
+is not a :class:`~repro.sim.engine.Simulator` engine), regardless of how
+configurations landed in groups or workers.
 
 Supervision, retries and checkpointing
 --------------------------------------
@@ -101,7 +103,7 @@ from repro.runtime import faults
 from repro.runtime.checkpoint import content_key, load_checkpoint, save_checkpoint
 from repro.runtime.control import jittered_backoff, task_key
 from repro.runtime.supervisor import Supervisor, SupervisorStats
-from repro.sim.engine import ENGINES, get_default_engine, set_default_engine
+from repro.sim.engine import check_engine, get_default_engine, set_default_engine
 
 #: Reserved per-point keys interpreted by the runner, not the factory.
 #: ``sim_channel`` overrides the spec-level measurement channel for one
@@ -163,10 +165,8 @@ class SweepSpec:
     engine: str | None = None
 
     def __post_init__(self):
-        if self.engine is not None and self.engine not in ENGINES:
-            raise ValueError(
-                f"unknown engine {self.engine!r}; choose from {ENGINES}"
-            )
+        if self.engine is not None:
+            check_engine(self.engine)
         if self.points is None and not self.grid:
             raise ValueError("SweepSpec needs a grid and/or explicit points")
 
@@ -237,7 +237,7 @@ def _row_from_report(payload, report):
         "throughput": report.throughput,
         "effective_cycle_time": report.effective_cycle_time,
         "throughput_source": report.throughput_source,
-        "engine": get_default_engine(),
+        "engine": payload["engine"],
     }
 
 
@@ -250,7 +250,9 @@ def _run_payload(payload):
     """
     faults.fault_point("sweep_config", payload["index"])
     previous = get_default_engine()
-    if payload["engine"] is not None:
+    # A lane-batched sweep ("batch") only lands here for marked-graph
+    # configurations, which simulate nothing.
+    if payload["engine"] != "batch":
         set_default_engine(payload["engine"])
     try:
         netlist, channel = _build_payload(payload)
@@ -285,37 +287,29 @@ def _run_chunk(chunk):
     payloads = chunk["payloads"]
     if lanes <= 1:
         return [_run_payload(payload) for payload in payloads]
-    previous = get_default_engine()
     rows = []
-    try:
-        groups = {}
-        for payload in payloads:
-            if payload["engine"] is not None:
-                set_default_engine(payload["engine"])
-            if payload["channel"] is None:
-                rows.append(_run_payload(payload))
-                continue
-            faults.fault_point("sweep_config", payload["index"])
-            netlist, channel = _build_payload(payload)
-            signature = topology_signature(netlist)
-            groups.setdefault(signature, []).append(
-                (payload, netlist, channel)
+    groups = {}
+    for payload in payloads:
+        if payload["channel"] is None:
+            rows.append(_run_payload(payload))
+            continue
+        faults.fault_point("sweep_config", payload["index"])
+        netlist, channel = _build_payload(payload)
+        signature = topology_signature(netlist)
+        groups.setdefault(signature, []).append((payload, netlist, channel))
+    for group in groups.values():
+        for start in range(0, len(group), lanes):
+            run = group[start:start + lanes]
+            measured = measure_throughput_batch(
+                [netlist for _, netlist, _ in run],
+                [channel for _, _, channel in run],
+                cycles=run[0][0]["cycles"],
+                warmup=run[0][0]["warmup"],
             )
-        for group in groups.values():
-            for start in range(0, len(group), lanes):
-                run = group[start:start + lanes]
-                measured = measure_throughput_batch(
-                    [netlist for _, netlist, _ in run],
-                    [channel for _, _, channel in run],
-                    cycles=run[0][0]["cycles"],
-                    warmup=run[0][0]["warmup"],
-                )
-                for (payload, netlist, _), result in zip(run, measured):
-                    report = static_report(netlist, name=payload["name"])
-                    attach_throughput(report, result.throughput, "simulation")
-                    rows.append(_row_from_report(payload, report))
-    finally:
-        set_default_engine(previous)
+            for (payload, netlist, _), result in zip(run, measured):
+                report = static_report(netlist, name=payload["name"])
+                attach_throughput(report, result.throughput, "simulation")
+                rows.append(_row_from_report(payload, report))
     return rows
 
 
@@ -331,17 +325,13 @@ def _supervised_chunk(chunk):
 
 def _split_chunk(chunk):
     """Supervisor ``split`` hook: break a failed multi-configuration chunk
-    into single-configuration chunks (scalar — a one-payload lane batch is
-    a scalar run anyway, and per-lane results are bit-identical to scalar
-    by the PR 3 pinning) so the poison configuration is isolated without
-    charging the healthy ones a retry."""
+    into single-configuration chunks (a lane-batched chunk stays on the
+    lane engine as a one-lane batch) so the poison configuration is
+    isolated without charging the healthy ones a retry."""
     payloads = chunk["payloads"]
     if len(payloads) <= 1:
         return None
-    return [
-        (dict(chunk, payloads=[payload], lanes=1), 1)
-        for payload in payloads
-    ]
+    return [(dict(chunk, payloads=[payload]), 1) for payload in payloads]
 
 
 @dataclass
@@ -519,7 +509,7 @@ def _serial_chunk(chunk, retries, backoff, stats, on_rows, failures):
             if len(payloads) > 1:
                 stats.splits += 1
                 for payload in payloads:
-                    _serial_chunk(dict(chunk, payloads=[payload], lanes=1),
+                    _serial_chunk(dict(chunk, payloads=[payload]),
                                   retries, backoff, stats, on_rows, failures)
                 return
             if attempt >= retries:
@@ -562,12 +552,11 @@ def run_sweep(spec, n_workers=1, engine=None, lanes=1, timeout=None,
     ``lanes > 1`` turns on lane batching (see the module docstring): each
     worker's share of the configurations is grouped by topology and
     simulated up to ``lanes`` configurations per fix-point pass.  Lane
-    batching *is* the batch engine, so an explicit ``engine`` /
-    ``spec.engine`` other than ``"batch"`` is rejected; when neither is
-    given the process default is *not* consulted — lanes imply
-    ``"batch"`` (per-lane results are bit-identical to every scalar
-    engine anyway; the CLI forwards ``--engine`` explicitly so a
-    conflicting flag still errors).
+    batching replaces the scalar engine, so ``engine`` and
+    ``spec.engine`` must both be ``None``; the process default is *not*
+    consulted and rows record ``"batch"`` (per-lane results are
+    bit-identical to every scalar engine anyway; the CLI forwards
+    ``--engine`` explicitly so a conflicting flag still errors).
 
     Resilience knobs (see the module docstring for the full story):
     ``timeout`` — per-configuration wall-clock seconds, enforced by the
@@ -599,18 +588,15 @@ def run_sweep(spec, n_workers=1, engine=None, lanes=1, timeout=None,
         raise ValueError(f"on_error must be 'collect' or 'raise', "
                          f"got {on_error!r}")
     if lanes > 1:
-        resolved_engine = engine or spec.engine or "batch"
-        if resolved_engine != "batch":
+        if engine is not None or spec.engine is not None:
             raise ValueError(
-                f"lanes={lanes} requires engine='batch' (or None), "
-                f"got {resolved_engine!r}"
+                f"lanes={lanes} implies the batch engine; engine must be "
+                f"None, got {engine or spec.engine!r}"
             )
+        resolved_engine = "batch"
     else:
         resolved_engine = engine or spec.engine or get_default_engine()
-    if resolved_engine not in ENGINES:
-        raise ValueError(
-            f"unknown engine {resolved_engine!r}; choose from {ENGINES}"
-        )
+        check_engine(resolved_engine)
     configs = spec.expand()
     payloads = [
         {

@@ -75,6 +75,7 @@ from repro.elastic.channel import (
 )
 from repro.elastic.node import Node
 from repro.errors import CombinationalLoopError
+from repro.sim.engine import superseded_error, unresolved_signals
 from repro.sim.monitors import BatchProtocolMonitor
 from repro.sim.sensitivity import sensitivity_tables
 from repro.sim.stats import ChannelStats
@@ -166,64 +167,6 @@ class _PackedCounter:
         return total
 
 
-class LaneStatsView:
-    """Live :class:`ChannelStats`-shaped view of one lane's counters.
-
-    The :class:`Simulator` batch wrapper hands this out as ``sim.stats``
-    so the scalar engines' contract holds: a reference held across
-    ``step()`` calls always reads the current counts (each dict access
-    decodes the bit-plane counters on demand).  For a detached snapshot
-    use :meth:`BatchSimulator.lane_stats`.
-    """
-
-    __slots__ = ("_batch", "_lane", "netlist")
-
-    def __init__(self, batch, lane):
-        self._batch = batch
-        self._lane = lane
-        self.netlist = batch.netlists[lane]
-
-    @property
-    def cycles(self):
-        return self._batch._stat_cycles
-
-    def _decode(self, counters):
-        lane = self._lane
-        return {
-            name: counters[ci].lane_count(lane)
-            for ci, name in enumerate(self._batch._channel_names)
-        }
-
-    @property
-    def transfers(self):
-        return self._decode(self._batch._transfers)
-
-    @property
-    def cancels(self):
-        return self._decode(self._batch._cancels)
-
-    @property
-    def backwards(self):
-        return self._decode(self._batch._backwards)
-
-    @property
-    def stalls(self):
-        return self._decode(self._batch._stalls)
-
-    @property
-    def idles(self):
-        return self._decode(self._batch._idles)
-
-    def throughput(self, channel_name):
-        return self._batch.lane_stats(self._lane).throughput(channel_name)
-
-    def utilization(self, channel_name):
-        return self._batch.lane_stats(self._lane).utilization(channel_name)
-
-    def summary(self):
-        return self._batch.lane_stats(self._lane).summary()
-
-
 class BatchNodeCtx:
     """What a :attr:`Node.batch_comb` kernel sees: the per-lane node
     instances of one topology position plus the batched states of its
@@ -275,12 +218,6 @@ class BatchSimulator:
         iterable of objects with ``observe(cycle, netlist)``); observers
         see the lane's scalar channel states, scattered after each
         fix-point.
-    max_iterations:
-        Accepted for :class:`Simulator` parity and validated; the batched
-        worklist terminates by per-lane monotonicity and does not use it.
-    profile:
-        Record per-position evaluation counts (a kernel call counts 1, a
-        scalar-fallback evaluation counts one per lane).
 
     Like the scalar engines, constructing a :class:`BatchSimulator` takes
     ownership of every lane netlist: it re-registers the channels' change
@@ -288,15 +225,10 @@ class BatchSimulator:
     raises instead of silently corrupting the batch state.
     """
 
-    def __init__(self, netlists, check_protocol=True, observers=None,
-                 max_iterations=None, profile=False):
+    def __init__(self, netlists, check_protocol=True, observers=None):
         netlists = list(netlists)
         if not netlists:
             raise ValueError("BatchSimulator needs at least one lane")
-        if max_iterations is not None and max_iterations <= 0:
-            raise ValueError(
-                f"max_iterations must be positive, got {max_iterations}"
-            )
         for net in netlists:
             net.validate()
         signature = topology_signature(netlists[0])
@@ -310,8 +242,6 @@ class BatchSimulator:
         self.netlists = netlists
         self.n_lanes = len(netlists)
         self.full = (1 << self.n_lanes) - 1
-        self.cycle = 0
-        self._stat_cycles = 0
         # Structural-version guard: the lane-parallel tables are built for
         # exactly these netlist structures; the batch engine conservatively
         # invalidates (refuses to step) after any structural edit instead
@@ -350,7 +280,6 @@ class BatchSimulator:
         self._pending = bytearray(len(nodes0))
         self._all_pending = bytes(b"\x01" * len(nodes0))
         self._evals = []
-        self._eval_cost = []
         self._ctx_caches = []
         self._any_fallback = False
         for pos, lanes in enumerate(self._node_lanes):
@@ -362,13 +291,11 @@ class BatchSimulator:
                 }
                 ctx = BatchNodeCtx(lanes, ports, self.full)
                 self._evals.append((kernel, ctx))
-                self._eval_cost.append(1)
                 self._ctx_caches.append(ctx.cache)
             else:
                 self._evals.append(
                     (self._make_fallback_eval(lanes), None)
                 )
-                self._eval_cost.append(self.n_lanes)
                 self._any_fallback = True
 
         # -- per-lane machinery -------------------------------------------
@@ -394,35 +321,15 @@ class BatchSimulator:
                 f"observers must have one entry per lane: got "
                 f"{len(observers)} for {self.n_lanes} lane(s)"
             )
-        # Lists are kept by reference (not copied) so callers — e.g. the
-        # Simulator batch wrapper — can append observers after
-        # construction, matching the scalar engines' live-list behaviour.
-        self._observers = [
-            lane_obs if isinstance(lane_obs, list) else list(lane_obs)
-            for lane_obs in observers
-        ]
+        self._observers = [list(lane_obs) for lane_obs in observers]
         self.monitor = (
             BatchProtocolMonitor(self._bstates, netlists[0])
             if check_protocol else None
         )
 
-        # -- statistics: bit-plane counters per (channel, category) --------
-        n = len(channel_names)
-        self._transfers = [_PackedCounter() for _ in range(n)]
-        self._cancels = [_PackedCounter() for _ in range(n)]
-        self._backwards = [_PackedCounter() for _ in range(n)]
-        self._stalls = [_PackedCounter() for _ in range(n)]
-        self._idles = [_PackedCounter() for _ in range(n)]
         self._channel_index = {name: ci for ci, name in enumerate(channel_names)}
-
-        self.profile = bool(profile)
-        if self.profile:
-            self.comb_calls = [0] * len(nodes0)
-            self.evals_per_cycle = []
-            self.sweeps_per_cycle = []
-
-        for net in netlists:
-            net.reset()
+        # cycle counters and the bit-plane statistics start in reset()
+        self.reset()
 
     # -- evaluator construction -----------------------------------------------
 
@@ -486,12 +393,7 @@ class BatchSimulator:
             lane_log = self._lane_log
             for channel in self._lane_channels[0]:
                 if channel.state.log is not lane_log:
-                    raise RuntimeError(
-                        "a lane netlist is now owned by a newer Simulator; "
-                        "this batch can no longer observe signal changes — "
-                        "construct a fresh BatchSimulator instead of "
-                        "reusing this one"
-                    )
+                    raise superseded_error()
         for bst in self._bstates:
             bst.clear()
         if self._any_fallback:
@@ -514,16 +416,11 @@ class BatchSimulator:
         evals_fns = self._evals
         readers = self._readers
         queue = deque(self._order)
-        profile = self.profile
-        evals = 0
         while queue:
             i = queue.popleft()
             pending[i] = 0
             fn, ctx = evals_fns[i]
             fn(ctx)
-            if profile:
-                self.comb_calls[i] += self._eval_cost[i]
-                evals += 1
             if log:
                 for signal in log:
                     for j in readers[signal]:
@@ -531,9 +428,6 @@ class BatchSimulator:
                             pending[j] = 1
                             queue.append(j)
                 log.clear()
-        if profile:
-            self.evals_per_cycle.append(evals)
-            self.sweeps_per_cycle.append(1)
         self._check_resolved()
 
     def _check_resolved(self):
@@ -543,21 +437,21 @@ class BatchSimulator:
                 break
         else:
             return
-        # Slow path: diagnose the lowest failing lane exactly like a scalar
-        # simulator of that lane would (same channel and signal order).
-        for lane in range(self.n_lanes):
-            bit = 1 << lane
-            unresolved = []
-            for bst in self._bstates:
-                missing = bst.unresolved_signals(lane)
-                if missing:
-                    unresolved.extend(f"{bst.name}.{sig}" for sig in missing)
-                elif bst.vp_v & bit and not bst.data_k & bit:
-                    unresolved.append(f"{bst.name}.data")
-            if unresolved:
-                err = CombinationalLoopError(unresolved, cycle=self.cycle)
-                err.lane = lane
-                raise err
+        # Slow path: load the lowest failing lane's three-valued signals
+        # into its scalar channel states and diagnose them with the scalar
+        # engines' own diagnosis (same channel and signal order).
+        failing = 0
+        for bst in self._bstates:
+            failing |= (full & ~bst.resolved_mask()) | (bst.vp_v & ~bst.data_k)
+        lane = (failing & -failing).bit_length() - 1
+        channels = [lane_channels[lane] for lane_channels in self._lane_channels]
+        for bst, channel in zip(self._bstates, channels):
+            for name in ALL_SIGNALS:
+                setattr(channel.state, name, bst.lane_value(name, lane))
+        err = CombinationalLoopError(unresolved_signals(channels),
+                                     cycle=self.cycle)
+        err.lane = lane
+        raise err
 
     def _scatter(self):
         """Write the resolved batch signals into every lane's scalar channel
@@ -648,6 +542,7 @@ class BatchSimulator:
             net.reset()
         self.cycle = 0
         self._stat_cycles = 0
+        # bit-plane counters per (channel, category)
         n = len(self._channel_names)
         self._transfers = [_PackedCounter() for _ in range(n)]
         self._cancels = [_PackedCounter() for _ in range(n)]
@@ -655,8 +550,7 @@ class BatchSimulator:
         self._stalls = [_PackedCounter() for _ in range(n)]
         self._idles = [_PackedCounter() for _ in range(n)]
         if self.monitor is not None:
-            self.monitor._prev = None
-            self.monitor.violations.clear()
+            self.monitor.reset()
 
     def _choice_cycle(self):
         """The shared cycle body of the model-checking steps: pre-cycle,
@@ -718,24 +612,6 @@ class BatchSimulator:
                 channels[lane].events_cache = ev
                 events[lane][name] = ev
         return events, [bytes(p) for p in signals]
-
-    def step_with_choices(self, choices):
-        """One cycle with explicit environment choices (model-checking
-        hook, mirrors :meth:`Simulator.step_with_choices`): choices are
-        applied to every lane's choice nodes by name; returns the lane-0
-        per-channel events dict (resolved from the scattered scalar
-        states — the all-lane mask gather is only worth it when every
-        lane's result is consumed, see :meth:`step_with_lane_choices`)."""
-        self._check_structural_versions()
-        for lanes in self._chooser_lanes:
-            for node in lanes:
-                if node.choice_space() > 1:
-                    node.set_choice(choices.get(node.name, 0))
-        self._choice_cycle()
-        return {
-            name: self._lane_channels[ci][0].resolve_events()
-            for ci, name in enumerate(self._channel_names)
-        }
 
     def step_with_lane_choices(self, choices_per_lane):
         """One cycle with *per-lane* explicit choices.
@@ -801,11 +677,6 @@ class BatchSimulator:
         """Forward-transfer count of one lane on one channel so far."""
         return self._transfers[self._channel_index[channel_name]].lane_count(lane)
 
-    def lane_stats_view(self, lane):
-        """Live :class:`LaneStatsView` of one lane (reads track the
-        simulation as it advances; used by the Simulator batch wrapper)."""
-        return LaneStatsView(self, lane)
-
     def lane_stats(self, lane):
         """Materialize one lane's :class:`ChannelStats` snapshot
         (identical to what a scalar simulator of that lane would have
@@ -819,28 +690,3 @@ class BatchSimulator:
             stats.stalls[name] = self._stalls[ci].lane_count(lane)
             stats.idles[name] = self._idles[ci].lane_count(lane)
         return stats
-
-    # -- profiling ------------------------------------------------------------
-
-    def profile_report(self):
-        """Aggregate the recorded counters (requires ``profile=True``)."""
-        if not self.profile:
-            raise ValueError(
-                "BatchSimulator was not constructed with profile=True"
-            )
-        from repro.sim.profile import ProfileReport
-
-        by_kind = {}
-        for lanes, calls in zip(self._node_lanes, self.comb_calls):
-            entry = by_kind.setdefault(lanes[0].kind, [0, 0])
-            entry[0] += calls
-            entry[1] += 1
-        return ProfileReport(
-            engine="batch",
-            cycles=self.cycle,
-            n_nodes=len(self._node_lanes),
-            comb_calls_by_kind={k: tuple(v) for k, v in sorted(by_kind.items())},
-            total_comb_calls=sum(self.comb_calls),
-            evals_per_cycle=list(self.evals_per_cycle),
-            sweeps_per_cycle=list(self.sweeps_per_cycle),
-        )

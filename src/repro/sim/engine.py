@@ -17,8 +17,13 @@ Each clock cycle proceeds in four phases:
 Fix-point engines
 -----------------
 
-Four interchangeable fix-point engines are provided (``engine=``
-parameter, process-wide default via :func:`set_default_engine`):
+Three interchangeable engines are provided (``engine=`` parameter,
+process-wide default via :func:`set_default_engine`).  They differ only in
+how one cycle is computed; everything else — validation, statistics, the
+protocol monitor, observers, the cycle counter, edit following, the
+structural-version and ownership guards, the deferred post-edit refresh,
+``reset``, choice listing, the unresolved-signal diagnosis and profile
+aggregation — is owned once by :class:`Simulator`.
 
 ``worklist`` (default) — event-driven evaluation over a **static
 sensitivity map** (a patchable
@@ -60,20 +65,6 @@ assert.
 until quiescence; O(nodes²) node evaluations per cycle on deep combinational
 chains).  Kept for differential testing and as a reference semantics.
 
-``batch`` — the lane-parallel engine of :mod:`repro.sim.batch`.  Channel
-signals are bit-packed Python ints — each three-valued signal becomes a
-``(known, value)`` mask pair with one bit per simulation *lane* — so a
-single pass over the same static sensitivity map advances N configurations
-of a shared topology at once, with node logic lane-parallelized through
-bitwise Kleene operators (``Node.batch_comb`` kernels for the core elastic
-node kinds, a per-lane scalar fallback for everything else).
-``Simulator(engine="batch")`` wraps a single netlist in a one-lane
-:class:`~repro.sim.batch.BatchSimulator` and behaves exactly like the
-scalar engines (the differential fuzz tests pin all three against each
-other); multi-lane batches are built directly via
-:class:`~repro.sim.batch.BatchSimulator` or, for design-space sweeps,
-``run_sweep(spec, lanes=N)``.
-
 ``codegen`` — the compiled engine of :mod:`repro.backend.pysim`.  The
 netlist is *elaborated*: its acyclic majority (the same levelized order
 the worklist seeds with) is emitted as straight-line Python with channel
@@ -87,6 +78,13 @@ re-elaborate before the next step, never serving stale code.  Highest
 per-cycle throughput (~10x over worklist on the deep-pipeline bench) at
 the cost of a one-time elaboration per topology; pinned bit-identical to
 the worklist engine by ``tests/test_codegen_diff.py``.
+
+Lane-parallel simulation is not a :class:`Simulator` engine: the bit-packed
+:class:`~repro.sim.batch.BatchSimulator` advances N same-topology netlists
+per fix-point pass and is reached directly, or through ``lanes=N`` on
+:func:`~repro.perf.sweep.run_sweep` and
+:class:`~repro.verif.explore.StateExplorer`.  Each of its lanes is pinned
+bit-identical to a scalar run by ``tests/test_batch_diff.py``.
 """
 
 from __future__ import annotations
@@ -100,27 +98,64 @@ from repro.sim.sensitivity import SensitivityMap, sensitivity_tables
 from repro.sim.stats import ChannelStats
 
 __all__ = [
-    "ENGINES", "Simulator", "sensitivity_tables",
-    "get_default_engine", "set_default_engine",
+    "ENGINES", "Simulator", "check_engine", "get_default_engine",
+    "sensitivity_tables", "set_default_engine", "superseded_error",
+    "unresolved_signals",
 ]
 
 #: Recognized fix-point engines.
-ENGINES = ("worklist", "naive", "batch", "codegen")
+ENGINES = ("worklist", "naive", "codegen")
 
 _default_engine = "worklist"
+
+
+def check_engine(name):
+    """Raise ``ValueError`` (listing the choices) unless ``name`` is a
+    :class:`Simulator` engine."""
+    if name not in ENGINES:
+        raise ValueError(
+            f"unknown engine {name!r}; choose from {ENGINES} (lane-parallel "
+            "simulation is repro.sim.batch.BatchSimulator, or lanes=N on "
+            "sweeps and explorations)"
+        )
 
 
 def set_default_engine(name):
     """Set the process-wide default fix-point engine (CLI ``--engine``)."""
     global _default_engine
-    if name not in ENGINES:
-        raise ValueError(f"unknown engine {name!r}; choose from {ENGINES}")
+    check_engine(name)
     _default_engine = name
 
 
 def get_default_engine():
     """The engine used when ``Simulator(engine=None)``."""
     return _default_engine
+
+
+def superseded_error():
+    """The error a simulator raises when stepped after a newer simulator
+    took ownership of its netlist (shared by every engine)."""
+    return RuntimeError(
+        "netlist is now owned by a newer Simulator; this simulator can no "
+        "longer observe its signal changes — construct a fresh simulator "
+        "instead of reusing this one"
+    )
+
+
+def unresolved_signals(channels):
+    """``channel.signal`` names a finished fix-point left unresolved, in
+    channel order: unknown control signals, or the data of an offered
+    token (the :class:`~repro.errors.CombinationalLoopError` diagnosis)."""
+    unresolved = []
+    for channel in channels:
+        state = channel.state
+        if not state.resolved():
+            unresolved.extend(
+                f"{channel.name}.{sig}" for sig in state.unresolved_signals()
+            )
+        elif state.vp and state.data is None:
+            unresolved.append(f"{channel.name}.data")
+    return unresolved
 
 
 class Simulator:
@@ -135,16 +170,16 @@ class Simulator:
         Invariant) on every channel; violations raise immediately.
     observers:
         Optional iterable of objects with an ``observe(cycle, netlist)``
-        method called after each fix-point (trace recorders etc.).
+        method called after each fix-point (trace recorders etc.); kept as
+        the live list :attr:`observers`.
     max_iterations:
         Safety bound on fix-point sweeps per cycle (naive engine only; the
         worklist engine terminates by monotonicity).
     engine:
-        ``"worklist"`` (event-driven, default), ``"naive"`` (dense sweep),
-        ``"batch"`` (one-lane bit-packed) or ``"codegen"`` (compiled
-        straight-line module); ``None`` picks the process-wide default.
-        Unknown names raise ``ValueError`` with the valid-choices list
-        before any engine setup runs.
+        ``"worklist"`` (event-driven, default), ``"naive"`` (dense sweep)
+        or ``"codegen"`` (compiled straight-line module); ``None`` picks
+        the process-wide default.  Unknown names raise ``ValueError`` with
+        the valid-choices list before any engine setup runs.
     profile:
         Record per-node ``comb()`` call counts and per-cycle evaluation /
         sweep histograms (see :mod:`repro.sim.profile`).
@@ -157,28 +192,28 @@ class Simulator:
         following.
 
     A netlist has a single owning simulator at a time: constructing a new
-    :class:`Simulator` on the same netlist re-registers the channels'
-    change logs, so a previously constructed simulator must not be stepped
-    afterwards (it raises rather than silently missing change events).
+    :class:`Simulator` (or :class:`~repro.sim.batch.BatchSimulator`) on
+    the same netlist re-registers the channels' change logs, so a
+    previously constructed simulator must not be stepped afterwards (it
+    raises rather than silently missing change events).
 
     Incremental patching
     --------------------
 
     The netlist records a monotonically increasing structural ``version``
     and emits a :class:`~repro.netlist.edits.NetlistEdit` per mutation.
-    :meth:`apply_edit` patches a live scalar simulator for one such edit —
-    the worklist engine's :class:`~repro.sim.sensitivity.SensitivityMap`
-    re-levelizes only the affected region — so transform-simulate-measure
-    loops keep one warm simulator instead of paying O(netlist)
-    clone-and-rebuild per step.  A simulator whose netlist version
-    advanced *without* the corresponding ``apply_edit`` calls raises on
-    :meth:`step` instead of silently reading stale sensitivity tables; the
-    batch wrapper never patches (conservative invalidation: after any
-    structural edit it must be rebuilt).  :meth:`reset` rewinds dynamic
-    state (netlist sequential state, cycle counter, statistics, monitor
-    history) while keeping the built structures warm — the combination the
-    ``reuse_simulator`` mode of :func:`repro.perf.throughput.measure_throughput`
-    relies on.
+    :meth:`apply_edit` patches a live simulator for one such edit — the
+    worklist engine's :class:`~repro.sim.sensitivity.SensitivityMap`
+    re-levelizes only the affected region, the codegen engine
+    re-elaborates (a module-cache hit for a topology seen before) — so
+    transform-simulate-measure loops keep one warm simulator instead of
+    paying O(netlist) clone-and-rebuild per step.  A simulator whose
+    netlist version advanced *without* the corresponding ``apply_edit``
+    calls raises on :meth:`step` instead of silently reading stale
+    structures.  :meth:`reset` rewinds dynamic state (netlist sequential
+    state, cycle counter, statistics, monitor history) while keeping the
+    built structures warm — the combination the ``reuse_simulator`` mode
+    of :func:`repro.perf.throughput.measure_throughput` relies on.
     """
 
     def __init__(self, netlist, check_protocol=True, observers=(),
@@ -187,8 +222,7 @@ class Simulator:
         netlist.validate()
         if engine is None:
             engine = _default_engine
-        if engine not in ENGINES:
-            raise ValueError(f"unknown engine {engine!r}; choose from {ENGINES}")
+        check_engine(engine)
         self.netlist = netlist
         self.engine = engine
         self.cycle = 0
@@ -208,78 +242,37 @@ class Simulator:
         self._netlist_version = netlist.version
         self._followed = None
         self._structures_dirty = False
-        self._edited_channels = set()
-        self._nodes = list(netlist.nodes.values())
-        self._channels = list(netlist.channels.values())
-        self._choosers = [node for node in self._nodes
-                          if type(node).choice_space is not Node.choice_space]
-        self.profile = bool(profile)
-        self._smap = None
-        self._cg = None
-        if engine == "batch":
-            # One-lane delegation to the lane-parallel engine; the wrapper
-            # keeps the full Simulator API (stats, monitor, profiling,
-            # model-checking hooks) so "batch" is a drop-in third engine.
-            from repro.sim.batch import BatchSimulator
-
-            self._batch = BatchSimulator(
-                [netlist], check_protocol=check_protocol,
-                observers=[self.observers], max_iterations=max_iterations,
-                profile=self.profile,
-            )
-            # Live lane-0 view: references held across step() keep
-            # reading current counts, as with the scalar engines.
-            self.stats = self._batch.lane_stats_view(0)
-            self.monitor = self._batch.monitor
-            if follow_edits:
-                self._follow(netlist)
-            return
-        self._batch = None
-        if engine == "codegen":
-            # Delegation to the compiled engine, exactly like the batch
-            # wrapper above: the backend owns the generated cycle function
-            # and shares its stats/monitor objects with this wrapper.
-            from repro.backend.pysim import CodegenBackend
-
-            self._cg = CodegenBackend(
-                netlist, check_protocol=check_protocol,
-                observers=self.observers, profile=self.profile,
-            )
-            self.stats = self._cg.stats
-            self.monitor = self._cg.monitor
-            if follow_edits:
-                self._follow(netlist)
-            return
         self.stats = ChannelStats(netlist)
         self.monitor = ProtocolMonitor(netlist) if check_protocol else None
-        # Pre-bound method lists: the per-cycle loops call these directly
-        # instead of re-resolving attributes on every node every cycle.
-        self._combs = [node.comb for node in self._nodes]
-        self._ticks = [node.tick for node in self._nodes
-                       if type(node).tick is not Node.tick]
-        self._pre_cycles = [node.pre_cycle for node in self._nodes
-                            if type(node).pre_cycle is not Node.pre_cycle]
+        self.profile = bool(profile)
+        if self.profile:
+            # comb_calls is parallel to _profile_slots (the node list the
+            # counts were recorded against), so a refresh remaps by name.
+            self._profile_slots = []
+            self.comb_calls = []
+            self.evals_per_cycle = []    # worklist: evaluations; naive: comb calls
+            self.sweeps_per_cycle = []   # naive only (worklist records 1 seed pass)
+        # Ownership: the worklist engine registers its change log on every
+        # channel; the others detach any log a previous worklist simulator
+        # registered.  _log is what an owned channel carries either way.
+        self._smap = None
+        self._log = None
+        self._fixpoint = self._fixpoint_naive
         if engine == "worklist":
             self._smap = SensitivityMap(netlist)
             self._log = self._smap.log
-            self._sync_worklist_structures()
             self._fixpoint = self._fixpoint_worklist
         else:
-            # Detach any change log a previous worklist simulator registered.
-            for channel in self._channels:
+            for channel in netlist.channels.values():
                 channel.state.log = None
-            self._fixpoint = self._fixpoint_naive
-        if self.profile:
-            if self._smap is not None:
-                # counters are parallel to the map's node slots; keep the
-                # slot layout they were recorded against so a later
-                # refresh (patch or compaction) can remap by name.
-                self._profile_slots = list(self._smap.node_slots)
-                self.comb_calls = [0] * len(self._profile_slots)
-            else:
-                self.comb_calls = [0] * len(self._nodes)
-            self.evals_per_cycle = []    # worklist: evaluations; naive: comb calls
-            self.sweeps_per_cycle = []   # naive only (worklist records 1 seed pass)
+        self._cycle = self._interpreted_cycle
+        self._backend = None
+        self._sync_structures()
+        if engine == "codegen":
+            from repro.backend.pysim import CodegenBackend
+
+            self._backend = CodegenBackend(self)
+            self._cycle = self._backend.cycle_fn
         if follow_edits:
             self._follow(netlist)
         netlist.reset()
@@ -296,19 +289,42 @@ class Simulator:
             self._followed.unsubscribe(self.apply_edit)
             self._followed = None
 
-    def _sync_worklist_structures(self):
-        """(Re)derive the engine's flat evaluation structures from the
-        sensitivity map's slot tables (holes for removed nodes/channels)."""
+    def _sync_structures(self):
+        """(Re)derive the flat per-cycle structures — pre-bound method
+        lists, profile counters and, for codegen, the compiled cycle —
+        from the current netlist (worklist: from the sensitivity map's
+        slot tables, holes for removed nodes/channels)."""
         smap = self._smap
-        self._comb_slots = [None if node is None else node.comb
-                            for node in smap.node_slots]
-        self._nodes = smap.live_nodes()
-        self._channels = smap.live_channels()
-        n_slots = len(smap.node_slots)
-        self._pending = bytearray(n_slots)
-        self._all_pending = bytes(
-            0 if node is None else 1 for node in smap.node_slots
-        )
+        if smap is not None:
+            slots = smap.node_slots
+            self._comb_slots = [None if node is None else node.comb
+                                for node in slots]
+            self._nodes = smap.live_nodes()
+            self._channels = smap.live_channels()
+            self._pending = bytearray(len(slots))
+            self._all_pending = bytes(0 if node is None else 1
+                                      for node in slots)
+        else:
+            slots = self._nodes = list(self.netlist.nodes.values())
+            self._channels = list(self.netlist.channels.values())
+            self._combs = [node.comb for node in slots]
+        if self.profile:
+            counts = {node.name: calls for node, calls
+                      in zip(self._profile_slots, self.comb_calls)
+                      if node is not None}
+            self.comb_calls = [0 if node is None else counts.get(node.name, 0)
+                               for node in slots]
+            self._profile_slots = list(slots)
+        # Pre-bound method lists: the per-cycle loops call these directly
+        # instead of re-resolving attributes on every node every cycle.
+        self._ticks = [node.tick for node in self._nodes
+                       if type(node).tick is not Node.tick]
+        self._pre_cycles = [node.pre_cycle for node in self._nodes
+                            if type(node).pre_cycle is not Node.pre_cycle]
+        self._choosers = [node for node in self._nodes
+                          if type(node).choice_space is not Node.choice_space]
+        if self._backend is not None:
+            self._cycle = self._backend.elaborate()
 
     def apply_edit(self, edit):
         """Patch this live simulator for one structural netlist edit.
@@ -318,26 +334,14 @@ class Simulator:
         automatically); afterwards the simulator behaves exactly as a
         freshly constructed one on the edited netlist, without the
         O(netlist) clone / sensitivity rebuild / reset.  The sensitivity
-        map is patched per edit; the derived flat evaluation structures
-        (pre-bound method lists, monitor exemptions) are refreshed lazily
-        once, right before the next :meth:`step`/:meth:`reset`, so a
-        multi-edit transformation pays the O(netlist) list rebuilds a
-        single time.  The batch engine wrapper does not patch: the edit
-        conservatively invalidates it and the next :meth:`step` raises.
+        map is patched per edit; the derived flat structures (pre-bound
+        method lists, the compiled cycle, monitor exemptions) are
+        refreshed lazily once, right before the next
+        :meth:`step`/:meth:`reset`, so a multi-edit transformation pays
+        the O(netlist) rebuilds a single time.
         """
-        from repro.netlist.edits import CONNECT, DISCONNECT
+        from repro.netlist.edits import CONNECT
 
-        if self._batch is not None:
-            # Conservative invalidation: _netlist_version stays behind, so
-            # the structural-version guard in step() fires.
-            return
-        if self._cg is not None:
-            # The compiled engine re-elaborates lazily (a module-cache hit
-            # when the edited topology has been seen before) right before
-            # the next step — stale generated code is never executed.
-            self._cg.apply_edit(edit)
-            self._netlist_version = self.netlist.version
-            return
         if self._smap is not None:
             # A newer simulator may have taken ownership of the netlist
             # while this one is still subscribed; patching would steal the
@@ -352,70 +356,26 @@ class Simulator:
             self._smap.apply_edit(edit)
         if edit.op == CONNECT:
             self.stats.add_channel(edit.channel)
-        if edit.op in (CONNECT, DISCONNECT):
-            self._edited_channels.add(edit.channel)
         self._structures_dirty = True
         self._netlist_version = self.netlist.version
 
     def _refresh_structures(self):
-        """The deferred O(netlist) part of edit patching: re-derive the
-        flat evaluation structures after one *or more* applied edits."""
+        """The deferred O(netlist) part of edit patching, run once after
+        one *or more* applied edits: re-derive the per-cycle structures,
+        then tell the monitor and every observer the structure changed."""
         self._structures_dirty = False
-        if self._smap is not None:
-            if self.profile:
-                # The map's slot layout may have shifted (new slots, or a
-                # compaction renumbering everything); remap the recorded
-                # counts through the node names.
-                counts = {node.name: calls for node, calls
-                          in zip(self._profile_slots, self.comb_calls)
-                          if node is not None}
-                self.comb_calls = [
-                    0 if node is None else counts.get(node.name, 0)
-                    for node in self._smap.node_slots
-                ]
-                self._profile_slots = list(self._smap.node_slots)
-            self._sync_worklist_structures()
-        else:
-            if self.profile:
-                # comb_calls is parallel to _nodes for the naive engine;
-                # remap the recorded counts through the (old) node names.
-                counts = {node.name: calls
-                          for node, calls in zip(self._nodes, self.comb_calls)}
-            self._nodes = list(self.netlist.nodes.values())
-            self._channels = list(self.netlist.channels.values())
-            self._combs = [node.comb for node in self._nodes]
-            if self.profile:
-                self.comb_calls = [counts.get(node.name, 0)
-                                   for node in self._nodes]
-        self._ticks = [node.tick for node in self._nodes
-                       if type(node).tick is not Node.tick]
-        self._pre_cycles = [node.pre_cycle for node in self._nodes
-                            if type(node).pre_cycle is not Node.pre_cycle]
-        self._choosers = [node for node in self._nodes
-                          if type(node).choice_space is not Node.choice_space]
+        self._sync_structures()
         if self._auto_max_iterations:
             self.max_iterations = len(self.netlist.nodes) + 2
         if self.monitor is not None:
             self.monitor.structure_changed()
-            for name in self._edited_channels:
-                self.monitor._prev.pop(name, None)
         for observer in self.observers:
             hook = getattr(observer, "structure_changed", None)
             if hook is not None:
                 hook()
-        self._edited_channels.clear()
 
-    def _check_structural_version(self):
-        if self.netlist.version == self._netlist_version:
-            return
-        if self._batch is not None:
-            raise RuntimeError(
-                f"netlist {self.netlist.name!r} was structurally edited "
-                f"(version {self.netlist.version}, simulator built at "
-                f"{self._netlist_version}); the batch engine does not patch "
-                "incrementally — construct a fresh Simulator"
-            )
-        raise RuntimeError(
+    def _stale_structure(self):
+        return RuntimeError(
             f"netlist {self.netlist.name!r} was structurally edited "
             f"(version {self.netlist.version}, simulator last synced at "
             f"{self._netlist_version}) without Simulator.apply_edit(); "
@@ -423,20 +383,26 @@ class Simulator:
             "or construct a fresh Simulator instead of stepping this one"
         )
 
+    def _ready(self):
+        """The guards every cycle passes first: structural version,
+        deferred refresh, then ownership (after the refresh, so the probe
+        channel is a live one)."""
+        if self.netlist.version != self._netlist_version:
+            raise self._stale_structure()
+        if self._structures_dirty:
+            self._refresh_structures()
+        channels = self._channels
+        if channels and channels[0].state.log is not self._log:
+            raise superseded_error()
+
     def reset(self):
         """Rewind dynamic state — netlist sequential state, cycle counter,
         statistics and monitor history — keeping the built engine
-        structures (sensitivity map, levelization, pre-bound node lists)
-        warm.  The warm-simulator analogue of constructing afresh."""
-        self._check_structural_version()
-        if self._batch is not None:
-            self._batch.reset()
-            self.cycle = 0
-            return
-        if self._cg is not None:
-            self._cg.reset()
-            self.cycle = 0
-            return
+        structures (sensitivity map, levelization, pre-bound node lists,
+        compiled cycle) warm.  The warm-simulator analogue of constructing
+        afresh."""
+        if self.netlist.version != self._netlist_version:
+            raise self._stale_structure()
         if self._structures_dirty:
             self._refresh_structures()
         self.netlist.reset()
@@ -447,21 +413,9 @@ class Simulator:
 
     # -- per-cycle phases ----------------------------------------------------------
 
-    def _clear_channels(self):
-        # One shared clear path (signals + events cache) for every engine.
+    def _fixpoint_worklist(self):
         for channel in self._channels:
             channel.clear_cycle()
-
-    def _fixpoint_worklist(self):
-        # All channel logs are (re)assigned together at construction, so
-        # checking one detects a newer simulator having taken ownership.
-        if self._channels and self._channels[0].state.log is not self._log:
-            raise RuntimeError(
-                "netlist is now owned by a newer Simulator; this simulator "
-                "can no longer observe signal changes — construct a fresh "
-                "Simulator instead of reusing this one"
-            )
-        self._clear_channels()
         log = self._log
         log.clear()
         pending = self._pending
@@ -491,18 +445,8 @@ class Simulator:
         self._check_resolved()
 
     def _fixpoint_naive(self):
-        # A newer worklist/batch simulator registers its change log on the
-        # channels; stepping this simulator afterwards would append change
-        # events into the *new* simulator's log.  Same ownership rule as
-        # the worklist engine: fail loudly instead.
-        if self._channels and self._channels[0].state.log is not None:
-            raise RuntimeError(
-                "netlist is now owned by a newer Simulator; this simulator "
-                "would append spurious entries to the new simulator's "
-                "change log — construct a fresh Simulator instead of "
-                "reusing this one"
-            )
-        self._clear_channels()
+        for channel in self._channels:
+            channel.clear_cycle()
         profile = self.profile
         sweeps = 0
         for _sweep in range(self.max_iterations):
@@ -523,53 +467,44 @@ class Simulator:
         self._check_resolved()
 
     def _check_resolved(self):
-        unresolved = []
-        for channel in self._channels:
-            state = channel.state
-            if not state.resolved():
-                unresolved.extend(
-                    f"{channel.name}.{sig}" for sig in state.unresolved_signals()
-                )
-            elif state.vp and state.data is None:
-                unresolved.append(f"{channel.name}.data")
+        """Raise the combinational-loop diagnosis if the fix-point left
+        any signal unresolved (the codegen cycle calls this too, from its
+        inlined quick test)."""
+        unresolved = unresolved_signals(self._channels)
         if unresolved:
             raise CombinationalLoopError(unresolved, cycle=self.cycle)
 
-    def _resolve_events(self):
-        """Resolve every channel's events exactly once and cache them, so
-        stats, monitors, transfer logs and ``tick`` handlers share one
-        computation per cycle."""
-        events = {}
-        for channel in self._channels:
-            events[channel.name] = channel.resolve_events()
-        return events
-
-    def step(self):
-        """Advance one clock cycle; returns the cycle index just completed."""
-        self._check_structural_version()
-        if self._batch is not None:
-            done = self._batch.step()
-            self.cycle = self._batch.cycle
-            return done
-        if self._cg is not None:
-            done = self._cg.step()
-            self.cycle = self._cg.cycle
-            return done
-        if self._structures_dirty:
-            self._refresh_structures()
+    def _interpreted_cycle(self, cycle, choices):
+        """One cycle of the worklist / naive engines: choices, pre-cycle,
+        fix-point, monitor, events (resolved once and cached on every
+        channel), then statistics and observers (plain steps only) and
+        tick.  Returns the per-channel events dict.  The codegen engine's
+        generated cycle has the same signature and semantics."""
+        if choices is not None:
+            for node in self._choosers:
+                if node.choice_space() > 1:
+                    node.set_choice(choices.get(node.name, 0))
         for pre_cycle in self._pre_cycles:
             pre_cycle()
         self._fixpoint()
         if self.monitor is not None:
-            self.monitor.observe(self.cycle)
-        events = self._resolve_events()
-        self.stats.observe(self.cycle, events)
-        for observer in self.observers:
-            observer.observe(self.cycle, self.netlist)
+            self.monitor.observe(cycle)
+        events = {channel.name: channel.resolve_events()
+                  for channel in self._channels}
+        if choices is None:
+            self.stats.observe(cycle, events)
+            for observer in self.observers:
+                observer.observe(cycle, self.netlist)
         for tick in self._ticks:
             tick()
+        return events
+
+    def step(self):
+        """Advance one clock cycle; returns the cycle index just completed."""
+        self._ready()
         done = self.cycle
-        self.cycle += 1
+        self._cycle(done, None)
+        self.cycle = done + 1
         return done
 
     def run(self, n_cycles):
@@ -588,8 +523,6 @@ class Simulator:
 
     def choice_nodes(self):
         """Nodes with a nondeterministic choice this cycle."""
-        if self._cg is not None:
-            return self._cg.choice_nodes()
         if self._structures_dirty:
             self._refresh_structures()
         return [node for node in self._choosers if node.choice_space() > 1]
@@ -600,30 +533,10 @@ class Simulator:
         ``choices`` maps node name -> choice index; unnamed choice nodes get
         choice 0.  Returns the per-channel events dict (resolved once and
         shared with the channels' per-cycle cache) for property evaluation
-        by the model checker.
+        by the model checker; statistics and observers are not updated.
         """
-        self._check_structural_version()
-        if self._batch is not None:
-            events = self._batch.step_with_choices(choices)
-            self.cycle = self._batch.cycle
-            return events
-        if self._cg is not None:
-            events = self._cg.step_with_choices(choices)
-            self.cycle = self._cg.cycle
-            return events
-        if self._structures_dirty:
-            self._refresh_structures()
-        for node in self._choosers:
-            if node.choice_space() > 1:
-                node.set_choice(choices.get(node.name, 0))
-        for pre_cycle in self._pre_cycles:
-            pre_cycle()
-        self._fixpoint()
-        if self.monitor is not None:
-            self.monitor.observe(self.cycle)
-        events = self._resolve_events()
-        for tick in self._ticks:
-            tick()
+        self._ready()
+        events = self._cycle(self.cycle, choices)
         self.cycle += 1
         return events
 
@@ -634,21 +547,12 @@ class Simulator:
         returns a :class:`repro.sim.profile.ProfileReport`."""
         if not self.profile:
             raise ValueError("Simulator was not constructed with profile=True")
-        if self._batch is not None:
-            return self._batch.profile_report()
-        if self._cg is not None:
-            return self._cg.profile_report()
         if self._structures_dirty:
             self._refresh_structures()
         from repro.sim.profile import ProfileReport
 
-        # For the worklist engine the counters are parallel to the
-        # sensitivity map's node slots (holes for removed nodes); for the
-        # naive engine they are parallel to the live node list.
-        counted = (self._smap.node_slots if self._smap is not None
-                   else self._nodes)
         by_kind = {}
-        for node, calls in zip(counted, self.comb_calls):
+        for node, calls in zip(self._profile_slots, self.comb_calls):
             if node is None:
                 continue
             entry = by_kind.setdefault(node.kind, [0, 0])

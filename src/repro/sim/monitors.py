@@ -128,6 +128,12 @@ class BatchProtocolMonitor:
 
         self._retry_exempt = retry_exempt_channels(netlist)
 
+    def reset(self):
+        """Clear per-run history (previous-cycle masks, recorded
+        violations); the property configuration is kept."""
+        self._prev = None
+        self.violations.clear()
+
     def _fail(self, prop, channel, cycle, detail, lane_mask):
         err = ProtocolViolationError(prop, channel, cycle, detail)
         err.lane = (lane_mask & -lane_mask).bit_length() - 1

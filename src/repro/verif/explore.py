@@ -19,9 +19,8 @@ Exploration engines
 -------------------
 
 ``lanes=1`` (default) — classic breadth-first search: one scalar
-fix-point (``engine=`` selects worklist / naive / one-lane batch / the
-compiled ``codegen`` module) per explored ``(state, choice-vector)``
-transition.
+fix-point (``engine=`` selects worklist / naive / the compiled
+``codegen`` module) per explored ``(state, choice-vector)`` transition.
 
 ``lanes=N`` — the lane-batched frontier engine.  Every successor
 expansion of a BFS frontier is same-topology by construction, differing
@@ -193,8 +192,9 @@ class StateExplorer:
     the explorer pays one fix-point per explored transition, so the
     worklist engine speeds up whole model-checking runs.  ``lanes=N``
     switches to the lane-batched frontier engine instead, expanding N
-    pending transitions per bit-packed fix-point pass (``engine`` must
-    then be left at ``None`` — the batch engine is implied).
+    pending transitions per bit-packed fix-point pass through a
+    :class:`~repro.sim.batch.BatchSimulator` (``engine`` must then be left
+    at ``None``).
     """
 
     def __init__(self, netlist, max_states=20000, check_protocol=True,
@@ -214,10 +214,10 @@ class StateExplorer:
         lanes = int(lanes)
         if lanes < 1:
             raise ValueError(f"lanes must be >= 1, got {lanes}")
-        if lanes > 1 and engine not in (None, "batch"):
+        if lanes > 1 and engine is not None:
             raise ValueError(
-                f"lanes={lanes} implies the batch engine; "
-                f"got engine={engine!r}"
+                f"lanes={lanes} implies the batch engine; engine must be "
+                f"None, got engine={engine!r}"
             )
         self.lanes = lanes
         # The simulator's own online monitor is disabled: exploration jumps

@@ -271,12 +271,25 @@ class TestSweepLaneBatching:
 
     def test_lanes_json_identical_to_one_lane_batch(self):
         from repro.perf.sweep import run_sweep
+        from repro.runtime.faults import Fault, FaultPlan
 
-        one = run_sweep(self._spec(), engine="batch", lanes=1)
+        # Failing every configuration's first attempt splits each lane
+        # chunk into single-configuration chunks, which stay on the lane
+        # engine: the retried rows are all measured by one-lane batches.
+        plan = FaultPlan([Fault("sweep_config", kind="raise", times=1)])
+        one = run_sweep(self._spec(), lanes=4, retries=1, fault_plan=plan)
+        assert one.stats.splits >= 1
+        assert not one.failures
         # 6 configs over 4 lanes: two same-topology groups of 3, split 3+3.
         many = run_sweep(self._spec(), lanes=4)
         assert many.to_json() == one.to_json()
         assert many.lanes == 4
+
+    def test_batch_is_not_a_scalar_engine(self):
+        from repro.perf.sweep import run_sweep
+
+        with pytest.raises(ValueError, match="unknown engine 'batch'"):
+            run_sweep(self._spec(), engine="batch")
 
     def test_lanes_rows_match_scalar_except_engine(self):
         from repro.perf.sweep import run_sweep
@@ -377,21 +390,6 @@ class TestKernelAuthorHelpers:
 
         ctx = BatchNodeCtx((Probe(True), Probe(False), Probe(True)), {}, 0b111)
         assert ctx.lane_mask(lambda node: node.flag) == 0b101
-
-
-class TestLiveStatsContract:
-    def test_wrapper_stats_reference_stays_live(self):
-        """A stats reference held across step() reads current counts —
-        same contract as the scalar engines."""
-        net = build_pipeline(["eb"], 0.0, 1, [1, 2, 3])
-        sim = Simulator(net, engine="batch")
-        stats = sim.stats
-        assert stats is sim.stats
-        assert stats.transfers["out"] == 0
-        sim.run(10)
-        assert stats.transfers["out"] == 3
-        assert stats.cycles == 10
-        assert stats.summary()[0]["channel"] in net.channels
 
 
 class TestFallbackMidFixpointEvents:

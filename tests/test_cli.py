@@ -53,6 +53,13 @@ class TestCli:
         assert "starves as predicted" in out
         assert "FAIL" not in out
 
+    def test_batch_is_not_an_engine_choice(self, capsys):
+        """The lane engine is selected by ``--lanes`` only."""
+        with pytest.raises(SystemExit) as err:
+            main(["--engine", "batch", "table1"])
+        assert err.value.code == 2
+        assert "invalid choice: 'batch'" in capsys.readouterr().err
+
     def test_verify_lanes_reject_scalar_engine(self, capsys):
         assert main(["--engine", "naive", "verify", "--lanes", "4"]) == 2
         err = capsys.readouterr().err

@@ -8,6 +8,7 @@ from repro.elastic.environment import ListSource, Sink
 from repro.elastic.functional import Func
 from repro.errors import CombinationalLoopError
 from repro.netlist.graph import Netlist
+from repro.sim.batch import BatchSimulator
 from repro.sim.engine import Simulator
 from repro.sim.monitors import BoundedLivenessMonitor
 from repro.sim.stats import TransferLog
@@ -314,7 +315,7 @@ class TestStaleNaiveSimulator:
     def test_stale_naive_detects_newer_batch(self):
         net = self._pipeline()
         stale = Simulator(net, engine="naive")
-        Simulator(net, engine="batch")
+        BatchSimulator([net])
         with pytest.raises(RuntimeError, match="newer Simulator"):
             stale.step()
 
@@ -395,7 +396,10 @@ class TestEventsMidFixpoint:
         assert channel.state.unresolved_signals() == ["vp", "sp", "vm", "sm"]
 
 
-class TestBatchEngineWrapper:
+class TestOneLaneBatchSimulator:
+    """The lane engine is not a :class:`Simulator` engine; a one-lane
+    :class:`BatchSimulator` is driven directly."""
+
     def _pipeline(self):
         net = Netlist("p")
         net.add(ListSource("src", [1, 2, 3]))
@@ -407,44 +411,22 @@ class TestBatchEngineWrapper:
 
     def test_batch_engine_simulates(self):
         net = self._pipeline()
-        sim = Simulator(net, engine="batch").run(10)
+        batch = BatchSimulator([net]).run(10)
         assert sink_values(net) == [1, 2, 3]
-        assert sim.stats.transfers["out"] == 3
-        assert sim.engine == "batch"
+        assert batch.lane_stats(0).transfers["out"] == 3
+        assert batch.lane_stats(0).cycles == 10
 
-    def test_batch_profile_report(self):
-        """``profile_report()`` works on the batch engine: one seed pass
-        per cycle, kernel evaluations counted per node position."""
+    def test_stale_one_lane_batch_detected(self):
         net = self._pipeline()
-        sim = Simulator(net, engine="batch", profile=True)
-        sim.run(20)
-        report = sim.profile_report()
-        assert report.engine == "batch"
-        assert report.cycles == 20
-        assert report.n_nodes == 3
-        assert report.total_comb_calls >= 3 * 20
-        assert report.sweeps_per_cycle == [1] * 20
-        kinds = set(report.comb_calls_by_kind)
-        assert {"source", "eb", "sink"} <= kinds
-
-    def test_batch_profile_requires_flag(self):
-        sim = Simulator(self._pipeline(), engine="batch")
-        with pytest.raises(ValueError):
-            sim.profile_report()
-
-    def test_stale_batch_wrapper_detected(self):
-        net = self._pipeline()
-        stale = Simulator(net, engine="batch")
+        stale = BatchSimulator([net])
         Simulator(net, engine="worklist")
         with pytest.raises(RuntimeError, match="newer Simulator"):
             stale.step()
 
-    def test_batch_wrapper_observers_list_is_live(self):
-        """Observers appended after construction are honoured, exactly as
-        on the scalar engines."""
-        net = self._pipeline()
-        sim = Simulator(net, engine="batch")
-        log = TransferLog(["out"])
-        sim.observers.append(log)
-        sim.run(10)
-        assert [v for _c, v in log.streams["out"]] == [1, 2, 3]
+    def test_simulator_rejects_batch_engine(self):
+        """``engine="batch"`` is an unknown engine whose error points to
+        the lane engine."""
+        with pytest.raises(ValueError, match="unknown engine 'batch'") as err:
+            Simulator(self._pipeline(), engine="batch")
+        assert "BatchSimulator" in str(err.value)
+        assert "lanes=" in str(err.value)

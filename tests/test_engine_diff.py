@@ -1,11 +1,13 @@
-"""Differential testing of the two fix-point engines.
+"""Differential testing of the fix-point engines.
 
 The event-driven worklist engine and the dense-sweep naive engine must be
 *behaviourally identical*: same transfer streams, same per-channel
 statistics, same protocol verdicts, same combinational-loop diagnostics,
 same model-checking state graphs.  These tests fuzz random netlists (the
 :mod:`test_fuzz` generators plus canned paper designs) and compare the two
-engines run for run.
+engines run for run; the loop diagnoses and state graphs are also pinned
+on every other engine and on the lane engine (:class:`BatchSimulator`,
+driven directly).
 """
 
 import random
@@ -20,6 +22,7 @@ from repro.elastic.functional import Func
 from repro.errors import CombinationalLoopError
 from repro.netlist import patterns
 from repro.netlist.graph import Netlist
+from repro.sim.batch import BatchSimulator
 from repro.sim.engine import ENGINES, Simulator
 from repro.sim.stats import TransferLog
 from repro.verif.explore import StateExplorer
@@ -145,7 +148,12 @@ class TestLoopDiagnostics:
             with pytest.raises(CombinationalLoopError) as err:
                 sim.step()
             diagnoses[engine] = (sorted(err.value.unresolved), err.value.cycle)
+        with pytest.raises(CombinationalLoopError) as err:
+            BatchSimulator([self._loop_net()]).step()
+        diagnoses["batch"] = (sorted(err.value.unresolved), err.value.cycle)
         assert diagnoses["worklist"] == diagnoses["naive"]
+        for engine, diagnosis in diagnoses.items():
+            assert diagnosis == diagnoses["worklist"], engine
 
     def test_partial_loop_same_diagnosis(self):
         """A loop hanging off a working pipeline: the healthy part resolves,
@@ -172,7 +180,12 @@ class TestLoopDiagnostics:
             with pytest.raises(CombinationalLoopError) as err:
                 sim.step()
             diagnoses[engine] = sorted(err.value.unresolved)
+        with pytest.raises(CombinationalLoopError) as err:
+            BatchSimulator([make_net()]).step()
+        diagnoses["batch"] = sorted(err.value.unresolved)
         assert diagnoses["worklist"] == diagnoses["naive"]
+        for engine, diagnosis in diagnoses.items():
+            assert diagnosis == diagnoses["worklist"], engine
 
 
 class TestChaosSaboteurs:
@@ -213,9 +226,11 @@ class TestModelChecking:
             return net
 
         results = {}
-        for engine in ENGINES:
+        for engine in ENGINES + ("batch",):
+            lanes = 4 if engine == "batch" else 1
             result = StateExplorer(make(), max_states=5000,
-                                   engine=engine).explore()
+                                   engine=None if lanes > 1 else engine,
+                                   lanes=lanes).explore()
             results[engine] = (
                 result.n_states,
                 len(result.transitions),
@@ -223,6 +238,8 @@ class TestModelChecking:
                 result.complete,
             )
         assert results["worklist"] == results["naive"]
+        for engine, result in results.items():
+            assert result == results["worklist"], engine
 
     def test_explorer_speculative_composition_matches(self):
         """Shared module + EE mux under the toggle scheduler — the paper's
@@ -231,10 +248,14 @@ class TestModelChecking:
         from repro.core.scheduler import ToggleScheduler
 
         results = {}
-        for engine in ENGINES:
+        for engine in ENGINES + ("batch",):
+            lanes = 4 if engine == "batch" else 1
             net = shared_mux_mc_net(ToggleScheduler(2))
             result = StateExplorer(net, max_states=30000,
-                                   engine=engine).explore()
+                                   engine=None if lanes > 1 else engine,
+                                   lanes=lanes).explore()
             results[engine] = (result.n_states, len(result.transitions),
                                sorted(result.violations), result.complete)
         assert results["worklist"] == results["naive"]
+        for engine, result in results.items():
+            assert result == results["worklist"], engine

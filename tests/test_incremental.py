@@ -309,7 +309,11 @@ class TestLoopDiagnosticsParity:
 class TestStaleStructureGuards:
     def _edited(self, engine):
         net = build_pipeline(["eb"], 0.0, 0, [1, 2, 3])
-        sim = Simulator(net, engine=engine)
+        if engine == "batch":
+            # the lane engine, driven directly as a one-lane batch
+            sim = BatchSimulator([net])
+        else:
+            sim = Simulator(net, engine=engine)
         insert_bubble(net, "c0")
         return sim
 
@@ -329,15 +333,6 @@ class TestStaleStructureGuards:
         sim = BatchSimulator(nets)
         insert_bubble(nets[1], "c0")
         with pytest.raises(RuntimeError, match="lane 1"):
-            sim.step()
-
-    def test_batch_wrapper_follow_edits_still_invalidates(self):
-        """The batch wrapper 'follows' conservatively: the edit is observed
-        but invalidates the simulator instead of patching it."""
-        net = build_pipeline(["eb"], 0.0, 0, [1, 2])
-        sim = Simulator(net, engine="batch", follow_edits=True)
-        insert_bubble(net, "c0")
-        with pytest.raises(RuntimeError, match="batch engine"):
             sim.step()
 
     def test_manual_apply_edit_revalidates(self):
@@ -372,6 +367,36 @@ class TestStaleStructureGuards:
         new.reset()
         new.run(40)
         assert net.nodes["snk"].values == [1, 2, 3]
+
+
+class TestPostEditRefresh:
+    class HookCounter:
+        def __init__(self):
+            self.calls = 0
+
+        def observe(self, cycle, netlist):
+            pass
+
+        def structure_changed(self):
+            self.calls += 1
+
+    @pytest.mark.parametrize("engine", ["worklist", "naive", "codegen"])
+    def test_followed_edit_calls_observer_hook_once(self, engine):
+        """Every engine runs the same deferred post-edit refresh: one
+        followed edit fires each observer's ``structure_changed`` exactly
+        once, before the next cycle."""
+        from repro.netlist import patterns
+
+        net = patterns.deep_pipeline(4)
+        counter = self.HookCounter()
+        sim = Simulator(net, engine=engine, observers=[counter],
+                        follow_edits=True)
+        sim.step()
+        insert_bubble(net, next(iter(net.channels)))
+        assert counter.calls == 0
+        sim.step()
+        sim.step()
+        assert counter.calls == 1
 
 
 class TestWarmMeasurementParity:
