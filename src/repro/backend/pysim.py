@@ -16,10 +16,15 @@ per *topology* in which
   (``v3``/``p3``/``a3``/``m3``/``d3`` for ``vp``/``sp``/``vm``/``sm``/
   ``data`` of channel slot 3) instead of ``ChannelState`` objects;
 * the cyclic residue (ZBL chains, lazy joins, speculation loops) and any
-  node kind without an emitter fall back to a generated **inner fix-point
-  loop** over the real ``comb()`` methods and ``ChannelState`` objects
-  ("boxed" channels), preserving the monotone Kleene semantics and
-  :class:`~repro.errors.SignalConflictError` behaviour exactly;
+  node kind without an emitter fall back to a generated **residue
+  worklist** over the real ``comb()`` methods and ``ChannelState``
+  objects ("boxed" channels), preserving the monotone Kleene semantics
+  and :class:`~repro.errors.SignalConflictError` behaviour exactly: each
+  deferred node is seeded once in levelized order, then only the readers
+  of boxed signals that actually became known run again — the worklist
+  engine's algorithm, with the reader table (the deferred nodes'
+  ``comb_reads()`` inverted over signal ids) baked into the module and
+  the owning simulator's change log on the boxed channel states;
 * protocol monitoring, event resolution, statistics, observers and the
   core ``tick`` kernels are inlined into the same generated function, so
   a cycle is one Python call.
@@ -61,13 +66,17 @@ module is generated with per-node call counters and per-cycle eval/sweep
 histograms woven in, so ``Simulator(engine="codegen", profile=True)``
 supports :meth:`~repro.sim.engine.Simulator.profile_report` with the same
 report shape as the interpreted engines (straight-line nodes count one
-evaluation per cycle; the inner loop counts its real calls).
+evaluation per cycle; the residue counts its real calls; one seed pass,
+so ``sweeps_per_cycle`` is 1 as for the worklist engine).
 
 Emitter trust mirrors :func:`repro.sim.batch.resolve_batch_kernel`: a
 per-kind emitter is used only for node classes whose ``comb`` (or
 ``tick``, for tick emitters) is *defined by* the class the emitter was
-written against — a subclass overriding ``comb`` falls back to the
-always-correct deferred evaluation of its own method.
+written against — a subclass overriding ``comb`` falls back to deferred
+evaluation of its own method.  Deferred nodes are trusted for their
+``comb_reads()`` declarations, exactly as the worklist engine trusts them
+(and :mod:`repro.lint.audit` checks them): a ``comb`` reading a signal it
+does not declare would miss its re-evaluation.
 """
 
 from __future__ import annotations
@@ -81,7 +90,9 @@ from repro.elastic.channel import (
     EV_BACKWARD,
     EV_CANCEL,
     EV_IDLE,
+    N_SIGNALS,
     PRODUCER,
+    SIG_INDEX,
     SIGNALS_BY_ROLE,
     ChannelEvents,
 )
@@ -612,7 +623,7 @@ class _Plan:
 
     __slots__ = (
         "nodes", "channels", "chan_idx", "port_channel", "writer",
-        "bound_ok", "task_order", "fast", "deferred", "boxed",
+        "bound_ok", "task_order", "fast", "deferred", "readers", "boxed",
         "pre_cycles", "choosers", "ticks",
     )
 
@@ -654,7 +665,7 @@ def _build_plan(netlist):
     # Signal-task scheduling.  Tasks of nodes with emitters are wired by
     # (channel, signal) and topologically sorted; a node any of whose tasks
     # is stuck — a read with no live producing task, or a genuine
-    # signal-level cycle — is demoted whole to the deferred fix-point loop,
+    # signal-level cycle — is demoted whole to the deferred residue,
     # and demotion cascades (its readers lose their producers) until the
     # remaining task graph is acyclic and fully sourced.
     specs = {}
@@ -722,6 +733,19 @@ def _build_plan(netlist):
                 succ[wi].add(ni)
     order = levelize(range(len(nodes)), succ)
     plan.deferred = [ni for ni in order if ni in demoted]
+
+    # The residue's sensitivity table: every deferred node's comb_reads()
+    # inverted over global signal ids (the ChannelState ``base`` the
+    # owning simulator assigns: channel slot * N_SIGNALS), naming
+    # positions in plan.deferred.
+    readers = [[] for _ in range(N_SIGNALS * len(channels))]
+    for k, ni in enumerate(plan.deferred):
+        node = nodes[ni]
+        for port, sig in node.comb_reads():
+            ci = port_channel.get((node.name, port))
+            if ci is not None:
+                readers[ci * N_SIGNALS + SIG_INDEX[sig]].append(k)
+    plan.readers = tuple(tuple(r) for r in readers)
 
     # A channel adjacent to any deferred (or missing) endpoint stays boxed
     # in its ChannelState; all other channels become flat locals.
@@ -866,32 +890,53 @@ def _generate_source(netlist, check_protocol, profile, content_hash):
         for ni in plan.fast:
             body.append(f"_cc[{ni}] += 1")
 
-    # -- cyclic residue: generated inner fix-point over the real comb() -----
+    # -- cyclic residue: signal-precise worklist over the real comb() ------
+    # Seed every deferred node once, in levelized order, then re-evaluate
+    # only the readers (per comb_reads) of boxed signals that actually
+    # became known — the worklist engine's algorithm, over the residue.
+    # Each boxed signal changes at most once per cycle, so the queue
+    # drains without an iteration bound.
     if plan.deferred:
-        # each productive sweep resolves >= 1 of the boxed signals
-        bound = 5 * max(len(boxed), 1) + 2
         if profile:
-            body += ["_ne = 0", "_sw = 0"]
-        body.append(f"for _ in range({bound}):")
+            body.append("_ne = 0")
+        body += [
+            "_lg.clear()",
+            "_pd[:] = _ones",
+            "_q = deque(_seed)",
+            "while _q:",
+            "    _i = _q.popleft()",
+            "    _pd[_i] = 0",
+            "    _fs[_i]()",
+        ]
         if profile:
-            body.append("    _sw += 1")
-        body.append("    _chg = False")
-        for ni in plan.deferred:
-            name = f"_f{ni}"
-            g.bind[name] = f"_nodes[{ni}].comb"
-            body += [f"    if {name}():", "        _chg = True"]
-            if profile:
-                body.append(f"    _cc[{ni}] += 1")
+            body += ["    _cc[_rn[_i]] += 1", "    _ne += 1"]
+        body += [
+            "    if _lg:",
+            "        for _s in _lg:",
+            "            for _j in _rd[_s]:",
+            "                if not _pd[_j]:",
+            "                    _pd[_j] = 1",
+            "                    _q.append(_j)",
+            "        _lg.clear()",
+        ]
+        g.bind.update({
+            "_lg": 'env["log"]',
+            "_rd": "_READERS",
+            "_pd": f"bytearray({len(plan.deferred)})",
+            "_ones": f"b'\\x01' * {len(plan.deferred)}",
+            "_fs": "(" + "".join(f"_nodes[{ni}].comb, "
+                                 for ni in plan.deferred) + ")",
+            "deque": "deque",
+            "_seed": f"range({len(plan.deferred)})",
+        })
         if profile:
-            body.append(f"    _ne += {len(plan.deferred)}")
-        body += ["    if not _chg:", "        break"]
+            g.bind["_rn"] = repr(tuple(plan.deferred))
 
     if profile:
         extra = " + _ne" if plan.deferred else ""
-        sweeps = "_sw" if plan.deferred else "1"
         body += [
             f"_sim.evals_per_cycle.append({len(plan.fast)}{extra})",
-            f"_sim.sweeps_per_cycle.append({sweeps})",
+            "_sim.sweeps_per_cycle.append(1)",
         ]
 
     # -- flush locals into the ChannelState objects (observers, fallback
@@ -1023,6 +1068,13 @@ def _generate_source(netlist, check_protocol, profile, content_hash):
         f"# flags: check_protocol={bool(check_protocol)}, "
         f"profile={bool(profile)}",
         "",
+    ]
+    if plan.deferred:
+        # boxed signal id (channel slot * N_SIGNALS + SIG_INDEX) -> the
+        # residue positions of the deferred nodes that read it
+        lines += ["from collections import deque", "",
+                  f"_READERS = {plan.readers!r}", ""]
+    lines += [
         "def build(env):",
         '    _nodes = env["nodes"]',
         '    _channels = env["channels"]',
@@ -1135,6 +1187,15 @@ class CodegenBackend:
         (compiling it on a cache miss); returns the new :attr:`cycle_fn`."""
         sim = self.sim
         module = _module_for(sim.netlist, sim.monitor is not None, sim.profile)
+        # Number the signal ids the residue's reader table is indexed by.
+        # Channel logs are claimed by the simulator alone (construction and
+        # followed connects, after its ownership probe); a channel a newer
+        # simulator owns keeps that simulator's numbering.
+        log = sim._log
+        for slot, channel in enumerate(sim._channels):
+            state = channel.state
+            if state.log is log:
+                state.base = slot * N_SIGNALS
         env = {
             "nodes": sim._nodes,
             "channels": sim._channels,
@@ -1143,6 +1204,7 @@ class CodegenBackend:
             "sim": sim,
             "netlist": sim.netlist,
             "diagnose": sim._check_resolved,
+            "log": log,
             "EV_IDLE": EV_IDLE,
             "EV_CANCEL": EV_CANCEL,
             "EV_BACKWARD": EV_BACKWARD,

@@ -37,13 +37,15 @@ Signal-change reporting
 
 :meth:`ChannelState.set` is the single funnel every combinational drive goes
 through.  Besides enforcing monotonicity it can *report* which signal
-changed: the event-driven simulation engine registers a shared change log
+changed: the owning simulator registers a shared change log
 (``state.log``) and a per-channel signal-id base (``state.base``); every
 ``unknown -> known`` transition appends the global signal id
-``base + SIG_INDEX[name]`` to the log, which is what lets the engine enqueue
-exactly the nodes sensitive to that signal instead of re-sweeping the whole
-netlist.  When no log is registered (naive engine, unit tests) the append is
-skipped and behaviour is exactly the classic one.
+``base + SIG_INDEX[name]`` to the log, which is what lets the worklist
+engine and codegen's residue enqueue exactly the nodes sensitive to that
+signal instead of re-sweeping the whole netlist (the naive engine only
+clears its log; the log doubles as the ownership token).  When no log is
+registered (unit tests) the append is skipped and behaviour is exactly the
+classic one.
 """
 
 from __future__ import annotations
@@ -78,8 +80,8 @@ N_SIGNALS = len(ALL_SIGNALS)
 class ChannelState:
     """Per-cycle signal values of one channel (``None`` = unresolved).
 
-    ``base``/``log`` are the change-reporting hooks used by the worklist
-    engine (see the module docstring); both are inert by default.
+    ``base``/``log`` are the change-reporting hooks the owning simulator
+    registers (see the module docstring); both are inert by default.
     """
 
     __slots__ = ("vp", "sp", "vm", "sm", "data", "base", "log")

@@ -105,8 +105,9 @@ class Func(Node):
         # room on every input.
         room = all(pk < self.max_kills for pk in self._pk)
         changed |= self.drive("o", "sm", kite(all_avail, False, not room))
-        # Data.
-        if all_avail is True:
+        # Data: fn runs once per cycle — a re-evaluation after o.data is
+        # known could only re-drive the same value.
+        if all_avail is True and ost.data is None:
             args = [self._in(i).data for i in range(self.n_inputs)]
             if all(a is not None for a in args):
                 changed |= self.drive("o", "data", self.fn(*args))

@@ -68,16 +68,19 @@ chains).  Kept for differential testing and as a reference semantics.
 ``codegen`` — the compiled engine of :mod:`repro.backend.pysim`.  The
 netlist is *elaborated*: its acyclic majority (the same levelized order
 the worklist seeds with) is emitted as straight-line Python with channel
-signals in flat locals, the cyclic residue runs in a generated inner
-fix-point loop, and protocol monitoring / statistics / event resolution /
-core ``tick`` kernels are inlined into the same generated function — one
-Python call per cycle, no per-node dispatch.  Modules are ``exec``-compiled
-once per topology and cached process-wide (sequential parameters are read
-at run time, so sweeps over one topology compile once); structural edits
-re-elaborate before the next step, never serving stale code.  Highest
-per-cycle throughput (~10x over worklist on the deep-pipeline bench) at
-the cost of a one-time elaboration per topology; pinned bit-identical to
-the worklist engine by ``tests/test_codegen_diff.py``.
+signals in flat locals, the cyclic residue (the nodes without an emitter,
+such as the speculation designs' early-evaluation mux and shared module)
+runs as a generated worklist over this simulator's change log and a
+baked-in reader table, and protocol monitoring / statistics / event
+resolution / core ``tick`` kernels are inlined into the same generated
+function — one Python call per cycle, no per-node dispatch.  Modules are
+``exec``-compiled once per topology and cached process-wide (sequential
+parameters are read at run time, so sweeps over one topology compile
+once); structural edits re-elaborate before the next step, never serving
+stale code.  Highest per-cycle throughput (~8x over worklist on the
+deep-pipeline bench, and ahead of it on the paper's speculative designs)
+at the cost of a one-time elaboration per topology; pinned bit-identical
+to the worklist engine by ``tests/test_codegen_diff.py``.
 
 Lane-parallel simulation is not a :class:`Simulator` engine: the bit-packed
 :class:`~repro.sim.batch.BatchSimulator` advances N same-topology netlists
@@ -251,20 +254,21 @@ class Simulator:
             self._profile_slots = []
             self.comb_calls = []
             self.evals_per_cycle = []    # worklist: evaluations; naive: comb calls
-            self.sweeps_per_cycle = []   # naive only (worklist records 1 seed pass)
-        # Ownership: the worklist engine registers its change log on every
-        # channel; the others detach any log a previous worklist simulator
-        # registered.  _log is what an owned channel carries either way.
+            self.sweeps_per_cycle = []   # naive; worklist, codegen: 1 seed pass
+        # Ownership: every engine claims the channels with its own change
+        # log (the worklist engine through its sensitivity map), so a
+        # simulator of any engine can tell when a newer one took over.
+        # Codegen's generated residue reads the log; naive only clears it.
         self._smap = None
-        self._log = None
         self._fixpoint = self._fixpoint_naive
         if engine == "worklist":
             self._smap = SensitivityMap(netlist)
             self._log = self._smap.log
             self._fixpoint = self._fixpoint_worklist
         else:
+            self._log = []
             for channel in netlist.channels.values():
-                channel.state.log = None
+                channel.state.log = self._log
         self._cycle = self._interpreted_cycle
         self._backend = None
         self._sync_structures()
@@ -342,22 +346,35 @@ class Simulator:
         """
         from repro.netlist.edits import CONNECT
 
+        # A newer simulator may have taken ownership of the netlist while
+        # this one is still subscribed; patching would steal the new
+        # channels' change logs back.  Detach instead — this simulator is
+        # stale either way and step() will say so.
+        if not self._owns_channels():
+            self.detach()
+            return
         if self._smap is not None:
-            # A newer simulator may have taken ownership of the netlist
-            # while this one is still subscribed; patching would steal the
-            # new channels' change logs back.  Detach instead — this
-            # simulator is stale either way and step() will say so.  (The
-            # map still reflects the pre-edit channel set, so any of its
-            # live channels is a valid ownership probe.)
-            live = self._smap.live_channels()
-            if live and live[0].state.log is not self._log:
-                self.detach()
-                return
             self._smap.apply_edit(edit)
+        elif edit.op == CONNECT:
+            channel = self.netlist.channels.get(edit.channel)
+            if channel is not None:
+                channel.state.log = self._log
         if edit.op == CONNECT:
             self.stats.add_channel(edit.channel)
         self._structures_dirty = True
         self._netlist_version = self.netlist.version
+
+    def _owns_channels(self):
+        """The ownership probe of :meth:`apply_edit`: the first channel
+        this simulator claimed that is still in the netlist carries its
+        change log unless a newer simulator took the netlist over."""
+        live = self.netlist.channels
+        claimed = (self._smap.live_channels() if self._smap is not None
+                   else self._channels)
+        for channel in claimed:
+            if live.get(channel.name) is channel:
+                return channel.state.log is self._log
+        return True
 
     def _refresh_structures(self):
         """The deferred O(netlist) part of edit patching, run once after
@@ -447,6 +464,7 @@ class Simulator:
     def _fixpoint_naive(self):
         for channel in self._channels:
             channel.clear_cycle()
+        self._log.clear()
         profile = self.profile
         sweeps = 0
         for _sweep in range(self.max_iterations):

@@ -45,7 +45,8 @@ class ProfileReport:
 
     def sweep_histogram(self):
         """Counter: sweeps-in-one-cycle -> number of cycles (naive engine;
-        the worklist engine always records a single seed pass)."""
+        the worklist and codegen engines always record a single seed
+        pass)."""
         return Counter(self.sweeps_per_cycle)
 
 

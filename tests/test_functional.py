@@ -2,10 +2,13 @@
 
 import pytest
 
+from repro.designs import DESIGNS
 from repro.elastic.buffers import ElasticBuffer
 from repro.elastic.environment import KillerSink, ListSource, Sink
 from repro.elastic.functional import Func, const_block, identity_block
 from repro.netlist.graph import Netlist
+from repro.sim.batch import BatchSimulator
+from repro.sim.engine import Simulator
 
 from helpers import run, single_node_net, sink_values
 
@@ -120,3 +123,40 @@ class TestThroughFuncAndBuffer:
         net.connect("eb2.o", "snk.i", name="c3")
         run(net, 20)
         assert sink_values(net) == [x + 1 for x in range(10)]
+
+
+class TestFnOncePerCycle:
+    """``fn`` is the datapath: it runs only while the output data is still
+    unknown, so re-evaluations of ``comb`` within a cycle never recompute
+    it — on every engine, with the sink streams unchanged."""
+
+    @staticmethod
+    def _counting(net):
+        calls = {}
+        for node in net.nodes.values():
+            if isinstance(node, Func):
+                def counted(*args, _fn=node.fn, _name=node.name):
+                    calls[_name] = calls.get(_name, 0) + 1
+                    return _fn(*args)
+                node.fn = counted
+        return calls
+
+    @pytest.mark.parametrize("engine", ["worklist", "naive", "codegen", "batch"])
+    @pytest.mark.parametrize("design", ["fig6b", "fig7b"])
+    def test_at_most_one_call_per_cycle(self, design, engine):
+        reference = DESIGNS[design]()
+        Simulator(reference).run(120)
+        net = DESIGNS[design]()
+        calls = self._counting(net)
+        if engine == "batch":
+            sim = BatchSimulator([net])
+        else:
+            sim = Simulator(net, engine=engine)
+        total = 0
+        for _ in range(120):
+            calls.clear()
+            sim.step()
+            assert all(n <= 1 for n in calls.values()), calls
+            total += sum(calls.values())
+        assert total > 0
+        assert net.nodes["snk"].received == reference.nodes["snk"].received

@@ -349,12 +349,13 @@ class TestStaleStructureGuards:
         sim.run(40)
         assert net.nodes["snk"].values == list(range(8))
 
-    def test_superseded_follower_detaches_instead_of_stealing(self):
+    @pytest.mark.parametrize("engine", ["worklist", "naive", "codegen"])
+    def test_superseded_follower_detaches_instead_of_stealing(self, engine):
         """A still-subscribed older simulator must not steal ownership of
         channels created after a newer simulator took over."""
         net = build_pipeline(["eb"], 0.0, 0, [1, 2, 3])
-        old = Simulator(net, follow_edits=True)
-        new = Simulator(net)                  # takes ownership of the logs
+        old = Simulator(net, engine=engine, follow_edits=True)
+        new = Simulator(net, engine=engine)   # takes ownership of the logs
         edits = []
         net.subscribe(edits.append)
         insert_bubble(net, "c0")              # old observes, must detach
@@ -365,6 +366,21 @@ class TestStaleStructureGuards:
         for edit in edits:
             new.apply_edit(edit)
         new.reset()
+        new.run(40)
+        assert net.nodes["snk"].values == [1, 2, 3]
+
+    @pytest.mark.parametrize("engine", ["worklist", "naive", "codegen"])
+    def test_superseded_refresh_does_not_reclaim(self, engine):
+        """The deferred post-edit refresh may run after a newer simulator
+        took over (``reset`` runs it without the step guard); it must not
+        re-claim the newer simulator's channels."""
+        net = build_pipeline(["eb", "func"], 0.0, 0, [1, 2, 3])
+        old = Simulator(net, engine=engine, follow_edits=True)
+        insert_bubble(net, "c0")              # old patches, refresh deferred
+        new = Simulator(net)
+        old.reset()                           # runs the deferred refresh
+        with pytest.raises(RuntimeError, match="newer Simulator"):
+            old.step()
         new.run(40)
         assert net.nodes["snk"].values == [1, 2, 3]
 
