@@ -15,19 +15,33 @@ per *topology* in which
 * channel signals of that region live in **flat local variables**
   (``v3``/``p3``/``a3``/``m3``/``d3`` for ``vp``/``sp``/``vm``/``sm``/
   ``data`` of channel slot 3) instead of ``ChannelState`` objects;
-* the cyclic residue (ZBL chains, lazy joins, speculation loops) and any
-  node kind without an emitter fall back to a generated **residue
-  worklist** over the real ``comb()`` methods and ``ChannelState``
-  objects ("boxed" channels), preserving the monotone Kleene semantics
-  and :class:`~repro.errors.SignalConflictError` behaviour exactly: each
-  deferred node is seeded once in levelized order, then only the readers
-  of boxed signals that actually became known run again — the worklist
-  engine's algorithm, with the reader table (the deferred nodes'
-  ``comb_reads()`` inverted over signal ids) baked into the module and
-  the owning simulator's change log on the boxed channel states;
+* every kind of the paper's designs has an emitter — buffers, joins,
+  forks, environments, the shared module, the early-evaluation mux and
+  the variable-latency unit — so the *residue* is only what cannot be
+  scheduled statically: subclasses that override ``comb``, nodes with
+  unbound ports, genuine signal-level combinational loops, and
+  :class:`~repro.elastic.fifo_model.AbstractElasticFifo` (no emitter),
+  plus the neighbours that read their signals.  It falls back to a
+  generated **residue worklist** over the real ``comb()`` methods and
+  ``ChannelState`` objects ("boxed" channels), preserving the monotone
+  Kleene semantics and :class:`~repro.errors.SignalConflictError`
+  behaviour exactly: each deferred node is seeded once in levelized
+  order, then only the readers of boxed signals that actually became
+  known run again — the worklist engine's algorithm, with the reader
+  table (the deferred nodes' ``comb_reads()`` inverted over signal ids)
+  baked into the module and the owning simulator's change log on the
+  boxed channel states;
 * protocol monitoring, event resolution, statistics, observers and the
   core ``tick`` kernels are inlined into the same generated function, so
-  a cycle is one Python call.
+  a cycle is one Python call (the shared module, mux and
+  variable-latency unit keep their interpreted ``tick``, which reads the
+  flushed channel states).
+
+Straight-line code carries only known control values.  The one kernel
+whose control depends on *data* is the early-evaluation mux: an offered
+select with unknown data leaves its decision unknown, so the compiled
+mux hands the cycle to :meth:`CodegenBackend.diagnose_unknown`, which
+re-runs it interpreted and raises the worklist engine's diagnosis.
 
 The locals are flushed back into the ``ChannelState`` objects every cycle
 (before the monitor/event phases), so everything that inspects channel
@@ -83,7 +97,9 @@ from __future__ import annotations
 
 import hashlib
 from collections import deque
+from functools import partial
 
+from repro.core.shared import SharedModule
 from repro.elastic.buffers import ElasticBuffer, ZeroBackwardLatencyBuffer
 from repro.elastic.channel import (
     CONSUMER,
@@ -96,6 +112,7 @@ from repro.elastic.channel import (
     SIGNALS_BY_ROLE,
     ChannelEvents,
 )
+from repro.elastic.eemux import EarlyEvalMux
 from repro.elastic.environment import (
     KillerSink,
     NondetChoiceSource,
@@ -107,6 +124,8 @@ from repro.elastic.environment import (
 from repro.elastic.fork import EagerFork
 from repro.elastic.functional import Func
 from repro.elastic.node import Node
+from repro.elastic.varlat import VariableLatencyUnit
+from repro.errors import SchedulerError
 from repro.netlist.graphalg import levelize
 from repro.sim.monitors import ProtocolMonitor
 
@@ -149,7 +168,8 @@ def _definer(cls, attr):
 # unconditionally (the elaborator audits this); data writes are conditional,
 # mirroring drive()'s None no-op.  Tasks may not share scratch state — each
 # recomputes what it needs (locals with a leading underscore, which can
-# never collide with channel locals).
+# never collide with channel locals, and must not reuse a name _cycle binds
+# as a default, such as _sl for the stalls counter).
 # ---------------------------------------------------------------------------
 
 
@@ -511,6 +531,122 @@ def _tick_fork(g, ni, node, out):
         out.append(f"    _dn[{k}] = False")
 
 
+def _by_select(node, rhs, lhs, out):
+    """``lhs = rhs(port)`` for the input port the select ``_se`` names, as
+    an if/elif chain one level deep (``_se`` is range-checked first)."""
+    k_in = node.n_inputs
+    for j in range(k_in):
+        head = "if" if j == 0 else "elif"
+        out += [f"    {head} _se == {j}:" if j < k_in - 1 else "    else:",
+                f"        {lhs} = {rhs(f'i{j}')}"]
+
+
+def _eemux_select(g, ni, node, out):
+    """``_cf`` (the mux can fire) from the select token and the selected
+    input, with ``_se`` the select value when one is offered.  An offered
+    select with unknown data leaves the decision unknown, which
+    straight-line code cannot carry: ``_udiag`` re-runs the cycle
+    interpreted and raises its combinational-loop diagnosis."""
+    n = g.node_ref(ni)
+    g.bind["_udiag"] = 'env["diagnose_unknown"]'
+    g.bind["SchedulerError"] = 'env["SchedulerError"]'
+    head = f"EarlyEvalMux {node.name}: select value "
+    tail = f" out of range 0..{node.n_inputs - 1}"
+    out += [
+        f"_pk = {n}._pk",
+        f"if {g.sig(node, 's', 'vp')}:",
+        f"    _se = {g.sig(node, 's', 'data')}",
+        "    if _se is None:",
+        "        _udiag()",
+        f"    if not isinstance(_se, int) or not 0 <= _se < {node.n_inputs}:",
+        f"        raise SchedulerError({head!r} + repr(_se) + {tail!r})",
+    ]
+    _by_select(node, lambda p: f"{g.sig(node, p, 'vp')} and "
+               f"_pk[{p[1:]}] == 0", "_cf", out)
+    out += ["else:", "    _cf = False"]
+
+
+def _eemux_fwd(g, ni, node, out):
+    n = g.node_ref(ni)
+    _eemux_select(g, ni, node, out)
+    out += [
+        f"_ok = _cf and {n}._pko == 0",
+        f"{g.sig(node, 'o', 'vp')} = _ok",
+        f"{g.sig(node, 'o', 'sm')} = False if _ok else "
+        f"{n}._pko >= {n}.max_kills",
+        "if _ok:",
+    ]
+    _by_select(node, lambda p: g.sig(node, p, "data"), "_dx", out)
+    out += ["    if _dx is not None:",
+            f"        {g.sig(node, 'o', 'data')} = _dx"]
+
+
+def _eemux_back(g, ni, node, out):
+    n = g.node_ref(ni)
+    _eemux_select(g, ni, node, out)
+    out += [
+        f"_fi = _cf if {n}._pko > 0 else _cf and not {g.sig(node, 'o', 'sp')}",
+        f"{g.sig(node, 's', 'sp')} = not _fi",
+    ]
+    for j in range(node.n_inputs):
+        p = f"i{j}"
+        out += [
+            f"_km = _pk[{j}] > 0 or (_fi and _se != {j})",
+            f"{g.sig(node, p, 'vm')} = _km",
+            f"{g.sig(node, p, 'sp')} = False if _km else not (_fi and _se == {j})",
+        ]
+
+
+def _eemux_svm(g, ni, node, out):
+    out.append(f"{g.sig(node, 's', 'vm')} = False")
+
+
+def _shared_fwd(g, ni, node, out, j):
+    n = g.node_ref(ni)
+    ivp, odata = g.sig(node, f"i{j}", "vp"), g.sig(node, f"o{j}", "data")
+    idata = g.sig(node, f"i{j}", "data")
+    out += [
+        f"_gv = {n}.scheduler.prediction() == {j} and {ivp}",
+        f"{g.sig(node, f'o{j}', 'vp')} = _gv",
+        f"if _gv and {idata} is not None:",
+        f"    {odata} = {n}.fn({idata})",
+    ]
+
+
+def _shared_ivm(g, ni, node, out, j):
+    out.append(f"{g.sig(node, f'i{j}', 'vm')} = {g.sig(node, f'o{j}', 'vm')}")
+
+
+def _shared_osm(g, ni, node, out, j):
+    ip = f"i{j}"
+    out.append(f"{g.sig(node, f'o{j}', 'sm')} = False if "
+               f"{g.sig(node, ip, 'vp')} else {g.sig(node, ip, 'sm')}")
+
+
+def _shared_isp(g, ni, node, out, j):
+    n = g.node_ref(ni)
+    op = f"o{j}"
+    out.append(
+        f"{g.sig(node, f'i{j}', 'sp')} = False if {g.sig(node, op, 'vm')} "
+        f"else ({g.sig(node, op, 'sp')} "
+        f"if {n}.scheduler.prediction() == {j} else True)"
+    )
+
+
+def _comb_varlat(g, ni, node, out):
+    n = g.node_ref(ni)
+    out += [
+        f"_vq = {n}._q",
+        "_hr = _vq[0][1] == 0 if _vq else False",
+        f"{g.sig(node, 'o', 'vp')} = _hr",
+        "if _hr:",
+        f"    {g.sig(node, 'o', 'data')} = _vq[0][0]",
+        f"{g.sig(node, 'o', 'sm')} = not _hr",
+        f"{g.sig(node, 'i', 'sp')} = len(_vq) >= 2",
+        f"{g.sig(node, 'i', 'vm')} = False",
+    ]
+
+
 # -- task specs: node instance -> [(reads, writes, emitter), ...] -----------
 #
 # reads/writes are (port, signal) pairs; the scheduler wires tasks by
@@ -559,6 +695,42 @@ def _spec_fork(node):
     ]
 
 
+def _spec_eemux(node):
+    ins = [f"i{j}" for j in range(node.n_inputs)]
+    select = (("s", "vp"), ("s", "data")) + tuple((p, "vp") for p in ins)
+    return [
+        (select + tuple((p, "data") for p in ins),
+         (("o", "vp"), ("o", "data"), ("o", "sm")), _eemux_fwd),
+        (select + (("o", "sp"),),
+         (("s", "sp"),) + tuple((p, s) for p in ins for s in ("vm", "sp")),
+         _eemux_back),
+        ((), (("s", "vm"),), _eemux_svm),
+    ]
+
+
+def _spec_shared(node):
+    # Per channel pair: four independent wires, so scheduling never ties
+    # one channel's backward path to another's forward path.
+    tasks = []
+    for j in range(node.n_channels):
+        ip, op = f"i{j}", f"o{j}"
+        tasks += [
+            (((ip, "vp"), (ip, "data")), ((op, "vp"), (op, "data")),
+             partial(_shared_fwd, j=j)),
+            (((op, "vm"),), ((ip, "vm"),), partial(_shared_ivm, j=j)),
+            (((ip, "vp"), (ip, "sm")), ((op, "sm"),),
+             partial(_shared_osm, j=j)),
+            (((op, "vm"), (op, "sp")), ((ip, "sp"),),
+             partial(_shared_isp, j=j)),
+        ]
+    return tasks
+
+
+def _spec_varlat(node):
+    return [((), (("o", "vp"), ("o", "data"), ("o", "sm"),
+                  ("i", "sp"), ("i", "vm")), _comb_varlat)]
+
+
 def _spec_source(node):
     return [((), (("o", "vp"), ("o", "data"), ("o", "sm")), _comb_source)]
 
@@ -590,6 +762,9 @@ _COMB_TASKS = {
     ZeroBackwardLatencyBuffer: _spec_zbl,
     Func: _spec_func,
     EagerFork: _spec_fork,
+    EarlyEvalMux: _spec_eemux,
+    SharedModule: _spec_shared,
+    VariableLatencyUnit: _spec_varlat,
     _SourceBase: _spec_source,
     Sink: _spec_sink,
     KillerSink: _spec_killer_sink,
@@ -981,14 +1156,14 @@ def _generate_source(netlist, check_protocol, profile, content_hash):
                 body += [
                     f"_pv = _mp.get({key})",
                     "if _pv is not None:",
-                    "    _pvp, _psp, _pvm, _psm, _pd = _pv",
+                    "    _pvp, _psp, _pvm, _psm, _pda = _pv",
                     "    if _pvp and _psp and not _pvm:",
                     f"        if not {vp}:",
                     f"            _mf('Retry+', {key}, cycle, "
                     "'stalled token withdrawn')",
-                    f"        if {da} != _pd:",
+                    f"        if {da} != _pda:",
                     f"            _mf('Retry+', {key}, cycle, "
-                    f"f'stalled token changed data {{_pd!r}} -> {{{da}!r}}')",
+                    f"f'stalled token changed data {{_pda!r}} -> {{{da}!r}}')",
                     "    if _pvm and _psm and not _pvp:",
                     f"        if not {vm}:",
                     f"            _mf('Retry-', {key}, cycle, "
@@ -1204,6 +1379,8 @@ class CodegenBackend:
             "sim": sim,
             "netlist": sim.netlist,
             "diagnose": sim._check_resolved,
+            "diagnose_unknown": self.diagnose_unknown,
+            "SchedulerError": SchedulerError,
             "log": log,
             "EV_IDLE": EV_IDLE,
             "EV_CANCEL": EV_CANCEL,
@@ -1214,3 +1391,15 @@ class CodegenBackend:
             env["comb_calls"] = sim.comb_calls
         self.cycle_fn = module.build(env)
         return self.cycle_fn
+
+    def diagnose_unknown(self):
+        """Raise the worklist engine's combinational-loop diagnosis for a
+        cycle the straight-line code cannot finish: re-run every node's
+        interpreted ``comb()`` from cleared channels to the fix-point,
+        then check resolution — same unresolved signals, same cycle."""
+        sim = self.sim
+        for channel in sim._channels:
+            channel.clear_cycle()
+        while any([comb() for comb in sim._combs]):
+            pass
+        sim._check_resolved()

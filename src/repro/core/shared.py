@@ -107,7 +107,9 @@ class SharedModule(Node):
             # Forward: only the predicted channel's token goes through.
             vp_j = kand(predicted, ist.vp)
             changed |= self.drive(op, "vp", vp_j)
-            if predicted and ist.vp is True and ist.data is not None:
+            # fn runs once per cycle — a re-evaluation after o.data is
+            # known could only re-drive the same value.
+            if vp_j is True and ist.data is not None and ost.data is None:
                 changed |= self.drive(op, "data", self.fn(ist.data))
             # Kill pass-through: anti-tokens rush backward combinationally.
             changed |= self.drive(ip, "vm", ost.vm)

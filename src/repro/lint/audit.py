@@ -4,9 +4,10 @@ Every engine optimization in this codebase trusts each node's *declared*
 combinational sensitivity: the worklist engine only re-evaluates a node
 when a signal in ``comb_reads()`` changes, the batch engine and the
 incremental sensitivity patching assume ``comb_writes()`` is exhaustive,
-and the ROADMAP's codegen backend will inline kernels on the same
-contract.  One undeclared read produces silently wrong fix-points with no
-error anywhere.
+and the codegen backend schedules its interpreted residue — nodes whose
+``comb`` has no emitter, such as user subclasses that override it — on
+the same contract.  One undeclared read produces silently wrong
+fix-points with no error anywhere.
 
 The auditor verifies the contract *dynamically*: it replaces a node's
 channels with recording proxies and executes ``comb()`` under a

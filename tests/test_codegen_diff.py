@@ -17,12 +17,16 @@ import random
 import pytest
 
 from repro.backend import pysim
-from repro.designs import DESIGNS
+from repro.designs import DESIGNS, MC_DESIGNS
 from repro.elastic.buffers import ElasticBuffer
 from repro.elastic.environment import ListSource, Sink
 from repro.elastic.fork import EagerFork
 from repro.elastic.functional import Func
-from repro.errors import CombinationalLoopError, ProtocolViolationError
+from repro.errors import (
+    CombinationalLoopError,
+    ProtocolViolationError,
+    SchedulerError,
+)
 from repro.netlist import patterns
 from repro.netlist.graph import Netlist
 from repro.sim.engine import (
@@ -96,9 +100,10 @@ class TestChaosSaboteurs:
 
 
 class TestPaperDesigns:
-    """The canned paper designs: fig1a/fig1d exercise the mixed
-    straight-line + deferred + boxed path (eemux/shared kinds demote),
-    fig6b/fig7b the speculative variable-latency/resilient compositions."""
+    """The canned paper designs, all compiled fully straight-line: fig1a
+    the non-speculative loop, fig1d the shared module and early-evaluation
+    mux, fig6b/fig7b the speculative variable-latency/resilient
+    compositions."""
 
     @pytest.mark.parametrize("name", sorted(DESIGNS))
     def test_design_identical(self, name):
@@ -243,6 +248,31 @@ class TestLoopDiagnosisParity:
                 sim.step()
             diagnoses[engine] = sorted(err.value.unresolved)
         assert diagnoses["codegen"] == diagnoses["worklist"]
+
+    def test_unknown_select_data_same_diagnosis(self):
+        """An offered select whose data is unknown (the select ``Func``
+        returns None) leaves the mux's fire decision — and everything
+        behind it — unresolved: the compiled mux must raise the worklist
+        engine's diagnosis, not a scheduler error."""
+        diagnoses = {}
+        for engine in ("worklist", "codegen"):
+            sim = Simulator(patterns.fig1d(lambda g: None)[0], engine=engine)
+            with pytest.raises(CombinationalLoopError) as err:
+                sim.step()
+            diagnoses[engine] = (err.value.unresolved, err.value.cycle,
+                                 str(err.value))
+        assert diagnoses["codegen"] == diagnoses["worklist"]
+        assert len(diagnoses["codegen"][0]) == 14
+
+    @pytest.mark.parametrize("select", [2, -1, "x"])
+    def test_out_of_range_select_same_error(self, select):
+        messages = {}
+        for engine in ("worklist", "codegen"):
+            sim = Simulator(patterns.fig1d(lambda g: select)[0], engine=engine)
+            with pytest.raises(SchedulerError) as err:
+                sim.run(5)
+            messages[engine] = str(err.value)
+        assert messages["codegen"] == messages["worklist"]
 
 
 class TestSnapshotRestore:
@@ -428,35 +458,265 @@ class TestModuleCache:
         compile(source, "<test>", "exec")  # must be valid Python
         assert "def build(env):" in source
 
+    @pytest.mark.parametrize("make", [
+        *(pytest.param(DESIGNS[name], id=name) for name in sorted(DESIGNS)),
+        pytest.param(MC_DESIGNS["spec-nondet"], id="spec-nondet"),
+        pytest.param(lambda: TestResidueWorklist._mutant_pipeline(),
+                     id="residue"),
+    ])
+    def test_scratch_locals_never_shadow_bindings(self, make):
+        """The cycle function's bound defaults (``_sl`` is the stalls
+        counter, ``_pd`` the residue's pending flags, ...) must never be
+        reassigned by emitted scratch code."""
+        import ast
+
+        tree = ast.parse(pysim.generated_source(make()))
+        cycle = next(node for node in ast.walk(tree)
+                     if isinstance(node, ast.FunctionDef)
+                     and node.name == "_cycle")
+        bound = {arg.arg for arg in cycle.args.args[2:]}
+        stored = {node.id for node in ast.walk(cycle)
+                  if isinstance(node, ast.Name)
+                  and isinstance(node.ctx, ast.Store)}
+        assert bound and not bound & stored
+
     @staticmethod
     def _pipe(seed):
         return build_pipeline(["eb", "zbl"], 0.2, seed, list(range(10)))
 
 
 class TestResidueWorklist:
-    """The cyclic residue of the paper's speculative designs runs as a
-    signal-precise worklist: no dense sweep, and never more comb()
-    evaluations than the interpreted worklist engine.  Deterministic work
-    counters, so a return to bounded re-sweeps fails without timing
-    anything."""
+    """The paper's speculative designs compile without any residue; a
+    residue that remains (here a comb-overriding mutant in a ZBL chain)
+    runs as a signal-precise worklist: no dense sweep, and never more
+    comb() evaluations than the interpreted worklist engine.
+    Deterministic work counters, so a return to bounded re-sweeps fails
+    without timing anything."""
 
     DESIGNS = ("fig1d", "fig6b", "fig7b")
+
+    @staticmethod
+    def _mutant_pipeline():
+        from repro.chaos.mutants import BrokenKillBuffer
+        from repro.elastic.buffers import ZeroBackwardLatencyBuffer
+
+        net = Netlist("residue")
+        net.add(ListSource("src", list(range(60))))
+        net.add(ZeroBackwardLatencyBuffer("z0"))
+        net.add(BrokenKillBuffer("bad"))
+        net.add(ZeroBackwardLatencyBuffer("z1"))
+        net.add(Sink("snk", stall_rate=0.4, seed=3))
+        net.connect("src.o", "z0.i", name="c0")
+        net.connect("z0.o", "bad.i", name="c1")
+        net.connect("bad.o", "z1.i", name="c2")
+        net.connect("z1.o", "snk.i", name="c3")
+        return net
 
     @pytest.mark.parametrize("name", DESIGNS)
     def test_no_bounded_sweep_in_generated_source(self, name):
         source = pysim.generated_source(DESIGNS[name]())
         assert "_chg" not in source
         assert "for _ in range(" not in source
+        assert "while _q:" not in source      # no residue at all
+
+    def test_residue_is_a_worklist(self):
+        net = self._mutant_pipeline()
+        plan = pysim._build_plan(net)
+        # the mutant, plus both ZBLs: each reads a signal the mutant drives
+        assert [plan.nodes[ni].name for ni in plan.deferred] == \
+            ["z0", "bad", "z1"]
+        source = pysim.generated_source(net)
+        assert "_chg" not in source
+        assert "for _ in range(" not in source
         assert "while _q:" in source
 
     @pytest.mark.parametrize("name", DESIGNS)
     def test_work_counters_no_worse_than_worklist(self, name):
+        self._assert_work_no_worse(lambda: DESIGNS[name]())
+
+    def test_residue_work_counters_no_worse_than_worklist(self):
+        self._assert_work_no_worse(self._mutant_pipeline)
+        assert_codegen_identical(self._mutant_pipeline, cycles=200)
+
+    @staticmethod
+    def _assert_work_no_worse(make):
         reports = {}
         for engine in ("worklist", "codegen"):
-            sim = Simulator(DESIGNS[name](), engine=engine, profile=True)
+            sim = Simulator(make(), engine=engine, profile=True)
             sim.run(200)
             reports[engine] = sim.profile_report()
         codegen, worklist = reports["codegen"], reports["worklist"]
         assert codegen.sweeps_per_cycle == [1] * 200
         assert codegen.total_comb_calls <= worklist.total_comb_calls
         assert sum(codegen.evals_per_cycle) == codegen.total_comb_calls
+
+
+def _sweep_topologies():
+    """One netlist per distinct topology of the four sweep presets."""
+    from repro.perf.presets import PRESET_SWEEPS
+    from repro.perf.sweep import _resolve_factory
+    from repro.sim.batch import topology_signature
+
+    seen = {}
+    for preset in ("fig1", "fig1-accuracy", "fig6", "fig7"):
+        spec = PRESET_SWEEPS[preset]()
+        factory = _resolve_factory(spec.factory)
+        for config in spec.expand():
+            made = factory(**config.params)
+            net = made[0] if isinstance(made, tuple) else made
+            seen.setdefault(topology_signature(net), (config.name, net))
+    return sorted(seen.values(), key=lambda item: item[0])
+
+
+class TestNothingDeferred:
+    """Every node of the paper's designs — the sweep grids, the canned
+    designs and the model-checking compositions — has an emitter, so
+    nothing runs interpreted under codegen."""
+
+    def test_sweep_topologies(self):
+        topologies = _sweep_topologies()
+        assert len(topologies) >= 8
+        for label, net in topologies:
+            assert pysim._build_plan(net).deferred == [], label
+
+    @pytest.mark.parametrize("name", sorted(DESIGNS))
+    def test_designs(self, name):
+        assert pysim._build_plan(DESIGNS[name]()).deferred == []
+
+    @pytest.mark.parametrize("name", sorted(MC_DESIGNS))
+    def test_mc_designs(self, name):
+        assert pysim._build_plan(MC_DESIGNS[name]()).deferred == []
+
+
+def _scheduler_cases():
+    """(scheduler factory, channels, seed) for every Scheduler subclass at
+    2 and 3 channels (the two-bit counter is two-channel only), two seeds
+    each.  A factory takes the channel count and the select stream (the
+    oracle predicts from it)."""
+    from repro.core import scheduler as sch
+
+    makers = {
+        sch.StaticScheduler: lambda k, sels: sch.StaticScheduler(
+            k, favourite=k - 1),
+        sch.OracleScheduler: lambda k, sels: sch.OracleScheduler(
+            lambda n: sels[n % len(sels)], k),
+        sch.RandomScheduler: lambda k, sels: sch.RandomScheduler(k, seed=k),
+    }
+    cases = []
+    for cls in sorted(sch.Scheduler.__subclasses__(), key=lambda c: c.__name__):
+        make = makers.get(cls, lambda k, sels, cls=cls: cls(k))
+        for k in (2, 3):
+            if cls is sch.TwoBitScheduler and k != 2:
+                continue
+            for _ in range(2):
+                seed = len(cases)
+                cases.append(pytest.param(make, k, seed,
+                                          id=f"{cls.__name__}-{k}-{seed}"))
+    return cases
+
+
+SCHEDULER_CASES = _scheduler_cases()
+
+
+def build_speculative(make_scheduler, k, seed):
+    """Seeded shared-module + early-evaluation-mux composition: ``k``
+    sources through a shared unit, optional EB/ZBL stages on each mux
+    input, a select stream (optionally through a variable-latency unit)
+    and a killing or stalling sink behind an optional stage."""
+    from repro.elastic.buffers import ZeroBackwardLatencyBuffer
+    from repro.elastic.environment import KillerSink
+    from repro.core.shared import SharedModule
+    from repro.elastic.eemux import EarlyEvalMux
+    from repro.elastic.varlat import VariableLatencyUnit
+
+    rng = random.Random(seed)
+    n_tok = 60
+    sels = [rng.randrange(k) for _ in range(n_tok)]
+
+    def stage(name, kind):
+        if kind == "eb":
+            return net.add(ElasticBuffer(name))
+        if kind == "zbl":
+            return net.add(ZeroBackwardLatencyBuffer(name))
+        return net.add(VariableLatencyUnit(name, lambda v: v,
+                                           lambda v: v % 3 == 0))
+
+    def chain(src, dst, name, kind):
+        if kind == "none":
+            net.connect(src, dst, name=name)
+        else:
+            stage(f"{name}_st", kind)
+            net.connect(src, f"{name}_st.i", name=f"{name}_a")
+            net.connect(f"{name}_st.o", dst, name=name)
+
+    net = Netlist("specfuzz")
+    for j in range(k):
+        net.add(ListSource(f"src{j}", [j * 1000 + t for t in range(n_tok)],
+                           rate=rng.choice((1.0, 0.6)), seed=seed + j))
+    net.add(ListSource("sel", sels,
+                       rate=rng.choice((1.0, 0.7)), seed=seed + 50))
+    net.add(SharedModule("sh", lambda v: v + 1, make_scheduler(k, sels),
+                         n_channels=k))
+    net.add(EarlyEvalMux("mux", n_inputs=k, max_kills=rng.choice((1, 2, 4))))
+    if rng.random() < 0.6:
+        net.add(KillerSink("snk", kill_rate=rng.choice((0.2, 0.5)),
+                           stall_rate=rng.choice((0.0, 0.3)), seed=seed))
+    else:
+        net.add(Sink("snk", stall_rate=rng.choice((0.2, 0.5)), seed=seed))
+    for j in range(k):
+        net.connect(f"src{j}.o", f"sh.i{j}", name=f"fin{j}")
+        chain(f"sh.o{j}", f"mux.i{j}", f"fout{j}",
+              rng.choice(("none", "eb", "zbl")))
+    chain("sel.o", "mux.s", "cs", rng.choice(("none", "eb", "varlat")))
+    chain("mux.o", "snk.i", "out", rng.choice(("none", "eb", "zbl", "varlat")))
+    net.validate()
+    return net
+
+
+class TestSpeculationKinds:
+    """Seeded fuzz of the early-evaluation mux, shared module and
+    variable-latency emitters: every scheduler, 2 and 3 channels, killing
+    and stalling downstreams — compiled with nothing deferred and
+    bit-identical to the worklist engine."""
+
+    @pytest.mark.parametrize("make_scheduler,k,seed", SCHEDULER_CASES)
+    def test_bit_identical(self, make_scheduler, k, seed):
+        def make():
+            return build_speculative(make_scheduler, k, seed)
+
+        assert pysim._build_plan(make()).deferred == []
+        assert_codegen_identical(make, cycles=250)
+
+    def test_corpus_reaches_output_kills(self):
+        """The corpus drives the mux's own kill counter, up to saturation
+        (``o.sm`` raised at ``max_kills``) — so the fuzz above covers the
+        ``_pko > 0`` branches of the compiled mux."""
+        pending = saturated = 0
+        for param in SCHEDULER_CASES:
+            net = build_speculative(*param.values)
+            mux = net.nodes["mux"]
+            sim = Simulator(net, engine="codegen")
+            for _ in range(250):
+                sim.step()
+                pending += mux._pko > 0
+                saturated += mux._pko >= mux.max_kills
+        assert pending > 0
+        assert saturated > 0
+
+
+class TestExplorerParity:
+    """The model checker on codegen explores exactly the worklist engine's
+    state graph over every model-checking composition."""
+
+    @pytest.mark.parametrize("name", sorted(MC_DESIGNS))
+    def test_same_state_graph(self, name):
+        from repro.verif.explore import StateExplorer
+
+        results = {engine: StateExplorer(MC_DESIGNS[name](),
+                                         engine=engine).explore()
+                   for engine in ("worklist", "codegen")}
+        codegen, worklist = results["codegen"], results["worklist"]
+        assert codegen.states == worklist.states
+        assert codegen.transitions == worklist.transitions
+        assert codegen.violations == worklist.violations
+        assert codegen.complete == worklist.complete

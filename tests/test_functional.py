@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.shared import SharedModule
 from repro.designs import DESIGNS
 from repro.elastic.buffers import ElasticBuffer
 from repro.elastic.environment import KillerSink, ListSource, Sink
@@ -126,28 +127,27 @@ class TestThroughFuncAndBuffer:
 
 
 class TestFnOncePerCycle:
-    """``fn`` is the datapath: it runs only while the output data is still
-    unknown, so re-evaluations of ``comb`` within a cycle never recompute
-    it — on every engine, with the sink streams unchanged."""
+    """``fn`` is the datapath — of a ``Func`` and of a shared module's unit:
+    it runs only while the output data is still unknown, so re-evaluations
+    of ``comb`` within a cycle never recompute it — on every engine, with
+    the sink streams unchanged."""
 
     @staticmethod
-    def _counting(net):
+    def _counting(net, kind=Func):
         calls = {}
         for node in net.nodes.values():
-            if isinstance(node, Func):
+            if isinstance(node, kind):
                 def counted(*args, _fn=node.fn, _name=node.name):
                     calls[_name] = calls.get(_name, 0) + 1
                     return _fn(*args)
                 node.fn = counted
         return calls
 
-    @pytest.mark.parametrize("engine", ["worklist", "naive", "codegen", "batch"])
-    @pytest.mark.parametrize("design", ["fig6b", "fig7b"])
-    def test_at_most_one_call_per_cycle(self, design, engine):
+    def _check(self, design, engine, kind):
         reference = DESIGNS[design]()
         Simulator(reference).run(120)
         net = DESIGNS[design]()
-        calls = self._counting(net)
+        calls = self._counting(net, kind)
         if engine == "batch":
             sim = BatchSimulator([net])
         else:
@@ -160,3 +160,13 @@ class TestFnOncePerCycle:
             total += sum(calls.values())
         assert total > 0
         assert net.nodes["snk"].received == reference.nodes["snk"].received
+
+    @pytest.mark.parametrize("engine", ["worklist", "naive", "codegen", "batch"])
+    @pytest.mark.parametrize("design", ["fig6b", "fig7b"])
+    def test_at_most_one_call_per_cycle(self, design, engine):
+        self._check(design, engine, Func)
+
+    @pytest.mark.parametrize("engine", ["worklist", "naive", "codegen", "batch"])
+    @pytest.mark.parametrize("design", ["fig6b", "fig7b"])
+    def test_shared_unit_at_most_one_call_per_cycle(self, design, engine):
+        self._check(design, engine, SharedModule)
