@@ -10,8 +10,8 @@ byte-identical payload.
 
 Both latencies land in ``results/BENCH_serve.json`` (merged, so later
 PRs extend the trajectory instead of clobbering it); the perf-smoke
-suite guards the recorded speedup the same way it guards the engine and
-lane-batching numbers.
+suite guards the recorded speedup the same way it guards the engine
+numbers.
 """
 
 import asyncio

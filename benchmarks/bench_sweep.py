@@ -12,10 +12,10 @@ spare cores: on a single-CPU runner sharding cannot beat serial (spawn
 overhead with zero parallelism), so there the numbers are recorded for
 the trajectory but not gated.
 
-The lane-batching test (PR 3) measures the single-process batch engine on
-the 8-configuration single-topology fig6 slice: 8 serial scalar runs vs
-one 8-lane batch whose bit-packed channel states advance all
-configurations per fix-point pass.  Unlike sharding this is pure
+The lane test measures ``lanes=8`` on the 8-configuration
+single-topology fig6 slice: 8 serial worklist runs vs the same 8
+configurations under ``lanes=8``, which runs the compiled codegen engine
+(one module for the whole slice).  Unlike sharding this is pure
 single-thread work, so its >= 3x cycles-throughput bar holds on a 1-CPU
 runner; both sets of numbers land in the same ``BENCH_sweep.json``
 (merged, so neither test clobbers the other's trajectory fields).
@@ -84,16 +84,17 @@ def test_sweep_serial_vs_sharded():
 
 
 def test_sweep_lane_batching():
-    """8-lane batch vs 8 serial scalar runs of the single-topology fig6
-    slice, one process: the acceptance bar is >= 3x cycles-throughput."""
+    """``lanes=8`` (codegen) vs 8 serial worklist runs of the
+    single-topology fig6 slice, one process: the acceptance bar is >= 3x
+    cycles-throughput."""
     spec = fig6_lane_spec(cycles=LANE_CYCLES, warmup=LANE_WARMUP)
     serial = run_sweep(spec, n_workers=1, engine="worklist")
     batched = run_sweep(spec, n_workers=1, lanes=LANES)
     assert len(serial.rows) == LANES
-    # Lane batching changes the schedule, never the results: rows agree
-    # with the scalar engine in everything but the recorded engine.
+    # The lane width changes the engine, never the results: rows agree
+    # with the worklist engine in everything but the recorded engine.
     for scalar_row, batched_row in zip(serial.rows, batched.rows):
-        assert dict(scalar_row, engine="batch") == batched_row
+        assert dict(scalar_row, engine="codegen") == batched_row
     # Best of two runs per mode: single-shot wall clocks on a shared
     # runner swing by double-digit percentages, which is scheduler noise,
     # not engine throughput.
@@ -114,6 +115,7 @@ def test_sweep_lane_batching():
             "grid": spec.name,
             "n_configs": LANES,
             "lanes": LANES,
+            "engine": batched.engine,
             "cycles_per_config": LANE_CYCLES + LANE_WARMUP,
             "wall_seconds": {
                 "serial_scalar": serial_wall,
@@ -130,11 +132,11 @@ def test_sweep_lane_batching():
         "sweep_lane_batching.txt",
         f"fig6 single-topology slice: {LANES} configurations x "
         f"{LANE_CYCLES + LANE_WARMUP} cycles, one process, best of 2\n"
-        f"  serial scalar: {serial_wall:6.2f}s "
+        f"  serial worklist:   {serial_wall:6.2f}s "
         f"({serial_rate:9.0f} cycles/s)\n"
-        f"  8-lane batch:  {batch_wall:6.2f}s "
+        f"  lanes=8 ({batched.engine}): {batch_wall:6.2f}s "
         f"({batch_rate:9.0f} cycles/s)\n"
         f"  speedup: {speedup:.2f}x\n"
-        f"  per-lane results identical to scalar: True",
+        f"  results identical to worklist: True",
     )
     assert speedup >= 3.0

@@ -80,19 +80,18 @@ def sweep_design_space(n_workers):
     print(f"  {len(result.rows)} configurations in "
           f"{result.elapsed_seconds:.2f}s (engine={result.engine})\n")
 
-    # Lane batching composes with (or replaces) process sharding: each
-    # worker's same-topology configurations are bit-packed into one batch
-    # simulator, N configurations per fix-point pass, with per-lane
-    # results identical to the scalar run above (modulo the engine tag).
-    print(f"=== same sweep, lane-batched ({n_workers} worker(s) x 4 lanes) ===")
-    batched = run_sweep(spec, n_workers=n_workers, lanes=4)
+    # lanes=N asks for the compiled engine: every configuration runs as
+    # generated straight-line code, with results identical to the run
+    # above (modulo the engine tag).
+    print(f"=== same sweep, lanes=4 ({n_workers} worker(s)) ===")
+    laned = run_sweep(spec, n_workers=n_workers, lanes=4)
     same = all(
-        dict(row, engine=batched.engine) == batched_row
-        for row, batched_row in zip(result.rows, batched.rows)
+        dict(row, engine=laned.engine) == laned_row
+        for row, laned_row in zip(result.rows, laned.rows)
     )
-    print(f"  {len(batched.rows)} configurations in "
-          f"{batched.elapsed_seconds:.2f}s (engine={batched.engine}, "
-          f"lanes={batched.lanes}); results identical to scalar: {same}\n")
+    print(f"  {len(laned.rows)} configurations in "
+          f"{laned.elapsed_seconds:.2f}s (engine={laned.engine}); "
+          f"results identical to worklist: {same}\n")
 
 
 class BinarySelectSource(NondetSource):

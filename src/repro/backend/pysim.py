@@ -1,6 +1,6 @@
 """Compiled simulation: elaborate a netlist into straight-line Python.
 
-Every interpreted engine — naive, worklist, batch — pays Python dispatch
+Every interpreted engine — naive and worklist — pays Python dispatch
 per node per fix-point pass: bound-method calls into ``comb()``, attribute
 loads on :class:`~repro.elastic.channel.ChannelState`, the monotone
 ``state.set`` funnel, then separate passes for the protocol monitor,
@@ -57,8 +57,8 @@ Caching and staleness
 
 Generated modules are ``exec``-compiled once per topology and cached
 process-wide, keyed by the netlist **content signature** (node names,
-classes, ports, declared sensitivities, channel wiring — the same
-structural identity the batch engine uses for lane sharing) plus the
+classes, ports, declared sensitivities, channel wiring — see
+:func:`repro.sim.batch.topology_signature`) plus the
 elaboration flags (``check_protocol``, ``profile``).  Numeric parameters
 that only affect sequential behaviour (capacities, rates, seeds, datapath
 functions) are deliberately *not* baked in — they are read from the node
@@ -83,8 +83,7 @@ report shape as the interpreted engines (straight-line nodes count one
 evaluation per cycle; the residue counts its real calls; one seed pass,
 so ``sweeps_per_cycle`` is 1 as for the worklist engine).
 
-Emitter trust mirrors :func:`repro.sim.batch.resolve_batch_kernel`: a
-per-kind emitter is used only for node classes whose ``comb`` (or
+Emitters are trusted by definition site: a per-kind emitter is used only for node classes whose ``comb`` (or
 ``tick``, for tick emitters) is *defined by* the class the emitter was
 written against — a subclass overriding ``comb`` falls back to deferred
 evaluation of its own method.  Deferred nodes are trusted for their

@@ -9,8 +9,7 @@ package attacks both promises on purpose:
 
 * :mod:`repro.chaos.saboteurs` — fault-injection node kinds
   (:class:`StallInjector`, :class:`BubbleInjector`,
-  :class:`StateCorruptor`), implemented for every engine, the lane
-  engine included;
+  :class:`StateCorruptor`), implemented for every engine;
 * :mod:`repro.chaos.plan` — deterministic seed-driven
   :class:`ChaosPlan`s and :func:`wrap`/:func:`unwrap`, splicing
   saboteurs in and out through the netlist edit log;

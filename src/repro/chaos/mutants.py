@@ -21,9 +21,9 @@ from repro.elastic.buffers import ZeroBackwardLatencyBuffer
 class LatencySensitiveBuffer(ZeroBackwardLatencyBuffer):
     """A ZBL buffer that stamps each stored int token with the cycle it
     arrived on — the canonical latency-*sensitive* black box.  Its control
-    behaviour (``comb``, and therefore the batch kernel and codegen tasks
-    it inherits) is exactly the legal Figure 5 controller; only the
-    latched *value* breaks the theorem's premise."""
+    behaviour (``comb``, and therefore the codegen tasks it inherits) is
+    exactly the legal Figure 5 controller; only the latched *value* breaks
+    the theorem's premise."""
 
     kind = "mutant_ls_eb"
 
@@ -66,10 +66,6 @@ class BrokenKillBuffer(ZeroBackwardLatencyBuffer):
     empty the anti-token stalls forever — a recovery deadlock."""
 
     kind = "mutant_broken_kill"
-
-    # comb() is overridden, so the inherited batch kernel (which
-    # lane-parallelizes the *correct* ZBL semantics) must not be trusted.
-    batch_comb = None
 
     def comb(self):
         changed = False

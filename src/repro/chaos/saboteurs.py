@@ -18,10 +18,9 @@ The three saboteurs below make that theorem executable:
   replay) — both directions are checked by :mod:`repro.chaos.verify`.
 
 Every saboteur is implemented for every engine: scalar ``comb()``
-(worklist and naive), a batched Kleene kernel (``batch_comb``, the lane
-engine), and codegen signal tasks registered with
+(worklist and naive) and codegen signal tasks registered with
 :mod:`repro.backend.pysim` at the bottom of this module.  The
-differential fuzz suites pin them all bit-identical.
+differential fuzz suites pin them bit-identical.
 
 Saboteurs obey the SELF protocol (Retry+/Retry-/Invariant hold on both
 sides): an injection may only *begin* on a cycle where it does not
@@ -41,9 +40,8 @@ from __future__ import annotations
 
 import random
 
-from repro.elastic.channel import iter_lanes
 from repro.elastic.node import Node
-from repro.kleene import kand, kite, knot, kor, mand, mite, mnot, mor
+from repro.kleene import kand, kite, knot, kor
 
 
 def _seed_rng(seed):
@@ -131,38 +129,6 @@ class StallInjector(_Saboteur):
             "i", "sp", kand(kor(ost.sp, self._stall_now), knot(ost.vm)))
         return changed
 
-    @staticmethod
-    def batch_comb(ctx):
-        full = ctx.full
-        o = ctx.bst("o")
-        i = ctx.bst("i")
-        cache = ctx.cache
-        stall = cache.get("stall")
-        if stall is None:
-            stall = 0
-            for lane, node in enumerate(ctx.lanes):
-                if node._stall_now:
-                    stall |= 1 << lane
-            cache["stall"] = stall
-        pas = full & ~stall
-        if full & ~o.vp_k:
-            vp_k = stall | (i.vp_k & pas)
-            if vp_k & ~o.vp_k:
-                o.set_mask("vp", vp_k, i.vp_v & pas)
-        for lane in iter_lanes(pas & i.vp_v & i.data_k & ~o.data_k):
-            o.set_data(lane, i.data[lane])
-        if full & ~o.sm_k:
-            if i.sm_k & ~o.sm_k:
-                o.set_mask("sm", i.sm_k, i.sm_v)
-        if full & ~i.vm_k:
-            if o.vm_k & ~i.vm_k:
-                i.set_mask("vm", o.vm_k, o.vm_v)
-        if full & ~i.sp_k:
-            sp_k, sp_v = mand(mor((o.sp_k, o.sp_v), (full, stall)),
-                              mnot((o.vm_k, o.vm_v)))
-            if sp_k & ~i.sp_k:
-                i.set_mask("sp", sp_k, sp_v)
-
     def tick(self):
         ost = self.st("o")
         if self._stall_now:
@@ -249,46 +215,6 @@ class BubbleInjector(_Saboteur):
             changed |= self.drive("i", "sp", False)
         return changed
 
-    @staticmethod
-    def batch_comb(ctx):
-        full = ctx.full
-        o = ctx.bst("o")
-        i = ctx.bst("i")
-        cache = ctx.cache
-        masks = cache.get("bubble")
-        if masks is None:
-            occupied = bubbling = 0
-            for lane, node in enumerate(ctx.lanes):
-                bit = 1 << lane
-                if node._full:
-                    occupied |= bit
-                if node._bubble_now:
-                    bubbling |= bit
-            masks = cache["bubble"] = (occupied, bubbling)
-        occupied, bubbling = masks
-        offering = occupied & ~bubbling
-        holding = occupied & bubbling
-        empty = full & ~occupied
-        ovm = (o.vm_k, o.vm_v)
-        if full & ~o.vp_k:
-            o.set_mask("vp", full, offering)
-        for lane in iter_lanes(offering & ~o.data_k):
-            o.set_data(lane, ctx.lanes[lane]._value)
-        if full & ~i.sp_k:
-            sp_k, sp_v = mand((o.sp_k, o.sp_v), mnot(ovm))
-            sp_k = (sp_k & offering) | holding | empty
-            if sp_k & ~i.sp_k:
-                i.set_mask("sp", sp_k, (sp_v & offering) | holding)
-        if full & ~i.vm_k:
-            vm_k = occupied | (o.vm_k & empty)
-            if vm_k & ~i.vm_k:
-                i.set_mask("vm", vm_k, o.vm_v & empty)
-        if full & ~o.sm_k:
-            sm_k, sm_v = mite(ovm, (i.sm_k, i.sm_v), (full, 0))
-            sm_k = occupied | (sm_k & empty)
-            if sm_k & ~o.sm_k:
-                o.set_mask("sm", sm_k, sm_v & empty)
-
     def tick(self):
         ist = self.st("i")
         ost = self.st("o")
@@ -374,26 +300,6 @@ class StateCorruptor(_Saboteur):
         changed |= self.drive("i", "vm", ost.vm)
         changed |= self.drive("i", "sp", ost.sp)
         return changed
-
-    @staticmethod
-    def batch_comb(ctx):
-        full = ctx.full
-        o = ctx.bst("o")
-        i = ctx.bst("i")
-        if full & ~o.vp_k:
-            if i.vp_k & ~o.vp_k:
-                o.set_mask("vp", i.vp_k, i.vp_v)
-        for lane in iter_lanes(i.vp_v & i.data_k & ~o.data_k):
-            o.set_data(lane, ctx.lanes[lane]._corrupt(i.data[lane]))
-        if full & ~o.sm_k:
-            if i.sm_k & ~o.sm_k:
-                o.set_mask("sm", i.sm_k, i.sm_v)
-        if full & ~i.vm_k:
-            if o.vm_k & ~i.vm_k:
-                i.set_mask("vm", o.vm_k, o.vm_v)
-        if full & ~i.sp_k:
-            if o.sp_k & ~i.sp_k:
-                i.set_mask("sp", o.sp_k, o.sp_v)
 
     def tick(self):
         ost = self.st("o")

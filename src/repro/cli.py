@@ -22,11 +22,10 @@ model-checking run; the event-driven worklist engine is the default, the
 dense-sweep naive engine is kept for cross-checking, and the codegen
 engine compiles each topology into a specialized straight-line Python
 module (``elaborate`` inspects the generated source).  Unknown engine
-names are rejected up front with the valid-choices list.  The
-lane-parallel engine is selected by ``--lanes N`` alone, on ``sweep``
-(same-topology configurations are bit-packed N per fix-point pass inside
-each worker) and ``verify`` (N frontier expansions per pass); it does not
-combine with ``--engine``.
+names are rejected up front with the valid-choices list.  On ``sweep``
+and ``verify``, ``--lanes N`` with ``N > 1`` is another way to ask for
+the codegen engine; it does not combine with ``--engine``, and a lane
+count below 1 is rejected at argument parsing.
 
 Long-running subcommands are resilient: ``sweep`` and ``verify`` accept
 ``--checkpoint`` / ``--timeout`` / ``--retries`` (supervised workers with
@@ -47,6 +46,24 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+
+
+def _lane_count(text):
+    """argparse type of ``--lanes``: an integer >= 1."""
+    lanes = int(text)
+    if lanes < 1:
+        raise argparse.ArgumentTypeError(f"lanes must be >= 1, got {lanes}")
+    return lanes
+
+
+def _lanes_conflict(args):
+    """Print the error and return exit status 2 when ``--lanes N > 1``
+    meets an explicit ``--engine``; ``None`` otherwise."""
+    if args.lanes > 1 and args.engine is not None:
+        print(f"error: --lanes {args.lanes} implies --engine codegen; "
+              f"drop --engine {args.engine}", file=sys.stderr)
+        return 2
+    return None
 
 
 def _cmd_table1(args):
@@ -161,14 +178,14 @@ def _cmd_verify(args):
     from repro.elastic.environment import NondetSink, NondetSource
     from repro.netlist import patterns
     from repro.netlist.graph import Netlist
+    from repro.sim.engine import get_default_engine, lanes_engine
     from repro.verif.deadlock import find_deadlocks
     from repro.verif.explore import StateExplorer
     from repro.verif.leads_to import check_leads_to
 
-    if args.lanes > 1 and args.engine is not None:
-        print(f"error: --engine {args.engine} is a scalar engine; "
-              "--lanes implies the lane-batched explorer", file=sys.stderr)
-        return 2
+    conflict = _lanes_conflict(args)
+    if conflict is not None:
+        return conflict
     if args.checkpoint:
         os.makedirs(args.checkpoint, exist_ok=True)
 
@@ -217,9 +234,8 @@ def _cmd_verify(args):
               f"violations={len(result.violations)} deadlocks={len(deadlocks)}"
               f" -> {'OK' if ok else 'FAIL'}")
 
-    engine_label = (f"lane-batched x{args.lanes}" if args.lanes > 1
-                    else "scalar")
-    print(f"exploration engine: {engine_label}")
+    print("exploration engine: "
+          f"{lanes_engine(args.lanes) or get_default_engine()}")
     print("elastic buffers under nondeterministic environments:")
     check_buffer(lambda: ElasticBuffer("eb"), "standard EB", "eb")
     check_buffer(lambda: ZeroBackwardLatencyBuffer("eb"), "ZBL EB (Fig. 5)",
@@ -281,15 +297,16 @@ def _cmd_sweep(args):
     from repro.runtime.control import install_term_handler, interrupt_exit_code
 
     install_term_handler()
+    conflict = _lanes_conflict(args)
+    if conflict is not None:
+        return conflict
     kwargs = {}
     if args.cycles is not None:
         kwargs["cycles"] = args.cycles
     spec = PRESET_SWEEPS[args.grid](**kwargs)
     # run_sweep resolves the engine (the --engine process default) in this
     # process and ships it inside every worker payload — spawn workers do
-    # not inherit set_default_engine().  The flag is also passed explicitly
-    # so an `--engine worklist ... --lanes 4` conflict is rejected instead
-    # of silently running the lane-parallel engine.
+    # not inherit set_default_engine().
     try:
         result = run_sweep(spec, n_workers=args.workers, lanes=args.lanes,
                            engine=args.engine, timeout=args.timeout,
@@ -308,13 +325,12 @@ def _cmd_sweep(args):
     print(result.table())
     print(f"\n{len(result.rows)} configurations in "
           f"{result.elapsed_seconds:.2f}s on {args.workers} worker(s) "
-          f"x {result.lanes} lane(s) (engine={result.engine})")
+          f"(engine={result.engine})")
     stats = result.stats
     if stats is not None and (stats.retries or stats.respawns
-                              or stats.timeouts or stats.splits):
+                              or stats.timeouts):
         print(f"supervisor: {stats.retries} retries, "
-              f"{stats.respawns} respawns, {stats.timeouts} timeouts, "
-              f"{stats.splits} splits")
+              f"{stats.respawns} respawns, {stats.timeouts} timeouts")
     if result.failures:
         print(f"\n{len(result.failures)} configuration(s) failed:")
         for failure in result.failures:
@@ -708,8 +724,7 @@ def build_parser():
         default=None,
         help="fix-point engine for all simulation/verification "
              "(default: worklist; codegen = compiled straight-line module "
-             "per topology; the lane-parallel engine is selected by "
-             "sweep/verify --lanes N instead)",
+             "per topology)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -737,10 +752,9 @@ def build_parser():
 
     p = sub.add_parser("verify", help="model-check controllers (Section 4.2)")
     p.add_argument("--max-states", type=int, default=60000)
-    p.add_argument("--lanes", type=int, default=1,
-                   help="frontier expansions batched per fix-point pass "
-                        "(lane-batched exploration; not combinable with "
-                        "--engine)")
+    p.add_argument("--lanes", type=_lane_count, default=1,
+                   help="N > 1 runs the explorations on the codegen engine "
+                        "(not combinable with --engine)")
     p.add_argument("--checkpoint", metavar="DIR", default=None,
                    help="checkpoint directory: each exploration saves its "
                         "progress atomically and resumes after a crash or "
@@ -771,11 +785,9 @@ def build_parser():
                         "stalling-vs-speculative grid)")
     p.add_argument("--workers", type=int, default=1,
                    help="worker processes; 1 = serial in-process")
-    p.add_argument("--lanes", type=int, default=1,
-                   help="simulation lanes per batch: group same-topology "
-                        "configurations and advance N of them per "
-                        "fix-point pass (lane-parallel engine; not "
-                        "combinable with --engine)")
+    p.add_argument("--lanes", type=_lane_count, default=1,
+                   help="N > 1 runs the configurations on the codegen "
+                        "engine (not combinable with --engine)")
     p.add_argument("--cycles", type=int, default=None,
                    help="override simulated cycles per configuration")
     p.add_argument("--json", metavar="PATH", default=None,
@@ -953,7 +965,7 @@ def build_parser():
     p.add_argument("--cycles", type=int, default=None)
     p.add_argument("--warmup", type=int, default=None)
     p.add_argument("--max-states", type=int, default=None, dest="max_states")
-    p.add_argument("--lanes", type=int, default=None)
+    p.add_argument("--lanes", type=_lane_count, default=None)
     p.add_argument("--rules", choices=["all"], default=None,
                    help="lint rule set override")
     p.add_argument("--iterations", type=int, default=None,

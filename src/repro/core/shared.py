@@ -20,9 +20,8 @@ the datapath is one multiplexor plus the delay in the scheduling decision".
 from __future__ import annotations
 
 from repro.core.scheduler import Scheduler, SchedulerFeedback
-from repro.elastic.channel import iter_lanes
 from repro.elastic.node import Node
-from repro.kleene import kand, kite, knot, mand, mite
+from repro.kleene import kand, kite
 
 
 class SharedModule(Node):
@@ -124,59 +123,6 @@ class SharedModule(Node):
                 sp_j = kite(ost.vm, False, True)
             changed |= self.drive(ip, "sp", sp_j)
         return changed
-
-    @staticmethod
-    def batch_comb(ctx):
-        """Lane-parallel :meth:`comb`: the per-lane scheduler predictions
-        become one grant mask per channel; forwarding, the combinational
-        kill pass-through and the stall logic are then masked Kleene
-        operations, with ``fn`` evaluated only on the granted lanes."""
-        full = ctx.full
-        lanes = ctx.lanes
-        static = ctx.static
-        try:
-            ports = static["ports"]
-        except KeyError:
-            ports = [
-                (ctx.bst(f"i{j}"), ctx.bst(f"o{j}"))
-                for j in range(lanes[0].n_channels)
-            ]
-            static["ports"] = ports
-        cache = ctx.cache
-        predicted = cache.get("shared")
-        if predicted is None:
-            predicted = [0] * len(ports)
-            for lane, node in enumerate(lanes):
-                g = node.scheduler.prediction()
-                if 0 <= g < len(ports):
-                    predicted[g] |= 1 << lane
-            cache["shared"] = predicted
-        for j, (i, o) in enumerate(ports):
-            grant = predicted[j]
-            other = full & ~grant
-            ivp = (i.vp_k, i.vp_v)
-            ovm = (o.vm_k, o.vm_v)
-            # Forward: only the predicted channel's token goes through.
-            vp_k, vp_v = mand((full, grant), ivp)
-            if vp_k & ~o.vp_k:
-                o.set_mask("vp", vp_k, vp_v)
-            for lane in iter_lanes(grant & i.vp_v & i.data_k & ~o.data_k):
-                o.set_data(lane, lanes[lane].fn(i.data[lane]))
-            # Kill pass-through: anti-tokens rush backward combinationally.
-            if o.vm_k & ~i.vm_k:
-                i.set_mask("vm", o.vm_k, o.vm_v)
-            if full & ~o.sm_k:
-                sm_k, sm_v = mite(ivp, (full, 0), (i.sm_k, i.sm_v))
-                if sm_k & ~o.sm_k:
-                    o.set_mask("sm", sm_k, sm_v)
-            # Stop: killed tokens are never stopped; the predicted channel
-            # follows downstream back-pressure; others stall.
-            if full & ~i.sp_k:
-                gr_k, gr_v = mite(ovm, (full, 0), (o.sp_k, o.sp_v))
-                ot_k, ot_v = mite(ovm, (full, 0), (full, full))
-                sp_k = (gr_k & grant) | (ot_k & other)
-                if sp_k & ~i.sp_k:
-                    i.set_mask("sp", sp_k, (gr_v & grant) | (ot_v & other))
 
     # -- sequential ------------------------------------------------------------------
 

@@ -22,9 +22,8 @@ followed by an anti-token (``0 = 1 - 1``, Section 3.3).
 
 from __future__ import annotations
 
-from repro.elastic.channel import iter_lanes
 from repro.elastic.node import Node
-from repro.kleene import kand, kite, knot, mand, mite, mnot
+from repro.kleene import kand, kite, knot
 
 
 class ElasticBuffer(Node):
@@ -124,34 +123,6 @@ class ElasticBuffer(Node):
         # Offer a stored anti-token backward while holding any.
         changed |= self.drive("i", "vm", c <= -1)
         return changed
-
-    @staticmethod
-    def batch_comb(ctx):
-        """Lane-parallel :meth:`comb`: the four control decisions become
-        occupancy-threshold masks built in one pass over the lanes, then a
-        single batched drive per signal."""
-        full = ctx.full
-        o = ctx.bst("o")
-        i = ctx.bst("i")
-        vp = sm = sp = vm = 0
-        for lane, node in enumerate(ctx.lanes):
-            c = node._wr - node._rd
-            bit = 1 << lane
-            if c >= 1:
-                vp |= bit
-            if c <= -node.anti_capacity:
-                sm |= bit
-            if c >= node.capacity:
-                sp |= bit
-            if c <= -1:
-                vm |= bit
-        o.set_mask("vp", full, vp)
-        for lane in iter_lanes(vp & ~o.data_k):
-            node = ctx.lanes[lane]
-            o.set_data(lane, node._store[node._rd])
-        o.set_mask("sm", full, sm)
-        i.set_mask("sp", full, sp)
-        i.set_mask("vm", full, vm)
 
     # -- sequential behaviour (Figure 3 with deterministic latencies) ---------
 
@@ -257,45 +228,6 @@ class ZeroBackwardLatencyBuffer(Node):
             # cancelled by the passing anti-token, which forces sp low too.
             changed |= self.drive("i", "sp", False)
         return changed
-
-    @staticmethod
-    def batch_comb(ctx):
-        """Lane-parallel :meth:`comb`: full/empty lanes are split by one
-        occupancy mask and the combinational stop/kill pass-throughs become
-        masked Kleene operations over the output-side signals."""
-        full = ctx.full
-        o = ctx.bst("o")
-        i = ctx.bst("i")
-        cache = ctx.cache
-        occupied = cache.get("zbl")
-        if occupied is None:
-            occupied = 0
-            for lane, node in enumerate(ctx.lanes):
-                if node._full:
-                    occupied |= 1 << lane
-            cache["zbl"] = occupied
-        empty = full & ~occupied
-        ovm = (o.vm_k, o.vm_v)
-        if full & ~o.vp_k:
-            o.set_mask("vp", full, occupied)
-        for lane in iter_lanes(occupied & ~o.data_k):
-            o.set_data(lane, ctx.lanes[lane]._value)
-        # Full lanes: sm=False, vm=False, sp=kand(o.sp, knot(o.vm)).
-        # Empty lanes: sp=False, vm=o.vm pass-through, sm=kite(o.vm, i.sm, False).
-        if full & ~i.sp_k:
-            sp_k, sp_v = mand((o.sp_k, o.sp_v), mnot(ovm))
-            sp_k = empty | (sp_k & occupied)
-            if sp_k & ~i.sp_k:
-                i.set_mask("sp", sp_k, sp_v & occupied)
-        if full & ~i.vm_k:
-            vm_k = occupied | (o.vm_k & empty)
-            if vm_k & ~i.vm_k:
-                i.set_mask("vm", vm_k, o.vm_v & empty)
-        if full & ~o.sm_k:
-            sm_k, sm_v = mite(ovm, (i.sm_k, i.sm_v), (full, 0))
-            sm_k = occupied | (sm_k & empty)
-            if sm_k & ~o.sm_k:
-                o.set_mask("sm", sm_k, sm_v & empty)
 
     def tick(self):
         ist = self.st("i")

@@ -144,138 +144,6 @@ class ChannelState:
         return [name for name in CONTROL_SIGNALS if getattr(self, name) is None]
 
 
-def iter_lanes(mask):
-    """Yield the lane indices of the set bits of ``mask``, lowest first.
-
-    The shared sparse-iteration idiom of the batch engine: per-lane work
-    (data scatter in the ``batch_comb`` kernels, stalled-lane checks in
-    the batched monitor) costs one iteration per *set bit*, not per lane.
-    """
-    while mask:
-        low = mask & -mask
-        mask ^= low
-        yield low.bit_length() - 1
-
-
-#: (known, value) attribute-name pairs of :class:`BatchChannelState`, one per
-#: control signal.
-_BATCH_ATTRS = {
-    "vp": ("vp_k", "vp_v"),
-    "sp": ("sp_k", "sp_v"),
-    "vm": ("vm_k", "vm_v"),
-    "sm": ("sm_k", "sm_v"),
-}
-
-
-class BatchChannelState:
-    """Bit-packed per-cycle signals of one channel across N simulation lanes.
-
-    Every three-valued control signal is stored as a ``(known, value)`` pair
-    of Python ints with one bit per lane (``value`` is a subset of
-    ``known``); ``data`` is a per-lane list of token values with a
-    ``data_k`` known-mask, since data carries arbitrary Python objects.
-
-    :meth:`set_mask` is the batched analogue of :meth:`ChannelState.set` and
-    enforces the same per-lane rules: an ``unknown -> known`` transition is
-    recorded (and reported to the engine's change log), a re-write with the
-    same value is a no-op, and a conflicting re-write raises
-    :class:`~repro.errors.SignalConflictError` naming the offending lane.
-    """
-
-    __slots__ = (
-        "vp_k", "vp_v", "sp_k", "sp_v", "vm_k", "vm_v", "sm_k", "sm_v",
-        "data", "data_k", "n_lanes", "full", "base", "log", "name",
-    )
-
-    def __init__(self, n_lanes, name="?"):
-        self.n_lanes = n_lanes
-        self.full = (1 << n_lanes) - 1
-        self.name = name
-        self.base = 0
-        self.log = None
-        self.clear()
-
-    def __repr__(self):
-        return (
-            f"BatchChannelState({self.name!r}, lanes={self.n_lanes}, "
-            f"vp={self.vp_k:#x}/{self.vp_v:#x}, sp={self.sp_k:#x}/{self.sp_v:#x}, "
-            f"vm={self.vm_k:#x}/{self.vm_v:#x}, sm={self.sm_k:#x}/{self.sm_v:#x})"
-        )
-
-    def clear(self):
-        self.vp_k = self.vp_v = 0
-        self.sp_k = self.sp_v = 0
-        self.vm_k = self.vm_v = 0
-        self.sm_k = self.sm_v = 0
-        self.data = [None] * self.n_lanes
-        self.data_k = 0
-
-    def lane_value(self, name, lane):
-        """Scalar three-valued view of one lane (``None`` when unknown)."""
-        bit = 1 << lane
-        if name == "data":
-            return self.data[lane] if self.data_k & bit else None
-        k_attr, v_attr = _BATCH_ATTRS[name]
-        if not getattr(self, k_attr) & bit:
-            return None
-        return bool(getattr(self, v_attr) & bit)
-
-    def set_mask(self, name, known, value):
-        """Monotone batched update of a control signal.
-
-        ``known`` selects the lanes being driven, ``value`` their boolean
-        values (bits outside ``known`` are ignored).  Returns the mask of
-        lanes that actually became known; newly-known lanes are appended to
-        ``self.log`` (once per call) when a log is registered.
-        """
-        k_attr, v_attr = _BATCH_ATTRS[name]
-        old_k = getattr(self, k_attr)
-        old_v = getattr(self, v_attr)
-        value &= known
-        conflict = old_k & known & (old_v ^ value)
-        if conflict:
-            lane = (conflict & -conflict).bit_length() - 1
-            bit = 1 << lane
-            raise SignalConflictError(
-                f"signal {self.name}.{name} rewritten "
-                f"{bool(old_v & bit)!r} -> {bool(value & bit)!r} (lane {lane})"
-            )
-        new = known & ~old_k
-        if not new:
-            return 0
-        setattr(self, k_attr, old_k | new)
-        setattr(self, v_attr, old_v | (value & new))
-        log = self.log
-        if log is not None:
-            log.append(self.base + SIG_INDEX[name])
-        return new
-
-    def set_data(self, lane, value):
-        """Monotone per-lane data update (mirrors ``ChannelState.set``:
-        ``None`` is a no-op, a conflicting re-write raises)."""
-        if value is None:
-            return False
-        bit = 1 << lane
-        if self.data_k & bit:
-            old = self.data[lane]
-            if old != value:
-                raise SignalConflictError(
-                    f"signal {self.name}.data rewritten "
-                    f"{old!r} -> {value!r} (lane {lane})"
-                )
-            return False
-        self.data[lane] = value
-        self.data_k |= bit
-        log = self.log
-        if log is not None:
-            log.append(self.base + SIG_INDEX["data"])
-        return True
-
-    def resolved_mask(self):
-        """Mask of lanes whose four control bits are all known."""
-        return self.vp_k & self.sp_k & self.vm_k & self.sm_k
-
-
 @dataclass(frozen=True)
 class ChannelEvents:
     """Resolved events of one channel for one clock cycle."""

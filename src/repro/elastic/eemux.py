@@ -18,7 +18,6 @@ scheduler corrects itself.
 
 from __future__ import annotations
 
-from repro.elastic.channel import iter_lanes
 from repro.elastic.node import Node
 from repro.errors import SchedulerError
 from repro.kleene import kand, kite, knot, kor
@@ -123,130 +122,6 @@ class EarlyEvalMux(Node):
             if data is not None:
                 changed |= self.drive("o", "data", data)
         return changed
-
-    @staticmethod
-    def batch_comb(ctx):
-        """Lane-parallel :meth:`comb`.
-
-        The fire decision depends on each lane's *select data value*, so —
-        unlike the pure control kernels — the Kleene logic here runs lane
-        by lane (mirroring :meth:`comb` exactly, including the select range
-        check); the batching win is accumulating the results into per-
-        signal masks and committing each signal with a single batched
-        drive instead of ``n_lanes`` scalar ones.
-        """
-        full = ctx.full
-        lanes = ctx.lanes
-        static = ctx.static
-        try:
-            s, o, inputs = static["ports"]
-        except KeyError:
-            s = ctx.bst("s")
-            o = ctx.bst("o")
-            inputs = [ctx.bst(f"i{j}") for j in range(lanes[0].n_inputs)]
-            static["ports"] = (s, o, inputs)
-        n_inputs = len(inputs)
-        # Per-lane early out: a lane with every driven signal (and, when
-        # offering, the output data) already known cannot gain information
-        # from a re-evaluation — only the remaining lanes run the per-lane
-        # Kleene logic below.  Re-evaluations within a fix-point typically
-        # touch a handful of lanes, so this bounds the kernel's work by
-        # lanes *still settling*, not by the batch width.
-        done = o.vp_k & o.sm_k & s.sp_k & s.vm_k
-        for ist in inputs:
-            done &= ist.vm_k & ist.sp_k
-        done &= ~(o.vp_v & ~o.data_k)
-        if done == full:
-            return
-        ovp_k = ovp_v = 0
-        ssp_k = ssp_v = 0
-        osm_k = osm_v = 0
-        ivm = [[0, 0] for _ in range(n_inputs)]
-        isp = [[0, 0] for _ in range(n_inputs)]
-        data_lanes = []              # (lane, sel) pairs that may drive data
-        for lane in iter_lanes(full & ~done):
-            node = lanes[lane]
-            bit = 1 << lane
-            # _select, on this lane's slice of the batch state
-            if not s.vp_k & bit:
-                sel, can_fire = None, None
-            elif not s.vp_v & bit:
-                sel, can_fire = None, False
-            else:
-                sel = s.data[lane] if s.data_k & bit else None
-                if sel is None:
-                    can_fire = None
-                else:
-                    if not isinstance(sel, int) or not 0 <= sel < n_inputs:
-                        raise SchedulerError(
-                            f"EarlyEvalMux {node.name}: select value {sel!r} "
-                            f"out of range 0..{n_inputs - 1} (lane {lane})"
-                        )
-                    ist = inputs[sel]
-                    if node._pk[sel] != 0:
-                        can_fire = False
-                    elif not ist.vp_k & bit:
-                        can_fire = None
-                    else:
-                        can_fire = bool(ist.vp_v & bit)
-            pko_zero = node._pko == 0
-            ovp = kand(can_fire, pko_zero)
-            if ovp is not None:
-                ovp_k |= bit
-                if ovp:
-                    ovp_v |= bit
-            osp = (bool(o.sp_v & bit) if o.sp_k & bit else None)
-            fire = can_fire if node._pko > 0 else kand(can_fire, knot(osp))
-            ssp = knot(fire)
-            if ssp is not None:
-                ssp_k |= bit
-                if ssp:
-                    ssp_v |= bit
-            for j in range(n_inputs):
-                if fire is False:
-                    kill_now = False
-                    consumed = False
-                elif sel is None or fire is None:
-                    kill_now = None
-                    consumed = None
-                else:
-                    kill_now = j != sel
-                    consumed = j == sel
-                vm_j = kor(node._pk[j] > 0, kill_now)
-                if vm_j is not None:
-                    ivm[j][0] |= bit
-                    if vm_j:
-                        ivm[j][1] |= bit
-                sp_j = kite(vm_j, False, knot(consumed))
-                if sp_j is not None:
-                    isp[j][0] |= bit
-                    if sp_j:
-                        isp[j][1] |= bit
-            osm = kite(kand(can_fire, pko_zero), False,
-                       node._pko >= node.max_kills)
-            if osm is not None:
-                osm_k |= bit
-                if osm:
-                    osm_v |= bit
-            if can_fire is True and pko_zero and sel is not None:
-                data_lanes.append((lane, sel))
-        if ovp_k & ~o.vp_k:
-            o.set_mask("vp", ovp_k, ovp_v)
-        if ssp_k & ~s.sp_k:
-            s.set_mask("sp", ssp_k, ssp_v)
-        if full & ~s.vm_k:
-            s.set_mask("vm", full, 0)
-        for j in range(n_inputs):
-            if ivm[j][0] & ~inputs[j].vm_k:
-                inputs[j].set_mask("vm", ivm[j][0], ivm[j][1])
-            if isp[j][0] & ~inputs[j].sp_k:
-                inputs[j].set_mask("sp", isp[j][0], isp[j][1])
-        if osm_k & ~o.sm_k:
-            o.set_mask("sm", osm_k, osm_v)
-        for lane, sel in data_lanes:
-            bit = 1 << lane
-            if inputs[sel].data_k & bit and not o.data_k & bit:
-                o.set_data(lane, inputs[sel].data[lane])
 
     # -- sequential -----------------------------------------------------------------
 

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import random
 
-from repro.elastic.channel import iter_lanes
 from repro.elastic.node import Node
 
 
@@ -63,28 +62,6 @@ class _SourceBase(Node):
             changed |= self.drive("o", "data", self._value)
         changed |= self.drive("o", "sm", False)   # always absorb anti-tokens
         return changed
-
-    @staticmethod
-    def batch_comb(ctx):
-        """Lane-parallel :meth:`comb`: latches pending offers per lane
-        (same order of ``_next_value`` calls as the scalar engine, so the
-        per-lane value streams stay bit-identical), then drives the offer
-        mask and per-lane data in one batched pass."""
-        o = ctx.bst("o")
-        offering = 0
-        for lane, node in enumerate(ctx.lanes):
-            if not node._offering and node._pending_start:
-                value = node._next_value()
-                if value is not None:
-                    node._offering = True
-                    node._value = value
-                node._pending_start = False
-            if node._offering:
-                offering |= 1 << lane
-        o.set_mask("vp", ctx.full, offering)
-        for lane in iter_lanes(offering & ~o.data_k):
-            o.set_data(lane, ctx.lanes[lane]._value)
-        o.set_mask("sm", ctx.full, 0)   # always absorb anti-tokens
 
     def pre_cycle(self):
         """Called once per cycle before the fix-point (stabilizes choices)."""
@@ -224,16 +201,6 @@ class Sink(Node):
         changed |= self.drive("i", "vm", False)
         return changed
 
-    @staticmethod
-    def batch_comb(ctx):
-        i = ctx.bst("i")
-        stall = 0
-        for lane, node in enumerate(ctx.lanes):
-            if node._stall_now:
-                stall |= 1 << lane
-        i.set_mask("sp", ctx.full, stall)
-        i.set_mask("vm", ctx.full, 0)
-
     def tick(self):
         ist = self.st("i")
         if ist.vp and not ist.sp and not ist.vm:
@@ -294,18 +261,6 @@ class KillerSink(Node):
         changed |= self.drive("i", "sp", False if self._killing else self._stall_now)
         return changed
 
-    @staticmethod
-    def batch_comb(ctx):
-        i = ctx.bst("i")
-        killing = stalling = 0
-        for lane, node in enumerate(ctx.lanes):
-            if node._killing:
-                killing |= 1 << lane
-            elif node._stall_now:
-                stalling |= 1 << lane
-        i.set_mask("vm", ctx.full, killing)
-        i.set_mask("sp", ctx.full, stalling)
-
     def tick(self):
         ist = self.st("i")
         if self._killing and (ist.vp or not ist.sm):
@@ -365,21 +320,6 @@ class NondetSource(Node):
         changed |= self.drive("o", "sm", False)
         return changed
 
-    @staticmethod
-    def batch_comb(ctx):
-        """Lane-parallel :meth:`comb`: the per-lane offer registers (frozen
-        by ``pre_cycle``) become one mask, per-lane counters scatter into
-        the data slots of the offering lanes."""
-        o = ctx.bst("o")
-        offering = 0
-        for lane, node in enumerate(ctx.lanes):
-            if node._offering:
-                offering |= 1 << lane
-        o.set_mask("vp", ctx.full, offering)
-        for lane in iter_lanes(offering & ~o.data_k):
-            o.set_data(lane, ctx.lanes[lane]._counter)
-        o.set_mask("sm", ctx.full, 0)
-
     def tick(self):
         ost = self.st("o")
         if ost.vp and not ost.sp:
@@ -437,18 +377,6 @@ class NondetSink(Node):
         changed |= self.drive("i", "sp", self._choice == 1)
         return changed
 
-    @staticmethod
-    def batch_comb(ctx):
-        i = ctx.bst("i")
-        killing = stalling = 0
-        for lane, node in enumerate(ctx.lanes):
-            if node._killing:
-                killing |= 1 << lane
-            elif node._choice == 1:
-                stalling |= 1 << lane
-        i.set_mask("vm", ctx.full, killing)
-        i.set_mask("sp", ctx.full, stalling)
-
     def tick(self):
         ist = self.st("i")
         if self._killing:
@@ -502,18 +430,6 @@ class NondetChoiceSource(NondetSource):
             changed |= self.drive("o", "data", self._value)
         changed |= self.drive("o", "sm", False)
         return changed
-
-    @staticmethod
-    def batch_comb(ctx):
-        o = ctx.bst("o")
-        offering = 0
-        for lane, node in enumerate(ctx.lanes):
-            if node._offering:
-                offering |= 1 << lane
-        o.set_mask("vp", ctx.full, offering)
-        for lane in iter_lanes(offering & ~o.data_k):
-            o.set_data(lane, ctx.lanes[lane]._value)
-        o.set_mask("sm", ctx.full, 0)
 
     def tick(self):
         ost = self.st("o")

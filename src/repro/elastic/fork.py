@@ -14,9 +14,8 @@ counterflow network small while preserving transfer equivalence.
 
 from __future__ import annotations
 
-from repro.elastic.channel import iter_lanes
 from repro.elastic.node import Node
-from repro.kleene import kand, kite, knot, kor, mand, mite, mnot, mor
+from repro.kleene import kand, kite, knot, kor
 
 
 class EagerFork(Node):
@@ -80,60 +79,6 @@ class EagerFork(Node):
         changed |= self.drive("i", "sp", knot(kand(ist.vp, all_ok)))
         changed |= self.drive("i", "vm", False)
         return changed
-
-    @staticmethod
-    def batch_comb(ctx):
-        """Lane-parallel :meth:`comb`: per-branch done/doomed lanes become
-        masks (cached for the cycle — they derive from sequential state),
-        the eager completion logic folds masked Kleene ANDs/ORs across the
-        branches, and the input data fans out to every branch with one
-        batched drive each."""
-        full = ctx.full
-        lanes = ctx.lanes
-        static = ctx.static
-        try:
-            i, outputs = static["ports"]
-        except KeyError:
-            i = ctx.bst("i")
-            outputs = [ctx.bst(f"o{k}") for k in range(lanes[0].n_outputs)]
-            static["ports"] = (i, outputs)
-        cache = ctx.cache
-        seq = cache.get("fork")
-        if seq is None:
-            eff_done = [0] * len(outputs)
-            kill_full = [0] * len(outputs)
-            for lane, node in enumerate(lanes):
-                bit = 1 << lane
-                for k in range(len(outputs)):
-                    if node._done[k] or node._pk[k] > 0:
-                        eff_done[k] |= bit
-                    if node._pk[k] >= node.max_kills:
-                        kill_full[k] |= bit
-            cache["fork"] = (eff_done, kill_full)
-        else:
-            eff_done, kill_full = seq
-        ivp = (i.vp_k, i.vp_v)
-        data_ready = i.vp_v & i.data_k
-        all_ok = (full, full)
-        for k, o in enumerate(outputs):
-            vp_k_pair = mand(ivp, (full, full & ~eff_done[k]))
-            if vp_k_pair[0] & ~o.vp_k:
-                o.set_mask("vp", *vp_k_pair)
-            for lane in iter_lanes(data_ready & ~o.data_k):
-                o.set_data(lane, i.data[lane])
-            if full & ~o.sm_k:
-                sm_k, sm_v = mite(vp_k_pair, (full, 0), (full, kill_full[k]))
-                if sm_k & ~o.sm_k:
-                    o.set_mask("sm", sm_k, sm_v)
-            branch_ok = mor(
-                (full, eff_done[k]), mand(vp_k_pair, mnot((o.sp_k, o.sp_v)))
-            )
-            all_ok = mand(all_ok, branch_ok)
-        sp_k, sp_v = mnot(mand(ivp, all_ok))
-        if sp_k & ~i.sp_k:
-            i.set_mask("sp", sp_k, sp_v)
-        if full & ~i.vm_k:
-            i.set_mask("vm", full, 0)
 
     # -- sequential ----------------------------------------------------------------
 

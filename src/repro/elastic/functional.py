@@ -14,9 +14,8 @@ backward into the producer (an EB absorbs it as a stored anti-token).
 
 from __future__ import annotations
 
-from repro.elastic.channel import iter_lanes
 from repro.elastic.node import Node
-from repro.kleene import kand, kite, knot, mite
+from repro.kleene import kand, kite, knot
 
 
 class Func(Node):
@@ -112,82 +111,6 @@ class Func(Node):
             if all(a is not None for a in args):
                 changed |= self.drive("o", "data", self.fn(*args))
         return changed
-
-    @staticmethod
-    def batch_comb(ctx):
-        """Lane-parallel :meth:`comb`: the lazy-join fire decision is a
-        fold of masked Kleene ANDs over the input valids, the per-input
-        stop/kill drives are two batched writes each, and only the lanes
-        actually firing pay a per-lane ``fn`` evaluation.  This kernel is
-        on the convergence path of every join-shaped design, so the kill
-        masks (sequential, constant within a cycle) are cached and the
-        fold is inlined bitwise instead of going through the pair helpers.
-        """
-        full = ctx.full
-        lanes = ctx.lanes
-        static = ctx.static
-        try:
-            o, inputs = static["ports"]
-        except KeyError:
-            n_inputs = lanes[0].n_inputs
-            o = ctx.bst("o")
-            inputs = [ctx.bst(f"i{i}") for i in range(n_inputs)]
-            static["ports"] = (o, inputs)
-        cache = ctx.cache
-        seq = cache.get("func")
-        if seq is None:
-            pk_zero = []
-            for idx in range(len(inputs)):
-                mask = 0
-                for lane, node in enumerate(lanes):
-                    if node._pk[idx] == 0:
-                        mask |= 1 << lane
-                pk_zero.append(mask)
-            room = 0
-            for lane, node in enumerate(lanes):
-                if all(pk < node.max_kills for pk in node._pk):
-                    room |= 1 << lane
-            cache["func"] = (pk_zero, room)
-        else:
-            pk_zero, room = seq
-        # all_avail = fold of kand(i.vp, pk == 0) over the inputs.
-        avail_k = avail_v = full
-        for idx, ist in enumerate(inputs):
-            zero = pk_zero[idx]
-            term_v = ist.vp_v & zero
-            term_k = (ist.vp_k & ~ist.vp_v) | (full & ~zero) | term_v
-            new_v = avail_v & term_v
-            avail_k = (avail_k & ~avail_v) | (term_k & ~term_v) | new_v
-            avail_v = new_v
-        if avail_k & ~o.vp_k:
-            o.set_mask("vp", avail_k, avail_v)
-        # fire = kand(all_avail, knot(o.sp)); not_fire = knot(fire).
-        nosp_v = o.sp_k & ~o.sp_v
-        fire_v = avail_v & nosp_v
-        fire_k = (avail_k & ~avail_v) | (o.sp_k & ~nosp_v) | fire_v
-        not_fire_v = fire_k & ~fire_v
-        for idx, ist in enumerate(inputs):
-            pending = full & ~pk_zero[idx]
-            if full & ~ist.vm_k:
-                ist.set_mask("vm", full, pending)
-            # Kill and stop are mutually exclusive: pending lanes get
-            # sp=False, the rest follow knot(fire).
-            live = full & ~pending
-            sp_k = pending | (fire_k & live)
-            if sp_k & ~ist.sp_k:
-                ist.set_mask("sp", sp_k, not_fire_v & live)
-        if full & ~o.sm_k:
-            sm_k, sm_v = mite((avail_k, avail_v), (full, 0),
-                              (full, full & ~room))
-            if sm_k & ~o.sm_k:
-                o.set_mask("sm", sm_k, sm_v)
-        # Data: lanes where the join fires and every input value is known.
-        need = avail_v & ~o.data_k
-        for ist in inputs:
-            need &= ist.data_k
-        for lane in iter_lanes(need):
-            args = [ist.data[lane] for ist in inputs]
-            o.set_data(lane, lanes[lane].fn(*args))
 
     # -- sequential --------------------------------------------------------------
 

@@ -39,26 +39,6 @@ class Node:
     #: short kind tag used by dot export / back-ends; subclasses override.
     kind = "node"
 
-    #: Batched combinational kernel (lane-parallel engine).
-    #:
-    #: ``None`` means the batch engine evaluates this node lane by lane
-    #: through the ordinary :meth:`comb` (the scalar fallback).  Core node
-    #: kinds override this with a ``staticmethod(ctx)`` that advances every
-    #: lane of a batch at once: ``ctx`` is a
-    #: :class:`repro.sim.batch.BatchNodeCtx` exposing the per-lane node
-    #: instances, the :class:`~repro.elastic.channel.BatchChannelState` of
-    #: each port, and bit-mask drive helpers.  A kernel must implement
-    #: exactly the per-lane semantics of :meth:`comb` (same monotone Kleene
-    #: logic, same signals driven) — the differential batch tests pin the
-    #: two against each other.
-    #:
-    #: Kernels do **not** blindly inherit: a subclass that overrides
-    #: :meth:`comb` without defining its own ``batch_comb`` falls back to
-    #: per-lane scalar evaluation (see
-    #: :func:`repro.sim.batch.resolve_batch_kernel`), since the inherited
-    #: kernel would lane-parallelize the *ancestor's* semantics.
-    batch_comb = None
-
     #: True for node kinds that *register* tokens — a clock boundary on the
     #: token-flow path (elastic buffers, variable-latency stations, FIFOs).
     #: The static-analysis rules of :mod:`repro.lint` use this to decide

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 from collections import deque
 
-from repro.elastic.channel import iter_lanes
 from repro.elastic.node import Node
 
 
@@ -94,28 +93,6 @@ class VariableLatencyUnit(Node):
         changed |= self.drive("i", "sp", len(self._q) >= 2)
         changed |= self.drive("i", "vm", False)
         return changed
-
-    @staticmethod
-    def batch_comb(ctx):
-        """Lane-parallel :meth:`comb`: head-ready and station-full lanes
-        become masks in one pass over the (registered) two-slot stations."""
-        full = ctx.full
-        o = ctx.bst("o")
-        i = ctx.bst("i")
-        ready = busy = 0
-        for lane, node in enumerate(ctx.lanes):
-            q = node._q
-            bit = 1 << lane
-            if q and q[0][1] == 0:
-                ready |= bit
-            if len(q) >= 2:
-                busy |= bit
-        o.set_mask("vp", full, ready)
-        for lane in iter_lanes(ready & ~o.data_k):
-            o.set_data(lane, ctx.lanes[lane]._q[0][0])
-        o.set_mask("sm", full, full & ~ready)
-        i.set_mask("sp", full, busy)
-        i.set_mask("vm", full, 0)
 
     # -- sequential ----------------------------------------------------------------
 

@@ -90,59 +90,6 @@ def known(*xs):
     return all(x is not None for x in xs)
 
 
-# -- bit-packed lane-parallel variants ----------------------------------------
-#
-# The batch simulation engine (``repro.sim.batch``) packs one three-valued
-# signal of N simulation lanes into a pair of Python ints ``(known, value)``:
-# bit ``l`` of ``known`` is set when lane ``l`` has resolved the signal, and
-# bit ``l`` of ``value`` carries the resolved boolean (``value`` is always a
-# subset of ``known``).  The ``m*`` helpers below are the strong-Kleene
-# operators lifted to these pairs — one Python int operation advances every
-# lane at once, which is what lets a batched ``comb`` kernel evaluate N
-# configurations per call.  Each helper preserves the ``value & ~known == 0``
-# invariant and is monotone per lane, exactly like its scalar counterpart.
-
-
-def mand(a, b):
-    """Lane-parallel Kleene AND of two ``(known, value)`` pairs."""
-    ka, va = a
-    kb, vb = b
-    v = va & vb
-    return ((ka & ~va) | (kb & ~vb) | v, v)
-
-
-def mor(a, b):
-    """Lane-parallel Kleene OR of two ``(known, value)`` pairs."""
-    ka, va = a
-    kb, vb = b
-    v = va | vb
-    return (v | ((ka & ~va) & (kb & ~vb)), v)
-
-
-def mnot(a):
-    """Lane-parallel Kleene NOT of a ``(known, value)`` pair."""
-    k, v = a
-    return (k, k & ~v)
-
-
-def mite(c, t, f):
-    """Lane-parallel Kleene if-then-else over ``(known, value)`` pairs.
-
-    Lanes with an unknown condition resolve only where both branches are
-    known and agree (the scalar :func:`kite` rule).
-    """
-    kc, vc = c
-    kt, vt = t
-    kf, vf = f
-    sel_t = kc & vc
-    sel_f = kc & ~vc
-    agree = ~kc & kt & kf & ~(vt ^ vf)
-    return (
-        (sel_t & kt) | (sel_f & kf) | agree,
-        (sel_t & vt) | (sel_f & vf) | (agree & vt),
-    )
-
-
 def as_bool(x, name="signal"):
     """Assert a signal is resolved and return it as a plain ``bool``.
 

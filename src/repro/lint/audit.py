@@ -2,8 +2,8 @@
 
 Every engine optimization in this codebase trusts each node's *declared*
 combinational sensitivity: the worklist engine only re-evaluates a node
-when a signal in ``comb_reads()`` changes, the batch engine and the
-incremental sensitivity patching assume ``comb_writes()`` is exhaustive,
+when a signal in ``comb_reads()`` changes, the incremental
+sensitivity patching assumes ``comb_writes()`` is exhaustive,
 and the codegen backend schedules its interpreted residue — nodes whose
 ``comb`` has no emitter, such as user subclasses that override it — on
 the same contract.  One undeclared read produces silently wrong

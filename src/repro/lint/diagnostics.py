@@ -8,7 +8,7 @@ CI greps can rely on it across releases:
   (unbroken combinational cycles, zero-bubble deadlocks, unkillable
   speculation, sensitivity-declaration violations),
 * ``W2xx`` — performance / coverage warnings (token-free cycles, dead
-  nodes, fork/join imbalance, batch-kernel fallbacks).
+  nodes, fork/join imbalance, chaos saboteurs left behind).
 
 A :class:`LintReport` aggregates the findings of one :func:`repro.lint.run_lint`
 pass with human (:meth:`LintReport.format`) and machine
@@ -48,15 +48,13 @@ CODES = {
     "E110": ("comb() read a channel signal outside comb_reads()",
              "declare the (port, signal) pair in comb_reads() — the worklist engine will otherwise miss wakeups"),
     "E111": ("comb() drove a channel signal outside comb_writes()",
-             "declare the (port, signal) pair in comb_writes() — batch lanes and incremental patching trust it"),
+             "declare the (port, signal) pair in comb_writes() — codegen and incremental patching trust it"),
     "W201": ("token-free cycle: no token can ever circulate",
              "initialize a token on the loop (eb init) or feed it through an early-evaluation mux"),
     "W202": ("dead node: unreachable from any token origin",
              "connect the node downstream of a source or a token-holding buffer, or remove it"),
     "W203": ("fork/join imbalance: a fork reaches only part of a lazy join's inputs",
              "balance the branches (the join will starve waiting for the unforked side)"),
-    "W210": ("comb() override without a matching batch_comb kernel",
-             "add a batch_comb staticmethod (or accept per-lane scalar fallback in the batch engine)"),
     "W211": ("chaos saboteur left in the design",
              "chaos.unwrap(handle) the instrumented netlist (or rebuild it) before shipping — fault injection must not reach production"),
 }

@@ -12,7 +12,7 @@ The rules encode the paper's structural correctness story:
 
 plus plain graph hygiene (dangling ports, unbound or multiply-driven
 channels, width/arity mismatches, dead nodes) and performance-coverage
-warnings (token-free cycles, batch-kernel fallbacks).
+warnings (token-free cycles, chaos saboteurs left behind).
 
 Rules register themselves in :data:`RULES` via :func:`lint_rule`; each is
 a function ``rule(netlist) -> list[Diagnostic]`` that must not mutate the
@@ -472,36 +472,6 @@ def rule_fork_join(netlist):
                              f"{starved}: the join waits on tokens the "
                              f"fork never sends there"),
                     node=node.name))
-    return diags
-
-
-# -- W210: batch-kernel coverage ----------------------------------------------
-
-
-@lint_rule("batch-kernels", ("W210",),
-           "a comb() override without its own batch_comb kernel falls "
-           "back to per-lane scalar evaluation in the batch engine")
-def rule_batch_kernels(netlist):
-    from repro.elastic.node import Node
-    from repro.sim.batch import resolve_batch_kernel
-
-    by_class = {}
-    for node in netlist.nodes.values():
-        by_class.setdefault(type(node), []).append(node.name)
-    diags = []
-    for cls, names in sorted(by_class.items(), key=lambda kv: kv[0].__name__):
-        if cls.comb is Node.comb:
-            continue                      # no combinational behaviour at all
-        if resolve_batch_kernel(cls) is not None:
-            continue
-        reason = ("an ancestor's kernel is suppressed as unsafe"
-                  if cls.batch_comb is not None else "no batch_comb defined")
-        diags.append(Diagnostic(
-            code="W210",
-            message=(f"{cls.__name__} overrides comb() without its own "
-                     f"batch_comb ({reason}): {len(names)} node(s) "
-                     f"fall back to scalar lanes"),
-            node=names[0]))
     return diags
 
 

@@ -8,11 +8,7 @@ from repro.perf.mcr import (
     marked_graph_throughput,
     min_cycle_ratio,
 )
-from repro.perf.throughput import (
-    measure_throughput,
-    measure_throughput_batch,
-    ThroughputResult,
-)
+from repro.perf.throughput import measure_throughput, ThroughputResult
 from repro.perf.area import total_area, area_breakdown
 from repro.perf.report import performance_report, PerfReport
 from repro.perf.sweep import SweepSpec, SweepResult, run_sweep
@@ -25,7 +21,6 @@ __all__ = [
     "marked_graph_throughput",
     "min_cycle_ratio",
     "measure_throughput",
-    "measure_throughput_batch",
     "ThroughputResult",
     "total_area",
     "area_breakdown",

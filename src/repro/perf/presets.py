@@ -167,14 +167,14 @@ def fig6_spec(designs=("stalling", "speculative"),
 def fig6_lane_spec(design="speculative",
                    fracs=(0.0, 0.15, 0.3, 0.45, 0.6, 0.75, 0.9, 1.0),
                    window=3, seed=3, cycles=800, warmup=100):
-    """A single-topology slice of the Figure 6 grid, sized for lane
-    batching: one design style, eight arithmetic fractions.
+    """A single-topology slice of the Figure 6 grid: one design style,
+    eight arithmetic fractions.
 
     All eight configurations share one netlist structure (only the operand
-    stream differs), so ``run_sweep(spec, lanes=8)`` packs the whole sweep
-    into a single 8-lane :class:`~repro.sim.batch.BatchSimulator` pass —
-    this is the workload ``benchmarks/bench_sweep.py`` uses to track the
-    batch engine's cycles/second against the serial scalar baseline."""
+    stream differs), so under ``run_sweep(spec, lanes=8)`` — which runs
+    the codegen engine — the whole sweep compiles one module.  This is the
+    workload ``benchmarks/bench_sweep.py`` uses to track ``lanes=8``
+    cycles/second against the serial worklist baseline."""
     from repro.perf.sweep import SweepSpec
 
     return SweepSpec(

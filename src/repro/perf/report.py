@@ -47,9 +47,8 @@ class PerfReport:
 def static_report(netlist, tech=None, name=None):
     """Area and cycle-time analysis only (no throughput yet).
 
-    Shared by :func:`performance_report` and the lane-batched sweep path,
-    which measures throughput for many same-topology designs in one batch
-    simulator and attaches it afterwards via :func:`attach_throughput`.
+    :func:`performance_report` attaches the throughput afterwards via
+    :func:`attach_throughput`.
     """
     tech = tech or DEFAULT_TECH
     timing = analyze_timing(netlist, tech)

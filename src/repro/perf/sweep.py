@@ -17,44 +17,33 @@ module provides the declarative spec and the sharded runner:
   merged result is identical — byte-for-byte in its JSON rendering —
   regardless of worker count.
 
-Lane batching
--------------
+Lane width
+----------
 
-``run_sweep(spec, lanes=N)`` multiplies with the process-level sharding
-instead of competing with it: inside each worker (or in-process when
-serial) the configurations are built, grouped by
-:func:`~repro.sim.batch.topology_signature`, and each same-topology group
-is simulated ``N`` configurations at a time by one
-:class:`~repro.sim.batch.BatchSimulator` whose bit-packed channel states
-advance every lane per fix-point pass.  Static analysis (area, timing) is
-unchanged, configurations measured on the marked graph (``channel=None``)
-take the scalar path, and each lane's measured throughput is bit-identical
-to a scalar run of that configuration — so the merged rows are identical
-to a ``lanes=1`` sweep except for the recorded ``engine`` label
-(``"batch"``, which names the lane engine in rows and checkpoint keys but
-is not a :class:`~repro.sim.engine.Simulator` engine), regardless of how
-configurations landed in groups or workers.
+``run_sweep(spec, lanes=N)`` with ``N > 1`` is another way to ask for
+``engine="codegen"`` (:func:`~repro.sim.engine.lanes_engine`): rows and
+:attr:`SweepResult.engine` record ``"codegen"``, and an explicit engine
+conflicts with it.
 
 Supervision, retries and checkpointing
 --------------------------------------
 
 ``n_workers > 1`` no longer uses a bare ``multiprocessing.Pool``: the
 configurations run under a :class:`~repro.runtime.supervisor.Supervisor`
-that tracks per-chunk liveness, applies a per-configuration wall-clock
-``timeout`` (scaled by chunk size), kills and respawns dead or hung
-workers, and retries failed chunks with exponential backoff up to a
-``retries`` budget.  A multi-configuration chunk that fails is first
-*split* into single-configuration chunks (no retry consumed) so one
-poison configuration cannot take down the batch it shared a worker with;
-a configuration that exhausts its retries becomes a structured
+that tracks per-configuration liveness, applies a per-configuration
+wall-clock ``timeout``, kills and respawns dead or hung workers, and
+retries failed configurations with exponential backoff up to a
+``retries`` budget.  Each configuration is its own task, so one poison
+configuration cannot take down another; a configuration that exhausts
+its retries becomes a structured
 :class:`FailedRow` in :attr:`SweepResult.failures` instead of an
 exception that loses the whole run (``on_error="raise"`` restores the
 old fail-fast behaviour).  The serial path applies the same retry /
 FailedRow semantics in-process (wall-clock timeouts need a worker to
 kill, so ``timeout`` is only enforced when ``n_workers > 1``).
 
-``checkpoint=PATH`` makes progress durable: after every completed chunk
-the merged successful rows are written atomically (temp file +
+``checkpoint=PATH`` makes progress durable: after every completed
+configuration the merged successful rows are written atomically (temp file +
 ``os.replace``) with a SHA-256 checksum and a content-address key
 derived from the expanded payloads (factory, params, cycles, engine …).
 A rerun with the same spec resumes from the checkpoint — completed
@@ -103,7 +92,12 @@ from repro.runtime import faults
 from repro.runtime.checkpoint import content_key, load_checkpoint, save_checkpoint
 from repro.runtime.control import jittered_backoff, task_key
 from repro.runtime.supervisor import Supervisor, SupervisorStats
-from repro.sim.engine import check_engine, get_default_engine, set_default_engine
+from repro.sim.engine import (
+    check_engine,
+    get_default_engine,
+    lanes_engine,
+    set_default_engine,
+)
 
 #: Reserved per-point keys interpreted by the runner, not the factory.
 #: ``sim_channel`` overrides the spec-level measurement channel for one
@@ -250,10 +244,7 @@ def _run_payload(payload):
     """
     faults.fault_point("sweep_config", payload["index"])
     previous = get_default_engine()
-    # A lane-batched sweep ("batch") only lands here for marked-graph
-    # configurations, which simulate nothing.
-    if payload["engine"] != "batch":
-        set_default_engine(payload["engine"])
+    set_default_engine(payload["engine"])
     try:
         netlist, channel = _build_payload(payload)
         report = performance_report(
@@ -268,70 +259,15 @@ def _run_payload(payload):
         set_default_engine(previous)
 
 
-def _run_chunk(chunk):
-    """Measure a slice of a sweep with lane batching; runs in the worker
-    *and* in serial mode.
-
-    Configurations are grouped by topology signature; each group is cut
-    into runs of at most ``lanes`` lanes and measured through one
-    :class:`~repro.sim.batch.BatchSimulator` per run.  Marked-graph
-    configurations (``channel=None``) have nothing to simulate and take
-    the scalar path.  Returned rows are keyed by expansion index, so the
-    merge is independent of the grouping.
-    """
-    from repro.perf.report import attach_throughput, static_report
-    from repro.perf.throughput import measure_throughput_batch
-    from repro.sim.batch import topology_signature
-
-    lanes = chunk["lanes"]
-    payloads = chunk["payloads"]
-    if lanes <= 1:
-        return [_run_payload(payload) for payload in payloads]
-    rows = []
-    groups = {}
-    for payload in payloads:
-        if payload["channel"] is None:
-            rows.append(_run_payload(payload))
-            continue
-        faults.fault_point("sweep_config", payload["index"])
-        netlist, channel = _build_payload(payload)
-        signature = topology_signature(netlist)
-        groups.setdefault(signature, []).append((payload, netlist, channel))
-    for group in groups.values():
-        for start in range(0, len(group), lanes):
-            run = group[start:start + lanes]
-            measured = measure_throughput_batch(
-                [netlist for _, netlist, _ in run],
-                [channel for _, _, channel in run],
-                cycles=run[0][0]["cycles"],
-                warmup=run[0][0]["warmup"],
-            )
-            for (payload, netlist, _), result in zip(run, measured):
-                report = static_report(netlist, name=payload["name"])
-                attach_throughput(report, result.throughput, "simulation")
-                rows.append(_row_from_report(payload, report))
-    return rows
-
-
-def _supervised_chunk(chunk):
-    """Supervisor task runner: install the chunk's fault plan and attempt
-    number for the duration of one execution, then measure the chunk.
-    Runs in spawn workers (resolved as ``repro.perf.sweep:_supervised_chunk``)
-    and in the serial path, so both agree on semantics."""
-    with faults.plan_scope(chunk.get("fault_plan")), \
-            faults.attempt_scope(chunk.get("attempt", 0)):
-        return _run_chunk(chunk)
-
-
-def _split_chunk(chunk):
-    """Supervisor ``split`` hook: break a failed multi-configuration chunk
-    into single-configuration chunks (a lane-batched chunk stays on the
-    lane engine as a one-lane batch) so the poison configuration is
-    isolated without charging the healthy ones a retry."""
-    payloads = chunk["payloads"]
-    if len(payloads) <= 1:
-        return None
-    return [(dict(chunk, payloads=[payload]), 1) for payload in payloads]
+def _supervised_config(task):
+    """Supervisor task runner: install the task's fault plan and attempt
+    number for the duration of one execution, then measure its
+    configuration.  Runs in spawn workers (resolved as
+    ``repro.perf.sweep:_supervised_config``) and in the serial path, so
+    both agree on semantics."""
+    with faults.plan_scope(task.get("fault_plan")), \
+            faults.attempt_scope(task.get("attempt", 0)):
+        return _run_payload(task["payload"])
 
 
 @dataclass
@@ -388,8 +324,8 @@ def _sweep_key(spec, payloads):
     """Content-address of one sweep: the expanded payloads (params, cycles,
     measurement channels, resolved engine) plus the factory identity —
     everything that determines the rows, nothing that doesn't (worker
-    count, lanes and checkpoint cadence are execution details; their rows
-    are identical by the PR 2/3 pinning)."""
+    count and checkpoint cadence are execution details; their rows are
+    identical by the PR 2/3 pinning)."""
     identity = {
         "format": "sweep-v1",
         "sweep": spec.name,
@@ -474,46 +410,19 @@ class SweepResult:
         return json.dumps(self.to_payload(), indent=2, sort_keys=True)
 
 
-def _make_chunks(payloads, lanes, n_workers, fault_plan):
-    """Cut the pending payloads into supervised work units.
-
-    ``lanes > 1``: contiguous shards keep grid neighbours — usually
-    same-topology — in the same chunk, where they can share a lane batch.
-    ``lanes == 1``: one payload per chunk, so supervision (timeouts,
-    retries, FailedRow) is per-configuration.
-    """
-    if lanes > 1:
-        n_chunks = max(1, min(n_workers, len(payloads)))
-        size = -(-len(payloads) // n_chunks)
-        groups = [payloads[i:i + size] for i in range(0, len(payloads), size)]
-    else:
-        groups = [[payload] for payload in payloads]
-    return [
-        {"payloads": group, "lanes": lanes, "fault_plan": fault_plan}
-        for group in groups
-    ]
-
-
-def _serial_chunk(chunk, retries, backoff, stats, on_rows, failures):
-    """Serial twin of the supervisor's failure routing: run a chunk
-    in-process with the same retry / split / FailedRow semantics (minus
-    wall-clock timeouts, which need a separate process to kill)."""
+def _serial_config(task, retries, backoff, stats, on_row, failures):
+    """Serial twin of the supervisor's failure routing: run one
+    configuration in-process with the same retry / FailedRow semantics
+    (minus wall-clock timeouts, which need a separate process to kill)."""
+    payload = task["payload"]
     attempt = 0
     while True:
         try:
-            rows = _supervised_chunk(dict(chunk, attempt=attempt))
+            row = _supervised_config(dict(task, attempt=attempt))
         except KeyboardInterrupt:
             raise
         except Exception as exc:
-            payloads = chunk["payloads"]
-            if len(payloads) > 1:
-                stats.splits += 1
-                for payload in payloads:
-                    _serial_chunk(dict(chunk, payloads=[payload]),
-                                  retries, backoff, stats, on_rows, failures)
-                return
             if attempt >= retries:
-                payload = payloads[0]
                 failures.append(FailedRow(
                     index=payload["index"], design=payload["name"],
                     params=payload["params"],
@@ -524,12 +433,11 @@ def _serial_chunk(chunk, retries, backoff, stats, on_rows, failures):
                 return
             stats.retries += 1
             time.sleep(jittered_backoff(
-                backoff, attempt,
-                key=task_key([p["index"] for p in chunk["payloads"]]),
+                backoff, attempt, key=task_key([payload["index"]]),
             ))
             attempt += 1
         else:
-            on_rows(rows)
+            on_row(row)
             return
 
 
@@ -549,20 +457,16 @@ def run_sweep(spec, n_workers=1, engine=None, lanes=1, timeout=None,
     then the parent's current default (``get_default_engine()``) is
     resolved *here* and shipped to the workers — see the module docstring.
 
-    ``lanes > 1`` turns on lane batching (see the module docstring): each
-    worker's share of the configurations is grouped by topology and
-    simulated up to ``lanes`` configurations per fix-point pass.  Lane
-    batching replaces the scalar engine, so ``engine`` and
-    ``spec.engine`` must both be ``None``; the process default is *not*
-    consulted and rows record ``"batch"`` (per-lane results are
-    bit-identical to every scalar engine anyway; the CLI forwards
-    ``--engine`` explicitly so a conflicting flag still errors).
+    ``lanes > 1`` selects ``engine="codegen"`` (see the module
+    docstring), so ``engine`` and ``spec.engine`` must both be ``None``;
+    the process default is *not* consulted (the CLI forwards ``--engine``
+    explicitly so a conflicting flag still errors).
 
     Resilience knobs (see the module docstring for the full story):
     ``timeout`` — per-configuration wall-clock seconds, enforced by the
-    supervisor when ``n_workers > 1`` (a chunk's deadline scales with its
-    size); ``retries`` / ``backoff`` — per-configuration retry budget and
-    exponential backoff base; ``checkpoint`` — path of an atomic,
+    supervisor when ``n_workers > 1``; ``retries`` / ``backoff`` —
+    per-configuration retry budget and exponential backoff base;
+    ``checkpoint`` — path of an atomic,
     content-addressed progress file to write and resume from;
     ``fault_plan`` — a deterministic
     :class:`~repro.runtime.faults.FaultPlan` for testing the recovery
@@ -571,32 +475,23 @@ def run_sweep(spec, n_workers=1, engine=None, lanes=1, timeout=None,
     ``"raise"`` raises :class:`SweepRunError` at the end instead.
 
     On :class:`KeyboardInterrupt` the latest completed rows are already
-    durable in ``checkpoint`` (one atomic write per completed chunk); the
-    interrupt propagates so callers can exit 130.
+    durable in ``checkpoint`` (one atomic write per completed
+    configuration); the interrupt propagates so callers can exit 130.
 
     ``control`` — an optional :class:`~repro.runtime.control.JobControl`:
-    after every completed chunk (a checkpoint boundary — the rows are
-    already saved) the sweep publishes progress and, when a cancellation
+    after every completed configuration (a checkpoint boundary — the rows
+    are already saved) the sweep publishes progress and, when a cancellation
     or deadline stop was requested, raises the matching structured error
     (:class:`~repro.errors.JobCancelled` /
     :class:`~repro.errors.DeadlineExceeded`).  A later run with the same
     ``checkpoint`` resumes exactly where the stop landed.
     """
-    if lanes < 1:
-        raise ValueError(f"lanes must be >= 1, got {lanes}")
     if on_error not in ("collect", "raise"):
         raise ValueError(f"on_error must be 'collect' or 'raise', "
                          f"got {on_error!r}")
-    if lanes > 1:
-        if engine is not None or spec.engine is not None:
-            raise ValueError(
-                f"lanes={lanes} implies the batch engine; engine must be "
-                f"None, got {engine or spec.engine!r}"
-            )
-        resolved_engine = "batch"
-    else:
-        resolved_engine = engine or spec.engine or get_default_engine()
-        check_engine(resolved_engine)
+    resolved_engine = (lanes_engine(lanes, engine or spec.engine)
+                       or get_default_engine())
+    check_engine(resolved_engine)
     configs = spec.expand()
     payloads = [
         {
@@ -619,10 +514,6 @@ def run_sweep(spec, n_workers=1, engine=None, lanes=1, timeout=None,
             done = {row["index"]: row for row in body["rows"]}
     remaining = [p for p in payloads if p["index"] not in done]
 
-    def _record_rows(rows):
-        for row in rows:
-            done[row["index"]] = row
-
     def _save():
         if checkpoint:
             save_checkpoint(
@@ -630,11 +521,11 @@ def run_sweep(spec, n_workers=1, engine=None, lanes=1, timeout=None,
                 {"rows": [done[i] for i in sorted(done)]}, codec="json",
             )
 
-    def _chunk_boundary(rows):
-        """Per-completed-chunk checkpoint boundary: record, make durable,
+    def _boundary(row):
+        """Per-configuration checkpoint boundary: record, make durable,
         then honour any pending cancellation / deadline (raising here is
         safe — everything done so far is already saved)."""
-        _record_rows(rows)
+        done[row["index"]] = row
         _save()
         if control is not None:
             control.raise_if_stopped("sweep_chunk", done=len(done),
@@ -642,29 +533,28 @@ def run_sweep(spec, n_workers=1, engine=None, lanes=1, timeout=None,
 
     failures = []
     stats = SupervisorStats()
-    chunks = _make_chunks(remaining, lanes, n_workers, fault_plan)
+    tasks = [{"payload": payload, "fault_plan": fault_plan}
+             for payload in remaining]
     if control is not None:
         control.raise_if_stopped("sweep_start", done=len(done),
                                  total=len(payloads))
     start = time.perf_counter()
     try:
-        if n_workers <= 1 or not chunks:
-            for chunk in chunks:
-                _serial_chunk(chunk, retries, backoff, stats,
-                              _chunk_boundary, failures)
+        if n_workers <= 1 or not tasks:
+            for task in tasks:
+                _serial_config(task, retries, backoff, stats, _boundary,
+                               failures)
         else:
             supervisor = Supervisor(
-                "repro.perf.sweep:_supervised_chunk",
+                "repro.perf.sweep:_supervised_config",
                 n_workers=n_workers, timeout=timeout, retries=retries,
-                backoff=backoff, split=_split_chunk,
-                on_result=lambda task, rows: _chunk_boundary(rows),
+                backoff=backoff,
+                on_result=lambda task, row: _boundary(row),
             )
-            _results, task_failures = supervisor.run(
-                chunks, weights=[len(c["payloads"]) for c in chunks]
-            )
+            _results, task_failures = supervisor.run(tasks)
             stats = supervisor.stats
             for task_failure in task_failures:
-                payload = task_failure.task["payloads"][0]
+                payload = task_failure.task["payload"]
                 failures.append(FailedRow(
                     index=payload["index"], design=payload["name"],
                     params=payload["params"], error=task_failure.error,
@@ -672,7 +562,7 @@ def run_sweep(spec, n_workers=1, engine=None, lanes=1, timeout=None,
                     attempts=task_failure.attempts,
                 ))
     except KeyboardInterrupt:
-        # Completed rows are already durable (one save per chunk); make
+        # Completed rows are already durable (one save per row); make
         # sure the final state is flushed even if interrupted between a
         # record and its save, then let the interrupt propagate.
         _save()

@@ -99,35 +99,3 @@ def measure_throughput(netlist, channel, cycles=2000, warmup=100,
         if throughput > 0:
             result.effective_cycle_time = result.cycle_time / throughput
     return result
-
-
-def measure_throughput_batch(netlists, channels, cycles=2000, warmup=100,
-                             check_protocol=True):
-    """Lane-batched :func:`measure_throughput`: one batch simulator runs N
-    same-topology designs at once and reports transfers/cycle per lane.
-
-    ``channels`` gives the measurement channel of each lane (they may
-    differ per configuration).  Each lane's figures are bit-identical to a
-    scalar :func:`measure_throughput` of that netlist — the batch engine's
-    differential tests pin this — so callers may batch freely.  Returns one
-    :class:`ThroughputResult` per lane, in lane order.
-    """
-    from repro.sim.batch import BatchSimulator
-
-    working = [netlist.clone() for netlist in netlists]
-    sim = BatchSimulator(working, check_protocol=check_protocol)
-    sim.run(warmup)
-    base = [
-        sim.lane_transfers(lane, channel)
-        for lane, channel in enumerate(channels)
-    ]
-    sim.run(cycles)
-    results = []
-    for lane, channel in enumerate(channels):
-        transfers = sim.lane_transfers(lane, channel) - base[lane]
-        throughput = transfers / cycles if cycles else 0.0
-        results.append(ThroughputResult(
-            channel=channel, transfers=transfers, cycles=cycles,
-            throughput=throughput,
-        ))
-    return results

@@ -12,9 +12,9 @@ production scheduler has:
   :func:`multiprocessing.connection.wait` and checks ``Process.is_alive``
   every tick, so a dead worker is detected within one tick, not at pool
   teardown.
-* **Wall-clock timeouts** — each task carries a deadline
-  (``timeout * weight`` seconds); a worker that blows it is killed and
-  replaced, and the task is rescheduled.
+* **Wall-clock timeouts** — each task carries a deadline (``timeout``
+  seconds); a worker that blows it is killed and replaced, and the task
+  is rescheduled.
 * **Respawn** — dead or killed workers are replaced immediately; the pool
   never shrinks below its target width while work remains.
 * **Retry with exponential backoff** — a failed task is retried up to
@@ -27,10 +27,7 @@ production scheduler has:
   exhausted by retries even across process respawns.
 * **Graceful degradation** — a task that exhausts its retry budget
   becomes a structured :class:`TaskFailure` in the result instead of an
-  exception that aborts the run.  An optional ``split`` hook breaks a
-  failed multi-item task into single-item tasks first (no retry consumed),
-  so one poison item cannot take down the batch it happened to share a
-  chunk with.
+  exception that aborts the run.
 
 The worker entry point (:func:`_worker_main`) resolves its task runner
 from a ``"module:attribute"`` reference, keeping the protocol picklable
@@ -74,8 +71,7 @@ def resolve_ref(ref):
 
 @dataclass
 class TaskFailure:
-    """A task that exhausted its retry budget (single-item by the time it
-    lands here when a ``split`` hook is installed)."""
+    """A task that exhausted its retry budget."""
 
     task: dict
     error: str
@@ -91,14 +87,12 @@ class SupervisorStats:
     respawns: int = 0     # workers replaced (died or killed)
     timeouts: int = 0     # tasks killed by the wall-clock deadline
     deaths: int = 0       # workers found dead (crash, not killed by us)
-    splits: int = 0       # failed multi-item tasks broken into singles
 
 
 @dataclass
 class _Item:
     id: int
     task: dict
-    weight: int = 1
     attempt: int = 0
     not_before: float = 0.0
 
@@ -153,17 +147,12 @@ class Supervisor:
     n_workers:
         Target pool width.
     timeout:
-        Per-task wall-clock seconds (scaled by the task's ``weight``);
-        ``None`` disables deadlines.
+        Per-task wall-clock seconds; ``None`` disables deadlines.
     retries:
         Per-task retry budget after the first attempt.
     backoff:
         Base of the exponential retry delay (``backoff * 2**attempt``,
         task-seeded jitter applied on top).
-    split:
-        Optional ``split(task) -> list[(task, weight)] | None``; called
-        when a multi-item task fails, to isolate the poison item without
-        charging anyone's retry budget.
     on_result:
         Optional ``on_result(task, result)`` parent-side callback per
         completed task — the checkpoint hook.
@@ -172,13 +161,12 @@ class Supervisor:
     _TICK = 0.02
 
     def __init__(self, runner, n_workers, timeout=None, retries=0,
-                 backoff=0.05, split=None, on_result=None):
+                 backoff=0.05, on_result=None):
         self.runner = runner
         self.n_workers = max(1, int(n_workers))
         self.timeout = timeout
         self.retries = int(retries)
         self.backoff = backoff
-        self.split = split
         self.on_result = on_result
         self.stats = SupervisorStats()
         self._context = multiprocessing.get_context("spawn")
@@ -232,22 +220,14 @@ class Supervisor:
 
     # -- scheduling ---------------------------------------------------------
 
-    def _make_item(self, task, weight=1, attempt=0, not_before=0.0):
-        item = _Item(id=self._next_id, task=task, weight=weight,
-                     attempt=attempt, not_before=not_before)
+    def _make_item(self, task):
+        item = _Item(id=self._next_id, task=task)
         self._next_id += 1
         return item
 
     def _fail(self, item, error, tb, ready, failures):
-        """Route one failed execution: split, retry with backoff, or give
-        up into a :class:`TaskFailure`."""
-        if self.split is not None:
-            parts = self.split(item.task)
-            if parts is not None and len(parts) > 1:
-                self.stats.splits += 1
-                for task, weight in parts:
-                    ready.append(self._make_item(task, weight=weight))
-                return
+        """Route one failed execution: retry with backoff, or give up
+        into a :class:`TaskFailure`."""
         if item.attempt < self.retries:
             self.stats.retries += 1
             # Seeded jitter (deterministic per task) spreads simultaneous
@@ -255,8 +235,7 @@ class Supervisor:
             delay = jittered_backoff(self.backoff, item.attempt,
                                      key=task_key(item.task))
             ready.append(_Item(
-                id=item.id, task=item.task, weight=item.weight,
-                attempt=item.attempt + 1,
+                id=item.id, task=item.task, attempt=item.attempt + 1,
                 not_before=time.monotonic() + delay,
             ))
             return
@@ -265,7 +244,7 @@ class Supervisor:
             attempts=item.attempt + 1,
         ))
 
-    def run(self, tasks, weights=None):
+    def run(self, tasks):
         """Execute ``tasks``; returns ``(results, failures)``.
 
         ``results`` is a list of every completed task's result (order
@@ -275,10 +254,7 @@ class Supervisor:
         (workers killed) and propagates, leaving any ``on_result``
         checkpointing already durable.
         """
-        ready = deque()
-        for position, task in enumerate(tasks):
-            weight = weights[position] if weights else 1
-            ready.append(self._make_item(task, weight=weight))
+        ready = deque(self._make_item(task) for task in tasks)
         results, failures = [], []
         if not ready:
             return results, failures
@@ -324,8 +300,7 @@ class Supervisor:
                         continue
                     worker.item = item
                     worker.deadline = (
-                        None if self.timeout is None
-                        else now + self.timeout * item.weight
+                        None if self.timeout is None else now + self.timeout
                     )
                 busy = [w for w in workers if w.item is not None]
                 if not busy:
@@ -401,8 +376,7 @@ class Supervisor:
                         idle.append(replacement)
                         self._fail(
                             item,
-                            f"timed out after "
-                            f"{self.timeout * item.weight:.1f}s",
+                            f"timed out after {self.timeout:.1f}s",
                             "", ready, failures,
                         )
         finally:

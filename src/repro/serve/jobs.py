@@ -90,7 +90,7 @@ def validate_job(spec):
                              f"(known: {', '.join(sorted(PRESET_SWEEPS))})")
         out["grid"] = grid
         out["cycles"] = spec.get("cycles")
-        out["lanes"] = int(spec.get("lanes", 1))
+        out["lanes"] = _lanes(spec)
         return out
 
     from repro.designs import DESIGNS, MC_DESIGNS
@@ -107,7 +107,7 @@ def validate_job(spec):
         out["warmup"] = int(spec.get("warmup", 100))
     elif kind == "verify":
         out["max_states"] = int(spec.get("max_states", 60000))
-        out["lanes"] = int(spec.get("lanes", 1))
+        out["lanes"] = _lanes(spec)
     elif kind == "lint":
         rules = spec.get("rules")
         if rules not in (None, "all"):
@@ -117,6 +117,14 @@ def validate_job(spec):
         out["cycles"] = int(spec.get("cycles", 150))
         out["iterations"] = int(spec.get("iterations", 5))
     return out
+
+
+def _lanes(spec):
+    """A spec's ``lanes`` (default 1), rejected at admission unless >= 1."""
+    lanes = int(spec.get("lanes", 1))
+    if lanes < 1:
+        raise ServeError(f"lanes must be >= 1, got {lanes}")
+    return lanes
 
 
 def _canonical(value):

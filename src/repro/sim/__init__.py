@@ -7,9 +7,9 @@ from repro.sim.engine import (
     get_default_engine,
     set_default_engine,
 )
-from repro.sim.batch import BatchSimulator, topology_signature
-from repro.sim.monitors import BatchProtocolMonitor, ProtocolMonitor
-from repro.sim.sensitivity import SensitivityMap, sensitivity_tables
+from repro.sim.batch import topology_signature
+from repro.sim.monitors import ProtocolMonitor
+from repro.sim.sensitivity import SensitivityMap
 from repro.sim.trace import TraceRecorder, format_trace_table
 from repro.sim.stats import ChannelStats
 from repro.sim.profile import ProfileReport, format_profile, profile_run
@@ -17,14 +17,11 @@ from repro.sim.profile import ProfileReport, format_profile, profile_run
 __all__ = [
     "ENGINES",
     "Simulator",
-    "BatchSimulator",
     "SensitivityMap",
-    "sensitivity_tables",
     "topology_signature",
     "get_default_engine",
     "set_default_engine",
     "ProtocolMonitor",
-    "BatchProtocolMonitor",
     "TraceRecorder",
     "format_trace_table",
     "ChannelStats",

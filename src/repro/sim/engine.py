@@ -68,9 +68,8 @@ chains).  Kept for differential testing and as a reference semantics.
 ``codegen`` — the compiled engine of :mod:`repro.backend.pysim`.  The
 netlist is *elaborated*: its acyclic majority (the same levelized order
 the worklist seeds with) is emitted as straight-line Python with channel
-signals in flat locals, the cyclic residue (the nodes without an emitter,
-such as the speculation designs' early-evaluation mux and shared module)
-runs as a generated worklist over this simulator's change log and a
+signals in flat locals, the residue (the nodes without an emitter, such
+as a user subclass that overrides ``comb``) runs as a generated worklist over this simulator's change log and a
 baked-in reader table, and protocol monitoring / statistics / event
 resolution / core ``tick`` kernels are inlined into the same generated
 function — one Python call per cycle, no per-node dispatch.  Modules are
@@ -82,12 +81,9 @@ deep-pipeline bench, and ahead of it on the paper's speculative designs)
 at the cost of a one-time elaboration per topology; pinned bit-identical
 to the worklist engine by ``tests/test_codegen_diff.py``.
 
-Lane-parallel simulation is not a :class:`Simulator` engine: the bit-packed
-:class:`~repro.sim.batch.BatchSimulator` advances N same-topology netlists
-per fix-point pass and is reached directly, or through ``lanes=N`` on
-:func:`~repro.perf.sweep.run_sweep` and
-:class:`~repro.verif.explore.StateExplorer`.  Each of its lanes is pinned
-bit-identical to a scalar run by ``tests/test_batch_diff.py``.
+``lanes=N`` (``N > 1``) on :func:`~repro.perf.sweep.run_sweep` and
+:class:`~repro.verif.explore.StateExplorer` is another way to ask for
+``codegen`` (:func:`lanes_engine`); there is no lane-parallel engine.
 """
 
 from __future__ import annotations
@@ -97,12 +93,12 @@ from collections import deque
 from repro.elastic.node import Node
 from repro.errors import CombinationalLoopError
 from repro.sim.monitors import ProtocolMonitor
-from repro.sim.sensitivity import SensitivityMap, sensitivity_tables
+from repro.sim.sensitivity import SensitivityMap
 from repro.sim.stats import ChannelStats
 
 __all__ = [
     "ENGINES", "Simulator", "check_engine", "get_default_engine",
-    "sensitivity_tables", "set_default_engine", "superseded_error",
+    "lanes_engine", "set_default_engine", "superseded_error",
     "unresolved_signals",
 ]
 
@@ -116,11 +112,26 @@ def check_engine(name):
     """Raise ``ValueError`` (listing the choices) unless ``name`` is a
     :class:`Simulator` engine."""
     if name not in ENGINES:
+        raise ValueError(f"unknown engine {name!r}; choose from {ENGINES}")
+
+
+def lanes_engine(lanes, engine=None):
+    """The engine a ``lanes=N`` request runs on.
+
+    ``lanes > 1`` is another way to ask for ``"codegen"``, so an explicit
+    ``engine`` conflicts with it; ``lanes == 1`` returns ``engine``
+    unchanged.  Raises ``ValueError`` for ``lanes < 1``.
+    """
+    if lanes < 1:
+        raise ValueError(f"lanes must be >= 1, got {lanes}")
+    if lanes == 1:
+        return engine
+    if engine is not None:
         raise ValueError(
-            f"unknown engine {name!r}; choose from {ENGINES} (lane-parallel "
-            "simulation is repro.sim.batch.BatchSimulator, or lanes=N on "
-            "sweeps and explorations)"
+            f"lanes={lanes} implies the codegen engine; engine must be "
+            f"None, got engine={engine!r}"
         )
+    return "codegen"
 
 
 def set_default_engine(name):
@@ -195,8 +206,7 @@ class Simulator:
         following.
 
     A netlist has a single owning simulator at a time: constructing a new
-    :class:`Simulator` (or :class:`~repro.sim.batch.BatchSimulator`) on
-    the same netlist re-registers the channels' change logs, so a
+    :class:`Simulator` on the same netlist re-registers the channels' change logs, so a
     previously constructed simulator must not be stepped afterwards (it
     raises rather than silently missing change events).
 

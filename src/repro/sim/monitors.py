@@ -19,7 +19,6 @@ where they occur, which turns every simulation into a protocol test.
 
 from __future__ import annotations
 
-from repro.elastic.channel import iter_lanes
 from repro.errors import ProtocolViolationError
 
 
@@ -101,98 +100,6 @@ class ProtocolMonitor:
             # Anti-token was offered and stalled (and did not cancel): persist.
             if not vm:
                 self._fail("Retry-", name, cycle, "stalled anti-token withdrawn")
-
-
-class BatchProtocolMonitor:
-    """Mask-parallel SELF monitor for the lane-batched engine.
-
-    Checks the same properties as :class:`ProtocolMonitor`, but directly on
-    the batch engine's ``(known, value)`` mask pairs: one bitwise operation
-    checks a property across every lane, and only the (rare) lanes holding
-    a stalled token pay a per-lane data-persistence comparison.  A
-    violation raises the same :class:`ProtocolViolationError` a scalar
-    simulator of the offending lane would raise (checked channel by channel
-    in declaration order, invariants before retries, lowest lane first);
-    the lane is recorded on the exception's ``lane`` attribute.
-    """
-
-    def __init__(self, bstates, netlist, strict_data_persistence=True):
-        self._bstates = bstates
-        self.strict_data_persistence = strict_data_persistence
-        self.violations = []
-        # per-channel (vp, sp, vm, sm, data-list) of the previous cycle;
-        # the batch states rebind a fresh data list every cycle, so holding
-        # the reference is safe.
-        self._prev = None
-        from repro.verif.properties import retry_exempt_channels
-
-        self._retry_exempt = retry_exempt_channels(netlist)
-
-    def reset(self):
-        """Clear per-run history (previous-cycle masks, recorded
-        violations); the property configuration is kept."""
-        self._prev = None
-        self.violations.clear()
-
-    def _fail(self, prop, channel, cycle, detail, lane_mask):
-        err = ProtocolViolationError(prop, channel, cycle, detail)
-        err.lane = (lane_mask & -lane_mask).bit_length() - 1
-        self.violations.append(err)
-        raise err
-
-    def observe(self, cycle):
-        prev = self._prev
-        current = []
-        strict = self.strict_data_persistence
-        exempt = self._retry_exempt
-        for ci, bst in enumerate(self._bstates):
-            vp = bst.vp_v
-            sp = bst.sp_v
-            vm = bst.vm_v
-            sm = bst.sm_v
-            data = bst.data
-            bad = vm & sp
-            if bad:
-                self._fail("Invariant", bst.name, cycle,
-                           "V- and S+ both asserted", bad)
-            bad = vp & vm & sm
-            if bad:
-                self._fail("Invariant", bst.name, cycle,
-                           "cancellation with S- asserted", bad)
-            if prev is not None and bst.name not in exempt:
-                pvp, psp, pvm, psm, pdata = prev[ci]
-                pending = pvp & psp & ~pvm
-                if pending:
-                    withdrawn = pending & ~vp
-                    if not strict:
-                        if withdrawn:
-                            self._fail("Retry+", bst.name, cycle,
-                                       "stalled token withdrawn", withdrawn)
-                    else:
-                        # Per lane in ascending order, withdrawal before
-                        # data persistence — so the reported violation is
-                        # exactly what a scalar simulator of the lowest
-                        # offending lane would raise.
-                        for lane in iter_lanes(pending):
-                            low = 1 << lane
-                            if withdrawn & low:
-                                self._fail("Retry+", bst.name, cycle,
-                                           "stalled token withdrawn", low)
-                            if data[lane] != pdata[lane]:
-                                self._fail(
-                                    "Retry+", bst.name, cycle,
-                                    f"stalled token changed data "
-                                    f"{pdata[lane]!r} -> {data[lane]!r}",
-                                    low,
-                                )
-                pending = pvm & psm & ~pvp
-                if pending:
-                    bad = pending & ~vm
-                    if bad:
-                        self._fail("Retry-", bst.name, cycle,
-                                   "stalled anti-token withdrawn", bad)
-            current.append((vp, sp, vm, sm, data))
-        self._prev = current
 
 
 class BoundedLivenessMonitor:

@@ -1,12 +1,9 @@
-"""Static sensitivity analysis, one-shot and incrementally patchable.
+"""Static sensitivity analysis, incrementally patchable.
 
-:func:`sensitivity_tables` is the one-shot build of PR 1 (shared by the
-worklist and batch engines): invert every node's declared ``comb_reads()``
-into per-signal reader lists and levelize the writer -> reader graph into
-the once-per-cycle seed order.
-
-:class:`SensitivityMap` owns the same tables *as an object* for a live
-:class:`~repro.sim.engine.Simulator` and — the point of this module —
+:class:`SensitivityMap` inverts every node's declared ``comb_reads()``
+into per-signal reader lists and levelizes the writer -> reader graph into
+the once-per-cycle seed order, for a live
+:class:`~repro.sim.engine.Simulator` — and, the point of this module,
 **patches itself** under structural netlist edits
 (:meth:`SensitivityMap.apply_edit`) instead of being rebuilt from scratch,
 so transform-simulate-measure loops stop paying O(netlist) reconstruction
@@ -30,7 +27,7 @@ per transformation:
 Differential guard: when an inserted edge closes a combinational cycle the
 local reorder is impossible (there is no topological order to maintain);
 the map then falls back to a full re-levelization over the maintained
-dependency graph — the same Kahn-with-scan-fallback used by the one-shot
+dependency graph — the same Kahn-with-scan-fallback used by the full
 build, still O(nodes + edges) with *no* netlist clone, validate or reset.
 ``full_relevels`` counts these fallbacks; ``patched_edits`` counts all
 applied edits.  The seed order only affects how much the worklist
@@ -55,39 +52,10 @@ from repro.netlist.edits import ADD_NODE, CONNECT, DISCONNECT, REMOVE_NODE
 from repro.netlist.graphalg import levelize
 
 
-def sensitivity_tables(nodes, n_channels):
-    """Static sensitivity analysis shared by the worklist and batch engines.
-
-    Every node's ``comb_reads()`` is inverted into per-signal reader lists
-    (indexed by the global signal ids already installed on the channel
-    states' ``base``), and the writer -> reader graph is levelized into the
-    once-per-cycle seed order.  Returns ``(readers, order)`` where
-    ``readers`` is a list of reader-index tuples per global signal id and
-    ``order`` is the topological (Kahn) node order, with cyclic regions
-    seeded in declaration order — the worklist converges them regardless.
-    """
-    readers = [[] for _ in range(N_SIGNALS * n_channels)]
-    for ni, node in enumerate(nodes):
-        for port, signal in node.comb_reads():
-            state = node._channels[port].state
-            readers[state.base + SIG_INDEX[signal]].append(ni)
-    # Writer -> reader dependency edges, for levelization.
-    succ = [set() for _ in nodes]
-    for ni, node in enumerate(nodes):
-        for port, signal in node.comb_writes():
-            state = node._channels[port].state
-            for rj in readers[state.base + SIG_INDEX[signal]]:
-                if rj != ni:
-                    succ[ni].add(rj)
-    order = levelize(range(len(nodes)), succ)
-    return [tuple(r) for r in readers], order
-
-
 class SensitivityMap:
     """Patchable sensitivity tables + levelized seed order for one netlist.
 
-    Construction performs the full build (equivalent to
-    :func:`sensitivity_tables`) and takes ownership of the channels'
+    Construction performs the full build and takes ownership of the channels'
     change-reporting hooks: every live channel state gets ``base`` (its
     global signal-id block) and ``log`` (the shared change log,
     :attr:`log`).  Thereafter :meth:`apply_edit` keeps everything — reader

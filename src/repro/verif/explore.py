@@ -18,26 +18,16 @@ order (see :mod:`repro.verif.encoding`); decode a state's signals with
 Exploration engines
 -------------------
 
-``lanes=1`` (default) — classic breadth-first search: one scalar
-fix-point (``engine=`` selects worklist / naive / the compiled
-``codegen`` module) per explored ``(state, choice-vector)`` transition.
+Classic breadth-first search: one scalar fix-point (``engine=`` selects
+worklist / naive / the compiled ``codegen`` module) per explored
+``(state, choice-vector)`` transition.  ``lanes=N`` with ``N > 1`` is
+another way to ask for ``engine="codegen"``
+(:func:`~repro.sim.engine.lanes_engine`); the engines are bit-identical,
+so the explored graph does not depend on the choice.
 
-``lanes=N`` — the lane-batched frontier engine.  Every successor
-expansion of a BFS frontier is same-topology by construction, differing
-only in dynamic state and environment choices, so the explorer packs N
-pending ``(snapshot, choice-vector)`` expansions into the lanes of one
-:class:`~repro.sim.batch.BatchSimulator` pass: snapshots are scattered
-into the lanes (:meth:`~repro.sim.batch.BatchSimulator.restore_lane_states`),
-one shared bit-packed fix-point advances all of them
-(:meth:`~repro.sim.batch.BatchSimulator.step_with_lane_choices`), and each
-lane's successor snapshot / signals are gathered back out.  Expansions are
-drained in exactly the scalar BFS order, so the batched engine is
-*bit-identical* to the scalar one — same state indices, transition list,
-violations and verdicts — which the differential exploration tests pin.
-
-Either way the dedup index is keyed by the canonical compact byte
-encoding of :mod:`repro.verif.encoding` (hash-consed by the index dict),
-and the returned :class:`ExplorationResult` carries a prebuilt adjacency
+The dedup index is keyed by the canonical compact byte encoding of
+:mod:`repro.verif.encoding` (hash-consed by the index dict), and the
+returned :class:`ExplorationResult` carries a prebuilt adjacency
 index (:meth:`ExplorationResult.successors` /
 :meth:`ExplorationResult.predecessors`) that the deadlock and leads-to
 analyses traverse instead of re-scanning the flat transition list.
@@ -46,8 +36,8 @@ Checkpoint / resume
 -------------------
 
 Multi-minute explorations survive crashes and Ctrl-C through
-``StateExplorer(checkpoint=PATH)``.  Because both engines expand states
-in strict discovery-index order, the whole search position at any *state
+``StateExplorer(checkpoint=PATH)``.  Because states are expanded in
+strict discovery-index order, the whole search position at any *state
 boundary* (the instant before expanding state ``k``) is one integer:
 every state with a smaller index is fully expanded, the frontier is
 exactly ``range(k, n_states)``.  The checkpoint is therefore the explored
@@ -80,7 +70,7 @@ from repro.elastic.node import Node
 from repro.errors import CheckpointError, VerificationError
 from repro.runtime.checkpoint import content_key, load_checkpoint, save_checkpoint
 from repro.runtime.faults import fault_point
-from repro.sim.engine import Simulator
+from repro.sim.engine import Simulator, lanes_engine
 from repro.verif.encoding import StateCodec, unpack_signals
 from repro.verif.properties import (
     check_invariant_packed,
@@ -189,12 +179,9 @@ class StateExplorer:
     """Breadth-first reachability over environment/scheduler choices.
 
     ``engine`` selects the scalar fix-point engine (worklist by default):
-    the explorer pays one fix-point per explored transition, so the
-    worklist engine speeds up whole model-checking runs.  ``lanes=N``
-    switches to the lane-batched frontier engine instead, expanding N
-    pending transitions per bit-packed fix-point pass through a
-    :class:`~repro.sim.batch.BatchSimulator` (``engine`` must then be left
-    at ``None``).
+    the explorer pays one fix-point per explored transition, so a faster
+    engine speeds up whole model-checking runs.  ``lanes=N`` (``N > 1``)
+    selects ``codegen``; ``engine`` must then be left at ``None``.
     """
 
     def __init__(self, netlist, max_states=20000, check_protocol=True,
@@ -211,33 +198,11 @@ class StateExplorer:
         #: every state boundary (flush first, then stop — the partial
         #: result is consistent and, with a checkpoint, resumable).
         self.control = control
-        lanes = int(lanes)
-        if lanes < 1:
-            raise ValueError(f"lanes must be >= 1, got {lanes}")
-        if lanes > 1 and engine is not None:
-            raise ValueError(
-                f"lanes={lanes} implies the batch engine; engine must be "
-                f"None, got engine={engine!r}"
-            )
-        self.lanes = lanes
+        engine = lanes_engine(int(lanes), engine)
         # The simulator's own online monitor is disabled: exploration jumps
         # between branches, so two-cycle properties are checked explicitly
         # against the state-embedded previous signals.
-        self.sim = None
-        self._batch = None
-        if lanes == 1:
-            self.sim = Simulator(netlist, check_protocol=False, engine=engine)
-        else:
-            from repro.sim.batch import BatchSimulator
-
-            netlist.validate()
-            # One same-topology clone per lane; the original netlist stays
-            # un-owned and serves as the probe for per-state choice-space
-            # enumeration (restore + choice_space only, never stepped).
-            self._batch = BatchSimulator(
-                [netlist.clone() for _ in range(lanes)],
-                check_protocol=False,
-            )
+        self.sim = Simulator(netlist, check_protocol=False, engine=engine)
         self.retry_exempt = retry_exempt_channels(netlist)
         self._codec = StateCodec(netlist)
         self._channel_names = self._codec.channel_names
@@ -245,7 +210,7 @@ class StateExplorer:
             i for i, name in enumerate(self._channel_names)
             if name in self.retry_exempt
         )
-        # Bound channel-state list for the scalar packed-signal gather
+        # Bound channel-state list for the packed-signal gather
         # (structure is fixed for the lifetime of an exploration).
         self._channel_states = [
             ch.state for ch in netlist.channels.values()
@@ -259,9 +224,8 @@ class StateExplorer:
         ]
 
     def _packed_signals(self):
-        """One byte per channel of the netlist's resolved control signals
-        (the scalar-engine gather; the batch engine packs from its
-        bit-planes)."""
+        """One byte per channel of the netlist's resolved control
+        signals."""
         packed = bytearray(len(self._channel_states))
         for i, st in enumerate(self._channel_states):
             b = 1 if st.vp else 0
@@ -297,9 +261,9 @@ class StateExplorer:
 
     def _record(self, result, index, frontier, current, prev_signals,
                 choices, events, signals, successor_snapshot):
-        """Shared per-transition bookkeeping of both engines: protocol
-        checks, state dedup (cap-aware) and the transition record.
-        ``signals`` / ``prev_signals`` are packed byte vectors."""
+        """Per-transition bookkeeping: protocol checks, state dedup
+        (cap-aware) and the transition record.  ``signals`` /
+        ``prev_signals`` are packed byte vectors."""
         if self.check_protocol:
             problems = check_invariant_packed(signals, self._channel_names)
             if prev_signals is not None:
@@ -464,10 +428,7 @@ class StateExplorer:
         self._deadline = (time.monotonic() + self.time_budget
                           if self.time_budget is not None else None)
         try:
-            if self._batch is not None:
-                self._explore_batched(result, index, start)
-            else:
-                self._explore_scalar(result, index, start)
+            self._explore(result, index, start)
         except KeyboardInterrupt:
             self._flush_boundary(result)
             raise
@@ -480,7 +441,7 @@ class StateExplorer:
             self._flush_boundary(result)
         return result
 
-    def _explore_scalar(self, result, index, start=0):
+    def _explore(self, result, index, start=0):
         netlist = self.netlist
         sim = self.sim
         states = result.states
@@ -504,46 +465,6 @@ class StateExplorer:
                 signals = self._packed_signals()
                 self._record(result, index, frontier, current, prev_signals,
                              choices, events, signals, netlist.snapshot())
-
-    def _explore_batched(self, result, index, start=0):
-        batch = self._batch
-        lanes = self.lanes
-        netlist = self.netlist       # choice-space probe only, never stepped
-        states = result.states
-        frontier = deque(range(start, len(states)))
-        tasks = deque()
-        while frontier or tasks:
-            # A state boundary exists only when no expansion is pending:
-            # tasks drain strictly in BFS order, so an empty queue means
-            # every state below frontier[0] is fully expanded.
-            if not tasks:
-                if self._boundary(result, frontier[0]):
-                    result.stopped = self._stop_reason
-                    return
-            # Refill the pending-expansion queue in exactly the scalar BFS
-            # order.  Pre-popping the next frontier states before earlier
-            # results are recorded is safe: the frontier is ordered by
-            # discovery index and new discoveries always index higher.
-            while frontier and len(tasks) < lanes:
-                state_index = frontier.popleft()
-                netlist.restore(states[state_index][0])
-                for choices in self._choice_vectors():
-                    tasks.append((state_index, choices))
-            chunk = [tasks.popleft()
-                     for _ in range(min(lanes, len(tasks)))]
-            # Idle lanes (final partial chunk) replicate the last pending
-            # expansion; their results are discarded.
-            padded = chunk + [chunk[-1]] * (lanes - len(chunk))
-            batch.restore_lane_states([states[s][0] for s, _ in padded])
-            events_by_lane, signals_by_lane = batch.step_with_lane_choices(
-                [choices for _, choices in padded]
-            )
-            for lane, (current, choices) in enumerate(chunk):
-                self._record(result, index, frontier, current,
-                             states[current][1], choices,
-                             events_by_lane[lane],
-                             signals_by_lane[lane],
-                             batch.lane_snapshot(lane))
 
 
 def explore_or_raise(netlist, max_states=20000, engine=None, lanes=1):

@@ -1,12 +1,14 @@
-"""Differential testing of the lane-parallel batch engine.
+"""Differential testing of lane-width requests (``lanes=N``).
 
-Every lane of a :class:`BatchSimulator` must be *bit-identical* to running
-that configuration in its own scalar (worklist) simulator: same per-channel
-transfer streams (values and cycles), same full :class:`ChannelStats`, same
-sink streams, same combinational-loop diagnostics, same protocol verdicts.
-These tests fuzz random same-topology pipelines with per-lane parameter
-variations (the lane-assignment fuzz the acceptance criteria require) and
-compare lane by lane, plus the canned paper designs and the sweep backend.
+``lanes=N`` with ``N > 1`` asks for the codegen engine
+(:func:`repro.sim.engine.lanes_engine`), one configuration at a time.
+Every configuration of an N-wide request must be *bit-identical* to
+running it in its own worklist simulator: same per-channel transfer
+streams (values and cycles), same full :class:`ChannelStats`, same sink
+streams, same combinational-loop diagnostics, same protocol verdicts.
+These tests fuzz random same-topology pipelines with per-configuration
+parameter variations and compare them one by one, plus the canned paper
+designs and the sweep backend.
 """
 
 import random
@@ -19,8 +21,8 @@ from repro.elastic.functional import Func
 from repro.errors import CombinationalLoopError, ProtocolViolationError
 from repro.netlist import patterns
 from repro.netlist.graph import Netlist
-from repro.sim.batch import BatchSimulator, topology_signature
-from repro.sim.engine import Simulator
+from repro.sim.batch import topology_signature
+from repro.sim.engine import Simulator, lanes_engine
 from repro.sim.stats import TransferLog
 
 from test_fuzz import build_pipeline
@@ -40,36 +42,27 @@ def _stats_dict(stats):
     }
 
 
-def _scalar_reference(make_lane, n_lanes, cycles):
-    reference = []
-    for lane in range(n_lanes):
-        net = make_lane(lane)
-        log = TransferLog(list(net.channels))
-        sim = Simulator(net, engine="worklist", observers=[log])
-        sim.run(cycles)
-        reference.append((
-            _stats_dict(sim.stats),
-            {name: log.streams[name] for name in net.channels},
-            net.nodes["snk"].values if "snk" in net.nodes else None,
-        ))
-    return reference
+def _observed(net, engine, cycles):
+    """Everything observable of one run: statistics, every channel's
+    transfer stream and the sink's received values."""
+    log = TransferLog(list(net.channels))
+    sim = Simulator(net, engine=engine, observers=[log])
+    sim.run(cycles)
+    return (
+        _stats_dict(sim.stats),
+        {name: log.streams[name] for name in net.channels},
+        net.nodes["snk"].values if "snk" in net.nodes else None,
+    )
 
 
 def assert_lanes_identical(make_lane, n_lanes, cycles=250):
-    """Run ``make_lane(lane)`` per lane scalar-ly and batched, and compare
-    everything observable per lane."""
-    reference = _scalar_reference(make_lane, n_lanes, cycles)
-    nets = [make_lane(lane) for lane in range(n_lanes)]
-    logs = [TransferLog(list(net.channels)) for net in nets]
-    batch = BatchSimulator(nets, observers=[[log] for log in logs])
-    batch.run(cycles)
+    """Run each configuration ``make_lane(lane)`` on the worklist engine
+    and on the engine an ``n_lanes``-wide request runs, and compare
+    everything observable."""
+    engine = lanes_engine(n_lanes)
     for lane in range(n_lanes):
-        ref_stats, ref_streams, ref_sink = reference[lane]
-        assert _stats_dict(batch.lane_stats(lane)) == ref_stats
-        streams = {name: logs[lane].streams[name] for name in nets[lane].channels}
-        assert streams == ref_streams
-        if ref_sink is not None:
-            assert nets[lane].nodes["snk"].values == ref_sink
+        reference = _observed(make_lane(lane), "worklist", cycles)
+        assert _observed(make_lane(lane), engine, cycles) == reference
 
 
 def _fuzz_combo(seed):
@@ -102,9 +95,9 @@ class TestFuzzedLaneAssignments:
 
 
 class TestChaosSaboteurLanes:
-    """Chaos-wrapped lanes: same saboteur topology per lane (the batch
-    engine requires it), per-lane injection seeds — every lane must match
-    its own scalar run bit for bit through the saboteur batch kernels."""
+    """Chaos-wrapped configurations: same saboteur topology each, per-lane
+    injection seeds — every configuration must match its own worklist run
+    bit for bit."""
 
     @pytest.mark.parametrize("seed", range(6))
     def test_wrapped_lanes_bit_identical(self, seed):
@@ -166,15 +159,13 @@ class TestLoopDiagnostics:
         scalar = Simulator(self._loop_net(), engine="worklist")
         with pytest.raises(CombinationalLoopError) as scalar_err:
             scalar.step()
-        batch = BatchSimulator([self._loop_net() for _ in range(3)])
-        with pytest.raises(CombinationalLoopError) as batch_err:
-            batch.step()
-        assert sorted(batch_err.value.unresolved) == sorted(
+        laned = Simulator(self._loop_net(), engine=lanes_engine(3))
+        with pytest.raises(CombinationalLoopError) as lanes_err:
+            laned.step()
+        assert sorted(lanes_err.value.unresolved) == sorted(
             scalar_err.value.unresolved
         )
-        assert batch_err.value.cycle == scalar_err.value.cycle
-        # Every lane loops; the diagnosis names the lowest one.
-        assert batch_err.value.lane == 0
+        assert lanes_err.value.cycle == scalar_err.value.cycle
 
 
 class TestProtocolVerdicts:
@@ -182,11 +173,8 @@ class TestProtocolVerdicts:
         """Deliberately broken: withdraws a stalled token after 2 cycles.
 
         Subclasses ElasticBuffer only to inherit wiring; comb is replaced
-        by a protocol-violating offer, and batch_comb is disabled so the
-        batch engine exercises the scalar fallback path on it too.
+        by a protocol-violating offer, so codegen runs it interpreted.
         """
-
-        batch_comb = None
 
         def __init__(self, name):
             super().__init__(name, init=(1, 2))
@@ -217,24 +205,17 @@ class TestProtocolVerdicts:
         scalar = Simulator(self._net(), engine="worklist")
         with pytest.raises(ProtocolViolationError) as scalar_err:
             scalar.run(10)
-        batch = BatchSimulator([self._net() for _ in range(3)])
-        with pytest.raises(ProtocolViolationError) as batch_err:
-            batch.run(10)
+        laned = Simulator(self._net(), engine=lanes_engine(3))
+        with pytest.raises(ProtocolViolationError) as lanes_err:
+            laned.run(10)
         for attr in ("prop", "channel", "cycle"):
-            assert getattr(batch_err.value, attr) == getattr(
+            assert getattr(lanes_err.value, attr) == getattr(
                 scalar_err.value, attr
             )
-        assert str(batch_err.value) == str(scalar_err.value)
-        assert batch_err.value.lane == 0
+        assert str(lanes_err.value) == str(scalar_err.value)
 
 
 class TestBatchConstruction:
-    def test_topology_mismatch_rejected(self):
-        a = build_pipeline(["eb"], 0.0, 1, [1, 2])
-        b = build_pipeline(["eb", "eb"], 0.0, 1, [1, 2])
-        with pytest.raises(ValueError, match="topology"):
-            BatchSimulator([a, b])
-
     def test_signature_ignores_sequential_parameters(self):
         def make(capacity, values):
             net = Netlist("p")
@@ -249,18 +230,6 @@ class TestBatchConstruction:
             make(7, [5, 6])
         )
 
-    def test_empty_batch_rejected(self):
-        with pytest.raises(ValueError):
-            BatchSimulator([])
-
-    def test_stale_batch_after_new_simulator(self):
-        net = build_pipeline(["eb"], 0.0, 1, [1, 2, 3])
-        batch = BatchSimulator([net])
-        batch.step()
-        Simulator(net, engine="worklist")
-        with pytest.raises(RuntimeError, match="owned by a newer"):
-            batch.step()
-
 
 class TestSweepLaneBatching:
     def _spec(self):
@@ -273,14 +242,12 @@ class TestSweepLaneBatching:
         from repro.perf.sweep import run_sweep
         from repro.runtime.faults import Fault, FaultPlan
 
-        # Failing every configuration's first attempt splits each lane
-        # chunk into single-configuration chunks, which stay on the lane
-        # engine: the retried rows are all measured by one-lane batches.
+        # Failing every configuration's first attempt retries each one on
+        # the engine lanes=4 resolved to.
         plan = FaultPlan([Fault("sweep_config", kind="raise", times=1)])
         one = run_sweep(self._spec(), lanes=4, retries=1, fault_plan=plan)
-        assert one.stats.splits >= 1
+        assert one.stats.retries == 6
         assert not one.failures
-        # 6 configs over 4 lanes: two same-topology groups of 3, split 3+3.
         many = run_sweep(self._spec(), lanes=4)
         assert many.to_json() == one.to_json()
         assert many.lanes == 4
@@ -295,16 +262,18 @@ class TestSweepLaneBatching:
         from repro.perf.sweep import run_sweep
 
         scalar = run_sweep(self._spec(), engine="worklist")
-        batched = run_sweep(self._spec(), lanes=8)
-        for scalar_row, batched_row in zip(scalar.rows, batched.rows):
-            assert batched_row["engine"] == "batch"
-            trimmed = dict(scalar_row, engine="batch")
-            assert trimmed == batched_row
+        compiled = run_sweep(self._spec(), engine="codegen")
+        laned = run_sweep(self._spec(), lanes=8)
+        assert laned.engine == "codegen"
+        assert laned.rows == compiled.rows
+        for scalar_row, laned_row in zip(scalar.rows, laned.rows):
+            assert laned_row["engine"] == "codegen"
+            assert dict(scalar_row, engine="codegen") == laned_row
 
     def test_lanes_conflicting_engine_rejected(self):
         from repro.perf.sweep import run_sweep
 
-        with pytest.raises(ValueError, match="batch"):
+        with pytest.raises(ValueError, match="implies the codegen engine"):
             run_sweep(self._spec(), engine="naive", lanes=2)
 
     def test_bad_lane_count_rejected(self):
@@ -327,8 +296,8 @@ class TestLaneCountEdgeCases:
         assert_lanes_identical(self._make_lane, n_lanes, cycles=150)
 
     def test_more_configs_than_lanes_in_sweep(self):
-        """8 same-topology configurations over 3 lanes: the sweep backend
-        splits the group into 3+3+2 batch runs with identical results."""
+        """8 same-topology configurations at lane widths 3 and 8: the
+        results do not depend on the width."""
         from repro.perf.presets import fig6_lane_spec
         from repro.perf.sweep import run_sweep
 
@@ -339,65 +308,11 @@ class TestLaneCountEdgeCases:
         assert three.to_json() == eight.to_json()
 
 
-class TestObserverValidation:
-    def test_observer_count_must_match_lanes(self):
-        net = build_pipeline(["eb"], 0.0, 1, [1, 2])
-        with pytest.raises(ValueError, match="observers"):
-            BatchSimulator([net], observers=[[], []])
-
-
-class TestPerLaneOwnership:
-    def test_stale_batch_detects_takeover_of_any_lane(self):
-        """A newer simulator claiming a lane other than lane 0 must also
-        trip the batch ownership guard."""
-        nets = [build_pipeline(["eb"], 0.0, s, [1, 2, 3]) for s in (1, 2, 3)]
-        batch = BatchSimulator(nets)
-        batch.step()
-        Simulator(nets[2], engine="worklist")
-        with pytest.raises(RuntimeError, match="owned by a newer"):
-            batch.step()
-
-
-class TestKernelAuthorHelpers:
-    """The documented kernel-author API on BatchChannelState/BatchNodeCtx."""
-
-    def test_lane_value_matches_scattered_state(self):
-        nets = [build_pipeline(["eb"], 0.0, s, [10, 20, 30]) for s in (1, 2)]
-        batch = BatchSimulator(nets)
-        batch.step()
-        bst = batch._bst_by_name["out"]
-        for lane, net in enumerate(nets):
-            st = net.channels["out"].state
-            assert bst.lane_value("vp", lane) == st.vp
-            assert bst.lane_value("sp", lane) == st.sp
-            assert bst.lane_value("data", lane) == st.data
-
-    def test_lane_value_unknown_is_none(self):
-        from repro.elastic.channel import BatchChannelState
-
-        bst = BatchChannelState(3, name="c")
-        assert bst.lane_value("vp", 1) is None
-        bst.set_mask("vp", 0b010, 0b010)
-        assert bst.lane_value("vp", 1) is True
-        assert bst.lane_value("vp", 0) is None
-
-    def test_ctx_lane_mask(self):
-        from repro.sim.batch import BatchNodeCtx
-
-        class Probe:
-            def __init__(self, flag):
-                self.flag = flag
-
-        ctx = BatchNodeCtx((Probe(True), Probe(False), Probe(True)), {}, 0b111)
-        assert ctx.lane_mask(lambda node: node.flag) == 0b101
-
-
 class TestFallbackMidFixpointEvents:
     class ProbingSink(Sink):
-        """Fallback-path sink whose comb consults another channel's
-        events() mid-fix-point (legal, must raise on unresolved)."""
-
-        batch_comb = None
+        """Interpreted sink (it overrides ``comb``, so codegen defers it)
+        whose comb consults another channel's events() mid-fix-point
+        (legal, must raise on unresolved)."""
 
         def __init__(self, name, watch):
             super().__init__(name)
@@ -430,13 +345,14 @@ class TestFallbackMidFixpointEvents:
 
     def test_batch_fallback_matches_scalar_raise(self):
         """The sink is seeded before the buffer (no dependency edge), so
-        out.vp is unknown at its first evaluation — both engines must see
-        the unresolved ValueError, not stale previous-cycle events."""
+        out.vp is unknown at its first evaluation — the engine a lanes=2
+        request runs must see the unresolved ValueError too, not stale
+        previous-cycle events."""
         scalar = self._first_observation(
             lambda net: Simulator(net, engine="worklist").run(3)
         )
-        batched = self._first_observation(
-            lambda net: BatchSimulator([net]).run(3)
+        laned = self._first_observation(
+            lambda net: Simulator(net, engine=lanes_engine(2)).run(3)
         )
         assert scalar == "unresolved"
-        assert batched == scalar
+        assert laned == scalar

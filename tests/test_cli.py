@@ -46,15 +46,16 @@ class TestCli:
 
     @pytest.mark.slow
     def test_verify_lane_batched(self, capsys):
+        """``--lanes 8`` runs the explorations on codegen and says so."""
         assert main(["verify", "--max-states", "60000", "--lanes", "8"]) == 0
         out = capsys.readouterr().out
-        assert "lane-batched x8" in out
+        assert "exploration engine: codegen" in out
         assert "OK" in out
         assert "starves as predicted" in out
         assert "FAIL" not in out
 
     def test_batch_is_not_an_engine_choice(self, capsys):
-        """The lane engine is selected by ``--lanes`` only."""
+        """There is no lane engine to select."""
         with pytest.raises(SystemExit) as err:
             main(["--engine", "batch", "table1"])
         assert err.value.code == 2
@@ -63,7 +64,23 @@ class TestCli:
     def test_verify_lanes_reject_scalar_engine(self, capsys):
         assert main(["--engine", "naive", "verify", "--lanes", "4"]) == 2
         err = capsys.readouterr().err
-        assert "lane-batched" in err
+        assert "--lanes 4 implies --engine codegen" in err
+
+    def test_sweep_lanes_reject_scalar_engine(self, capsys):
+        assert main(["--engine", "worklist", "sweep", "--lanes", "4"]) == 2
+        assert "implies --engine codegen" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["verify", "sweep"])
+    @pytest.mark.parametrize("lanes", ["0", "-3"])
+    def test_bad_lane_count_exits_2(self, capsys, command, lanes):
+        """A lane count below 1 is a usage error at argument parsing, not
+        a ValueError traceback from deep inside the run."""
+        with pytest.raises(SystemExit) as err:
+            main([command, "--lanes", lanes])
+        assert err.value.code == 2
+        stderr = capsys.readouterr().err
+        assert f"lanes must be >= 1, got {lanes}" in stderr
+        assert "Traceback" not in stderr
 
     def test_sweep_serial(self, tmp_path, capsys):
         out_json = tmp_path / "sweep.json"

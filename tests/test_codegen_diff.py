@@ -157,8 +157,6 @@ class TestProtocolViolationParity:
         monitor through a boxed channel.
         """
 
-        batch_comb = None
-
         def __init__(self, name):
             super().__init__(name, init=(1, 2))
             self._age = 0

@@ -8,7 +8,6 @@ from repro.elastic.environment import ListSource, Sink
 from repro.elastic.functional import Func
 from repro.errors import CombinationalLoopError
 from repro.netlist.graph import Netlist
-from repro.sim.batch import BatchSimulator
 from repro.sim.engine import Simulator
 from repro.sim.monitors import BoundedLivenessMonitor
 from repro.sim.stats import TransferLog
@@ -289,8 +288,8 @@ class TestProfiling:
 
 class TestOwnershipGuard:
     """Every engine claims the channels with its own change log, so a
-    simulator of any engine refuses to step once a newer simulator (or a
-    :class:`BatchSimulator`) owns its netlist."""
+    simulator of any engine refuses to step once a newer simulator owns
+    its netlist."""
 
     ENGINES = ("worklist", "naive", "codegen")
 
@@ -305,16 +304,13 @@ class TestOwnershipGuard:
         net.connect("f.o", "snk.i", name="out")
         return net
 
-    @pytest.mark.parametrize("new", ENGINES + ("batch",))
+    @pytest.mark.parametrize("new", ENGINES)
     @pytest.mark.parametrize("old", ENGINES)
     def test_stale_simulator_refuses_to_step(self, old, new):
         net = self._pipeline()
         stale = Simulator(net, engine=old)
         stale.step()
-        if new == "batch":
-            fresh = BatchSimulator([net])
-        else:
-            fresh = Simulator(net, engine=new)
+        fresh = Simulator(net, engine=new)
         with pytest.raises(RuntimeError, match="newer Simulator"):
             stale.step()
         # the newer owner was not disturbed by the refused step
@@ -399,8 +395,8 @@ class TestEventsMidFixpoint:
 
 
 class TestOneLaneBatchSimulator:
-    """The lane engine is not a :class:`Simulator` engine; a one-lane
-    :class:`BatchSimulator` is driven directly."""
+    """There is no lane engine: ``"batch"`` is not a :class:`Simulator`
+    engine."""
 
     def _pipeline(self):
         net = Netlist("p")
@@ -411,24 +407,9 @@ class TestOneLaneBatchSimulator:
         net.connect("eb.o", "snk.i", name="out")
         return net
 
-    def test_batch_engine_simulates(self):
-        net = self._pipeline()
-        batch = BatchSimulator([net]).run(10)
-        assert sink_values(net) == [1, 2, 3]
-        assert batch.lane_stats(0).transfers["out"] == 3
-        assert batch.lane_stats(0).cycles == 10
-
-    def test_stale_one_lane_batch_detected(self):
-        net = self._pipeline()
-        stale = BatchSimulator([net])
-        Simulator(net, engine="worklist")
-        with pytest.raises(RuntimeError, match="newer Simulator"):
-            stale.step()
-
     def test_simulator_rejects_batch_engine(self):
-        """``engine="batch"`` is an unknown engine whose error points to
-        the lane engine."""
+        """``engine="batch"`` is an unknown engine; the error lists the
+        choices."""
         with pytest.raises(ValueError, match="unknown engine 'batch'") as err:
             Simulator(self._pipeline(), engine="batch")
-        assert "BatchSimulator" in str(err.value)
-        assert "lanes=" in str(err.value)
+        assert "codegen" in str(err.value)

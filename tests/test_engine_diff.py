@@ -6,8 +6,7 @@ statistics, same protocol verdicts, same combinational-loop diagnostics,
 same model-checking state graphs.  These tests fuzz random netlists (the
 :mod:`test_fuzz` generators plus canned paper designs) and compare the two
 engines run for run; the loop diagnoses and state graphs are also pinned
-on every other engine and on the lane engine (:class:`BatchSimulator`,
-driven directly).
+on every other engine.
 """
 
 import random
@@ -22,7 +21,6 @@ from repro.elastic.functional import Func
 from repro.errors import CombinationalLoopError
 from repro.netlist import patterns
 from repro.netlist.graph import Netlist
-from repro.sim.batch import BatchSimulator
 from repro.sim.engine import ENGINES, Simulator
 from repro.sim.stats import TransferLog
 from repro.verif.explore import StateExplorer
@@ -148,9 +146,6 @@ class TestLoopDiagnostics:
             with pytest.raises(CombinationalLoopError) as err:
                 sim.step()
             diagnoses[engine] = (sorted(err.value.unresolved), err.value.cycle)
-        with pytest.raises(CombinationalLoopError) as err:
-            BatchSimulator([self._loop_net()]).step()
-        diagnoses["batch"] = (sorted(err.value.unresolved), err.value.cycle)
         assert diagnoses["worklist"] == diagnoses["naive"]
         for engine, diagnosis in diagnoses.items():
             assert diagnosis == diagnoses["worklist"], engine
@@ -180,9 +175,6 @@ class TestLoopDiagnostics:
             with pytest.raises(CombinationalLoopError) as err:
                 sim.step()
             diagnoses[engine] = sorted(err.value.unresolved)
-        with pytest.raises(CombinationalLoopError) as err:
-            BatchSimulator([make_net()]).step()
-        diagnoses["batch"] = sorted(err.value.unresolved)
         assert diagnoses["worklist"] == diagnoses["naive"]
         for engine, diagnosis in diagnoses.items():
             assert diagnosis == diagnoses["worklist"], engine
@@ -226,11 +218,9 @@ class TestModelChecking:
             return net
 
         results = {}
-        for engine in ENGINES + ("batch",):
-            lanes = 4 if engine == "batch" else 1
+        for engine in ENGINES:
             result = StateExplorer(make(), max_states=5000,
-                                   engine=None if lanes > 1 else engine,
-                                   lanes=lanes).explore()
+                                   engine=engine).explore()
             results[engine] = (
                 result.n_states,
                 len(result.transitions),
@@ -248,12 +238,10 @@ class TestModelChecking:
         from repro.core.scheduler import ToggleScheduler
 
         results = {}
-        for engine in ENGINES + ("batch",):
-            lanes = 4 if engine == "batch" else 1
+        for engine in ENGINES:
             net = shared_mux_mc_net(ToggleScheduler(2))
             result = StateExplorer(net, max_states=30000,
-                                   engine=None if lanes > 1 else engine,
-                                   lanes=lanes).explore()
+                                   engine=engine).explore()
             results[engine] = (result.n_states, len(result.transitions),
                                sorted(result.violations), result.complete)
         assert results["worklist"] == results["naive"]

@@ -1,10 +1,10 @@
-"""Differential testing of the lane-batched frontier explorer.
+"""Differential testing of lane-width explorations.
 
-A lane-batched exploration (``StateExplorer(lanes=N)``) must be
-*bit-identical* to the scalar BFS: same states in the same discovery
-order, the same transition list (and therefore the same multiset), the
-same violation strings, the same completeness verdict, and the same
-deadlock / leads-to conclusions.  These tests fuzz random
+An exploration with ``StateExplorer(lanes=N)`` (which runs the codegen
+engine) must be *bit-identical* to the default ``lanes=1`` BFS: same
+states in the same discovery order, the same transition list (and
+therefore the same multiset), the same violation strings, the same
+completeness verdict, and the same deadlock / leads-to conclusions.  These tests fuzz random
 nondeterministic-environment netlists across lane widths (the acceptance
 floor is 20 fuzz cases), pin the paper-style compositions — the fig1d
 speculative core, fig6-style variable-latency traffic (kills through a
@@ -169,38 +169,7 @@ class TestLaneEdgeCases:
 
     def test_lanes_reject_scalar_engines(self):
         net = build_mc_pipeline(["eb"], can_kill=False)
-        with pytest.raises(ValueError, match="implies the batch engine"):
+        with pytest.raises(ValueError, match="implies the codegen engine"):
             StateExplorer(net, lanes=4, engine="worklist")
         with pytest.raises(ValueError, match="lanes must be >= 1"):
             StateExplorer(net, lanes=0)
-
-
-class TestLaneGatherApi:
-    def test_lane_signals_matches_packed_gather(self):
-        """The per-lane signal gather APIs agree: `lane_signals` (friendly
-        dict) decodes to exactly the packed vectors `step_with_lane_choices`
-        returns, and matches a scalar simulator of the same lane."""
-        from repro.sim.batch import BatchSimulator
-        from repro.sim.engine import Simulator
-        from repro.verif.encoding import unpack_signals
-
-        def design():
-            return build_mc_pipeline(["eb", "zbl"], can_kill=True)
-
-        nets = [design() for _ in range(3)]
-        batch = BatchSimulator(nets, check_protocol=False)
-        choices = [{"src": 1, "snk": 0}, {"src": 0, "snk": 1},
-                   {"src": 1, "snk": 2}]
-        _events, packed = batch.step_with_lane_choices(choices)
-        for lane in range(3):
-            signals = batch.lane_signals(lane)
-            assert signals == unpack_signals(
-                packed[lane], list(nets[lane].channels))
-        # ...and lane 2 equals a scalar simulator driven the same way.
-        scalar_net = design()
-        scalar = Simulator(scalar_net, check_protocol=False)
-        scalar.step_with_choices(choices[2])
-        st = {name: (bool(ch.state.vp), bool(ch.state.sp),
-                     bool(ch.state.vm), bool(ch.state.sm))
-              for name, ch in scalar_net.channels.items()}
-        assert batch.lane_signals(2) == st

@@ -8,7 +8,6 @@ from repro.elastic.buffers import ElasticBuffer
 from repro.elastic.environment import KillerSink, ListSource, Sink
 from repro.elastic.functional import Func, const_block, identity_block
 from repro.netlist.graph import Netlist
-from repro.sim.batch import BatchSimulator
 from repro.sim.engine import Simulator
 
 from helpers import run, single_node_net, sink_values
@@ -148,10 +147,7 @@ class TestFnOncePerCycle:
         Simulator(reference).run(120)
         net = DESIGNS[design]()
         calls = self._counting(net, kind)
-        if engine == "batch":
-            sim = BatchSimulator([net])
-        else:
-            sim = Simulator(net, engine=engine)
+        sim = Simulator(net, engine=engine)
         total = 0
         for _ in range(120):
             calls.clear()
@@ -161,12 +157,12 @@ class TestFnOncePerCycle:
         assert total > 0
         assert net.nodes["snk"].received == reference.nodes["snk"].received
 
-    @pytest.mark.parametrize("engine", ["worklist", "naive", "codegen", "batch"])
+    @pytest.mark.parametrize("engine", ["worklist", "naive", "codegen"])
     @pytest.mark.parametrize("design", ["fig6b", "fig7b"])
     def test_at_most_one_call_per_cycle(self, design, engine):
         self._check(design, engine, Func)
 
-    @pytest.mark.parametrize("engine", ["worklist", "naive", "codegen", "batch"])
+    @pytest.mark.parametrize("engine", ["worklist", "naive", "codegen"])
     @pytest.mark.parametrize("design", ["fig6b", "fig7b"])
     def test_shared_unit_at_most_one_call_per_cycle(self, design, engine):
         self._check(design, engine, SharedModule)

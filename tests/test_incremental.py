@@ -18,7 +18,7 @@ from repro.elastic.environment import ListSource, Sink
 from repro.elastic.functional import Func
 from repro.errors import CombinationalLoopError, TransformError
 from repro.netlist.graph import Netlist
-from repro.sim.batch import BatchSimulator, topology_signature
+from repro.sim.batch import topology_signature
 from repro.sim.engine import Simulator
 from repro.sim.sensitivity import SensitivityMap
 from repro.sim.stats import TransferLog
@@ -309,15 +309,11 @@ class TestLoopDiagnosticsParity:
 class TestStaleStructureGuards:
     def _edited(self, engine):
         net = build_pipeline(["eb"], 0.0, 0, [1, 2, 3])
-        if engine == "batch":
-            # the lane engine, driven directly as a one-lane batch
-            sim = BatchSimulator([net])
-        else:
-            sim = Simulator(net, engine=engine)
+        sim = Simulator(net, engine=engine)
         insert_bubble(net, "c0")
         return sim
 
-    @pytest.mark.parametrize("engine", ["worklist", "naive", "batch"])
+    @pytest.mark.parametrize("engine", ["worklist", "naive"])
     def test_unpatched_simulator_refuses_to_step(self, engine):
         sim = self._edited(engine)
         with pytest.raises(RuntimeError, match="structurally edited"):
@@ -327,13 +323,6 @@ class TestStaleStructureGuards:
         sim = self._edited("worklist")
         with pytest.raises(RuntimeError, match="structurally edited"):
             sim.step_with_choices({})
-
-    def test_batch_simulator_lane_guard(self):
-        nets = [build_pipeline(["eb"], 0.0, seed, [1, 2]) for seed in (0, 1)]
-        sim = BatchSimulator(nets)
-        insert_bubble(nets[1], "c0")
-        with pytest.raises(RuntimeError, match="lane 1"):
-            sim.step()
 
     def test_manual_apply_edit_revalidates(self):
         net = build_pipeline(["eb", "func"], 0.0, 3, list(range(8)))

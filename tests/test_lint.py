@@ -198,22 +198,6 @@ class TestBrokenFixtures:
         report = run_lint(net)
         assert "W203" in codes_of(report)
 
-    def test_scalar_fallback_w210(self):
-        class SlowFunc(Func):
-            def comb(self):
-                return super().comb()
-
-        net = Netlist("slow")
-        net.add(ListSource("src", [1]))
-        net.add(SlowFunc("F", fn=lambda a: a, n_inputs=1))
-        net.add(Sink("snk"))
-        linear(net, "src.o", "F.i0")
-        linear(net, "F.o", "snk.i")
-        report = run_lint(net)
-        assert "W210" in codes_of(report)
-        [diag] = report.warnings
-        assert "SlowFunc" in diag.message
-
 
 # -- every shipped design lints clean ------------------------------------------
 
@@ -259,7 +243,7 @@ class TestPlumbing:
         assert set(CODES) == {
             "E001", "E002", "E003", "E004", "E005",
             "E101", "E102", "E103", "E110", "E111",
-            "W201", "W202", "W203", "W210", "W211",
+            "W201", "W202", "W203", "W211",
         }
 
     def test_resolve_rules(self):

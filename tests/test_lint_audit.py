@@ -1,7 +1,7 @@
 """Tests for the sensitivity-soundness auditor (``repro.lint.audit``).
 
 Every engine optimization — the worklist scheduler, the incremental
-sensitivity map, the batch kernels — trusts each node's ``comb_reads()`` /
+sensitivity map, codegen's deferred residue — trusts each node's ``comb_reads()`` /
 ``comb_writes()`` declarations without ever checking them.  The auditor
 executes ``comb()`` against recording channel proxies under fuzzed channel
 states; these tests pin **declared == observed** for every built-in node

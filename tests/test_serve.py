@@ -130,6 +130,10 @@ class TestJobIdentity:
             validate_job({"kind": "lint", "design": "fig1a", "cycles": 5})
         with pytest.raises(ServeError, match="spec must be an object"):
             validate_job("lint fig1a")
+        with pytest.raises(ServeError, match="lanes must be >= 1, got 0"):
+            validate_job({"kind": "verify", "design": "eb", "lanes": 0})
+        with pytest.raises(ServeError, match="lanes must be >= 1, got -3"):
+            validate_job({"kind": "sweep", "lanes": -3})
 
     def test_keys_are_deterministic_and_config_sensitive(self):
         base = job_key(validate_job(MEASURE_SPEC))
@@ -269,10 +273,13 @@ class TestServerBasics:
         assert "accepted" in types and "progress" in types
 
     def test_malformed_spec_is_a_structured_error(self, tmp_path):
-        with running_server(tmp_path) as (_server, client):
+        with running_server(tmp_path) as (server, client):
             with pytest.raises(ServeError, match="unknown job kind"):
                 client.submit({"kind": "meteor"})
-            # the server survives the bad request
+            with pytest.raises(ServeError, match="lanes must be >= 1"):
+                client.submit({"kind": "verify", "design": "eb", "lanes": 0})
+            # nothing was queued, and the server survives the bad requests
+            assert server.depth == 0
             assert client.status()["type"] == "status"
 
     def test_unknown_op_and_unknown_cancel_are_structured(self, tmp_path):
