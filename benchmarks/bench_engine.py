@@ -6,8 +6,7 @@ space."  This bench measures the Python engine's cycles/second on the
 Figure 1(d) loop and a deep 12-stage pipeline, the latency of a complete
 speculation rewrite, and — head to head in the same run, also on the
 speculative Figure 6(b) and 7(b) designs — the event-driven worklist
-fix-point engine against the dense-sweep naive engine and the compiled
-codegen engine.
+fix-point engine against the compiled codegen engine.
 
 Besides the human-readable tables, the head-to-head writes
 ``results/BENCH_engine.json`` so future PRs can track the perf trajectory
@@ -36,7 +35,7 @@ def simulate_fig1d(cycles=500, engine=None):
 def simulate_pipeline(cycles=500, engine=None):
     """The 12-stage deep pipeline: function blocks separated by
     zero-backward-latency buffers, so the backward stop chain is
-    combinational across all stages — the dense sweep's worst case."""
+    combinational across all stages — a dense sweep's worst case."""
     net = patterns.deep_pipeline(PIPELINE_STAGES, source_values=list(range(cycles)))
     Simulator(net, engine=engine).run(cycles)
     return cycles
@@ -87,17 +86,14 @@ def test_transformation_speed(benchmark):
     assert benchmark.stats["mean"] < 0.1      # "very fast to compute"
 
 
-def test_worklist_vs_naive():
-    """Head-to-head in one run: worklist vs the dense naive sweep vs the
-    compiled codegen engine.  The worklist engine must beat the dense
-    sweep by >= 3x on the 12-stage pipeline and codegen must beat
-    worklist by >= 5x there; on the speculative fig1d and fig6b loops,
-    whose control closes through nodes codegen defers to its residue
-    worklist, codegen must still reach >= 1x worklist.  Also records
-    fig7b and the transformation latency, machine-readably, for cross-PR
-    trajectory tracking.  Merged via ``merge_json`` so each engine entry
-    extends ``BENCH_engine.json`` rather than replacing the accumulated
-    format."""
+def test_worklist_vs_codegen():
+    """Head-to-head in one run: the worklist engine vs the compiled
+    codegen engine.  Codegen must beat worklist by >= 5x on the 12-stage
+    pipeline and reach >= 1x on the speculative fig1d and fig6b loops.
+    Also records fig7b and the transformation latency, machine-readably,
+    for cross-PR trajectory tracking.  Merged via ``merge_json`` so the
+    entries it does not write (such as the ``speedup`` of the retired
+    dense-sweep engine) stay in ``BENCH_engine.json``."""
     workloads = {
         "fig1d": simulate_fig1d,
         "fig6b": lambda cycles, engine=None: simulate_design("fig6b", cycles, engine),
@@ -107,7 +103,7 @@ def test_worklist_vs_naive():
     rates = {
         name: {engine: _rate(lambda cycles, fn=fn, engine=engine:
                              fn(cycles, engine=engine))
-               for engine in ("worklist", "naive", "codegen")}
+               for engine in ("worklist", "codegen")}
         for name, fn in workloads.items()
     }
     start = time.perf_counter()
@@ -115,9 +111,6 @@ def test_worklist_vs_naive():
     transform_seconds = time.perf_counter() - start
     payload = {
         "cycles_per_second": rates,
-        "speedup": {
-            name: pair["worklist"] / pair["naive"] for name, pair in rates.items()
-        },
         "codegen_speedup": {
             name: pair["codegen"] / pair["worklist"] for name, pair in rates.items()
         },
@@ -129,14 +122,11 @@ def test_worklist_vs_naive():
     for name, pair in rates.items():
         lines.append(
             f"  {name:<11} worklist={pair['worklist']:>10,.0f}  "
-            f"naive={pair['naive']:>10,.0f}  "
             f"codegen={pair['codegen']:>10,.0f}  "
-            f"speedup={pair['worklist'] / pair['naive']:.2f}x  "
             f"codegen_speedup={pair['codegen'] / pair['worklist']:.2f}x"
         )
     lines.append(f"  speculation rewrite: {transform_seconds * 1000:.1f} ms")
     write_result("engine_comparison.txt", "\n".join(lines))
-    assert payload["speedup"]["pipeline12"] >= 3.0
     assert payload["codegen_speedup"]["pipeline12"] >= 5.0
     assert payload["codegen_speedup"]["fig1d"] >= 1.0
     assert payload["codegen_speedup"]["fig6b"] >= 1.0

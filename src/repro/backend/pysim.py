@@ -1,8 +1,8 @@
 """Compiled simulation: elaborate a netlist into straight-line Python.
 
-Every interpreted engine — naive and worklist — pays Python dispatch
-per node per fix-point pass: bound-method calls into ``comb()``, attribute
-loads on :class:`~repro.elastic.channel.ChannelState`, the monotone
+The interpreted worklist engine pays Python dispatch per node
+evaluation: bound-method calls into ``comb()``, attribute loads on
+:class:`~repro.elastic.channel.ChannelState`, the monotone
 ``state.set`` funnel, then separate passes for the protocol monitor,
 event resolution, statistics and ticks.  This module removes all of it by
 **elaboration**: given a netlist, it emits one specialized Python module
@@ -76,12 +76,12 @@ exactly like the worklist engine.  :func:`cache_stats` exposes the
 hit / re-elaboration counters (CLI: ``repro elaborate``).
 
 Instrumented elaboration (``profile=True``) is a *documented mode*: the
-module is generated with per-node call counters and per-cycle eval/sweep
-histograms woven in, so ``Simulator(engine="codegen", profile=True)``
-supports :meth:`~repro.sim.engine.Simulator.profile_report` with the same
-report shape as the interpreted engines (straight-line nodes count one
-evaluation per cycle; the residue counts its real calls; one seed pass,
-so ``sweeps_per_cycle`` is 1 as for the worklist engine).
+module is generated with per-node call counters and the per-cycle
+evaluation histogram woven in, so ``Simulator(engine="codegen",
+profile=True)`` supports
+:meth:`~repro.sim.engine.Simulator.profile_report` with the same report
+shape as the worklist engine (straight-line nodes count one evaluation
+per cycle; the residue counts its real calls).
 
 Emitters are trusted by definition site: a per-kind emitter is used only for node classes whose ``comb`` (or
 ``tick``, for tick emitters) is *defined by* the class the emitter was
@@ -1108,10 +1108,7 @@ def _generate_source(netlist, check_protocol, profile, content_hash):
 
     if profile:
         extra = " + _ne" if plan.deferred else ""
-        body += [
-            f"_sim.evals_per_cycle.append({len(plan.fast)}{extra})",
-            "_sim.sweeps_per_cycle.append(1)",
-        ]
+        body.append(f"_sim.evals_per_cycle.append({len(plan.fast)}{extra})")
 
     # -- flush locals into the ChannelState objects (observers, fallback
     # -- ticks, the model checker's packed reader and Channel.events() all
@@ -1394,11 +1391,17 @@ class CodegenBackend:
     def diagnose_unknown(self):
         """Raise the worklist engine's combinational-loop diagnosis for a
         cycle the straight-line code cannot finish: re-run every node's
-        interpreted ``comb()`` from cleared channels to the fix-point,
-        then check resolution — same unresolved signals, same cycle."""
+        interpreted ``comb()`` from cleared channels, pass after pass
+        until one leaves the change log empty, then check resolution —
+        same unresolved signals, same cycle."""
         sim = self.sim
         for channel in sim._channels:
             channel.clear_cycle()
-        while any([comb() for comb in sim._combs]):
-            pass
+        log = sim._log
+        while True:
+            log.clear()
+            for node in sim._nodes:
+                node.comb()
+            if not log:
+                break
         sim._check_resolved()

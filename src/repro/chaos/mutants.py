@@ -68,20 +68,18 @@ class BrokenKillBuffer(ZeroBackwardLatencyBuffer):
     kind = "mutant_broken_kill"
 
     def comb(self):
-        changed = False
         ost = self.st("o")
         if self._full:
-            changed |= self.drive("o", "vp", True)
-            changed |= self.drive("o", "data", self._value)
-            changed |= self.drive("i", "vm", False)
-            changed |= self.drive("i", "sp", ost.sp)
+            self.drive("o", "vp", True)
+            self.drive("o", "data", self._value)
+            self.drive("i", "vm", False)
+            self.drive("i", "sp", ost.sp)
         else:
-            changed |= self.drive("o", "vp", False)
-            changed |= self.drive("i", "vm", ost.vm)
-            changed |= self.drive("i", "sp", False)
+            self.drive("o", "vp", False)
+            self.drive("i", "vm", ost.vm)
+            self.drive("i", "sp", False)
         # The bug: the anti-token is never let in.
-        changed |= self.drive("o", "sm", True)
-        return changed
+        self.drive("o", "sm", True)
 
     def tick(self):
         ist = self.st("i")

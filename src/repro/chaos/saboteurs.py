@@ -18,7 +18,7 @@ The three saboteurs below make that theorem executable:
   replay) — both directions are checked by :mod:`repro.chaos.verify`.
 
 Every saboteur is implemented for every engine: scalar ``comb()``
-(worklist and naive) and codegen signal tasks registered with
+(worklist) and codegen signal tasks registered with
 :mod:`repro.backend.pysim` at the bottom of this module.  The
 differential fuzz suites pin them bit-identical.
 
@@ -112,22 +112,19 @@ class StallInjector(_Saboteur):
                 ("o", "sp"), ("o", "vm")]
 
     def comb(self):
-        changed = False
         ist = self.st("i")
         ost = self.st("o")
         if self._stall_now:
-            changed |= self.drive("o", "vp", False)
+            self.drive("o", "vp", False)
         else:
-            changed |= self.drive("o", "vp", ist.vp)
+            self.drive("o", "vp", ist.vp)
             if ist.vp and ist.data is not None:
-                changed |= self.drive("o", "data", ist.data)
-        changed |= self.drive("o", "sm", ist.sm)
-        changed |= self.drive("i", "vm", ost.vm)
+                self.drive("o", "data", ist.data)
+        self.drive("o", "sm", ist.sm)
+        self.drive("i", "vm", ost.vm)
         # Back-pressure rushes combinationally, but never alongside a kill
         # (V- & S+ is illegal); kor resolves True even while o.sp is unknown.
-        changed |= self.drive(
-            "i", "sp", kand(kor(ost.sp, self._stall_now), knot(ost.vm)))
-        return changed
+        self.drive("i", "sp", kand(kor(ost.sp, self._stall_now), knot(ost.vm)))
 
     def tick(self):
         ost = self.st("o")
@@ -192,28 +189,26 @@ class BubbleInjector(_Saboteur):
         return [("o", "sp"), ("o", "vm"), ("i", "sm")]
 
     def comb(self):
-        changed = False
         ost = self.st("o")
         ist = self.st("i")
         if self._full and self._bubble_now:
             # Holding: no offer, no pass-through, but an arriving kill is
             # still accepted (it annihilates the stored token at tick).
-            changed |= self.drive("o", "vp", False)
-            changed |= self.drive("o", "sm", False)
-            changed |= self.drive("i", "vm", False)
-            changed |= self.drive("i", "sp", True)
+            self.drive("o", "vp", False)
+            self.drive("o", "sm", False)
+            self.drive("i", "vm", False)
+            self.drive("i", "sp", True)
         elif self._full:
-            changed |= self.drive("o", "vp", True)
-            changed |= self.drive("o", "data", self._value)
-            changed |= self.drive("o", "sm", False)
-            changed |= self.drive("i", "vm", False)
-            changed |= self.drive("i", "sp", kand(ost.sp, knot(ost.vm)))
+            self.drive("o", "vp", True)
+            self.drive("o", "data", self._value)
+            self.drive("o", "sm", False)
+            self.drive("i", "vm", False)
+            self.drive("i", "sp", kand(ost.sp, knot(ost.vm)))
         else:
-            changed |= self.drive("o", "vp", False)
-            changed |= self.drive("i", "vm", ost.vm)
-            changed |= self.drive("o", "sm", kite(ost.vm, ist.sm, False))
-            changed |= self.drive("i", "sp", False)
-        return changed
+            self.drive("o", "vp", False)
+            self.drive("i", "vm", ost.vm)
+            self.drive("o", "sm", kite(ost.vm, ist.sm, False))
+            self.drive("i", "sp", False)
 
     def tick(self):
         ist = self.st("i")
@@ -290,16 +285,14 @@ class StateCorruptor(_Saboteur):
                 ("o", "sp"), ("o", "vm")]
 
     def comb(self):
-        changed = False
         ist = self.st("i")
         ost = self.st("o")
-        changed |= self.drive("o", "vp", ist.vp)
+        self.drive("o", "vp", ist.vp)
         if ist.vp and ist.data is not None:
-            changed |= self.drive("o", "data", self._corrupt(ist.data))
-        changed |= self.drive("o", "sm", ist.sm)
-        changed |= self.drive("i", "vm", ost.vm)
-        changed |= self.drive("i", "sp", ost.sp)
-        return changed
+            self.drive("o", "data", self._corrupt(ist.data))
+        self.drive("o", "sm", ist.sm)
+        self.drive("i", "vm", ost.vm)
+        self.drive("i", "sp", ost.sp)
 
     def tick(self):
         ost = self.st("o")

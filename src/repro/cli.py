@@ -16,12 +16,12 @@ Usage (after installation)::
     python -m repro serve ROOT [--max-queue 8] [--deadline S]   # persistent job server
     python -m repro submit KIND --root ROOT [--design D]        # run a job on the server
 
-The global ``--engine {worklist,naive,codegen}`` option (before the
+The global ``--engine {worklist,codegen}`` option (before the
 subcommand) selects the fix-point engine for every simulation and
-model-checking run; the event-driven worklist engine is the default, the
-dense-sweep naive engine is kept for cross-checking, and the codegen
-engine compiles each topology into a specialized straight-line Python
-module (``elaborate`` inspects the generated source).  Unknown engine
+model-checking run; the event-driven worklist engine is the default, and
+the codegen engine compiles each topology into a specialized
+straight-line Python module (``elaborate`` inspects the generated
+source).  Unknown engine
 names are rejected up front with the valid-choices list.  On ``sweep``
 and ``verify``, ``--lanes N`` with ``N > 1`` is another way to ask for
 the codegen engine; it does not combine with ``--engine``, and a lane
@@ -720,11 +720,11 @@ def build_parser():
         description="Speculation in Elastic Systems (DAC 2009) — reproduction toolkit",
     )
     parser.add_argument(
-        "--engine", choices=["worklist", "naive", "codegen"],
+        "--engine", choices=["worklist", "codegen"],
         default=None,
         help="fix-point engine for all simulation/verification "
-             "(default: worklist; codegen = compiled straight-line module "
-             "per topology)",
+             "(default: worklist, event-driven; codegen = compiled "
+             "straight-line module per topology)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -983,7 +983,7 @@ def build_parser():
     p.set_defaults(fn=_cmd_submit)
 
     p = sub.add_parser(
-        "profile", help="per-node-kind comb() call counts and sweep histograms"
+        "profile", help="per-node-kind comb() call counts and evaluation histogram"
     )
     p.add_argument("--design", choices=sorted(_DESIGNS), default="fig1d")
     p.add_argument("--cycles", type=int, default=500)

@@ -97,7 +97,6 @@ class SharedModule(Node):
         return reads
 
     def comb(self):
-        changed = False
         g = self.scheduler.prediction()
         for j in range(self.n_channels):
             ip, op = f"i{j}", f"o{j}"
@@ -105,24 +104,23 @@ class SharedModule(Node):
             predicted = j == g
             # Forward: only the predicted channel's token goes through.
             vp_j = kand(predicted, ist.vp)
-            changed |= self.drive(op, "vp", vp_j)
+            self.drive(op, "vp", vp_j)
             # fn runs once per cycle — a re-evaluation after o.data is
             # known could only re-drive the same value.
             if vp_j is True and ist.data is not None and ost.data is None:
-                changed |= self.drive(op, "data", self.fn(ist.data))
+                self.drive(op, "data", self.fn(ist.data))
             # Kill pass-through: anti-tokens rush backward combinationally.
-            changed |= self.drive(ip, "vm", ost.vm)
+            self.drive(ip, "vm", ost.vm)
             # Anti-token delivered when it cancels with a waiting input token
             # or when the input's producer absorbs it.
-            changed |= self.drive(op, "sm", kite(ist.vp, False, ist.sm))
+            self.drive(op, "sm", kite(ist.vp, False, ist.sm))
             # Stop: killed tokens are never stopped; the predicted channel
             # follows downstream back-pressure; others stall.
             if predicted:
                 sp_j = kite(ost.vm, False, ost.sp)
             else:
                 sp_j = kite(ost.vm, False, True)
-            changed |= self.drive(ip, "sp", sp_j)
-        return changed
+            self.drive(ip, "sp", sp_j)
 
     # -- sequential ------------------------------------------------------------------
 

@@ -107,22 +107,20 @@ class ElasticBuffer(Node):
         return []
 
     def comb(self):
-        changed = False
         c = self.count
-        changed |= self.drive("o", "vp", c >= 1)
+        self.drive("o", "vp", c >= 1)
         if c >= 1:
-            changed |= self.drive("o", "data", self._store[self._rd])
+            self.drive("o", "data", self._store[self._rd])
         # Accept an anti-token at the output side unless the anti store is full.
         # When a token is present the arriving anti-token cancels with it in
         # the output channel, so sm must be low (c >= 1 implies the test is
         # False anyway).
-        changed |= self.drive("o", "sm", c <= -self.anti_capacity)
+        self.drive("o", "sm", c <= -self.anti_capacity)
         # Stop incoming tokens only when full; when holding anti-tokens the
         # incoming token annihilates one, so never stop then.
-        changed |= self.drive("i", "sp", c >= self.capacity)
+        self.drive("i", "sp", c >= self.capacity)
         # Offer a stored anti-token backward while holding any.
-        changed |= self.drive("i", "vm", c <= -1)
-        return changed
+        self.drive("i", "vm", c <= -1)
 
     # -- sequential behaviour (Figure 3 with deterministic latencies) ---------
 
@@ -206,28 +204,26 @@ class ZeroBackwardLatencyBuffer(Node):
         return [("o", "sp"), ("o", "vm"), ("i", "sm")]
 
     def comb(self):
-        changed = False
         ost = self.st("o")
         ist = self.st("i")
         if self._full:
-            changed |= self.drive("o", "vp", True)
-            changed |= self.drive("o", "data", self._value)
+            self.drive("o", "vp", True)
+            self.drive("o", "data", self._value)
             # An arriving anti-token cancels with the stored token: accept it.
-            changed |= self.drive("o", "sm", False)
+            self.drive("o", "sm", False)
             # No pass-through while full.
-            changed |= self.drive("i", "vm", False)
+            self.drive("i", "vm", False)
             # Combinational backward stop: hold the sender only while our
             # token is stuck (stalled and not killed).
-            changed |= self.drive("i", "sp", kand(ost.sp, knot(ost.vm)))
+            self.drive("i", "sp", kand(ost.sp, knot(ost.vm)))
         else:
-            changed |= self.drive("o", "vp", False)
+            self.drive("o", "vp", False)
             # Empty: anti-tokens pass straight through to the input side.
-            changed |= self.drive("i", "vm", ost.vm)
-            changed |= self.drive("o", "sm", kite(ost.vm, ist.sm, False))
+            self.drive("i", "vm", ost.vm)
+            self.drive("o", "sm", kite(ost.vm, ist.sm, False))
             # Empty slot always accepts a token... unless that token is being
             # cancelled by the passing anti-token, which forces sp low too.
-            changed |= self.drive("i", "sp", False)
-        return changed
+            self.drive("i", "sp", False)
 
     def tick(self):
         ist = self.st("i")

@@ -42,10 +42,10 @@ changed: the owning simulator registers a shared change log
 ``unknown -> known`` transition appends the global signal id
 ``base + SIG_INDEX[name]`` to the log, which is what lets the worklist
 engine and codegen's residue enqueue exactly the nodes sensitive to that
-signal instead of re-sweeping the whole netlist (the naive engine only
-clears its log; the log doubles as the ownership token).  When no log is
-registered (unit tests) the append is skipped and behaviour is exactly the
-classic one.
+signal instead of re-sweeping the whole netlist.  The log is the only
+fix-point progress signal (``comb()`` returns nothing) and doubles as the
+ownership token.  When no log is registered (unit tests) the append is
+skipped and behaviour is exactly the classic one.
 """
 
 from __future__ import annotations
@@ -112,8 +112,9 @@ class ChannelState:
         """Monotone signal update: unknown -> known is allowed, a re-write
         with the same value is a no-op, and a conflicting re-write raises.
 
-        Returns True when the state changed (used by the fix-point loop);
-        the change is also appended to ``self.log`` when one is registered.
+        Returns True when the state changed; the change is also appended
+        to ``self.log`` when one is registered (the engines' progress
+        signal).
         """
         if value is None:
             return False

@@ -88,16 +88,15 @@ class EarlyEvalMux(Node):
         return reads
 
     def comb(self):
-        changed = False
         ost = self.st("o")
         sel, can_fire = self._select()
-        changed |= self.drive("o", "vp", kand(can_fire, self._pko == 0))
+        self.drive("o", "vp", kand(can_fire, self._pko == 0))
         if self._pko > 0:
             fire = can_fire
         else:
             fire = kand(can_fire, knot(ost.sp))
-        changed |= self.drive("s", "sp", knot(fire))
-        changed |= self.drive("s", "vm", False)
+        self.drive("s", "sp", knot(fire))
+        self.drive("s", "vm", False)
         for j in range(self.n_inputs):
             port = f"i{j}"
             if fire is False:
@@ -110,9 +109,9 @@ class EarlyEvalMux(Node):
                 kill_now = j != sel
                 consumed = j == sel
             vm_j = kor(self._pk[j] > 0, kill_now)
-            changed |= self.drive(port, "vm", vm_j)
-            changed |= self.drive(port, "sp", kite(vm_j, False, knot(consumed)))
-        changed |= self.drive(
+            self.drive(port, "vm", vm_j)
+            self.drive(port, "sp", kite(vm_j, False, knot(consumed)))
+        self.drive(
             "o", "sm", kite(kand(can_fire, self._pko == 0), False, self._pko >= self.max_kills)
         )
         # Drive data whenever the output token is offered (vp may be high
@@ -120,8 +119,7 @@ class EarlyEvalMux(Node):
         if can_fire is True and self._pko == 0 and sel is not None:
             data = self.st(f"i{sel}").data
             if data is not None:
-                changed |= self.drive("o", "data", data)
-        return changed
+                self.drive("o", "data", data)
 
     # -- sequential -----------------------------------------------------------------
 

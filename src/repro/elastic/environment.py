@@ -50,18 +50,16 @@ class _SourceBase(Node):
         return []
 
     def comb(self):
-        changed = False
         if not self._offering and self._pending_start:
             value = self._next_value()
             if value is not None:
                 self._offering = True
                 self._value = value
             self._pending_start = False
-        changed |= self.drive("o", "vp", self._offering)
+        self.drive("o", "vp", self._offering)
         if self._offering:
-            changed |= self.drive("o", "data", self._value)
-        changed |= self.drive("o", "sm", False)   # always absorb anti-tokens
-        return changed
+            self.drive("o", "data", self._value)
+        self.drive("o", "sm", False)   # always absorb anti-tokens
 
     def pre_cycle(self):
         """Called once per cycle before the fix-point (stabilizes choices)."""
@@ -197,9 +195,8 @@ class Sink(Node):
         return []
 
     def comb(self):
-        changed = self.drive("i", "sp", self._stall_now)
-        changed |= self.drive("i", "vm", False)
-        return changed
+        self.drive("i", "sp", self._stall_now)
+        self.drive("i", "vm", False)
 
     def tick(self):
         ist = self.st("i")
@@ -256,10 +253,9 @@ class KillerSink(Node):
         return []
 
     def comb(self):
-        changed = self.drive("i", "vm", self._killing)
+        self.drive("i", "vm", self._killing)
         # Kill and stop are mutually exclusive.
-        changed |= self.drive("i", "sp", False if self._killing else self._stall_now)
-        return changed
+        self.drive("i", "sp", False if self._killing else self._stall_now)
 
     def tick(self):
         ist = self.st("i")
@@ -314,11 +310,10 @@ class NondetSource(Node):
         return []
 
     def comb(self):
-        changed = self.drive("o", "vp", self._offering)
+        self.drive("o", "vp", self._offering)
         if self._offering:
-            changed |= self.drive("o", "data", self._counter)
-        changed |= self.drive("o", "sm", False)
-        return changed
+            self.drive("o", "data", self._counter)
+        self.drive("o", "sm", False)
 
     def tick(self):
         ost = self.st("o")
@@ -370,12 +365,11 @@ class NondetSink(Node):
 
     def comb(self):
         if self._killing:
-            changed = self.drive("i", "vm", True)
-            changed |= self.drive("i", "sp", False)
-            return changed
-        changed = self.drive("i", "vm", False)
-        changed |= self.drive("i", "sp", self._choice == 1)
-        return changed
+            self.drive("i", "vm", True)
+            self.drive("i", "sp", False)
+        else:
+            self.drive("i", "vm", False)
+            self.drive("i", "sp", self._choice == 1)
 
     def tick(self):
         ist = self.st("i")
@@ -425,11 +419,10 @@ class NondetChoiceSource(NondetSource):
             self._value = self._choice - 1
 
     def comb(self):
-        changed = self.drive("o", "vp", self._offering)
+        self.drive("o", "vp", self._offering)
         if self._offering:
-            changed |= self.drive("o", "data", self._value)
-        changed |= self.drive("o", "sm", False)
-        return changed
+            self.drive("o", "data", self._value)
+        self.drive("o", "sm", False)
 
     def tick(self):
         ost = self.st("o")

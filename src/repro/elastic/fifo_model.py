@@ -76,7 +76,6 @@ class AbstractElasticFifo(Node):
         return []
 
     def comb(self):
-        changed = False
         offer_token = self._retry_plus or (
             self.count >= 1 and bool(self._choice & 1)
         )
@@ -85,15 +84,14 @@ class AbstractElasticFifo(Node):
             self.count <= -1 and bool(self._choice & 2)
         )
         offer_anti = offer_anti and self.count <= -1
-        changed |= self.drive("o", "vp", offer_token)
+        self.drive("o", "vp", offer_token)
         if offer_token:
-            changed |= self.drive("o", "data", self._store[self._rd])
-        changed |= self.drive("i", "vm", offer_anti)
+            self.drive("o", "data", self._store[self._rd])
+        self.drive("i", "vm", offer_anti)
         # Stops: never stall what would cancel; bound occupancy so the
         # explorer's state space stays finite.
-        changed |= self.drive("i", "sp", self.count >= self.max_occupancy)
-        changed |= self.drive("o", "sm", self.count <= -self.max_occupancy)
-        return changed
+        self.drive("i", "sp", self.count >= self.max_occupancy)
+        self.drive("o", "sm", self.count <= -self.max_occupancy)
 
     # -- sequential -------------------------------------------------------------------
 

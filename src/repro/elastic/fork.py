@@ -57,7 +57,6 @@ class EagerFork(Node):
         return reads
 
     def comb(self):
-        changed = False
         ist = self.st("i")
         branch_ok = []
         for k in range(self.n_outputs):
@@ -67,18 +66,17 @@ class EagerFork(Node):
             # kill -- offers nothing.
             eff_done = self._done[k] or self._pk[k] > 0
             vp_k = kand(ist.vp, not eff_done)
-            changed |= self.drive(port, "vp", vp_k)
+            self.drive(port, "vp", vp_k)
             if ist.vp is True and ist.data is not None:
-                changed |= self.drive(port, "data", ist.data)
+                self.drive(port, "data", ist.data)
             # Accept anti-tokens: cancel with the offered copy when valid,
             # else absorb into the branch counter while there is room.
-            changed |= self.drive(port, "sm", kite(vp_k, False, self._pk[k] >= self.max_kills))
+            self.drive(port, "sm", kite(vp_k, False, self._pk[k] >= self.max_kills))
             # Branch complete this cycle: already done, doomed, or transferring.
             branch_ok.append(kor(eff_done, kand(vp_k, knot(ost.sp))))
         all_ok = kand(*branch_ok)
-        changed |= self.drive("i", "sp", knot(kand(ist.vp, all_ok)))
-        changed |= self.drive("i", "vm", False)
-        return changed
+        self.drive("i", "sp", knot(kand(ist.vp, all_ok)))
+        self.drive("i", "vm", False)
 
     # -- sequential ----------------------------------------------------------------
 

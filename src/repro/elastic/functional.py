@@ -78,7 +78,6 @@ class Func(Node):
         return reads
 
     def comb(self):
-        changed = False
         ost = self.st("o")
         # A waiting token on input i only participates when no kill targets it.
         avails = []
@@ -86,31 +85,30 @@ class Func(Node):
             ist = self._in(i)
             avails.append(kand(ist.vp, self._pk[i] == 0))
         all_avail = kand(*avails)
-        changed |= self.drive("o", "vp", all_avail)
+        self.drive("o", "vp", all_avail)
         # fire covers both forward transfer and output-side cancellation
         # (vp & vm with sp forced low): inputs are consumed either way.
         fire = kand(all_avail, knot(ost.sp))
         for i in range(self.n_inputs):
             port = f"i{i}"
             pending = self._pk[i] > 0
-            changed |= self.drive(port, "vm", pending)
+            self.drive(port, "vm", pending)
             if pending:
                 # Kill and stop are mutually exclusive on a channel.
-                changed |= self.drive(port, "sp", False)
+                self.drive(port, "sp", False)
             else:
-                changed |= self.drive(port, "sp", knot(fire))
+                self.drive(port, "sp", knot(fire))
         # Accept an anti-token at the output: cancel with the offered token
         # when valid, otherwise absorb it into the kill counters if there is
         # room on every input.
         room = all(pk < self.max_kills for pk in self._pk)
-        changed |= self.drive("o", "sm", kite(all_avail, False, not room))
+        self.drive("o", "sm", kite(all_avail, False, not room))
         # Data: fn runs once per cycle — a re-evaluation after o.data is
         # known could only re-drive the same value.
         if all_avail is True and ost.data is None:
             args = [self._in(i).data for i in range(self.n_inputs)]
             if all(a is not None for a in args):
-                changed |= self.drive("o", "data", self.fn(*args))
-        return changed
+                self.drive("o", "data", self.fn(*args))
 
     # -- sequential --------------------------------------------------------------
 

@@ -9,7 +9,9 @@ cycle:
    until the global fix-point is reached, so it must be *monotone*: written
    in Kleene logic, only adding information, never retracting it.  The node
    drives exactly the signals its role permits (producer: ``vp``/``data``/
-   ``sm``; consumer: ``sp``/``vm``).
+   ``sm``; consumer: ``sp``/``vm``) and returns nothing: the engines see
+   fix-point progress in the channels' change log, which every
+   ``unknown -> known`` transition is appended to.
 2. :meth:`Node.tick` — the clock edge.  All signals are resolved; the node
    updates its sequential state from the channel events.
 
@@ -89,12 +91,10 @@ class Node:
         return self._channels[port].state
 
     def drive(self, port, signal, value):
-        """Monotonically drive ``signal`` on the channel at ``port``.
-
-        Returns True when the write changed the signal (fix-point progress).
-        """
+        """Monotonically drive ``signal`` on the channel at ``port``; a
+        change is recorded in the owning simulator's change log."""
         ch = self._channels[port]
-        return ch.state.set(signal, value, ch.name)
+        ch.state.set(signal, value, ch.name)
 
     def ev(self, port):
         """Resolved :class:`ChannelEvents` at ``port`` (tick time only)."""
@@ -152,9 +152,9 @@ class Node:
         """
 
     def comb(self):
-        """Drive combinational outputs (monotone, Kleene).  Returns True when
-        any signal changed."""
-        return False
+        """Drive combinational outputs (monotone, Kleene) through
+        :meth:`drive`.  Returns nothing: fix-point progress is seen through
+        the change log, not reported by the node."""
 
     def tick(self):
         """Clock edge: update sequential state from resolved channels."""

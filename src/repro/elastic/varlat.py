@@ -82,17 +82,15 @@ class VariableLatencyUnit(Node):
         return []
 
     def comb(self):
-        changed = False
         head_ready = bool(self._q) and self._q[0][1] == 0
-        changed |= self.drive("o", "vp", head_ready)
+        self.drive("o", "vp", head_ready)
         if head_ready:
-            changed |= self.drive("o", "data", self._q[0][0])
+            self.drive("o", "data", self._q[0][0])
         # Anti-tokens: a ready head can be cancelled in the channel; an
         # in-flight computation cannot be killed mid-stage (stall the anti).
-        changed |= self.drive("o", "sm", not head_ready)
-        changed |= self.drive("i", "sp", len(self._q) >= 2)
-        changed |= self.drive("i", "vm", False)
-        return changed
+        self.drive("o", "sm", not head_ready)
+        self.drive("i", "sp", len(self._q) >= 2)
+        self.drive("i", "vm", False)
 
     # -- sequential ----------------------------------------------------------------
 

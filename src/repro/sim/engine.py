@@ -17,7 +17,7 @@ Each clock cycle proceeds in four phases:
 Fix-point engines
 -----------------
 
-Three interchangeable engines are provided (``engine=`` parameter,
+Two interchangeable engines are provided (``engine=`` parameter,
 process-wide default via :func:`set_default_engine`).  They differ only in
 how one cycle is computed; everything else — validation, statistics, the
 protocol monitor, observers, the cycle counter, edit following, the
@@ -56,14 +56,11 @@ once per cycle, each change enqueues at most ``|nodes|`` dependents, and a
 node evaluation with no change enqueues nothing — so the worklist drains
 after at most ``O(|nodes| + changes * max_fanout)`` evaluations and the
 state it drains at is the least fixed point (any still-unknown signal
-genuinely depends on itself through a combinational cycle).  The dense
-engine computes the same least fixed point by repeated full sweeps, so the
-two engines are behaviourally identical — which the differential fuzz tests
-assert.
-
-``naive`` — the original dense Gauss–Seidel sweep (every node, every sweep,
-until quiescence; O(nodes²) node evaluations per cycle on deep combinational
-chains).  Kept for differential testing and as a reference semantics.
+genuinely depends on itself through a combinational cycle).  The change
+log is the only progress signal: ``comb()`` returns nothing.  The test
+suite's reference, a dense sweep of every node repeated until a pass
+leaves the log empty, computes the same least fixed point; the
+differential fuzz tests pin both engines to it.
 
 ``codegen`` — the compiled engine of :mod:`repro.backend.pysim`.  The
 netlist is *elaborated*: its acyclic majority (the same levelized order
@@ -103,7 +100,7 @@ __all__ = [
 ]
 
 #: Recognized fix-point engines.
-ENGINES = ("worklist", "naive", "codegen")
+ENGINES = ("worklist", "codegen")
 
 _default_engine = "worklist"
 
@@ -186,17 +183,14 @@ class Simulator:
         Optional iterable of objects with an ``observe(cycle, netlist)``
         method called after each fix-point (trace recorders etc.); kept as
         the live list :attr:`observers`.
-    max_iterations:
-        Safety bound on fix-point sweeps per cycle (naive engine only; the
-        worklist engine terminates by monotonicity).
     engine:
-        ``"worklist"`` (event-driven, default), ``"naive"`` (dense sweep)
-        or ``"codegen"`` (compiled straight-line module); ``None`` picks
-        the process-wide default.  Unknown names raise ``ValueError`` with
-        the valid-choices list before any engine setup runs.
+        ``"worklist"`` (event-driven, default) or ``"codegen"`` (compiled
+        straight-line module); ``None`` picks the process-wide default.
+        Unknown names raise ``ValueError`` with the valid-choices list
+        before any engine setup runs.
     profile:
-        Record per-node ``comb()`` call counts and per-cycle evaluation /
-        sweep histograms (see :mod:`repro.sim.profile`).
+        Record per-node ``comb()`` call counts and the per-cycle
+        evaluation histogram (see :mod:`repro.sim.profile`).
     follow_edits:
         Subscribe to the netlist's structural edit log: every
         add/remove/connect/disconnect after construction is applied to
@@ -230,8 +224,7 @@ class Simulator:
     """
 
     def __init__(self, netlist, check_protocol=True, observers=(),
-                 max_iterations=None, engine=None, profile=False,
-                 follow_edits=False):
+                 engine=None, profile=False, follow_edits=False):
         netlist.validate()
         if engine is None:
             engine = _default_engine
@@ -240,18 +233,6 @@ class Simulator:
         self.engine = engine
         self.cycle = 0
         self.observers = list(observers)
-        # Each sweep propagates information at least one node further, so
-        # #nodes + 2 sweeps always suffice for a resolvable network.  An
-        # explicit 0 (or negative) bound is a caller error, not a request
-        # for the default.
-        self._auto_max_iterations = max_iterations is None
-        if max_iterations is None:
-            max_iterations = len(netlist.nodes) + 2
-        elif max_iterations <= 0:
-            raise ValueError(
-                f"max_iterations must be positive, got {max_iterations}"
-            )
-        self.max_iterations = max_iterations
         self._netlist_version = netlist.version
         self._followed = None
         self._structures_dirty = False
@@ -263,18 +244,15 @@ class Simulator:
             # counts were recorded against), so a refresh remaps by name.
             self._profile_slots = []
             self.comb_calls = []
-            self.evals_per_cycle = []    # worklist: evaluations; naive: comb calls
-            self.sweeps_per_cycle = []   # naive; worklist, codegen: 1 seed pass
+            self.evals_per_cycle = []
         # Ownership: every engine claims the channels with its own change
         # log (the worklist engine through its sensitivity map), so a
         # simulator of any engine can tell when a newer one took over.
-        # Codegen's generated residue reads the log; naive only clears it.
+        # Codegen's generated residue reads the log.
         self._smap = None
-        self._fixpoint = self._fixpoint_naive
         if engine == "worklist":
             self._smap = SensitivityMap(netlist)
             self._log = self._smap.log
-            self._fixpoint = self._fixpoint_worklist
         else:
             self._log = []
             for channel in netlist.channels.values():
@@ -321,7 +299,6 @@ class Simulator:
         else:
             slots = self._nodes = list(self.netlist.nodes.values())
             self._channels = list(self.netlist.channels.values())
-            self._combs = [node.comb for node in slots]
         if self.profile:
             counts = {node.name: calls for node, calls
                       in zip(self._profile_slots, self.comb_calls)
@@ -392,8 +369,6 @@ class Simulator:
         then tell the monitor and every observer the structure changed."""
         self._structures_dirty = False
         self._sync_structures()
-        if self._auto_max_iterations:
-            self.max_iterations = len(self.netlist.nodes) + 2
         if self.monitor is not None:
             self.monitor.structure_changed()
         for observer in self.observers:
@@ -440,7 +415,8 @@ class Simulator:
 
     # -- per-cycle phases ----------------------------------------------------------
 
-    def _fixpoint_worklist(self):
+    def _fixpoint(self):
+        """The worklist fix-point (see the module docstring)."""
         for channel in self._channels:
             channel.clear_cycle()
         log = self._log
@@ -468,30 +444,6 @@ class Simulator:
                 log.clear()
         if profile:
             self.evals_per_cycle.append(evals)
-            self.sweeps_per_cycle.append(1)
-        self._check_resolved()
-
-    def _fixpoint_naive(self):
-        for channel in self._channels:
-            channel.clear_cycle()
-        self._log.clear()
-        profile = self.profile
-        sweeps = 0
-        for _sweep in range(self.max_iterations):
-            sweeps += 1
-            changed = False
-            if profile:
-                for i, comb in enumerate(self._combs):
-                    changed |= bool(comb())
-                    self.comb_calls[i] += 1
-            else:
-                for comb in self._combs:
-                    changed |= bool(comb())
-            if not changed:
-                break
-        if profile:
-            self.sweeps_per_cycle.append(sweeps)
-            self.evals_per_cycle.append(sweeps * len(self._nodes))
         self._check_resolved()
 
     def _check_resolved(self):
@@ -503,7 +455,7 @@ class Simulator:
             raise CombinationalLoopError(unresolved, cycle=self.cycle)
 
     def _interpreted_cycle(self, cycle, choices):
-        """One cycle of the worklist / naive engines: choices, pre-cycle,
+        """One interpreted (worklist) cycle: choices, pre-cycle,
         fix-point, monitor, events (resolved once and cached on every
         channel), then statistics and observers (plain steps only) and
         tick.  Returns the per-channel events dict.  The codegen engine's
@@ -593,5 +545,4 @@ class Simulator:
             comb_calls_by_kind={k: tuple(v) for k, v in sorted(by_kind.items())},
             total_comb_calls=sum(self.comb_calls),
             evals_per_cycle=list(self.evals_per_cycle),
-            sweeps_per_cycle=list(self.sweeps_per_cycle),
         )

@@ -1,17 +1,16 @@
 """Fix-point engine profiling.
 
 Answers "where do the ``comb()`` calls go?" for a design: per-node-kind
-call counts plus a histogram of evaluations (worklist) or sweeps (naive)
-per cycle.  Useful for spotting designs whose cyclic regions defeat the
-levelized seed order, and for quantifying the worklist engine's advantage
-over the dense sweep::
+call counts plus a histogram of ``comb()`` evaluations per cycle.  Useful
+for spotting designs whose cyclic regions defeat the levelized seed order
+(the worklist engine evaluates each node once per cycle elsewhere)::
 
     from repro.sim.profile import profile_run, format_profile
     print(format_profile(profile_run(net, cycles=500)))
 
 or from the command line::
 
-    python -m repro --engine naive profile --design fig1d
+    python -m repro profile --design fig1d
 """
 
 from __future__ import annotations
@@ -33,7 +32,6 @@ class ProfileReport:
     comb_calls_by_kind: dict
     total_comb_calls: int
     evals_per_cycle: list
-    sweeps_per_cycle: list
 
     @property
     def calls_per_cycle(self):
@@ -42,12 +40,6 @@ class ProfileReport:
     def eval_histogram(self):
         """Counter: evaluations-in-one-cycle -> number of cycles."""
         return Counter(self.evals_per_cycle)
-
-    def sweep_histogram(self):
-        """Counter: sweeps-in-one-cycle -> number of cycles (naive engine;
-        the worklist and codegen engines always record a single seed
-        pass)."""
-        return Counter(self.sweeps_per_cycle)
 
 
 def profile_run(netlist, cycles=500, engine=None, check_protocol=False):
@@ -76,12 +68,7 @@ def format_profile(report):
         per = calls / (count * report.cycles) if report.cycles else 0.0
         lines.append(f"{kind:<14} {count:>5} {calls:>10} {per:>17.2f}")
     lines.append("")
-    label = "comb calls" if report.engine == "naive" else "evaluations"
-    lines.append(f"{label} per cycle histogram:")
+    lines.append("evaluations per cycle histogram:")
     for evals, n in sorted(report.eval_histogram().items()):
-        lines.append(f"  {evals:>5} {label} x {n} cycle(s)")
-    if report.engine == "naive":
-        lines.append("sweeps per cycle histogram:")
-        for sweeps, n in sorted(report.sweep_histogram().items()):
-            lines.append(f"  {sweeps:>5} sweep(s) x {n} cycle(s)")
+        lines.append(f"  {evals:>5} evaluations x {n} cycle(s)")
     return "\n".join(lines)

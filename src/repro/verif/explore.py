@@ -19,7 +19,7 @@ Exploration engines
 -------------------
 
 Classic breadth-first search: one scalar fix-point (``engine=`` selects
-worklist / naive / the compiled ``codegen`` module) per explored
+worklist or the compiled ``codegen`` module) per explored
 ``(state, choice-vector)`` transition.  ``lanes=N`` with ``N > 1`` is
 another way to ask for ``engine="codegen"``
 (:func:`~repro.sim.engine.lanes_engine`); the engines are bit-identical,

@@ -43,3 +43,35 @@ def transfers_on(net, cycles, channels):
     log = TransferLog(channels)
     run(net, cycles, observers=[log])
     return {name: log.values(name) for name in channels}
+
+
+class DenseSweepSimulator(Simulator):
+    """The reference fix-point of the differential suites: a dense sweep.
+
+    Each pass clears the change log and calls every live node's ``comb()``
+    in declaration order; the cycle's fix-point is reached when a pass
+    appends nothing to the log.  No iteration bound is needed: every pass
+    but the last records at least one of the finitely many
+    ``unknown -> known`` signal transitions.  Everything around the
+    fix-point (monitor, statistics, observers, edit following, reset,
+    ownership) is the worklist :class:`Simulator` shell, whose sensitivity
+    map this class never consults.  ``engine`` is accepted so the class
+    can stand in for :class:`Simulator` where a caller passes one; it may
+    only name the shell.
+    """
+
+    def __init__(self, netlist, engine=None, **kwargs):
+        assert engine in (None, "worklist"), engine
+        super().__init__(netlist, engine="worklist", **kwargs)
+
+    def _fixpoint(self):
+        for channel in self._channels:
+            channel.clear_cycle()
+        log = self._log
+        while True:
+            log.clear()
+            for node in self._nodes:
+                node.comb()
+            if not log:
+                break
+        self._check_resolved()

@@ -181,13 +181,12 @@ class TestProtocolVerdicts:
             self._age = 0
 
         def comb(self):
-            changed = self.drive("o", "vp", self._age < 2)
+            self.drive("o", "vp", self._age < 2)
             if self._age < 2:
-                changed |= self.drive("o", "data", 7)
-            changed |= self.drive("o", "sm", False)
-            changed |= self.drive("i", "sp", True)
-            changed |= self.drive("i", "vm", False)
-            return changed
+                self.drive("o", "data", 7)
+            self.drive("o", "sm", False)
+            self.drive("i", "sp", True)
+            self.drive("i", "vm", False)
 
         def tick(self):
             self._age += 1
@@ -274,7 +273,7 @@ class TestSweepLaneBatching:
         from repro.perf.sweep import run_sweep
 
         with pytest.raises(ValueError, match="implies the codegen engine"):
-            run_sweep(self._spec(), engine="naive", lanes=2)
+            run_sweep(self._spec(), engine="worklist", lanes=2)
 
     def test_bad_lane_count_rejected(self):
         from repro.perf.sweep import run_sweep
@@ -325,7 +324,7 @@ class TestFallbackMidFixpointEvents:
                 self.observations.append("resolved")
             except ValueError:
                 self.observations.append("unresolved")
-            return super().comb()
+            super().comb()
 
     def _net(self, watch):
         net = Netlist("probe")

@@ -37,10 +37,13 @@ from repro.chaos import (
     unwrap,
     wrap,
 )
+from repro.chaos import verify as chaos_verify
 from repro.designs import DESIGNS, build_design, build_mc_design
 from repro.errors import ChaosError
 from repro.sim.engine import Simulator
 from repro.sim.monitors import BoundedLivenessMonitor
+
+from helpers import DenseSweepSimulator
 
 
 # -- plans -------------------------------------------------------------------
@@ -131,7 +134,13 @@ class TestWrapUnwrap:
 class TestStreamInvariance:
     @pytest.mark.parametrize("design", sorted(DESIGNS))
     @pytest.mark.parametrize("engine", [None, "naive", "codegen"])
-    def test_paper_designs_latency_insensitive(self, design, engine):
+    def test_paper_designs_latency_insensitive(self, design, engine,
+                                               monkeypatch):
+        if engine == "naive":
+            # the dense sweep, kept as the test suite's reference
+            monkeypatch.setattr(chaos_verify, "Simulator",
+                                DenseSweepSimulator)
+            engine = None
         plan = ChaosPlan.seeded(11, list(build_design(design).channels))
         report = check_stream_invariance(lambda: build_design(design), plan,
                                          cycles=100, engine=engine)

@@ -55,14 +55,15 @@ class TestCli:
         assert "FAIL" not in out
 
     def test_batch_is_not_an_engine_choice(self, capsys):
-        """There is no lane engine to select."""
-        with pytest.raises(SystemExit) as err:
-            main(["--engine", "batch", "table1"])
-        assert err.value.code == 2
-        assert "invalid choice: 'batch'" in capsys.readouterr().err
+        """There is no lane engine (nor a naive one) to select."""
+        for engine in ("batch", "naive"):
+            with pytest.raises(SystemExit) as err:
+                main(["--engine", engine, "table1"])
+            assert err.value.code == 2
+            assert f"invalid choice: '{engine}'" in capsys.readouterr().err
 
     def test_verify_lanes_reject_scalar_engine(self, capsys):
-        assert main(["--engine", "naive", "verify", "--lanes", "4"]) == 2
+        assert main(["--engine", "worklist", "verify", "--lanes", "4"]) == 2
         err = capsys.readouterr().err
         assert "--lanes 4 implies --engine codegen" in err
 
@@ -102,10 +103,10 @@ class TestCli:
         parent's set_default_engine)."""
         from repro.sim.engine import get_default_engine
 
-        assert main(["--engine", "naive", "sweep", "--grid", "fig1",
+        assert main(["--engine", "codegen", "sweep", "--grid", "fig1",
                      "--cycles", "40", "--workers", "2"]) == 0
         out = capsys.readouterr().out
-        assert "(engine=naive)" in out
+        assert "(engine=codegen)" in out
         assert get_default_engine() == "worklist"
 
     def test_explore_script(self, tmp_path, capsys):
@@ -138,19 +139,19 @@ class TestCli:
         assert "engine=worklist" in out
         assert "comb() calls" in out
 
-    def test_engine_flag_selects_naive(self, capsys):
+    def test_engine_flag_selects_codegen(self, capsys):
         from repro.sim.engine import get_default_engine
 
-        assert main(["--engine", "naive", "profile", "--cycles", "20"]) == 0
+        assert main(["--engine", "codegen", "profile", "--cycles", "20"]) == 0
         out = capsys.readouterr().out
-        assert "engine=naive" in out
-        assert "sweeps per cycle" in out
+        assert "engine=codegen" in out
+        assert "evaluations per cycle" in out
         # the flag must not leak into the process-wide default
         assert get_default_engine() == "worklist"
 
     def test_engine_flag_table1_unchanged(self, capsys):
-        """The naive engine reproduces Table 1 identically."""
-        assert main(["--engine", "naive", "table1"]) == 0
+        """The codegen engine reproduces Table 1 identically."""
+        assert main(["--engine", "codegen", "table1"]) == 0
         out = capsys.readouterr().out
         assert "A - C - E F F" in " ".join(out.split())
         assert "mispredictions=2" in out

@@ -162,13 +162,12 @@ class TestProtocolViolationParity:
             self._age = 0
 
         def comb(self):
-            changed = self.drive("o", "vp", self._age < 2)
+            self.drive("o", "vp", self._age < 2)
             if self._age < 2:
-                changed |= self.drive("o", "data", 7)
-            changed |= self.drive("o", "sm", False)
-            changed |= self.drive("i", "sp", True)
-            changed |= self.drive("i", "vm", False)
-            return changed
+                self.drive("o", "data", 7)
+            self.drive("o", "sm", False)
+            self.drive("i", "sp", True)
+            self.drive("i", "vm", False)
 
         def tick(self):
             self._age += 1
@@ -544,7 +543,6 @@ class TestResidueWorklist:
             sim.run(200)
             reports[engine] = sim.profile_report()
         codegen, worklist = reports["codegen"], reports["worklist"]
-        assert codegen.sweeps_per_cycle == [1] * 200
         assert codegen.total_comb_calls <= worklist.total_comb_calls
         assert sum(codegen.evals_per_cycle) == codegen.total_comb_calls
 

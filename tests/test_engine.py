@@ -174,22 +174,29 @@ class TestEngineSelection:
         return net
 
     def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError):
-            Simulator(self._pipeline(), engine="magic")
+        for engine in ("magic", "naive"):
+            with pytest.raises(ValueError):
+                Simulator(self._pipeline(), engine=engine)
+
+    def test_max_iterations_option_removed(self):
+        """The fix-point needs no sweep bound: it ends when the change log
+        stays empty."""
+        with pytest.raises(TypeError):
+            Simulator(self._pipeline(), max_iterations=3)
 
     def test_default_engine_switchable(self):
         from repro.sim.engine import get_default_engine, set_default_engine
 
         assert get_default_engine() == "worklist"
-        set_default_engine("naive")
+        set_default_engine("codegen")
         try:
-            assert Simulator(self._pipeline()).engine == "naive"
+            assert Simulator(self._pipeline()).engine == "codegen"
             with pytest.raises(ValueError):
                 set_default_engine("magic")
         finally:
             set_default_engine("worklist")
 
-    @pytest.mark.parametrize("engine", ["worklist", "naive"])
+    @pytest.mark.parametrize("engine", ["worklist", "codegen"])
     def test_both_engines_simulate(self, engine):
         net = self._pipeline()
         sim = Simulator(net, engine=engine).run(10)
@@ -202,7 +209,7 @@ class TestEngineSelection:
         instead of silently missing change events."""
         net = self._pipeline()
         stale = Simulator(net)
-        Simulator(net, engine="naive")
+        Simulator(net, engine="codegen")
         with pytest.raises(RuntimeError, match="newer Simulator"):
             stale.step()
 
@@ -239,7 +246,7 @@ class TestEventCache:
 
 
 class TestProfiling:
-    @pytest.mark.parametrize("engine", ["worklist", "naive"])
+    @pytest.mark.parametrize("engine", ["worklist", "codegen"])
     def test_profile_counts(self, engine):
         from repro.sim.profile import format_profile, profile_run
 
@@ -259,8 +266,7 @@ class TestProfiling:
 
     def test_worklist_evaluates_each_node_once_on_registered_pipeline(self):
         """Levelization at work: an all-registered pipeline needs exactly
-        one evaluation per node per cycle (the naive engine needs two full
-        sweeps to detect quiescence)."""
+        one evaluation per node per cycle."""
         from repro.sim.profile import profile_run
 
         net = Netlist("p")
@@ -271,8 +277,6 @@ class TestProfiling:
         net.connect("eb.o", "snk.i", name="out")
         report = profile_run(net, cycles=10, engine="worklist")
         assert report.total_comb_calls == 3 * 10
-        naive = profile_run(net, cycles=10, engine="naive")
-        assert naive.total_comb_calls == 2 * 3 * 10
 
     def test_profile_requires_flag(self):
         net = Netlist("p")
@@ -291,7 +295,7 @@ class TestOwnershipGuard:
     simulator of any engine refuses to step once a newer simulator owns
     its netlist."""
 
-    ENGINES = ("worklist", "naive", "codegen")
+    ENGINES = ("worklist", "codegen")
 
     def _pipeline(self):
         net = Netlist("p")
@@ -316,33 +320,6 @@ class TestOwnershipGuard:
         # the newer owner was not disturbed by the refused step
         fresh.run(10)
         assert sink_values(net) == [1, 2, 3]
-
-
-class TestMaxIterationsValidation:
-    def _pipeline(self):
-        net = Netlist("p")
-        net.add(ListSource("src", [1]))
-        net.add(Sink("snk"))
-        net.connect("src.o", "snk.i", name="out")
-        return net
-
-    def test_zero_rejected(self):
-        """Regression: ``max_iterations=0`` used to be silently replaced by
-        the default through ``max_iterations or (...)``."""
-        with pytest.raises(ValueError, match="max_iterations"):
-            Simulator(self._pipeline(), max_iterations=0)
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError, match="max_iterations"):
-            Simulator(self._pipeline(), engine="naive", max_iterations=-3)
-
-    def test_explicit_value_kept(self):
-        sim = Simulator(self._pipeline(), engine="naive", max_iterations=1)
-        assert sim.max_iterations == 1
-
-    def test_default_when_none(self):
-        net = self._pipeline()
-        assert Simulator(net).max_iterations == len(net.nodes) + 2
 
 
 class TestEventsMidFixpoint:

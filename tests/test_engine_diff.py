@@ -1,21 +1,24 @@
 """Differential testing of the fix-point engines.
 
-The event-driven worklist engine and the dense-sweep naive engine must be
-*behaviourally identical*: same transfer streams, same per-channel
-statistics, same protocol verdicts, same combinational-loop diagnostics,
-same model-checking state graphs.  These tests fuzz random netlists (the
-:mod:`test_fuzz` generators plus canned paper designs) and compare the two
-engines run for run; the loop diagnoses and state graphs are also pinned
-on every other engine.
+The event-driven worklist engine and the dense-sweep reference
+(:class:`helpers.DenseSweepSimulator`) must be *behaviourally identical*:
+same transfer streams, same per-channel statistics, same protocol
+verdicts, same combinational-loop diagnostics, same model-checking state
+graphs.  These tests fuzz random netlists (the :mod:`test_fuzz`
+generators plus canned paper designs) and compare the two run for run;
+the loop diagnoses and state graphs are also pinned on every other
+engine.
 """
 
 import random
+from functools import partial
 
 import pytest
 
+from repro.designs import build_design
 from repro.elastic.buffers import ElasticBuffer
 from repro.elastic.eemux import EarlyEvalMux
-from repro.elastic.environment import NondetSink, NondetSource
+from repro.elastic.environment import NondetSink, NondetSource, Sink
 from repro.elastic.fork import EagerFork
 from repro.elastic.functional import Func
 from repro.errors import CombinationalLoopError
@@ -23,12 +26,18 @@ from repro.netlist import patterns
 from repro.netlist.graph import Netlist
 from repro.sim.engine import ENGINES, Simulator
 from repro.sim.stats import TransferLog
+from repro.verif import explore
 from repro.verif.explore import StateExplorer
 
+from helpers import DenseSweepSimulator
 from test_fuzz import build_pipeline
 
 #: number of random pipelines in the fuzz sweep (acceptance floor: 50).
 N_RANDOM_NETLISTS = 60
+
+#: every engine plus the dense-sweep reference, by name.
+SIMULATORS = {engine: partial(Simulator, engine=engine) for engine in ENGINES}
+SIMULATORS["dense"] = DenseSweepSimulator
 
 
 def _stats_dict(sim):
@@ -43,25 +52,26 @@ def _stats_dict(sim):
     }
 
 
-def _run_one(make_net, engine, cycles):
+def _run_one(make_net, simulator, cycles):
     net = make_net()
     log = TransferLog(list(net.channels))
-    sim = Simulator(net, engine=engine, observers=[log])
+    sim = SIMULATORS[simulator](net, observers=[log])
     sim.run(cycles)
     streams = {name: log.streams[name] for name in net.channels}
     return net, _stats_dict(sim), streams
 
 
 def assert_engines_identical(make_net, cycles=250, sink="snk"):
-    """Run ``make_net()`` once per engine and compare everything observable:
-    transfer streams (values *and* cycles) of every channel, the full
-    per-channel statistics, and the sink's received stream."""
+    """Run ``make_net()`` on the worklist engine and on the dense-sweep
+    reference and compare everything observable: transfer streams (values
+    *and* cycles) of every channel, the full per-channel statistics, and
+    the sink's received stream."""
     net_w, stats_w, streams_w = _run_one(make_net, "worklist", cycles)
-    net_n, stats_n, streams_n = _run_one(make_net, "naive", cycles)
-    assert streams_w == streams_n
-    assert stats_w == stats_n
+    net_d, stats_d, streams_d = _run_one(make_net, "dense", cycles)
+    assert streams_w == streams_d
+    assert stats_w == stats_d
     if sink is not None and sink in net_w.nodes:
-        assert net_w.nodes[sink].values == net_n.nodes[sink].values
+        assert net_w.nodes[sink].values == net_d.nodes[sink].values
 
 
 def _random_pipeline_params(seed):
@@ -138,15 +148,15 @@ class TestLoopDiagnostics:
         return net
 
     def test_same_unresolved_signals(self):
-        """Both engines must flag the same combinational loop with the same
-        unresolved-signal diagnosis."""
+        """Every engine and the reference must flag the same combinational
+        loop with the same unresolved-signal diagnosis."""
         diagnoses = {}
-        for engine in ENGINES:
-            sim = Simulator(self._loop_net(), engine=engine)
+        for engine, simulator in SIMULATORS.items():
+            sim = simulator(self._loop_net())
             with pytest.raises(CombinationalLoopError) as err:
                 sim.step()
             diagnoses[engine] = (sorted(err.value.unresolved), err.value.cycle)
-        assert diagnoses["worklist"] == diagnoses["naive"]
+        assert diagnoses["worklist"] == diagnoses["dense"]
         for engine, diagnosis in diagnoses.items():
             assert diagnosis == diagnoses["worklist"], engine
 
@@ -170,12 +180,12 @@ class TestLoopDiagnostics:
             return net
 
         diagnoses = {}
-        for engine in ENGINES:
-            sim = Simulator(make_net(), engine=engine)
+        for engine, simulator in SIMULATORS.items():
+            sim = simulator(make_net())
             with pytest.raises(CombinationalLoopError) as err:
                 sim.step()
             diagnoses[engine] = sorted(err.value.unresolved)
-        assert diagnoses["worklist"] == diagnoses["naive"]
+        assert diagnoses["worklist"] == diagnoses["dense"]
         for engine, diagnosis in diagnoses.items():
             assert diagnosis == diagnoses["worklist"], engine
 
@@ -203,8 +213,26 @@ class TestChaosSaboteurs:
         assert_engines_identical(make, cycles=400)
 
 
+def _explore_everywhere(make, max_states, monkeypatch):
+    """Explore ``make()`` on every engine and, with the explorer's
+    simulator swapped for the dense-sweep reference, on that too."""
+    def summary(result):
+        return (result.n_states, len(result.transitions),
+                sorted(result.violations), result.complete)
+
+    results = {}
+    for engine in ENGINES:
+        results[engine] = summary(StateExplorer(
+            make(), max_states=max_states, engine=engine).explore())
+    with monkeypatch.context() as patch:
+        patch.setattr(explore, "Simulator", DenseSweepSimulator)
+        results["dense"] = summary(StateExplorer(
+            make(), max_states=max_states).explore())
+    return results
+
+
 class TestModelChecking:
-    def test_explorer_state_graphs_match(self):
+    def test_explorer_state_graphs_match(self, monkeypatch):
         """The explicit-state explorer must enumerate the same reachable
         state space through either engine."""
 
@@ -217,33 +245,64 @@ class TestModelChecking:
             net.connect("eb.o", "snk.i", name="out")
             return net
 
-        results = {}
-        for engine in ENGINES:
-            result = StateExplorer(make(), max_states=5000,
-                                   engine=engine).explore()
-            results[engine] = (
-                result.n_states,
-                len(result.transitions),
-                sorted(result.violations),
-                result.complete,
-            )
-        assert results["worklist"] == results["naive"]
+        results = _explore_everywhere(make, 5000, monkeypatch)
+        assert results["worklist"] == results["dense"]
         for engine, result in results.items():
             assert result == results["worklist"], engine
 
-    def test_explorer_speculative_composition_matches(self):
+    def test_explorer_speculative_composition_matches(self, monkeypatch):
         """Shared module + EE mux under the toggle scheduler — the paper's
         Section 4.2 composition — explores identically on both engines."""
         from test_verif import shared_mux_mc_net
         from repro.core.scheduler import ToggleScheduler
 
-        results = {}
-        for engine in ENGINES:
-            net = shared_mux_mc_net(ToggleScheduler(2))
-            result = StateExplorer(net, max_states=30000,
-                                   engine=engine).explore()
-            results[engine] = (result.n_states, len(result.transitions),
-                               sorted(result.violations), result.complete)
-        assert results["worklist"] == results["naive"]
+        results = _explore_everywhere(
+            lambda: shared_mux_mc_net(ToggleScheduler(2)), 30000, monkeypatch)
+        assert results["worklist"] == results["dense"]
         for engine, result in results.items():
             assert result == results["worklist"], engine
+
+
+def _sink_values(net):
+    return {name: node.values for name, node in net.nodes.items()
+            if isinstance(node, Sink)}
+
+
+def _combs_return_none(net):
+    """Give every node a ``comb()`` that drives the same signals and
+    returns None, through a per-node subclass (so codegen defers the node
+    to its residue and calls the wrapper, like the interpreted engines)."""
+    for node in net.nodes.values():
+        base = type(node)
+
+        def comb(self, _base=base):
+            _base.comb(self)
+
+        node.__class__ = type(base.__name__, (base,), {"comb": comb})
+    return net
+
+
+class TestProgressSignal:
+    """The channels' change log is the only fix-point progress signal:
+    ``comb()`` return values are ignored.  A fix-point that trusted them
+    would stop after one pass here and raise a false
+    :class:`CombinationalLoopError` at cycle 0."""
+
+    DESIGNS = {
+        "fig1d": lambda: patterns.fig1d(lambda g: g % 2)[0],
+        "deep_pipeline4": lambda: patterns.deep_pipeline(
+            4, source_values=list(range(80)), stall_rate=0.4),
+        "fig6b": lambda: build_design("fig6b"),
+        "fig7b": lambda: build_design("fig7b"),
+    }
+
+    @pytest.mark.parametrize("simulator", sorted(SIMULATORS))
+    @pytest.mark.parametrize("design", sorted(DESIGNS))
+    def test_none_returning_combs_match_worklist(self, design, simulator):
+        make = self.DESIGNS[design]
+        net_w, stats_w, streams_w = _run_one(make, "worklist", 200)
+        net, stats, streams = _run_one(
+            lambda: _combs_return_none(make()), simulator, 200)
+        assert streams == streams_w
+        assert stats == stats_w
+        assert _sink_values(net) == _sink_values(net_w)

@@ -10,7 +10,7 @@ from repro.elastic.functional import Func, const_block, identity_block
 from repro.netlist.graph import Netlist
 from repro.sim.engine import Simulator
 
-from helpers import run, single_node_net, sink_values
+from helpers import DenseSweepSimulator, run, single_node_net, sink_values
 
 
 def two_input_net(a_values, b_values, fn, stall_rate=0.0, kill_rate=None, seed=0):
@@ -147,7 +147,11 @@ class TestFnOncePerCycle:
         Simulator(reference).run(120)
         net = DESIGNS[design]()
         calls = self._counting(net, kind)
-        sim = Simulator(net, engine=engine)
+        if engine == "naive":
+            # the dense sweep, kept as the test suite's reference
+            sim = DenseSweepSimulator(net)
+        else:
+            sim = Simulator(net, engine=engine)
         total = 0
         for _ in range(120):
             calls.clear()

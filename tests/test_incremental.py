@@ -25,6 +25,7 @@ from repro.sim.stats import TransferLog
 from repro.transform.bubbles import insert_bubble
 from repro.transform.session import Session
 
+from helpers import DenseSweepSimulator
 from test_fuzz import build_pipeline
 
 #: random transform scripts in the fuzz sweep.
@@ -58,12 +59,12 @@ def _capture_patched(sim, netlist, cycles):
             sink.values if sink is not None else None)
 
 
-def _capture_rebuilt(netlist, cycles, engine="worklist"):
+def _capture_rebuilt(netlist, cycles, simulator=Simulator):
     """Clone the netlist and run a from-scratch simulator on the clone."""
     working = netlist.clone()
     channels = list(working.channels)
     log = TransferLog(channels)
-    sim = Simulator(working, engine=engine, observers=[log])
+    sim = simulator(working, observers=[log])
     sim.run(cycles)
     sink = working.nodes.get("snk")
     return (log.streams, _stats_dict(sim, channels),
@@ -72,8 +73,9 @@ def _capture_rebuilt(netlist, cycles, engine="worklist"):
 
 def assert_patched_equals_rebuilt(session, sim, cycles=220):
     patched = _capture_patched(sim, session.netlist, cycles)
-    for engine in ("worklist", "naive"):
-        rebuilt = _capture_rebuilt(session.netlist, cycles, engine=engine)
+    for engine, simulator in (("worklist", Simulator),
+                              ("dense", DenseSweepSimulator)):
+        rebuilt = _capture_rebuilt(session.netlist, cycles, simulator)
         assert patched[0] == rebuilt[0], f"streams diverged vs {engine}"
         assert patched[1] == rebuilt[1], f"stats diverged vs {engine}"
         assert patched[2] == rebuilt[2], f"sink values diverged vs {engine}"
@@ -313,7 +315,7 @@ class TestStaleStructureGuards:
         insert_bubble(net, "c0")
         return sim
 
-    @pytest.mark.parametrize("engine", ["worklist", "naive"])
+    @pytest.mark.parametrize("engine", ["worklist", "codegen"])
     def test_unpatched_simulator_refuses_to_step(self, engine):
         sim = self._edited(engine)
         with pytest.raises(RuntimeError, match="structurally edited"):
@@ -338,7 +340,7 @@ class TestStaleStructureGuards:
         sim.run(40)
         assert net.nodes["snk"].values == list(range(8))
 
-    @pytest.mark.parametrize("engine", ["worklist", "naive", "codegen"])
+    @pytest.mark.parametrize("engine", ["worklist", "codegen"])
     def test_superseded_follower_detaches_instead_of_stealing(self, engine):
         """A still-subscribed older simulator must not steal ownership of
         channels created after a newer simulator took over."""
@@ -358,7 +360,7 @@ class TestStaleStructureGuards:
         new.run(40)
         assert net.nodes["snk"].values == [1, 2, 3]
 
-    @pytest.mark.parametrize("engine", ["worklist", "naive", "codegen"])
+    @pytest.mark.parametrize("engine", ["worklist", "codegen"])
     def test_superseded_refresh_does_not_reclaim(self, engine):
         """The deferred post-edit refresh may run after a newer simulator
         took over (``reset`` runs it without the step guard); it must not
@@ -385,7 +387,7 @@ class TestPostEditRefresh:
         def structure_changed(self):
             self.calls += 1
 
-    @pytest.mark.parametrize("engine", ["worklist", "naive", "codegen"])
+    @pytest.mark.parametrize("engine", ["worklist", "codegen"])
     def test_followed_edit_calls_observer_hook_once(self, engine):
         """Every engine runs the same deferred post-edit refresh: one
         followed edit fires each observer's ``structure_changed`` exactly

@@ -131,9 +131,8 @@ class UndeclaredWrite(Func):
     """Drives a consumer-side signal comb_writes() does not admit to."""
 
     def comb(self):
-        changed = super().comb()
-        changed |= self.drive("o", "sp", True)
-        return changed
+        super().comb()
+        self.drive("o", "sp", True)
 
 
 def _one_func_net(cls):

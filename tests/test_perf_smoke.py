@@ -9,9 +9,11 @@ full rebuilds — using floors far enough below the recorded speedups
 noisy or slower CI hardware.  Set ``REPRO_SKIP_PERF_SMOKE=1`` to skip on
 machines where wall-clock assertions are meaningless.
 
-The ``lanes=N`` guards count work instead of timing it: a lane-width
-request must run the compiled engine, with nothing interpreted.  Its
-speed is guarded by :func:`test_codegen_beats_worklist`.
+The ``lanes=N`` and codegen guards count work instead of timing it: a
+lane-width request must run the compiled engine, with nothing
+interpreted, and the deep pipeline must compile without a residue
+(:func:`test_codegen_runs_deep_pipeline_straight_line`).  The codegen
+speedup itself is timed by ``benchmarks/bench_engine.py``.
 """
 
 import json
@@ -188,68 +190,39 @@ def test_incremental_patching_beats_rebuild():
     )
 
 
-# -- codegen engine smoke (ISSUE 9) --------------------------------------------
+# -- codegen engine guard ------------------------------------------------------
 
-#: minimum acceptable quick-measurement codegen-vs-worklist speedup on the
-#: deep pipeline (the ISSUE's acceptance bar is 5x on the recorded bench;
-#: the recorded rate is ~9.8x on the reference runner, and the quick
-#: measurement runs fewer cycles so elaboration amortizes less).
-CODEGEN_FLOOR = 3.0
-
-#: fraction of the recorded bench speedup the quick measurement must reach.
-CODEGEN_RECORDED_FRACTION = 0.45
-
-
-def _measure_codegen_speedup(cycles=300):
-    """A shrunk version of ``benchmarks/bench_engine.py``'s head-to-head:
-    the 12-stage deep pipeline, worklist vs codegen, best of 3 — with
-    bit-identity of the sink streams asserted."""
-    import time
-
+def test_codegen_runs_deep_pipeline_straight_line():
+    """The 12-stage deep pipeline, the design behind the recorded
+    ``codegen_speedup.pipeline12`` of ``benchmarks/bench_engine.py``,
+    compiles without a residue: no deferred node, no interpreted
+    ``comb()`` call in a profiled codegen run (every node is evaluated
+    once per cycle, straight-line), and the worklist engine's sink stream.
+    Counters, not wall clock, so the guard is deterministic; the timing
+    stays in the bench."""
+    from repro.backend import pysim
     from repro.netlist import patterns
     from repro.sim.engine import Simulator
 
-    def rate(engine):
-        best = float("inf")
-        sink_values = None
-        for _ in range(3):
-            net = patterns.deep_pipeline(12, source_values=list(range(cycles)))
-            sim = Simulator(net, engine=engine)
-            start = time.perf_counter()
-            sim.run(cycles)
-            best = min(best, time.perf_counter() - start)
-            sink_values = net.nodes["snk"].values
-        return cycles / best, sink_values
+    cycles = 300
 
-    worklist_rate, worklist_sink = rate("worklist")
-    codegen_rate, codegen_sink = rate("codegen")
-    # Correctness first — a fast wrong answer is not a speedup.
-    assert codegen_sink == worklist_sink
-    return codegen_rate / worklist_rate
+    def design():
+        return patterns.deep_pipeline(12, source_values=list(range(cycles)))
 
-
-@pytest.mark.skipif(
-    os.environ.get("REPRO_SKIP_PERF_SMOKE") == "1",
-    reason="perf smoke disabled via REPRO_SKIP_PERF_SMOKE",
-)
-def test_codegen_beats_worklist():
-    threshold = CODEGEN_FLOOR
-    recorded = _recorded(
-        os.path.join(_RESULTS_DIR, "BENCH_engine.json"),
-        "codegen_speedup", "pipeline12",
-    )
-    if recorded is not None and recorded >= 5.0:
-        threshold = max(threshold, CODEGEN_RECORDED_FRACTION * recorded)
-    speedup = _measure_codegen_speedup()
-    if speedup < threshold:
-        # One retry damps scheduler-noise flakes on loaded runners; a real
-        # regression (e.g. elaboration silently demoting the whole pipeline
-        # to the deferred fix-point loop) fails both measurements.
-        speedup = max(speedup, _measure_codegen_speedup())
-    assert speedup >= threshold, (
-        f"codegen engine speedup regressed: measured {speedup:.2f}x, "
-        f"required {threshold:.2f}x (recorded benchmark: {recorded})"
-    )
+    assert pysim._build_plan(design()).deferred == []
+    net = design()
+    calls = []
+    for node in net.nodes.values():
+        def counted(_comb=node.comb):
+            calls.append(1)
+            _comb()
+        node.comb = counted
+    sim = Simulator(net, engine="codegen", profile=True).run(cycles)
+    assert calls == []
+    assert sim.profile_report().evals_per_cycle == [len(net.nodes)] * cycles
+    reference = design()
+    Simulator(reference, engine="worklist").run(cycles)
+    assert net.nodes["snk"].values == reference.nodes["snk"].values
 
 
 # -- serve result-cache smoke (ISSUE 8) ----------------------------------------

@@ -142,7 +142,7 @@ class TestJobIdentity:
             dict(MEASURE_SPEC, cycles=201)))
         assert base != job_key(validate_job(
             dict(MEASURE_SPEC, design="fig1d")))
-        assert base != job_key(validate_job(MEASURE_SPEC), engine="naive")
+        assert base != job_key(validate_job(MEASURE_SPEC), engine="codegen")
         assert base != job_key(validate_job(dict(MEASURE_SPEC, seed=1)))
 
     def test_key_binds_the_built_design_not_just_its_name(self, monkeypatch):

@@ -58,9 +58,10 @@ class TestSpecExpansion:
             SweepSpec(name="s", factory=fig6_point)
 
     def test_bad_engine_rejected(self):
-        with pytest.raises(ValueError):
-            SweepSpec(name="s", factory=fig6_point, grid={"seed": (1,)},
-                      engine="turbo")
+        for engine in ("turbo", "naive"):
+            with pytest.raises(ValueError):
+                SweepSpec(name="s", factory=fig6_point, grid={"seed": (1,)},
+                          engine=engine)
 
     def test_presets_expand(self):
         for name, build in PRESET_SWEEPS.items():
@@ -118,10 +119,10 @@ class TestSerialSweep:
     def test_spec_engine_used_serially(self):
         spec = SweepSpec(name="s", factory=fig6_point,
                          points=[{"design": "stalling"}], channel="out",
-                         cycles=20, warmup=0, engine="naive")
+                         cycles=20, warmup=0, engine="codegen")
         result = run_sweep(spec)
-        assert result.engine == "naive"
-        assert result.rows[0]["engine"] == "naive"
+        assert result.engine == "codegen"
+        assert result.rows[0]["engine"] == "codegen"
         assert get_default_engine() == "worklist"
 
 
@@ -148,7 +149,7 @@ class TestShardedSweep:
         from the built-in default, so the parent's choice must travel in
         the payload, not via process-global state."""
         spec = fig6_spec(fracs=(0.0,), windows=(3,), cycles=40)
-        result = run_sweep(spec, n_workers=2, engine="naive")
-        assert {row["engine"] for row in result.rows} == {"naive"}
+        result = run_sweep(spec, n_workers=2, engine="codegen")
+        assert {row["engine"] for row in result.rows} == {"codegen"}
         # the parent's process-wide default is untouched
         assert get_default_engine() == "worklist"
