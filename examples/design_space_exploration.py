@@ -34,9 +34,9 @@ def explore():
     print("=== scripted exploration of the Figure 1 loop ===")
     net, names = patterns.fig1a(lambda g: (g // 2) % 2)
     session = Session(net)
-    # One warm simulator for the whole loop: every transformation (and
-    # undo) below patches it incrementally through the netlist edit log —
-    # no per-measurement clone or rebuild (PR 4).
+    # One warm simulator for the whole loop: it follows every
+    # transformation (and undo) below through the netlist edit log — no
+    # per-measurement clone or rebuild (PR 4).
     session.simulator()
 
     def report(tag):

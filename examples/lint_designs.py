@@ -6,7 +6,7 @@ Three acts:
 1. lint a healthy design (the Table 1 speculative loop) — clean bill;
 2. break it three ways — a zero-bubble ring, speculation with no kill
    point, a mis-wired width — and show each diagnostic with its fix hint;
-3. audit the sensitivity declarations (``comb_reads``/``comb_writes``)
+3. audit the sensitivity declarations (``comb_reads`` and port-role drives)
    that every engine optimization silently trusts, catching a node that
    lies about what it reads.
 

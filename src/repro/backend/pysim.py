@@ -58,7 +58,7 @@ Caching and staleness
 Generated modules are ``exec``-compiled once per topology and cached
 process-wide, keyed by the netlist **content signature** (node names,
 classes, ports, declared sensitivities, channel wiring — see
-:func:`repro.sim.batch.topology_signature`) plus the
+:func:`repro.sim.sensitivity.topology_signature`) plus the
 elaboration flags (``check_protocol``, ``profile``).  Numeric parameters
 that only affect sequential behaviour (capacities, rates, seeds, datapath
 functions) are deliberately *not* baked in — they are read from the node
@@ -101,14 +101,9 @@ from functools import partial
 from repro.core.shared import SharedModule
 from repro.elastic.buffers import ElasticBuffer, ZeroBackwardLatencyBuffer
 from repro.elastic.channel import (
-    CONSUMER,
     EV_BACKWARD,
     EV_CANCEL,
     EV_IDLE,
-    N_SIGNALS,
-    PRODUCER,
-    SIG_INDEX,
-    SIGNALS_BY_ROLE,
     ChannelEvents,
 )
 from repro.elastic.eemux import EarlyEvalMux
@@ -125,8 +120,8 @@ from repro.elastic.functional import Func
 from repro.elastic.node import Node
 from repro.elastic.varlat import VariableLatencyUnit
 from repro.errors import SchedulerError
-from repro.netlist.graphalg import levelize
 from repro.sim.monitors import ProtocolMonitor
+from repro.sim.sensitivity import sensitivity, topology_signature
 
 __all__ = [
     "CodegenBackend",
@@ -796,8 +791,8 @@ class _Plan:
     """Structural classification of one netlist for code generation."""
 
     __slots__ = (
-        "nodes", "channels", "chan_idx", "port_channel", "writer",
-        "bound_ok", "task_order", "fast", "deferred", "readers", "boxed",
+        "nodes", "channels", "chan_idx", "port_channel", "bound_ok",
+        "task_order", "fast", "deferred", "readers", "boxed",
         "pre_cycles", "choosers", "ticks",
     )
 
@@ -824,17 +819,6 @@ def _build_plan(netlist):
                 continue
             port_channel[(node.name, port)] = chan_idx[ch.name]
         bound_ok.append(ok)
-
-    # Role writer of every (channel, signal): the producer node drives
-    # vp/sm/data, the consumer drives sp/vm — drive() permits nothing else.
-    writer = plan.writer = {}
-    for ci, ch in enumerate(channels):
-        if ch.producer is not None and ch.producer[0] in node_idx:
-            for sig in SIGNALS_BY_ROLE[PRODUCER]:
-                writer[(ci, sig)] = node_idx[ch.producer[0]]
-        if ch.consumer is not None and ch.consumer[0] in node_idx:
-            for sig in SIGNALS_BY_ROLE[CONSUMER]:
-                writer[(ci, sig)] = node_idx[ch.consumer[0]]
 
     # Signal-task scheduling.  Tasks of nodes with emitters are wired by
     # (channel, signal) and topologically sorted; a node any of whose tasks
@@ -891,35 +875,18 @@ def _build_plan(netlist):
     plan.task_order = task_order
     plan.fast = [ni for ni in range(len(nodes)) if ni not in demoted]
 
-    # Deferred nodes run in the levelized order of the node-level read
-    # graph (cyclic regions seeded in declaration order by the Kahn scan
-    # fallback), like the worklist engine's seed pass.
-    succ = [set() for _ in nodes]
-    for ni, node in enumerate(nodes):
-        if not bound_ok[ni]:
-            continue
-        for port, sig in node.comb_reads():
-            ci = port_channel.get((node.name, port))
-            if ci is None:
-                continue
-            wi = writer.get((ci, sig))
-            if wi is not None and wi != ni:
-                succ[wi].add(ni)
-    order = levelize(range(len(nodes)), succ)
+    # Deferred nodes run in the worklist engine's seed order, and the
+    # residue's reader table is the worklist's, both restricted to the
+    # deferred nodes: signal ids are the ChannelState ``base`` numbering
+    # of the owning simulator (channel slot * N_SIGNALS), reader entries
+    # name positions in plan.deferred.
+    all_readers, order = sensitivity(nodes, channels)
     plan.deferred = [ni for ni in order if ni in demoted]
-
-    # The residue's sensitivity table: every deferred node's comb_reads()
-    # inverted over global signal ids (the ChannelState ``base`` the
-    # owning simulator assigns: channel slot * N_SIGNALS), naming
-    # positions in plan.deferred.
-    readers = [[] for _ in range(N_SIGNALS * len(channels))]
-    for k, ni in enumerate(plan.deferred):
-        node = nodes[ni]
-        for port, sig in node.comb_reads():
-            ci = port_channel.get((node.name, port))
-            if ci is not None:
-                readers[ci * N_SIGNALS + SIG_INDEX[sig]].append(k)
-    plan.readers = tuple(tuple(r) for r in readers)
+    position = {ni: k for k, ni in enumerate(plan.deferred)}
+    plan.readers = tuple(
+        tuple(position[ni] for ni in readers if ni in position)
+        for readers in all_readers
+    )
 
     # A channel adjacent to any deferred (or missing) endpoint stays boxed
     # in its ChannelState; all other channels become flat locals.
@@ -1284,8 +1251,6 @@ _CACHE_STATS = {"hits": 0, "misses": 0}
 
 
 def _module_key(netlist, check_protocol, profile):
-    from repro.sim.batch import topology_signature
-
     return (topology_signature(netlist), bool(check_protocol), bool(profile))
 
 
@@ -1358,15 +1323,6 @@ class CodegenBackend:
         (compiling it on a cache miss); returns the new :attr:`cycle_fn`."""
         sim = self.sim
         module = _module_for(sim.netlist, sim.monitor is not None, sim.profile)
-        # Number the signal ids the residue's reader table is indexed by.
-        # Channel logs are claimed by the simulator alone (construction and
-        # followed connects, after its ownership probe); a channel a newer
-        # simulator owns keeps that simulator's numbering.
-        log = sim._log
-        for slot, channel in enumerate(sim._channels):
-            state = channel.state
-            if state.log is log:
-                state.base = slot * N_SIGNALS
         env = {
             "nodes": sim._nodes,
             "channels": sim._channels,
@@ -1377,7 +1333,7 @@ class CodegenBackend:
             "diagnose": sim._check_resolved,
             "diagnose_unknown": self.diagnose_unknown,
             "SchedulerError": SchedulerError,
-            "log": log,
+            "log": sim._log,
             "EV_IDLE": EV_IDLE,
             "EV_CANCEL": EV_CANCEL,
             "EV_BACKWARD": EV_BACKWARD,

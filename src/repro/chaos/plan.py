@@ -7,7 +7,7 @@ channel and the fault is a saboteur node spliced into it.
 
 :func:`wrap` inserts the saboteurs through the PR 4 edit log — every
 mutation is an ordinary :class:`~repro.netlist.edits.NetlistEdit`, so a
-warm ``follow_edits`` simulator patches its structures instead of being
+warm ``follow_edits`` simulator follows them instead of being
 rebuilt, and :func:`unwrap` restores the original design exactly by
 replaying the recorded edits' inverses in reverse order.
 """
@@ -154,7 +154,7 @@ def wrap(netlist, plan, nondet=False):
 
 def unwrap(handle):
     """Undo :func:`wrap` exactly: replay the recorded edits' inverses in
-    reverse order through the edit log (warm simulators patch again)."""
+    reverse order through the edit log (warm simulators follow them too)."""
     netlist = handle.netlist
     for name in handle.saboteurs:
         if name not in netlist.nodes:

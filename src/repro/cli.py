@@ -355,6 +355,11 @@ def _cmd_explore(args):
         with open(args.script) as fh:
             text = fh.read()
     print(f"design={args.design} (netlist version {session.netlist.version})")
+    if args.measure:
+        # One warm simulator for the whole loop: it follows every edit,
+        # and each measurement resets and runs it in place.
+        session.simulator()
+    followed_from = session.netlist.version
     for number, line in enumerate(text.splitlines(), start=1):
         command = line.split("#", 1)[0].strip()
         if not command:
@@ -370,18 +375,14 @@ def _cmd_explore(args):
             return 1
         row = f"  {command:<44}"
         if args.measure:
-            # One warm simulator for the whole loop: each measurement
-            # resets and runs in place, patched incrementally per edit.
             measured = session.measure(args.measure, cycles=args.cycles,
                                        warmup=args.warmup)
             row += f" theta={measured.throughput:.4f}"
         print(row)
-    simulator = session._sim
-    if simulator is not None and simulator._smap is not None:
-        smap = simulator._smap
+    if session._sim is not None:
         print(f"\n{len(session.log)} steps, netlist version "
-              f"{session.netlist.version}: {smap.patched_edits} edits "
-              f"patched, {smap.full_relevels} full re-levelizations, "
+              f"{session.netlist.version}: "
+              f"{session.netlist.version - followed_from} edits followed, "
               f"0 simulator rebuilds")
     else:
         print(f"\n{len(session.log)} steps, netlist version "
@@ -809,7 +810,7 @@ def build_parser():
     p = sub.add_parser(
         "explore",
         help="run a transform script against a canned design with one "
-             "warm, incrementally patched simulator",
+             "warm simulator that follows every edit",
     )
     p.add_argument("script",
                    help="transform command script (one command per line, "

@@ -123,22 +123,6 @@ class Node:
                 reads.append((port, sig))
         return reads
 
-    def comb_writes(self):
-        """``(port, signal)`` pairs :meth:`comb` may *drive*.
-
-        Derived from port roles: a consumer port drives ``sp``/``vm``, a
-        producer port drives ``vp``/``sm``/``data``.  This is exactly what
-        :meth:`drive` permits, so there is rarely a reason to override it.
-        """
-        writes = []
-        for port in self.in_ports:
-            for sig in SIGNALS_BY_ROLE[CONSUMER]:
-                writes.append((port, sig))
-        for port in self.out_ports:
-            for sig in SIGNALS_BY_ROLE[PRODUCER]:
-                writes.append((port, sig))
-        return writes
-
     # -- simulation interface -------------------------------------------------
 
     def reset(self):
@@ -153,8 +137,10 @@ class Node:
 
     def comb(self):
         """Drive combinational outputs (monotone, Kleene) through
-        :meth:`drive`.  Returns nothing: fix-point progress is seen through
-        the change log, not reported by the node."""
+        :meth:`drive`, only the signals the port roles permit: the engines
+        take every signal's writer from port roles (``lint`` rule E111
+        flags any other drive).  Returns nothing: fix-point progress is
+        seen through the change log, not reported by the node."""
 
     def tick(self):
         """Clock edge: update sequential state from resolved channels."""

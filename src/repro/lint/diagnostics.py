@@ -47,8 +47,8 @@ CODES = {
              "route the shared-module output to an early-evaluation mux data input (or a killing sink) so mispredicted tokens can be cancelled"),
     "E110": ("comb() read a channel signal outside comb_reads()",
              "declare the (port, signal) pair in comb_reads() — the worklist engine will otherwise miss wakeups"),
-    "E111": ("comb() drove a channel signal outside comb_writes()",
-             "declare the (port, signal) pair in comb_writes() — codegen and incremental patching trust it"),
+    "E111": ("comb() drove a channel signal outside its port role",
+             "drive only what the port role permits (producer: vp/sm/data, consumer: sp/vm) — every engine takes each signal's writer from port roles"),
     "W201": ("token-free cycle: no token can ever circulate",
              "initialize a token on the loop (eb init) or feed it through an early-evaluation mux"),
     "W202": ("dead node: unreachable from any token origin",

@@ -523,8 +523,7 @@ def rule_sensitivity(netlist):
             diags.append(Diagnostic(
                 code="E111",
                 message=(f"{audit.kind} {audit.node}: comb() drove "
-                         f"{port}.{signal} but comb_writes() does not "
-                         f"declare it"),
+                         f"{port}.{signal}, outside its port role"),
                 node=audit.node))
     return diags
 

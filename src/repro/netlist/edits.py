@@ -9,9 +9,10 @@ transform-simulate-measure loop incremental:
 
 * :class:`~repro.transform.session.Session` keeps its undo/redo history as
   inverse-edit lists (O(edit) per transform instead of O(netlist) clones);
-* a live :class:`~repro.sim.engine.Simulator` subscribes and patches its
-  :class:`~repro.sim.sensitivity.SensitivityMap` per edit instead of being
-  rebuilt from scratch after every transformation.
+* a live :class:`~repro.sim.engine.Simulator` subscribes, claims each
+  connected channel and re-derives its structures once before the next
+  step, instead of being rebuilt from a netlist clone after every
+  transformation.
 
 Each edit knows its :meth:`inverse` and can :meth:`apply` itself to a
 netlist (replaying through the public mutators, so subscribers observe the

@@ -13,8 +13,8 @@ Every structural mutation (:meth:`add`, :meth:`remove`, :meth:`connect`,
 counter and emits a structured :class:`~repro.netlist.edits.NetlistEdit`
 (with a computable inverse) to every registered subscriber
 (:meth:`subscribe`).  The transformation session records these edits as its
-undo/redo history, and a live simulator patches its sensitivity tables from
-them instead of being rebuilt per transform — see
+undo/redo history, and a live simulator follows them instead of being
+rebuilt from a clone per transform — see
 :mod:`repro.netlist.edits`.
 
 State-copy semantics (three distinct tools):

@@ -50,7 +50,7 @@ def measure_throughput(netlist, channel, cycles=2000, warmup=100,
     ``reuse_simulator`` is the warm-loop mode for transform-simulate-
     measure exploration: pass a live :class:`Simulator` that owns
     ``netlist`` (typically :meth:`Session.simulator`, kept current across
-    transformations by incremental edit patching) and the measurement
+    transformations by following the edit log) and the measurement
     resets it and runs *in place* — no netlist clone, no simulator
     rebuild.  The netlist's sequential state is reset exactly as a fresh
     construction would, so the measured figures match the rebuild path

@@ -7,9 +7,8 @@ from repro.sim.engine import (
     get_default_engine,
     set_default_engine,
 )
-from repro.sim.batch import topology_signature
 from repro.sim.monitors import ProtocolMonitor
-from repro.sim.sensitivity import SensitivityMap
+from repro.sim.sensitivity import topology_signature
 from repro.sim.trace import TraceRecorder, format_trace_table
 from repro.sim.stats import ChannelStats
 from repro.sim.profile import ProfileReport, format_profile, profile_run
@@ -17,7 +16,6 @@ from repro.sim.profile import ProfileReport, format_profile, profile_run
 __all__ = [
     "ENGINES",
     "Simulator",
-    "SensitivityMap",
     "topology_signature",
     "get_default_engine",
     "set_default_engine",

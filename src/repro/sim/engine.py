@@ -26,15 +26,13 @@ structural-version and ownership guards, the deferred post-edit refresh,
 aggregation — is owned once by :class:`Simulator`.
 
 ``worklist`` (default) — event-driven evaluation over a **static
-sensitivity map** (a patchable
-:class:`~repro.sim.sensitivity.SensitivityMap` since PR 4, so structural
-netlist edits update a live simulator in place — see `Incremental
-patching` on :class:`Simulator`).  At construction the engine asks every
-node which
+sensitivity map** (:func:`~repro.sim.sensitivity.sensitivity`, computed at
+construction and again at every structure refresh after edits — see
+`Edit following` on :class:`Simulator`).  The engine asks every node which
 channel signals its ``comb`` may read (:meth:`Node.comb_reads`, derived
-from port roles with per-node narrowing) and which it may drive
-(:meth:`Node.comb_writes`), and inverts the read sets into
-signal -> dependent-node lists.  Every ``unknown -> known`` signal
+from port roles with per-node narrowing) and inverts the read sets into
+signal -> dependent-node lists; what a node may drive follows from its
+port roles.  Every ``unknown -> known`` signal
 transition inside :meth:`ChannelState.set` is appended to a shared change
 log, so after evaluating a node the engine enqueues exactly the nodes
 sensitive to what actually changed.
@@ -87,10 +85,12 @@ from __future__ import annotations
 
 from collections import deque
 
+from repro.elastic.channel import N_SIGNALS
 from repro.elastic.node import Node
 from repro.errors import CombinationalLoopError
+from repro.netlist.edits import CONNECT
 from repro.sim.monitors import ProtocolMonitor
-from repro.sim.sensitivity import SensitivityMap
+from repro.sim.sensitivity import sensitivity
 from repro.sim.stats import ChannelStats
 
 __all__ = [
@@ -196,7 +196,7 @@ class Simulator:
         add/remove/connect/disconnect after construction is applied to
         this simulator via :meth:`apply_edit` automatically, so a warm
         simulator survives transformations without reconstruction (see
-        `Incremental patching` below).  Call :meth:`detach` to stop
+        `Edit following` below).  Call :meth:`detach` to stop
         following.
 
     A netlist has a single owning simulator at a time: constructing a new
@@ -204,17 +204,20 @@ class Simulator:
     previously constructed simulator must not be stepped afterwards (it
     raises rather than silently missing change events).
 
-    Incremental patching
-    --------------------
+    Edit following
+    --------------
 
     The netlist records a monotonically increasing structural ``version``
     and emits a :class:`~repro.netlist.edits.NetlistEdit` per mutation.
-    :meth:`apply_edit` patches a live simulator for one such edit — the
-    worklist engine's :class:`~repro.sim.sensitivity.SensitivityMap`
-    re-levelizes only the affected region, the codegen engine
-    re-elaborates (a module-cache hit for a topology seen before) — so
-    transform-simulate-measure loops keep one warm simulator instead of
-    paying O(netlist) clone-and-rebuild per step.  A simulator whose
+    :meth:`apply_edit` follows one such edit: it claims a connected
+    channel's change log and marks the structures dirty.  The next
+    :meth:`step`/:meth:`reset` re-derives them once from the edited
+    netlist — the worklist engine's sensitivity tables, the codegen
+    engine's compiled cycle (a module-cache hit for a topology seen
+    before) — so transform-simulate-measure loops keep one warm simulator
+    instead of paying a netlist clone, a fresh simulator and a reset per
+    step, and a simulator that followed edits is structurally identical
+    to one freshly built on the edited netlist.  A simulator whose
     netlist version advanced *without* the corresponding ``apply_edit``
     calls raises on :meth:`step` instead of silently reading stale
     structures.  :meth:`reset` rewinds dynamic state (netlist sequential
@@ -240,23 +243,16 @@ class Simulator:
         self.monitor = ProtocolMonitor(netlist) if check_protocol else None
         self.profile = bool(profile)
         if self.profile:
-            # comb_calls is parallel to _profile_slots (the node list the
-            # counts were recorded against), so a refresh remaps by name.
-            self._profile_slots = []
+            # comb_calls is parallel to _nodes, so a refresh remaps by name.
             self.comb_calls = []
             self.evals_per_cycle = []
-        # Ownership: every engine claims the channels with its own change
-        # log (the worklist engine through its sensitivity map), so a
-        # simulator of any engine can tell when a newer one took over.
-        # Codegen's generated residue reads the log.
-        self._smap = None
-        if engine == "worklist":
-            self._smap = SensitivityMap(netlist)
-            self._log = self._smap.log
-        else:
-            self._log = []
-            for channel in netlist.channels.values():
-                channel.state.log = self._log
+        # Ownership: the simulator claims every channel with its change log
+        # (here and on each followed connect), so a simulator can tell when
+        # a newer one took over.  Codegen's generated residue reads it too.
+        self._log = []
+        for channel in netlist.channels.values():
+            channel.state.log = self._log
+        self._nodes = []
         self._cycle = self._interpreted_cycle
         self._backend = None
         self._sync_structures()
@@ -269,7 +265,7 @@ class Simulator:
             self._follow(netlist)
         netlist.reset()
 
-    # -- incremental patching (structural netlist edits) ---------------------------
+    # -- edit following (structural netlist edits) ----------------------------------
 
     def _follow(self, netlist):
         netlist.subscribe(self.apply_edit)
@@ -282,71 +278,65 @@ class Simulator:
             self._followed = None
 
     def _sync_structures(self):
-        """(Re)derive the flat per-cycle structures — pre-bound method
-        lists, profile counters and, for codegen, the compiled cycle —
-        from the current netlist (worklist: from the sensitivity map's
-        slot tables, holes for removed nodes/channels)."""
-        smap = self._smap
-        if smap is not None:
-            slots = smap.node_slots
-            self._comb_slots = [None if node is None else node.comb
-                                for node in slots]
-            self._nodes = smap.live_nodes()
-            self._channels = smap.live_channels()
-            self._pending = bytearray(len(slots))
-            self._all_pending = bytes(0 if node is None else 1
-                                      for node in slots)
-        else:
-            slots = self._nodes = list(self.netlist.nodes.values())
-            self._channels = list(self.netlist.channels.values())
+        """(Re)derive the per-cycle structures from the current netlist:
+        fresh node and channel lists, the channels' signal-id blocks,
+        profile counters, pre-bound method lists and the engine's own
+        part — the worklist's sensitivity tables, or the compiled cycle."""
+        old_nodes = self._nodes
+        nodes = self._nodes = list(self.netlist.nodes.values())
+        channels = self._channels = list(self.netlist.channels.values())
+        # Number the signal ids the reader tables are indexed by.  Only
+        # channels carrying this simulator's log: one a newer simulator
+        # owns keeps that simulator's numbering.
+        log = self._log
+        for slot, channel in enumerate(channels):
+            state = channel.state
+            if state.log is log:
+                state.base = slot * N_SIGNALS
         if self.profile:
-            counts = {node.name: calls for node, calls
-                      in zip(self._profile_slots, self.comb_calls)
-                      if node is not None}
-            self.comb_calls = [0 if node is None else counts.get(node.name, 0)
-                               for node in slots]
-            self._profile_slots = list(slots)
+            counts = {node.name: calls
+                      for node, calls in zip(old_nodes, self.comb_calls)}
+            self.comb_calls = [counts.get(node.name, 0) for node in nodes]
         # Pre-bound method lists: the per-cycle loops call these directly
         # instead of re-resolving attributes on every node every cycle.
-        self._ticks = [node.tick for node in self._nodes
+        self._ticks = [node.tick for node in nodes
                        if type(node).tick is not Node.tick]
-        self._pre_cycles = [node.pre_cycle for node in self._nodes
+        self._pre_cycles = [node.pre_cycle for node in nodes
                             if type(node).pre_cycle is not Node.pre_cycle]
-        self._choosers = [node for node in self._nodes
+        self._choosers = [node for node in nodes
                           if type(node).choice_space is not Node.choice_space]
-        if self._backend is not None:
+        if self.engine == "worklist":
+            self._readers, self._order = sensitivity(nodes, channels)
+            self._combs = [node.comb for node in nodes]
+            self._pending = bytearray(len(nodes))
+            self._all_pending = b"\x01" * len(nodes)
+        elif self._backend is not None:
             self._cycle = self._backend.elaborate()
 
     def apply_edit(self, edit):
-        """Patch this live simulator for one structural netlist edit.
+        """Follow one structural netlist edit.
 
         Feed every emitted :class:`~repro.netlist.edits.NetlistEdit`
         exactly once, in order (``follow_edits=True`` does this
         automatically); afterwards the simulator behaves exactly as a
         freshly constructed one on the edited netlist, without the
-        O(netlist) clone / sensitivity rebuild / reset.  The sensitivity
-        map is patched per edit; the derived flat structures (pre-bound
-        method lists, the compiled cycle, monitor exemptions) are
-        refreshed lazily once, right before the next
-        :meth:`step`/:meth:`reset`, so a multi-edit transformation pays
-        the O(netlist) rebuilds a single time.
+        netlist clone or reset.  An edit only claims a connected
+        channel's change log and marks the structures dirty; they are
+        re-derived once, right before the next :meth:`step`/:meth:`reset`,
+        so a multi-edit transformation pays the O(netlist) rebuild a
+        single time.
         """
-        from repro.netlist.edits import CONNECT
-
         # A newer simulator may have taken ownership of the netlist while
-        # this one is still subscribed; patching would steal the new
+        # this one is still subscribed; following would steal the new
         # channels' change logs back.  Detach instead — this simulator is
         # stale either way and step() will say so.
         if not self._owns_channels():
             self.detach()
             return
-        if self._smap is not None:
-            self._smap.apply_edit(edit)
-        elif edit.op == CONNECT:
+        if edit.op == CONNECT:
             channel = self.netlist.channels.get(edit.channel)
             if channel is not None:
                 channel.state.log = self._log
-        if edit.op == CONNECT:
             self.stats.add_channel(edit.channel)
         self._structures_dirty = True
         self._netlist_version = self.netlist.version
@@ -356,15 +346,13 @@ class Simulator:
         this simulator claimed that is still in the netlist carries its
         change log unless a newer simulator took the netlist over."""
         live = self.netlist.channels
-        claimed = (self._smap.live_channels() if self._smap is not None
-                   else self._channels)
-        for channel in claimed:
+        for channel in self._channels:
             if live.get(channel.name) is channel:
                 return channel.state.log is self._log
         return True
 
     def _refresh_structures(self):
-        """The deferred O(netlist) part of edit patching, run once after
+        """The deferred O(netlist) part of edit following, run once after
         one *or more* applied edits: re-derive the per-cycle structures,
         then tell the monitor and every observer the structure changed."""
         self._structures_dirty = False
@@ -400,7 +388,7 @@ class Simulator:
     def reset(self):
         """Rewind dynamic state — netlist sequential state, cycle counter,
         statistics and monitor history — keeping the built engine
-        structures (sensitivity map, levelization, pre-bound node lists,
+        structures (sensitivity tables, seed order, pre-bound node lists,
         compiled cycle) warm.  The warm-simulator analogue of constructing
         afresh."""
         if self.netlist.version != self._netlist_version:
@@ -423,9 +411,9 @@ class Simulator:
         log.clear()
         pending = self._pending
         pending[:] = self._all_pending
-        combs = self._comb_slots
-        readers = self._smap.readers
-        queue = deque(self._smap.order)
+        combs = self._combs
+        readers = self._readers
+        queue = deque(self._order)
         profile = self.profile
         evals = 0
         while queue:
@@ -532,9 +520,7 @@ class Simulator:
         from repro.sim.profile import ProfileReport
 
         by_kind = {}
-        for node, calls in zip(self._profile_slots, self.comb_calls):
-            if node is None:
-                continue
+        for node, calls in zip(self._nodes, self.comb_calls):
             entry = by_kind.setdefault(node.kind, [0, 0])
             entry[0] += calls
             entry[1] += 1

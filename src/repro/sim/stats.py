@@ -22,7 +22,7 @@ class ChannelStats:
 
     def add_channel(self, name):
         """Start counting a channel added to the netlist after construction
-        (incremental structural patching); counts of a previously removed
+        (a followed structural edit); counts of a previously removed
         channel of the same name continue rather than restart."""
         for counter in self._counters():
             counter.setdefault(name, 0)

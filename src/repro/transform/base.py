@@ -7,8 +7,8 @@ design exclusively through the netlist's four structural mutators —
 ``add`` / ``remove`` / ``connect`` / ``disconnect`` — so each step lands in
 the netlist's edit log: the :class:`~repro.transform.session.Session`
 records the emitted :class:`~repro.netlist.edits.NetlistEdit` stream as its
-undo/redo history, and a live simulator following the log patches itself
-per edit instead of being rebuilt.
+undo/redo history, and a live simulator following the log stays current
+instead of being rebuilt.
 """
 
 from __future__ import annotations

@@ -22,7 +22,7 @@ rewind it explicitly with :meth:`Netlist.snapshot` / ``restore`` when
 needed (simulation-based measurement resets state anyway).
 
 The warm-loop API: :meth:`simulator` hands out one live simulator that
-follows every transformation by incremental patching, and :meth:`measure`
+follows every transformation through the edit log, and :meth:`measure`
 / :meth:`mcr` score the current design point without the per-step
 clone-and-rebuild the exploration loop used to pay.
 """
@@ -241,8 +241,8 @@ class Session:
         session's netlist.
 
         The simulator follows every subsequent transformation (and
-        undo/redo) through the netlist's edit log — its sensitivity map is
-        patched in place instead of being rebuilt per step.  The instance
+        undo/redo) through the netlist's edit log — it refreshes its
+        structures in place instead of being rebuilt per step.  The instance
         is cached; it is replaced automatically if it stopped following
         (e.g. a newer simulator took ownership of the netlist).
         ``kwargs`` are forwarded to the Simulator constructor on

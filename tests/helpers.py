@@ -55,7 +55,7 @@ class DenseSweepSimulator(Simulator):
     ``unknown -> known`` signal transitions.  Everything around the
     fix-point (monitor, statistics, observers, edit following, reset,
     ownership) is the worklist :class:`Simulator` shell, whose sensitivity
-    map this class never consults.  ``engine`` is accepted so the class
+    tables this class never consults.  ``engine`` is accepted so the class
     can stand in for :class:`Simulator` where a caller passes one; it may
     only name the shell.
     """

@@ -21,7 +21,7 @@ from repro.elastic.functional import Func
 from repro.errors import CombinationalLoopError, ProtocolViolationError
 from repro.netlist import patterns
 from repro.netlist.graph import Netlist
-from repro.sim.batch import topology_signature
+from repro.sim.sensitivity import topology_signature
 from repro.sim.engine import Simulator, lanes_engine
 from repro.sim.stats import TransferLog
 

@@ -551,7 +551,7 @@ def _sweep_topologies():
     """One netlist per distinct topology of the four sweep presets."""
     from repro.perf.presets import PRESET_SWEEPS
     from repro.perf.sweep import _resolve_factory
-    from repro.sim.batch import topology_signature
+    from repro.sim.sensitivity import topology_signature
 
     seen = {}
     for preset in ("fig1", "fig1-accuracy", "fig6", "fig7"):

@@ -1,26 +1,30 @@
-"""Incremental sensitivity patching — differential tests.
+"""Edit following — differential tests.
 
-The contract of ISSUE 4: a live simulator patched edit-by-edit through an
-arbitrary transform script (including undo/redo round-trips past the
-history bound) must be *bit-identical* to a simulator rebuilt from scratch
-on the transformed netlist — same transfer streams (values and cycles),
-same per-channel statistics, same combinational-loop diagnostics — and a
-simulator that was *not* patched must refuse to run rather than read stale
-sensitivity tables.
-"""
+A live simulator that followed an arbitrary transform script edit by edit
+(including undo/redo round-trips past the history bound) must be
+*bit-identical* to a simulator rebuilt from scratch on the transformed
+netlist — same transfer streams (values and cycles), same per-channel
+statistics, same combinational-loop diagnostics — and a simulator that
+did *not* follow the edits must refuse to run rather than read stale
+sensitivity tables."""
 
 import random
 
 import pytest
 
 from repro.elastic.buffers import ElasticBuffer
+from repro.elastic.channel import (
+    ALL_SIGNALS,
+    N_SIGNALS,
+    PRODUCER,
+    SIGNALS_BY_ROLE,
+)
 from repro.elastic.environment import ListSource, Sink
 from repro.elastic.functional import Func
 from repro.errors import CombinationalLoopError, TransformError
 from repro.netlist.graph import Netlist
-from repro.sim.batch import topology_signature
+from repro.sim.sensitivity import topology_signature
 from repro.sim.engine import Simulator
-from repro.sim.sensitivity import SensitivityMap
 from repro.sim.stats import TransferLog
 from repro.transform.bubbles import insert_bubble
 from repro.transform.session import Session
@@ -184,18 +188,19 @@ class TestFuzzedTransformScripts:
 
 
 class TestSensitivityMapEquivalence:
-    def _reader_names(self, smap):
-        """Channel-name/signal -> reader-node-name sets (slot independent)."""
-        from repro.elastic.channel import ALL_SIGNALS, N_SIGNALS
+    """A simulator that followed edits holds exactly the sensitivity
+    tables, seed order and signal numbering a fresh one builds: both
+    derive them from the live netlist at refresh."""
 
+    @staticmethod
+    def _reader_names(sim):
+        """Channel-name/signal -> reader-node-name sets (slot independent)."""
         result = {}
-        for slot, channel in enumerate(smap.channel_slots):
-            if channel is None:
-                continue
+        for slot, channel in enumerate(sim._channels):
             for offset, signal in enumerate(ALL_SIGNALS):
-                readers = smap.readers[slot * N_SIGNALS + offset]
+                readers = sim._readers[slot * N_SIGNALS + offset]
                 result[(channel.name, signal)] = {
-                    smap.node_slots[i].name for i in readers
+                    sim._nodes[i].name for i in readers
                 }
         return result
 
@@ -205,64 +210,41 @@ class TestSensitivityMapEquivalence:
         net = build_pipeline(["eb", "func", "zbl", "eb"], 0.2, seed,
                              list(range(10)))
         session = Session(net, max_history=4)
-        sim = session.simulator()
+        sim = session.simulator(profile=True)
         inserted = []
         for _ in range(10):
             _random_script_step(rng, session, inserted)
-        patched = sim._smap
-        fresh = SensitivityMap(session.netlist.clone())
-        assert self._reader_names(patched) == self._reader_names(fresh)
-        # the seed order covers exactly the live nodes, each once
-        live = [patched.node_slots[i].name for i in patched.order]
-        assert sorted(live) == sorted(session.netlist.nodes)
+        sim.reset()
+        fresh = Simulator(session.netlist.clone(), profile=True)
+        assert self._reader_names(sim) == self._reader_names(fresh)
+        assert [sim._nodes[i].name for i in sim._order] == \
+            [fresh._nodes[i].name for i in fresh._order]
+        for slot, channel in enumerate(sim._channels):
+            assert channel.state.base == slot * N_SIGNALS
+        # Same seed order, same work: the per-cycle evaluation counts of
+        # the followed simulator are the fresh one's.
+        sim.run(120)
+        fresh.run(120)
+        assert sim.profile_report() == fresh.profile_report()
 
     def test_slot_tables_compact_under_long_churn(self):
-        """A long insert/undo loop must not grow the slot tables (and the
-        per-cycle structures derived from them) with the number of edits
-        ever applied — holes are compacted away once they dominate."""
+        """A long insert/undo loop must not grow the per-cycle structures
+        with the number of edits ever applied: they track the live
+        design."""
         net = build_pipeline(["eb", "func", "eb"], 0.2, 7, list(range(15)))
         session = Session(net)
         sim = session.simulator(profile=True)
         for _ in range(300):
             session.insert_bubble("c0")
             session.undo()
-        smap = sim._smap
-        assert smap.compactions > 0
-        assert len(smap.node_slots) < 2 * len(session.netlist.nodes) + \
-            SensitivityMap.MIN_COMPACT_SLOTS
-        assert len(smap.channel_slots) < 2 * len(session.netlist.channels) + \
-            SensitivityMap.MIN_COMPACT_SLOTS
+        sim.reset()
+        assert len(sim._nodes) == len(session.netlist.nodes)
+        assert len(sim._channels) == len(session.netlist.channels)
+        assert len(sim._readers) == N_SIGNALS * len(session.netlist.channels)
         assert_patched_equals_rebuilt(session, sim, cycles=120)
-        # the remapped profile counters still line up with the slots
+        # the remapped profile counters still line up with the nodes
         report = sim.profile_report()
         assert report.n_nodes == len(session.netlist.nodes)
-
-    def test_local_reorder_overlap_falls_back(self):
-        """Regression: when a pre-existing back edge (cyclic sensitivity
-        region) makes the Pearce–Kelly forward and backward discovery sets
-        overlap, a local pool placement is impossible — the map must fall
-        back to a full re-levelization instead of corrupting the seed
-        order (dropping one node, duplicating another)."""
-        net = build_pipeline(["eb", "func"], 0.0, 1, [1, 2])   # 4 nodes
-        smap = SensitivityMap(net)
-        # Fabricate the graph state directly: order [0,1,2,3] with edges
-        # 0->1, 1->3 and the back edge 3->2 (as Kahn's scan fallback can
-        # legitimately leave behind), then insert edge 2->0.  The bounded
-        # forward search from 0 ({0,1}) never reaches 2, but the backward
-        # search from 2 runs through the back edge to {2,3,1,0} — the
-        # overlapping sets used to place node 1 twice and drop node 2.
-        smap._succ = [{1: 1}, {3: 1}, {}, {2: 1}]
-        smap._pred = [{}, {0: 1}, {3: 1}, {1: 1}]
-        smap.order[:] = [0, 1, 2, 3]
-        smap.pos = [0, 1, 2, 3]
-        smap._add_edge(2, 0)
-        before_fallbacks = smap.full_relevels
-        smap._order_insert_edge(2, 0)
-        assert sorted(smap.order) == [0, 1, 2, 3], (
-            f"seed order corrupted: {smap.order}"
-        )
-        assert smap.full_relevels == before_fallbacks + 1
-        assert [smap.pos[i] for i in smap.order] == list(range(4))
 
     def test_order_stays_topological_on_acyclic_designs(self):
         net = build_pipeline(["eb", "func", "func", "eb"], 0.0, 1,
@@ -271,11 +253,19 @@ class TestSensitivityMapEquivalence:
         sim = session.simulator()
         for channel in list(session.netlist.channels):
             session.insert_bubble(channel)
-        smap = sim._smap
-        pos = {i: p for p, i in enumerate(smap.order)}
-        for u, targets in enumerate(smap._succ):
-            for v in targets:
-                assert pos[u] < pos[v], "seed order violates a dependency"
+        sim.reset()
+        assert sorted(sim._order) == list(range(len(sim._nodes)))
+        pos = {i: p for p, i in enumerate(sim._order)}
+        index = {node.name: i for i, node in enumerate(sim._nodes)}
+        for slot, channel in enumerate(sim._channels):
+            for offset, signal in enumerate(ALL_SIGNALS):
+                end = (channel.producer if signal in SIGNALS_BY_ROLE[PRODUCER]
+                       else channel.consumer)
+                writer = index[end[0]]
+                for reader in sim._readers[slot * N_SIGNALS + offset]:
+                    if reader != writer:
+                        assert pos[writer] < pos[reader], (
+                            "seed order violates a dependency")
 
 
 class TestLoopDiagnosticsParity:

@@ -1,8 +1,8 @@
 """Tests for the sensitivity-soundness auditor (``repro.lint.audit``).
 
-Every engine optimization — the worklist scheduler, the incremental
-sensitivity map, codegen's deferred residue — trusts each node's ``comb_reads()`` /
-``comb_writes()`` declarations without ever checking them.  The auditor
+Every engine optimization — the worklist scheduler and its seed order,
+codegen's deferred residue — trusts each node's ``comb_reads()``
+declarations and port-role drives without ever checking them.  The auditor
 executes ``comb()`` against recording channel proxies under fuzzed channel
 states; these tests pin **declared == observed** for every built-in node
 kind (so drift becomes a test failure, not a silent missed wakeup) and
@@ -68,7 +68,7 @@ class TestBuiltinKinds:
             f"{tag}: comb() reads beyond comb_reads(): "
             f"{sorted(audit.undeclared_reads)}")
         assert audit.undeclared_writes == frozenset(), (
-            f"{tag}: comb() writes beyond comb_writes(): "
+            f"{tag}: comb() writes outside its port roles: "
             f"{sorted(audit.undeclared_writes)}")
         # the fuzz schedule must also *reach* every declared read, or the
         # declaration could rot into an over-approximation unnoticed
@@ -128,7 +128,7 @@ class UnderDeclaredReads(Func):
 
 
 class UndeclaredWrite(Func):
-    """Drives a consumer-side signal comb_writes() does not admit to."""
+    """Drives a consumer-side signal on a producer port."""
 
     def comb(self):
         super().comb()

@@ -14,7 +14,7 @@ from repro.netlist.edits import (
     NetlistEdit,
 )
 from repro.netlist.graph import Netlist
-from repro.sim.batch import topology_signature
+from repro.sim.sensitivity import topology_signature
 from repro.transform.bubbles import insert_bubble
 
 
