@@ -16,8 +16,10 @@ per *topology* in which
   (``v3``/``p3``/``a3``/``m3``/``d3`` for ``vp``/``sp``/``vm``/``sm``/
   ``data`` of channel slot 3) instead of ``ChannelState`` objects;
 * every kind of the paper's designs has an emitter — buffers, joins,
-  forks, environments, the shared module, the early-evaluation mux and
-  the variable-latency unit — so the *residue* is only what cannot be
+  forks, environments (including the permission source that a
+  :mod:`repro.chaos` stall splices in beside a join), the shared
+  module, the early-evaluation mux and the variable-latency unit — so
+  chaos-wrapped designs compile too, and the *residue* is only what cannot be
   scheduled statically: subclasses that override ``comb``, nodes with
   unbound ports, genuine signal-level combinational loops, and
   :class:`~repro.elastic.fifo_model.AbstractElasticFifo` (no emitter),
@@ -112,6 +114,7 @@ from repro.elastic.environment import (
     NondetChoiceSource,
     NondetSink,
     NondetSource,
+    PermissionSource,
     Sink,
     _SourceBase,
 )
@@ -282,6 +285,24 @@ def _tick_nc_source(g, ni, node, out):
         f"if {g.sig(node, 'o', 'vp')} and not {g.sig(node, 'o', 'sp')}:",
         f"    {n}._offering = False",
         f"    {n}.emitted += 1",
+    ]
+
+
+def _comb_permission(g, ni, node, out):
+    n = g.node_ref(ni)
+    out += [
+        f"{g.sig(node, 'o', 'vp')} = {n}._offering",
+        f"if {n}._offering:",
+        f"    {g.sig(node, 'o', 'data')} = True",
+        f"{g.sig(node, 'o', 'sm')} = False",
+    ]
+
+
+def _tick_permission(g, ni, node, out):
+    n = g.node_ref(ni)
+    out += [
+        f"if {g.sig(node, 'o', 'vp')} and not {g.sig(node, 'o', 'sp')}:",
+        f"    {n}._offering = False",
     ]
 
 
@@ -746,6 +767,10 @@ def _spec_nc_source(node):
     return [((), (("o", "vp"), ("o", "data"), ("o", "sm")), _comb_nc_source)]
 
 
+def _spec_permission(node):
+    return [((), (("o", "vp"), ("o", "data"), ("o", "sm")), _comb_permission)]
+
+
 def _spec_nondet_sink(node):
     return [((), (("i", "sp"), ("i", "vm")), _comb_nondet_sink)]
 
@@ -764,6 +789,7 @@ _COMB_TASKS = {
     KillerSink: _spec_killer_sink,
     NondetSource: _spec_nondet_source,
     NondetChoiceSource: _spec_nc_source,
+    PermissionSource: _spec_permission,
     NondetSink: _spec_nondet_sink,
 }
 
@@ -778,6 +804,7 @@ _TICK_EMITTERS = {
     KillerSink: _tick_killer_sink,
     NondetSource: _tick_nondet_source,
     NondetChoiceSource: _tick_nc_source,
+    PermissionSource: _tick_permission,
     NondetSink: _tick_nondet_sink,
 }
 

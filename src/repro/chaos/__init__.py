@@ -7,21 +7,19 @@ speculative machinery (Sections 4-5) promises recovery from wrong
 guesses and — in the Figure 7 SECDED adder — corrupted state.  This
 package attacks both promises on purpose:
 
-* :mod:`repro.chaos.saboteurs` — fault-injection node kinds
-  (:class:`StallInjector`, :class:`BubbleInjector`,
-  :class:`StateCorruptor`), implemented for every engine;
 * :mod:`repro.chaos.plan` — deterministic seed-driven
-  :class:`ChaosPlan`s and :func:`wrap`/:func:`unwrap`, splicing
-  saboteurs in and out through the netlist edit log;
+  :class:`ChaosPlan`s and :func:`wrap`/:func:`unwrap`, splicing faults
+  in and out through the netlist edit log.  A fault is a splice of
+  ordinary node kinds (a join with a
+  :class:`~repro.elastic.environment.PermissionSource` stalls, an empty
+  buffer before it adds a bubble, a join with a mask source corrupts),
+  so every engine runs it with the kinds' own emitters;
 * :mod:`repro.chaos.verify` — the executable oracles:
   :func:`check_stream_invariance` (differential),
   :func:`explore_invariance` (exhaustive, all interleavings), and
   :func:`run_soak` (checkpointed many-plan soak);
 * :mod:`repro.chaos.mutants` — intentionally broken designs pinning
   that the oracles *can* fail.
-
-Importing this package also registers the saboteurs' codegen emitters
-with :mod:`repro.backend.pysim`.
 """
 
 from repro.chaos.mutants import (
@@ -30,12 +28,14 @@ from repro.chaos.mutants import (
     broken_kill_design,
     latency_sensitive_design,
 )
-from repro.chaos.plan import ChaosFault, ChaosHandle, ChaosPlan, unwrap, wrap
-from repro.chaos.saboteurs import (
-    SABOTEUR_KINDS,
-    BubbleInjector,
-    StallInjector,
-    StateCorruptor,
+from repro.chaos.plan import (
+    FAULT_KINDS,
+    ChaosFault,
+    ChaosHandle,
+    ChaosPlan,
+    check_knobs,
+    unwrap,
+    wrap,
 )
 from repro.chaos.verify import (
     ExploreReport,
@@ -48,17 +48,15 @@ from repro.chaos.verify import (
 
 __all__ = [
     "BrokenKillBuffer",
-    "BubbleInjector",
     "ChaosFault",
     "ChaosHandle",
     "ChaosPlan",
     "ExploreReport",
+    "FAULT_KINDS",
     "InvarianceReport",
     "LatencySensitiveBuffer",
-    "SABOTEUR_KINDS",
-    "StallInjector",
-    "StateCorruptor",
     "broken_kill_design",
+    "check_knobs",
     "check_stream_invariance",
     "explore_invariance",
     "latency_sensitive_design",

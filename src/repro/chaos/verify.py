@@ -7,8 +7,8 @@ Three checkers, in increasing strength:
   output token streams (the sabotaged run gets extra wall-clock slack;
   a :class:`~repro.sim.monitors.BoundedLivenessMonitor` rides along so
   chaos-induced deadlock is reported as such, not as a timeout).
-* :func:`explore_invariance` — exhaustive: saboteurs built with
-  ``nondet=True`` expose each injection decision as a model-checking
+* :func:`explore_invariance` — exhaustive: permission sources built
+  with ``nondet=True`` expose each injection decision as a model-checking
   choice, so :class:`~repro.verif.explore.StateExplorer` verifies the
   protocol over *all* stall interleavings up to the state bound and
   :func:`~repro.verif.deadlock.find_deadlocks` establishes recovery.
@@ -118,7 +118,7 @@ def check_stream_invariance(build, plan, cycles=200, engine=None,
     observers = [monitor]
     if not use_sinks:
         # Probe the original channel names (wrap keeps them on the
-        # producer side of each saboteur).
+        # producer side of each splice).
         chaos_probe = StreamProbe(net, list(golden))
         observers.append(chaos_probe)
     sim = Simulator(net, engine=engine, observers=observers)

@@ -538,20 +538,25 @@ def _cmd_submit(args):
 def _cmd_chaos(args):
     import json
 
-    from repro.chaos import (SABOTEUR_KINDS, ChaosPlan,
-                             check_stream_invariance, explore_invariance,
-                             run_soak)
-    from repro.errors import DeadlineExceeded, JobCancelled
+    from repro.chaos import (ChaosPlan, check_knobs, check_stream_invariance,
+                             explore_invariance, run_soak)
+    from repro.errors import ChaosError, DeadlineExceeded, JobCancelled
     from repro.runtime.control import (JobControl, install_term_handler,
                                        interrupt_exit_code)
 
     install_term_handler()
     kinds = tuple(k for k in args.kinds.split(",") if k)
-    unknown = sorted(set(kinds) - set(SABOTEUR_KINDS))
-    if unknown:
-        print(f"error: unknown saboteur kind(s) {', '.join(unknown)} "
-              f"(known: {', '.join(sorted(SABOTEUR_KINDS))})",
-              file=sys.stderr)
+    # Unbounded injection keeps the differential oracle honest, but makes
+    # the exhaustive product grow with every fault; default the budget
+    # to a couple of injections per fault there so canned designs
+    # finish within --max-states.
+    budget = args.budget
+    if budget is None:
+        budget = 2 if args.exhaustive else -1
+    try:
+        check_knobs(kinds, budget=budget, coverage=args.coverage)
+    except ChaosError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
     from repro.designs import MC_DESIGNS
     if args.exhaustive:
@@ -619,13 +624,6 @@ def _cmd_chaos(args):
         return 0 if payload["ok"] else 1
 
     net = build()
-    # Unbounded injection keeps the differential oracle honest, but makes
-    # the exhaustive product grow with every saboteur; default the budget
-    # to a couple of injections per saboteur there so canned designs
-    # finish within --max-states.
-    budget = args.budget
-    if budget is None:
-        budget = 2 if args.exhaustive else -1
     plan = ChaosPlan.seeded(args.seed, list(net.channels), kinds=kinds,
                             coverage=args.coverage, budget=budget)
     fault_rows = [{"channel": f.channel, "kind": f.kind, "rate": f.rate,
@@ -674,7 +672,7 @@ def _cmd_chaos(args):
     print(f"chaos {payload['mode']}: design={args.design} seed={args.seed} "
           f"plan={payload['plan_digest'][:12]}")
     for row in fault_rows:
-        print(f"  saboteur {row['kind']:<8} on {row['channel']:<12} "
+        print(f"  fault {row['kind']:<8} on {row['channel']:<12} "
               f"rate={row['rate']} budget={row['budget']}")
     if args.exhaustive:
         print(f"  states={payload['n_states']} "
@@ -915,21 +913,25 @@ def build_parser():
     p.add_argument("--cycles", type=int, default=150,
                    help="golden run length (the sabotaged run gets 8x slack)")
     p.add_argument("--coverage", type=float, default=0.5,
-                   help="fraction of channels the seeded plan saboteurs")
+                   help="fraction of channels the seeded plan splices a "
+                        "fault into, in [0, 1]")
     p.add_argument("--kinds", default="stall,bubble",
-                   help="comma-separated saboteur kinds (stall, bubble, "
-                        "corrupt; corrupt is expected to FAIL the oracle)")
+                   help="comma-separated fault kinds: stall (a join with a "
+                        "permission source), bubble (an empty buffer "
+                        "before that join), corrupt (a join XORing seeded "
+                        "masks into the data; expected to FAIL the oracle)")
     p.add_argument("--budget", type=int, default=None,
-                   help="injections per saboteur (-1 = unbounded; default "
-                        "-1, or 2 under --exhaustive to bound the state "
-                        "space)")
+                   help="stall cycles (corrupt: nonzero masks) per fault, "
+                        ">= 0 or -1 = unbounded; default -1, or 2 under "
+                        "--exhaustive to bound the state space")
     p.add_argument("--soak", action="store_true",
                    help="run many seeded plans, checkpointed per iteration")
     p.add_argument("--iterations", type=int, default=5,
                    help="soak iterations (each gets a fresh seeded plan)")
     p.add_argument("--exhaustive", action="store_true",
                    help="model-check every injection interleaving "
-                        "(saboteurs become nondeterministic choice nodes)")
+                        "(permission sources become nondeterministic "
+                        "choice nodes)")
     p.add_argument("--max-states", type=int, default=20000, dest="max_states",
                    help="state bound for --exhaustive")
     p.add_argument("--time-budget", type=float, default=None,

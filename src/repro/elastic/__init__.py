@@ -17,6 +17,7 @@ from repro.elastic.varlat import VariableLatencyUnit
 from repro.elastic.environment import (
     ListSource,
     FunctionSource,
+    PermissionSource,
     Sink,
     KillerSink,
     NondetSource,
@@ -43,6 +44,7 @@ __all__ = [
     "EarlyEvalMux",
     "ListSource",
     "FunctionSource",
+    "PermissionSource",
     "Sink",
     "KillerSink",
     "NondetSource",

@@ -4,6 +4,8 @@ Deterministic and randomized variants drive simulation; the ``Nondet*``
 variants expose a *choice space* so the explicit-state model checker of
 :mod:`repro.verif` can enumerate every environment behaviour, exactly like
 the nondeterministic environments the paper uses in its NuSMV runs.
+:class:`PermissionSource`, the stall primitive :mod:`repro.chaos` splices
+beside a join, is seeded or nondeterministic on request.
 
 All sources honour the Retry (persistence) property: once a token is
 offered it stays offered, with the same data, until it transfers or is
@@ -165,6 +167,81 @@ class FunctionSource(_SourceBase):
 
     def restore(self, state):
         self._offering, self._value, self._idx, self._skip, self.emitted, self.killed = state
+
+
+class PermissionSource(Node):
+    """An endless stream of ``True`` permission tokens, withheld on chosen
+    cycles: joined with a channel, each withheld cycle is a stall.
+
+    While idle it decides each cycle whether to offer: with probability
+    ``rate`` (seeded) it withholds instead, or, with ``nondet=True``, the
+    model checker chooses (a choice space of 2).  Withholding spends one
+    unit of ``budget`` (``-1`` = unbounded); at 0 it always offers.  An
+    offer persists until it transfers or is killed (Retry+), and
+    anti-tokens are always absorbed: a permission carries no data, so
+    killing one changes nothing downstream.
+    """
+
+    kind = "permission_source"
+
+    def __init__(self, name, rate=0.25, seed=0, budget=-1, nondet=False):
+        super().__init__(name)
+        self.add_out("o")
+        self.rate = float(rate)
+        self.seed = int(seed)
+        self.budget = int(budget)
+        self.nondet = bool(nondet)
+        self.reset()
+
+    def reset(self):
+        self._offering = False
+        self._budget = self.budget
+        self._choice = 0
+        self._rng = random.Random(self.seed * 1000003 + 1)
+
+    def choice_space(self):
+        if self.nondet and not self._offering and self._budget != 0:
+            return 2
+        return 1
+
+    def set_choice(self, choice):
+        self._choice = choice
+
+    def _withhold(self):
+        if self._budget == 0:
+            return False
+        if self.nondet:
+            return self._choice == 1
+        return self.rate > 0 and self._rng.random() < self.rate
+
+    def pre_cycle(self):
+        if self._offering:
+            return
+        if self._withhold():
+            if self._budget > 0:
+                self._budget -= 1
+        else:
+            self._offering = True
+
+    def comb_reads(self):
+        return []
+
+    def comb(self):
+        self.drive("o", "vp", self._offering)
+        if self._offering:
+            self.drive("o", "data", True)
+        self.drive("o", "sm", False)
+
+    def tick(self):
+        ost = self.st("o")
+        if ost.vp and not ost.sp:
+            self._offering = False
+
+    def snapshot(self):
+        return (self._offering, self._budget)
+
+    def restore(self, state):
+        self._offering, self._budget = state
 
 
 class Sink(Node):

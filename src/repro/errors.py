@@ -122,8 +122,9 @@ class DeadlineExceeded(JobCancelled):
 
 class ChaosError(ElasticError):
     """A chaos-harness failure (:mod:`repro.chaos`): a fault plan names a
-    channel the design does not have, an unknown saboteur kind, or a wrap
-    handle is unwound against the wrong netlist."""
+    channel the design does not have, an unknown fault kind, a rate,
+    coverage or budget out of range, or a wrap handle is unwound against
+    the wrong netlist."""
 
 
 class CheckpointError(ElasticError):

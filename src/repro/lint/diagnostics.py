@@ -8,7 +8,7 @@ CI greps can rely on it across releases:
   (unbroken combinational cycles, zero-bubble deadlocks, unkillable
   speculation, sensitivity-declaration violations),
 * ``W2xx`` — performance / coverage warnings (token-free cycles, dead
-  nodes, fork/join imbalance, chaos saboteurs left behind).
+  nodes, fork/join imbalance, chaos splices left behind).
 
 A :class:`LintReport` aggregates the findings of one :func:`repro.lint.run_lint`
 pass with human (:meth:`LintReport.format`) and machine
@@ -55,7 +55,7 @@ CODES = {
              "connect the node downstream of a source or a token-holding buffer, or remove it"),
     "W203": ("fork/join imbalance: a fork reaches only part of a lazy join's inputs",
              "balance the branches (the join will starve waiting for the unforked side)"),
-    "W211": ("chaos saboteur left in the design",
+    "W211": ("chaos splice left in the design",
              "chaos.unwrap(handle) the instrumented netlist (or rebuild it) before shipping — fault injection must not reach production"),
 }
 

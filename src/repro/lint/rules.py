@@ -12,7 +12,7 @@ The rules encode the paper's structural correctness story:
 
 plus plain graph hygiene (dangling ports, unbound or multiply-driven
 channels, width/arity mismatches, dead nodes) and performance-coverage
-warnings (token-free cycles, chaos saboteurs left behind).
+warnings (token-free cycles, chaos splices left behind).
 
 Rules register themselves in :data:`RULES` via :func:`lint_rule`; each is
 a function ``rule(netlist) -> list[Diagnostic]`` that must not mutate the
@@ -322,7 +322,8 @@ def rule_cycles(netlist):
 # -- E103: speculation ---------------------------------------------------------
 
 #: node kinds that pass anti-tokens backward from an output to the paired
-#: input(s) — the counterflow network a kill travels through.
+#: input(s) — the counterflow network a kill travels through (the chaos
+#: kinds are the joins and the bubble buffer a chaos splice inserts).
 _ANTI_TRANSPARENT = ("eb", "zbl_eb", "abstract_fifo", "func", "shared",
                      "chaos_stall", "chaos_bubble", "chaos_corrupt")
 
@@ -479,20 +480,20 @@ def rule_fork_join(netlist):
 
 
 @lint_rule("chaos", ("W211",),
-           "fault-injection saboteurs (repro.chaos) must not ship in a "
+           "fault-injection splices (repro.chaos) must not ship in a "
            "production netlist")
 def rule_chaos(netlist):
-    # Matched by kind prefix, not by class: lint must not import the chaos
-    # package (which arms codegen emitters as a side effect), and saboteur
-    # subclasses should stay flagged.
+    # Matched by kind prefix, not by class: a chaos splice is made of
+    # ordinary kinds (Func joins, an empty EB, permission and mask
+    # sources), and wrap marks each spliced node with a ``chaos_*`` kind.
     diags = []
     for node in netlist.nodes.values():
         if node.kind.startswith("chaos_"):
             diags.append(Diagnostic(
                 code="W211",
-                message=(f"{node.kind} saboteur {node.name!r} left in the "
-                         f"design — chaos instrumentation must be unwrapped "
-                         f"before shipping"),
+                message=(f"{node.kind} node {node.name!r} of a chaos splice "
+                         f"left in the design — chaos instrumentation must "
+                         f"be unwrapped before shipping"),
                 node=node.name))
     return diags
 

@@ -18,7 +18,7 @@ Four job kinds mirror the long-running CLI subcommands:
     of restarting.
 ``chaos``
     A :func:`repro.chaos.run_soak` latency-insensitivity soak of a
-    canned design: seeded saboteur plans, each differentially checked
+    canned design: seeded chaos plans, each differentially checked
     against a golden run, checkpointed per iteration like a sweep.
 
 Every job resolves to a **content-addressed key**: SHA-256 over the

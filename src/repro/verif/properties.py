@@ -81,9 +81,9 @@ def check_retry_packed(prev, cur, channel_names, exempt_indices=frozenset()):
 
 #: node kinds whose outputs follow their inputs combinationally (a valid
 #: withdrawn upstream propagates through them within the same cycle).
-#: The chaos pass-through saboteurs forward ``vp`` combinationally, so a
-#: legally-withdrawn offer propagates through them too (``chaos_bubble``
-#: registers tokens and is deliberately absent).
+#: The chaos splices' joins are function blocks, so a legally-withdrawn
+#: offer propagates through them too (``chaos_bubble``, the splice's empty
+#: buffer, registers tokens and is deliberately absent).
 _COMBINATIONAL_KINDS = {"func", "fork", "eemux", "shared",
                         "chaos_stall", "chaos_corrupt"}
 

@@ -5,9 +5,10 @@ buffers or stalling channels must not change *what* a SELF design
 computes, only *when*.  This suite turns that claim into an adversarial
 test battery:
 
-* saboteur nodes (stall / bubble / corrupt) behave bit-identically on
-  every engine (the diff-fuzz suites carry the corpus; here the paper
-  designs and the codegen-engagement pin);
+* chaos splices (stall / bubble / corrupt, made of existing node kinds)
+  behave bit-identically on every engine (the diff-fuzz suites carry
+  the corpus; here the paper designs, kills entering a permission
+  source and the codegen-engagement pin);
 * the stream-invariance oracle passes on every canned design under
   stall/bubble injection — and *fails* on a deliberately
   latency-sensitive mutant and under state corruption (an oracle that
@@ -68,6 +69,26 @@ class TestChaosPlan:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ChaosError):
             ChaosFault(channel="x", kind="gremlin")
+
+    @pytest.mark.parametrize("rate", [-0.1, 1.5, float("nan")])
+    def test_rate_outside_unit_interval_rejected(self, rate):
+        with pytest.raises(ChaosError):
+            ChaosFault(channel="x", rate=rate)
+
+    def test_budget_below_unbounded_rejected(self):
+        ChaosFault(channel="x", budget=-1)      # -1 = unbounded
+        ChaosFault(channel="x", budget=0)       # 0 = disarmed
+        with pytest.raises(ChaosError):
+            ChaosFault(channel="x", budget=-2)
+
+    @pytest.mark.parametrize("coverage", [-0.5, 1.01])
+    def test_seeded_coverage_outside_unit_interval_rejected(self, coverage):
+        with pytest.raises(ChaosError):
+            ChaosPlan.seeded(1, ["a", "b"], coverage=coverage)
+
+    def test_seeded_rejects_empty_kinds(self):
+        with pytest.raises(ChaosError):
+            ChaosPlan.seeded(1, ["a", "b"], kinds=())
 
     def test_unknown_channel_rejected_by_wrap(self):
         net = build_design("fig6b")
@@ -362,6 +383,20 @@ class TestCli:
         assert cli.main(["chaos", "--design", "fig6b",
                          "--kinds", "gremlin"]) == 2
 
+    @pytest.mark.parametrize("extra", [
+        ["--budget", "-9"],
+        ["--coverage", "1.5"],
+        ["--coverage", "-0.1"],
+        ["--soak", "--budget", "-9"],
+        ["--kinds", ","],
+    ])
+    def test_out_of_range_knobs_exit_2(self, extra, capsys):
+        from repro import cli
+
+        assert cli.main(["chaos", "--design", "fig6b", "--cycles", "40",
+                         *extra]) == 2
+        assert "error:" in capsys.readouterr().err
+
 
 # -- lint ---------------------------------------------------------------------
 
@@ -389,12 +424,12 @@ class TestLint:
 
 class TestCodegenEngagement:
     def test_saboteurs_compile_to_straight_line_tasks(self):
-        """Each saboteur kind must register real spec/tick emitters with
-        the codegen backend — visible as named straight-line comb and
-        tick sections in the generated module, not per-node interpreter
-        fallbacks.  (A fully combinational pipeline keeps every saboteur
-        in the straight-line region; inside a boxed shared/eemux region
-        only the tick section would show.)"""
+        """Every node a splice adds must compile with the codegen
+        backend's own spec/tick emitters — visible as named straight-line
+        comb and tick sections in the generated module, not per-node
+        interpreter fallbacks.  (A fully combinational pipeline keeps
+        every spliced node in the straight-line region; inside a boxed
+        shared/eemux region only the tick section would show.)"""
         from repro.backend.pysim import generated_source
         from repro.elastic.buffers import ElasticBuffer
         from repro.elastic.environment import ListSource, Sink
@@ -418,6 +453,79 @@ class TestCodegenEngagement:
             node = net.nodes[name]
             assert f"# {name} ({node.kind})" in source
             assert f"# tick {name} ({node.kind})" in source
+
+
+# -- splices of existing kinds -------------------------------------------------
+
+class TestSplices:
+    def test_fig1d_kills_reach_the_permission_inputs(self):
+        """fig1d's fork branches carry the early-evaluation mux's
+        anti-tokens back to the fork.  A stall join on each branch takes
+        those kills and hands one to its permission source, which either
+        cancels its offered permission or absorbs the kill while idle.
+        Worklist, codegen and the dense sweep stay bit-identical."""
+        from test_engine_diff import _run_one
+
+        plan = ChaosPlan(faults=tuple(
+            ChaosFault(channel=channel, kind="stall", rate=0.5, seed=seed)
+            for seed, channel in enumerate(("fork_p0", "fork_p1"))), seed=0)
+
+        def make():
+            net = build_design("fig1d")
+            wrap(net, plan)
+            return net
+
+        runs = {engine: _run_one(make, engine, 400)[1:]
+                for engine in ("worklist", "codegen", "dense")}
+        assert runs["codegen"] == runs["worklist"]
+        assert runs["dense"] == runs["worklist"]
+        stats = runs["worklist"][0]
+        permits = ("fork_p0__permit", "fork_p1__permit")
+        assert sum(stats["cancels"][name] for name in permits) > 0
+        assert sum(stats["backwards"][name] for name in permits) > 0
+
+    @pytest.mark.parametrize("engine", ["worklist", "codegen"])
+    def test_corrupt_budget_caps_the_flipped_tokens(self, engine):
+        """With ``rate=1`` every mask is drawn nonzero, so exactly the
+        first ``budget`` tokens arrive flipped and the rest intact."""
+        from repro.elastic.environment import ListSource, Sink
+        from repro.netlist.graph import Netlist
+
+        net = Netlist("line")
+        net.add(ListSource("src", list(range(10))))
+        net.add(Sink("snk", stall_rate=0.3, seed=1))
+        net.connect("src.o", "snk.i", name="out")
+        wrap(net, ChaosPlan(faults=(ChaosFault(
+            channel="out", kind="corrupt", rate=1.0, seed=4, budget=3),)))
+        Simulator(net, engine=engine).run(60)
+        got = net.nodes["snk"].values
+        assert len(got) == 10
+        assert all(got[i] != i for i in range(3))
+        assert got[3:] == list(range(3, 10))
+
+    def test_import_leaves_codegen_tables_alone(self):
+        """Importing the chaos package registers nothing with the codegen
+        backend: the spliced kinds use the emitters pysim already has."""
+        import os
+        import subprocess
+        import sys
+
+        env = dict(os.environ)
+        src = os.path.join(os.path.dirname(__file__), "..", "src")
+        env["PYTHONPATH"] = os.path.abspath(src) + (
+            os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+        code = (
+            "import sys\n"
+            "from repro.backend import pysim\n"
+            "assert 'repro.chaos' not in sys.modules\n"
+            "before = (dict(pysim._COMB_TASKS), dict(pysim._TICK_EMITTERS))\n"
+            "import repro.chaos\n"
+            "import repro.chaos.mutants, repro.chaos.plan, repro.chaos.verify\n"
+            "assert (pysim._COMB_TASKS, pysim._TICK_EMITTERS) == before\n"
+        )
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert out.returncode == 0, out.stderr
 
 
 # -- liveness-monitor lifecycle (satellite 1) ---------------------------------

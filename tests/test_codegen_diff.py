@@ -76,9 +76,9 @@ class TestRandomPipelines:
 
 
 class TestChaosSaboteurs:
-    """Chaos-wrapped corpus pipelines: the saboteur kinds register their
-    own straight-line spec + tick emitters, so a wrapped netlist must
-    compile (no per-node fallback on the saboteurs) and stay
+    """Chaos-wrapped corpus pipelines: a splice is made of kinds with
+    straight-line spec + tick emitters, so a wrapped netlist must
+    compile (no per-node fallback on the spliced nodes) and stay
     bit-identical to the worklist engine."""
 
     @pytest.mark.parametrize("seed", range(8))

@@ -26,7 +26,7 @@ from repro.elastic import (
     VariableLatencyUnit,
     ZeroBackwardLatencyBuffer,
 )
-from repro.elastic.environment import NondetChoiceSource
+from repro.elastic.environment import NondetChoiceSource, PermissionSource
 from repro.lint import audit_netlist, audit_node, run_lint
 from repro.netlist import Netlist, patterns
 
@@ -55,6 +55,7 @@ BUILTIN_NODES = {
     "nondet_source": (lambda: NondetSource("n"), None),
     "nondet_sink": (lambda: NondetSink("n", can_kill=True), None),
     "nondet_choice_source": (lambda: NondetChoiceSource("n"), None),
+    "permission_source": (lambda: PermissionSource("n", rate=0.5), None),
     "abstract_fifo": (lambda: AbstractElasticFifo("n"), None),
 }
 
@@ -108,6 +109,15 @@ class TestWholeNetlistAudit:
                 f"{audit.node} ({audit.kind}): "
                 f"reads {sorted(audit.undeclared_reads)}, "
                 f"writes {sorted(audit.undeclared_writes)}")
+
+    def test_chaos_wrapped_design_is_sound(self):
+        from repro.chaos import ChaosPlan, wrap
+
+        net, _ = patterns.table1_design()
+        wrap(net, ChaosPlan.seeded(3, list(net.channels),
+                                   kinds=("stall", "bubble", "corrupt")))
+        for audit in audit_netlist(net):
+            assert audit.ok, (audit.node, audit.kind)
 
     def test_audit_runs_on_a_clone(self):
         net, _ = patterns.table1_design()
