@@ -10,9 +10,14 @@ fix-point engine against the compiled codegen engine.
 
 Besides the human-readable tables, the head-to-head writes
 ``results/BENCH_engine.json`` so future PRs can track the perf trajectory
-machine-readably.
+machine-readably: ``PAIRS`` worklist/codegen pairs per workload,
+alternating which engine goes first, with every run, the median rates and
+the median codegen speedup with its quartiles.
+
+Run:  PYTHONPATH=src python -m pytest -q benchmarks/bench_engine.py
 """
 
+import statistics
 import time
 
 from conftest import merge_json, write_result
@@ -24,6 +29,7 @@ from repro.netlist import patterns
 from repro.sim.engine import Simulator
 
 PIPELINE_STAGES = 12
+PAIRS = 5            # worklist/codegen pairs per workload, alternating the first
 
 
 def simulate_fig1d(cycles=500, engine=None):
@@ -54,14 +60,24 @@ def transform_fig1a():
     return net
 
 
-def _rate(fn, cycles=400, repeat=3):
-    """Best-of-``repeat`` cycles/second of ``fn(cycles=...)``."""
-    best = float("inf")
-    for _ in range(repeat):
-        start = time.perf_counter()
-        fn(cycles=cycles)
-        best = min(best, time.perf_counter() - start)
-    return cycles / best
+def _rate(fn, engine, cycles=400):
+    """Cycles/second of one ``fn(cycles, engine=engine)`` run."""
+    start = time.perf_counter()
+    fn(cycles, engine=engine)
+    return cycles / (time.perf_counter() - start)
+
+
+def _pairs(fn):
+    """``PAIRS`` alternating worklist/codegen rates of ``fn``, after one
+    untimed run per engine (it compiles the codegen module)."""
+    runs = {"worklist": [], "codegen": []}
+    for engine in runs:
+        fn(50, engine=engine)
+    for pair in range(PAIRS):
+        order = ("codegen", "worklist") if pair % 2 else ("worklist", "codegen")
+        for engine in order:
+            runs[engine].append(_rate(fn, engine))
+    return runs
 
 
 def test_engine_speed_fig1d(benchmark):
@@ -88,10 +104,11 @@ def test_transformation_speed(benchmark):
 
 def test_worklist_vs_codegen():
     """Head-to-head in one run: the worklist engine vs the compiled
-    codegen engine.  Codegen must beat worklist by >= 5x on the 12-stage
-    pipeline and reach >= 1x on the speculative fig1d and fig6b loops.
-    Also records fig7b and the transformation latency, machine-readably,
-    for cross-PR trajectory tracking.  Merged via ``merge_json`` so the
+    codegen engine, as ``PAIRS`` alternating pairs per workload.  The
+    median per-pair codegen speedup must be >= 5x on the 12-stage
+    pipeline and >= 1x on the speculative fig1d and fig6b loops.  Also
+    records fig7b and the transformation latency, machine-readably, for
+    cross-PR trajectory tracking.  Merged via ``merge_json`` so the
     entries it does not write (such as the ``speedup`` of the retired
     dense-sweep engine) stay in ``BENCH_engine.json``."""
     workloads = {
@@ -100,30 +117,39 @@ def test_worklist_vs_codegen():
         "fig7b": lambda cycles, engine=None: simulate_design("fig7b", cycles, engine),
         "pipeline12": simulate_pipeline,
     }
-    rates = {
-        name: {engine: _rate(lambda cycles, fn=fn, engine=engine:
-                             fn(cycles, engine=engine))
-               for engine in ("worklist", "codegen")}
-        for name, fn in workloads.items()
-    }
+    runs = {name: _pairs(fn) for name, fn in workloads.items()}
+    rates, speedups = {}, {}
+    for name, pair in runs.items():
+        rates[name] = {engine: statistics.median(values)
+                       for engine, values in pair.items()}
+        ratios = [c / w for c, w in zip(pair["codegen"], pair["worklist"])]
+        q1, median, q3 = statistics.quantiles(ratios, n=4, method="inclusive")
+        speedups[name] = {"median": median, "q1": q1, "q3": q3,
+                          "runs": ratios}
     start = time.perf_counter()
     transform_fig1a()
     transform_seconds = time.perf_counter() - start
     payload = {
+        "pairs": PAIRS,
         "cycles_per_second": rates,
-        "codegen_speedup": {
-            name: pair["codegen"] / pair["worklist"] for name, pair in rates.items()
-        },
+        "cycles_per_second_runs": runs,
+        "codegen_speedup": {n: sp["median"] for n, sp in speedups.items()},
+        "codegen_speedup_q1": {n: sp["q1"] for n, sp in speedups.items()},
+        "codegen_speedup_q3": {n: sp["q3"] for n, sp in speedups.items()},
+        "codegen_speedup_runs": {n: sp["runs"] for n, sp in speedups.items()},
         "transform_seconds": transform_seconds,
         "pipeline_stages": PIPELINE_STAGES,
     }
     merge_json("BENCH_engine.json", payload)
-    lines = ["engine comparison (cycles/second, best of 3):"]
+    lines = [f"engine comparison (cycles/second, median of {PAIRS} "
+             "alternating pairs):"]
     for name, pair in rates.items():
+        speedup = speedups[name]
         lines.append(
             f"  {name:<11} worklist={pair['worklist']:>10,.0f}  "
             f"codegen={pair['codegen']:>10,.0f}  "
-            f"codegen_speedup={pair['codegen'] / pair['worklist']:.2f}x"
+            f"codegen_speedup={speedup['median']:.2f}x "
+            f"(quartiles {speedup['q1']:.2f}x-{speedup['q3']:.2f}x)"
         )
     lines.append(f"  speculation rewrite: {transform_seconds * 1000:.1f} ms")
     write_result("engine_comparison.txt", "\n".join(lines))

@@ -8,36 +8,29 @@ event resolution, statistics and ticks.  This module removes all of it by
 **elaboration**: given a netlist, it emits one specialized Python module
 per *topology* in which
 
-* the acyclic majority of the design (the same levelized writer->reader
-  order the PR 1 worklist engine seeds with) becomes **straight-line
-  code** — each core node kind's kernel is inlined by a per-kind emitter,
+* every node's ``comb`` becomes **straight-line code** — each kind's
+  kernel is split into signal tasks, inlined by a per-kind emitter and
   evaluated exactly once per cycle, in dependency order;
-* channel signals of that region live in **flat local variables**
+* channel signals live in **flat local variables**
   (``v3``/``p3``/``a3``/``m3``/``d3`` for ``vp``/``sp``/``vm``/``sm``/
   ``data`` of channel slot 3) instead of ``ChannelState`` objects;
-* every kind of the paper's designs has an emitter — buffers, joins,
-  forks, environments (including the permission source that a
-  :mod:`repro.chaos` stall splices in beside a join), the shared
-  module, the early-evaluation mux and the variable-latency unit — so
-  chaos-wrapped designs compile too, and the *residue* is only what cannot be
-  scheduled statically: subclasses that override ``comb``, nodes with
-  unbound ports, genuine signal-level combinational loops, and
-  :class:`~repro.elastic.fifo_model.AbstractElasticFifo` (no emitter),
-  plus the neighbours that read their signals.  It falls back to a
-  generated **residue worklist** over the real ``comb()`` methods and
-  ``ChannelState`` objects ("boxed" channels), preserving the monotone
-  Kleene semantics and :class:`~repro.errors.SignalConflictError`
-  behaviour exactly: each deferred node is seeded once in levelized
-  order, then only the readers of boxed signals that actually became
-  known run again — the worklist engine's algorithm, with the reader
-  table (the deferred nodes' ``comb_reads()`` inverted over signal ids)
-  baked into the module and the owning simulator's change log on the
-  boxed channel states;
 * protocol monitoring, event resolution, statistics, observers and the
   core ``tick`` kernels are inlined into the same generated function, so
   a cycle is one Python call (the shared module, mux and
   variable-latency unit keep their interpreted ``tick``, which reads the
   flushed channel states).
+
+Compilation is **all or nothing**.  Every kind of the paper's designs has
+an emitter — buffers, joins, forks, environments (including the
+permission source that a :mod:`repro.chaos` stall splices in beside a
+join), the shared module, the early-evaluation mux and the
+variable-latency unit — so chaos-wrapped designs compile too.  A netlist
+with a node that blocks compilation (a subclass that overrides ``comb``,
+:class:`~repro.elastic.fifo_model.AbstractElasticFifo`, a port bound to
+no live channel, or a task on a genuine signal-level combinational loop)
+gets no cycle function at all: :func:`generated_source` returns a banner
+naming those *deferred* nodes, and the simulator runs its own interpreted
+worklist cycle until an edit makes the netlist compile again.
 
 Straight-line code carries only known control values.  The one kernel
 whose control depends on *data* is the early-evaluation mux: an offered
@@ -48,8 +41,8 @@ re-runs it interpreted and raises the worklist engine's diagnosis.
 The locals are flushed back into the ``ChannelState`` objects every cycle
 (before the monitor/event phases), so everything that inspects channel
 state between cycles — observers, ``Channel.events()``, the model
-checker's packed-signal reader, fallback ``tick`` methods — sees exactly
-what the interpreted engines would produce.  The differential suite
+checker's packed-signal reader, interpreted ``tick`` methods — sees
+exactly what the worklist engine would produce.  The differential suite
 (``tests/test_codegen_diff.py``) pins the engine bit-identical to the
 worklist engine, including protocol violations and combinational-loop
 diagnoses.
@@ -61,14 +54,14 @@ Generated modules are ``exec``-compiled once per topology and cached
 process-wide, keyed by the netlist **content signature** (node names,
 classes, ports, declared sensitivities, channel wiring — see
 :func:`repro.sim.sensitivity.topology_signature`) plus the
-elaboration flags (``check_protocol``, ``profile``).  Numeric parameters
+``check_protocol`` flag.  Numeric parameters
 that only affect sequential behaviour (capacities, rates, seeds, datapath
 functions) are deliberately *not* baked in — they are read from the node
 instances at run time — so a parameter sweep over one topology compiles
 exactly once.  ``build(env)`` re-binds a cached module to a concrete
 simulator's nodes, channels, stats and monitor.
 
-Structural edits (the PR 4 ``NetlistEdit`` log) mark the simulator
+Structural edits (the ``NetlistEdit`` log) mark the simulator
 dirty; its shared post-edit refresh, run before the next
 ``step``/``reset``, re-elaborates against the edited netlist —
 which is a cache *hit* when the new topology has been seen before — so a
@@ -77,21 +70,15 @@ mutated design can never execute stale generated code.  A netlist whose
 exactly like the worklist engine.  :func:`cache_stats` exposes the
 hit / re-elaboration counters (CLI: ``repro elaborate``).
 
-Instrumented elaboration (``profile=True``) is a *documented mode*: the
-module is generated with per-node call counters and the per-cycle
-evaluation histogram woven in, so ``Simulator(engine="codegen",
-profile=True)`` supports
-:meth:`~repro.sim.engine.Simulator.profile_report` with the same report
-shape as the worklist engine (straight-line nodes count one evaluation
-per cycle; the residue counts its real calls).
+A compiled cycle evaluates every node exactly once, so its profiling
+counters are constants, which the simulator adds itself: nothing is
+woven into the generated code.
 
-Emitters are trusted by definition site: a per-kind emitter is used only for node classes whose ``comb`` (or
-``tick``, for tick emitters) is *defined by* the class the emitter was
-written against — a subclass overriding ``comb`` falls back to deferred
-evaluation of its own method.  Deferred nodes are trusted for their
-``comb_reads()`` declarations, exactly as the worklist engine trusts them
-(and :mod:`repro.lint.audit` checks them): a ``comb`` reading a signal it
-does not declare would miss its re-evaluation.
+Emitters are trusted by definition site: a per-kind emitter is used only
+for node classes whose ``comb`` (or ``tick``, for tick emitters) is
+*defined by* the class the emitter was written against — a subclass
+overriding ``comb`` is deferred, and a subclass overriding only ``tick``
+compiles with a call to its own ``tick``.
 """
 
 from __future__ import annotations
@@ -124,7 +111,8 @@ from repro.elastic.node import Node
 from repro.elastic.varlat import VariableLatencyUnit
 from repro.errors import SchedulerError
 from repro.sim.monitors import ProtocolMonitor
-from repro.sim.sensitivity import sensitivity, topology_signature
+from repro.netlist.graphalg import cyclic_sccs
+from repro.sim.sensitivity import topology_signature
 
 __all__ = [
     "CodegenBackend",
@@ -133,7 +121,7 @@ __all__ = [
     "generated_source",
 ]
 
-#: signal name -> local-variable prefix for non-boxed channels.
+#: signal name -> local-variable prefix of a channel's signals.
 _LOC = {"vp": "v", "sp": "p", "vm": "a", "sm": "m", "data": "d"}
 
 _CONTROLS = ("vp", "sp", "vm", "sm")
@@ -153,8 +141,8 @@ def _definer(cls, attr):
 # Each kind's comb() is split into *signal tasks*: (reads, writes, emitter)
 # triples, where reads/writes are (port, signal) pairs and the emitter
 # appends straight-line statements computing exactly what the kernel drives
-# for those signals, via g.sig(node, port, signal) (a flat local for fast
-# channels, a ChannelState attribute for boxed ones).  Scheduling happens at
+# for those signals, via g.sig(node, port, signal) (a flat local of the
+# bound channel).  Scheduling happens at
 # task granularity because that is where elastic control is acyclic: a ZBL
 # chain is cyclic node-to-node (the buffer reads downstream sp/vm, the
 # downstream join reads its vp) but acyclic signal-to-signal (vp/data flow
@@ -818,119 +806,88 @@ class _Plan:
     """Structural classification of one netlist for code generation."""
 
     __slots__ = (
-        "nodes", "channels", "chan_idx", "port_channel", "bound_ok",
-        "task_order", "fast", "deferred", "readers", "boxed",
+        "nodes", "channels", "port_channel", "task_order", "deferred",
         "pre_cycles", "choosers", "ticks",
     )
 
 
 def _build_plan(netlist):
+    """Schedule ``netlist``'s signal tasks into ``plan.task_order``.
+
+    ``plan.deferred`` lists, by index, the nodes that block compilation: a
+    node with no comb emitter, a port bound to no live channel, a read no
+    task produces, or a task on a signal-level cycle.  When it is
+    non-empty nothing is scheduled and no cycle function is generated.
+    """
     plan = _Plan()
     nodes = plan.nodes = list(netlist.nodes.values())
     channels = plan.channels = list(netlist.channels.values())
-    node_idx = {node.name: ni for ni, node in enumerate(nodes)}
-    chan_idx = plan.chan_idx = {ch.name: ci for ci, ch in enumerate(channels)}
-
-    # Every declared port must be bound to a channel that is (still) in the
-    # netlist; nodes failing this evaluate deferred, exactly as the
-    # interpreted engines would call their comb()/tick() directly.
-    bound_ok = plan.bound_ok = []
-    port_channel = plan.port_channel = {}
-    for node in nodes:
-        ok = True
-        for port in node.ports:
-            ch = node._channels.get(port)
-            if ch is None or chan_idx.get(ch.name) is None \
-                    or channels[chan_idx[ch.name]] is not ch:
-                ok = False
-                continue
-            port_channel[(node.name, port)] = chan_idx[ch.name]
-        bound_ok.append(ok)
-
-    # Signal-task scheduling.  Tasks of nodes with emitters are wired by
-    # (channel, signal) and topologically sorted; a node any of whose tasks
-    # is stuck — a read with no live producing task, or a genuine
-    # signal-level cycle — is demoted whole to the deferred residue,
-    # and demotion cascades (its readers lose their producers) until the
-    # remaining task graph is acyclic and fully sourced.
-    specs = {}
-    for ni, node in enumerate(nodes):
-        spec_fn = _COMB_TASKS.get(_definer(type(node), "comb"))
-        if spec_fn is not None and bound_ok[ni]:
-            specs[ni] = spec_fn(node)
-    demoted = set(ni for ni in range(len(nodes)) if ni not in specs)
-    task_order = []
-    while True:
-        live = [(ni, reads, writes, emit)
-                for ni in range(len(nodes)) if ni not in demoted
-                for (reads, writes, emit) in specs[ni]]
-        produced = {}
-        for t, (ni, reads, writes, emit) in enumerate(live):
-            for port, sig in writes:
-                produced[(port_channel[(nodes[ni].name, port)], sig)] = t
-        indeg = [0] * len(live)
-        adj = [[] for _ in live]
-        starved = set()
-        for t, (ni, reads, writes, emit) in enumerate(live):
-            for port, sig in reads:
-                src = produced.get(
-                    (port_channel[(nodes[ni].name, port)], sig)
-                )
-                if src is None:
-                    starved.add(ni)
-                    break
-                adj[src].append(t)
-                indeg[t] += 1
-        if starved:
-            demoted |= starved
-            continue
-        scheduled = []
-        ready = deque(t for t in range(len(live)) if indeg[t] == 0)
-        while ready:
-            t = ready.popleft()
-            scheduled.append(t)
-            for j in adj[t]:
-                indeg[j] -= 1
-                if indeg[j] == 0:
-                    ready.append(j)
-        if len(scheduled) == len(live):
-            task_order = [live[t] for t in scheduled]
-            break
-        placed = set(scheduled)
-        demoted |= {live[t][0] for t in range(len(live))
-                    if t not in placed}
-    plan.task_order = task_order
-    plan.fast = [ni for ni in range(len(nodes)) if ni not in demoted]
-
-    # Deferred nodes run in the worklist engine's seed order, and the
-    # residue's reader table is the worklist's, both restricted to the
-    # deferred nodes: signal ids are the ChannelState ``base`` numbering
-    # of the owning simulator (channel slot * N_SIGNALS), reader entries
-    # name positions in plan.deferred.
-    all_readers, order = sensitivity(nodes, channels)
-    plan.deferred = [ni for ni in order if ni in demoted]
-    position = {ni: k for k, ni in enumerate(plan.deferred)}
-    plan.readers = tuple(
-        tuple(position[ni] for ni in readers if ni in position)
-        for readers in all_readers
-    )
-
-    # A channel adjacent to any deferred (or missing) endpoint stays boxed
-    # in its ChannelState; all other channels become flat locals.
-    boxed = plan.boxed = set()
-    for ci, ch in enumerate(channels):
-        for end in (ch.producer, ch.consumer):
-            if end is None or end[0] not in node_idx \
-                    or node_idx[end[0]] in demoted:
-                boxed.add(ci)
-                break
-
+    chan_idx = {ch.name: ci for ci, ch in enumerate(channels)}
     plan.pre_cycles = [ni for ni, node in enumerate(nodes)
                        if type(node).pre_cycle is not Node.pre_cycle]
     plan.choosers = [ni for ni, node in enumerate(nodes)
                      if type(node).choice_space is not Node.choice_space]
     plan.ticks = [ni for ni, node in enumerate(nodes)
                   if type(node).tick is not Node.tick]
+    plan.task_order = []
+    deferred = plan.deferred = []
+
+    port_channel = plan.port_channel = {}
+    tasks = []
+    for ni, node in enumerate(nodes):
+        spec_fn = _COMB_TASKS.get(_definer(type(node), "comb"))
+        ok = spec_fn is not None
+        for port in node.ports:
+            ch = node._channels.get(port)
+            ci = None if ch is None else chan_idx.get(ch.name)
+            if ci is None or channels[ci] is not ch:
+                ok = False
+                continue
+            port_channel[(node.name, port)] = ci
+        if ok:
+            tasks += [(ni, reads, writes, emit)
+                      for reads, writes, emit in spec_fn(node)]
+        else:
+            deferred.append(ni)
+    if deferred:
+        return plan
+
+    # Tasks are wired by (channel, signal) and topologically sorted.
+    # Scheduling happens per task, not per node: elastic control is
+    # acyclic signal-to-signal even where it is cyclic node-to-node.
+    produced = {}
+    for t, (ni, reads, writes, emit) in enumerate(tasks):
+        for port, sig in writes:
+            produced[(port_channel[(nodes[ni].name, port)], sig)] = t
+    indeg = [0] * len(tasks)
+    adj = [[] for _ in tasks]
+    starved = set()
+    for t, (ni, reads, writes, emit) in enumerate(tasks):
+        for port, sig in reads:
+            src = produced.get((port_channel[(nodes[ni].name, port)], sig))
+            if src is None:
+                starved.add(ni)
+            else:
+                adj[src].append(t)
+                indeg[t] += 1
+    if starved:
+        deferred += sorted(starved)
+        return plan
+    scheduled = []
+    ready = deque(t for t in range(len(tasks)) if indeg[t] == 0)
+    while ready:
+        t = ready.popleft()
+        scheduled.append(t)
+        for j in adj[t]:
+            indeg[j] -= 1
+            if indeg[j] == 0:
+                ready.append(j)
+    if len(scheduled) < len(tasks):
+        deferred += sorted({tasks[t][0]
+                            for component in cyclic_sccs(range(len(tasks)), adj)
+                            for t in component})
+        return plan
+    plan.task_order = [tasks[t] for t in scheduled]
     return plan
 
 
@@ -963,14 +920,9 @@ class _Gen:
         return name
 
     def sig(self, node, port, signal):
-        ci = self.plan.port_channel[(node.name, port)]
-        if ci in self.plan.boxed:
-            return f"{self.state_ref(ci)}.{signal}"
-        return f"{_LOC[signal]}{ci}"
+        return self.csig(self.plan.port_channel[(node.name, port)], signal)
 
     def csig(self, ci, signal):
-        if ci in self.plan.boxed:
-            return f"{self.state_ref(ci)}.{signal}"
         return f"{_LOC[signal]}{ci}"
 
     def cover(self, node, pairs):
@@ -1014,12 +966,23 @@ def _events_block(g, ci, name, cache_lhs, counters=None):
     return out
 
 
-def _generate_source(netlist, check_protocol, profile, content_hash):
+def _generate_source(netlist, check_protocol, content_hash):
+    """The module source for ``netlist``: a ``build(env)`` returning the
+    compiled cycle, or only the banner (naming the deferred nodes) when
+    the netlist does not compile."""
     plan = _build_plan(netlist)
-    g = _Gen(plan)
     nodes, channels = plan.nodes, plan.channels
-    boxed = plan.boxed
-    fast_channels = [ci for ci in range(len(channels)) if ci not in boxed]
+    lines = [
+        f"# generated by repro.backend.pysim — topology {content_hash}",
+        f"# netlist {netlist.name!r}: {len(nodes)} nodes, {len(channels)} "
+        f"channels, {len(plan.deferred)} deferred",
+        f"# flags: check_protocol={bool(check_protocol)}",
+    ]
+    if plan.deferred:
+        names = ", ".join(nodes[ni].name for ni in plan.deferred)
+        lines.append(f"# not compiled (runs interpreted); deferred: {names}")
+        return "\n".join(lines) + "\n"
+    g = _Gen(plan)
     body = []  # _cycle body lines, relative indentation included
 
     # -- nondeterministic choices (model-checker path only) -----------------
@@ -1038,15 +1001,13 @@ def _generate_source(netlist, check_protocol, profile, content_hash):
         g.bind[name] = f"_nodes[{ni}].pre_cycle"
         body.append(f"{name}()")
 
-    # -- clear: boxed channels via the shared clear path, fast channels as
-    # -- fresh locals (events caches invalidated for both) ------------------
-    for ci in sorted(boxed):
-        body.append(f"{g.chan_ref(ci)}.clear_cycle()")
-    locals_ = [f"{_LOC[s]}{ci}" for ci in fast_channels
+    # -- clear: every channel's signals are fresh locals, its events cache
+    # -- invalidated ----------------------------------------------------------
+    locals_ = [f"{_LOC[s]}{ci}" for ci in range(len(channels))
                for s in ("vp", "sp", "vm", "sm", "data")]
     body += _chunk_chain(locals_, "None", size=10)
-    body += _chunk_chain([f"{g.chan_ref(ci)}.events_cache" for ci in fast_channels],
-                         "None", size=8)
+    body += _chunk_chain([f"{g.chan_ref(ci)}.events_cache"
+                          for ci in range(len(channels))], "None", size=8)
 
     # -- straight-line region, in scheduled signal-task order ---------------
     for ni, reads, writes, emit in plan.task_order:
@@ -1054,78 +1015,21 @@ def _generate_source(netlist, check_protocol, profile, content_hash):
         body.append(f"# {node.name} ({node.kind})")
         emit(g, ni, node, body)
         g.cover(node, [(p, s) for p, s in writes if s != "data"])
-    if profile and plan.fast:
-        for ni in plan.fast:
-            body.append(f"_cc[{ni}] += 1")
 
-    # -- cyclic residue: signal-precise worklist over the real comb() ------
-    # Seed every deferred node once, in levelized order, then re-evaluate
-    # only the readers (per comb_reads) of boxed signals that actually
-    # became known — the worklist engine's algorithm, over the residue.
-    # Each boxed signal changes at most once per cycle, so the queue
-    # drains without an iteration bound.
-    if plan.deferred:
-        if profile:
-            body.append("_ne = 0")
-        body += [
-            "_lg.clear()",
-            "_pd[:] = _ones",
-            "_q = deque(_seed)",
-            "while _q:",
-            "    _i = _q.popleft()",
-            "    _pd[_i] = 0",
-            "    _fs[_i]()",
-        ]
-        if profile:
-            body += ["    _cc[_rn[_i]] += 1", "    _ne += 1"]
-        body += [
-            "    if _lg:",
-            "        for _s in _lg:",
-            "            for _j in _rd[_s]:",
-            "                if not _pd[_j]:",
-            "                    _pd[_j] = 1",
-            "                    _q.append(_j)",
-            "        _lg.clear()",
-        ]
-        g.bind.update({
-            "_lg": 'env["log"]',
-            "_rd": "_READERS",
-            "_pd": f"bytearray({len(plan.deferred)})",
-            "_ones": f"b'\\x01' * {len(plan.deferred)}",
-            "_fs": "(" + "".join(f"_nodes[{ni}].comb, "
-                                 for ni in plan.deferred) + ")",
-            "deque": "deque",
-            "_seed": f"range({len(plan.deferred)})",
-        })
-        if profile:
-            g.bind["_rn"] = repr(tuple(plan.deferred))
-
-    if profile:
-        extra = " + _ne" if plan.deferred else ""
-        body.append(f"_sim.evals_per_cycle.append({len(plan.fast)}{extra})")
-
-    # -- flush locals into the ChannelState objects (observers, fallback
+    # -- flush locals into the ChannelState objects (observers, interpreted
     # -- ticks, the model checker's packed reader and Channel.events() all
     # -- read them between phases / cycles) ---------------------------------
-    for ci in fast_channels:
+    for ci in range(len(channels)):
         st = g.state_ref(ci)
         body.append("; ".join(
             f"{st}.{s} = {_LOC[s]}{ci}" for s in ("vp", "sp", "vm", "sm", "data")
         ))
 
     # -- resolution check (combinational-loop diagnosis) --------------------
-    # Fast-channel controls are unconditionally assigned two-valued
-    # expressions (audited below), so only the data obligation can fail;
-    # boxed channels get the full unresolved test.
+    # Controls are unconditionally assigned two-valued expressions (audited
+    # below), so only the data obligation can fail.
     for ci in range(len(channels)):
-        if ci in boxed:
-            st = g.state_ref(ci)
-            body.append(
-                f"if {st}.vp is None or {st}.sp is None or {st}.vm is None "
-                f"or {st}.sm is None or ({st}.vp and {st}.data is None):"
-            )
-        else:
-            body.append(f"if {_LOC['vp']}{ci} and {_LOC['data']}{ci} is None:")
+        body.append(f"if {_LOC['vp']}{ci} and {_LOC['data']}{ci} is None:")
         body.append("    _diag()")
 
     # -- protocol monitor, inlined (exact ProtocolMonitor.observe mirror) ---
@@ -1187,7 +1091,7 @@ def _generate_source(netlist, check_protocol, profile, content_hash):
     for ni in plan.ticks:
         node = nodes[ni]
         emitter = _TICK_EMITTERS.get(_definer(type(node), "tick"))
-        if emitter is not None and plan.bound_ok[ni]:
+        if emitter is not None:
             body.append(f"# tick {node.name} ({node.kind})")
             emitter(g, ni, node, body)
         else:
@@ -1197,9 +1101,9 @@ def _generate_source(netlist, check_protocol, profile, content_hash):
 
     body += ["if choices is not None:", "    return _evd"]
 
-    # -- audit: every fast channel's four controls must be written
+    # -- audit: every channel's four controls must be written
     # -- unconditionally by the straight-line region ------------------------
-    for ci in fast_channels:
+    for ci in range(len(channels)):
         for sig in _CONTROLS:
             if (ci, sig) not in g.covered:
                 raise AssertionError(
@@ -1221,25 +1125,10 @@ def _generate_source(netlist, check_protocol, profile, content_hash):
     })
     if check_protocol:
         g.bind.update({"_mp": "_mon._prev", "_mf": "_mon._fail"})
-    if profile:
-        g.bind["_cc"] = 'env["comb_calls"]'
 
     params = [f"{name}={expr}" for name, expr in g.bind.items()]
-    lines = [
-        f"# generated by repro.backend.pysim — topology {content_hash}",
-        f"# netlist {netlist.name!r}: {len(nodes)} nodes, {len(channels)} "
-        f"channels ({len(plan.fast)} straight-line, {len(plan.deferred)} "
-        f"deferred, {len(boxed)} boxed)",
-        f"# flags: check_protocol={bool(check_protocol)}, "
-        f"profile={bool(profile)}",
-        "",
-    ]
-    if plan.deferred:
-        # boxed signal id (channel slot * N_SIGNALS + SIG_INDEX) -> the
-        # residue positions of the deferred nodes that read it
-        lines += ["from collections import deque", "",
-                  f"_READERS = {plan.readers!r}", ""]
     lines += [
+        "",
         "def build(env):",
         '    _nodes = env["nodes"]',
         '    _channels = env["channels"]',
@@ -1263,7 +1152,9 @@ def _generate_source(netlist, check_protocol, profile, content_hash):
 
 
 class CompiledModule:
-    """One exec-compiled module for one (topology, flags) key."""
+    """One exec-compiled module for one (topology, flags) key; ``build``
+    is None when the netlist does not compile (the source is then only
+    the banner naming the deferred nodes)."""
 
     __slots__ = ("source", "build", "content_hash")
 
@@ -1277,32 +1168,33 @@ _MODULE_CACHE = {}
 _CACHE_STATS = {"hits": 0, "misses": 0}
 
 
-def _module_key(netlist, check_protocol, profile):
-    return (topology_signature(netlist), bool(check_protocol), bool(profile))
+def _module_key(netlist, check_protocol):
+    return (topology_signature(netlist), bool(check_protocol))
 
 
-def _module_for(netlist, check_protocol, profile):
-    key = _module_key(netlist, check_protocol, profile)
+def _module_for(netlist, check_protocol):
+    key = _module_key(netlist, check_protocol)
     module = _MODULE_CACHE.get(key)
     if module is not None:
         _CACHE_STATS["hits"] += 1
         return module
     _CACHE_STATS["misses"] += 1
     content_hash = hashlib.sha256(repr(key).encode()).hexdigest()[:16]
-    source = _generate_source(netlist, check_protocol, profile, content_hash)
+    source = _generate_source(netlist, check_protocol, content_hash)
     namespace = {}
     exec(compile(source, f"<pysim:{content_hash}>", "exec"), namespace)
-    module = CompiledModule(source, namespace["build"], content_hash)
+    module = CompiledModule(source, namespace.get("build"), content_hash)
     _MODULE_CACHE[key] = module
     return module
 
 
-def generated_source(netlist, check_protocol=True, profile=False):
+def generated_source(netlist, check_protocol=True):
     """The generated module source for ``netlist`` (compiling and caching
     it if this topology has not been elaborated yet) — the inspection aid
-    behind ``repro elaborate``."""
+    behind ``repro elaborate``.  A netlist that does not compile yields
+    only the banner, which names its deferred nodes."""
     netlist.validate()
-    return _module_for(netlist, check_protocol, profile).source
+    return _module_for(netlist, check_protocol).source
 
 
 def cache_stats():
@@ -1334,23 +1226,19 @@ class CodegenBackend:
 
     The simulator owns everything engine-independent — stats, monitor,
     observers, the cycle counter, edit bookkeeping, ``reset``, choice
-    listing, the loop diagnosis and profile aggregation — and calls
+    listing, the loop diagnosis and evaluation counts — and calls
     :attr:`cycle_fn` ``(cycle, choices)`` in place of its interpreted
-    cycle.  Construction elaborates once; :meth:`elaborate` re-runs
-    against the simulator's current structures after structural edits
-    (see the module docstring on caching and staleness).
+    cycle.  Construction binds the module for the simulator's current
+    topology (compiling it on a cache miss); :attr:`cycle_fn` is None when
+    that netlist does not compile, and the simulator then runs its
+    interpreted worklist cycle.  The simulator elaborates afresh at every
+    structure refresh (see the module docstring on caching and staleness).
     """
 
     def __init__(self, sim):
         self.sim = sim
-        self.elaborate()
-
-    def elaborate(self):
-        """(Re-)bind the module for the simulator's current topology
-        (compiling it on a cache miss); returns the new :attr:`cycle_fn`."""
-        sim = self.sim
-        module = _module_for(sim.netlist, sim.monitor is not None, sim.profile)
-        env = {
+        module = _module_for(sim.netlist, sim.monitor is not None)
+        self.cycle_fn = None if module.build is None else module.build({
             "nodes": sim._nodes,
             "channels": sim._channels,
             "stats": sim.stats,
@@ -1360,16 +1248,11 @@ class CodegenBackend:
             "diagnose": sim._check_resolved,
             "diagnose_unknown": self.diagnose_unknown,
             "SchedulerError": SchedulerError,
-            "log": sim._log,
             "EV_IDLE": EV_IDLE,
             "EV_CANCEL": EV_CANCEL,
             "EV_BACKWARD": EV_BACKWARD,
             "ChannelEvents": ChannelEvents,
-        }
-        if sim.profile:
-            env["comb_calls"] = sim.comb_calls
-        self.cycle_fn = module.build(env)
-        return self.cycle_fn
+        })
 
     def diagnose_unknown(self):
         """Raise the worklist engine's combinational-loop diagnosis for a

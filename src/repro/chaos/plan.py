@@ -138,7 +138,7 @@ class ChaosHandle:
     plan: ChaosPlan
     edits: list = field(default_factory=list)
     #: names of every node :func:`wrap` spliced in
-    saboteurs: list = field(default_factory=list)
+    splices: list = field(default_factory=list)
 
 
 class MaskStream:
@@ -243,7 +243,7 @@ def wrap(netlist, plan, nondet=False):
     recorder = netlist.subscribe(handle.edits.append)
     try:
         for fault in plan.faults:
-            _splice(netlist, fault, nondet, handle.saboteurs)
+            _splice(netlist, fault, nondet, handle.splices)
     finally:
         netlist.unsubscribe(recorder)
     return handle
@@ -253,13 +253,13 @@ def unwrap(handle):
     """Undo :func:`wrap` exactly: replay the recorded edits' inverses in
     reverse order through the edit log (warm simulators follow them too)."""
     netlist = handle.netlist
-    for name in handle.saboteurs:
+    for name in handle.splices:
         if name not in netlist.nodes:
             raise ChaosError(
-                f"unwrap: saboteur {name!r} no longer in netlist "
+                f"unwrap: spliced node {name!r} no longer in netlist "
                 f"(wrong netlist, or already unwrapped?)")
     for edit in reversed(handle.edits):
         netlist.apply_edit(edit.inverse())
     handle.edits.clear()
-    handle.saboteurs.clear()
+    handle.splices.clear()
     return netlist

@@ -435,8 +435,7 @@ def _cmd_elaborate(args):
                 text = fh.read()
         session.run_script(text)
         net = session.netlist
-    source = pysim.generated_source(
-        net, check_protocol=not args.no_protocol, profile=args.profile)
+    source = pysim.generated_source(net, check_protocol=not args.no_protocol)
     if args.dump == "-":
         print(source)
     elif args.dump is not None:
@@ -862,9 +861,6 @@ def build_parser():
     p.add_argument("--no-protocol", action="store_true",
                    help="elaborate without the inlined protocol monitor "
                         "(check_protocol=False variant)")
-    p.add_argument("--profile", action="store_true",
-                   help="elaborate the instrumented variant (per-node "
-                        "call counters and eval histograms woven in)")
     p.set_defaults(fn=_cmd_elaborate)
 
     p = sub.add_parser(

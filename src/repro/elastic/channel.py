@@ -41,8 +41,9 @@ changed: the owning simulator registers a shared change log
 (``state.log``) and a per-channel signal-id base (``state.base``); every
 ``unknown -> known`` transition appends the global signal id
 ``base + SIG_INDEX[name]`` to the log, which is what lets the worklist
-engine and codegen's residue enqueue exactly the nodes sensitive to that
-signal instead of re-sweeping the whole netlist.  The log is the only
+engine enqueue exactly the nodes sensitive to that signal instead of
+re-sweeping the whole netlist.  (Compiled cycles keep signals in locals
+and never touch the log.)  The log is the only
 fix-point progress signal (``comb()`` returns nothing) and doubles as the
 ownership token.  When no log is registered (unit tests) the append is
 skipped and behaviour is exactly the classic one.

@@ -4,10 +4,10 @@ Every engine optimization in this codebase trusts each node's *declared*
 combinational sensitivity: the worklist engine only re-evaluates a node
 when a signal in ``comb_reads()`` changes, its seed order takes every
 signal's writer from port roles (a node drives only what its roles
-permit), and the codegen backend schedules its interpreted residue —
-nodes whose ``comb`` has no emitter, such as user subclasses that
-override it — on the same contract.  One undeclared read produces
-silently wrong fix-points with no error anywhere.
+permit), and a codegen simulator falls back to that same worklist for a
+netlist it cannot compile — one with a node whose ``comb`` has no
+emitter, such as a user subclass that overrides it.  One undeclared read
+produces silently wrong fix-points with no error anywhere.
 
 The auditor verifies the contract *dynamically*: it replaces a node's
 channels with recording proxies and executes ``comb()`` under a

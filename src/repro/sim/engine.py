@@ -61,20 +61,23 @@ leaves the log empty, computes the same least fixed point; the
 differential fuzz tests pin both engines to it.
 
 ``codegen`` — the compiled engine of :mod:`repro.backend.pysim`.  The
-netlist is *elaborated*: its acyclic majority (the same levelized order
-the worklist seeds with) is emitted as straight-line Python with channel
-signals in flat locals, the residue (the nodes without an emitter, such
-as a user subclass that overrides ``comb``) runs as a generated worklist over this simulator's change log and a
-baked-in reader table, and protocol monitoring / statistics / event
-resolution / core ``tick`` kernels are inlined into the same generated
-function — one Python call per cycle, no per-node dispatch.  Modules are
-``exec``-compiled once per topology and cached process-wide (sequential
-parameters are read at run time, so sweeps over one topology compile
-once); structural edits re-elaborate before the next step, never serving
-stale code.  Highest per-cycle throughput (~8x over worklist on the
-deep-pipeline bench, and ahead of it on the paper's speculative designs)
-at the cost of a one-time elaboration per topology; pinned bit-identical
-to the worklist engine by ``tests/test_codegen_diff.py``.
+netlist is *elaborated*: every node's ``comb`` is emitted as
+straight-line Python with channel signals in flat locals, and protocol
+monitoring / statistics / event resolution / core ``tick`` kernels are
+inlined into the same generated function — one Python call per cycle,
+no per-node dispatch.  Compilation is all or nothing: a netlist with a
+node that blocks it (no emitter, as for a user subclass that overrides
+``comb``; an unbound port; a signal-level combinational loop) runs this
+simulator's interpreted worklist cycle instead.  The choice is made
+again at every structure refresh, so a simulator following edits
+switches either way.  Modules are ``exec``-compiled once per topology
+and cached process-wide (sequential parameters are read at run time, so
+sweeps over one topology compile once); structural edits re-elaborate
+before the next step, never serving stale code.  Highest per-cycle
+throughput (~8x over worklist on the deep-pipeline bench, and ahead of
+it on the paper's speculative designs) at the cost of a one-time
+elaboration per topology; pinned bit-identical to the worklist engine
+by ``tests/test_codegen_diff.py``.
 
 ``lanes=N`` (``N > 1``) on :func:`~repro.perf.sweep.run_sweep` and
 :class:`~repro.verif.explore.StateExplorer` is another way to ask for
@@ -84,6 +87,7 @@ to the worklist engine by ``tests/test_codegen_diff.py``.
 from __future__ import annotations
 
 from collections import deque
+from functools import partial
 
 from repro.elastic.channel import N_SIGNALS
 from repro.elastic.node import Node
@@ -248,19 +252,12 @@ class Simulator:
             self.evals_per_cycle = []
         # Ownership: the simulator claims every channel with its change log
         # (here and on each followed connect), so a simulator can tell when
-        # a newer one took over.  Codegen's generated residue reads it too.
+        # a newer one took over.  The worklist fix-point reads it too.
         self._log = []
         for channel in netlist.channels.values():
             channel.state.log = self._log
         self._nodes = []
-        self._cycle = self._interpreted_cycle
-        self._backend = None
         self._sync_structures()
-        if engine == "codegen":
-            from repro.backend.pysim import CodegenBackend
-
-            self._backend = CodegenBackend(self)
-            self._cycle = self._backend.cycle_fn
         if follow_edits:
             self._follow(netlist)
         netlist.reset()
@@ -280,8 +277,9 @@ class Simulator:
     def _sync_structures(self):
         """(Re)derive the per-cycle structures from the current netlist:
         fresh node and channel lists, the channels' signal-id blocks,
-        profile counters, pre-bound method lists and the engine's own
-        part — the worklist's sensitivity tables, or the compiled cycle."""
+        profile counters, pre-bound method lists and the cycle — the
+        compiled one when the codegen engine compiles this netlist, else
+        the interpreted one over freshly built sensitivity tables."""
         old_nodes = self._nodes
         nodes = self._nodes = list(self.netlist.nodes.values())
         channels = self._channels = list(self.netlist.channels.values())
@@ -305,13 +303,20 @@ class Simulator:
                             if type(node).pre_cycle is not Node.pre_cycle]
         self._choosers = [node for node in nodes
                           if type(node).choice_space is not Node.choice_space]
-        if self.engine == "worklist":
+        cycle = None
+        if self.engine == "codegen":
+            from repro.backend.pysim import CodegenBackend
+
+            cycle = CodegenBackend(self).cycle_fn
+        if cycle is None:
             self._readers, self._order = sensitivity(nodes, channels)
             self._combs = [node.comb for node in nodes]
             self._pending = bytearray(len(nodes))
             self._all_pending = b"\x01" * len(nodes)
-        elif self._backend is not None:
-            self._cycle = self._backend.elaborate()
+            cycle = self._interpreted_cycle
+        elif self.profile:
+            cycle = partial(self._counted_cycle, cycle)
+        self._cycle = cycle
 
     def apply_edit(self, edit):
         """Follow one structural netlist edit.
@@ -441,6 +446,15 @@ class Simulator:
         unresolved = unresolved_signals(self._channels)
         if unresolved:
             raise CombinationalLoopError(unresolved, cycle=self.cycle)
+
+    def _counted_cycle(self, compiled, cycle, choices):
+        """Run a compiled cycle under ``profile=True``: it evaluates every
+        node exactly once, so its counters are constants."""
+        calls = self.comb_calls
+        for i in range(len(calls)):
+            calls[i] += 1
+        self.evals_per_cycle.append(len(calls))
+        return compiled(cycle, choices)
 
     def _interpreted_cycle(self, cycle, choices):
         """One interpreted (worklist) cycle: choices, pre-cycle,

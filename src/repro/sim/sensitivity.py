@@ -4,11 +4,12 @@
 per-signal reader lists and levelizes the writer -> reader graph into the
 once-per-cycle seed order.  The writer of every channel signal follows
 from port roles: the producer drives ``vp``/``sm``/``data``, the consumer
-drives ``sp``/``vm``.  The worklist engine computes it at construction and
-at every structure refresh after structural edits; the codegen engine
-derives its residue worklist from it.  One O(netlist) pass, the same cost
-as the refresh's other rebuilds, so a simulator that followed edits holds
-exactly the tables a freshly constructed one would.
+drives ``sp``/``vm``.  The interpreted worklist cycle computes it at
+construction and at every structure refresh after structural edits (a
+codegen simulator too, whenever its netlist does not compile).  One
+O(netlist) pass, the same cost as the refresh's other rebuilds, so a
+simulator that followed edits holds exactly the tables a freshly
+constructed one would.
 
 :func:`topology_signature` is the module-cache key of the compiled engine
 (:mod:`repro.backend.pysim`): netlists with equal signatures run the same

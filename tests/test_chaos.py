@@ -106,7 +106,7 @@ class TestWrapUnwrap:
         channels = set(net.channels)
         plan = ChaosPlan.seeded(5, list(net.channels))
         handle = wrap(net, plan)
-        assert set(net.nodes) != nodes          # saboteurs spliced in
+        assert set(net.nodes) != nodes          # fault nodes spliced in
         assert all(node.kind.startswith("chaos_")
                    for name, node in net.nodes.items() if name not in nodes)
         unwrap(handle)
@@ -408,8 +408,8 @@ class TestLint:
         handle = wrap(net, ChaosPlan.seeded(1, list(net.channels)))
         report = run_lint(net)
         flagged = {d.node for d in report.by_code("W211")}
-        assert flagged == set(handle.saboteurs)
-        assert not report.errors        # saboteurs are protocol-clean
+        assert flagged == set(handle.splices)
+        assert not report.errors        # splices are protocol-clean
         unwrap(handle)
         assert not run_lint(net).by_code("W211")
 
@@ -426,10 +426,8 @@ class TestCodegenEngagement:
     def test_saboteurs_compile_to_straight_line_tasks(self):
         """Every node a splice adds must compile with the codegen
         backend's own spec/tick emitters — visible as named straight-line
-        comb and tick sections in the generated module, not per-node
-        interpreter fallbacks.  (A fully combinational pipeline keeps
-        every spliced node in the straight-line region; inside a boxed
-        shared/eemux region only the tick section would show.)"""
+        comb and tick sections in the generated module, not an
+        interpreted fallback."""
         from repro.backend.pysim import generated_source
         from repro.elastic.buffers import ElasticBuffer
         from repro.elastic.environment import ListSource, Sink
@@ -449,7 +447,7 @@ class TestCodegenEngagement:
                 [("in", "stall"), ("mid", "bubble"), ("out", "corrupt")]))
         handle = wrap(net, ChaosPlan(faults=faults, seed=0))
         source = generated_source(net)
-        for name in handle.saboteurs:
+        for name in handle.splices:
             node = net.nodes[name]
             assert f"# {name} ({node.kind})" in source
             assert f"# tick {name} ({node.kind})" in source

@@ -152,9 +152,9 @@ class TestProtocolViolationParity:
         """Deliberately broken: withdraws a stalled token after 2 cycles.
 
         Subclasses ElasticBuffer only to inherit wiring; ``comb`` is
-        replaced by a protocol-violating offer, so codegen demotes the node
-        to the deferred loop and the violation reaches the generated
-        monitor through a boxed channel.
+        replaced by a protocol-violating offer, so codegen has no emitter
+        for the node: the netlist does not compile, the codegen simulator
+        runs it interpreted, and the violation must still match.
         """
 
         def __init__(self, name):
@@ -221,9 +221,9 @@ class TestLoopDiagnosisParity:
         assert diagnoses["codegen"] == diagnoses["worklist"]
 
     def test_partial_loop_same_diagnosis(self):
-        """A loop hanging off a healthy pipeline: the pipeline part goes
-        straight-line, the cyclic residue is demoted — and still reported
-        identically."""
+        """A loop hanging off a healthy pipeline: the loop's tasks are
+        deferred, so the whole netlist runs interpreted — and the loop is
+        still reported identically."""
 
         def make_net():
             net = Netlist("mixed")
@@ -458,12 +458,10 @@ class TestModuleCache:
     @pytest.mark.parametrize("make", [
         *(pytest.param(DESIGNS[name], id=name) for name in sorted(DESIGNS)),
         pytest.param(MC_DESIGNS["spec-nondet"], id="spec-nondet"),
-        pytest.param(lambda: TestResidueWorklist._mutant_pipeline(),
-                     id="residue"),
     ])
     def test_scratch_locals_never_shadow_bindings(self, make):
         """The cycle function's bound defaults (``_sl`` is the stalls
-        counter, ``_pd`` the residue's pending flags, ...) must never be
+        counter, ``_mp`` the monitor's history, ...) must never be
         reassigned by emitted scratch code."""
         import ast
 
@@ -483,12 +481,14 @@ class TestModuleCache:
 
 
 class TestResidueWorklist:
-    """The paper's speculative designs compile without any residue; a
-    residue that remains (here a comb-overriding mutant in a ZBL chain)
-    runs as a signal-precise worklist: no dense sweep, and never more
-    comb() evaluations than the interpreted worklist engine.
-    Deterministic work counters, so a return to bounded re-sweeps fails
-    without timing anything."""
+    """The paper's speculative designs compile whole, never doing more
+    comb() evaluations than the interpreted worklist engine.  A netlist
+    that does not compile (here a comb-overriding mutant in a ZBL chain)
+    gets no generated cycle at all: the codegen simulator runs the
+    worklist engine's own cycle on it, and a follower switches back and
+    forth as edits make its netlist compile or not.  Deterministic work
+    counters, so a return to bounded re-sweeps fails without timing
+    anything."""
 
     DESIGNS = ("fig1d", "fig6b", "fig7b")
 
@@ -517,15 +517,64 @@ class TestResidueWorklist:
         assert "while _q:" not in source      # no residue at all
 
     def test_residue_is_a_worklist(self):
+        """Only the mutant blocks compilation; the banner names it, no
+        cycle function is generated, and the codegen simulator runs the
+        worklist cycle: bit-identical, with the same work counters."""
+        from dataclasses import replace
+
         net = self._mutant_pipeline()
         plan = pysim._build_plan(net)
-        # the mutant, plus both ZBLs: each reads a signal the mutant drives
-        assert [plan.nodes[ni].name for ni in plan.deferred] == \
-            ["z0", "bad", "z1"]
+        assert [plan.nodes[ni].name for ni in plan.deferred] == ["bad"]
         source = pysim.generated_source(net)
-        assert "_chg" not in source
-        assert "for _ in range(" not in source
-        assert "while _q:" in source
+        assert "1 deferred" in source
+        assert "deferred: bad" in source
+        assert "_cycle" not in source
+        assert_codegen_identical(self._mutant_pipeline, cycles=200)
+        reports = {}
+        for engine in ("worklist", "codegen"):
+            sim = Simulator(self._mutant_pipeline(), engine=engine,
+                            profile=True)
+            sim.run(200)
+            reports[engine] = sim.profile_report()
+        assert replace(reports["codegen"], engine="worklist") == \
+            reports["worklist"]
+
+    def test_follower_switches_between_compiled_and_interpreted(self):
+        """A codegen follower on fig6b takes a spliced comb-overriding
+        buffer (the netlist stops compiling) and then its removal (it
+        compiles again), matching a worklist follower and the dense-sweep
+        reference after every phase."""
+        from helpers import DenseSweepSimulator
+        from repro.transform.base import splice_node, unsplice_node
+
+        class OverridingBuffer(ElasticBuffer):
+            def comb(self):
+                super().comb()
+
+        runs = {}
+        for label, cls, engine in (("codegen", Simulator, "codegen"),
+                                   ("worklist", Simulator, "worklist"),
+                                   ("dense", DenseSweepSimulator, None)):
+            net = DESIGNS["fig6b"]()
+            log = TransferLog(list(net.channels))
+            sim = cls(net, engine=engine, observers=[log], follow_edits=True)
+            runs[label] = (sim, log)
+
+        def phase(edit, compiled):
+            seen = {}
+            for label, (sim, log) in runs.items():
+                edit(sim.netlist)
+                sim.run(60)
+                seen[label] = (log.streams, _stats_dict(sim),
+                               sim.netlist.nodes["snk"].values)
+            codegen = runs["codegen"][0]
+            assert (codegen._cycle != codegen._interpreted_cycle) is compiled
+            assert seen["codegen"] == seen["worklist"] == seen["dense"]
+
+        phase(lambda net: None, compiled=True)
+        phase(lambda net: splice_node(net, "fout0", OverridingBuffer("ovr")),
+              compiled=False)
+        phase(lambda net: unsplice_node(net, "ovr"), compiled=True)
 
     @pytest.mark.parametrize("name", DESIGNS)
     def test_work_counters_no_worse_than_worklist(self, name):

@@ -270,8 +270,8 @@ def _sink_values(net):
 
 def _combs_return_none(net):
     """Give every node a ``comb()`` that drives the same signals and
-    returns None, through a per-node subclass (so codegen defers the node
-    to its residue and calls the wrapper, like the interpreted engines)."""
+    returns None, through a per-node subclass (so codegen cannot compile
+    the netlist and runs the worklist cycle, which calls the wrapper)."""
     for node in net.nodes.values():
         base = type(node)
 

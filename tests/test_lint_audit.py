@@ -1,8 +1,9 @@
 """Tests for the sensitivity-soundness auditor (``repro.lint.audit``).
 
-Every engine optimization — the worklist scheduler and its seed order,
-codegen's deferred residue — trusts each node's ``comb_reads()``
-declarations and port-role drives without ever checking them.  The auditor
+The worklist scheduler and its seed order — which a codegen simulator
+also runs on a netlist it cannot compile — trust each node's
+``comb_reads()`` declarations and port-role drives without ever checking
+them.  The auditor
 executes ``comb()`` against recording channel proxies under fuzzed channel
 states; these tests pin **declared == observed** for every built-in node
 kind (so drift becomes a test failure, not a silent missed wakeup) and
