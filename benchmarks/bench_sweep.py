@@ -17,11 +17,14 @@ single-topology fig6 slice: 8 serial worklist runs vs the same 8
 configurations under ``lanes=8``, which runs the compiled codegen engine
 (one module for the whole slice).  Unlike sharding this is pure
 single-thread work, so its >= 3x cycles-throughput bar holds on a 1-CPU
-runner; both sets of numbers land in the same ``BENCH_sweep.json``
+runner.  It runs ``LANE_PAIRS`` serial/lanes pairs, alternating which
+side goes first, and records every run, the medians and the speedup's
+quartiles.  Both tests' numbers land in the same ``BENCH_sweep.json``
 (merged, so neither test clobbers the other's trajectory fields).
 """
 
 import os
+import statistics
 
 from conftest import merge_json, write_result
 
@@ -33,6 +36,7 @@ CYCLES = 400
 LANES = 8
 LANE_CYCLES = 800
 LANE_WARMUP = 100
+LANE_PAIRS = 5       # serial/lanes pairs, alternating the first
 
 
 def _usable_cpus():
@@ -88,28 +92,35 @@ def test_sweep_lane_batching():
     single-topology fig6 slice, one process: the acceptance bar is >= 3x
     cycles-throughput."""
     spec = fig6_lane_spec(cycles=LANE_CYCLES, warmup=LANE_WARMUP)
-    serial = run_sweep(spec, n_workers=1, engine="worklist")
-    batched = run_sweep(spec, n_workers=1, lanes=LANES)
-    assert len(serial.rows) == LANES
-    # The lane width changes the engine, never the results: rows agree
-    # with the worklist engine in everything but the recorded engine.
-    for scalar_row, batched_row in zip(serial.rows, batched.rows):
-        assert dict(scalar_row, engine="codegen") == batched_row
-    # Best of two runs per mode: single-shot wall clocks on a shared
-    # runner swing by double-digit percentages, which is scheduler noise,
-    # not engine throughput.
-    serial_wall = min(
-        serial.elapsed_seconds,
-        run_sweep(spec, n_workers=1, engine="worklist").elapsed_seconds,
-    )
-    batch_wall = min(
-        batched.elapsed_seconds,
-        run_sweep(spec, n_workers=1, lanes=LANES).elapsed_seconds,
-    )
     total_cycles = LANES * (LANE_CYCLES + LANE_WARMUP)
+    serial_runs, batch_runs, speedups = [], [], []
+
+    def serial_run():
+        return run_sweep(spec, n_workers=1, engine="worklist")
+
+    def lanes_run():
+        return run_sweep(spec, n_workers=1, lanes=LANES)
+
+    for pair in range(LANE_PAIRS):
+        if pair % 2:
+            batched = lanes_run()
+            serial = serial_run()
+        else:
+            serial = serial_run()
+            batched = lanes_run()
+        assert len(serial.rows) == LANES
+        # The lane width changes the engine, never the results: rows agree
+        # with the worklist engine in everything but the recorded engine.
+        for scalar_row, batched_row in zip(serial.rows, batched.rows):
+            assert dict(scalar_row, engine="codegen") == batched_row
+        serial_runs.append(serial.elapsed_seconds)
+        batch_runs.append(batched.elapsed_seconds)
+        speedups.append(serial.elapsed_seconds / batched.elapsed_seconds)
+    q1, speedup, q3 = statistics.quantiles(speedups, n=4, method="inclusive")
+    serial_wall = statistics.median(serial_runs)
+    batch_wall = statistics.median(batch_runs)
     serial_rate = total_cycles / serial_wall
     batch_rate = total_cycles / batch_wall
-    speedup = batch_rate / serial_rate
     _merge_bench_json({
         "lane_batching": {
             "grid": spec.name,
@@ -125,18 +136,27 @@ def test_sweep_lane_batching():
                 "serial_scalar": serial_rate,
                 "batch_8_lanes": batch_rate,
             },
+            "pairs": LANE_PAIRS,
+            "wall_seconds_runs": {
+                "serial_scalar": serial_runs,
+                "batch_8_lanes": batch_runs,
+            },
             "speedup": speedup,
+            "speedup_q1": q1,
+            "speedup_q3": q3,
+            "speedup_runs": speedups,
         },
     })
     write_result(
         "sweep_lane_batching.txt",
         f"fig6 single-topology slice: {LANES} configurations x "
-        f"{LANE_CYCLES + LANE_WARMUP} cycles, one process, best of 2\n"
+        f"{LANE_CYCLES + LANE_WARMUP} cycles, one process, median of "
+        f"{LANE_PAIRS} alternating pairs\n"
         f"  serial worklist:   {serial_wall:6.2f}s "
         f"({serial_rate:9.0f} cycles/s)\n"
         f"  lanes=8 ({batched.engine}): {batch_wall:6.2f}s "
         f"({batch_rate:9.0f} cycles/s)\n"
-        f"  speedup: {speedup:.2f}x\n"
+        f"  speedup: {speedup:.2f}x (quartiles {q1:.2f}x-{q3:.2f}x)\n"
         f"  results identical to worklist: True",
     )
     assert speedup >= 3.0

@@ -6,7 +6,7 @@ Three acts:
 1. lint a healthy design (the Table 1 speculative loop) — clean bill;
 2. break it three ways — a zero-bubble ring, speculation with no kill
    point, a mis-wired width — and show each diagnostic with its fix hint;
-3. audit the sensitivity declarations (``comb_reads`` and port-role drives)
+3. audit the sensitivity declarations (``comb_tasks`` and port-role drives)
    that every engine optimization silently trusts, catching a node that
    lies about what it reads.
 
@@ -86,9 +86,10 @@ def act3_sensitivity_audit():
         """Claims not to read i0.data — the worklist engine would skip
         re-evaluating it when that input changes."""
 
-        def comb_reads(self):
-            return [(p, s) for p, s in super().comb_reads()
-                    if (p, s) != ("i0", "data")]
+        def comb_tasks(self):
+            return [([(p, s) for p, s in reads if (p, s) != ("i0", "data")],
+                     writes)
+                    for reads, writes in super().comb_tasks()]
 
     audit = audit_node(Liar("liar", fn=lambda a, b: a + b, n_inputs=2))
     print(f"{audit.node}: undeclared reads caught: "

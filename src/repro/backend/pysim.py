@@ -78,7 +78,10 @@ Emitters are trusted by definition site: a per-kind emitter is used only
 for node classes whose ``comb`` (or ``tick``, for tick emitters) is
 *defined by* the class the emitter was written against — a subclass
 overriding ``comb`` is deferred, and a subclass overriding only ``tick``
-compiles with a call to its own ``tick``.
+compiles with a call to its own ``tick``.  Comb emitters also need the
+declared tasks they were written for: a subclass that overrides
+``comb_tasks`` below the class defining its ``comb`` is deferred too, so
+it runs interpreted on exactly the sensitivity it declares.
 """
 
 from __future__ import annotations
@@ -138,10 +141,13 @@ def _definer(cls, attr):
 # ---------------------------------------------------------------------------
 # per-kind code emitters
 #
-# Each kind's comb() is split into *signal tasks*: (reads, writes, emitter)
-# triples, where reads/writes are (port, signal) pairs and the emitter
-# appends straight-line statements computing exactly what the kernel drives
-# for those signals, via g.sig(node, port, signal) (a flat local of the
+# Each kind's comb() is split into *signal tasks*, declared once on the
+# node class by Node.comb_tasks(): (reads, writes) pairs of (port, signal).
+# The same declaration gives the worklist engine its wake-up sets
+# (Node.comb_reads() is the union of the task reads).  Here each task gets
+# one emitter (_COMB_EMITTERS, in comb_tasks() order), which appends
+# straight-line statements computing exactly what the kernel drives for
+# the task's writes, via g.sig(node, port, signal) (a flat local of the
 # bound channel).  Scheduling happens at
 # task granularity because that is where elastic control is acyclic: a ZBL
 # chain is cyclic node-to-node (the buffer reads downstream sp/vm, the
@@ -604,7 +610,7 @@ def _eemux_svm(g, ni, node, out):
     out.append(f"{g.sig(node, 's', 'vm')} = False")
 
 
-def _shared_fwd(g, ni, node, out, j):
+def _shared_fwd(g, ni, node, out, j=0):
     n = g.node_ref(ni)
     ivp, odata = g.sig(node, f"i{j}", "vp"), g.sig(node, f"o{j}", "data")
     idata = g.sig(node, f"i{j}", "data")
@@ -616,17 +622,17 @@ def _shared_fwd(g, ni, node, out, j):
     ]
 
 
-def _shared_ivm(g, ni, node, out, j):
+def _shared_ivm(g, ni, node, out, j=0):
     out.append(f"{g.sig(node, f'i{j}', 'vm')} = {g.sig(node, f'o{j}', 'vm')}")
 
 
-def _shared_osm(g, ni, node, out, j):
+def _shared_osm(g, ni, node, out, j=0):
     ip = f"i{j}"
     out.append(f"{g.sig(node, f'o{j}', 'sm')} = False if "
                f"{g.sig(node, ip, 'vp')} else {g.sig(node, ip, 'sm')}")
 
 
-def _shared_isp(g, ni, node, out, j):
+def _shared_isp(g, ni, node, out, j=0):
     n = g.node_ref(ni)
     op = f"o{j}"
     out.append(
@@ -650,135 +656,25 @@ def _comb_varlat(g, ni, node, out):
     ]
 
 
-# -- task specs: node instance -> [(reads, writes, emitter), ...] -----------
-#
-# reads/writes are (port, signal) pairs; the scheduler wires tasks by
-# resolving them to (channel, signal).  Control signals in `writes` are
-# assigned unconditionally by the emitter; data writes are conditional.
-
-
-def _spec_eb(node):
-    return [((),
-             (("o", "vp"), ("o", "data"), ("o", "sm"),
-              ("i", "sp"), ("i", "vm")),
-             _comb_eb)]
-
-
-def _spec_zbl(node):
-    return [
-        ((), (("o", "vp"), ("o", "data")), _zbl_fwd),
-        ((("o", "vm"),), (("i", "vm"),), _zbl_ivm),
-        ((("o", "vm"), ("i", "sm")), (("o", "sm"),), _zbl_osm),
-        ((("o", "sp"), ("o", "vm")), (("i", "sp"),), _zbl_isp),
-    ]
-
-
-def _spec_func(node):
-    ins = [f"i{k}" for k in range(node.n_inputs)]
-    vp_reads = tuple((p, "vp") for p in ins)
-    return [
-        (vp_reads + tuple((p, "data") for p in ins),
-         (("o", "vp"), ("o", "data")), _func_fwd),
-        (vp_reads + (("o", "sp"),),
-         tuple((p, s) for p in ins for s in ("vm", "sp")), _func_back),
-        (vp_reads, (("o", "sm"),), _func_sm),
-    ]
-
-
-def _spec_fork(node):
-    k_out = node.n_outputs
-    return [
-        ((("i", "vp"), ("i", "data")),
-         tuple((f"o{k}", s) for k in range(k_out)
-               for s in ("vp", "data", "sm")),
-         _fork_fwd),
-        ((("i", "vp"),) + tuple((f"o{k}", "sp") for k in range(k_out)),
-         (("i", "sp"),), _fork_isp),
-        ((), (("i", "vm"),), _fork_ivm),
-    ]
-
-
-def _spec_eemux(node):
-    ins = [f"i{j}" for j in range(node.n_inputs)]
-    select = (("s", "vp"), ("s", "data")) + tuple((p, "vp") for p in ins)
-    return [
-        (select + tuple((p, "data") for p in ins),
-         (("o", "vp"), ("o", "data"), ("o", "sm")), _eemux_fwd),
-        (select + (("o", "sp"),),
-         (("s", "sp"),) + tuple((p, s) for p in ins for s in ("vm", "sp")),
-         _eemux_back),
-        ((), (("s", "vm"),), _eemux_svm),
-    ]
-
-
-def _spec_shared(node):
-    # Per channel pair: four independent wires, so scheduling never ties
-    # one channel's backward path to another's forward path.
-    tasks = []
-    for j in range(node.n_channels):
-        ip, op = f"i{j}", f"o{j}"
-        tasks += [
-            (((ip, "vp"), (ip, "data")), ((op, "vp"), (op, "data")),
-             partial(_shared_fwd, j=j)),
-            (((op, "vm"),), ((ip, "vm"),), partial(_shared_ivm, j=j)),
-            (((ip, "vp"), (ip, "sm")), ((op, "sm"),),
-             partial(_shared_osm, j=j)),
-            (((op, "vm"), (op, "sp")), ((ip, "sp"),),
-             partial(_shared_isp, j=j)),
-        ]
-    return tasks
-
-
-def _spec_varlat(node):
-    return [((), (("o", "vp"), ("o", "data"), ("o", "sm"),
-                  ("i", "sp"), ("i", "vm")), _comb_varlat)]
-
-
-def _spec_source(node):
-    return [((), (("o", "vp"), ("o", "data"), ("o", "sm")), _comb_source)]
-
-
-def _spec_sink(node):
-    return [((), (("i", "sp"), ("i", "vm")), _comb_sink)]
-
-
-def _spec_killer_sink(node):
-    return [((), (("i", "sp"), ("i", "vm")), _comb_killer_sink)]
-
-
-def _spec_nondet_source(node):
-    return [((), (("o", "vp"), ("o", "data"), ("o", "sm")),
-             _comb_nondet_source)]
-
-
-def _spec_nc_source(node):
-    return [((), (("o", "vp"), ("o", "data"), ("o", "sm")), _comb_nc_source)]
-
-
-def _spec_permission(node):
-    return [((), (("o", "vp"), ("o", "data"), ("o", "sm")), _comb_permission)]
-
-
-def _spec_nondet_sink(node):
-    return [((), (("i", "sp"), ("i", "vm")), _comb_nondet_sink)]
-
-
-#: comb-definer class -> task-spec builder (see the module docstring on trust).
-_COMB_TASKS = {
-    ElasticBuffer: _spec_eb,
-    ZeroBackwardLatencyBuffer: _spec_zbl,
-    Func: _spec_func,
-    EagerFork: _spec_fork,
-    EarlyEvalMux: _spec_eemux,
-    SharedModule: _spec_shared,
-    VariableLatencyUnit: _spec_varlat,
-    _SourceBase: _spec_source,
-    Sink: _spec_sink,
-    KillerSink: _spec_killer_sink,
-    NondetSource: _spec_nondet_source,
-    NondetChoiceSource: _spec_nc_source,
-    PermissionSource: _spec_permission,
-    NondetSink: _spec_nondet_sink,
+#: comb-definer class -> its emitters, one per task of the kind's
+#: ``comb_tasks()``, in that order.  The shared module declares four tasks
+#: per channel pair: its emitters are reused for each pair, given the pair
+#: index ``j`` (see the module docstring on trust).
+_COMB_EMITTERS = {
+    ElasticBuffer: (_comb_eb,),
+    ZeroBackwardLatencyBuffer: (_zbl_fwd, _zbl_ivm, _zbl_osm, _zbl_isp),
+    Func: (_func_fwd, _func_back, _func_sm),
+    EagerFork: (_fork_fwd, _fork_isp, _fork_ivm),
+    EarlyEvalMux: (_eemux_fwd, _eemux_back, _eemux_svm),
+    SharedModule: (_shared_fwd, _shared_ivm, _shared_osm, _shared_isp),
+    VariableLatencyUnit: (_comb_varlat,),
+    _SourceBase: (_comb_source,),
+    Sink: (_comb_sink,),
+    KillerSink: (_comb_killer_sink,),
+    NondetSource: (_comb_nondet_source,),
+    NondetChoiceSource: (_comb_nc_source,),
+    PermissionSource: (_comb_permission,),
+    NondetSink: (_comb_nondet_sink,),
 }
 
 #: tick-definer class -> tick emitter.
@@ -802,6 +698,19 @@ _TICK_EMITTERS = {
 # ---------------------------------------------------------------------------
 
 
+def _comb_emitters(cls):
+    """The comb emitters trusted for node class ``cls``: those of the class
+    that defines its ``comb``, unless ``comb_tasks`` is overridden below
+    that class (the emitters would not match the declared tasks).  None
+    when the class has no trusted emitters."""
+    definer = _definer(cls, "comb")
+    emitters = _COMB_EMITTERS.get(definer)
+    if emitters is None or not issubclass(definer,
+                                          _definer(cls, "comb_tasks")):
+        return None
+    return emitters
+
+
 class _Plan:
     """Structural classification of one netlist for code generation."""
 
@@ -815,8 +724,8 @@ def _build_plan(netlist):
     """Schedule ``netlist``'s signal tasks into ``plan.task_order``.
 
     ``plan.deferred`` lists, by index, the nodes that block compilation: a
-    node with no comb emitter, a port bound to no live channel, a read no
-    task produces, or a task on a signal-level cycle.  When it is
+    node with no trusted comb emitters, a port bound to no live channel, a
+    read no task produces, or a task on a signal-level cycle.  When it is
     non-empty nothing is scheduled and no cycle function is generated.
     """
     plan = _Plan()
@@ -835,8 +744,8 @@ def _build_plan(netlist):
     port_channel = plan.port_channel = {}
     tasks = []
     for ni, node in enumerate(nodes):
-        spec_fn = _COMB_TASKS.get(_definer(type(node), "comb"))
-        ok = spec_fn is not None
+        emitters = _comb_emitters(type(node))
+        ok = emitters is not None
         for port in node.ports:
             ch = node._channels.get(port)
             ci = None if ch is None else chan_idx.get(ch.name)
@@ -845,8 +754,10 @@ def _build_plan(netlist):
                 continue
             port_channel[(node.name, port)] = ci
         if ok:
-            tasks += [(ni, reads, writes, emit)
-                      for reads, writes, emit in spec_fn(node)]
+            for t, (reads, writes) in enumerate(node.comb_tasks()):
+                j, k = divmod(t, len(emitters))
+                emit = emitters[k] if j == 0 else partial(emitters[k], j=j)
+                tasks.append((ni, reads, writes, emit))
         else:
             deferred.append(ni)
     if deferred:

@@ -83,18 +83,21 @@ class SharedModule(Node):
 
     # -- combinational -------------------------------------------------------------
 
-    def comb_reads(self):
-        # Per channel pair: the input token (valid/data/anti-stop) and the
-        # output-side back-pressure and kill, which rush backward
-        # combinationally (Section 4.1 / 4.3).
-        reads = []
+    def comb_tasks(self):
+        # Per channel pair, four independent wires (so no channel's backward
+        # path is tied to another's forward path): the input token
+        # (valid/data/anti-stop) and the output-side back-pressure and
+        # kill, which rush backward combinationally (Section 4.1 / 4.3).
+        tasks = []
         for j in range(self.n_channels):
-            reads.append((f"i{j}", "vp"))
-            reads.append((f"i{j}", "data"))
-            reads.append((f"i{j}", "sm"))
-            reads.append((f"o{j}", "vm"))
-            reads.append((f"o{j}", "sp"))
-        return reads
+            ip, op = f"i{j}", f"o{j}"
+            tasks += [
+                ([(ip, "vp"), (ip, "data")], [(op, "vp"), (op, "data")]),
+                ([(op, "vm")], [(ip, "vm")]),
+                ([(ip, "vp"), (ip, "sm")], [(op, "sm")]),
+                ([(op, "vm"), (op, "sp")], [(ip, "sp")]),
+            ]
+        return tasks
 
     def comb(self):
         g = self.scheduler.prediction()

@@ -101,10 +101,10 @@ class ElasticBuffer(Node):
 
     # -- combinational behaviour (all driven from registered state) -----------
 
-    def comb_reads(self):
+    def comb_tasks(self):
         # Fully registered: comb() is a function of the wr/rd pointers only,
         # so the worklist engine never needs to re-evaluate it within a cycle.
-        return []
+        return [([], self.drives())]
 
     def comb(self):
         c = self.count
@@ -197,11 +197,17 @@ class ZeroBackwardLatencyBuffer(Node):
     def restore(self, state):
         self._full, self._value = state
 
-    def comb_reads(self):
+    def comb_tasks(self):
         # The Lb=0 controller lets stop/kill rush through combinationally:
         # i.sp follows o.sp/o.vm while full, the anti-token pass-through
-        # reads o.vm and the upstream i.sm while empty.
-        return [("o", "sp"), ("o", "vm"), ("i", "sm")]
+        # reads o.vm and the upstream i.sm while empty.  The forward side
+        # is registered, so a chain is acyclic signal-to-signal.
+        return [
+            ([], [("o", "vp"), ("o", "data")]),
+            ([("o", "vm")], [("i", "vm")]),
+            ([("o", "vm"), ("i", "sm")], [("o", "sm")]),
+            ([("o", "sp"), ("o", "vm")], [("i", "sp")]),
+        ]
 
     def comb(self):
         ost = self.st("o")

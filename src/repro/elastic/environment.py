@@ -47,9 +47,9 @@ class _SourceBase(Node):
         self._value = None
         self._skip = 0           # future tokens already killed by anti-tokens
 
-    def comb_reads(self):
+    def comb_tasks(self):
         # Drives purely from the offer registers frozen in pre_cycle.
-        return []
+        return [([], self.drives())]
 
     def comb(self):
         if not self._offering and self._pending_start:
@@ -223,8 +223,8 @@ class PermissionSource(Node):
         else:
             self._offering = True
 
-    def comb_reads(self):
-        return []
+    def comb_tasks(self):
+        return [([], self.drives())]
 
     def comb(self):
         self.drive("o", "vp", self._offering)
@@ -268,8 +268,8 @@ class Sink(Node):
     def pre_cycle(self):
         self._stall_now = self.stall_rate > 0 and self._rng.random() < self.stall_rate
 
-    def comb_reads(self):
-        return []
+    def comb_tasks(self):
+        return [([], self.drives())]
 
     def comb(self):
         self.drive("i", "sp", self._stall_now)
@@ -326,8 +326,8 @@ class KillerSink(Node):
             not self._killing and self.stall_rate > 0 and self._rng.random() < self.stall_rate
         )
 
-    def comb_reads(self):
-        return []
+    def comb_tasks(self):
+        return [([], self.drives())]
 
     def comb(self):
         self.drive("i", "vm", self._killing)
@@ -383,8 +383,8 @@ class NondetSource(Node):
         if not self._offering and self._choice == 1:
             self._offering = True
 
-    def comb_reads(self):
-        return []
+    def comb_tasks(self):
+        return [([], self.drives())]
 
     def comb(self):
         self.drive("o", "vp", self._offering)
@@ -436,9 +436,9 @@ class NondetSink(Node):
         if not self._killing and self.can_kill and self._choice == 2:
             self._killing = True
 
-    def comb_reads(self):
+    def comb_tasks(self):
         # Drives purely from the frozen choice / kill registers.
-        return []
+        return [([], self.drives())]
 
     def comb(self):
         if self._killing:

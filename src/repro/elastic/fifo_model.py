@@ -70,10 +70,10 @@ class AbstractElasticFifo(Node):
 
     # -- combinational ---------------------------------------------------------------
 
-    def comb_reads(self):
+    def comb_tasks(self):
         # Offers/stops are functions of the pointers, retry registers and
         # the frozen nondeterministic choice only.
-        return []
+        return [([], self.drives())]
 
     def comb(self):
         offer_token = self._retry_plus or (

@@ -48,13 +48,17 @@ class EagerFork(Node):
 
     # -- combinational -----------------------------------------------------------
 
-    def comb_reads(self):
-        # Reads across ports: the input token (valid + data) and every
-        # branch's downstream stop feed the shared completion logic.
-        reads = [("i", "vp"), ("i", "data")]
-        for k in range(self.n_outputs):
-            reads.append((f"o{k}", "sp"))
-        return reads
+    def comb_tasks(self):
+        # Reads across ports: the input token (valid + data) feeds every
+        # branch, and every branch's downstream stop feeds the shared
+        # completion logic behind i.sp.
+        outs = [f"o{k}" for k in range(self.n_outputs)]
+        return [
+            ([("i", "vp"), ("i", "data")],
+             [(port, sig) for port in outs for sig in ("vp", "data", "sm")]),
+            ([("i", "vp")] + [(port, "sp") for port in outs], [("i", "sp")]),
+            ([], [("i", "vm")]),
+        ]
 
     def comb(self):
         ist = self.st("i")

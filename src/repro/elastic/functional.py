@@ -68,14 +68,18 @@ class Func(Node):
     def _in(self, i):
         return self.st(f"i{i}")
 
-    def comb_reads(self):
+    def comb_tasks(self):
         # Lazy join: fires on the input valids (and their data) and the
         # downstream stop; it never reads i.sm or o.vm combinationally.
-        reads = [("o", "sp")]
-        for i in range(self.n_inputs):
-            reads.append((f"i{i}", "vp"))
-            reads.append((f"i{i}", "data"))
-        return reads
+        ins = [f"i{i}" for i in range(self.n_inputs)]
+        valids = [(port, "vp") for port in ins]
+        return [
+            (valids + [(port, "data") for port in ins],
+             [("o", "vp"), ("o", "data")]),
+            (valids + [("o", "sp")],
+             [(port, sig) for port in ins for sig in ("vm", "sp")]),
+            (valids, [("o", "sm")]),
+        ]
 
     def comb(self):
         ost = self.st("o")

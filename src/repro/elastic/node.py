@@ -15,6 +15,12 @@ cycle:
 2. :meth:`Node.tick` — the clock edge.  All signals are resolved; the node
    updates its sequential state from the channel events.
 
+What ``comb`` reads is declared once, by :meth:`Node.comb_tasks`: the
+signal tasks both engines derive their schedules from (the worklist
+engine's wake-up sets through :meth:`Node.comb_reads`, the compiled
+engine's straight-line order task by task).  What it drives follows from
+port roles (:meth:`Node.drives`).
+
 Nodes also expose :meth:`snapshot` / :meth:`restore` so the explicit-state
 model checker of :mod:`repro.verif` can enumerate the reachable state space,
 and a few static descriptors (:meth:`area`, :meth:`timing_arcs`) used by the
@@ -55,6 +61,12 @@ class Node:
         self.in_ports = []        # ordered token-input port names
         self.out_ports = []       # ordered token-output port names
         self._channels = {}       # port name -> Channel (set by the netlist)
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if "comb_reads" in cls.__dict__:
+            raise TypeError(f"{cls.__qualname__} overrides comb_reads(), which "
+                            "is derived: declare the reads in comb_tasks()")
 
     def __repr__(self):
         return f"{type(self).__name__}({self.name!r})"
@@ -100,28 +112,43 @@ class Node:
         """Resolved :class:`ChannelEvents` at ``port`` (tick time only)."""
         return self._channels[port].events()
 
-    # -- static sensitivity (worklist engine) ---------------------------------
+    # -- static sensitivity ----------------------------------------------------
+
+    def drives(self):
+        """``(port, signal)`` pairs the port roles let :meth:`comb` drive:
+        ``sp``/``vm`` on every input port, ``vp``/``sm``/``data`` on every
+        output port."""
+        return ([(port, sig) for port in self.in_ports
+                 for sig in SIGNALS_BY_ROLE[CONSUMER]]
+                + [(port, sig) for port in self.out_ports
+                   for sig in SIGNALS_BY_ROLE[PRODUCER]])
+
+    def comb_tasks(self):
+        """``(reads, writes)`` *signal tasks* of :meth:`comb`, each a pair
+        of ``(port, signal)`` lists; together they write :meth:`drives`
+        exactly once.  The one declaration of what a kind reads: the
+        worklist engine wakes a node on :meth:`comb_reads`, codegen
+        schedules each task after the tasks writing its reads.
+
+        The default is one conservative task that reads every signal the
+        opposite endpoints drive.  Kinds whose combinational function
+        reads less — elastic buffers and environments drive purely from
+        sequential state, for instance — override this to narrow it;
+        ``comb`` must never read outside the declared reads (``lint``
+        rule E110 audits this).
+        """
+        reads = ([(port, sig) for port in self.in_ports
+                  for sig in SIGNALS_BY_ROLE[PRODUCER]]
+                 + [(port, sig) for port in self.out_ports
+                    for sig in SIGNALS_BY_ROLE[CONSUMER]])
+        return [(reads, self.drives())]
 
     def comb_reads(self):
-        """``(port, signal)`` pairs :meth:`comb` may *read*.
-
-        The worklist engine re-evaluates a node only when one of these
-        signals changes, so the default is deliberately conservative: every
-        signal the opposite endpoint may drive, on every port (a consumer
-        port reads ``vp``/``sm``/``data``, a producer port reads
-        ``sp``/``vm``).  Subclasses whose combinational function reads less
-        — elastic buffers and environments drive purely from sequential
-        state, for instance — override this to narrow the set; subclasses
-        must never read a channel signal outside the set they declare.
-        """
-        reads = []
-        for port in self.in_ports:
-            for sig in SIGNALS_BY_ROLE[PRODUCER]:
-                reads.append((port, sig))
-        for port in self.out_ports:
-            for sig in SIGNALS_BY_ROLE[CONSUMER]:
-                reads.append((port, sig))
-        return reads
+        """``(port, signal)`` pairs :meth:`comb` may *read*: the ordered,
+        duplicate-free union of the :meth:`comb_tasks` reads.  Derived,
+        never overridden — declare reads in :meth:`comb_tasks`."""
+        return list(dict.fromkeys(
+            pair for reads, _writes in self.comb_tasks() for pair in reads))
 
     # -- simulation interface -------------------------------------------------
 

@@ -77,9 +77,9 @@ class VariableLatencyUnit(Node):
 
     # -- combinational ---------------------------------------------------------
 
-    def comb_reads(self):
+    def comb_tasks(self):
         # Drives purely from the (registered) two-slot station.
-        return []
+        return [([], self.drives())]
 
     def comb(self):
         head_ready = bool(self._q) and self._q[0][1] == 0

@@ -1,13 +1,15 @@
 """The sensitivity-soundness auditor — lint's race detector.
 
 Every engine optimization in this codebase trusts each node's *declared*
-combinational sensitivity: the worklist engine only re-evaluates a node
-when a signal in ``comb_reads()`` changes, its seed order takes every
-signal's writer from port roles (a node drives only what its roles
-permit), and a codegen simulator falls back to that same worklist for a
-netlist it cannot compile — one with a node whose ``comb`` has no
-emitter, such as a user subclass that overrides it.  One undeclared read
-produces silently wrong fix-points with no error anywhere.
+combinational sensitivity, declared once per kind by ``comb_tasks()``:
+the worklist engine only re-evaluates a node when a signal in
+``comb_reads()`` (the union of the task reads) changes, codegen
+schedules each task after the tasks writing its reads, both take every
+signal's writer from port roles (``drives()``), and a codegen simulator
+falls back to that same worklist for a netlist it cannot compile — one
+with a node whose ``comb`` has no emitter, such as a user subclass that
+overrides it.  One undeclared read produces silently wrong fix-points
+with no error anywhere.
 
 The auditor verifies the contract *dynamically*: it replaces a node's
 channels with recording proxies and executes ``comb()`` under a
@@ -15,8 +17,8 @@ deterministic schedule of fuzzed channel-state assignments (Kleene
 corners plus seeded random trials), recording every channel-signal read
 and write actually performed.  Reads are recorded only for signals the
 *opposite* endpoint drives (reading back your own drive cannot wake you),
-writes for everything driven.  Reads outside ``comb_reads()`` are E110
-findings, drives outside the port roles E111 findings.
+writes for everything driven.  Reads outside the declared task reads are
+E110 findings, drives outside ``drives()`` E111 findings.
 
 Coverage note: the Kleene helpers evaluate their arguments eagerly, so
 most reads happen on attribute *access* regardless of the assigned value
@@ -160,15 +162,6 @@ def _env_signals(node):
     return env
 
 
-def _role_writes(node):
-    """The ``(port, signal)`` pairs the port roles let ``node`` drive."""
-    return frozenset(
-        [(port, sig) for port in node.in_ports
-         for sig in SIGNALS_BY_ROLE[CONSUMER]]
-        + [(port, sig) for port in node.out_ports
-           for sig in SIGNALS_BY_ROLE[PRODUCER]])
-
-
 def _assignments(env_signals, trials, seed, data_pool):
     """Deterministic fuzz schedule: Kleene corners first, then seeded
     random trials biased toward known/True (eager data paths fire often)."""
@@ -221,7 +214,7 @@ def audit_node(node, trials=64, seed=0, states=None, data_pool=(0, 1, 2, 3),
     if clone:
         node = copy.deepcopy(node)
     declared_reads = frozenset(tuple(pair) for pair in node.comb_reads())
-    declared_writes = _role_writes(node)
+    declared_writes = frozenset(node.drives())
     audit = SensitivityAudit(
         node=node.name, kind=node.kind,
         declared_reads=declared_reads, declared_writes=declared_writes,

@@ -45,8 +45,8 @@ CODES = {
              "add capacity or remove initial tokens so at least one bubble can circulate"),
     "E103": ("speculative path with no reachable kill/commit point",
              "route the shared-module output to an early-evaluation mux data input (or a killing sink) so mispredicted tokens can be cancelled"),
-    "E110": ("comb() read a channel signal outside comb_reads()",
-             "declare the (port, signal) pair in comb_reads() — the worklist engine will otherwise miss wakeups"),
+    "E110": ("comb() read a channel signal outside its declared comb_tasks() reads",
+             "declare the (port, signal) pair in comb_tasks() — the worklist engine will otherwise miss wakeups"),
     "E111": ("comb() drove a channel signal outside its port role",
              "drive only what the port role permits (producer: vp/sm/data, consumer: sp/vm) — every engine takes each signal's writer from port roles"),
     "W201": ("token-free cycle: no token can ever circulate",

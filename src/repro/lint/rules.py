@@ -517,8 +517,9 @@ def rule_sensitivity(netlist):
             diags.append(Diagnostic(
                 code="E110",
                 message=(f"{audit.kind} {audit.node}: comb() read "
-                         f"{port}.{signal} but comb_reads() does not "
-                         f"declare it (worklist wakeups will be missed)"),
+                         f"{port}.{signal} without declaring it — "
+                         f"declare it in comb_tasks() (worklist wakeups "
+                         f"will be missed)"),
                 node=audit.node))
         for port, signal in sorted(audit.undeclared_writes):
             diags.append(Diagnostic(

@@ -29,10 +29,12 @@ aggregation — is owned once by :class:`Simulator`.
 sensitivity map** (:func:`~repro.sim.sensitivity.sensitivity`, computed at
 construction and again at every structure refresh after edits — see
 `Edit following` on :class:`Simulator`).  The engine asks every node which
-channel signals its ``comb`` may read (:meth:`Node.comb_reads`, derived
-from port roles with per-node narrowing) and inverts the read sets into
-signal -> dependent-node lists; what a node may drive follows from its
-port roles.  Every ``unknown -> known`` signal
+channel signals its ``comb`` may read (:meth:`Node.comb_reads`, the
+union of the reads of the signal tasks each kind declares once in
+:meth:`Node.comb_tasks` — the declaration codegen schedules from too)
+and inverts the read sets into signal -> dependent-node lists; what a
+node may drive follows from its port roles (:meth:`Node.drives`).  Every
+``unknown -> known`` signal
 transition inside :meth:`ChannelState.set` is appended to a shared change
 log, so after evaluating a node the engine enqueues exactly the nodes
 sensitive to what actually changed.

@@ -1,8 +1,9 @@
 """Static sensitivity and structural identity of a netlist.
 
-:func:`sensitivity` inverts every node's declared ``comb_reads()`` into
-per-signal reader lists and levelizes the writer -> reader graph into the
-once-per-cycle seed order.  The writer of every channel signal follows
+:func:`sensitivity` inverts every node's ``comb_reads()`` — the union of
+the reads of the signal tasks its kind declares in ``comb_tasks()`` —
+into per-signal reader lists and levelizes the writer -> reader graph
+into the once-per-cycle seed order.  The writer of every channel signal follows
 from port roles: the producer drives ``vp``/``sm``/``data``, the consumer
 drives ``sp``/``vm``.  The interpreted worklist cycle computes it at
 construction and at every structure refresh after structural edits (a

@@ -516,10 +516,10 @@ class TestSplices:
             "import sys\n"
             "from repro.backend import pysim\n"
             "assert 'repro.chaos' not in sys.modules\n"
-            "before = (dict(pysim._COMB_TASKS), dict(pysim._TICK_EMITTERS))\n"
+            "before = (dict(pysim._COMB_EMITTERS), dict(pysim._TICK_EMITTERS))\n"
             "import repro.chaos\n"
             "import repro.chaos.mutants, repro.chaos.plan, repro.chaos.verify\n"
-            "assert (pysim._COMB_TASKS, pysim._TICK_EMITTERS) == before\n"
+            "assert (pysim._COMB_EMITTERS, pysim._TICK_EMITTERS) == before\n"
         )
         out = subprocess.run([sys.executable, "-c", code], env=env,
                              capture_output=True, text=True, timeout=120)

@@ -2,7 +2,7 @@
 
 The worklist scheduler and its seed order — which a codegen simulator
 also runs on a netlist it cannot compile — trust each node's
-``comb_reads()`` declarations and port-role drives without ever checking
+``comb_tasks()`` declarations and port-role drives without ever checking
 them.  The auditor
 executes ``comb()`` against recording channel proxies under fuzzed channel
 states; these tests pin **declared == observed** for every built-in node
@@ -67,7 +67,7 @@ class TestBuiltinKinds:
         factory, states = BUILTIN_NODES[tag]
         audit = audit_node(factory(), states=states)
         assert audit.undeclared_reads == frozenset(), (
-            f"{tag}: comb() reads beyond comb_reads(): "
+            f"{tag}: comb() reads beyond its comb_tasks() reads: "
             f"{sorted(audit.undeclared_reads)}")
         assert audit.undeclared_writes == frozenset(), (
             f"{tag}: comb() writes outside its port roles: "
@@ -133,9 +133,9 @@ class TestWholeNetlistAudit:
 class UnderDeclaredReads(Func):
     """Declares one data read fewer than comb() performs."""
 
-    def comb_reads(self):
-        return [(port, signal) for port, signal in super().comb_reads()
-                if (port, signal) != ("i0", "data")]
+    def comb_tasks(self):
+        return [([pair for pair in reads if pair != ("i0", "data")], writes)
+                for reads, writes in super().comb_tasks()]
 
 
 class UndeclaredWrite(Func):
