@@ -9,7 +9,9 @@ closes under it:
   side goes first; the per-pair slowdown is reported as its median with
   quartiles, next to every run.  A splice is made of ordinary kinds (a
   ``Func`` join, a permission source, an empty EB), so the wrapped run
-  stays on the worklist engine's incremental path.
+  stays on the worklist engine's incremental path.  Both runs name the
+  worklist engine (the default is codegen), so the history stays
+  comparable.
 * **oracle round trip** — one full :func:`repro.chaos.check_stream_invariance`
   differential (golden run + sabotaged run + stream comparison +
   unwrap), asserted to pass; its wall clock and elongation (sabotaged
@@ -43,7 +45,7 @@ MAX_WRAP_OVERHEAD = 3.0
 
 def _time_run(make_net):
     net = make_net()
-    sim = Simulator(net)
+    sim = Simulator(net, engine="worklist")
     start = time.perf_counter()
     sim.run(CYCLES)
     return time.perf_counter() - start

@@ -67,8 +67,10 @@ dirty; its shared post-edit refresh, run before the next
 which is a cache *hit* when the new topology has been seen before — so a
 mutated design can never execute stale generated code.  A netlist whose
 ``version`` advanced without ``Simulator.apply_edit`` raises on ``step``,
-exactly like the worklist engine.  :func:`cache_stats` exposes the
-hit / re-elaboration counters (CLI: ``repro elaborate``).
+exactly like the worklist engine.  The cache keeps the 32 most recently
+used modules; an evicted topology recompiles to the same source.
+:func:`cache_stats` exposes the hit / re-elaboration / eviction counters
+(CLI: ``repro elaborate``).
 
 A compiled cycle evaluates every node exactly once, so its profiling
 counters are constants, which the simulator adds itself: nothing is
@@ -87,7 +89,7 @@ it runs interpreted on exactly the sensitivity it declares.
 from __future__ import annotations
 
 import hashlib
-from collections import deque
+from collections import OrderedDict, deque
 from functools import partial
 
 from repro.core.shared import SharedModule
@@ -1075,8 +1077,12 @@ class CompiledModule:
         self.content_hash = content_hash
 
 
-_MODULE_CACHE = {}
-_CACHE_STATS = {"hits": 0, "misses": 0}
+#: Most modules kept at once: a long-lived process (``repro serve``, a
+#: chaos soak) meets a new topology per chaos wrap, and each module holds
+#: a few hundred KB; one ``sweep.codegen`` round compiles 5.
+_MODULE_CACHE_SIZE = 32
+_MODULE_CACHE = OrderedDict()      # least recently used first
+_CACHE_STATS = {"hits": 0, "misses": 0, "evictions": 0}
 
 
 def _module_key(netlist, check_protocol):
@@ -1088,6 +1094,7 @@ def _module_for(netlist, check_protocol):
     module = _MODULE_CACHE.get(key)
     if module is not None:
         _CACHE_STATS["hits"] += 1
+        _MODULE_CACHE.move_to_end(key)
         return module
     _CACHE_STATS["misses"] += 1
     content_hash = hashlib.sha256(repr(key).encode()).hexdigest()[:16]
@@ -1096,6 +1103,9 @@ def _module_for(netlist, check_protocol):
     exec(compile(source, f"<pysim:{content_hash}>", "exec"), namespace)
     module = CompiledModule(source, namespace.get("build"), content_hash)
     _MODULE_CACHE[key] = module
+    if len(_MODULE_CACHE) > _MODULE_CACHE_SIZE:
+        _MODULE_CACHE.popitem(last=False)
+        _CACHE_STATS["evictions"] += 1
     return module
 
 
@@ -1111,19 +1121,21 @@ def generated_source(netlist, check_protocol=True):
 def cache_stats():
     """Process-wide module-cache counters: ``hits`` (reused modules),
     ``re_elaborations`` (actual codegen+compile runs), ``modules``
-    (currently cached)."""
+    (currently cached, at most ``_MODULE_CACHE_SIZE``) and ``evictions``
+    (least recently used modules dropped to stay within that bound)."""
     return {
         "hits": _CACHE_STATS["hits"],
         "re_elaborations": _CACHE_STATS["misses"],
         "modules": len(_MODULE_CACHE),
+        "evictions": _CACHE_STATS["evictions"],
     }
 
 
 def clear_module_cache():
     """Drop every cached module and zero the counters (test hygiene)."""
     _MODULE_CACHE.clear()
-    _CACHE_STATS["hits"] = 0
-    _CACHE_STATS["misses"] = 0
+    for counter in _CACHE_STATS:
+        _CACHE_STATS[counter] = 0
 
 
 # ---------------------------------------------------------------------------

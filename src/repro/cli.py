@@ -18,10 +18,11 @@ Usage (after installation)::
 
 The global ``--engine {worklist,codegen}`` option (before the
 subcommand) selects the fix-point engine for every simulation and
-model-checking run; the event-driven worklist engine is the default, and
-the codegen engine compiles each topology into a specialized
-straight-line Python module (``elaborate`` inspects the generated
-source).  Unknown engine
+model-checking run.  The codegen engine, the default, compiles each
+topology into a specialized straight-line Python module (``elaborate``
+inspects the generated source); the event-driven worklist engine is the
+default only for simulators that follow netlist edits (``explore``'s
+session), and ``--engine`` applies to those too.  Unknown engine
 names are rejected up front with the valid-choices list.  On ``sweep``
 and ``verify``, ``--lanes N`` with ``N > 1`` is another way to ask for
 the codegen engine; it does not combine with ``--engine``, and a lane
@@ -721,8 +722,9 @@ def build_parser():
         "--engine", choices=["worklist", "codegen"],
         default=None,
         help="fix-point engine for all simulation/verification "
-             "(default: worklist, event-driven; codegen = compiled "
-             "straight-line module per topology)",
+             "(default: codegen = compiled straight-line module per "
+             "topology, except worklist = event-driven for simulators "
+             "that follow netlist edits)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -996,10 +998,9 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         if args.engine is not None:
-            from repro.sim.engine import get_default_engine, set_default_engine
+            from repro.sim.engine import set_default_engine
 
-            previous = get_default_engine()
-            set_default_engine(args.engine)
+            previous = set_default_engine(args.engine)
             try:
                 return args.fn(args)
             finally:

@@ -80,7 +80,22 @@ def encoded_op_stream(code, error_rate=0.0, seed=0, double_rate=0.0,
     return gen
 
 
+#: ``_blocks`` results by content: the gate-level netlists behind them
+#: take ~17 ms to synthesize, 100x a fig7b build without them, and never
+#: change for a given code and cell table.  ``TechLibrary`` is mutable,
+#: so its cells, not its identity, are the key.
+_BLOCKS_CACHE = {}
+
+
 def _blocks(code, tech):
+    key = (type(code), code.data_bits, tuple(sorted(tech.cells.items())))
+    blocks = _BLOCKS_CACHE.get(key)
+    if blocks is None:
+        blocks = _BLOCKS_CACHE[key] = _synthesize_blocks(code, tech)
+    return dict(blocks)
+
+
+def _synthesize_blocks(code, tech):
     adder = kogge_stone_adder(64)
     stats = code.stats(tech)
     return {

@@ -243,8 +243,7 @@ def _run_payload(payload):
     across the spawn boundary.
     """
     faults.fault_point("sweep_config", payload["index"])
-    previous = get_default_engine()
-    set_default_engine(payload["engine"])
+    previous = set_default_engine(payload["engine"])
     try:
         netlist, channel = _build_payload(payload)
         report = performance_report(

@@ -52,7 +52,8 @@ JOB_KINDS = {
     "chaos": ("cycles", "iterations"),
 }
 
-_KEY_FORMAT = "serve-v1"
+#: Bumped whenever an unchanged key would name a different result.
+_KEY_FORMAT = "serve-v2"
 
 
 def validate_job(spec):

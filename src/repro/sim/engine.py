@@ -18,14 +18,16 @@ Fix-point engines
 -----------------
 
 Two interchangeable engines are provided (``engine=`` parameter,
-process-wide default via :func:`set_default_engine`).  They differ only in
+process-wide default via :func:`set_default_engine`).  ``codegen`` is the
+built-in default; a simulator built with ``follow_edits=True`` defaults to
+``worklist`` instead (see `Default engine` below).  They differ only in
 how one cycle is computed; everything else — validation, statistics, the
 protocol monitor, observers, the cycle counter, edit following, the
 structural-version and ownership guards, the deferred post-edit refresh,
 ``reset``, choice listing, the unresolved-signal diagnosis and profile
 aggregation — is owned once by :class:`Simulator`.
 
-``worklist`` (default) — event-driven evaluation over a **static
+``worklist`` — event-driven evaluation over a **static
 sensitivity map** (:func:`~repro.sim.sensitivity.sensitivity`, computed at
 construction and again at every structure refresh after edits — see
 `Edit following` on :class:`Simulator`).  The engine asks every node which
@@ -62,28 +64,41 @@ suite's reference, a dense sweep of every node repeated until a pass
 leaves the log empty, computes the same least fixed point; the
 differential fuzz tests pin both engines to it.
 
-``codegen`` — the compiled engine of :mod:`repro.backend.pysim`.  The
-netlist is *elaborated*: every node's ``comb`` is emitted as
-straight-line Python with channel signals in flat locals, and protocol
-monitoring / statistics / event resolution / core ``tick`` kernels are
-inlined into the same generated function — one Python call per cycle,
-no per-node dispatch.  Compilation is all or nothing: a netlist with a
-node that blocks it (no emitter, as for a user subclass that overrides
-``comb``; an unbound port; a signal-level combinational loop) runs this
-simulator's interpreted worklist cycle instead.  The choice is made
-again at every structure refresh, so a simulator following edits
-switches either way.  Modules are ``exec``-compiled once per topology
-and cached process-wide (sequential parameters are read at run time, so
-sweeps over one topology compile once); structural edits re-elaborate
+``codegen`` (default) — the compiled engine of
+:mod:`repro.backend.pysim`.  The netlist is *elaborated*: every node's
+``comb`` is emitted as straight-line Python with channel signals in flat
+locals, and protocol monitoring / statistics / event resolution / core
+``tick`` kernels are inlined into the same generated function — one
+Python call per cycle, no per-node dispatch.  Compilation is all or
+nothing: a netlist with a node that blocks it (no emitter, as for a user
+subclass that overrides ``comb``; an unbound port; a signal-level
+combinational loop) runs this simulator's interpreted worklist cycle
+instead.  The choice is made again at every structure refresh, so a
+simulator following edits switches either way.  Modules are
+``exec``-compiled once per topology and cached process-wide, least
+recently used out past 32 (sequential parameters are read at run time,
+so sweeps over one topology compile once); structural edits re-elaborate
 before the next step, never serving stale code.  Highest per-cycle
 throughput (~8x over worklist on the deep-pipeline bench, and ahead of
 it on the paper's speculative designs) at the cost of a one-time
-elaboration per topology; pinned bit-identical to the worklist engine
-by ``tests/test_codegen_diff.py``.
+elaboration per topology; pinned bit-identical to the worklist engine by
+``tests/test_codegen_diff.py``.
 
 ``lanes=N`` (``N > 1``) on :func:`~repro.perf.sweep.run_sweep` and
 :class:`~repro.verif.explore.StateExplorer` is another way to ask for
 ``codegen`` (:func:`lanes_engine`); there is no lane-parallel engine.
+
+Default engine
+--------------
+
+``Simulator(engine=None)`` runs ``codegen`` (:func:`get_default_engine`).
+A follower (``follow_edits=True``, as ``Session.simulator()`` builds)
+runs ``worklist``: a codegen follower re-elaborates at the first step
+after every followed edit that makes a new topology, and on
+``benchmarks/bench_incremental.py``'s 200-step fig6b transform-measure
+loop it took 11.5 s against 1.3 s on worklist (one run each, 2-vCPU
+container).  An explicit ``engine=`` or :func:`set_default_engine` (the
+CLI's ``--engine``) applies to followers too.
 """
 
 from __future__ import annotations
@@ -108,7 +123,13 @@ __all__ = [
 #: Recognized fix-point engines.
 ENGINES = ("worklist", "codegen")
 
-_default_engine = "worklist"
+#: The engine set by :func:`set_default_engine`; ``None`` keeps the
+#: built-in defaults below.
+_default_engine = None
+_BUILTIN_DEFAULT = "codegen"
+#: Followers re-elaborate per new topology under codegen, which costs more
+#: than worklist's table rebuild (module docstring, `Default engine`).
+_FOLLOWER_DEFAULT = "worklist"
 
 
 def check_engine(name):
@@ -138,15 +159,21 @@ def lanes_engine(lanes, engine=None):
 
 
 def set_default_engine(name):
-    """Set the process-wide default fix-point engine (CLI ``--engine``)."""
+    """Set the process-wide default fix-point engine (CLI ``--engine``) of
+    every ``Simulator(engine=None)``, followers included; ``None`` restores
+    the built-in defaults.  Returns the previous setting, so that
+    ``set_default_engine(previous)`` undoes the call."""
     global _default_engine
-    check_engine(name)
-    _default_engine = name
+    if name is not None:
+        check_engine(name)
+    previous, _default_engine = _default_engine, name
+    return previous
 
 
 def get_default_engine():
-    """The engine used when ``Simulator(engine=None)``."""
-    return _default_engine
+    """The engine ``Simulator(engine=None)`` uses when it does not follow
+    edits."""
+    return _default_engine or _BUILTIN_DEFAULT
 
 
 def superseded_error():
@@ -190,8 +217,10 @@ class Simulator:
         method called after each fix-point (trace recorders etc.); kept as
         the live list :attr:`observers`.
     engine:
-        ``"worklist"`` (event-driven, default) or ``"codegen"`` (compiled
-        straight-line module); ``None`` picks the process-wide default.
+        ``"worklist"`` (event-driven) or ``"codegen"`` (compiled
+        straight-line module); ``None`` picks the process-wide default:
+        :func:`get_default_engine`, or ``"worklist"`` for a follower while
+        :func:`set_default_engine` is unset.
         Unknown names raise ``ValueError`` with the valid-choices list
         before any engine setup runs.
     profile:
@@ -236,7 +265,8 @@ class Simulator:
                  engine=None, profile=False, follow_edits=False):
         netlist.validate()
         if engine is None:
-            engine = _default_engine
+            engine = _default_engine or (
+                _FOLLOWER_DEFAULT if follow_edits else _BUILTIN_DEFAULT)
         check_engine(engine)
         self.netlist = netlist
         self.engine = engine

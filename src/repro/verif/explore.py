@@ -178,7 +178,9 @@ class ExplorationResult:
 class StateExplorer:
     """Breadth-first reachability over environment/scheduler choices.
 
-    ``engine`` selects the scalar fix-point engine (worklist by default):
+    ``engine`` selects the scalar fix-point engine (the process default,
+    :func:`~repro.sim.engine.get_default_engine`, which is codegen unless
+    set otherwise):
     the explorer pays one fix-point per explored transition, so a faster
     engine speeds up whole model-checking runs.  ``lanes=N`` (``N > 1``)
     selects ``codegen``; ``engine`` must then be left at ``None``.

@@ -103,11 +103,12 @@ class TestCli:
         parent's set_default_engine)."""
         from repro.sim.engine import get_default_engine
 
-        assert main(["--engine", "codegen", "sweep", "--grid", "fig1",
+        # worklist is not the default, so a leaking flag shows below
+        assert main(["--engine", "worklist", "sweep", "--grid", "fig1",
                      "--cycles", "40", "--workers", "2"]) == 0
         out = capsys.readouterr().out
-        assert "(engine=codegen)" in out
-        assert get_default_engine() == "worklist"
+        assert "(engine=worklist)" in out
+        assert get_default_engine() == "codegen"
 
     def test_explore_script(self, tmp_path, capsys):
         script = tmp_path / "explore.txt"
@@ -134,20 +135,26 @@ class TestCli:
         assert "2 steps" in out
 
     def test_profile(self, capsys):
-        assert main(["profile", "--design", "fig1d", "--cycles", "50"]) == 0
+        # the comb() call counts are worklist output
+        assert main(["--engine", "worklist", "profile", "--design", "fig1d",
+                     "--cycles", "50"]) == 0
         out = capsys.readouterr().out
         assert "engine=worklist" in out
         assert "comb() calls" in out
 
     def test_engine_flag_selects_codegen(self, capsys):
-        from repro.sim.engine import get_default_engine
+        from repro.designs import build_design
+        from repro.sim.engine import Simulator, get_default_engine
 
         assert main(["--engine", "codegen", "profile", "--cycles", "20"]) == 0
         out = capsys.readouterr().out
         assert "engine=codegen" in out
         assert "evaluations per cycle" in out
-        # the flag must not leak into the process-wide default
-        assert get_default_engine() == "worklist"
+        # the flag must not leak into the process-wide default, which
+        # followers, defaulting to worklist, would inherit
+        assert get_default_engine() == "codegen"
+        net = build_design("fig1d")
+        assert Simulator(net, follow_edits=True).engine == "worklist"
 
     def test_engine_flag_table1_unchanged(self, capsys):
         """The codegen engine reproduces Table 1 identically."""

@@ -443,6 +443,34 @@ class TestModuleCache:
         assert stats1["re_elaborations"] == 1
         assert stats1["hits"] == stats0["hits"] + 1
 
+    def test_cache_evicts_least_recently_used(self):
+        """The module cache is bounded: past ``_MODULE_CACHE_SIZE`` the
+        least recently used module goes, and comes back byte-identical."""
+        pysim.clear_module_cache()
+        bound, extra = pysim._MODULE_CACHE_SIZE, 2
+        nets = [build_pipeline(["eb"] * (n + 1), 0.0, 0, [1])
+                for n in range(bound + extra)]
+        first_source = pysim.generated_source(nets[0])
+        evicted_source = pysim.generated_source(nets[1])
+        for net in nets[2:bound]:
+            pysim.generated_source(net)
+        pysim.generated_source(nets[0])        # recently used: kept
+        for net in nets[bound:]:
+            pysim.generated_source(net)
+        stats = pysim.cache_stats()
+        assert stats["modules"] == bound
+        assert stats["evictions"] == extra
+        assert stats["re_elaborations"] == bound + extra
+        assert pysim.generated_source(nets[0]) == first_source
+        assert pysim.cache_stats()["re_elaborations"] == bound + extra
+        assert pysim.generated_source(nets[1]) == evicted_source
+        stats = pysim.cache_stats()
+        assert stats["re_elaborations"] == bound + extra + 1
+        assert stats["modules"] == bound
+        assert stats["evictions"] == extra + 1
+        pysim.clear_module_cache()
+        assert pysim.cache_stats()["evictions"] == 0
+
     def test_different_flags_are_separate_modules(self):
         pysim.clear_module_cache()
         Simulator(self._pipe(0), engine="codegen").run(2)

@@ -187,14 +187,44 @@ class TestEngineSelection:
     def test_default_engine_switchable(self):
         from repro.sim.engine import get_default_engine, set_default_engine
 
-        assert get_default_engine() == "worklist"
-        set_default_engine("codegen")
+        assert get_default_engine() == "codegen"
+        previous = set_default_engine("worklist")
         try:
-            assert Simulator(self._pipeline()).engine == "codegen"
+            assert Simulator(self._pipeline()).engine == "worklist"
             with pytest.raises(ValueError):
                 set_default_engine("magic")
         finally:
-            set_default_engine("worklist")
+            set_default_engine(previous)
+        assert get_default_engine() == "codegen"
+
+    def test_codegen_is_the_default(self):
+        assert Simulator(self._pipeline()).engine == "codegen"
+
+    def test_followers_default_to_worklist(self):
+        from repro.transform.session import Session
+
+        follower = Simulator(self._pipeline(), follow_edits=True)
+        assert follower.engine == "worklist"
+        assert Session(self._pipeline()).simulator().engine == "worklist"
+
+    def test_explicit_engine_reaches_followers(self):
+        follower = Simulator(self._pipeline(), engine="codegen",
+                             follow_edits=True)
+        assert follower.engine == "codegen"
+
+    def test_set_default_engine_reaches_followers(self):
+        from repro.sim.engine import set_default_engine
+        from repro.transform.session import Session
+
+        previous = set_default_engine("codegen")
+        try:
+            follower = Simulator(self._pipeline(), follow_edits=True)
+            assert follower.engine == "codegen"
+            assert Session(self._pipeline()).simulator().engine == "codegen"
+        finally:
+            set_default_engine(previous)
+        follower = Simulator(self._pipeline(), follow_edits=True)
+        assert follower.engine == "worklist"
 
     @pytest.mark.parametrize("engine", ["worklist", "codegen"])
     def test_both_engines_simulate(self, engine):

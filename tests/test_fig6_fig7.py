@@ -122,6 +122,45 @@ class TestFig7Correctness:
         assert values == reference_sums(code, len(values), error_rate=0.2, seed=10)
 
 
+class TestFig7BlockCosts:
+    """Block delays and areas are synthesized once per code and cell
+    table, not once per build."""
+
+    def test_second_build_synthesizes_no_gates(self, monkeypatch):
+        from repro.netlist import resilient
+        from repro.tech.gates import GateNetlist
+
+        calls = []
+        add_gate = GateNetlist.add_gate
+
+        def counting_add_gate(self, *args, **kwargs):
+            calls.append(args)
+            return add_gate(self, *args, **kwargs)
+
+        monkeypatch.setattr(GateNetlist, "add_gate", counting_add_gate)
+        monkeypatch.setattr(resilient, "_BLOCKS_CACHE", {})
+        resilient_speculative()
+        assert calls
+        calls.clear()
+        resilient_speculative()
+        assert calls == []
+
+    def test_changed_cell_changes_block_costs(self, code):
+        from repro.netlist.resilient import _blocks
+        from repro.tech.library import GateSpec, TechLibrary
+
+        tech = TechLibrary()
+        blocks = _blocks(code, tech)
+        delay = blocks["correct_delay"]
+        blocks["correct_delay"] = 0.0      # the caller's copy only
+        assert _blocks(code, tech)["correct_delay"] == delay
+        assert _blocks(code, TechLibrary())["correct_delay"] == delay
+        xor2 = tech.cells["xor2"]
+        tech.cells["xor2"] = GateSpec("xor2", xor2.area, 2 * xor2.delay,
+                                      xor2.inputs)
+        assert _blocks(code, tech)["correct_delay"] > delay
+
+
 class TestFig7Performance:
     def test_error_free_no_throughput_penalty(self, code):
         """Section 5.2: "there is no performance penalty during the

@@ -215,7 +215,8 @@ class TestSensitivityMapEquivalence:
         for _ in range(10):
             _random_script_step(rng, session, inserted)
         sim.reset()
-        fresh = Simulator(session.netlist.clone(), profile=True)
+        fresh = Simulator(session.netlist.clone(), profile=True,
+                          engine="worklist")
         assert self._reader_names(sim) == self._reader_names(fresh)
         assert [sim._nodes[i].name for i in sim._order] == \
             [fresh._nodes[i].name for i in fresh._order]

@@ -254,12 +254,13 @@ def _sweep_key_of(spec):
     """The content key run_sweep derives for ``spec`` (white-box, used to
     inspect checkpoint bodies mid-test)."""
     from repro.perf import sweep as sweep_module
+    from repro.sim.engine import get_default_engine
 
     configs = spec.expand()
     payloads = [
         {"index": c.index, "name": c.name, "factory": spec.factory,
          "params": c.params, "channel": c.channel, "cycles": spec.cycles,
-         "warmup": spec.warmup, "engine": "worklist"}
+         "warmup": spec.warmup, "engine": get_default_engine()}
         for c in configs
     ]
     return sweep_module._sweep_key(spec, payloads)

@@ -119,11 +119,11 @@ class TestSerialSweep:
     def test_spec_engine_used_serially(self):
         spec = SweepSpec(name="s", factory=fig6_point,
                          points=[{"design": "stalling"}], channel="out",
-                         cycles=20, warmup=0, engine="codegen")
+                         cycles=20, warmup=0, engine="worklist")
         result = run_sweep(spec)
-        assert result.engine == "codegen"
-        assert result.rows[0]["engine"] == "codegen"
-        assert get_default_engine() == "worklist"
+        assert result.engine == "worklist"
+        assert result.rows[0]["engine"] == "worklist"
+        assert get_default_engine() == "codegen"
 
 
 class TestShardedSweep:
@@ -149,7 +149,7 @@ class TestShardedSweep:
         from the built-in default, so the parent's choice must travel in
         the payload, not via process-global state."""
         spec = fig6_spec(fracs=(0.0,), windows=(3,), cycles=40)
-        result = run_sweep(spec, n_workers=2, engine="codegen")
-        assert {row["engine"] for row in result.rows} == {"codegen"}
+        result = run_sweep(spec, n_workers=2, engine="worklist")
+        assert {row["engine"] for row in result.rows} == {"worklist"}
         # the parent's process-wide default is untouched
-        assert get_default_engine() == "worklist"
+        assert get_default_engine() == "codegen"
