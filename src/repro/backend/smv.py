@@ -12,8 +12,6 @@ from __future__ import annotations
 
 from repro.errors import BackendError
 
-_ENV_KINDS = {"source", "sink", "killer_sink", "nondet_source", "nondet_sink"}
-
 _EB_MODULE = """
 MODULE elastic_buffer(i_vp, o_sp, o_vm, i_sm)
   -- Lf=1, Lb=1, C=2 with one anti-token slot (Figure 3, deterministic)
@@ -103,11 +101,11 @@ def to_smv(netlist, liveness=False, retry_exempt=()):
     for name, channel in netlist.channels.items():
         src = netlist.nodes[channel.producer[0]]
         dst = netlist.nodes[channel.consumer[0]]
-        if src.kind in _ENV_KINDS:
+        if src.is_environment:
             var_lines.append(f"    {name}_vp : boolean;  -- env-driven valid")
             var_lines.append(f"    {name}_sm : boolean;")
             env_channels.append(name)
-        if dst.kind in _ENV_KINDS:
+        if dst.is_environment:
             var_lines.append(f"    {name}_sp : boolean;  -- env back-pressure")
             var_lines.append(f"    {name}_vm : boolean;")
     instances = []
@@ -134,7 +132,7 @@ def to_smv(netlist, liveness=False, retry_exempt=()):
                 f"    u_{node.name} : shared2({i0}_vp, {i1}_vp, {o0}_sp, {o1}_sp, "
                 f"{o0}_vm, {o1}_vm, {i0}_sm, {i1}_sm, {node.name}_g);"
             )
-        elif node.kind in _ENV_KINDS:
+        elif node.is_environment:
             continue
         else:
             instances.append(
@@ -149,7 +147,7 @@ def to_smv(netlist, liveness=False, retry_exempt=()):
             continue
         src = netlist.nodes[netlist.channels[name].producer[0]]
         dst = netlist.nodes[netlist.channels[name].consumer[0]]
-        if src.kind in _ENV_KINDS or dst.kind in _ENV_KINDS:
+        if src.is_environment or dst.is_environment:
             continue
         specs.append(
             _SPEC_TEMPLATE.format(

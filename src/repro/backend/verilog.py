@@ -260,8 +260,6 @@ _KIND_TO_PRIMITIVE = {
     "shared": "self_shared",
 }
 
-_ENV_KINDS = {"source", "sink", "killer_sink", "nondet_source", "nondet_sink"}
-
 
 def _primitives_needed(netlist):
     needed = []
@@ -292,7 +290,7 @@ def _instance(node, netlist):
     def ch(port):
         return node.channel(port).name
 
-    if kind in _ENV_KINDS:
+    if node.is_environment:
         return [f"  // environment node '{name}' ({kind}): testbench, not emitted"]
     if kind == "eb":
         i, o = ch("i"), ch("o")
@@ -420,13 +418,11 @@ def to_verilog(netlist, top_name=None):
         body.extend(_instance(node, netlist))
     # tie off environment-driven channels
     for channel in netlist.channels.values():
-        src_kind = netlist.nodes[channel.producer[0]].kind
-        dst_kind = netlist.nodes[channel.consumer[0]].kind
         n = channel.name
-        if src_kind in _ENV_KINDS:
+        if netlist.nodes[channel.producer[0]].is_environment:
             body.append(f"  assign {n}_vp = 1'b0, {n}_sm = 1'b1;")
             body.append(f"  assign {n}_d = {{{channel.width}{{1'b0}}}};")
-        if dst_kind in _ENV_KINDS:
+        if netlist.nodes[channel.consumer[0]].is_environment:
             body.append(f"  assign {n}_sp = 1'b0, {n}_vm = 1'b0;")
     body.append("endmodule")
     parts.append("\n".join(body))

@@ -170,15 +170,40 @@ def _cmd_fig7(args):
     return 0
 
 
+#: ``repro verify``'s checks, one row per :data:`repro.designs.MC_DESIGNS`
+#: entry under its section heading: ``(design, label, checkpoint slug,
+#: verdict rule)``.  The slugs name the ``--checkpoint`` files, so they
+#: stay put when a label changes.
+_VERIFY_CHECKS = (
+    ("elastic buffers under nondeterministic environments:", (
+        ("eb", "standard EB", "eb", "deadlock-free"),
+        ("zbl", "ZBL EB (Fig. 5)", "zbl", "deadlock-free"),
+    )),
+    ("speculative composition (shared + EE mux):", (
+        ("spec-toggle", "toggle", "toggle", "live"),
+        ("spec-nondet", "nondet (any prediction)", "nondet", "safe"),
+        ("spec-static", "static w/o repair", "static", "starves"),
+    )),
+)
+
+#: leads-to verdict rules of the speculative composition: rule -> (the
+#: leads-to outcome owed, ``None`` when it is reported but not owed; the
+#: verdict printed when the rule holds).  Every rule also requires safety.
+#: The nondeterministic scheduler is the *specification*: leads-to is only
+#: owed by compliant implementations.  The static scheduler without repair
+#: is deliberately broken: it must starve.
+_LEADS_TO_RULES = {
+    "live": (True, "OK"),
+    "safe": (None, "OK (safety for any prediction)"),
+    "starves": (False, "OK (starves as predicted)"),
+}
+
+
 def _cmd_verify(args):
-    from repro.core.scheduler import NondetScheduler, StaticScheduler, ToggleScheduler
     from repro.runtime.control import install_term_handler
 
     install_term_handler()
-    from repro.elastic.buffers import ElasticBuffer, ZeroBackwardLatencyBuffer
-    from repro.elastic.environment import NondetSink, NondetSource
-    from repro.netlist import patterns
-    from repro.netlist.graph import Netlist
+    from repro.designs import build_mc_design
     from repro.sim.engine import get_default_engine, lanes_engine
     from repro.verif.deadlock import find_deadlocks
     from repro.verif.explore import StateExplorer
@@ -189,8 +214,6 @@ def _cmd_verify(args):
         return conflict
     if args.checkpoint:
         os.makedirs(args.checkpoint, exist_ok=True)
-
-    failures = 0
 
     def explore(net, slug):
         """One (possibly checkpointed, possibly time-sliced) exploration:
@@ -208,71 +231,37 @@ def _cmd_verify(args):
                 return result
             slices += 1
 
-    def report_stopped(label, result):
-        nonlocal failures
-        failures += 1
-        where = ("resumable via --checkpoint" if args.checkpoint
-                 else "partial progress lost (no --checkpoint)")
-        print(f"  {label:<26} states={result.n_states:<6} "
-              f"-> STOPPED ({result.stopped}; {where})")
+    def verdict(result, rule):
+        """``(detail, ok, verdict)`` of one complete exploration."""
+        if rule == "deadlock-free":
+            deadlocks = find_deadlocks(result)
+            ok = not result.violations and not deadlocks and result.complete
+            return (f"violations={len(result.violations)} "
+                    f"deadlocks={len(deadlocks)}", ok, "OK" if ok else "FAIL")
+        safe = not result.violations
+        ok0, _ = check_leads_to(result, "fin0", "fout0")
+        ok1, _ = check_leads_to(result, "fin1", "fout1")
+        leads = ok0 and ok1
+        owed, holds = _LEADS_TO_RULES[rule]
+        ok = safe and (owed is None or leads == owed)
+        return f"safe={safe} leads-to={leads}", ok, holds if ok else "FAIL"
 
-    def check_buffer(make, label, slug):
-        nonlocal failures
-        net = Netlist("mc")
-        node = net.add(make())
-        net.add(NondetSource("src"))
-        net.add(NondetSink("snk", can_kill=True))
-        net.connect("src.o", (node.name, "i"), name="in")
-        net.connect((node.name, "o"), "snk.i", name="out")
-        result = explore(net, slug)
-        if result.stopped is not None:
-            report_stopped(label, result)
-            return
-        deadlocks = find_deadlocks(result)
-        ok = not result.violations and not deadlocks and result.complete
-        failures += not ok
-        print(f"  {label:<26} states={result.n_states:<6} "
-              f"violations={len(result.violations)} deadlocks={len(deadlocks)}"
-              f" -> {'OK' if ok else 'FAIL'}")
-
+    failures = 0
     print("exploration engine: "
           f"{lanes_engine(args.lanes) or get_default_engine()}")
-    print("elastic buffers under nondeterministic environments:")
-    check_buffer(lambda: ElasticBuffer("eb"), "standard EB", "eb")
-    check_buffer(lambda: ZeroBackwardLatencyBuffer("eb"), "ZBL EB (Fig. 5)",
-                 "zbl")
-
-    print("speculative composition (shared + EE mux):")
-    for slug, label, scheduler in [
-            ("toggle", "toggle", ToggleScheduler(2)),
-            ("nondet", "nondet (any prediction)", NondetScheduler(2)),
-            ("static", "static w/o repair", StaticScheduler(
-                2, favourite=0, repair=False))]:
-        net, names = patterns.speculative_mc(scheduler)
-        result = explore(net, slug)
-        if result.stopped is not None:
-            report_stopped(label, result)
-            continue
-        ok0, _ = check_leads_to(result, names["fin0"], names["fout0"])
-        ok1, _ = check_leads_to(result, names["fin1"], names["fout1"])
-        safe = not result.violations
-        leads = ok0 and ok1
-        if label.startswith("static"):
-            # deliberately broken: must be safe but starving
-            ok = safe and not leads
-            verdict = "OK (starves as predicted)" if ok else "FAIL"
-        elif label.startswith("nondet"):
-            # the nondeterministic *specification*: safety must hold for
-            # any prediction; leads-to is only owed by compliant
-            # implementations, so it is reported but not required
-            ok = safe
-            verdict = "OK (safety for any prediction)" if ok else "FAIL"
-        else:
-            ok = safe and leads
-            verdict = "OK" if ok else "FAIL"
-        failures += not ok
-        print(f"  {label:<26} states={result.n_states:<6} safe={safe} "
-              f"leads-to={leads} -> {verdict}")
+    for heading, checks in _VERIFY_CHECKS:
+        print(heading)
+        for design, label, slug, rule in checks:
+            result = explore(build_mc_design(design), slug)
+            if result.stopped is not None:
+                where = ("resumable via --checkpoint" if args.checkpoint
+                         else "partial progress lost (no --checkpoint)")
+                ok, line = False, f"-> STOPPED ({result.stopped}; {where})"
+            else:
+                detail, ok, outcome = verdict(result, rule)
+                line = f"{detail} -> {outcome}"
+            failures += not ok
+            print(f"  {label:<26} states={result.n_states:<6} {line}")
     return 1 if failures else 0
 
 

@@ -20,7 +20,7 @@ the datapath is one multiplexor plus the delay in the scheduling decision".
 from __future__ import annotations
 
 from repro.core.scheduler import Scheduler, SchedulerFeedback
-from repro.elastic.node import Node
+from repro.elastic.node import BWD, DATA, VALID, Node
 from repro.kleene import kand, kite
 
 
@@ -174,7 +174,9 @@ class SharedModule(Node):
         arcs = []
         for j in range(self.n_channels):
             # Channel mux + function unit on the datapath.
-            arcs.append((f"i{j}", f"o{j}", self.delay + tech.mux_delay(self.n_channels), "data"))
+            arcs.append((f"i{j}", DATA, f"o{j}", DATA,
+                         self.delay + tech.mux_delay(self.n_channels)))
+            arcs.append((f"i{j}", VALID, f"o{j}", VALID, tech.shared_ctrl_delay))
             # Kill/stop pass-through on the control.
-            arcs.append((f"o{j}", f"i{j}", tech.shared_ctrl_delay, "control"))
+            arcs.append((f"o{j}", BWD, f"i{j}", BWD, tech.shared_ctrl_delay))
         return arcs

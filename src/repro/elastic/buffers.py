@@ -22,7 +22,7 @@ followed by an anti-token (``0 = 1 - 1``, Section 3.3).
 
 from __future__ import annotations
 
-from repro.elastic.node import Node
+from repro.elastic.node import BWD, Node
 from repro.kleene import kand, kite, knot
 
 
@@ -147,10 +147,6 @@ class ElasticBuffer(Node):
         width = self.channel("o").width if "o" in self._channels else 8
         return tech.eb_area(width, self.capacity)
 
-    def timing_arcs(self, tech):
-        # Fully registered: no combinational arc crosses the buffer.
-        return []
-
 
 class ZeroBackwardLatencyBuffer(Node):
     """Elastic buffer with ``Lb = 0``, ``Lf = 1`` and capacity 1 (Figure 5).
@@ -249,7 +245,7 @@ class ZeroBackwardLatencyBuffer(Node):
 
     def timing_arcs(self, tech):
         # Data is registered, but the backward control rushes through.
-        return [("o", "i", tech.zbl_control_delay, "control")]
+        return [("o", BWD, "i", BWD, tech.zbl_control_delay)]
 
 
 def bubble(name, capacity=2):

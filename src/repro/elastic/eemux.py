@@ -18,7 +18,7 @@ scheduler corrects itself.
 
 from __future__ import annotations
 
-from repro.elastic.node import Node
+from repro.elastic.node import BWD, DATA, VALID, Node
 from repro.errors import SchedulerError
 from repro.kleene import kand, kite, knot, kor
 
@@ -154,7 +154,18 @@ class EarlyEvalMux(Node):
         return tech.mux_area(width, self.n_inputs) + tech.eemux_ctrl_area(self.n_inputs)
 
     def timing_arcs(self, tech):
-        arcs = [("s", "o", self.delay, "data")]
-        for i in range(self.n_inputs):
-            arcs.append((f"i{i}", "o", self.delay, "data"))
+        data_ports = [f"i{j}" for j in range(self.n_inputs)]
+        # datapath: select + selected word through the output mux
+        arcs = [("s", DATA, "o", DATA, self.delay)]
+        for p in data_ports:
+            arcs.append((p, DATA, "o", DATA, self.delay))
+        # fire decision: select *data* and valids drive output valid and
+        # the kill/stop bits of every input channel
+        fire_sources = [("s", DATA), ("s", VALID)] + [(p, VALID) for p in data_ports]
+        fire_sinks = [("o", VALID)] + [(q, BWD) for q in ["s"] + data_ports]
+        for sp, spl in fire_sources:
+            for tp, tpl in fire_sinks:
+                arcs.append((sp, spl, tp, tpl, tech.ee_ctrl_delay))
+        for q in ["s"] + data_ports:
+            arcs.append(("o", BWD, q, BWD, tech.ee_ctrl_delay))
         return arcs

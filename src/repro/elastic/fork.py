@@ -14,7 +14,7 @@ counterflow network small while preserving transfer equivalence.
 
 from __future__ import annotations
 
-from repro.elastic.node import Node
+from repro.elastic.node import BWD, DATA, VALID, Node
 from repro.kleene import kand, kite, knot, kor
 
 
@@ -111,4 +111,9 @@ class EagerFork(Node):
         return tech.fork_ctrl_area(self.n_outputs)
 
     def timing_arcs(self, tech):
-        return [("i", f"o{k}", 0.0, "data") for k in range(self.n_outputs)]
+        arcs = []
+        for k in range(self.n_outputs):
+            arcs.append(("i", DATA, f"o{k}", DATA, 0.0))
+            arcs.append(("i", VALID, f"o{k}", VALID, 0.0))
+            arcs.append((f"o{k}", BWD, "i", BWD, tech.fork_ctrl_delay))
+        return arcs

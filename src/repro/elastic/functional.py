@@ -14,7 +14,7 @@ backward into the producer (an EB absorbs it as a stored anti-token).
 
 from __future__ import annotations
 
-from repro.elastic.node import Node
+from repro.elastic.node import BWD, DATA, VALID, Node
 from repro.kleene import kand, kite, knot
 
 
@@ -135,9 +135,17 @@ class Func(Node):
         return self.area_cost + tech.join_ctrl_area(self.n_inputs)
 
     def timing_arcs(self, tech):
+        # datapath through the function; the lazy join's valid, and its
+        # stop, which depends on the sibling inputs' valids
+        ctrl = tech.join_ctrl_delay
         arcs = []
-        for i in range(self.n_inputs):
-            arcs.append((f"i{i}", "o", self.delay, "data"))
+        for i in self.in_ports:
+            arcs.append((i, DATA, "o", DATA, self.delay))
+            arcs.append((i, VALID, "o", VALID, ctrl))
+            for j in self.in_ports:
+                if i != j:
+                    arcs.append((i, VALID, j, BWD, ctrl))
+            arcs.append(("o", BWD, i, BWD, ctrl))
         return arcs
 
 

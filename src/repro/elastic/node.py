@@ -23,13 +23,23 @@ port roles (:meth:`Node.drives`).
 
 Nodes also expose :meth:`snapshot` / :meth:`restore` so the explicit-state
 model checker of :mod:`repro.verif` can enumerate the reachable state space,
-and a few static descriptors (:meth:`area`, :meth:`timing_arcs`) used by the
-performance models.
+and the static descriptors the analytic models read: :meth:`area`,
+:meth:`timing_arcs` (the node's arcs in the three-plane timing graph of
+:mod:`repro.perf.timing`: data ``D``, forward valid ``V``, backward stop/kill
+``B``) and :attr:`is_environment`.  The analytic models ask the node's class
+and these descriptors, never its ``kind`` tag, which chaos splices override
+per instance.
 """
 
 from __future__ import annotations
 
 from repro.elastic.channel import PRODUCER, CONSUMER, SIGNALS_BY_ROLE
+
+#: timing planes (see :meth:`Node.timing_arcs`): datapath words, forward
+#: valid bits, backward stop and kill bits.
+DATA = "D"
+VALID = "V"
+BWD = "B"
 
 
 class PortRole:
@@ -78,6 +88,12 @@ class Node:
 
     def add_out(self, port):
         self.out_ports.append(port)
+
+    @property
+    def is_environment(self):
+        """True for a node with no input port or no output port: a source
+        or sink modelling the testbench, not the design."""
+        return not self.in_ports or not self.out_ports
 
     @property
     def ports(self):
@@ -204,11 +220,18 @@ class Node:
         return 0.0
 
     def timing_arcs(self, tech):
-        """Combinational timing arcs as ``(from_port, to_port, delay)``.
+        """Combinational timing arcs as ``(from_port, from_plane, to_port,
+        to_plane, delay)``, in the order :func:`repro.perf.timing.timing_graph`
+        adds them.
 
-        ``from_port``/``to_port`` name ports of this node; an arc means a
-        combinational path from the data/control arriving at ``from_port``
-        to the data/control leaving at ``to_port``.  Sequential elements
-        (elastic buffers) return no data arcs, which is what breaks cycles.
+        Ports name ports of this node; planes are :data:`DATA` (the
+        datapath word), :data:`VALID` (the forward valid bit) and
+        :data:`BWD` (the backward stop and kill bits).  An arc is a
+        combinational path from the signal arriving at ``from_port`` on
+        ``from_plane`` to the one leaving at ``to_port`` on ``to_plane``.
+        Buffers add no through-arcs: an elastic buffer registers all three
+        planes and returns none, which is what breaks cycles, and the
+        zero-backward-latency buffer returns only its backward control
+        arc.  The default (environments, FIFOs) is no arcs.
         """
         return []

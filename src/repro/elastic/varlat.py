@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from collections import deque
 
-from repro.elastic.node import Node
+from repro.elastic.node import BWD, DATA, Node
 
 
 class VariableLatencyUnit(Node):
@@ -124,6 +124,9 @@ class VariableLatencyUnit(Node):
 
     def timing_arcs(self, tech):
         return [
-            ("i", "o", self.delay, "data"),
-            ("i", "i", self.err_path_delay, "err-to-control"),
+            # exact datapath to the (registered) output station
+            ("i", DATA, "o", DATA, self.delay),
+            # F_err -> controller clock gating: the Section 5.1 critical
+            # path of the stalling design, ending at the input stop
+            ("i", DATA, "i", BWD, self.err_path_delay),
         ]

@@ -20,14 +20,14 @@ def area_breakdown(netlist, tech=None):
 def total_area(netlist, tech=None, include=None):
     """Total area; ``include`` optionally filters node kinds.
 
-    Environments (sources/sinks) are excluded — they model the testbench,
-    not the design.
+    Environments (:attr:`~repro.elastic.node.Node.is_environment`:
+    sources and sinks) are excluded — they model the testbench, not the
+    design.
     """
     tech = tech or DEFAULT_TECH
-    skip = {"source", "sink", "killer_sink", "nondet_source", "nondet_sink"}
     total = 0.0
     for node in netlist.nodes.values():
-        if node.kind in skip:
+        if node.is_environment:
             continue
         if include is not None and node.kind not in include:
             continue

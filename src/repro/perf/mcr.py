@@ -30,6 +30,9 @@ from __future__ import annotations
 
 import weakref
 
+from repro.core.shared import SharedModule
+from repro.elastic.buffers import ElasticBuffer, ZeroBackwardLatencyBuffer
+from repro.elastic.eemux import EarlyEvalMux
 from repro.errors import NetlistError
 from repro.netlist import graphalg
 
@@ -60,27 +63,29 @@ def _cloud_graph(netlist):
 
     buffers = []
     for node in netlist.nodes.values():
-        if node.kind in ("eb", "zbl_eb"):
-            buffers.append(node)
+        if isinstance(node, ElasticBuffer):
+            buffers.append((node, 1))
+            continue
+        if isinstance(node, ZeroBackwardLatencyBuffer):
+            buffers.append((node, 0))
             continue
         connected = [node.channel(p).name for p in node.ports if p in node._channels]
         for other in connected[1:]:
             union(connected[0], other)
     edges = []
-    for eb in buffers:
+    for eb, lb in buffers:
         src_cloud = find(eb.channel("i").name)
         dst_cloud = find(eb.channel("o").name)
         tokens = max(eb.count, 0)
         anti = max(-eb.count, 0)
-        lf = 1
-        lb = 0 if eb.kind == "zbl_eb" else 1
-        edges.append((src_cloud, dst_cloud, tokens - anti, lf))
+        edges.append((src_cloud, dst_cloud, tokens - anti, 1))
         edges.append((dst_cloud, src_cloud, eb.capacity - tokens + anti, lb))
     return edges
 
 
 def _has_early_eval(netlist):
-    return any(node.kind in ("eemux", "shared") for node in netlist.nodes.values())
+    return any(isinstance(node, (EarlyEvalMux, SharedModule))
+               for node in netlist.nodes.values())
 
 
 def min_cycle_ratio(netlist, force=False):
@@ -137,16 +142,9 @@ def cached_min_cycle_ratio(netlist, force=False):
     return ratio
 
 
-def marked_graph_throughput(netlist, force=False, cached=False):
-    """Analytical steady-state throughput in transfers/cycle (<= 1.0).
-
-    ``cached=True`` memoizes the cycle-ratio search on the netlist's
-    structural version (see :func:`cached_min_cycle_ratio`).
-    """
-    if cached:
-        ratio = cached_min_cycle_ratio(netlist, force=force)
-    else:
-        ratio = min_cycle_ratio(netlist, force=force)
+def marked_graph_throughput(netlist, force=False):
+    """Analytical steady-state throughput in transfers/cycle (<= 1.0)."""
+    ratio = min_cycle_ratio(netlist, force=force)
     if ratio is None:
         return 1.0
     return min(1.0, float(ratio))

@@ -11,12 +11,16 @@ We model the network with a three-plane timing graph:
   logic;
 * plane ``B`` (backward): stop and kill bits, consumer -> producer.
 
-Each node contributes arcs between the planes of its ports according to its
-controller structure; channels contribute zero-delay wire arcs.  Elastic
-buffers are fully registered and contribute no through-arcs, which is what
-breaks the graph into a DAG; the Figure 5 zero-backward-latency buffer
-contributes a backward control arc — chain too many of them and the control
-path grows, exactly the caveat of Section 4.3.
+Each node contributes the arcs its class declares in
+:meth:`~repro.elastic.node.Node.timing_arcs`, between the planes of its
+ports according to its controller structure; channels contribute
+zero-delay wire arcs.  The arcs come from the node classes, never from
+their ``kind`` tags, so a chaos splice (a tagged function block or buffer)
+is timed as the block it is.  Elastic buffers are fully registered and
+contribute no through-arcs, which is what breaks the graph into a DAG; the
+Figure 5 zero-backward-latency buffer contributes a backward control arc —
+chain too many of them and the control path grows, exactly the caveat of
+Section 4.3.
 
 Plane crossings happen where the paper says they do:
 
@@ -31,65 +35,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.elastic.node import BWD, DATA, VALID
 from repro.errors import NetlistError
 from repro.netlist.graphalg import CycleError, topological_order
 from repro.tech.library import DEFAULT_TECH
-
-DATA = "D"
-VALID = "V"
-BWD = "B"
-
-
-def _node_arcs(node, tech):
-    """Timing arcs of one node: (from_port, from_plane, to_port, to_plane, delay)."""
-    kind = node.kind
-    arcs = []
-    if kind == "func":
-        ins = node.in_ports
-        for i in ins:
-            arcs.append((i, DATA, "o", DATA, node.delay))
-            arcs.append((i, VALID, "o", VALID, tech.join_ctrl_delay))
-            for j in ins:
-                if i != j:
-                    arcs.append((i, VALID, j, BWD, tech.join_ctrl_delay))
-            arcs.append(("o", BWD, i, BWD, tech.join_ctrl_delay))
-    elif kind == "fork":
-        for k in range(node.n_outputs):
-            arcs.append(("i", DATA, f"o{k}", DATA, 0.0))
-            arcs.append(("i", VALID, f"o{k}", VALID, 0.0))
-            arcs.append((f"o{k}", BWD, "i", BWD, tech.fork_ctrl_delay))
-    elif kind == "eemux":
-        data_ports = [f"i{j}" for j in range(node.n_inputs)]
-        # datapath: select + selected word through the output mux
-        arcs.append(("s", DATA, "o", DATA, node.delay))
-        for p in data_ports:
-            arcs.append((p, DATA, "o", DATA, node.delay))
-        # fire decision: select *data* and valids drive output valid and
-        # the kill/stop bits of every input channel
-        fire_sources = [("s", DATA), ("s", VALID)] + [(p, VALID) for p in data_ports]
-        fire_sinks = [("o", VALID)] + [(q, BWD) for q in ["s"] + data_ports]
-        for sp, spl in fire_sources:
-            for tp, tpl in fire_sinks:
-                arcs.append((sp, spl, tp, tpl, tech.ee_ctrl_delay))
-        for q in ["s"] + data_ports:
-            arcs.append(("o", BWD, q, BWD, tech.ee_ctrl_delay))
-    elif kind == "shared":
-        for j in range(node.n_channels):
-            arcs.append((f"i{j}", DATA, f"o{j}", DATA,
-                         node.delay + tech.mux_delay(node.n_channels)))
-            arcs.append((f"i{j}", VALID, f"o{j}", VALID, tech.shared_ctrl_delay))
-            arcs.append((f"o{j}", BWD, f"i{j}", BWD, tech.shared_ctrl_delay))
-    elif kind == "zbl_eb":
-        arcs.append(("o", BWD, "i", BWD, tech.zbl_control_delay))
-    elif kind == "varlat":
-        # exact datapath to the (registered) output station
-        arcs.append(("i", DATA, "o", DATA, node.delay))
-        # F_err -> controller clock gating: the Section 5.1 critical path of
-        # the stalling design (a data-to-control crossing ending at the
-        # input stop)
-        arcs.append(("i", DATA, "i", BWD, node.err_path_delay))
-    # eb / sources / sinks: registered or terminal — no arcs.
-    return arcs
 
 
 def timing_graph(netlist, tech=None):
@@ -104,7 +53,7 @@ def timing_graph(netlist, tech=None):
         graph[u][v] = delay
 
     for node in netlist.nodes.values():
-        for f_port, f_plane, t_port, t_plane, delay in _node_arcs(node, tech):
+        for f_port, f_plane, t_port, t_plane, delay in node.timing_arcs(tech):
             arc((node.name, f_port, f_plane), (node.name, t_port, t_plane),
                 delay)
     for channel in netlist.channels.values():

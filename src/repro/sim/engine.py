@@ -535,12 +535,6 @@ class Simulator:
     def load_state(self, state):
         self.netlist.restore(state)
 
-    def choice_nodes(self):
-        """Nodes with a nondeterministic choice this cycle."""
-        if self._structures_dirty:
-            self._refresh_structures()
-        return [node for node in self._choosers if node.choice_space() > 1]
-
     def step_with_choices(self, choices):
         """One cycle with explicit environment choices.
 

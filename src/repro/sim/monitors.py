@@ -25,9 +25,8 @@ from repro.errors import ProtocolViolationError
 class ProtocolMonitor:
     """Per-channel monitor automata for the SELF properties."""
 
-    def __init__(self, netlist, strict_data_persistence=True):
+    def __init__(self, netlist):
         self.netlist = netlist
-        self.strict_data_persistence = strict_data_persistence
         # channel name -> (vp, sp, vm, sm, data) of the previous cycle
         self._prev = {}
         self.violations = []
@@ -91,7 +90,7 @@ class ProtocolMonitor:
             # Token was offered and stalled (and not killed): must persist.
             if not vp:
                 self._fail("Retry+", name, cycle, "stalled token withdrawn")
-            if self.strict_data_persistence and data != pdata:
+            if data != pdata:
                 self._fail(
                     "Retry+", name, cycle,
                     f"stalled token changed data {pdata!r} -> {data!r}",

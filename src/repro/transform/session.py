@@ -42,19 +42,16 @@ from repro.transform.sharing import share_blocks
 class Session:
     """An undoable transformation session over an elastic netlist."""
 
-    def __init__(self, netlist, max_history=64, lint_after_transforms=False,
-                 lint_rules=None):
+    def __init__(self, netlist, max_history=64, lint_after_transforms=False):
         self.netlist = netlist.clone()
         self.max_history = max_history
-        #: when True, every transformation additionally runs the lint rule
-        #: set (``lint_rules``, default: the static rules) with
-        #: ``fail_on="error"`` *inside* the rollback scope — a transform
-        #: that produces a design violating an elastic invariant (e.g. a
-        #: zero-bubble cycle) is rolled back like a validation failure,
-        #: and the raised :class:`~repro.errors.LintError` carries the
-        #: full report.
+        #: when True, every transformation additionally runs the default
+        #: lint rule set (the static rules) with ``fail_on="error"``
+        #: *inside* the rollback scope — a transform that produces a
+        #: design violating an elastic invariant (e.g. a zero-bubble
+        #: cycle) is rolled back like a validation failure, and the raised
+        #: :class:`~repro.errors.LintError` carries the full report.
         self.lint_after_transforms = lint_after_transforms
-        self.lint_rules = lint_rules
         self._undo = []          # (kind, [forward edits]) entries
         self._redo = []
         self.log = []
@@ -91,8 +88,7 @@ class Session:
             if self.lint_after_transforms:
                 from repro.lint import run_lint
 
-                run_lint(self.netlist, rules=self.lint_rules,
-                         fail_on="error")
+                run_lint(self.netlist, fail_on="error")
         except Exception:
             self._recording = None
             self._replay(edits, inverse=True)

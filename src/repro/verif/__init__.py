@@ -5,7 +5,6 @@ equivalence checking."""
 
 from repro.verif.explore import StateExplorer, ExplorationResult, explore_or_raise
 from repro.verif.encoding import StateCodec
-from repro.verif.properties import check_invariant, check_retry
 from repro.verif.deadlock import find_deadlocks
 from repro.verif.leads_to import check_leads_to
 from repro.verif.equivalence import transfer_streams, assert_transfer_equivalent
@@ -15,8 +14,6 @@ __all__ = [
     "ExplorationResult",
     "explore_or_raise",
     "StateCodec",
-    "check_invariant",
-    "check_retry",
     "find_deadlocks",
     "check_leads_to",
     "transfer_streams",

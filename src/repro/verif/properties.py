@@ -6,53 +6,27 @@ These are the Section 3.1 properties in transition-relation form:
 * Retry+ / Retry- — persistence of stalled tokens / anti-tokens, phrased
   over a (previous signals, current signals) pair.
 
-Two equivalent phrasings are provided.  The dict-based
-:func:`check_invariant` / :func:`check_retry` are the readable reference
-form over ``{channel: (vp, sp, vm, sm)}`` mappings.  The explorer's hot
-path uses the ``*_packed`` variants over the compact one-byte-per-channel
-encoding of :mod:`repro.verif.encoding` (bits ``VP | SP<<1 | VM<<2 |
-SM<<3``, channels in netlist order) — same checks, same messages, no
-per-channel tuple unpacking.
+Both checks read the explorer's compact one-byte-per-channel encoding of
+:mod:`repro.verif.encoding` (bits ``VP | SP<<1 | VM<<2 | SM<<3``, channels
+in netlist order), so no per-channel tuple is unpacked on the hot path.
+:func:`retry_exempt_channels` derives the channels Section 4.2 exempts from
+Retry+ (the runtime :class:`~repro.sim.monitors.ProtocolMonitor` uses it
+too).
 """
 
 from __future__ import annotations
+
+from repro.core.shared import SharedModule
 
 #: bit positions of one packed channel byte (see repro.verif.encoding).
 VP_BIT, SP_BIT, VM_BIT, SM_BIT = 1, 2, 4, 8
 
 
-def check_invariant(signals):
-    """``signals``: channel name -> (vp, sp, vm, sm).  Returns a list of
-    violation strings (empty = OK)."""
-    problems = []
-    for name, (vp, sp, vm, sm) in signals.items():
-        if vm and sp:
-            problems.append(f"{name}: V- and S+ both asserted")
-        if vp and vm and sm:
-            problems.append(f"{name}: cancellation with S- asserted")
-    return problems
-
-
-def check_retry(prev, cur, exempt=()):
-    """Persistence between consecutive cycles.
-
-    ``prev``/``cur``: channel name -> (vp, sp, vm, sm).  ``exempt`` lists
-    channels allowed to withdraw stalled tokens (shared-module outputs,
-    Section 4.2).
-    """
-    problems = []
-    for name, (pvp, psp, pvm, psm) in prev.items():
-        vp, sp, vm, sm = cur[name]
-        if name not in exempt and pvp and psp and not pvm and not vp:
-            problems.append(f"{name}: stalled token withdrawn (Retry+)")
-        if pvm and psm and not pvp and not vm:
-            problems.append(f"{name}: stalled anti-token withdrawn (Retry-)")
-    return problems
-
-
 def check_invariant_packed(packed, channel_names):
-    """:func:`check_invariant` over one packed-bytes signal vector
-    (``channel_names`` gives the byte order); returns the same messages."""
+    """Invariant violations in one packed-bytes signal vector
+    (``channel_names`` gives the byte order): kill and stop both asserted,
+    or a cancellation stalled by ``S-``.  Returns a list of violation
+    strings (empty = OK)."""
     problems = []
     for i, b in enumerate(packed):
         if b & 0b0110 == 0b0110:                  # vm and sp
@@ -63,10 +37,11 @@ def check_invariant_packed(packed, channel_names):
 
 
 def check_retry_packed(prev, cur, channel_names, exempt_indices=frozenset()):
-    """:func:`check_retry` over packed-bytes signal vectors.
+    """Retry+ / Retry- violations between consecutive packed-bytes signal
+    vectors: a stalled token or anti-token withdrawn.
 
     ``exempt_indices`` holds channel *positions* (into ``channel_names``)
-    exempt from Retry+; returns the same messages as the dict form.
+    exempt from Retry+ (see :func:`retry_exempt_channels`).
     """
     problems = []
     for i, p in enumerate(prev):
@@ -79,15 +54,6 @@ def check_retry_packed(prev, cur, channel_names, exempt_indices=frozenset()):
     return problems
 
 
-#: node kinds whose outputs follow their inputs combinationally (a valid
-#: withdrawn upstream propagates through them within the same cycle).
-#: The chaos splices' joins are function blocks, so a legally-withdrawn
-#: offer propagates through them too (``chaos_bubble``, the splice's empty
-#: buffer, registers tokens and is deliberately absent).
-_COMBINATIONAL_KINDS = {"func", "fork", "eemux", "shared",
-                        "chaos_stall", "chaos_corrupt"}
-
-
 def retry_exempt_channels(netlist):
     """Channels exempt from Retry+.
 
@@ -96,7 +62,10 @@ def retry_exempt_channels(netlist):
     inputs of the shared module and at the outputs of all EBs after the
     shared module."  Non-persistence therefore propagates through any
     *combinational* node (function block, fork, mux) fed by a shared
-    output, and stops at the next elastic buffer.
+    output, and stops at the next node that registers tokens.  The walk
+    asks the node class, not its ``kind`` tag: a chaos splice's join is a
+    function block a withdrawn offer passes through, its bubble a buffer
+    that stops it.
     """
     exempt = set()
     changed = True
@@ -106,10 +75,10 @@ def retry_exempt_channels(netlist):
             if name in exempt:
                 continue
             producer = netlist.nodes[channel.producer[0]]
-            if producer.kind == "shared":
+            if isinstance(producer, SharedModule):
                 exempt.add(name)
                 changed = True
-            elif producer.kind in _COMBINATIONAL_KINDS:
+            elif not producer.registers_tokens:
                 feeds = [
                     producer.channel(port).name
                     for port in producer.in_ports
@@ -119,8 +88,3 @@ def retry_exempt_channels(netlist):
                     exempt.add(name)
                     changed = True
     return exempt
-
-
-def shared_output_channels(netlist):
-    """Back-compat alias for :func:`retry_exempt_channels`."""
-    return retry_exempt_channels(netlist)

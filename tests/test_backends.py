@@ -55,6 +55,14 @@ class TestVerilog:
         assert "environment node 'src'" in text
         assert "environment node 'snk'" in text
 
+    def test_choice_source_is_an_environment(self):
+        # a node with no input port is a testbench source, whatever its kind
+        net, names = patterns.speculative_mc()
+        text = to_verilog(net)
+        assert "environment node 'sel' (nondet_choice_source)" in text
+        assert f"assign {names['sel']}_vp = 1'b0" in text
+        assert balanced_modules(text)
+
 
 class TestSmv:
     def test_eb_chain_model(self):
@@ -81,6 +89,14 @@ class TestSmv:
         text = to_smv(net)
         assert "MODULE shared2" in text
         assert "_g : 0..1" in text
+
+    def test_choice_source_drives_env_inputs(self):
+        net, names = patterns.speculative_mc()
+        sel = names["sel"]
+        text = to_smv(net)
+        assert f"{sel}_vp : boolean;  -- env-driven valid" in text
+        assert f"channel {sel}\n" not in text        # no specs on env channels
+        assert "node sel" not in text
 
     def test_liveness_specs_optional(self):
         net = patterns.eb_chain(3)          # needs internal channels

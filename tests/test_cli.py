@@ -5,6 +5,18 @@ import pytest
 from repro.cli import main
 
 
+#: ``repro verify`` stdout after its engine line.
+VERIFY_REPORT = """\
+elastic buffers under nondeterministic environments:
+  standard EB                states=97     violations=0 deadlocks=0 -> OK
+  ZBL EB (Fig. 5)            states=49     violations=0 deadlocks=0 -> OK
+speculative composition (shared + EE mux):
+  toggle                     states=257    safe=True leads-to=True -> OK
+  nondet (any prediction)    states=257    safe=True leads-to=False -> OK (safety for any prediction)
+  static w/o repair          states=97     safe=True leads-to=False -> OK (starves as predicted)
+"""
+
+
 class TestCli:
     def test_table1(self, capsys):
         assert main(["table1"]) == 0
@@ -53,6 +65,16 @@ class TestCli:
         assert "OK" in out
         assert "starves as predicted" in out
         assert "FAIL" not in out
+
+    def test_verify_report_and_checkpoint_slugs(self, tmp_path, capsys):
+        """One exploration per ``MC_DESIGNS`` entry, each checkpointed
+        under its historical slug (existing checkpoint directories keep
+        resuming)."""
+        assert main(["verify", "--checkpoint", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert out.split("\n", 1)[1] == VERIFY_REPORT
+        assert sorted(path.name for path in tmp_path.iterdir()) == [
+            "eb.ckpt", "nondet.ckpt", "static.ckpt", "toggle.ckpt", "zbl.ckpt"]
 
     def test_batch_is_not_an_engine_choice(self, capsys):
         """There is no lane engine (nor a naive one) to select."""
