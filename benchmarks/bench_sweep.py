@@ -1,9 +1,10 @@
 """E9 — sharded design-space sweeps (``repro.perf.sweep``).
 
 Runs the 24-configuration fig6-style grid (stalling vs speculative x
-arithmetic fraction x carry-window width) twice — serially and sharded
-over a multiprocessing spawn pool — asserts the merged reports are
-byte-identical, and records the serial-vs-sharded wall clock in
+arithmetic fraction x carry-window width) serially and sharded over a
+multiprocessing spawn pool, ``SHARD_PAIRS`` alternating pairs, asserts
+the merged reports are byte-identical, and records every run's wall
+clock, the medians and the speedup's quartiles in
 ``results/BENCH_sweep.json`` (same machine-readable trajectory style as
 ``BENCH_engine.json``).
 
@@ -37,6 +38,7 @@ LANES = 8
 LANE_CYCLES = 800
 LANE_WARMUP = 100
 LANE_PAIRS = 5       # serial/lanes pairs, alternating the first
+SHARD_PAIRS = 5      # serial/sharded pairs, alternating the first
 
 
 def _usable_cpus():
@@ -53,20 +55,51 @@ def _merge_bench_json(payload):
 
 
 def test_sweep_serial_vs_sharded():
+    """Serial vs sharded runs of the fig6 grid, ``SHARD_PAIRS`` pairs
+    alternating which side goes first; every run, the medians and the
+    speedup's quartiles are recorded."""
     spec = fig6_spec(cycles=CYCLES)
-    serial = run_sweep(spec, n_workers=1)
-    sharded = run_sweep(spec, n_workers=N_WORKERS)
-    # The acceptance bar: the merged report is independent of sharding.
-    assert len(serial.rows) >= 24
-    assert sharded.to_json() == serial.to_json()
-    speedup = serial.elapsed_seconds / sharded.elapsed_seconds
+    serial_runs, sharded_runs, speedups = [], [], []
+
+    def serial_run():
+        return run_sweep(spec, n_workers=1)
+
+    def sharded_run():
+        return run_sweep(spec, n_workers=N_WORKERS)
+
+    for pair in range(SHARD_PAIRS):
+        if pair % 2:
+            sharded = sharded_run()
+            serial = serial_run()
+        else:
+            serial = serial_run()
+            sharded = sharded_run()
+        # The acceptance bar: the merged report is independent of sharding.
+        assert len(serial.rows) >= 24
+        assert sharded.to_json() == serial.to_json()
+        serial_runs.append(serial.elapsed_seconds)
+        sharded_runs.append(sharded.elapsed_seconds)
+        speedups.append(serial.elapsed_seconds / sharded.elapsed_seconds)
+    q1, speedup, q3 = statistics.quantiles(speedups, n=4, method="inclusive")
+    serial_wall = statistics.median(serial_runs)
+    sharded_wall = statistics.median(sharded_runs)
     cpus = _usable_cpus()
     payload = {
         "wall_seconds": {
-            "serial": serial.elapsed_seconds,
-            "sharded": sharded.elapsed_seconds,
+            "serial": serial_wall,
+            "sharded": sharded_wall,
         },
-        "speedup": {"fig6_grid": speedup},
+        "wall_seconds_runs": {
+            "serial": serial_runs,
+            "sharded": sharded_runs,
+        },
+        "pairs": SHARD_PAIRS,
+        "speedup": {
+            "fig6_grid": speedup,
+            "fig6_grid_q1": q1,
+            "fig6_grid_q3": q3,
+            "fig6_grid_runs": speedups,
+        },
         "n_configs": len(serial.rows),
         "n_workers": N_WORKERS,
         "cycles_per_config": CYCLES,
@@ -76,11 +109,12 @@ def test_sweep_serial_vs_sharded():
     _merge_bench_json(payload)
     write_result(
         "sweep_comparison.txt",
-        f"fig6 grid: {len(serial.rows)} configurations x {CYCLES} cycles\n"
-        f"  serial:  {serial.elapsed_seconds:6.2f}s\n"
-        f"  sharded: {sharded.elapsed_seconds:6.2f}s "
+        f"fig6 grid: {len(serial.rows)} configurations x {CYCLES} cycles, "
+        f"median of {SHARD_PAIRS} alternating pairs\n"
+        f"  serial:  {serial_wall:6.2f}s\n"
+        f"  sharded: {sharded_wall:6.2f}s "
         f"({N_WORKERS} workers, {cpus} usable cpu(s))\n"
-        f"  speedup: {speedup:.2f}x\n"
+        f"  speedup: {speedup:.2f}x (quartiles {q1:.2f}x-{q3:.2f}x)\n"
         f"  merged reports byte-identical: True",
     )
     if cpus >= 2:

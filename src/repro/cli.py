@@ -49,12 +49,18 @@ import os
 import sys
 
 
-def _lane_count(text):
-    """argparse type of ``--lanes``: an integer >= 1."""
-    lanes = int(text)
-    if lanes < 1:
-        raise argparse.ArgumentTypeError(f"lanes must be >= 1, got {lanes}")
-    return lanes
+def _at_least_one(what):
+    """argparse type of an integer option that must be >= 1 (``--lanes``,
+    ``--window``); ``what`` names it in the error."""
+    def parse(text):
+        value = int(text)
+        if value < 1:
+            raise argparse.ArgumentTypeError(
+                f"{what} must be >= 1, got {value}")
+        return value
+
+    parse.__name__ = "int"      # argparse's "invalid int value" message
+    return parse
 
 
 def _lanes_conflict(args):
@@ -728,7 +734,8 @@ def build_parser():
     p.set_defaults(fn=_cmd_fig1)
 
     p = sub.add_parser("fig6", help="variable-latency ALU study (Section 5.1)")
-    p.add_argument("--window", type=int, default=3)
+    p.add_argument("--window", type=_at_least_one("window"), default=3,
+                   help="carry window of the approximate adder, in bits")
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--cycles", type=int, default=2000)
     p.set_defaults(fn=_cmd_fig6)
@@ -741,7 +748,7 @@ def build_parser():
 
     p = sub.add_parser("verify", help="model-check controllers (Section 4.2)")
     p.add_argument("--max-states", type=int, default=60000)
-    p.add_argument("--lanes", type=_lane_count, default=1,
+    p.add_argument("--lanes", type=_at_least_one("lanes"), default=1,
                    help="N > 1 runs the explorations on the codegen engine "
                         "(not combinable with --engine)")
     p.add_argument("--checkpoint", metavar="DIR", default=None,
@@ -774,7 +781,7 @@ def build_parser():
                         "stalling-vs-speculative grid)")
     p.add_argument("--workers", type=int, default=1,
                    help="worker processes; 1 = serial in-process")
-    p.add_argument("--lanes", type=_lane_count, default=1,
+    p.add_argument("--lanes", type=_at_least_one("lanes"), default=1,
                    help="N > 1 runs the configurations on the codegen "
                         "engine (not combinable with --engine)")
     p.add_argument("--cycles", type=int, default=None,
@@ -955,7 +962,7 @@ def build_parser():
     p.add_argument("--cycles", type=int, default=None)
     p.add_argument("--warmup", type=int, default=None)
     p.add_argument("--max-states", type=int, default=None, dest="max_states")
-    p.add_argument("--lanes", type=_lane_count, default=None)
+    p.add_argument("--lanes", type=_at_least_one("lanes"), default=None)
     p.add_argument("--rules", choices=["all"], default=None,
                    help="lint rule set override")
     p.add_argument("--iterations", type=int, default=None,

@@ -17,6 +17,7 @@ from repro.datapath.approx import (
     approx_adder_gates,
     approx_error_detector_gates,
     approx_error_functional,
+    check_window,
 )
 from repro.tech.gates import GateNetlist
 
@@ -34,6 +35,7 @@ class Alu:
     """Functional exact/approximate ALU with gate-level area/delay models."""
 
     def __init__(self, width=8, window=3):
+        check_window(window)
         self.width = width
         self.window = window
         self._mask = (1 << width) - 1

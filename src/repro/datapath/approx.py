@@ -16,6 +16,19 @@ The error detector is the standard conservative one: flag whenever any
 (if no such run exists, every carry is generated inside its window, so the
 approximation is exact); it may rarely flag a case that happened to be
 correct, which costs a needless — but harmless — replay cycle.
+
+Both functional models work on whole words, with propagate ``p = a ^ b``
+and generate ``g = a & b``.  The adder runs the carry recurrence
+``carry = ((g | (p & carry)) << 1) & mask`` ``window`` times from
+``carry = 0``: after ``k`` steps, bit ``i`` of ``carry`` is the carry into
+bit ``i`` rippled from bit ``i - k`` with nothing entering there, which is
+exactly the window cut.  The detector ANDs ``p`` with ``window - 1``
+right-shifted copies of itself; a bit survives iff a run of ``window``
+propagates starts there.
+
+A window must be at least one bit.  With ``window = 0`` the adder drops
+every carry, including ones no propagate run is involved in (``1 + 1``),
+so the detector would miss real errors; every function here rejects it.
 """
 
 from __future__ import annotations
@@ -27,32 +40,37 @@ def _mask(width):
     return (1 << width) - 1
 
 
+def check_window(window):
+    """Raise ``ValueError`` unless ``window`` is at least one bit."""
+    if window < 1:
+        raise ValueError(f"carry window must be >= 1, got {window}")
+
+
 def approx_add_functional(a, b, width, window):
-    """Carry-window approximate sum (no carry-in)."""
-    a &= _mask(width)
-    b &= _mask(width)
-    result = 0
-    for i in range(width):
-        lo = max(0, i - window)
-        # carry into bit i from the window [lo, i), assuming 0 into lo
-        carry = ((a & _mask(i) & ~_mask(lo)) + (b & _mask(i) & ~_mask(lo))) >> i & 1
-        bit = ((a >> i) ^ (b >> i) ^ carry) & 1
-        result |= bit << i
-    return result
+    """Carry-window approximate sum (no carry-in): the carry recurrence,
+    ``window`` steps (no more than ``width``, after which it is exact)."""
+    check_window(window)
+    mask = _mask(width)
+    a &= mask
+    b &= mask
+    p = a ^ b
+    g = a & b
+    carry = 0
+    for _ in range(min(window, width)):
+        carry = ((g | (p & carry)) << 1) & mask
+    return (p ^ carry) & mask
 
 
 def approx_error_functional(a, b, width, window):
     """Conservative error flag: any ``window`` consecutive propagates."""
+    check_window(window)
     p = (a ^ b) & _mask(width)
-    run = 0
-    for i in range(width):
-        if (p >> i) & 1:
-            run += 1
-            if run >= window:
-                return 1
-        else:
-            run = 0
-    return 0
+    run = p
+    for shift in range(1, window):
+        if not run:
+            break
+        run &= p >> shift
+    return 1 if run else 0
 
 
 def approx_exact_mismatch(a, b, width, window):
@@ -64,6 +82,7 @@ def approx_exact_mismatch(a, b, width, window):
 def approx_adder_gates(width, window):
     """Gate-level carry-window adder: per-bit ripple restricted to the
     window, so the critical path is O(window)."""
+    check_window(window)
     net = GateNetlist(f"approx{width}w{window}")
     a = net.add_inputs("a", width)
     b = net.add_inputs("b", width)
@@ -83,6 +102,7 @@ def approx_adder_gates(width, window):
 def approx_error_detector_gates(width, window):
     """Gate-level conservative detector: OR over all ``window``-long
     propagate runs (a handful of AND/OR trees, very short path)."""
+    check_window(window)
     net = GateNetlist(f"err{width}w{window}")
     a = net.add_inputs("a", width)
     b = net.add_inputs("b", width)

@@ -15,9 +15,20 @@ parity.  Decoding computes the syndrome and overall parity:
 * syndrome != 0, parity even         -> double error (uncorrectable);
 * syndrome 0, parity odd             -> the overall parity bit itself flipped.
 
-Both the functional model (fast ints, used in elastic simulations) and
-gate-level encoder/decoder netlists (XOR trees, used for area/delay and
-bit-exact cross-checks) are provided.
+Both the functional model (used in elastic simulations) and gate-level
+encoder/decoder netlists (XOR trees, used for area/delay and bit-exact
+cross-checks) are provided.
+
+The functional model works on whole words.  Two tables, built once per
+code, replace the per-bit loops:
+
+* one *cover mask* per check bit: the codeword bits whose 1-based
+  position has that check bit's index bit set.  A check bit (or a
+  syndrome bit) is the parity of ``code & cover``, one popcount;
+* the *data runs*: the data positions form contiguous runs between the
+  check positions (3, 5-7, 9-15, 17-31, ...), each stored as
+  ``(data shift, run mask, codeword shift)``, so spreading the data into
+  a codeword and gathering it back out is one shift-and-mask per run.
 """
 
 from __future__ import annotations
@@ -53,6 +64,22 @@ class Secded:
         self._positions = list(range(1, data_bits + self.check_bits + 1))
         self._data_positions = [p for p in self._positions if p & (p - 1)]
         self._check_positions = [1 << i for i in range(self.check_bits)]
+        # Word-level tables of the functional model (module docstring).
+        self._covers = [
+            sum(1 << (pos - 1) for pos in self._positions if pos & check_pos)
+            for check_pos in self._check_positions
+        ]
+        self._runs = []
+        idx = 0
+        for check_pos in self._check_positions[1:]:
+            first = check_pos + 1
+            last = min(2 * check_pos - 1, self._positions[-1])
+            if first > last:
+                break
+            length = last - first + 1
+            self._runs.append((idx, (1 << length) - 1, first - 1))
+            idx += length
+        self._body_mask = (1 << (self.code_bits - 1)) - 1
 
     @staticmethod
     def _needed_check_bits(data_bits):
@@ -65,37 +92,36 @@ class Secded:
 
     def encode(self, data):
         """64-bit data -> 72-bit codeword (low bits = positions 1..71,
-        top bit = overall parity)."""
+        top bit = overall parity).
+
+        The data runs spread the payload into the body; each check bit is
+        then the parity of the body under its cover mask (the check
+        positions are still 0, and no cover includes another check
+        position, so the order does not matter)."""
         data &= (1 << self.data_bits) - 1
-        word = {}
-        for idx, pos in enumerate(self._data_positions):
-            word[pos] = (data >> idx) & 1
-        for check_pos in self._check_positions:
-            parity = 0
-            for pos in self._data_positions:
-                if pos & check_pos:
-                    parity ^= word[pos]
-            word[check_pos] = parity
         code = 0
-        for pos in self._positions:
-            code |= word[pos] << (pos - 1)
-        overall = bin(code).count("1") & 1
+        for data_shift, run_mask, code_shift in self._runs:
+            code |= ((data >> data_shift) & run_mask) << code_shift
+        for check_pos, cover in zip(self._check_positions, self._covers):
+            if (code & cover).bit_count() & 1:
+                code |= 1 << (check_pos - 1)
+        overall = code.bit_count() & 1
         code |= overall << (self.code_bits - 1)
         return code
 
     def decode(self, code):
-        """72-bit codeword -> :class:`DecodeResult` (corrected data + status)."""
-        body = code & ((1 << (self.code_bits - 1)) - 1)
+        """72-bit codeword -> :class:`DecodeResult` (corrected data + status).
+
+        Syndrome bit ``i`` is the parity of the body under cover mask ``i``.
+        Bits above the codeword are ignored; a syndrome that addresses a
+        position past the body flips a bit the data runs never read."""
+        body = code & self._body_mask
         overall_bit = (code >> (self.code_bits - 1)) & 1
         syndrome = 0
-        for check_pos in self._check_positions:
-            parity = 0
-            for pos in self._positions:
-                if pos & check_pos:
-                    parity ^= (body >> (pos - 1)) & 1
-            if parity:
+        for check_pos, cover in zip(self._check_positions, self._covers):
+            if (body & cover).bit_count() & 1:
                 syndrome |= check_pos
-        parity_all = (bin(body).count("1") + overall_bit) & 1
+        parity_all = (body.bit_count() + overall_bit) & 1
         if syndrome == 0 and parity_all == 0:
             status = OK
         elif syndrome != 0 and parity_all == 1:
@@ -105,18 +131,15 @@ class Secded:
             status = PARITY_FIXED             # the parity bit itself flipped
         else:
             status = DOUBLE
-        data = 0
-        for idx, pos in enumerate(self._data_positions):
-            data |= ((body >> (pos - 1)) & 1) << idx
-        return DecodeResult(data, status)
+        return DecodeResult(self.decode_raw(body), status)
 
     def decode_raw(self, code):
         """Extract the data bits *without* correction (just drop the check
         bits) — the zero-delay path the speculative design of Figure 7(b)
-        feeds straight into the adder."""
+        feeds straight into the adder.  One shift-and-mask per data run."""
         data = 0
-        for idx, pos in enumerate(self._data_positions):
-            data |= ((code >> (pos - 1)) & 1) << idx
+        for data_shift, run_mask, code_shift in self._runs:
+            data |= ((code >> code_shift) & run_mask) << data_shift
         return data
 
     def inject(self, code, *bit_positions):

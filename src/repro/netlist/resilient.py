@@ -35,7 +35,7 @@ from repro.elastic.eemux import EarlyEvalMux
 from repro.elastic.fork import EagerFork
 from repro.elastic.functional import Func
 from repro.netlist.graph import Netlist
-from repro.tech.library import DEFAULT_TECH
+from repro.tech.library import DEFAULT_TECH, memoized_costs
 
 _MASK64 = (1 << 64) - 1
 
@@ -80,19 +80,14 @@ def encoded_op_stream(code, error_rate=0.0, seed=0, double_rate=0.0,
     return gen
 
 
-#: ``_blocks`` results by content: the gate-level netlists behind them
-#: take ~17 ms to synthesize, 100x a fig7b build without them, and never
-#: change for a given code and cell table.  ``TechLibrary`` is mutable,
-#: so its cells, not its identity, are the key.
+#: ``_blocks`` results by code and cell table: the gate-level netlists
+#: behind them take ~17 ms to synthesize, 100x a fig7b build without them.
 _BLOCKS_CACHE = {}
 
 
 def _blocks(code, tech):
-    key = (type(code), code.data_bits, tuple(sorted(tech.cells.items())))
-    blocks = _BLOCKS_CACHE.get(key)
-    if blocks is None:
-        blocks = _BLOCKS_CACHE[key] = _synthesize_blocks(code, tech)
-    return dict(blocks)
+    return memoized_costs(_BLOCKS_CACHE, (type(code), code.data_bits), tech,
+                          lambda: _synthesize_blocks(code, tech))
 
 
 def _synthesize_blocks(code, tech):

@@ -38,7 +38,7 @@ from repro.elastic.functional import Func
 from repro.elastic.varlat import VariableLatencyUnit
 from repro.core.shared import SharedModule
 from repro.netlist.graph import Netlist
-from repro.tech.library import DEFAULT_TECH
+from repro.tech.library import DEFAULT_TECH, memoized_costs
 
 #: downstream-stage function G (the shaded block of Figure 6(b)).
 def _g_stage(value):
@@ -85,8 +85,19 @@ def alu_op_stream(n_ops=None, seed=0, arith_fraction=0.7, width=8,
     return gen
 
 
+#: ``_alu_blocks`` results by ALU geometry and cell table: synthesizing the
+#: gate-level ALU costs more than the rest of a fig6 build.
+_ALU_BLOCKS_CACHE = {}
+
+
 def _alu_blocks(alu, tech):
     """Delay/area figures derived from the gate-level ALU."""
+    return memoized_costs(_ALU_BLOCKS_CACHE,
+                          (type(alu), alu.width, alu.window), tech,
+                          lambda: _synthesize_alu_blocks(alu, tech))
+
+
+def _synthesize_alu_blocks(alu, tech):
     stats = alu.stats(tech)
     return {
         "exact_delay": stats["exact"]["delay"],

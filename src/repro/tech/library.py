@@ -137,3 +137,19 @@ class TechLibrary:
 
 #: Shared default instance.
 DEFAULT_TECH = TechLibrary()
+
+
+def memoized_costs(cache, key, tech, synthesize):
+    """A copy of the cost dict ``synthesize()`` returns, computed once per
+    ``key`` and cell table and kept in ``cache``.
+
+    Block costs come from gate-level netlists that take far longer to
+    synthesize than the elastic netlist built around them, and never
+    change for a given block and cell table.  ``TechLibrary`` is mutable,
+    so its cells, not its identity, join the key; callers get a copy they
+    may edit."""
+    full_key = (key, tuple(sorted(tech.cells.items())))
+    costs = cache.get(full_key)
+    if costs is None:
+        costs = cache[full_key] = synthesize()
+    return dict(costs)

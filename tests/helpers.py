@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from repro.datapath.secded import CORRECTED, DOUBLE, OK, PARITY_FIXED
 from repro.elastic.buffers import ElasticBuffer
 from repro.elastic.environment import KillerSink, ListSource, Sink
 from repro.netlist.graph import Netlist
@@ -75,3 +76,103 @@ class DenseSweepSimulator(Simulator):
             if not log:
                 break
         self._check_resolved()
+
+
+# -- bit-serial datapath references ------------------------------------------
+#
+# The functional SECDED and carry-window models in ``repro.datapath`` work
+# on whole words (mask tables, popcounts, a carry recurrence).  These are
+# the bit-at-a-time definitions they replaced, kept as the reference the
+# differential tests pin them to, as ``DenseSweepSimulator`` is for the
+# engines.  They read only ``data_bits``, ``check_bits`` and ``code_bits``
+# from the code, never its tables.
+
+def _secded_positions(code):
+    positions = list(range(1, code.data_bits + code.check_bits + 1))
+    data_positions = [p for p in positions if p & (p - 1)]
+    check_positions = [1 << i for i in range(code.check_bits)]
+    return positions, data_positions, check_positions
+
+
+def reference_encode(code, data):
+    positions, data_positions, check_positions = _secded_positions(code)
+    data &= (1 << code.data_bits) - 1
+    word = {}
+    for idx, pos in enumerate(data_positions):
+        word[pos] = (data >> idx) & 1
+    for check_pos in check_positions:
+        parity = 0
+        for pos in data_positions:
+            if pos & check_pos:
+                parity ^= word[pos]
+        word[check_pos] = parity
+    encoded = 0
+    for pos in positions:
+        encoded |= word[pos] << (pos - 1)
+    overall = bin(encoded).count("1") & 1
+    encoded |= overall << (code.code_bits - 1)
+    return encoded
+
+
+def reference_decode(code, word):
+    """``(data, status)`` of the bit-serial decoder."""
+    positions, data_positions, check_positions = _secded_positions(code)
+    body = word & ((1 << (code.code_bits - 1)) - 1)
+    overall_bit = (word >> (code.code_bits - 1)) & 1
+    syndrome = 0
+    for check_pos in check_positions:
+        parity = 0
+        for pos in positions:
+            if pos & check_pos:
+                parity ^= (body >> (pos - 1)) & 1
+        if parity:
+            syndrome |= check_pos
+    parity_all = (bin(body).count("1") + overall_bit) & 1
+    if syndrome == 0 and parity_all == 0:
+        status = OK
+    elif syndrome != 0 and parity_all == 1:
+        body ^= 1 << (syndrome - 1)
+        status = CORRECTED
+    elif syndrome == 0 and parity_all == 1:
+        status = PARITY_FIXED
+    else:
+        status = DOUBLE
+    data = 0
+    for idx, pos in enumerate(data_positions):
+        data |= ((body >> (pos - 1)) & 1) << idx
+    return data, status
+
+
+def reference_decode_raw(code, word):
+    _positions, data_positions, _checks = _secded_positions(code)
+    data = 0
+    for idx, pos in enumerate(data_positions):
+        data |= ((word >> (pos - 1)) & 1) << idx
+    return data
+
+
+def reference_approx_add(a, b, width, window):
+    mask = (1 << width) - 1
+    a &= mask
+    b &= mask
+    result = 0
+    for i in range(width):
+        lo = max(0, i - window)
+        # carry into bit i from the window [lo, i), assuming 0 into lo
+        span = ((1 << i) - 1) & ~((1 << lo) - 1)
+        carry = ((a & span) + (b & span)) >> i & 1
+        result |= (((a >> i) ^ (b >> i) ^ carry) & 1) << i
+    return result
+
+
+def reference_approx_error(a, b, width, window):
+    p = (a ^ b) & ((1 << width) - 1)
+    run = 0
+    for i in range(width):
+        if (p >> i) & 1:
+            run += 1
+            if run >= window:
+                return 1
+        else:
+            run = 0
+    return 0

@@ -105,6 +105,17 @@ class TestCli:
         assert f"lanes must be >= 1, got {lanes}" in stderr
         assert "Traceback" not in stderr
 
+    @pytest.mark.parametrize("window", ["0", "-2"])
+    def test_bad_fig6_window_exits_2(self, capsys, window):
+        """A carry window below one bit would let the detector miss real
+        approximation errors; it is a usage error, not a silent run."""
+        with pytest.raises(SystemExit) as err:
+            main(["fig6", "--window", window])
+        assert err.value.code == 2
+        stderr = capsys.readouterr().err
+        assert f"window must be >= 1, got {window}" in stderr
+        assert "Traceback" not in stderr
+
     def test_sweep_serial(self, tmp_path, capsys):
         out_json = tmp_path / "sweep.json"
         assert main(["sweep", "--grid", "fig1", "--cycles", "60",

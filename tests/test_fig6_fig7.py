@@ -161,6 +161,60 @@ class TestFig7BlockCosts:
         assert _blocks(code, tech)["correct_delay"] > delay
 
 
+class TestFig6BlockCosts:
+    """The gate-level ALU behind fig6's block costs is synthesized once per
+    geometry and cell table, not once per build."""
+
+    def test_fig6_grid_synthesizes_once_per_geometry(self, monkeypatch):
+        from repro.netlist import varlat
+        from repro.perf.presets import fig6_spec
+
+        geometries = []
+        stats = Alu.stats
+
+        def counting_stats(self, tech):
+            geometries.append((self.width, self.window))
+            return stats(self, tech)
+
+        monkeypatch.setattr(Alu, "stats", counting_stats)
+        monkeypatch.setattr(varlat, "_ALU_BLOCKS_CACHE", {})
+        spec = fig6_spec()
+        configs = spec.expand()
+        for config in configs:
+            spec.factory(**config.params)
+        expected = {(config.params["width"], config.params["window"])
+                    for config in configs}
+        assert len(configs) == 24
+        assert sorted(geometries) == sorted(expected)
+
+    def test_returned_costs_are_copies(self, alu):
+        from repro.netlist.varlat import _alu_blocks
+        from repro.tech.library import TechLibrary
+
+        tech = TechLibrary()
+        blocks = _alu_blocks(alu, tech)
+        exact_delay = blocks["exact_delay"]
+        blocks["exact_delay"] = 0.0        # the caller's copy only
+        assert _alu_blocks(alu, tech)["exact_delay"] == exact_delay
+        net, _ = variable_latency_stalling(alu, tech=tech)
+        assert net.nodes["vl"].delay == exact_delay
+
+    def test_changed_cell_changes_block_costs(self, alu):
+        from repro.netlist.varlat import _alu_blocks
+        from repro.tech.library import GateSpec, TechLibrary
+
+        tech = TechLibrary()
+        before = _alu_blocks(alu, tech)
+        assert _alu_blocks(alu, TechLibrary()) == before
+        and2 = tech.cells["and2"]
+        tech.cells["and2"] = GateSpec("and2", 2 * and2.area, 2 * and2.delay,
+                                      and2.inputs)
+        after = _alu_blocks(alu, tech)
+        assert after["approx_delay"] > before["approx_delay"]
+        assert after["err_area"] > before["err_area"]
+        assert _alu_blocks(alu, TechLibrary()) == before
+
+
 class TestFig7Performance:
     def test_error_free_no_throughput_penalty(self, code):
         """Section 5.2: "there is no performance penalty during the
