@@ -23,6 +23,7 @@ import time
 from conftest import merge_json, write_result
 
 from repro.core.scheduler import ToggleScheduler
+from repro.core.shared import SharedModule
 from repro.core.speculation import speculate
 from repro.designs import DESIGNS
 from repro.netlist import patterns
@@ -98,7 +99,7 @@ def test_engine_speed_pipeline(benchmark):
 
 def test_transformation_speed(benchmark):
     net = benchmark(transform_fig1a)
-    assert net.nodes_of_kind("shared")
+    assert any(isinstance(node, SharedModule) for node in net.nodes.values())
     assert benchmark.stats["mean"] < 0.1      # "very fast to compute"
 
 

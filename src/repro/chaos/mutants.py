@@ -11,6 +11,10 @@ harness its negative tests:
   anti-tokens (``sm`` stuck high), so a speculative kill can never
   complete.  The exhaustive explorer must find the protocol violation /
   deadlock with a counterexample trace.
+
+Both inherit the Figure 5 buffer's lint descriptors (width pair
+``i -> o``), except that :class:`BrokenKillBuffer` declares no
+anti-token path.
 """
 
 from __future__ import annotations
@@ -66,6 +70,11 @@ class BrokenKillBuffer(ZeroBackwardLatencyBuffer):
     empty the anti-token stalls forever — a recovery deadlock."""
 
     kind = "mutant_broken_kill"
+
+    def anti_token_paths(self):
+        # the bug: no anti-token gets in at the output, so none reaches
+        # the input (lint's counterflow network stops here)
+        return []
 
     def comb(self):
         ost = self.st("o")

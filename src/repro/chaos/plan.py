@@ -19,8 +19,12 @@ channel and the fault is a small splice of ordinary node kinds:
 is an ordinary :class:`~repro.netlist.edits.NetlistEdit`, so a warm
 ``follow_edits`` simulator follows them instead of being rebuilt, and
 :func:`unwrap` restores the original design exactly by replaying the
-recorded edits' inverses in reverse order.  Every spliced node carries a
-``chaos_*`` kind, which lint rule W211 flags if it is left behind.
+recorded edits' inverses in reverse order.  Every spliced node is marked
+with :attr:`~repro.elastic.node.Node.splice_of` (the channel it was spliced
+into): the transformations refuse such nodes, and lint rule W211 flags
+any left behind.  Each also gets a ``chaos_*`` ``kind`` label
+(``chaos_stall``, ``chaos_corrupt``, ``chaos_bubble``, ``chaos_permit``,
+``chaos_mask``) for display only; nothing dispatches on it.
 """
 
 from __future__ import annotations
@@ -193,6 +197,7 @@ def _splice(netlist, fault, nondet, added):
 
     def add(node, kind):
         node.kind = kind
+        node.splice_of = channel
         netlist.add(node)
         added.append(node.name)
         return node.name

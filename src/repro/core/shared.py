@@ -43,6 +43,7 @@ class SharedModule(Node):
     """
 
     kind = "shared"
+    arity_checks = (("n_channels", "in_ports", 0), ("n_channels", "out_ports", 0))
 
     def __init__(self, name, fn, scheduler, n_channels=2, delay=1.0, area_cost=1.0):
         super().__init__(name)
@@ -180,3 +181,7 @@ class SharedModule(Node):
             # Kill/stop pass-through on the control.
             arcs.append((f"o{j}", BWD, f"i{j}", BWD, tech.shared_ctrl_delay))
         return arcs
+
+    def anti_token_paths(self):
+        # a kill on o<j> cancels the speculative token of channel j only
+        return [(port, "o" + port[1:]) for port in self.in_ports]

@@ -22,8 +22,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.elastic.eemux import EarlyEvalMux
+from repro.elastic.functional import Func
 from repro.errors import TransformError
 from repro.netlist.graphalg import sccs
+from repro.transform.base import is_primitive
 from repro.transform.bubbles import insert_bubble, insert_zbl_buffer
 from repro.transform.early_eval import convert_to_early_eval
 from repro.transform.shannon import shannon_decompose
@@ -76,7 +78,7 @@ def find_speculation_candidates(netlist):
         out_channel = node.channel(node.out_ports[0])
         consumer_name, _ = out_channel.consumer
         consumer = netlist.nodes[consumer_name]
-        if consumer.kind != "func" or consumer.n_inputs != 1:
+        if not is_primitive(consumer, Func) or consumer.n_inputs != 1:
             continue
         sel_port = "s" if is_ee_mux else "i0"
         sel_channel = node.channel(sel_port)

@@ -147,6 +147,12 @@ class ElasticBuffer(Node):
         width = self.channel("o").width if "o" in self._channels else 8
         return tech.eb_area(width, self.capacity)
 
+    def width_pairs(self):
+        return [("i", "o")]
+
+    def anti_token_paths(self):
+        return [("i", "o")]
+
 
 class ZeroBackwardLatencyBuffer(Node):
     """Elastic buffer with ``Lb = 0``, ``Lf = 1`` and capacity 1 (Figure 5).
@@ -246,6 +252,12 @@ class ZeroBackwardLatencyBuffer(Node):
     def timing_arcs(self, tech):
         # Data is registered, but the backward control rushes through.
         return [("o", BWD, "i", BWD, tech.zbl_control_delay)]
+
+    def width_pairs(self):
+        return [("i", "o")]
+
+    def anti_token_paths(self):
+        return [("i", "o")]
 
 
 def bubble(name, capacity=2):

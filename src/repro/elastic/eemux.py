@@ -31,6 +31,7 @@ class EarlyEvalMux(Node):
     """
 
     kind = "eemux"
+    arity_checks = (("n_inputs", "in_ports", 1),)     # + the select port
 
     def __init__(self, name, n_inputs=2, delay=0.2, max_kills=4):
         super().__init__(name)
@@ -169,3 +170,10 @@ class EarlyEvalMux(Node):
         for q in ["s"] + data_ports:
             arcs.append(("o", BWD, q, BWD, tech.ee_ctrl_delay))
         return arcs
+
+    def width_pairs(self):
+        return [(port, "o") for port in self.in_ports if port != "s"]
+
+    def kill_ports(self):
+        # the anti-tokens sent into the non-selected data channels
+        return [port for port in self.in_ports if port != "s"]

@@ -311,6 +311,9 @@ class KillerSink(Node):
         self.seed = seed
         self.reset()
 
+    def kill_ports(self):
+        return ["i"]
+
     def reset(self):
         self.received = []
         self.kills_sent = 0
@@ -423,6 +426,9 @@ class NondetSink(Node):
         self._choice = 0
         self._killing = False
         self.received = 0
+
+    def kill_ports(self):
+        return ["i"] if self.can_kill else []
 
     def choice_space(self):
         if self._killing:

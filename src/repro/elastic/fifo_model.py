@@ -60,6 +60,12 @@ class AbstractElasticFifo(Node):
     def contents(self):
         return [self._store[i] for i in range(self._rd, self._wr)]
 
+    def width_pairs(self):
+        return [("i", "o")]
+
+    def anti_token_paths(self):
+        return [("i", "o")]
+
     # -- nondeterminism -----------------------------------------------------------
 
     def choice_space(self):

@@ -22,6 +22,7 @@ class EagerFork(Node):
     """Fork with eager per-branch completion and per-branch kill counters."""
 
     kind = "fork"
+    arity_checks = (("n_outputs", "out_ports", 0),)
 
     def __init__(self, name, n_outputs=2, max_kills=4):
         super().__init__(name)
@@ -117,3 +118,6 @@ class EagerFork(Node):
             arcs.append(("i", VALID, f"o{k}", VALID, 0.0))
             arcs.append((f"o{k}", BWD, "i", BWD, tech.fork_ctrl_delay))
         return arcs
+
+    def width_pairs(self):
+        return [("i", port) for port in self.out_ports]

@@ -39,6 +39,7 @@ class Func(Node):
     """
 
     kind = "func"
+    arity_checks = (("n_inputs", "in_ports", 0),)
 
     def __init__(self, name, fn, n_inputs=1, delay=1.0, area_cost=1.0, max_kills=4):
         super().__init__(name)
@@ -147,6 +148,9 @@ class Func(Node):
                     arcs.append((i, VALID, j, BWD, ctrl))
             arcs.append(("o", BWD, i, BWD, ctrl))
         return arcs
+
+    def anti_token_paths(self):
+        return [(port, out) for port in self.in_ports for out in self.out_ports]
 
 
 def identity_block(name, delay=0.0, area_cost=0.0):

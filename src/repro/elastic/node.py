@@ -23,12 +23,22 @@ port roles (:meth:`Node.drives`).
 
 Nodes also expose :meth:`snapshot` / :meth:`restore` so the explicit-state
 model checker of :mod:`repro.verif` can enumerate the reachable state space,
-and the static descriptors the analytic models read: :meth:`area`,
-:meth:`timing_arcs` (the node's arcs in the three-plane timing graph of
-:mod:`repro.perf.timing`: data ``D``, forward valid ``V``, backward stop/kill
-``B``) and :attr:`is_environment`.  The analytic models ask the node's class
-and these descriptors, never its ``kind`` tag, which chaos splices override
-per instance.
+and the static descriptors the analytic models and lint rules read:
+
+* :meth:`area` and :meth:`timing_arcs` (the node's arcs in the three-plane
+  timing graph of :mod:`repro.perf.timing`: data ``D``, forward valid
+  ``V``, backward stop/kill ``B``);
+* :attr:`is_environment` (sources and sinks: the testbench);
+* :meth:`width_pairs` (ports whose widths must match, lint rule E004),
+  :attr:`arity_checks` (declared arity vs. port lists, E005),
+  :meth:`anti_token_paths` and :meth:`kill_ports` (the counterflow network
+  and its kill sites, E103);
+* :attr:`splice_of`, the marker :func:`repro.chaos.wrap` sets on every node
+  it splices in (``None`` on the design's own nodes).
+
+Every consumer asks the node's class, these descriptors and
+:attr:`splice_of`, never the ``kind`` tag: ``kind`` is a display and
+serialisation label only, and chaos splices overwrite it per instance.
 """
 
 from __future__ import annotations
@@ -54,7 +64,8 @@ class Node:
     their constructor, and implement ``comb`` and ``tick``.
     """
 
-    #: short kind tag used by dot export / back-ends; subclasses override.
+    #: short display / serialisation label; subclasses override.  Nothing
+    #: dispatches on it (chaos splices overwrite it per instance).
     kind = "node"
 
     #: True for node kinds that *register* tokens — a clock boundary on the
@@ -65,6 +76,17 @@ class Node:
     #: ``count`` (current token occupancy, possibly signed) and
     #: ``capacity`` (token slots).
     registers_tokens = False
+
+    #: set by :func:`repro.chaos.wrap` on every node it splices in: the
+    #: channel the splice was made on.  ``None`` marks a node of the design
+    #: itself.  Transformations refuse splices, and lint rule W211 flags
+    #: any left behind.
+    splice_of = None
+
+    #: lint rule E005's arity declarations, ``(attribute, port list,
+    #: fixed ports)``: the declared ``attribute`` must equal the length of
+    #: the named port list less its ``fixed`` ports.
+    arity_checks = ()
 
     def __init__(self, name):
         self.name = name
@@ -234,4 +256,24 @@ class Node:
         zero-backward-latency buffer returns only its backward control
         arc.  The default (environments, FIFOs) is no arcs.
         """
+        return []
+
+    # -- lint descriptors -------------------------------------------------------
+
+    def width_pairs(self):
+        """``(in_port, out_port)`` pairs whose channels must be equally wide
+        (lint rule E004): the ports a kind passes data through unchanged.
+        The default is none; function-applying kinds may resize data (a
+        128-bit protected add producing a 64-bit word)."""
+        return []
+
+    def anti_token_paths(self):
+        """``(in_port, out_port)`` pairs along which an anti-token arriving
+        at ``out_port`` travels back to ``in_port``: the counterflow
+        network a kill crosses (lint rule E103).  The default is none."""
+        return []
+
+    def kill_ports(self):
+        """Input ports at which the node itself injects kills: the
+        kill/commit points of lint rule E103.  The default is none."""
         return []

@@ -25,6 +25,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.core.shared import SharedModule
+from repro.elastic.eemux import EarlyEvalMux
+from repro.elastic.fork import EagerFork
+from repro.elastic.functional import Func
 from repro.lint.diagnostics import CODES, Diagnostic
 from repro.netlist.graphalg import cyclic_sccs
 
@@ -150,15 +154,6 @@ def core_structural_problems(netlist):
     return problems
 
 
-#: declared-arity attribute -> the port list it must describe, per kind.
-_ARITY_CHECKS = {
-    "fork": [("n_outputs", "out_ports", 0)],
-    "func": [("n_inputs", "in_ports", 0)],
-    "eemux": [("n_inputs", "in_ports", 1)],      # + the select port
-    "shared": [("n_channels", "in_ports", 0), ("n_channels", "out_ports", 0)],
-}
-
-
 @lint_rule("structure", ("E001", "E002", "E003", "E005"),
            "wiring hygiene: dangling ports, unbound / multiply-driven "
            "channels, arity drift")
@@ -194,7 +189,7 @@ def rule_structure(netlist):
                 node=node_name, channel=channels[0]))
     # E005: declared arity vs actual port list.
     for node in netlist.nodes.values():
-        for attr, port_list, extra in _ARITY_CHECKS.get(node.kind, ()):
+        for attr, port_list, extra in node.arity_checks:
             declared = getattr(node, attr, None)
             actual = len(getattr(node, port_list)) - extra
             if declared is not None and declared != actual:
@@ -208,11 +203,6 @@ def rule_structure(netlist):
 
 
 # -- E004: widths --------------------------------------------------------------
-
-#: kinds whose datapath carries values through unchanged, port-pairing rule.
-#: Function-applying kinds (func, varlat, shared) legitimately resize data
-#: (e.g. a 128-bit protected add producing a 64-bit word) and are exempt.
-_WIDTH_PRESERVING = ("eb", "zbl_eb", "abstract_fifo")
 
 
 @lint_rule("widths", ("E004",),
@@ -236,15 +226,8 @@ def rule_widths(netlist):
                 channel=node._channels[out_port].name))
 
     for node in netlist.nodes.values():
-        if node.kind in _WIDTH_PRESERVING:
-            check(node, "i", "o")
-        elif node.kind == "fork":
-            for port in node.out_ports:
-                check(node, "i", port)
-        elif node.kind == "eemux":
-            for port in node.in_ports:
-                if port != "s":
-                    check(node, port, "o")
+        for in_port, out_port in node.width_pairs():
+            check(node, in_port, out_port)
     return diags
 
 
@@ -309,7 +292,7 @@ def rule_cycles(netlist):
         members = [nodes[name] for name in component]
         if not any(m.registers_tokens for m in members):
             continue
-        if any(m.kind == "eemux" for m in members):
+        if any(isinstance(m, EarlyEvalMux) for m in members):
             continue
         diags.append(Diagnostic(
             code="W201",
@@ -321,20 +304,12 @@ def rule_cycles(netlist):
 
 # -- E103: speculation ---------------------------------------------------------
 
-#: node kinds that pass anti-tokens backward from an output to the paired
-#: input(s) — the counterflow network a kill travels through (the chaos
-#: kinds are the joins and the bubble buffer a chaos splice inserts).
-_ANTI_TRANSPARENT = ("eb", "zbl_eb", "abstract_fifo", "func", "shared",
-                     "chaos_stall", "chaos_bubble", "chaos_corrupt")
-
-#: sink kinds that inject kills themselves.
-_KILLING_SINKS = ("killer_sink",)
-
 
 def _kill_reaches(netlist, start_channel):
     """True when an anti-token injected somewhere forward of
     ``start_channel`` can propagate back to it: BFS forward over channels,
-    following only anti-transparent nodes, until a kill site (an
+    following each node's :meth:`~repro.elastic.node.Node.anti_token_paths`,
+    until a kill site (:meth:`~repro.elastic.node.Node.kill_ports`: an
     early-evaluation mux data input or a killing sink) is found."""
     seen = set()
     frontier = [start_channel]
@@ -349,19 +324,11 @@ def _kill_reaches(netlist, start_channel):
         node = netlist.nodes.get(node_name)
         if node is None:
             continue
-        if node.kind == "eemux" and port != "s":
+        if port in node.kill_ports():
             return True
-        if node.kind in _KILLING_SINKS:
-            return True
-        if node.kind == "nondet_sink" and getattr(node, "can_kill", False):
-            return True
-        if node.kind not in _ANTI_TRANSPARENT:
-            continue
-        if node.kind == "shared":
-            out_ports = ["o" + port[1:]]   # i<j> pairs with o<j>
-        else:
-            out_ports = node.out_ports
-        for out_port in out_ports:
+        for in_port, out_port in node.anti_token_paths():
+            if in_port != port:
+                continue
             out_channel = node._channels.get(out_port)
             if out_channel is not None:
                 frontier.append(out_channel.name)
@@ -374,7 +341,7 @@ def _kill_reaches(netlist, start_channel):
 def rule_speculation(netlist):
     diags = []
     for node in netlist.nodes.values():
-        if node.kind != "shared":
+        if not isinstance(node, SharedModule):
             continue
         for port in node.out_ports:
             channel = node._channels.get(port)
@@ -444,13 +411,17 @@ def rule_fork_join(netlist):
                     frontier.append(pred)
         return seen
 
-    forks = [node for node in netlist.nodes.values() if node.kind == "fork"]
+    forks = [node for node in netlist.nodes.values()
+             if isinstance(node, EagerFork)]
     if not forks:
         return diags
     for node in netlist.nodes.values():
         # Early-evaluation muxes tolerate imbalance by design (anti-tokens
-        # clean up the unselected side); only lazy joins starve.
-        if node.kind != "func" or len(node.in_ports) < 2:
+        # clean up the unselected side); only lazy joins starve.  A chaos
+        # splice's join waits on its side source, not on a fork: W211's
+        # business.
+        if (not isinstance(node, Func) or node.splice_of is not None
+                or len(node.in_ports) < 2):
             continue
         slices = {}
         for port in node.in_ports:
@@ -483,12 +454,13 @@ def rule_fork_join(netlist):
            "fault-injection splices (repro.chaos) must not ship in a "
            "production netlist")
 def rule_chaos(netlist):
-    # Matched by kind prefix, not by class: a chaos splice is made of
-    # ordinary kinds (Func joins, an empty EB, permission and mask
-    # sources), and wrap marks each spliced node with a ``chaos_*`` kind.
+    # Matched by marker, not by class: a chaos splice is made of ordinary
+    # classes (Func joins, an empty EB, permission and mask sources), and
+    # wrap sets ``splice_of`` on each node it adds.  The message names the
+    # node by its ``chaos_*`` display label.
     diags = []
     for node in netlist.nodes.values():
-        if node.kind.startswith("chaos_"):
+        if node.splice_of is not None:
             diags.append(Diagnostic(
                 code="W211",
                 message=(f"{node.kind} node {node.name!r} of a chaos splice "

@@ -1,7 +1,10 @@
 """Graphviz export — the "visualize the modified graph" feature of the
 Section 5 toolkit.  Elastic buffers are drawn as boxes annotated with their
 token count (the paper's dot-in-a-box notation), function blocks as
-ellipses, muxes as trapezia and shared modules as double octagons.
+ellipses, muxes as trapezia, shared modules as double octagons, forks as
+triangles and environments (every source and sink) as ``cds``.  The nodes
+of a chaos splice are drawn plainly: an ellipse (or ``cds`` for its side
+source) labelled with the node name.
 
 Pass lint findings via ``diagnostics=`` to overlay them: offending nodes
 are filled red (errors) or orange (warnings) with the diagnostic codes
@@ -11,19 +14,21 @@ edges — ``to_dot(net, diagnostics=run_lint(net).diagnostics)``.
 
 from __future__ import annotations
 
-_SHAPES = {
-    "eb": "box",
-    "zbl_eb": "box",
-    "func": "ellipse",
-    "eemux": "trapezium",
-    "shared": "doubleoctagon",
-    "fork": "triangle",
-    "source": "cds",
-    "sink": "cds",
-    "killer_sink": "cds",
-    "nondet_source": "cds",
-    "nondet_sink": "cds",
-}
+from repro.core.shared import SharedModule
+from repro.elastic.buffers import ElasticBuffer, ZeroBackwardLatencyBuffer
+from repro.elastic.eemux import EarlyEvalMux
+from repro.elastic.fork import EagerFork
+
+_BUFFERS = (ElasticBuffer, ZeroBackwardLatencyBuffer)
+
+#: node class -> shape for the design's own non-environment nodes; any
+#: other node is an ellipse.
+_SHAPES = (
+    (_BUFFERS, "box"),
+    (EarlyEvalMux, "trapezium"),
+    (SharedModule, "doubleoctagon"),
+    (EagerFork, "triangle"),
+)
 
 #: severity -> (fill color, pen color) for the diagnostics overlay.
 _SEVERITY_COLORS = {
@@ -35,14 +40,26 @@ _SEVERITY_COLORS = {
 _SEVERITY_ORDER = ("error", "warning")
 
 
+def _shape(node):
+    if node.is_environment:
+        return "cds"
+    if node.splice_of is None:
+        for cls, shape in _SHAPES:
+            if isinstance(node, cls):
+                return shape
+    return "ellipse"
+
+
 def _label(node):
-    if node.kind in ("eb", "zbl_eb"):
+    if node.splice_of is not None:
+        return node.name
+    if isinstance(node, _BUFFERS):
         count = node.count
         marks = "●" * count if count > 0 else ("○" * (-count) if count < 0 else "")
         suffix = f"\\n{marks}" if marks else "\\n(empty)"
-        tag = " zbl" if node.kind == "zbl_eb" else ""
+        tag = " zbl" if isinstance(node, ZeroBackwardLatencyBuffer) else ""
         return f"{node.name}{tag}{suffix}"
-    if node.kind == "shared":
+    if isinstance(node, SharedModule):
         return f"{node.name}\\nshared x{node.n_channels}"
     if getattr(node, "is_mux", False):
         return f"{node.name}\\nmux"
@@ -76,8 +93,7 @@ def to_dot(netlist, rankdir="LR", diagnostics=None):
     flagged_nodes, flagged_channels = _collect_overlay(diagnostics)
     lines = [f'digraph "{netlist.name}" {{', f"  rankdir={rankdir};"]
     for node in netlist.nodes.values():
-        shape = _SHAPES.get(node.kind, "ellipse")
-        attrs = [f"shape={shape}"]
+        attrs = [f"shape={_shape(node)}"]
         label = _label(node)
         flag = flagged_nodes.get(node.name)
         if flag is not None:

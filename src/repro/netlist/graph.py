@@ -206,9 +206,6 @@ class Netlist:
     def consumer_of(self, channel_name):
         return self.channels[channel_name].consumer
 
-    def nodes_of_kind(self, kind):
-        return [node for node in self.nodes.values() if node.kind == kind]
-
     # -- validation -------------------------------------------------------------------
 
     def validate(self):

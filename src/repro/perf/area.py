@@ -17,8 +17,8 @@ def area_breakdown(netlist, tech=None):
     return {name: node.area(tech) for name, node in netlist.nodes.items()}
 
 
-def total_area(netlist, tech=None, include=None):
-    """Total area; ``include`` optionally filters node kinds.
+def total_area(netlist, tech=None):
+    """Total area.
 
     Environments (:attr:`~repro.elastic.node.Node.is_environment`:
     sources and sinks) are excluded — they model the testbench, not the
@@ -28,8 +28,6 @@ def total_area(netlist, tech=None, include=None):
     total = 0.0
     for node in netlist.nodes.values():
         if node.is_environment:
-            continue
-        if include is not None and node.kind not in include:
             continue
         total += node.area(tech)
     return total

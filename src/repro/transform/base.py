@@ -9,6 +9,10 @@ the netlist's edit log: the :class:`~repro.transform.session.Session`
 records the emitted :class:`~repro.netlist.edits.NetlistEdit` stream as its
 undo/redo history, and a live simulator following the log stays current
 instead of being rebuilt.
+
+Each rewrite is correct by construction only on the controller primitives
+it was proven for, so its guards ask :func:`is_primitive`: the node's
+exact class, and that it is not a chaos splice.
 """
 
 from __future__ import annotations
@@ -29,6 +33,19 @@ class TransformRecord:
     def __str__(self):
         items = ", ".join(f"{k}={v}" for k, v in self.details.items())
         return f"{self.kind}({items})"
+
+
+def is_primitive(node, *classes):
+    """True when ``node`` is exactly one of the controller primitives
+    ``classes`` and belongs to the design itself.
+
+    A subclass may change the controller a rewrite was proven for (the
+    chaos mutants do), so it is refused.  So is a chaos splice
+    (:attr:`~repro.elastic.node.Node.splice_of` set): it is built from the
+    same classes but is instrumentation, which :func:`repro.chaos.unwrap`
+    must find intact — a rate-0 splice bubble is an empty EB, yet no
+    transformation may remove it."""
+    return type(node) in classes and node.splice_of is None
 
 
 def splice_node(netlist, channel_name, node, in_port=None, out_port=None):

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from repro.elastic.buffers import ElasticBuffer, ZeroBackwardLatencyBuffer
 from repro.errors import TransformError
-from repro.transform.base import TransformRecord, splice_node, unsplice_node
+from repro.transform.base import TransformRecord, is_primitive, splice_node, unsplice_node
 
 
 def insert_bubble(netlist, channel_name, name=None, capacity=2):
@@ -49,7 +49,7 @@ def remove_empty_buffer(netlist, eb_name):
     node = netlist.nodes.get(eb_name)
     if node is None:
         raise TransformError(f"no node {eb_name!r}")
-    if node.kind not in ("eb", "zbl_eb"):
+    if not is_primitive(node, ElasticBuffer, ZeroBackwardLatencyBuffer):
         raise TransformError(f"{eb_name!r} is not an elastic buffer")
     if node.count != 0:
         raise TransformError(

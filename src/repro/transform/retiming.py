@@ -11,8 +11,9 @@ to enable the Figure 1 explorations.
 from __future__ import annotations
 
 from repro.elastic.buffers import ElasticBuffer
+from repro.elastic.functional import Func
 from repro.errors import TransformError
-from repro.transform.base import TransformRecord, splice_node, unsplice_node
+from repro.transform.base import TransformRecord, is_primitive, splice_node, unsplice_node
 
 
 def _producer_ebs(netlist, func):
@@ -21,7 +22,7 @@ def _producer_ebs(netlist, func):
         channel = func.channel(port)
         producer_name, _ = channel.producer
         producer = netlist.nodes[producer_name]
-        if producer.kind != "eb":
+        if not is_primitive(producer, ElasticBuffer):
             raise TransformError(
                 f"retime_forward: input {func.name}.{port} is not fed by an EB "
                 f"(found {producer_name!r})"
@@ -38,7 +39,7 @@ def retime_forward(netlist, func_name, eb_name=None):
     the token tuples.
     """
     func = netlist.nodes.get(func_name)
-    if func is None or func.kind != "func":
+    if not is_primitive(func, Func):
         raise TransformError(f"{func_name!r} is not a function block")
     ebs = _producer_ebs(netlist, func)
     counts = {eb.count for eb in ebs}
@@ -70,7 +71,7 @@ def retime_forward(netlist, func_name, eb_name=None):
 def retime_backward(netlist, eb_name, names=None):
     """Move an *empty* EB from the output of a block to all of its inputs."""
     eb = netlist.nodes.get(eb_name)
-    if eb is None or eb.kind != "eb":
+    if not is_primitive(eb, ElasticBuffer):
         raise TransformError(f"{eb_name!r} is not an EB")
     if eb.count != 0:
         raise TransformError(
@@ -80,7 +81,7 @@ def retime_backward(netlist, eb_name, names=None):
     in_channel = eb.channel("i")
     func_name, _ = in_channel.producer
     func = netlist.nodes[func_name]
-    if func.kind != "func":
+    if not is_primitive(func, Func):
         raise TransformError(
             f"retime_backward: {eb_name!r} is not fed by a function block"
         )

@@ -17,7 +17,7 @@ from __future__ import annotations
 from repro.elastic.eemux import EarlyEvalMux
 from repro.elastic.functional import Func
 from repro.errors import TransformError
-from repro.transform.base import TransformRecord, splice_node, unsplice_node
+from repro.transform.base import TransformRecord, is_primitive, splice_node, unsplice_node
 
 
 def make_lazy_mux(name, n_inputs=2, delay=0.2, area_cost=0.2):
@@ -57,7 +57,7 @@ def shannon_decompose(netlist, mux_name, func_name):
         raise TransformError(f"no node {mux_name!r}")
     data_ports = _mux_data_ports(mux)
     func = netlist.nodes.get(func_name)
-    if func is None or func.kind != "func":
+    if not is_primitive(func, Func):
         raise TransformError(f"{func_name!r} is not a function block")
     if func.n_inputs != 1:
         raise TransformError(

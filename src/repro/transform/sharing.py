@@ -11,8 +11,9 @@ from __future__ import annotations
 
 from repro.core.scheduler import Scheduler
 from repro.core.shared import SharedModule
+from repro.elastic.functional import Func
 from repro.errors import TransformError
-from repro.transform.base import TransformRecord
+from repro.transform.base import TransformRecord, is_primitive
 
 
 def share_blocks(netlist, func_names, scheduler, name=None, check_same_fn=True):
@@ -27,7 +28,7 @@ def share_blocks(netlist, func_names, scheduler, name=None, check_same_fn=True):
     funcs = []
     for fname in func_names:
         node = netlist.nodes.get(fname)
-        if node is None or node.kind != "func":
+        if not is_primitive(node, Func):
             raise TransformError(f"{fname!r} is not a function block")
         if node.n_inputs != 1:
             raise TransformError(f"share_blocks: {fname!r} must have exactly 1 input")

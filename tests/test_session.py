@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.shared import SharedModule
 from repro.errors import TransformError
 from repro.netlist import patterns
 from repro.sim.engine import Simulator
@@ -147,7 +148,8 @@ class TestCommandScripts:
             "share F_c0 F_c1 --scheduler=oracle",
             schedulers={"oracle": lambda n: OracleScheduler(lambda k: 0, n)},
         )
-        assert session.netlist.nodes_of_kind("shared")
+        assert any(isinstance(node, SharedModule)
+                   for node in session.netlist.nodes.values())
 
     def test_log_records_history(self):
         session, _names = fig1a_session()
