@@ -8,6 +8,14 @@ clock, the medians and the speedup's quartiles in
 ``results/BENCH_sweep.json`` (same machine-readable trajectory style as
 ``BENCH_engine.json``).
 
+The grid is sized so that sharding has work to win back its start-up:
+spawning the 4 workers (each importing the toolkit and compiling its
+designs) costs about 1.2 s on a 2-CPU host, and 400 cycles per
+configuration took 0.5 s serially, so sharding lost (0.42x).  At
+``CYCLES = 6000`` the serial run takes about 4.8 s and the sharded one
+about 3.0 s on 2 CPUs (1.65x, quartiles 1.41x-1.67x); more CPUs only
+widen the margin.
+
 The wall-clock speedup is only *asserted* when the machine actually has
 spare cores: on a single-CPU runner sharding cannot beat serial (spawn
 overhead with zero parallelism), so there the numbers are recorded for
@@ -33,7 +41,7 @@ from repro.perf.presets import fig6_lane_spec, fig6_spec
 from repro.perf.sweep import run_sweep
 
 N_WORKERS = 4
-CYCLES = 400
+CYCLES = 6000        # per configuration: enough work to amortise the spawns
 LANES = 8
 LANE_CYCLES = 800
 LANE_WARMUP = 100

@@ -30,21 +30,7 @@ class LatencySensitiveBuffer(ZeroBackwardLatencyBuffer):
     the theorem's premise."""
 
     kind = "mutant_ls_eb"
-
-    def __init__(self, name, init=()):
-        super().__init__(name, init=init)
-        self._cycle = 0
-
-    def reset(self):
-        super().reset()
-        self._cycle = 0
-
-    def snapshot(self):
-        return super().snapshot() + (self._cycle,)
-
-    def restore(self, state):
-        super().restore(state[:-1])
-        self._cycle = state[-1]
+    state_slots = {**ZeroBackwardLatencyBuffer.state_slots, "_cycle": 0}
 
     def tick(self):
         ist = self.st("i")

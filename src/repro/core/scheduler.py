@@ -19,6 +19,7 @@ from __future__ import annotations
 import random
 from typing import NamedTuple
 
+from repro.elastic.node import Stateful
 from repro.errors import SchedulerError
 
 
@@ -56,17 +57,18 @@ class SchedulerFeedback(NamedTuple):
     valid_inputs: tuple
 
 
-class Scheduler:
-    """Base class.  Subclasses implement :meth:`prediction` (a function of
-    registered state only) and :meth:`observe` (the state update)."""
+class Scheduler(Stateful):
+    """Base class.  Subclasses declare their registered state in
+    :attr:`state_slots` (the owning
+    :class:`~repro.core.shared.SharedModule` carries it as its own, so keep
+    it flat ints / bools / ``None``), and implement :meth:`prediction` (a
+    function of registered state only) and :meth:`observe` (the state
+    update)."""
 
     def __init__(self, n_channels=2):
         if n_channels < 2:
             raise SchedulerError("a shared module needs at least two channels")
         self.n_channels = n_channels
-
-    def reset(self):
-        """Reset registered state."""
 
     def prediction(self):
         """Channel predicted for the *current* cycle."""
@@ -74,20 +76,6 @@ class Scheduler:
 
     def observe(self, feedback):
         """Update registered state at the clock edge."""
-
-    def snapshot(self):
-        """Hashable capture of the registered state.
-
-        The model checker embeds this (via the owning
-        :class:`~repro.core.shared.SharedModule`) in its compact state
-        keys, so keep it a flat tuple of ints / bools / ``None`` — see
-        :meth:`repro.elastic.node.Node.snapshot` for the encoding
-        contract.
-        """
-        return ()
-
-    def restore(self, state):
-        pass
 
     # Nondeterminism hooks (only NondetScheduler uses them).
     def choice_space(self):
@@ -135,14 +123,13 @@ class StaticScheduler(Scheduler):
     rules out — see the verification tests).
     """
 
+    state_slots = {"_current": lambda s: s.favourite}
+
     def __init__(self, n_channels=2, favourite=0, repair=True):
         super().__init__(n_channels)
         self.favourite = self._check(favourite)
         self.repair = repair
         self.reset()
-
-    def reset(self):
-        self._current = self.favourite
 
     def prediction(self):
         return self._current
@@ -155,25 +142,18 @@ class StaticScheduler(Scheduler):
         else:
             self._current = self.favourite
 
-    def snapshot(self):
-        return (self._current,)
-
-    def restore(self, state):
-        (self._current,) = state
-
 
 class ToggleScheduler(Scheduler):
     """Alternates channels every cycle — the scheduler behind Table 1
     (``Sched = 0 1 0 1 0 1 0``).  Trivially satisfies leads-to because every
     channel is predicted infinitely often."""
 
+    state_slots = {"_current": lambda s: s.start}
+
     def __init__(self, n_channels=2, start=0):
         super().__init__(n_channels)
         self.start = self._check(start)
         self.reset()
-
-    def reset(self):
-        self._current = self.start
 
     def prediction(self):
         return self._current
@@ -181,23 +161,16 @@ class ToggleScheduler(Scheduler):
     def observe(self, feedback):
         self._current = (self._current + 1) % self.n_channels
 
-    def snapshot(self):
-        return (self._current,)
-
-    def restore(self, state):
-        (self._current,) = state
-
 
 class RoundRobinScheduler(Scheduler):
     """Advances to the next channel only after a successful grant (or a kill
     of the predicted channel's waiting token)."""
 
+    state_slots = {"_current": 0}
+
     def __init__(self, n_channels=2):
         super().__init__(n_channels)
         self.reset()
-
-    def reset(self):
-        self._current = 0
 
     def prediction(self):
         return self._current
@@ -208,24 +181,17 @@ class RoundRobinScheduler(Scheduler):
         elif self._current in feedback.killed:
             self._current = (self._current + 1) % self.n_channels
 
-    def snapshot(self):
-        return (self._current,)
-
-    def restore(self, state):
-        (self._current,) = state
-
 
 class RepairScheduler(Scheduler):
     """Sticky predictor: keeps its last prediction and flips only on the
     paper's misprediction evidence (predicted token stalled at the mux)."""
 
+    state_slots = {"_current": lambda s: s.start}
+
     def __init__(self, n_channels=2, start=0):
         super().__init__(n_channels)
         self.start = self._check(start)
         self.reset()
-
-    def reset(self):
-        self._current = self.start
 
     def prediction(self):
         return self._current
@@ -233,12 +199,6 @@ class RepairScheduler(Scheduler):
     def observe(self, feedback):
         if self._mispredict_evidence(feedback):
             self._current = (self._current + 1) % self.n_channels
-
-    def snapshot(self):
-        return (self._current,)
-
-    def restore(self, state):
-        (self._current,) = state
 
 
 class PrimaryScheduler(Scheduler):
@@ -252,13 +212,12 @@ class PrimaryScheduler(Scheduler):
     operation is started."
     """
 
+    state_slots = {"_current": lambda s: s.primary}
+
     def __init__(self, n_channels=2, primary=0):
         super().__init__(n_channels)
         self.primary = self._check(primary)
         self.reset()
-
-    def reset(self):
-        self._current = self.primary
 
     def prediction(self):
         return self._current
@@ -274,24 +233,17 @@ class PrimaryScheduler(Scheduler):
         elif self._mispredict_evidence(feedback):
             self._current = (self._current + 1) % self.n_channels
 
-    def snapshot(self):
-        return (self._current,)
-
-    def restore(self, state):
-        (self._current,) = state
-
 
 class LastGrantScheduler(Scheduler):
     """Predicts the channel that was most recently granted (1-bit history
     branch prediction), with stall repair."""
 
+    state_slots = {"_current": lambda s: s.start}
+
     def __init__(self, n_channels=2, start=0):
         super().__init__(n_channels)
         self.start = self._check(start)
         self.reset()
-
-    def reset(self):
-        self._current = self.start
 
     def prediction(self):
         return self._current
@@ -302,26 +254,19 @@ class LastGrantScheduler(Scheduler):
         elif self._mispredict_evidence(feedback):
             self._current = (self._current + 1) % self.n_channels
 
-    def snapshot(self):
-        return (self._current,)
-
-    def restore(self, state):
-        (self._current,) = state
-
 
 class TwoBitScheduler(Scheduler):
     """Classic two-bit saturating counter over a two-channel choice, with
     stall repair — "state-of-the-art branch prediction" in miniature."""
+
+    #: 0,1 -> predict 0 ; 2,3 -> predict 1; a pending one-shot repair
+    state_slots = {"_counter": 1, "_repair": None}
 
     def __init__(self, n_channels=2):
         if n_channels != 2:
             raise SchedulerError("TwoBitScheduler supports exactly 2 channels")
         super().__init__(n_channels)
         self.reset()
-
-    def reset(self):
-        self._counter = 1      # 0,1 -> predict 0 ; 2,3 -> predict 1
-        self._repair = None
 
     def prediction(self):
         if self._repair is not None:
@@ -344,25 +289,18 @@ class TwoBitScheduler(Scheduler):
         else:
             self._repair = None
 
-    def snapshot(self):
-        return (self._counter, self._repair)
-
-    def restore(self, state):
-        self._counter, self._repair = state
-
 
 class OracleScheduler(Scheduler):
     """Perfect prediction via a callback ``fn(grant_index) -> channel``
     giving the channel of the ``k``-th grant.  Upper-bounds every realizable
     scheduler (used for bounds in the benchmarks)."""
 
+    state_slots = {"_grants": 0}
+
     def __init__(self, fn, n_channels=2):
         super().__init__(n_channels)
         self.fn = fn
         self.reset()
-
-    def reset(self):
-        self._grants = 0
 
     def prediction(self):
         return self._check(self.fn(self._grants))
@@ -371,24 +309,17 @@ class OracleScheduler(Scheduler):
         if feedback.granted is not None:
             self._grants += 1
 
-    def snapshot(self):
-        return (self._grants,)
-
-    def restore(self, state):
-        (self._grants,) = state
-
 
 class RandomScheduler(Scheduler):
     """Seeded random prediction with stall repair (robustness testing)."""
+
+    state_slots = {"_current": 0}
+    reset_slots = {"_rng": lambda s: random.Random(s.seed)}
 
     def __init__(self, n_channels=2, seed=0):
         super().__init__(n_channels)
         self.seed = seed
         self.reset()
-
-    def reset(self):
-        self._rng = random.Random(self.seed)
-        self._current = 0
 
     def prediction(self):
         return self._current
@@ -399,24 +330,17 @@ class RandomScheduler(Scheduler):
         else:
             self._current = self._rng.randrange(self.n_channels)
 
-    def snapshot(self):
-        return (self._current,)
-
-    def restore(self, state):
-        (self._current,) = state
-
 
 class NondetScheduler(Scheduler):
     """Fully nondeterministic scheduler for model checking: any channel may
     be predicted each cycle.  Combined with fairness assumptions this is the
     specification the paper verifies the leads-to refinement against."""
 
+    state_slots = {"_current": 0}
+
     def __init__(self, n_channels=2):
         super().__init__(n_channels)
         self.reset()
-
-    def reset(self):
-        self._current = 0
 
     def choice_space(self):
         return self.n_channels
@@ -426,9 +350,3 @@ class NondetScheduler(Scheduler):
 
     def prediction(self):
         return self._current
-
-    def snapshot(self):
-        return (self._current,)
-
-    def restore(self, state):
-        (self._current,) = state

@@ -44,6 +44,9 @@ class SharedModule(Node):
 
     kind = "shared"
     arity_checks = (("n_channels", "in_ports", 0), ("n_channels", "out_ports", 0))
+    #: grant / misprediction counts; the registered state is the
+    #: scheduler's declared slots (:meth:`state_host`)
+    reset_slots = {"grants": 0, "mispredicts": 0}
 
     def __init__(self, name, fn, scheduler, n_channels=2, delay=1.0, area_cost=1.0):
         super().__init__(name)
@@ -65,16 +68,8 @@ class SharedModule(Node):
             self.add_out(f"o{i}")
         self.reset()
 
-    def reset(self):
-        self.scheduler.reset()
-        self.grants = 0
-        self.mispredicts = 0
-
-    def snapshot(self):
-        return self.scheduler.snapshot()
-
-    def restore(self, state):
-        self.scheduler.restore(state)
+    def state_host(self):
+        return self.scheduler
 
     def choice_space(self):
         return self.scheduler.choice_space()

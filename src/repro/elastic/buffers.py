@@ -26,7 +26,48 @@ from repro.elastic.node import BWD, Node
 from repro.kleene import kand, kite, knot
 
 
-class ElasticBuffer(Node):
+class _TokenStore(Node):
+    """The Figure 3 store between two pointers: tokens while ``wr > rd``,
+    anti-tokens while ``wr < rd``.  Shared by :class:`ElasticBuffer` and the
+    abstract FIFO of :mod:`repro.elastic.fifo_model`; subclasses set
+    ``init_tokens`` (and ``init_anti``) before :meth:`reset`."""
+
+    registers_tokens = True
+    init_anti = 0
+    #: canonical state: the signed occupancy, then the stored values
+    state_slots = {"count": lambda n: len(n.init_tokens) - n.init_anti,
+                   "_tokens": lambda n: tuple(n.init_tokens)}
+
+    @property
+    def count(self):
+        """Signed occupancy: tokens when positive, anti-tokens when negative."""
+        return self._wr - self._rd
+
+    @count.setter
+    def count(self, count):
+        self._wr = max(count, 0)
+        self._rd = max(-count, 0)
+
+    def contents(self):
+        """Current token values, oldest first (empty when holding anti-tokens)."""
+        return [self._store[i] for i in range(self._rd, self._wr)]
+
+    @property
+    def _tokens(self):
+        return tuple(self.contents())
+
+    @_tokens.setter
+    def _tokens(self, values):
+        self._store = dict(enumerate(values, self._rd))
+
+    def width_pairs(self):
+        return [("i", "o")]
+
+    def anti_token_paths(self):
+        return [("i", "o")]
+
+
+class ElasticBuffer(_TokenStore):
     """Standard elastic buffer (``Lf = 1``, ``Lb = 1``).
 
     Parameters
@@ -48,7 +89,6 @@ class ElasticBuffer(Node):
     """
 
     kind = "eb"
-    registers_tokens = True
 
     def __init__(self, name, init=(), capacity=2, anti_capacity=1, init_anti=0):
         super().__init__(name)
@@ -68,36 +108,6 @@ class ElasticBuffer(Node):
         self.init_tokens = init
         self.init_anti = init_anti
         self.reset()
-
-    # -- state ---------------------------------------------------------------
-
-    def reset(self):
-        self._store = {}
-        self._wr = 0
-        self._rd = 0
-        for idx, value in enumerate(self.init_tokens):
-            self._store[idx] = value
-            self._wr = idx + 1
-        if self.init_anti:
-            self._rd = self.init_anti
-
-    @property
-    def count(self):
-        """Signed occupancy: tokens when positive, anti-tokens when negative."""
-        return self._wr - self._rd
-
-    def contents(self):
-        """Current token values, oldest first (empty when holding anti-tokens)."""
-        return [self._store[i] for i in range(self._rd, self._wr)]
-
-    def snapshot(self):
-        return (self._wr - self._rd, tuple(self.contents()))
-
-    def restore(self, state):
-        count, values = state
-        self._wr = max(count, 0)
-        self._rd = max(-count, 0)
-        self._store = dict(enumerate(values))
 
     # -- combinational behaviour (all driven from registered state) -----------
 
@@ -147,12 +157,6 @@ class ElasticBuffer(Node):
         width = self.channel("o").width if "o" in self._channels else 8
         return tech.eb_area(width, self.capacity)
 
-    def width_pairs(self):
-        return [("i", "o")]
-
-    def anti_token_paths(self):
-        return [("i", "o")]
-
 
 class ZeroBackwardLatencyBuffer(Node):
     """Elastic buffer with ``Lb = 0``, ``Lf = 1`` and capacity 1 (Figure 5).
@@ -170,6 +174,8 @@ class ZeroBackwardLatencyBuffer(Node):
 
     kind = "zbl_eb"
     registers_tokens = True
+    state_slots = {"_full": lambda n: bool(n.init_tokens),
+                   "_held": lambda n: n.init_tokens[0] if n.init_tokens else None}
 
     def __init__(self, name, init=()):
         super().__init__(name)
@@ -182,9 +188,14 @@ class ZeroBackwardLatencyBuffer(Node):
         self.capacity = 1
         self.reset()
 
-    def reset(self):
-        self._full = bool(self.init_tokens)
-        self._value = self.init_tokens[0] if self.init_tokens else None
+    @property
+    def _held(self):
+        """The latched value, masked to ``None`` while empty."""
+        return self._value if self._full else None
+
+    @_held.setter
+    def _held(self, value):
+        self._value = value
 
     @property
     def count(self):
@@ -192,12 +203,6 @@ class ZeroBackwardLatencyBuffer(Node):
 
     def contents(self):
         return [self._value] if self._full else []
-
-    def snapshot(self):
-        return (self._full, self._value if self._full else None)
-
-    def restore(self, state):
-        self._full, self._value = state
 
     def comb_tasks(self):
         # The Lb=0 controller lets stop/kill rush through combinationally:

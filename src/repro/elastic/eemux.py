@@ -32,6 +32,8 @@ class EarlyEvalMux(Node):
 
     kind = "eemux"
     arity_checks = (("n_inputs", "in_ports", 1),)     # + the select port
+    #: pending kills per data input, then those of our own output
+    state_slots = {"_kills": lambda n: (0,) * n.n_inputs, "_pko": 0}
 
     def __init__(self, name, n_inputs=2, delay=0.2, max_kills=4):
         super().__init__(name)
@@ -46,17 +48,15 @@ class EarlyEvalMux(Node):
         self.add_out("o")
         self.reset()
 
-    def reset(self):
-        self._pk = [0] * self.n_inputs   # pending kills per data input
-        self._pko = 0                    # pending kills of our own output
+    @property
+    def _kills(self):
+        """Pending kills per data input (stored as the mutable list
+        ``_pk``)."""
+        return tuple(self._pk)
 
-    def snapshot(self):
-        return (tuple(self._pk), self._pko)
-
-    def restore(self, state):
-        pk, pko = state
-        self._pk = list(pk)
-        self._pko = pko
+    @_kills.setter
+    def _kills(self, kills):
+        self._pk = list(kills)
 
     # -- combinational ------------------------------------------------------------
 

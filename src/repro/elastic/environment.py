@@ -24,13 +24,18 @@ class _SourceBase(Node):
     """Common producer-side machinery (persistence + anti-token absorption)."""
 
     kind = "source"
+    #: the offer register, the stream position, future tokens already
+    #: killed by anti-tokens, and the tokens that left (transferred or
+    #: cancelled) and were destroyed by anti-tokens
+    state_slots = {"_offering": False, "_value": None, "_idx": 0, "_skip": 0,
+                   "emitted": 0, "killed": 0}
+    reset_slots = {"_pending_start": False,
+                   "_rng": lambda n: random.Random(n.seed)}
 
     def __init__(self, name, max_skips=1_000_000):
         super().__init__(name)
         self.add_out("o")
         self.max_skips = max_skips
-        self.emitted = 0        # tokens that left (transferred or cancelled)
-        self.killed = 0         # tokens destroyed by anti-tokens
 
     def _next_value(self):
         """Return the next value to offer, or ``None`` when exhausted."""
@@ -39,13 +44,6 @@ class _SourceBase(Node):
     def _want_to_offer(self):
         """Randomized / nondet gate deciding whether to start an offer."""
         return True
-
-    def reset(self):
-        self.emitted = 0
-        self.killed = 0
-        self._offering = False
-        self._value = None
-        self._skip = 0           # future tokens already killed by anti-tokens
 
     def comb_tasks(self):
         # Drives purely from the offer registers frozen in pre_cycle.
@@ -104,12 +102,6 @@ class ListSource(_SourceBase):
         self.seed = seed
         self.reset()
 
-    def reset(self):
-        super().reset()
-        self._idx = 0
-        self._rng = random.Random(self.seed)
-        self._pending_start = False
-
     def _next_value(self):
         if self._idx >= len(self.values):
             return None
@@ -121,12 +113,6 @@ class ListSource(_SourceBase):
         if self._idx >= len(self.values):
             return False
         return self.rate >= 1.0 or self._rng.random() < self.rate
-
-    def snapshot(self):
-        return (self._offering, self._value, self._idx, self._skip, self.emitted, self.killed)
-
-    def restore(self, state):
-        self._offering, self._value, self._idx, self._skip, self.emitted, self.killed = state
 
     @property
     def exhausted(self):
@@ -144,12 +130,6 @@ class FunctionSource(_SourceBase):
         self.limit = limit
         self.reset()
 
-    def reset(self):
-        super().reset()
-        self._idx = 0
-        self._rng = random.Random(self.seed)
-        self._pending_start = False
-
     def _next_value(self):
         if self.limit is not None and self._idx >= self.limit:
             return None
@@ -161,12 +141,6 @@ class FunctionSource(_SourceBase):
         if self.limit is not None and self._idx >= self.limit:
             return False
         return self.rate >= 1.0 or self._rng.random() < self.rate
-
-    def snapshot(self):
-        return (self._offering, self._value, self._idx, self._skip, self.emitted, self.killed)
-
-    def restore(self, state):
-        self._offering, self._value, self._idx, self._skip, self.emitted, self.killed = state
 
 
 class PermissionSource(Node):
@@ -183,6 +157,9 @@ class PermissionSource(Node):
     """
 
     kind = "permission_source"
+    state_slots = {"_offering": False, "_budget": lambda n: n.budget}
+    reset_slots = {"_choice": 0,
+                   "_rng": lambda n: random.Random(n.seed * 1000003 + 1)}
 
     def __init__(self, name, rate=0.25, seed=0, budget=-1, nondet=False):
         super().__init__(name)
@@ -192,12 +169,6 @@ class PermissionSource(Node):
         self.budget = int(budget)
         self.nondet = bool(nondet)
         self.reset()
-
-    def reset(self):
-        self._offering = False
-        self._budget = self.budget
-        self._choice = 0
-        self._rng = random.Random(self.seed * 1000003 + 1)
 
     def choice_space(self):
         if self.nondet and not self._offering and self._budget != 0:
@@ -237,14 +208,30 @@ class PermissionSource(Node):
         if ost.vp and not ost.sp:
             self._offering = False
 
-    def snapshot(self):
-        return (self._offering, self._budget)
 
-    def restore(self, state):
-        self._offering, self._budget = state
+class _RecordingSink(Node):
+    """Common consumer machinery: the ``(cycle, value)`` transfer stream
+    :attr:`received`, whose canonical state is its length (a restore
+    truncates it), and the cycle counter stamping it."""
+
+    state_slots = {"_cycle": 0, "_n_received": 0}
+    reset_slots = {"received": lambda n: [], "_stall_now": False,
+                   "_rng": lambda n: random.Random(n.seed)}
+
+    @property
+    def _n_received(self):
+        return len(self.received)
+
+    @_n_received.setter
+    def _n_received(self, n):
+        self.received = self.received[:n]
+
+    @property
+    def values(self):
+        return [value for _cycle, value in self.received]
 
 
-class Sink(Node):
+class Sink(_RecordingSink):
     """Token consumer recording the transfer stream.
 
     ``stall_rate`` > 0 asserts back-pressure randomly (seeded).
@@ -258,12 +245,6 @@ class Sink(Node):
         self.stall_rate = stall_rate
         self.seed = seed
         self.reset()
-
-    def reset(self):
-        self.received = []       # (cycle, value) transfer stream
-        self._cycle = 0
-        self._stall_now = False
-        self._rng = random.Random(self.seed)
 
     def pre_cycle(self):
         self._stall_now = self.stall_rate > 0 and self._rng.random() < self.stall_rate
@@ -281,19 +262,8 @@ class Sink(Node):
             self.received.append((self._cycle, ist.data))
         self._cycle += 1
 
-    @property
-    def values(self):
-        return [value for _cycle, value in self.received]
 
-    def snapshot(self):
-        return (self._cycle, len(self.received))
-
-    def restore(self, state):
-        self._cycle, n = state
-        self.received = self.received[:n]
-
-
-class KillerSink(Node):
+class KillerSink(_RecordingSink):
     """Consumer that randomly injects anti-tokens (kills upstream tokens).
 
     Used to exercise the counterflow network.  A started kill persists until
@@ -302,6 +272,8 @@ class KillerSink(Node):
     """
 
     kind = "killer_sink"
+    state_slots = {"_killing": False, **_RecordingSink.state_slots,
+                   "kills_sent": 0}
 
     def __init__(self, name, kill_rate=0.2, stall_rate=0.0, seed=0):
         super().__init__(name)
@@ -313,14 +285,6 @@ class KillerSink(Node):
 
     def kill_ports(self):
         return ["i"]
-
-    def reset(self):
-        self.received = []
-        self.kills_sent = 0
-        self._cycle = 0
-        self._killing = False
-        self._stall_now = False
-        self._rng = random.Random(self.seed)
 
     def pre_cycle(self):
         if not self._killing and self._rng.random() < self.kill_rate:
@@ -346,17 +310,6 @@ class KillerSink(Node):
             self.received.append((self._cycle, ist.data))
         self._cycle += 1
 
-    @property
-    def values(self):
-        return [value for _cycle, value in self.received]
-
-    def snapshot(self):
-        return (self._killing, self._cycle, len(self.received), self.kills_sent)
-
-    def restore(self, state):
-        self._killing, self._cycle, n, self.kills_sent = state
-        self.received = self.received[:n]
-
 
 class NondetSource(Node):
     """Source with model-checker-enumerable behaviour: each cycle it may or
@@ -364,17 +317,23 @@ class NondetSource(Node):
     running counter so transfer streams stay comparable."""
 
     kind = "nondet_source"
+    state_slots = {"_offering": False, "_token_phase": 0}
+    reset_slots = {"_choice": 0, "emitted": 0}
 
     def __init__(self, name):
         super().__init__(name)
         self.add_out("o")
         self.reset()
 
-    def reset(self):
-        self._offering = False
-        self._counter = 0
-        self._choice = 0
-        self.emitted = 0
+    @property
+    def _token_phase(self):
+        """The running token counter modulo 4: the canonical form, so the
+        explored state space stays finite."""
+        return self._counter % 4
+
+    @_token_phase.setter
+    def _token_phase(self, phase):
+        self._counter = phase
 
     def choice_space(self):
         return 1 if self._offering else 2
@@ -404,28 +363,19 @@ class NondetSource(Node):
         elif ost.vm and not ost.sm and not ost.vp:
             self._counter += 1     # future token killed while idle
 
-    def snapshot(self):
-        return (self._offering, self._counter % 4)
-
-    def restore(self, state):
-        self._offering, self._counter = state
-
 
 class NondetSink(Node):
     """Sink with model-checker-enumerable back-pressure (stall or accept)."""
 
     kind = "nondet_sink"
+    state_slots = {"_killing": False}
+    reset_slots = {"_choice": 0, "received": 0}
 
     def __init__(self, name, can_kill=False):
         super().__init__(name)
         self.add_in("i")
         self.can_kill = can_kill
         self.reset()
-
-    def reset(self):
-        self._choice = 0
-        self._killing = False
-        self.received = 0
 
     def kill_ports(self):
         return ["i"] if self.can_kill else []
@@ -462,12 +412,6 @@ class NondetSink(Node):
         elif ist.vp and not ist.sp and not ist.vm:
             self.received += 1
 
-    def snapshot(self):
-        return (self._killing,)
-
-    def restore(self, state):
-        (self._killing,) = state
-
 
 class NondetChoiceSource(NondetSource):
     """Nondeterministic source emitting *select* tokens ``0..n_values-1``.
@@ -482,16 +426,13 @@ class NondetChoiceSource(NondetSource):
     """
 
     kind = "nondet_choice_source"
+    state_slots = {"_offering": False, "_value": 0}
 
     def __init__(self, name, n_values=2):
         if n_values < 1:
             raise ValueError(f"{name}: n_values must be >= 1, got {n_values}")
         self.n_values = n_values
         super().__init__(name)
-
-    def reset(self):
-        super().reset()
-        self._value = 0
 
     def choice_space(self):
         return 1 if self._offering else 1 + self.n_values
@@ -513,9 +454,3 @@ class NondetChoiceSource(NondetSource):
             # Forward transfer or cancellation: the select token is gone.
             self._offering = False
             self.emitted += 1
-
-    def snapshot(self):
-        return (self._offering, self._value)
-
-    def restore(self, state):
-        self._offering, self._value = state

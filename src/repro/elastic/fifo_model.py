@@ -20,10 +20,10 @@ paper's figure.
 
 from __future__ import annotations
 
-from repro.elastic.node import Node
+from repro.elastic.buffers import _TokenStore
 
 
-class AbstractElasticFifo(Node):
+class AbstractElasticFifo(_TokenStore):
     """Nondeterministic-latency unbounded elastic FIFO (Figure 3).
 
     Choice encoding per cycle (2 bits): bit 0 — offer a stored token at
@@ -32,7 +32,10 @@ class AbstractElasticFifo(Node):
     """
 
     kind = "abstract_fifo"
-    registers_tokens = True
+    #: the store, then the retry registers R+ / R- (offers that must persist)
+    state_slots = {**_TokenStore.state_slots,
+                   "_retry_plus": False, "_retry_minus": False}
+    reset_slots = {"_choice": 0}
 
     def __init__(self, name, init=(), max_occupancy=8):
         super().__init__(name)
@@ -41,30 +44,6 @@ class AbstractElasticFifo(Node):
         self.init_tokens = list(init)
         self.max_occupancy = max_occupancy
         self.reset()
-
-    def reset(self):
-        self._store = {}
-        self._wr = 0
-        self._rd = 0
-        for idx, value in enumerate(self.init_tokens):
-            self._store[idx] = value
-            self._wr = idx + 1
-        self._retry_plus = False    # R+: token offer must persist
-        self._retry_minus = False   # R-: anti-token offer must persist
-        self._choice = 0
-
-    @property
-    def count(self):
-        return self._wr - self._rd
-
-    def contents(self):
-        return [self._store[i] for i in range(self._rd, self._wr)]
-
-    def width_pairs(self):
-        return [("i", "o")]
-
-    def anti_token_paths(self):
-        return [("i", "o")]
 
     # -- nondeterminism -----------------------------------------------------------
 
@@ -116,13 +95,3 @@ class AbstractElasticFifo(Node):
         # Retry registers (Figure 3): R+ <- V+out & S+out, R- <- V-in & S-in
         self._retry_plus = bool(ost.vp and ost.sp)
         self._retry_minus = bool(ist.vm and ist.sm)
-
-    def snapshot(self):
-        return (self.count, tuple(self.contents()),
-                self._retry_plus, self._retry_minus)
-
-    def restore(self, state):
-        count, values, self._retry_plus, self._retry_minus = state
-        self._wr = max(count, 0)
-        self._rd = max(-count, 0)
-        self._store = dict(enumerate(values))

@@ -23,6 +23,9 @@ class EagerFork(Node):
 
     kind = "fork"
     arity_checks = (("n_outputs", "out_ports", 0),)
+    #: per branch: served the current token, then pending kills
+    state_slots = {"_served": lambda n: (False,) * n.n_outputs,
+                   "_kills": lambda n: (0,) * n.n_outputs}
 
     def __init__(self, name, n_outputs=2, max_kills=4):
         super().__init__(name)
@@ -35,17 +38,24 @@ class EagerFork(Node):
             self.add_out(f"o{k}")
         self.reset()
 
-    def reset(self):
-        self._done = [False] * self.n_outputs
-        self._pk = [0] * self.n_outputs
+    # the branch flags and kill counters are stored as mutable lists
+    # (``_done``, ``_pk``); their canonical forms are tuples
 
-    def snapshot(self):
-        return (tuple(self._done), tuple(self._pk))
+    @property
+    def _served(self):
+        return tuple(self._done)
 
-    def restore(self, state):
-        done, pk = state
-        self._done = list(done)
-        self._pk = list(pk)
+    @_served.setter
+    def _served(self, served):
+        self._done = list(served)
+
+    @property
+    def _kills(self):
+        return tuple(self._pk)
+
+    @_kills.setter
+    def _kills(self, kills):
+        self._pk = list(kills)
 
     # -- combinational -----------------------------------------------------------
 

@@ -40,6 +40,9 @@ class Func(Node):
 
     kind = "func"
     arity_checks = (("n_inputs", "in_ports", 0),)
+    #: the snapshot is the tuple of pending kills per input
+    state_slots = {"_kills": lambda n: (0,) * n.n_inputs}
+    bare_slot = True
 
     def __init__(self, name, fn, n_inputs=1, delay=1.0, area_cost=1.0, max_kills=4):
         super().__init__(name)
@@ -55,14 +58,14 @@ class Func(Node):
         self.add_out("o")
         self.reset()
 
-    def reset(self):
-        self._pk = [0] * self.n_inputs   # pending kills per input
-
-    def snapshot(self):
+    @property
+    def _kills(self):
+        """Pending kills per input (stored as the mutable list ``_pk``)."""
         return tuple(self._pk)
 
-    def restore(self, state):
-        self._pk = list(state)
+    @_kills.setter
+    def _kills(self, kills):
+        self._pk = list(kills)
 
     # -- combinational ---------------------------------------------------------
 

@@ -21,9 +21,30 @@ engine's wake-up sets through :meth:`Node.comb_reads`, the compiled
 engine's straight-line order task by task).  What it drives follows from
 port roles (:meth:`Node.drives`).
 
-Nodes also expose :meth:`snapshot` / :meth:`restore` so the explicit-state
-model checker of :mod:`repro.verif` can enumerate the reachable state space,
-and the static descriptors the analytic models and lint rules read:
+Sequential state is declared once per kind, on the class
+(:class:`Stateful`): :attr:`~Stateful.state_slots` maps each attribute the
+snapshot carries, in snapshot order, to its reset value, and
+:attr:`~Stateful.reset_slots` lists what ``reset`` also assigns but the
+snapshot leaves out (seeded random generators, frozen per-cycle choices,
+statistics).  A reset value is a constant or a function of the node, i.e.
+of its constructor parameters (an elastic buffer's ``init_tokens``, a
+source's ``seed``).  :meth:`~Stateful.reset`, :meth:`~Stateful.snapshot`
+and :meth:`~Stateful.restore` are derived from the declaration; the
+snapshot is the tuple of the slots' values.  A slot must hold its
+*canonical* form: an immutable value that is equal exactly when the states
+are.  Where the stored representation is not canonical (a mutable list, a
+pointer pair, a value that only matters while a flag is set), the slot is a
+property of the class that converts: its getter returns the canonical form
+and its setter stores it.  A kind whose state lives in a component returns
+it from :meth:`~Stateful.state_host` (a shared module's scheduler).  The
+netlist assigns and reads the declared slots of all its nodes in one call
+(:meth:`repro.netlist.graph.Netlist.snapshot`), so the explicit-state model
+checker of :mod:`repro.verif` restores a state without a method call per
+node; a subclass that overrides ``snapshot``/``restore`` keeps working and
+is called as before.
+
+Nodes also expose the static descriptors the analytic models and lint
+rules read:
 
 * :meth:`area` and :meth:`timing_arcs` (the node's arcs in the three-plane
   timing graph of :mod:`repro.perf.timing`: data ``D``, forward valid
@@ -52,16 +73,90 @@ VALID = "V"
 BWD = "B"
 
 
+class Stateful:
+    """Sequential state declared once on the class (see the module
+    docstring); ``reset``, ``snapshot`` and ``restore`` derive from it."""
+
+    #: the state the snapshot carries, in snapshot order: ``{attribute:
+    #: reset value}``, each value an immutable constant or a function of
+    #: the object.
+    state_slots = {}
+    #: state ``reset`` also assigns (before :attr:`state_slots`) but the
+    #: snapshot leaves out: ``{attribute: reset value}``.
+    reset_slots = {}
+    #: True when the snapshot is the one declared slot's own (tuple) value
+    #: rather than a one-element tuple holding it: a kind whose whole state
+    #: is one sequence (a function block's pending kills).
+    bare_slot = False
+    # derived per class: every declared slot in reset order, and whether
+    # state_host() is overridden
+    _reset_items = ()
+    _reset_host = False
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if cls.bare_slot and len(cls.state_slots) != 1:
+            raise TypeError(f"{cls.__qualname__}: bare_slot needs exactly "
+                            "one state slot")
+        cls._reset_items = (*cls.reset_slots.items(),
+                            *cls.state_slots.items())
+        cls._reset_host = cls.state_host is not Stateful.state_host
+
+    def state_host(self):
+        """The object whose declared slots are this object's snapshot
+        state: the object itself, or a component that holds it."""
+        return self
+
+    def reset(self):
+        """Assign every declared slot its reset value, then reset the
+        :meth:`state_host` component, if any."""
+        # setattr, not a __dict__ update: materializing the instance dict
+        # would slow every attribute read of the simulation loops
+        for name, value in self._reset_items:
+            setattr(self, name, value(self) if callable(value) else value)
+        if self._reset_host:
+            self.state_host().reset()
+
+    def snapshot(self):
+        """Hashable snapshot of the sequential state: the canonical slot
+        values, in :attr:`state_slots` order.
+
+        Canonical values are nested tuples of ints / bools / strings /
+        ``None``: the model checker's state index stores a canonical
+        ``marshal``-based byte encoding of these (see
+        :mod:`repro.verif.encoding`) instead of the raw tuples; exotic value
+        types force it back to plain tuple keys for the whole state.
+        """
+        host = self.state_host()
+        if host is not self:
+            return host.snapshot()
+        values = tuple([getattr(self, name) for name in self.state_slots])
+        return values[0] if self.bare_slot else values
+
+    def restore(self, state):
+        """Restore a state produced by :meth:`snapshot`."""
+        host = self.state_host()
+        if host is not self:
+            host.restore(state)
+            return
+        if self.bare_slot:
+            state = (state,)
+        for name, value in zip(self.state_slots, state, strict=True):
+            setattr(self, name, value)
+
+
 class PortRole:
     IN = CONSUMER     # node consumes tokens from the channel
     OUT = PRODUCER    # node produces tokens into the channel
 
 
-class Node:
+class Node(Stateful):
     """Abstract elastic node.
 
     Subclasses declare ports by calling :meth:`add_in` / :meth:`add_out` in
-    their constructor, and implement ``comb`` and ``tick``.
+    their constructor, declare their sequential state in
+    :attr:`state_slots` / :attr:`reset_slots` (calling :meth:`reset` once
+    their parameters are set), and implement ``comb`` and ``tick``.
     """
 
     #: short display / serialisation label; subclasses override.  Nothing
@@ -190,9 +285,6 @@ class Node:
 
     # -- simulation interface -------------------------------------------------
 
-    def reset(self):
-        """Reset sequential state.  Default: stateless."""
-
     def pre_cycle(self):
         """Hook called once per cycle, before the combinational fix-point.
 
@@ -209,22 +301,6 @@ class Node:
 
     def tick(self):
         """Clock edge: update sequential state from resolved channels."""
-
-    # -- model checking interface ----------------------------------------------
-
-    def snapshot(self):
-        """Hashable snapshot of the sequential state.
-
-        Prefer nested tuples of ints / bools / strings / ``None``: the
-        model checker's state index stores a canonical ``marshal``-based
-        byte encoding of these (see :mod:`repro.verif.encoding`) instead
-        of the raw tuples; exotic value types force it back to plain
-        tuple keys for the whole state.
-        """
-        return ()
-
-    def restore(self, state):
-        """Restore a state produced by :meth:`snapshot`."""
 
     # -- nondeterminism (environments override) ---------------------------------
 

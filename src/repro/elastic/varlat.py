@@ -46,6 +46,10 @@ class VariableLatencyUnit(Node):
     registers_tokens = True
     #: the two-slot station (head in flight + skid slot)
     capacity = 2
+    #: the snapshot is the station's tuple of pairs
+    state_slots = {"_station": ()}
+    bare_slot = True
+    reset_slots = {"slow_ops": 0, "total_ops": 0}
 
     def __init__(self, name, fn, err_fn, delay=1.0, err_path_delay=1.0,
                  area_cost=1.0):
@@ -59,21 +63,20 @@ class VariableLatencyUnit(Node):
         self.add_out("o")
         self.reset()
 
-    def reset(self):
-        self._q = deque()        # [value, remaining_cycles]
-        self.slow_ops = 0
-        self.total_ops = 0
+    @property
+    def _station(self):
+        """The station as ``(value, remaining cycles)`` pairs, head first
+        (stored as a deque of mutable ``[value, remaining]`` lists)."""
+        return tuple([(v, r) for v, r in self._q])
+
+    @_station.setter
+    def _station(self, pairs):
+        self._q = deque([list(item) for item in pairs])
 
     @property
     def count(self):
         """Tokens currently occupying the two-slot station."""
         return len(self._q)
-
-    def snapshot(self):
-        return tuple((v, r) for v, r in self._q)
-
-    def restore(self, state):
-        self._q = deque([list(item) for item in state])
 
     # -- combinational ---------------------------------------------------------
 

@@ -34,7 +34,12 @@ import time
 import weakref
 
 from repro.errors import LintError
-from repro.lint.audit import SensitivityAudit, audit_netlist, audit_node
+from repro.lint.audit import (
+    SensitivityAudit,
+    audit_netlist,
+    audit_node,
+    undeclared_state,
+)
 from repro.lint.diagnostics import (
     CODES,
     Diagnostic,
@@ -150,4 +155,5 @@ __all__ = [
     "resolve_rules",
     "run_lint",
     "severity_of",
+    "undeclared_state",
 ]

@@ -25,12 +25,21 @@ most reads happen on attribute *access* regardless of the assigned value
 — coverage is mainly a function of the node's sequential state (a full
 vs. empty ZBL buffer takes different branches), which is why
 :func:`audit_node` accepts a list of state snapshots to audit under.
+
+The second contract audited here is the state declaration: the netlist
+snapshot carries exactly the slots a node class declares (see
+:mod:`repro.elastic.node`), so a private attribute its ``reset`` or
+``tick`` assigns outside them is state the model checker silently drops.
+:func:`undeclared_state` finds those statically.
 """
 
 from __future__ import annotations
 
+import ast
 import copy
+import inspect
 import random
+import textwrap
 import zlib
 from dataclasses import dataclass, field
 
@@ -264,3 +273,50 @@ def audit_netlist(netlist, trials=32, seed=0, data_pool=(0, 1, 2, 3)):
         audits.append(audit_node(node, trials=trials, seed=node_seed,
                                  data_pool=data_pool, clone=False))
     return audits
+
+
+# -- declared state -------------------------------------------------------------
+
+
+def _assigned_attributes(fn):
+    """Attributes of its first parameter (``self``) that function ``fn``
+    assigns, augmented or unpacked included; empty when the source is not
+    available."""
+    try:
+        tree = ast.parse(textwrap.dedent(inspect.getsource(fn)))
+    except (OSError, TypeError, SyntaxError):
+        return set()
+    func = next(node for node in ast.walk(tree)
+                if isinstance(node, (ast.FunctionDef, ast.Lambda)))
+    if not func.args.args:
+        return set()
+    owner = func.args.args[0].arg
+    return {node.attr for node in ast.walk(func)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Store)
+            and isinstance(node.value, ast.Name) and node.value.id == owner}
+
+
+def undeclared_state(cls):
+    """Private attributes (``self._x``) that the ``reset`` or ``tick`` of
+    node class ``cls`` assigns but no declared slot covers, sorted: state
+    its snapshot would drop.  Declared are the keys of ``state_slots`` and
+    ``reset_slots`` and what the setter of a property slot stores.  A
+    class that overrides ``snapshot``/``restore`` states its own state and
+    is not flagged."""
+    from repro.elastic.node import Stateful
+
+    if (cls.snapshot is not Stateful.snapshot
+            or cls.restore is not Stateful.restore):
+        return []
+    declared = set(cls.state_slots) | set(cls.reset_slots)
+    for name in cls.state_slots:
+        view = inspect.getattr_static(cls, name, None)
+        if isinstance(view, property) and view.fset is not None:
+            declared |= _assigned_attributes(view.fset)
+    assigned = set()
+    for method in (cls.reset, cls.tick):
+        if method is not Stateful.reset:
+            assigned |= _assigned_attributes(method)
+    return sorted(name for name in assigned - declared
+                  if name.startswith("_"))

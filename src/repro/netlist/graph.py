@@ -20,12 +20,16 @@ rebuilt from a clone per transform — see
 State-copy semantics (three distinct tools):
 
 * :meth:`clone` — a fully independent deep copy: structure *and* sequential
-  state, fresh node/channel objects, no subscribers.  Use for detached
-  working copies (the rebuild-per-measurement path, sweep workers).
+  state, fresh node/channel objects, no subscribers.  Kept only for callers
+  that must keep their original (an equivalence check against a transformed
+  copy, the sensitivity audit, a transformation session's working copy); no
+  hot path clones — a measurement runs on the netlist it is given.
 * :meth:`snapshot` / :meth:`restore` — *sequential state only*, on the same
-  object graph (hashable, used by the model checker and to rewind dynamic
-  state across transforms).  Structure is not captured: restoring a
-  snapshot after a structural edit that removed one of its nodes raises.
+  object graph: one flat hashable tuple of every node's declared state
+  slots (see :mod:`repro.elastic.node`), used by the model checker and to
+  rewind dynamic state.  Structure is not captured and node names do not
+  ride along: a snapshot restores only onto the structure it was taken
+  from.
 * the edit log — *structure only*: replaying inverse edits rewinds wiring
   but leaves each surviving node's sequential state as it is now.
 """
@@ -33,9 +37,11 @@ State-copy semantics (three distinct tools):
 from __future__ import annotations
 
 import copy
+import functools
+import keyword
 
 from repro.elastic.channel import Channel, CONSUMER, PRODUCER
-from repro.elastic.node import Node, PortRole
+from repro.elastic.node import Node, PortRole, Stateful
 from repro.errors import NetlistError
 from repro.netlist.edits import ADD_NODE, CONNECT, DISCONNECT, REMOVE_NODE, NetlistEdit
 
@@ -51,7 +57,7 @@ class Netlist:
         #: add / remove / connect / disconnect (never by state changes).
         self.version = 0
         self._subscribers = []
-        self._snapshot_order = None   # version-keyed sorted-node cache
+        self._state_access = None   # version-keyed snapshot/restore pair
 
     def __repr__(self):
         return f"Netlist({self.name!r}, {len(self.nodes)} nodes, {len(self.channels)} channels)"
@@ -81,11 +87,11 @@ class Netlist:
     def __getstate__(self):
         # Subscribers are live observers of *this* object (simulators,
         # sessions); a deep copy or pickled worker payload must not drag
-        # them along — clones start unobserved.  The snapshot-order cache
-        # is rebuilt on demand rather than serialized.
+        # them along — clones start unobserved.  The state accessor is
+        # bound to this object's nodes, so it is rebuilt on demand.
         state = self.__dict__.copy()
         state["_subscribers"] = []
-        state["_snapshot_order"] = None
+        state["_state_access"] = None
         return state
 
     # -- construction -----------------------------------------------------------
@@ -192,7 +198,11 @@ class Netlist:
         fully independent object graph.  Subscribers are not copied (a
         clone starts unobserved) and the structural :attr:`version` is
         carried over.  Contrast :meth:`snapshot`/:meth:`restore`, which
-        capture only sequential state on the *same* object graph."""
+        capture only sequential state on the *same* object graph.
+
+        Kept only for callers that must keep their original, off the hot
+        paths: measurements, sweeps and the explorer run on the netlist
+        they are given."""
         return copy.deepcopy(self)
 
     # -- queries --------------------------------------------------------------------
@@ -237,39 +247,86 @@ class Netlist:
             channel.clear_cycle()
 
     def snapshot(self):
-        """Hashable capture of every node's *sequential* state (structure
-        and wiring are not recorded — see the module docstring for the
-        clone / snapshot / edit-log contrast).
-
-        The sorted node order is cached per structural :attr:`version` —
-        the model checker snapshots once per explored transition, and
-        re-sorting an unchanged netlist dominated that hot path.
-        """
-        cached = self._snapshot_order
-        if cached is None or cached[0] != self.version:
-            cached = (self.version, [
-                (name, node.snapshot, node.restore)
-                for name, node in sorted(self.nodes.items())
-            ])
-            self._snapshot_order = cached
-        return tuple([(name, snap()) for name, snap, _restore in cached[1]])
+        """Hashable capture of every node's *sequential* state: one flat
+        tuple, in sorted node order, of each node's declared slot values
+        (one element per slot; one element for a node that overrides
+        ``snapshot``).  Structure, wiring and node names are not recorded —
+        see the module docstring for the clone / snapshot / edit-log
+        contrast."""
+        access = self._state_access
+        if access is None or access[0] != self.version:
+            access = self._bind_state_access()
+        return access[1]()
 
     def restore(self, state):
-        """Restore a :meth:`snapshot` onto the same structure; raises
-        ``KeyError`` if a snapshotted node has since been removed."""
-        cached = self._snapshot_order
-        if (cached is not None and cached[0] == self.version
-                and len(cached[1]) == len(state)):
-            # Fast path: a snapshot of this very structure restores through
-            # the cached bound methods, skipping the per-node dict lookups.
-            # Any name mismatch falls back (node.restore is idempotent, so
-            # a partially applied fast pass is simply re-applied below).
-            for (name, _snap, restore), (snap_name, node_state) in zip(
-                    cached[1], state):
-                if name != snap_name:
-                    break
-                restore(node_state)
-            else:
-                return
-        for name, node_state in state:
-            self.nodes[name].restore(node_state)
+        """Restore a :meth:`snapshot` onto the structure it was taken from
+        (a state of another length raises ``ValueError``)."""
+        access = self._state_access
+        if access is None or access[0] != self.version:
+            access = self._bind_state_access()
+        access[2](state)
+
+    def _bind_state_access(self):
+        """Bind the ``(snapshot, restore)`` accessor to the current nodes;
+        kept per structural :attr:`version`, since the model checker
+        snapshots and restores once per explored transition."""
+        self._state_access = (self.version,) + _state_accessor(
+            [node for _name, node in sorted(self.nodes.items())])
+        return self._state_access
+
+
+def _state_accessor(nodes):
+    """``(snapshot, restore)`` for ``nodes``: every declared slot is read
+    and assigned as an attribute of its holder (a property slot converts
+    through its getter and setter); a node or holder that overrides
+    ``snapshot``/``restore`` is called instead."""
+    hosts, layout = [], []
+    for node in nodes:
+        host = node.state_host()
+        slots = _slot_layout(type(node), type(host))
+        hosts.append(node if slots is None else host)
+        layout.append(slots)
+    return _accessor_factory(tuple(layout))(*hosts)
+
+
+@functools.lru_cache(maxsize=None)
+def _slot_layout(node_cls, host_cls):
+    """A node's entry in the state layout: its holder's slot names, or
+    ``None`` when the node or its holder keeps its own snapshot."""
+    for cls in (node_cls, host_cls):
+        if (cls.snapshot is not Stateful.snapshot
+                or cls.restore is not Stateful.restore):
+            return None
+    return tuple(host_cls.state_slots)
+
+
+@functools.lru_cache(maxsize=64)
+def _accessor_factory(layout):
+    """Compile the accessor factory of one state layout (per node, its
+    slot names, or ``None`` for a node that keeps its own snapshot): every
+    netlist of that shape shares the compiled code."""
+    reads, targets, calls = [], [], []
+    for i, slots in enumerate(layout):
+        ref = f"n{i}"
+        if slots is None:
+            reads.append(f"{ref}.snapshot()")
+            targets.append(f"s{i}")
+            calls.append(f"        {ref}.restore(s{i})")
+            continue
+        for slot in slots:
+            if not slot.isidentifier() or keyword.iskeyword(slot):
+                raise TypeError(f"state slot {slot!r} is not an attribute "
+                                "name")
+            reads.append(f"{ref}.{slot}")
+            targets.append(f"{ref}.{slot}")
+    lines = [f"def make({', '.join(f'n{i}' for i in range(len(layout)))}):",
+             "    def snapshot():",
+             "        return (" + "".join(r + ", " for r in reads) + ")",
+             "    def restore(state):",
+             "        " + "".join(t + ", " for t in targets) + "= state"
+             if targets else "        () = state",
+             *calls,
+             "    return snapshot, restore"]
+    env = {}
+    exec(compile("\n".join(lines) + "\n", "<netlist state>", "exec"), env)
+    return env["make"]

@@ -80,7 +80,9 @@ def performance_report(netlist, tech=None, sim_channel=None, cycles=2000,
 
     Throughput comes from marked-graph analysis when the design is plain
     elastic, or from simulation on ``sim_channel`` when given (mandatory for
-    speculative designs).
+    speculative designs).  The simulation runs on ``netlist`` itself, after
+    the static figures are taken (the owner contract of
+    :func:`~repro.perf.throughput.measure_throughput`).
     """
     report = static_report(netlist, tech=tech, name=name)
     if sim_channel is not None:

@@ -42,6 +42,17 @@ def measure_throughput(netlist, channel, cycles=2000, warmup=100,
                        reuse_simulator=None):
     """Run the design and report transfers/cycle on ``channel``.
 
+    Owner contract: the measurement runs on ``netlist`` itself, not on a
+    copy.  A fresh :class:`Simulator` takes ownership of it and resets its
+    sequential state first (every seeded environment reseeds in
+    ``reset``), so back-to-back measurements of one netlist agree with
+    each other and with a measurement of a clone taken beforehand.
+    Afterwards the netlist holds the state the run ended in, and any
+    simulator built on it earlier is superseded (stepping it raises).  A
+    caller that must keep its original state or simulator measures a
+    copy (:meth:`~repro.netlist.graph.Netlist.clone`) instead; sweeps, reports and ``repro serve``
+    measure a netlist they built for this one measurement.
+
     When ``tech`` is given, the static cycle time is attached and the
     *effective cycle time* (clock period / throughput — average time per
     transfer) is derived; that is the figure of merit of Section 5.1
@@ -51,8 +62,7 @@ def measure_throughput(netlist, channel, cycles=2000, warmup=100,
     measure exploration: pass a live :class:`Simulator` that owns
     ``netlist`` (typically :meth:`Session.simulator`, kept current across
     transformations by following the edit log) and the measurement
-    resets it and runs *in place* — no netlist clone, no simulator
-    rebuild.  The netlist's sequential state is reset exactly as a fresh
+    resets it and runs *in place* — no simulator rebuild.  The netlist's sequential state is reset exactly as a fresh
     construction would, so the measured figures match the rebuild path
     *provided every node's* ``reset()`` *replays deterministically* —
     sources whose stream closures share one RNG across calls (the default
@@ -81,8 +91,7 @@ def measure_throughput(netlist, channel, cycles=2000, warmup=100,
             for observer in added:
                 sim.observers.remove(observer)
     else:
-        working = netlist.clone()
-        sim = Simulator(working, check_protocol=check_protocol,
+        sim = Simulator(netlist, check_protocol=check_protocol,
                         observers=list(observers))
         sim.run(warmup)
         base = sim.stats.transfers[channel]

@@ -18,7 +18,7 @@ properties from their on-disk progress records:
 File format (version 1)::
 
     repro-checkpoint 1\\n
-    <kind>\\n            e.g. "sweep" or "explore"
+    <kind>\\n            e.g. "sweep" or "explore-v2"
     <codec>\\n           "json" or "pickle"
     <key>\\n             hex content-address of the producing job
     <sha256>\\n          hex digest of the body bytes
@@ -157,9 +157,11 @@ def save_checkpoint(path, kind, key, body, codec="json"):
     return atomic_write_bytes(path, header + data)
 
 
-def load_checkpoint(path, kind, key):
+def load_checkpoint(path, kind, key, stale_kinds=()):
     """Load and verify a checkpoint; returns the body, or ``None`` when no
-    file exists at ``path`` (a fresh start, not an error).
+    file exists at ``path`` or the file is of a kind in ``stale_kinds``
+    (an older format of the same job's checkpoints, which cannot resume:
+    a fresh start, not an error).
 
     Raises :class:`~repro.errors.CheckpointError` on a bad magic header,
     unknown codec, checksum mismatch (truncation / corruption), body
@@ -185,6 +187,8 @@ def load_checkpoint(path, kind, key):
         raise CheckpointError(
             f"{path}: checksum mismatch (truncated or corrupted checkpoint)"
         )
+    if file_kind in stale_kinds:
+        return None
     if file_kind != str(kind):
         raise CheckpointError(
             f"{path}: checkpoint kind {file_kind!r} does not match "

@@ -52,8 +52,10 @@ JOB_KINDS = {
     "chaos": ("cycles", "iterations"),
 }
 
-#: Bumped whenever an unchanged key would name a different result.
-_KEY_FORMAT = "serve-v2"
+#: Bumped whenever an unchanged key would name a different result (v3:
+#: the design material's ``Netlist.snapshot()`` became one flat tuple
+#: without node names).
+_KEY_FORMAT = "serve-v3"
 
 
 def validate_job(spec):

@@ -27,10 +27,10 @@ The resulting keys are *hash-consed* by the index dict itself: the one
 interned ``bytes`` object is all that stays resident per state key, and
 every re-visit hashes a flat byte string instead of walking tuples.
 
-Keys are only comparable within one exploration of one netlist — the
-codec deliberately strips the static channel names (the snapshot's node
-names ride along; dropping them with a Python-level pass would cost more
-than marshal's C writer spends on them).
+Keys are only comparable within one exploration of one netlist: neither
+channel nor node names ride along.  The packed signals are positional in
+channel order, and :meth:`Netlist.snapshot` is one flat tuple of declared
+slot values in sorted node order, so a key is pure state.
 
 A snapshot containing a value marshal cannot serialize (an arbitrary
 Python object as a data token, say) makes :meth:`StateCodec.encode` return

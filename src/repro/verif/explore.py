@@ -47,7 +47,9 @@ written atomically (temp file + ``os.replace``, SHA-256 checksum) every
 netlist's structure, initial snapshot, ``max_states`` and
 ``check_protocol``, so a checkpoint of a *different* design (or a
 truncated / bit-rotted file) is a loud
-:class:`~repro.errors.CheckpointError`, never silently loaded.  On
+:class:`~repro.errors.CheckpointError`, never silently loaded; a checkpoint
+of an older state format is not resumed, and the exploration starts
+afresh.  On
 :class:`KeyboardInterrupt` the explorer rolls back to the last boundary,
 flushes it, and re-raises; a resumed run replays the identical BFS from
 ``k`` — same state indices, transition list, violations and verdicts as
@@ -77,6 +79,12 @@ from repro.verif.properties import (
     check_retry_packed,
     retry_exempt_channels,
 )
+
+#: checkpoint kind and key tag; it changes with the stored state shape
+#: (v2: flat snapshots without node names).  A checkpoint of an older
+#: format (kind ``"explore"``) cannot resume: exploration starts fresh.
+_CHECKPOINT_FORMAT = "explore-v2"
+_STALE_FORMATS = ("explore",)
 
 
 @dataclass
@@ -314,7 +322,7 @@ class StateExplorer:
         checkpoints interchange."""
         try:
             return content_key((
-                "explore-v1",
+                _CHECKPOINT_FORMAT,
                 self.netlist.name,
                 tuple(self._channel_names),
                 tuple((name, type(node).__name__)
@@ -336,7 +344,8 @@ class StateExplorer:
         resumed run dedups exactly as the uninterrupted run did."""
         if self.checkpoint is None:
             return 0
-        body = load_checkpoint(self.checkpoint, "explore", self._ckpt_key)
+        body = load_checkpoint(self.checkpoint, _CHECKPOINT_FORMAT,
+                               self._ckpt_key, stale_kinds=_STALE_FORMATS)
         if body is None:
             return 0
         result.states[:] = body["states"]
@@ -393,7 +402,7 @@ class StateExplorer:
         result.complete = complete
         if self.checkpoint is None:
             return
-        save_checkpoint(self.checkpoint, "explore", self._ckpt_key, {
+        save_checkpoint(self.checkpoint, _CHECKPOINT_FORMAT, self._ckpt_key, {
             "states": result.states,
             "transitions": result.transitions,
             "violations": result.violations,

@@ -405,7 +405,11 @@ class TestWarmMeasurementParity:
         session = Session(net)
         session.insert_bubble("c0")
         warm = session.measure("out", cycles=120, warmup=20)
-        cold = measure_throughput(session.netlist, "out", cycles=120, warmup=20)
+        # measure_throughput owns the netlist it is given: the cold
+        # measurement takes its own copy, leaving the session's warm
+        # simulator in charge of session.netlist
+        cold = measure_throughput(session.netlist.clone(), "out", cycles=120,
+                                  warmup=20)
         assert warm.transfers == cold.transfers
         assert warm.throughput == cold.throughput
         # repeat measurements on the warm simulator are reproducible
