@@ -12,15 +12,20 @@ Besides the human-readable tables, the head-to-head writes
 ``results/BENCH_engine.json`` so future PRs can track the perf trajectory
 machine-readably: ``PAIRS`` worklist/codegen pairs per workload,
 alternating which engine goes first, with every run, the median rates and
-the median codegen speedup with its quartiles.
+the median codegen speedup with its quartiles.  Each run also appends its
+medians, quartiles and environment to the file's ``history`` list, so a
+re-run adds to the trajectory instead of replacing it.
 
 Run:  PYTHONPATH=src python -m pytest -q benchmarks/bench_engine.py
 """
 
+import json
+import os
+import platform
 import statistics
 import time
 
-from conftest import merge_json, write_result
+from conftest import RESULTS_DIR, merge_json, write_result
 
 from repro.core.scheduler import ToggleScheduler
 from repro.core.shared import SharedModule
@@ -31,6 +36,9 @@ from repro.sim.engine import Simulator
 
 PIPELINE_STAGES = 12
 PAIRS = 5            # worklist/codegen pairs per workload, alternating the first
+#: the fields of a run kept in ``BENCH_engine.json``'s ``history``
+HISTORY_KEYS = ("pairs", "cycles_per_second", "codegen_speedup",
+                "codegen_speedup_q1", "codegen_speedup_q3")
 
 
 def simulate_fig1d(cycles=500, engine=None):
@@ -103,6 +111,23 @@ def test_transformation_speed(benchmark):
     assert benchmark.stats["mean"] < 0.1      # "very fast to compute"
 
 
+def _history(payload):
+    """``BENCH_engine.json``'s recorded runs with this one appended; a file
+    written before the history existed contributes its last run first."""
+    path = os.path.join(RESULTS_DIR, "BENCH_engine.json")
+    old = {}
+    if os.path.exists(path):
+        with open(path) as fh:
+            old = json.load(fh)
+    history = old.get("history")
+    if history is None:
+        history = [{k: old[k] for k in HISTORY_KEYS if k in old}] if old else []
+    entry = {k: payload[k] for k in HISTORY_KEYS}
+    entry["environment"] = {"python": platform.python_version(),
+                            "cpus": os.cpu_count()}
+    return history + [entry]
+
+
 def test_worklist_vs_codegen():
     """Head-to-head in one run: the worklist engine vs the compiled
     codegen engine, as ``PAIRS`` alternating pairs per workload.  The
@@ -141,6 +166,7 @@ def test_worklist_vs_codegen():
         "transform_seconds": transform_seconds,
         "pipeline_stages": PIPELINE_STAGES,
     }
+    payload["history"] = _history(payload)
     merge_json("BENCH_engine.json", payload)
     lines = [f"engine comparison (cycles/second, median of {PAIRS} "
              "alternating pairs):"]

@@ -4,9 +4,9 @@ The interpreted worklist engine pays Python dispatch per node
 evaluation: bound-method calls into ``comb()``, attribute loads on
 :class:`~repro.elastic.channel.ChannelState`, the monotone
 ``state.set`` funnel, then separate passes for the protocol monitor,
-event resolution, statistics and ticks.  This module removes all of it by
-**elaboration**: given a netlist, it emits one specialized Python module
-per *topology* in which
+statistics and ticks.  This module removes all of it by **elaboration**:
+given a netlist, it emits one specialized Python module per *topology*
+in which
 
 * every node's ``comb`` becomes **straight-line code** — each kind's
   kernel is split into signal tasks, inlined by a per-kind emitter and
@@ -14,11 +14,13 @@ per *topology* in which
 * channel signals live in **flat local variables**
   (``v3``/``p3``/``a3``/``m3``/``d3`` for ``vp``/``sp``/``vm``/``sm``/
   ``data`` of channel slot 3) instead of ``ChannelState`` objects;
-* protocol monitoring, event resolution, statistics, observers and the
-  core ``tick`` kernels are inlined into the same generated function, so
-  a cycle is one Python call (the shared module, mux and
-  variable-latency unit keep their interpreted ``tick``, which reads the
-  flushed channel states).
+* protocol monitoring, statistics, observers and the ``tick`` kernel of
+  every kind — the shared module's scheduler feedback, the mux's kill
+  counters and the variable-latency station included — are inlined into
+  the same generated function, so a cycle is one Python call.  A plain
+  step counts statistics straight from the locals and builds no
+  :class:`~repro.elastic.channel.ChannelEvents`; only a model-checking
+  step (``choices`` given) resolves the events dict it returns.
 
 Compilation is **all or nothing**.  Every kind of the paper's designs has
 an emitter — buffers, joins, forks, environments (including the
@@ -39,13 +41,14 @@ mux hands the cycle to :meth:`CodegenBackend.diagnose_unknown`, which
 re-runs it interpreted and raises the worklist engine's diagnosis.
 
 The locals are flushed back into the ``ChannelState`` objects every cycle
-(before the monitor/event phases), so everything that inspects channel
+(before the monitor/statistics phases), and each channel's memoized
+events are dropped with that flush, so everything that inspects channel
 state between cycles — observers, ``Channel.events()``, the model
-checker's packed-signal reader, interpreted ``tick`` methods — sees
-exactly what the worklist engine would produce.  The differential suite
-(``tests/test_codegen_diff.py``) pins the engine bit-identical to the
-worklist engine, including protocol violations and combinational-loop
-diagnoses.
+checker's packed-signal reader, the ``tick`` of a subclass that
+overrides it — sees exactly what the worklist engine would produce.  The
+differential suite (``tests/test_codegen_diff.py``) pins the engine
+bit-identical to the worklist engine, including protocol violations and
+combinational-loop diagnoses.
 
 Caching and staleness
 ---------------------
@@ -92,6 +95,7 @@ import hashlib
 from collections import OrderedDict, deque
 from functools import partial
 
+from repro.core.scheduler import SchedulerFeedback
 from repro.core.shared import SharedModule
 from repro.elastic.buffers import ElasticBuffer, ZeroBackwardLatencyBuffer
 from repro.elastic.channel import (
@@ -345,7 +349,8 @@ def _tick_eb(g, ni, node, out):
     ovp, osp, ovm, osm = (g.sig(node, "o", s) for s in _CONTROLS)
     out += [
         f"if {ivp} and not {isp}:",
-        f"    {n}._store[{n}._wr] = {g.sig(node, 'i', 'data')}",
+        f"    if {n}._wr >= {n}._rd:",
+        f"        {n}._store[{n}._wr] = {g.sig(node, 'i', 'data')}",
         f"    {n}._wr += 1",
         f"elif {ivm} and not {ism}:",
         f"    {n}._wr += 1",
@@ -612,6 +617,34 @@ def _eemux_svm(g, ni, node, out):
     out.append(f"{g.sig(node, 's', 'vm')} = False")
 
 
+def _tick_eemux(g, ni, node, out):
+    n = g.node_ref(ni)
+    svp, ssp = g.sig(node, "s", "vp"), g.sig(node, "s", "sp")
+    ovp, ovm, osm = (g.sig(node, "o", s) for s in ("vp", "vm", "sm"))
+    msg = f"EarlyEvalMux {node.name}: kill counter out of range"
+    out += [
+        f"_fi = {svp} and not {ssp}",
+        f"_pk = {n}._pk",
+        f"if _fi and {n}._pko > 0:",
+        f"    {n}._pko -= 1",
+    ]
+    for j in range(node.n_inputs):
+        p = f"i{j}"
+        vp, vm, sm = (g.sig(node, p, s) for s in ("vp", "vm", "sm"))
+        out += [
+            f"if {vm} and ({vp} or not {sm}):",
+            f"    _pk[{j}] -= 1",
+            f"if _fi and {g.sig(node, 's', 'data')} != {j}:",
+            f"    _pk[{j}] += 1",
+            f"if _pk[{j}] < 0 or _pk[{j}] > {n}.max_kills:",
+            f"    raise AssertionError({msg!r})",
+        ]
+    out += [
+        f"if {ovm} and not {osm} and not {ovp}:",
+        f"    {n}._pko += 1",
+    ]
+
+
 def _shared_fwd(g, ni, node, out, j=0):
     n = g.node_ref(ni)
     ivp, odata = g.sig(node, f"i{j}", "vp"), g.sig(node, f"o{j}", "data")
@@ -644,6 +677,36 @@ def _shared_isp(g, ni, node, out, j=0):
     )
 
 
+def _tick_shared(g, ni, node, out):
+    """The scheduler's feedback, built from the locals exactly as
+    ``SharedModule.tick`` builds it from the flushed channel states."""
+    n = g.node_ref(ni)
+    g.bind["SchedulerFeedback"] = 'env["SchedulerFeedback"]'
+    k = node.n_channels
+    out += [f"_g = {n}.scheduler.prediction()", "_gr = None", "_kl = ()",
+            "_va = ()"]
+    stalls = []
+    for j in range(k):
+        vp, sp, vm, sm = (g.sig(node, f"o{j}", s) for s in _CONTROLS)
+        out += [
+            f"if {vp} and not {sp} and not {vm}:",
+            f"    _gr = {j}",
+            f"if {vm} and ({vp} or not {sm}):",
+            f"    _kl += ({j},)",
+            f"if {g.sig(node, f'i{j}', 'vp')}:",
+            f"    _va += ({j},)",
+        ]
+        stalls.append(f"{vp} and {sp} and not {vm}")
+    out += [
+        f"_st = bool(({', '.join(stalls)})[_g])",
+        "if _gr is not None:",
+        f"    {n}.grants += 1",
+        "if _st:",
+        f"    {n}.mispredicts += 1",
+        f"{n}.scheduler.observe(SchedulerFeedback(_g, _gr, _kl, _st, _va))",
+    ]
+
+
 def _comb_varlat(g, ni, node, out):
     n = g.node_ref(ni)
     out += [
@@ -655,6 +718,25 @@ def _comb_varlat(g, ni, node, out):
         f"{g.sig(node, 'o', 'sm')} = not _hr",
         f"{g.sig(node, 'i', 'sp')} = len(_vq) >= 2",
         f"{g.sig(node, 'i', 'vm')} = False",
+    ]
+
+
+def _tick_varlat(g, ni, node, out):
+    n = g.node_ref(ni)
+    idata = g.sig(node, "i", "data")
+    ivp, isp, ivm = (g.sig(node, "i", s) for s in ("vp", "sp", "vm"))
+    out += [
+        f"_vq = {n}._q",
+        f"if {g.sig(node, 'o', 'vp')} and not {g.sig(node, 'o', 'sp')}:",
+        "    _vq.popleft()",
+        "elif _vq and _vq[0][1] > 0:",
+        "    _vq[0][1] -= 1",
+        f"if {ivp} and not {isp} and not {ivm}:",
+        f"    _sw = bool({n}.err_fn({idata}))",
+        f"    _vq.append([{n}.fn({idata}), 1 if _sw else 0])",
+        f"    {n}.total_ops += 1",
+        "    if _sw:",
+        f"        {n}.slow_ops += 1",
     ]
 
 
@@ -685,6 +767,9 @@ _TICK_EMITTERS = {
     ZeroBackwardLatencyBuffer: _tick_zbl,
     Func: _tick_func,
     EagerFork: _tick_fork,
+    EarlyEvalMux: _tick_eemux,
+    SharedModule: _tick_shared,
+    VariableLatencyUnit: _tick_varlat,
     _SourceBase: _tick_source,
     Sink: _tick_sink,
     KillerSink: _tick_killer_sink,
@@ -843,7 +928,7 @@ class _Gen:
             self.covered.add((self.plan.port_channel[(node.name, port)], signal))
 
 
-def _chunk_chain(targets, value, size=8):
+def _chunk_chain(targets, value, size=10):
     """`a = b = ... = value` statements in chunks of ``size`` targets."""
     lines = []
     for i in range(0, len(targets), size):
@@ -851,32 +936,35 @@ def _chunk_chain(targets, value, size=8):
     return lines
 
 
-def _events_block(g, ci, name, cache_lhs, counters=None):
-    """The inlined per-channel event resolution (exact mirror of
-    ``Channel._compute_events`` + ``ChannelStats.observe``)."""
-    vp, sp, vm, sm, da = (g.csig(ci, s) for s in ("vp", "sp", "vm", "sm", "data"))
-    key = repr(name)
+#: a channel cycle's outcome -> the statistics counter it bumps (a bound
+#: default of the cycle function) and the event it resolves to.
+_OUTCOMES = {
+    "cancels": ("_ca", "EV_CANCEL"),
+    "transfers": ("_tr", "ChannelEvents(True, False, False, {data})"),
+    "stalls": ("_sl", "EV_IDLE"),
+    "backwards": ("_ba", "EV_BACKWARD"),
+    "idles": ("_il", "EV_IDLE"),
+}
 
-    def ev(kind, expr):
-        lines = [f"{cache_lhs} = {expr}"]
-        if counters is not None:
-            lines.append(f"{counters[kind]}[{key}] += 1")
-        return lines
 
-    out = []
-    out.append(f"if {vp}:")
-    out.append(f"    if {vm}:")
-    out += ["        " + ln for ln in ev("cancels", "EV_CANCEL")]
-    out.append(f"    elif not {sp}:")
-    out += ["        " + ln for ln in
-            ev("transfers", f"ChannelEvents(True, False, False, {da})")]
-    out.append("    else:")
-    out += ["        " + ln for ln in ev("stalls", "EV_IDLE")]
-    out.append(f"elif {vm} and not {sm}:")
-    out += ["    " + ln for ln in ev("backwards", "EV_BACKWARD")]
-    out.append("else:")
-    out += ["    " + ln for ln in ev("idles", "EV_IDLE")]
-    return out
+def _outcome_block(g, ci, action):
+    """The inlined classification of channel ``ci``'s cycle (exact mirror
+    of ``Channel._compute_events`` and ``ChannelStats.observe``), with
+    ``action(outcome)`` the one statement of each branch."""
+    vp, sp, vm, sm = (g.csig(ci, s) for s in _CONTROLS)
+    return [
+        f"if {vp}:",
+        f"    if {vm}:",
+        f"        {action('cancels')}",
+        f"    elif not {sp}:",
+        f"        {action('transfers')}",
+        "    else:",
+        f"        {action('stalls')}",
+        f"elif {vm} and not {sm}:",
+        f"    {action('backwards')}",
+        "else:",
+        f"    {action('idles')}",
+    ]
 
 
 def _generate_source(netlist, check_protocol, content_hash):
@@ -914,13 +1002,10 @@ def _generate_source(netlist, check_protocol, content_hash):
         g.bind[name] = f"_nodes[{ni}].pre_cycle"
         body.append(f"{name}()")
 
-    # -- clear: every channel's signals are fresh locals, its events cache
-    # -- invalidated ----------------------------------------------------------
+    # -- clear: every channel's signals are fresh locals ---------------------
     locals_ = [f"{_LOC[s]}{ci}" for ci in range(len(channels))
                for s in ("vp", "sp", "vm", "sm", "data")]
-    body += _chunk_chain(locals_, "None", size=10)
-    body += _chunk_chain([f"{g.chan_ref(ci)}.events_cache"
-                          for ci in range(len(channels))], "None", size=8)
+    body += _chunk_chain(locals_, "None")
 
     # -- straight-line region, in scheduled signal-task order ---------------
     for ni, reads, writes, emit in plan.task_order:
@@ -929,13 +1014,16 @@ def _generate_source(netlist, check_protocol, content_hash):
         emit(g, ni, node, body)
         g.cover(node, [(p, s) for p, s in writes if s != "data"])
 
-    # -- flush locals into the ChannelState objects (observers, interpreted
-    # -- ticks, the model checker's packed reader and Channel.events() all
-    # -- read them between phases / cycles) ---------------------------------
+    # -- flush locals into the ChannelState objects (observers, the model
+    # -- checker's packed reader and Channel.events() read them between
+    # -- phases / cycles) and drop any events memoized from the previous
+    # -- cycle's signals ----------------------------------------------------
     for ci in range(len(channels)):
         st = g.state_ref(ci)
         body.append("; ".join(
-            f"{st}.{s} = {_LOC[s]}{ci}" for s in ("vp", "sp", "vm", "sm", "data")
+            [f"{st}.{s} = {_LOC[s]}{ci}"
+             for s in ("vp", "sp", "vm", "sm", "data")]
+            + [f"{g.chan_ref(ci)}.events_cache = None"]
         ))
 
     # -- resolution check (combinational-loop diagnosis) --------------------
@@ -978,14 +1066,12 @@ def _generate_source(netlist, check_protocol, content_hash):
                 ]
             body.append(f"_mp[{key}] = ({vp}, {sp}, {vm}, {sm}, {da})")
 
-    # -- events + statistics (step) / events dict (step_with_choices) -------
+    # -- statistics (step) / events dict (step_with_choices) ---------------
     body.append("if choices is None:")
-    counters = {"transfers": "_tr", "cancels": "_ca", "backwards": "_ba",
-                "stalls": "_sl", "idles": "_il"}
     for ci, ch in enumerate(channels):
-        cache = f"{g.chan_ref(ci)}.events_cache"
-        body += ["    " + ln
-                 for ln in _events_block(g, ci, ch.name, cache, counters=counters)]
+        key = repr(ch.name)
+        body += ["    " + ln for ln in _outcome_block(
+            g, ci, lambda o: f"{_OUTCOMES[o][0]}[{key}] += 1")]
     body += [
         "    _stats.cycles += 1",
         "    for _ob in _sim.observers:",
@@ -994,11 +1080,10 @@ def _generate_source(netlist, check_protocol, content_hash):
         "    _evd = {}",
     ]
     for ci, ch in enumerate(channels):
-        key = repr(ch.name)
-        block = _events_block(g, ci, ch.name, "_e")
-        body += ["    " + ln for ln in block]
-        body += [f"    {g.chan_ref(ci)}.events_cache = _e",
-                 f"    _evd[{key}] = _e"]
+        data = g.csig(ci, "data")
+        body += ["    " + ln for ln in _outcome_block(
+            g, ci, lambda o: "_e = " + _OUTCOMES[o][1].format(data=data))]
+        body += [f"    {g.chan_ref(ci)}.events_cache = _evd[{ch.name!r}] = _e"]
 
     # -- clock edge ---------------------------------------------------------
     for ni in plan.ticks:
@@ -1171,6 +1256,7 @@ class CodegenBackend:
             "diagnose": sim._check_resolved,
             "diagnose_unknown": self.diagnose_unknown,
             "SchedulerError": SchedulerError,
+            "SchedulerFeedback": SchedulerFeedback,
             "EV_IDLE": EV_IDLE,
             "EV_CANCEL": EV_CANCEL,
             "EV_BACKWARD": EV_BACKWARD,

@@ -143,7 +143,9 @@ class ElasticBuffer(_TokenStore):
         # the output side (cancellation with the head token, or storage).
         ost = self.st("o")
         rd_inc = (ost.vp and not ost.sp) or (ost.vm and not ost.sm)
-        if ist.vp and not ist.sp:
+        # A token entering while anti-tokens are held (wr < rd) annihilates
+        # one of them: it is never stored.
+        if ist.vp and not ist.sp and self._wr >= self._rd:
             self._store[self._wr] = ist.data
         if wr_inc:
             self._wr += 1

@@ -15,8 +15,8 @@ A channel is a bundle of data wires plus the control tuple
 Tokens travel forward, anti-tokens travel backward, and when they meet in a
 channel they cancel each other ("creating a bubble", Section 3).
 
-Event semantics (resolved once per clock cycle, after the combinational
-fix-point):
+Event semantics (resolved on demand, from the signals the combinational
+fix-point settled on):
 
 * **forward transfer**  — ``vp and not sp and not vm``: the token moves into
   the consumer.
@@ -188,8 +188,8 @@ class Channel:
         self.producer = None      # (node_name, port_name)
         self.consumer = None      # (node_name, port_name)
         self.state = ChannelState()
-        #: per-cycle :class:`ChannelEvents`, resolved once by the engine
-        #: after the fix-point; ``None`` while signals are still settling.
+        #: the cycle's :class:`ChannelEvents` once :meth:`events` resolved
+        #: them; the engines reset it to ``None`` after every fix-point.
         self.events_cache = None
 
     def __repr__(self):
@@ -228,23 +228,20 @@ class Channel:
         self.events_cache = None
 
     def events(self):
-        """The cycle's :class:`ChannelEvents`.
+        """The cycle's :class:`ChannelEvents`, resolved on first use and
+        memoized for the rest of the cycle.
 
-        Returns the per-cycle cache when the engine has already resolved it
-        (the common case — statistics, monitors, transfer logs and node
-        ``tick`` handlers all share one computation per cycle); otherwise
-        computes from the current signals.
+        Nothing resolves them eagerly: statistics count straight from the
+        signals, so a plain simulation step builds no event object.  The
+        engines drop the memo right after each fix-point (the worklist
+        engine after :meth:`~repro.sim.engine.Simulator._fixpoint`, the
+        compiled cycle after flushing its locals), so a call made while
+        signals were still settling is never served afterwards.
         """
         cached = self.events_cache
-        if cached is not None:
-            return cached
-        return self._compute_events()
-
-    def resolve_events(self):
-        """Compute the cycle's events once and cache them (engine use)."""
-        events = self._compute_events()
-        self.events_cache = events
-        return events
+        if cached is None:
+            cached = self.events_cache = self._compute_events()
+        return cached
 
     def _compute_events(self):
         st = self.state

@@ -85,7 +85,8 @@ class AbstractElasticFifo(_TokenStore):
         ost = self.st("o")
         wr_inc = (ist.vp and not ist.sp) or (ist.vm and not ist.sm)
         rd_inc = (ost.vp and not ost.sp) or (ost.vm and not ost.sm)
-        if ist.vp and not ist.sp:
+        # a token entering while anti-tokens are held annihilates one
+        if ist.vp and not ist.sp and self._wr >= self._rd:
             self._store[self._wr] = ist.data
         if wr_inc:
             self._wr += 1

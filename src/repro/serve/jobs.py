@@ -37,6 +37,7 @@ byte-stable: the same job always produces the same canonical bytes.
 
 from __future__ import annotations
 
+import functools
 import marshal
 
 from repro.errors import ServeError
@@ -142,20 +143,34 @@ def _canonical(value):
 
 def _design_material(spec):
     """The built design's identity, via the same canonical encodings the
-    explorer keys states with."""
-    from repro.designs import build_design, build_mc_design
-    from repro.verif.encoding import StateCodec
-
+    explorer keys states with (see :func:`_built_material`)."""
     kind = spec["kind"]
     if kind == "sweep":
         return ("preset-grid", spec["grid"])
-    build = build_mc_design if kind == "verify" else build_design
-    net = build(spec["design"])
+    from repro import designs
+
+    verify = kind == "verify"
+    registry = designs.MC_DESIGNS if verify else designs._DESIGN_FACTORIES
+    return _built_material(verify, spec["design"],
+                           registry.get(spec["design"]))
+
+
+@functools.lru_cache(maxsize=64)
+def _built_material(verify, design, factory):
+    """Build ``design`` once per process and factory and return its
+    identity (an immutable tuple): a submit, cache hits included, needs
+    only the key.  The factory is part of the memo key, so re-registering
+    a name under another factory builds (and keys) afresh.  The registries
+    hold a dozen designs, well inside the bound."""
+    from repro.designs import build_design, build_mc_design
+    from repro.verif.encoding import StateCodec
+
+    net = (build_mc_design if verify else build_design)(design)
     codec = StateCodec(net)
     nodes = tuple(sorted(
         (name, type(node).__name__) for name, node in net.nodes.items()
     ))
-    return (spec["design"], tuple(codec.channel_names), nodes, net.snapshot())
+    return (design, tuple(codec.channel_names), nodes, net.snapshot())
 
 
 def job_key(spec, engine=None):

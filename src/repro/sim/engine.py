@@ -10,8 +10,11 @@ Each clock cycle proceeds in four phases:
    signals still unknown at the fix-point indicate a genuine combinational
    cycle and raise :class:`~repro.errors.CombinationalLoopError` — the
    hazard the paper warns about when chaining zero-backward-latency buffers;
-3. **observation** — channel events are resolved *once* and cached on every
-   channel; protocol monitors, statistics and traces sample them;
+3. **observation** — the protocol monitor and the statistics read the
+   settled signals directly; observers and the model checker resolve a
+   channel's :class:`~repro.elastic.channel.ChannelEvents` on demand
+   (:meth:`Channel.events`, memoized for the rest of the cycle), so a
+   plain step builds no event object;
 4. **tick** — every node updates its sequential state.
 
 Fix-point engines
@@ -67,18 +70,18 @@ differential fuzz tests pin both engines to it.
 ``codegen`` (default) — the compiled engine of
 :mod:`repro.backend.pysim`.  The netlist is *elaborated*: every node's
 ``comb`` is emitted as straight-line Python with channel signals in flat
-locals, and protocol monitoring / statistics / event resolution / core
-``tick`` kernels are inlined into the same generated function — one
-Python call per cycle, no per-node dispatch.  Compilation is all or
-nothing: a netlist with a node that blocks it (no emitter, as for a user
-subclass that overrides ``comb``; an unbound port; a signal-level
-combinational loop) runs this simulator's interpreted worklist cycle
-instead.  The choice is made again at every structure refresh, so a
-simulator following edits switches either way.  Modules are
-``exec``-compiled once per topology and cached process-wide, least
-recently used out past 32 (sequential parameters are read at run time,
-so sweeps over one topology compile once); structural edits re-elaborate
-before the next step, never serving stale code.  Highest per-cycle
+locals, and protocol monitoring, statistics and the ``tick`` kernels of
+every kind are inlined into the same generated function — one Python
+call per cycle, no per-node dispatch.  Compilation is all or nothing: a
+netlist with a node that blocks it (no emitter, as for a user subclass
+that overrides ``comb``; an unbound port; a signal-level combinational
+loop) runs this simulator's interpreted worklist cycle instead.  The
+choice is made again at every structure refresh, so a simulator
+following edits switches either way.  Modules are ``exec``-compiled
+once per topology and cached process-wide, least recently used out past
+32 (sequential parameters are read at run time, so sweeps over one
+topology compile once); structural edits re-elaborate before the next
+step, never serving stale code.  Highest per-cycle
 throughput (~8x over worklist on the deep-pipeline bench, and ahead of
 it on the paper's speculative designs) at the cost of a one-time
 elaboration per topology; pinned bit-identical to the worklist engine by
@@ -470,6 +473,10 @@ class Simulator:
         if profile:
             self.evals_per_cycle.append(evals)
         self._check_resolved()
+        # Events a comb() resolved while signals settled may hold data that
+        # became known later: drop them, so events() recomputes.
+        for channel in self._channels:
+            channel.events_cache = None
 
     def _check_resolved(self):
         """Raise the combinational-loop diagnosis if the fix-point left
@@ -490,10 +497,10 @@ class Simulator:
 
     def _interpreted_cycle(self, cycle, choices):
         """One interpreted (worklist) cycle: choices, pre-cycle,
-        fix-point, monitor, events (resolved once and cached on every
-        channel), then statistics and observers (plain steps only) and
-        tick.  Returns the per-channel events dict.  The codegen engine's
-        generated cycle has the same signature and semantics."""
+        fix-point, monitor, then statistics and observers (plain steps)
+        or the per-channel events dict (choice steps, which return it),
+        and tick.  The codegen engine's generated cycle has the same
+        signature and semantics."""
         if choices is not None:
             for node in self._choosers:
                 if node.choice_space() > 1:
@@ -503,12 +510,14 @@ class Simulator:
         self._fixpoint()
         if self.monitor is not None:
             self.monitor.observe(cycle)
-        events = {channel.name: channel.resolve_events()
-                  for channel in self._channels}
+        events = None
         if choices is None:
-            self.stats.observe(cycle, events)
+            self.stats.observe(cycle)
             for observer in self.observers:
                 observer.observe(cycle, self.netlist)
+        else:
+            events = {channel.name: channel.events()
+                      for channel in self._channels}
         for tick in self._ticks:
             tick()
         return events
@@ -539,9 +548,10 @@ class Simulator:
         """One cycle with explicit environment choices.
 
         ``choices`` maps node name -> choice index; unnamed choice nodes get
-        choice 0.  Returns the per-channel events dict (resolved once and
-        shared with the channels' per-cycle cache) for property evaluation
-        by the model checker; statistics and observers are not updated.
+        choice 0.  Returns the per-channel events dict (the channels'
+        memoized :meth:`~repro.elastic.channel.Channel.events`) for
+        property evaluation by the model checker; statistics and observers
+        are not updated.
         """
         self._ready()
         events = self._cycle(self.cycle, choices)

@@ -36,25 +36,26 @@ class ChannelStats:
             for name in self.netlist.channels:
                 counter[name] = 0
 
-    def observe(self, cycle, events=None):
-        """Count one cycle's events.
-
-        ``events`` is the engine's per-cycle ``{channel: ChannelEvents}``
-        dict; when omitted (standalone use) each channel's cached events
-        are used, falling back to computing them from the signals.
-        """
+    def observe(self, cycle):
+        """Count one cycle from the channels' settled control signals (the
+        classification :meth:`~repro.elastic.channel.Channel.events`
+        resolves, plus stalls: a token offered and stopped)."""
+        transfers, cancels, backwards = (self.transfers, self.cancels,
+                                         self.backwards)
+        stalls, idles = self.stalls, self.idles
         for name, channel in self.netlist.channels.items():
-            ev = events[name] if events is not None else channel.events()
-            if ev.forward:
-                self.transfers[name] += 1
-            elif ev.cancel:
-                self.cancels[name] += 1
-            elif ev.backward:
-                self.backwards[name] += 1
-            elif channel.state.vp and channel.state.sp:
-                self.stalls[name] += 1
+            st = channel.state
+            if st.vp:
+                if st.vm:
+                    cancels[name] += 1
+                elif st.sp:
+                    stalls[name] += 1
+                else:
+                    transfers[name] += 1
+            elif st.vm and not st.sm:
+                backwards[name] += 1
             else:
-                self.idles[name] += 1
+                idles[name] += 1
         self.cycles += 1
 
     def throughput(self, channel_name):

@@ -128,6 +128,30 @@ class TestAntiTokens:
         assert len(snk.values) + snk.kills_sent >= len(values)
         assert snk.values == [v for v in values if v in set(snk.values)]
 
+    @pytest.mark.parametrize("engine", ["worklist", "codegen"])
+    def test_cancelled_entry_leaves_no_stored_value(self, engine):
+        """A token that enters while the buffer holds anti-tokens is
+        annihilated, so it must not be stored: every cycle the store holds
+        exactly the buffered tokens (it used to keep one stale value per
+        such cancellation, 19 after 300 cycles of this run)."""
+        from repro.sim.engine import Simulator
+
+        net = Netlist("t")
+        eb = net.add(ElasticBuffer("eb"))
+        net.add(ListSource("src", list(range(400)), rate=0.5, seed=1))
+        net.add(KillerSink("snk", kill_rate=0.5, seed=2))
+        net.connect("src.o", "eb.i", name="in")
+        net.connect("eb.o", "snk.i", name="out")
+        sim = Simulator(net, engine=engine)
+        entering = net.channels["in"].state
+        annihilated = 0
+        for _ in range(300):
+            held_anti = eb.count < 0
+            sim.step()
+            annihilated += held_anti and entering.vp and not entering.sp
+            assert len(eb._store) == max(eb.count, 0)
+        assert annihilated > 0        # the run does cancel on entry
+
 
 class TestZeroBackwardLatency:
     def test_forward_latency_one(self):

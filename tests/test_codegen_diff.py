@@ -13,6 +13,7 @@ safety guards around the compiled-module cache.
 """
 
 import random
+import re
 
 import pytest
 
@@ -793,3 +794,204 @@ class TestExplorerParity:
         assert codegen.transitions == worklist.transitions
         assert codegen.violations == worklist.violations
         assert codegen.complete == worklist.complete
+
+
+class TestSchedulerFeedbackParity:
+    """The compiled shared-module tick builds the scheduler's feedback
+    from locals: under every scheduler class, the grant and misprediction
+    counts and the scheduler's registered slots match the worklist
+    engine's after every cycle."""
+
+    @pytest.mark.parametrize("make_scheduler,k,seed", SCHEDULER_CASES)
+    def test_lockstep(self, make_scheduler, k, seed):
+        sims = [Simulator(build_speculative(make_scheduler, k, seed),
+                          engine=engine) for engine in ("worklist", "codegen")]
+        for _ in range(250):
+            seen = []
+            for sim in sims:
+                sim.step()
+                sh = sim.netlist.nodes["sh"]
+                seen.append((sh.grants, sh.mispredicts,
+                             sh.scheduler.snapshot()))
+            assert seen[0] == seen[1]
+        grants, mispredicts, _ = seen[0]
+        assert grants + mispredicts > 0
+
+
+class TestEemuxKillOverflow:
+    """A mux whose pending-kill counter is already at ``max_kills`` on an
+    input whose producer cannot take the anti-token overflows when it
+    fires again: both engines raise the same error, at the same cycle."""
+
+    @staticmethod
+    def _net():
+        from repro.elastic.eemux import EarlyEvalMux
+
+        net = Netlist("overflow")
+        net.add(ListSource("sel", [0] * 10))
+        net.add(ListSource("a", list(range(10))))
+        net.add(ListSource("b", []))
+        # a full anti-token store keeps the mux's kill on i1 stalled (sm)
+        net.add(ElasticBuffer("eb", init_anti=1, anti_capacity=1))
+        net.add(EarlyEvalMux("mux", n_inputs=2, max_kills=2))
+        net.add(Sink("snk"))
+        net.connect("sel.o", "mux.s", name="s")
+        net.connect("a.o", "mux.i0", name="i0")
+        net.connect("b.o", "eb.i", name="b")
+        net.connect("eb.o", "mux.i1", name="i1")
+        net.connect("mux.o", "snk.i", name="out")
+        return net
+
+    def test_same_error(self):
+        raised = {}
+        for engine in ("worklist", "codegen"):
+            net = self._net()
+            sim = Simulator(net, engine=engine)
+            assert (sim._cycle != sim._interpreted_cycle) is (
+                engine == "codegen")
+            net.nodes["mux"]._kills = (0, 2)
+            with pytest.raises(AssertionError) as err:
+                sim.run(10)
+            raised[engine] = (str(err.value), sim.cycle)
+        assert raised["codegen"] == raised["worklist"]
+        assert raised["worklist"][0] == \
+            "EarlyEvalMux mux: kill counter out of range"
+
+
+class TestVariableLatencyCounters:
+    """The compiled variable-latency tick (station countdown, ``err_fn``
+    then ``fn``, the op counters) matches the worklist engine on every
+    fig6 grid point that has the stalling unit."""
+
+    def test_fig6_grid_points(self):
+        from repro.elastic.varlat import VariableLatencyUnit
+        from repro.perf.presets import PRESET_SWEEPS
+        from repro.perf.sweep import _resolve_factory
+
+        spec = PRESET_SWEEPS["fig6"]()
+        factory = _resolve_factory(spec.factory)
+        points = slow = 0
+        for config in spec.expand():
+            counters = {}
+            for engine in ("worklist", "codegen"):
+                made = factory(**config.params)
+                net = made[0] if isinstance(made, tuple) else made
+                units = {name: node for name, node in net.nodes.items()
+                         if isinstance(node, VariableLatencyUnit)}
+                Simulator(net, engine=engine).run(300)
+                counters[engine] = {
+                    name: (unit.total_ops, unit.slow_ops, unit._station)
+                    for name, unit in units.items()}
+            assert counters["codegen"] == counters["worklist"], config.name
+            for total, slow_ops, _ in counters["worklist"].values():
+                points += 1
+                slow += slow_ops > 0 and total > slow_ops
+        assert points >= 12
+        assert slow > 0
+
+
+#: a compiled cycle that calls back into a node's interpreted tick
+_INTERPRETED_TICK = re.compile(r"_nodes\[(\d+)\]\.tick")
+
+
+class TestCompiledTicks:
+    """Every tick of the paper's designs is inlined: no generated module
+    binds a node's ``tick``.  A subclass overriding only ``tick`` still
+    compiles (trust by definer), calling its own ``tick``."""
+
+    @pytest.mark.parametrize("make", [
+        *(pytest.param(DESIGNS[name], id=name) for name in sorted(DESIGNS)),
+        *(pytest.param(MC_DESIGNS[name], id=f"mc-{name}")
+          for name in sorted(MC_DESIGNS)),
+    ])
+    def test_designs_bind_no_tick(self, make):
+        source = pysim.generated_source(make())
+        assert "0 deferred" in source
+        assert not _INTERPRETED_TICK.search(source)
+
+    def test_sweep_topologies_bind_no_tick(self):
+        for label, net in _sweep_topologies():
+            assert not _INTERPRETED_TICK.search(
+                pysim.generated_source(net)), label
+
+    def test_tick_override_compiles_with_own_tick(self):
+        from repro.core.scheduler import ToggleScheduler
+        from repro.core.shared import SharedModule
+        from repro.elastic.eemux import EarlyEvalMux
+        from repro.elastic.varlat import VariableLatencyUnit
+
+        def counted(cls):
+            class Counted(cls):
+                def tick(self):
+                    self.ticks = getattr(self, "ticks", 0) + 1
+                    super().tick()
+            Counted.__name__ = f"Counted{cls.__name__}"
+            return Counted
+
+        def make():
+            net = Netlist("ticks")
+            net.add(ListSource("src0", list(range(40)), rate=0.7, seed=1))
+            net.add(ListSource("src1", list(range(100, 140))))
+            net.add(ListSource("sel", [t % 2 for t in range(40)]))
+            net.add(counted(SharedModule)("sh", lambda v: v + 1,
+                                          ToggleScheduler(2)))
+            net.add(counted(VariableLatencyUnit)(
+                "vl", lambda v: v, lambda v: v == 1))
+            net.add(counted(EarlyEvalMux)("mux", n_inputs=2))
+            net.add(Sink("snk", stall_rate=0.2, seed=4))
+            net.connect("src0.o", "sh.i0", name="fin0")
+            net.connect("src1.o", "sh.i1", name="fin1")
+            net.connect("sh.o0", "mux.i0", name="fout0")
+            net.connect("sh.o1", "mux.i1", name="fout1")
+            net.connect("sel.o", "vl.i", name="cs_a")
+            net.connect("vl.o", "mux.s", name="cs")
+            net.connect("mux.o", "snk.i", name="out")
+            return net
+
+        net = make()
+        plan = pysim._build_plan(net)
+        assert plan.deferred == []
+        bound = {plan.nodes[int(ni)].name for ni in
+                 _INTERPRETED_TICK.findall(pysim.generated_source(net))}
+        assert bound == {"sh", "vl", "mux"}
+        assert_codegen_identical(make, cycles=150)
+        sim = Simulator(net, engine="codegen")
+        sim.run(25)
+        assert net.nodes["snk"].values
+        assert [net.nodes[name].ticks for name in ("sh", "vl", "mux")] \
+            == [25] * 3
+
+
+class TestPlainStepBuildsNoEvents:
+    """A plain step resolves no channel events on either engine (the
+    statistics count from the signals); only a model-checking step or an
+    explicit ``events()`` call builds them."""
+
+    @staticmethod
+    def _count_events(monkeypatch):
+        from repro.elastic.channel import ChannelEvents
+
+        built = []
+        original = ChannelEvents.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(1)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(ChannelEvents, "__init__", counting)
+        return built
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("name", sorted(DESIGNS))
+    def test_run_builds_none(self, monkeypatch, name, engine):
+        net = DESIGNS[name]()
+        sim = Simulator(net, engine=engine)
+        built = self._count_events(monkeypatch)
+        sim.run(200)
+        assert built == []
+        assert sum(sim.stats.transfers.values()) > 0
+        # the counter sees the events an observer resolves
+        net = DESIGNS[name]()
+        Simulator(net, engine=engine,
+                  observers=[TransferLog(list(net.channels))]).run(50)
+        assert built

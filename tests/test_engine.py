@@ -245,34 +245,80 @@ class TestEngineSelection:
 
 
 class TestEventCache:
-    def test_events_resolved_once_per_cycle(self):
-        """After a step every channel carries its cached events; repeated
-        ``events()`` calls return the same object (no recomputation)."""
+    """Channel events are resolved on demand: a plain step builds none,
+    the first ``events()`` call after it resolves and memoizes them for
+    the rest of the cycle, and the next cycle starts afresh."""
+
+    ENGINES = ("worklist", "codegen")
+
+    @staticmethod
+    def _pipeline(values):
         net = Netlist("p")
-        net.add(ListSource("src", [1]))
+        net.add(ListSource("src", values))
         net.add(ElasticBuffer("eb"))
         net.add(Sink("snk"))
         net.connect("src.o", "eb.i", name="in")
         net.connect("eb.o", "snk.i", name="out")
-        sim = Simulator(net)
-        sim.step()
-        channel = net.channels["in"]
-        assert channel.events_cache is not None
-        assert channel.events() is channel.events()
-        assert channel.events() is channel.events_cache
+        return net
+
+    def test_events_resolved_once_per_cycle(self):
+        """After a step no channel carries events; repeated ``events()``
+        calls then return the same object (no recomputation), equal to a
+        fresh resolution."""
+        for engine in self.ENGINES:
+            net = self._pipeline([1])
+            sim = Simulator(net, engine=engine)
+            sim.step()
+            channel = net.channels["in"]
+            assert channel.events_cache is None, engine
+            first = channel.events()
+            assert channel.events() is first
+            assert channel.events_cache is first
+            assert first == channel._compute_events()
+            assert first.forward and first.data == 1
 
     def test_cache_invalidated_each_cycle(self):
-        net = Netlist("p")
-        net.add(ListSource("src", [1, 2]))
-        net.add(ElasticBuffer("eb"))
-        net.add(Sink("snk"))
-        net.connect("src.o", "eb.i", name="in")
-        net.connect("eb.o", "snk.i", name="out")
-        sim = Simulator(net)
-        sim.step()
-        first = net.channels["in"].events()
-        sim.step()
-        assert net.channels["in"].events() is not first
+        for engine in self.ENGINES:
+            net = self._pipeline([1, 2])
+            sim = Simulator(net, engine=engine)
+            sim.step()
+            first = net.channels["in"].events()
+            sim.step()
+            assert net.channels["in"].events_cache is None, engine
+            assert net.channels["in"].events() is not first
+
+    def test_mid_cycle_probe_never_served_later(self):
+        """A ``Func`` whose function asks for a downstream channel's events
+        while the cycle computes: the first call (cycle 0, signals unknown)
+        raises on both engines, and whatever a later probe memoized is
+        dropped with the settled signals — the events seen after every
+        step equal a fresh resolution."""
+        for engine in self.ENGINES:
+            net = Netlist("p")
+            observations = []
+
+            def probe_fn(x, net=net, observations=observations):
+                try:
+                    net.channels["mid"].events()
+                    observations.append("resolved")
+                except ValueError:
+                    observations.append("unresolved")
+                return x
+
+            net.add(ListSource("src", [1, 2, 3, 4]))
+            net.add(Func("f1", probe_fn, n_inputs=1))
+            net.add(Func("f2", lambda x: x, n_inputs=1))
+            net.add(Sink("snk", stall_rate=0.5, seed=2))
+            net.connect("src.o", "f1.i0", name="in")
+            net.connect("f1.o", "f2.i0", name="mid")
+            net.connect("f2.o", "snk.i", name="out")
+            sim = Simulator(net, engine=engine)
+            for _ in range(8):
+                sim.step()
+                mid = net.channels["mid"]
+                assert mid.events() == mid._compute_events(), engine
+            assert observations[0] == "unresolved", engine
+            assert sink_values(net) == [1, 2, 3, 4]
 
 
 class TestProfiling:
@@ -393,7 +439,7 @@ class TestEventsMidFixpoint:
         channel.state.set("sp", False)
         channel.state.set("vm", False)
         channel.state.set("sm", False)
-        channel.resolve_events()
+        channel.events()
         assert channel.events_cache is not None
         channel.clear_cycle()
         assert channel.events_cache is None

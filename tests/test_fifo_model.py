@@ -56,6 +56,28 @@ class TestAbstractModelCompliance:
         assert fifo._retry_plus     # stalled offer latched
 
 
+class TestTokenStore:
+    def test_cancelled_entry_leaves_no_stored_value(self):
+        """Random latency choices under a killing sink: a token entering
+        while anti-tokens are held annihilates one and is never stored."""
+        import random
+
+        fifo = AbstractElasticFifo("fifo", max_occupancy=3)
+        net = harness(fifo)
+        sim = Simulator(net, engine="worklist")
+        rng = random.Random(5)
+        entering = net.channels["in"].state
+        annihilated = 0
+        for _ in range(400):
+            choices = {"fifo": rng.randrange(4), "src": rng.randrange(2),
+                       "snk": rng.randrange(3)}
+            held_anti = fifo.count < 0
+            sim.step_with_choices(choices)
+            annihilated += held_anti and entering.vp and not entering.sp
+            assert len(fifo._store) == max(fifo.count, 0)
+        assert annihilated > 0
+
+
 class TestRefinement:
     """Deterministic buffers are behaviours of the abstract model: for the
     same input stream, the transfer stream of the implementation equals the

@@ -159,6 +159,111 @@ class TestJobIdentity:
         assert before != after
 
 
+#: ``serve-v3`` keys of every canned design (engine None, seed 0), pinned
+#: so that memoizing the design material cannot move a key.
+PINNED_KEYS = {
+    "chaos:fig1a":
+        "c9adc8f48d21c9324e96fb57069ec20f3e425359264aa89b5c4c8987ca3f7b9b",
+    "chaos:fig1d":
+        "fdd3d4b8099a80e5da5c94c9267f7b25c07f4802bfd9563479bc67a1020c150f",
+    "chaos:fig6b":
+        "6b88435bb11b1ddcecd9e580c8ee0eb31794a85a4cfbc7b0e3613d9d68dc410e",
+    "chaos:fig7b":
+        "904c6630804f88644f2d1209d0e86660fd9ad6217ef289437f8e5864316b81a6",
+    "lint:fig1a":
+        "17a7e3e8ca93a60abcc327e65bcc3fa7c28cd5740180d14c6e4518e7319be35a",
+    "lint:fig1d":
+        "e7fd604c9e230ceae3d9d26e37065f0a09796e022a15935524bfdce9af5d781d",
+    "lint:fig6b":
+        "2aa71c500ab4f0674b85f70a922ed05a705083c49a0b1f17c5477b496eb6e1b5",
+    "lint:fig7b":
+        "05712321b0a1443b80d5d31735e9fb0e4d0cf9b6b520336f29f26862625061ce",
+    "measure:fig1a":
+        "942ba107ecbc204d484227c516374f3479716843eb69e8d09a663d85f42e07e6",
+    "measure:fig1d":
+        "4c850de836c6699948f719eb0438f3de62d1df2bcc2eee3b7afb5b366be155e1",
+    "measure:fig6b":
+        "93186124a5f8f163c16890523687dd19755158632f5e5963e181c19ba6149ecf",
+    "measure:fig7b":
+        "c0e60a07add19e091d41b2cfa2a3680ac976d1bdfc8122c8d66ae22a48d5872f",
+    "verify:eb":
+        "6bc7393fcacb99998e19b42353ae2ed9547c597db8230ef79599aea8fe0232e6",
+    "verify:spec-nondet":
+        "880b3b700444bddce42d8083da9c57d17af604e3ce6008256691794532ee62f4",
+    "verify:spec-static":
+        "7ba408642976edc771e87239f0ac2e4d7b9c89dcd41c1c2b2bad9900f16b7a8c",
+    "verify:spec-toggle":
+        "fd3de07610777dbee562e4b489df0221964f68bcd6fee2e26c0f60690826a308",
+    "verify:zbl":
+        "03412ee5dc7892f64eda93d0a9202e06374bfbc0fc20f949772b53eefa4866d8",
+}
+
+#: the job mix of the ``serve`` perfbench workload, with their pinned keys
+SERVE_TEMPLATE_KEYS = (
+    ({"kind": "measure", "design": "fig1d", "channel": "ebin", "cycles": 300},
+     "52d30612a4a744342c349b7df17940e83f66283bc7cd8774931614fce60aa9b0"),
+    ({"kind": "measure", "design": "fig6b", "channel": "out", "cycles": 300},
+     "f24796d349ddbc135efc84be604add1d76e96b72e58746224dc7b79b39571ea6"),
+    ({"kind": "measure", "design": "fig7b", "channel": "out", "cycles": 120},
+     "4b39cce05d4fc0b956583797b5d2512c39592abe1615caad28723924294e4696"),
+    ({"kind": "lint", "design": "fig6b"},
+     "2aa71c500ab4f0674b85f70a922ed05a705083c49a0b1f17c5477b496eb6e1b5"),
+    ({"kind": "lint", "design": "fig7b"},
+     "05712321b0a1443b80d5d31735e9fb0e4d0cf9b6b520336f29f26862625061ce"),
+    ({"kind": "verify", "design": "eb", "lanes": 1},
+     "6bc7393fcacb99998e19b42353ae2ed9547c597db8230ef79599aea8fe0232e6"),
+    ({"kind": "verify", "design": "spec-toggle", "lanes": 1},
+     "fd3de07610777dbee562e4b489df0221964f68bcd6fee2e26c0f60690826a308"),
+    ({"kind": "chaos", "design": "fig1d", "iterations": 1, "cycles": 60},
+     "7ad19fe2670390647c5094330236818cbf1c547190aaa22de50b8400f201a3ca"),
+)
+
+
+class TestKeyMaterial:
+    """A job key builds its design once per process: the material is
+    memoized per (kind, design, factory), and the keys stay exactly what
+    they were when every submit built the design afresh."""
+
+    @pytest.mark.parametrize("label", sorted(PINNED_KEYS))
+    def test_design_keys_unchanged(self, label):
+        kind, design = label.split(":")
+        spec = validate_job({"kind": kind, "design": design})
+        assert job_key(spec) == PINNED_KEYS[label]
+        assert job_key(spec) == PINNED_KEYS[label]     # memoized: same key
+
+    @pytest.mark.parametrize("spec,key", SERVE_TEMPLATE_KEYS)
+    def test_serve_template_keys_unchanged(self, spec, key):
+        assert job_key(validate_job(dict(spec))) == key
+
+    def test_every_design_is_pinned(self):
+        from repro.designs import DESIGNS, MC_DESIGNS
+
+        pinned = {label.split(":")[1] for label in PINNED_KEYS}
+        assert pinned == set(DESIGNS) | set(MC_DESIGNS)
+
+    def test_repeat_submits_build_once(self, monkeypatch):
+        import repro.designs as designs
+        from repro.serve.jobs import _built_material
+
+        built = []
+        original = designs.build_design
+
+        def counting(name, *args, **kwargs):
+            built.append(name)
+            return original(name, *args, **kwargs)
+
+        monkeypatch.setattr(designs, "build_design", counting)
+        _built_material.cache_clear()
+        try:
+            keys = {job_key(validate_job(dict(MEASURE_SPEC, seed=seed)))
+                    for seed in range(5)}
+            job_key(validate_job(LINT_SPEC))
+        finally:
+            _built_material.cache_clear()
+        assert len(keys) == 5
+        assert built == ["fig1a"]
+
+
 # ---------------------------------------------------------------------------
 # the result cache
 
