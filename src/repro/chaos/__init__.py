@@ -17,7 +17,8 @@ package attacks both promises on purpose:
 * :mod:`repro.chaos.verify` — the executable oracles:
   :func:`check_stream_invariance` (differential),
   :func:`explore_invariance` (exhaustive, all interleavings), and
-  :func:`run_soak` (checkpointed many-plan soak);
+  :func:`run_soak` (checkpointed many-plan soak), plus the payload
+  builders of the ``chaos`` job's modes;
 * :mod:`repro.chaos.mutants` — intentionally broken designs pinning
   that the oracles *can* fail.
 """
@@ -42,6 +43,7 @@ from repro.chaos.verify import (
     InvarianceReport,
     check_stream_invariance,
     explore_invariance,
+    plan_payload,
     run_soak,
     sink_streams,
 )
@@ -60,6 +62,7 @@ __all__ = [
     "check_stream_invariance",
     "explore_invariance",
     "latency_sensitive_design",
+    "plan_payload",
     "run_soak",
     "sink_streams",
     "unwrap",

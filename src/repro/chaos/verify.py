@@ -15,6 +15,8 @@ Three checkers, in increasing strength:
 * :func:`run_soak` — many seeded plans in sequence, checkpointed after
   every iteration through :mod:`repro.runtime.checkpoint` (SIGINT
   flushes; a resumed soak is byte-identical to an uninterrupted one).
+
+:func:`run_soak` and :func:`plan_payload` build the ``chaos`` job's payloads.
 """
 
 from __future__ import annotations
@@ -184,11 +186,12 @@ class ExploreReport:
 
 
 def explore_invariance(build, plan, max_states=20000, engine=None, lanes=1,
-                       checkpoint=None, time_budget=None, control=None):
+                       checkpoint=None, control=None):
     """Exhaustive mode: wrap with ``nondet=True`` so every stall/bubble
     decision is a model-checking choice, then explore all interleavings.
     Protocol violations and deadlocks each come with a shortest
-    counterexample path (state indices into ``report.result``)."""
+    counterexample path (state indices into ``report.result``); a
+    ``control`` stop leaves ``report.result.stopped`` set."""
     from repro.verif.deadlock import find_deadlocks
     from repro.verif.explore import StateExplorer
 
@@ -196,7 +199,7 @@ def explore_invariance(build, plan, max_states=20000, engine=None, lanes=1,
     wrap(net, plan, nondet=True)
     explorer = StateExplorer(net, max_states=max_states, engine=engine,
                              lanes=lanes, checkpoint=checkpoint,
-                             time_budget=time_budget, control=control)
+                             control=control)
     result = explorer.explore()
     # Deadlock detection needs the full graph: on a truncated exploration
     # every frontier state would misreport as dead (no expanded successor).
@@ -211,6 +214,52 @@ def explore_invariance(build, plan, max_states=20000, engine=None, lanes=1,
     elif report.deadlocks:
         report.counterexample = result.shortest_path_to(report.deadlocks[0])
     return report
+
+
+def plan_payload(mode, design, seed, coverage, kinds, budget, cycles=150,
+                 max_states=20000, engine=None, checkpoint=None,
+                 control=None):
+    """JSON-ready verdict of one seeded plan on ``design``: a simulation
+    design under :func:`check_stream_invariance` (``mode="invariance"``)
+    or a model-checking composition under :func:`explore_invariance`
+    (``"exhaustive"``; a ``control`` stop raises its error, since a
+    partial exploration is not a verdict)."""
+    from repro.designs import build_design, build_mc_design
+
+    exhaustive = mode == "exhaustive"
+
+    def build():
+        return (build_mc_design if exhaustive else build_design)(design)
+
+    plan = ChaosPlan.seeded(seed, list(build().channels), kinds=kinds,
+                            coverage=coverage, budget=budget)
+    payload = {"mode": mode, "design": design, "seed": seed,
+               "plan_digest": plan.digest(),
+               "faults": [{"channel": f.channel, "kind": f.kind,
+                           "rate": f.rate, "seed": f.seed,
+                           "budget": f.budget} for f in plan.faults]}
+    if not exhaustive:
+        report = check_stream_invariance(build, plan, cycles=cycles,
+                                         engine=engine)
+        payload.update(engine=report.engine, cycles=report.cycles,
+                       chaos_cycles=report.chaos_cycles,
+                       mismatches=list(report.mismatches),
+                       stuck=[f"{name}@{cycle}"
+                              for name, cycle in report.stuck],
+                       ok=report.ok)
+        return payload
+    report = explore_invariance(build, plan, max_states=max_states,
+                                engine=engine, checkpoint=checkpoint,
+                                control=control)
+    result = report.result
+    if result.stopped is not None:
+        raise control.stop_error(result.stopped)
+    payload.update(n_states=result.n_states,
+                   violations=[str(v) for v in result.violations],
+                   deadlocks=list(report.deadlocks),
+                   counterexample=list(report.counterexample),
+                   complete=bool(result.complete), ok=report.ok)
+    return payload
 
 
 def run_soak(design, seed=0, iterations=5, cycles=150, engine=None,
@@ -231,10 +280,6 @@ def run_soak(design, seed=0, iterations=5, cycles=150, engine=None,
                                           save_checkpoint)
     from repro.runtime.faults import fault_point
 
-    design = str(design)
-    seed = int(seed)
-    iterations = int(iterations)
-    cycles = int(cycles)
     key = content_key(("chaos-soak-v1", design, seed, iterations, cycles,
                        engine or "default", float(coverage), tuple(kinds)))
     rows = []

@@ -13,6 +13,7 @@ Usage (after installation)::
     python -m repro explore SCRIPT [--design fig1a] [--measure CH]  # warm transform loop
     python -m repro lint [SCRIPT] [--design fig1a] [--json] [--fail-on warning]  # static analysis
     python -m repro elaborate [SCRIPT] [--design fig1d] [--dump [FILE]]  # generated codegen module
+    python -m repro chaos [--design fig6b] [--soak | --exhaustive]  # chaos oracles
     python -m repro serve ROOT [--max-queue 8] [--deadline S]   # persistent job server
     python -m repro submit KIND --root ROOT [--design D]        # run a job on the server
 
@@ -28,10 +29,17 @@ and ``verify``, ``--lanes N`` with ``N > 1`` is another way to ask for
 the codegen engine; it does not combine with ``--engine``, and a lane
 count below 1 is rejected at argument parsing.
 
+``verify``, ``chaos`` and ``sweep`` turn their flags into a ``repro
+serve`` job spec with ``validate_job`` (a refused one exits 2 with
+``error: ...``); ``verify`` and ``chaos`` run it with ``run_job`` and
+render the payload, so a local run and ``repro submit`` agree.
+
 Long-running subcommands are resilient: ``sweep`` and ``verify`` accept
 ``--checkpoint`` / ``--timeout`` / ``--retries`` (supervised workers with
 kill-and-respawn, atomic checksummed checkpoints, resume after a crash or
-Ctrl-C — see :mod:`repro.runtime`), and an interrupt exits with the
+Ctrl-C — see :mod:`repro.runtime`; ``verify --timeout S`` is the
+deadline of one :class:`~repro.runtime.control.JobControl` per slice,
+and each retry resumes the checkpoint), and an interrupt exits with the
 conventional status — 130 for SIGINT, 143 for SIGTERM — after flushing
 the last consistent checkpoint.  ``serve`` drains gracefully on either
 signal: the running job stops at its checkpoint boundary, queued jobs
@@ -47,6 +55,8 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+
+from repro.errors import ServeError
 
 
 def _at_least_one(what):
@@ -71,6 +81,21 @@ def _lanes_conflict(args):
               f"drop --engine {args.engine}", file=sys.stderr)
         return 2
     return None
+
+
+def _given(args, names, **spec):
+    """``spec`` plus the flags among ``names`` that were given."""
+    for name in names:
+        if getattr(args, name, None) is not None:
+            spec[name] = getattr(args, name)
+    return spec
+
+
+def _saved(checkpoint):
+    """Where a stopped run's progress went (it flushed ``checkpoint``)."""
+    return (f"progress saved to {checkpoint}; re-run with the same "
+            f"--checkpoint to resume" if checkpoint
+            else "no --checkpoint; progress lost")
 
 
 def _cmd_table1(args):
@@ -176,98 +201,87 @@ def _cmd_fig7(args):
     return 0
 
 
-#: ``repro verify``'s checks, one row per :data:`repro.designs.MC_DESIGNS`
-#: entry under its section heading: ``(design, label, checkpoint slug,
-#: verdict rule)``.  The slugs name the ``--checkpoint`` files, so they
-#: stay put when a label changes.
+#: ``repro verify``'s checks under their section headings: ``(design,
+#: label, checkpoint slug)`` per :data:`repro.designs.MC_DESIGNS` entry.
+#: The slugs name the ``--checkpoint`` files, so they stay put when a label
+#: changes.
 _VERIFY_CHECKS = (
     ("elastic buffers under nondeterministic environments:", (
-        ("eb", "standard EB", "eb", "deadlock-free"),
-        ("zbl", "ZBL EB (Fig. 5)", "zbl", "deadlock-free"),
+        ("eb", "standard EB", "eb"),
+        ("zbl", "ZBL EB (Fig. 5)", "zbl"),
     )),
     ("speculative composition (shared + EE mux):", (
-        ("spec-toggle", "toggle", "toggle", "live"),
-        ("spec-nondet", "nondet (any prediction)", "nondet", "safe"),
-        ("spec-static", "static w/o repair", "static", "starves"),
+        ("spec-toggle", "toggle", "toggle"),
+        ("spec-nondet", "nondet (any prediction)", "nondet"),
+        ("spec-static", "static w/o repair", "static"),
     )),
 )
 
-#: leads-to verdict rules of the speculative composition: rule -> (the
-#: leads-to outcome owed, ``None`` when it is reported but not owed; the
-#: verdict printed when the rule holds).  Every rule also requires safety.
-#: The nondeterministic scheduler is the *specification*: leads-to is only
-#: owed by compliant implementations.  The static scheduler without repair
-#: is deliberately broken: it must starve.
-_LEADS_TO_RULES = {
-    "live": (True, "OK"),
-    "safe": (None, "OK (safety for any prediction)"),
-    "starves": (False, "OK (starves as predicted)"),
-}
+#: the verdict printed when a ``verify`` payload's rule holds
+_VERDICT_TEXT = {"deadlock-free": "OK", "live": "OK",
+                 "safe": "OK (safety for any prediction)",
+                 "starves": "OK (starves as predicted)"}
+
+
+def _verify_line(label, payload):
+    """One ``repro verify`` report line of a ``verify`` job payload."""
+    violations = payload["violations"]
+    if not payload["complete"]:
+        detail = (f"violations={violations} incomplete "
+                  f"(state bound hit; raise --max-states)")
+    elif payload["rule"] == "deadlock-free":
+        detail = f"violations={violations} deadlocks={payload['deadlocks']}"
+    else:
+        detail = f"safe={violations == 0} leads-to={payload['leads_to']}"
+    verdict = _VERDICT_TEXT[payload["rule"]] if payload["ok"] else "FAIL"
+    return f"  {label:<26} states={payload['n_states']:<6} {detail} -> {verdict}"
 
 
 def _cmd_verify(args):
-    from repro.runtime.control import install_term_handler
+    from repro.errors import DeadlineExceeded
+    from repro.runtime.control import JobControl, install_term_handler
+    from repro.serve.jobs import run_job, validate_job
+    from repro.sim.engine import get_default_engine, lanes_engine
 
     install_term_handler()
-    from repro.designs import build_mc_design
-    from repro.sim.engine import get_default_engine, lanes_engine
-    from repro.verif.deadlock import find_deadlocks
-    from repro.verif.explore import StateExplorer
-    from repro.verif.leads_to import check_leads_to
-
     conflict = _lanes_conflict(args)
     if conflict is not None:
         return conflict
+    # The flags are the same for every design; each row swaps its own in.
+    spec = validate_job({"kind": "verify", "design": "eb",
+                         "lanes": args.lanes, "max_states": args.max_states})
     if args.checkpoint:
         os.makedirs(args.checkpoint, exist_ok=True)
-
-    def explore(net, slug):
-        """One (possibly checkpointed, possibly time-sliced) exploration:
-        ``--timeout`` bounds each slice's wall clock, ``--retries`` allows
-        that many further slices, each resuming the checkpoint where the
-        previous one stopped."""
-        ckpt = (os.path.join(args.checkpoint, f"{slug}.ckpt")
-                if args.checkpoint else None)
-        slices = 0
-        while True:
-            result = StateExplorer(net, max_states=args.max_states,
-                                   lanes=args.lanes, checkpoint=ckpt,
-                                   time_budget=args.timeout).explore()
-            if result.stopped is None or slices >= args.retries:
-                return result
-            slices += 1
-
-    def verdict(result, rule):
-        """``(detail, ok, verdict)`` of one complete exploration."""
-        if rule == "deadlock-free":
-            deadlocks = find_deadlocks(result)
-            ok = not result.violations and not deadlocks and result.complete
-            return (f"violations={len(result.violations)} "
-                    f"deadlocks={len(deadlocks)}", ok, "OK" if ok else "FAIL")
-        safe = not result.violations
-        ok0, _ = check_leads_to(result, "fin0", "fout0")
-        ok1, _ = check_leads_to(result, "fin1", "fout1")
-        leads = ok0 and ok1
-        owed, holds = _LEADS_TO_RULES[rule]
-        ok = safe and (owed is None or leads == owed)
-        return f"safe={safe} leads-to={leads}", ok, holds if ok else "FAIL"
 
     failures = 0
     print("exploration engine: "
           f"{lanes_engine(args.lanes) or get_default_engine()}")
     for heading, checks in _VERIFY_CHECKS:
         print(heading)
-        for design, label, slug, rule in checks:
-            result = explore(build_mc_design(design), slug)
-            if result.stopped is not None:
+        for design, label, slug in checks:
+            ckpt = (os.path.join(args.checkpoint, f"{slug}.ckpt")
+                    if args.checkpoint else None)
+            # Each slice gets a fresh ``--timeout`` deadline and resumes the
+            # checkpoint; progress tells a stopped line how far it got.
+            reached = {"n_states": 0}
+            for _ in range(max(args.retries, 0) + 1):
+                control = JobControl(
+                    deadline=args.timeout, progress_interval=0,
+                    on_progress=lambda site, info: reached.update(info))
+                try:
+                    payload = run_job(dict(spec, design=design),
+                                      control=control, checkpoint=ckpt)
+                    break
+                except DeadlineExceeded as exc:
+                    payload, stopped = None, exc
+            if payload is None:
                 where = ("resumable via --checkpoint" if args.checkpoint
                          else "partial progress lost (no --checkpoint)")
-                ok, line = False, f"-> STOPPED ({result.stopped}; {where})"
+                print(f"  {label:<26} states={reached['n_states']:<6} "
+                      f"-> STOPPED ({stopped}; {where})")
             else:
-                detail, ok, outcome = verdict(result, rule)
-                line = f"{detail} -> {outcome}"
-            failures += not ok
-            print(f"  {label:<26} states={result.n_states:<6} {line}")
+                print(_verify_line(label, payload))
+            failures += payload is None or not payload["ok"]
     return 1 if failures else 0
 
 
@@ -288,18 +302,17 @@ def _cmd_profile(args):
 
 
 def _cmd_sweep(args):
-    from repro.perf.presets import PRESET_SWEEPS
     from repro.perf.sweep import run_sweep
     from repro.runtime.control import install_term_handler, interrupt_exit_code
+    from repro.serve.jobs import preset_sweep, validate_job
 
     install_term_handler()
     conflict = _lanes_conflict(args)
     if conflict is not None:
         return conflict
-    kwargs = {}
-    if args.cycles is not None:
-        kwargs["cycles"] = args.cycles
-    spec = PRESET_SWEEPS[args.grid](**kwargs)
+    spec = preset_sweep(validate_job({"kind": "sweep", "grid": args.grid,
+                                      "cycles": args.cycles,
+                                      "lanes": args.lanes}))
     # run_sweep resolves the engine (the --engine process default) in this
     # process and ships it inside every worker payload — spawn workers do
     # not inherit set_default_engine().
@@ -310,13 +323,7 @@ def _cmd_sweep(args):
     except KeyboardInterrupt:
         # run_sweep already flushed every completed row to the checkpoint
         # before re-raising.
-        if args.checkpoint:
-            print(f"\ninterrupted: progress saved to {args.checkpoint}; "
-                  f"re-run with the same --checkpoint to resume",
-                  file=sys.stderr)
-        else:
-            print("\ninterrupted (no --checkpoint; progress lost)",
-                  file=sys.stderr)
+        print(f"\ninterrupted ({_saved(args.checkpoint)})", file=sys.stderr)
         return interrupt_exit_code()
     print(result.table())
     print(f"\n{len(result.rows)} configurations in "
@@ -339,17 +346,33 @@ def _cmd_sweep(args):
     return 1 if result.failures else 0
 
 
+def _read_script(path):
+    """A transform script's text (``-`` reads stdin)."""
+    if path == "-":
+        return sys.stdin.read()
+    with open(path) as fh:
+        return fh.read()
+
+
+def _design_point(args):
+    """The ``--design`` netlist after the optional transform SCRIPT."""
+    net = _DESIGNS[args.design]()
+    if args.script:
+        from repro.transform.session import Session
+
+        session = Session(net)
+        session.run_script(_read_script(args.script))
+        net = session.netlist
+    return net
+
+
 def _cmd_explore(args):
     from repro.errors import TransformError
     from repro.transform.session import Session
 
     net = _DESIGNS[args.design]()
     session = Session(net)
-    if args.script == "-":
-        text = sys.stdin.read()
-    else:
-        with open(args.script) as fh:
-            text = fh.read()
+    text = _read_script(args.script)
     print(f"design={args.design} (netlist version {session.netlist.version})")
     if args.measure:
         # One warm simulator for the whole loop: it follows every edit,
@@ -389,23 +412,8 @@ def _cmd_explore(args):
 def _cmd_lint(args):
     from repro.lint import run_lint
 
-    net = _DESIGNS[args.design]()
-    if args.script:
-        # Lint the design point a transform script produces, not the
-        # canned seed: the session applies (and validates) every command,
-        # then the final netlist is analyzed.
-        from repro.transform.session import Session
-
-        session = Session(net)
-        if args.script == "-":
-            text = sys.stdin.read()
-        else:
-            with open(args.script) as fh:
-                text = fh.read()
-        session.run_script(text)
-        net = session.netlist
-    rules = "all" if args.audit else None
-    report = run_lint(net, rules=rules)
+    report = run_lint(_design_point(args),
+                      rules="all" if args.audit else None)
     if args.json:
         print(report.to_json())
     else:
@@ -417,21 +425,8 @@ def _cmd_lint(args):
 def _cmd_elaborate(args):
     from repro.backend import pysim
 
-    net = _DESIGNS[args.design]()
-    if args.script:
-        # Elaborate the design point a transform script produces, not the
-        # canned seed (same convention as `lint`).
-        from repro.transform.session import Session
-
-        session = Session(net)
-        if args.script == "-":
-            text = sys.stdin.read()
-        else:
-            with open(args.script) as fh:
-                text = fh.read()
-        session.run_script(text)
-        net = session.netlist
-    source = pysim.generated_source(net, check_protocol=not args.no_protocol)
+    source = pysim.generated_source(_design_point(args),
+                                    check_protocol=not args.no_protocol)
     if args.dump == "-":
         print(source)
     elif args.dump is not None:
@@ -479,7 +474,7 @@ def _cmd_serve(args):
 def _cmd_submit(args):
     import json
 
-    from repro.errors import JobRejected, ServeError
+    from repro.errors import JobRejected
     from repro.serve.client import ServeClient
 
     try:
@@ -491,12 +486,9 @@ def _cmd_submit(args):
             client.shutdown()
             print("server draining")
             return 0
-        spec = {"kind": args.kind}
-        for name in ("design", "grid", "channel", "cycles", "warmup",
-                     "max_states", "lanes", "rules", "seed", "iterations"):
-            value = getattr(args, name, None)
-            if value is not None:
-                spec[name] = value
+        spec = _given(args, ("design", "grid", "channel", "cycles", "warmup",
+                             "max_states", "lanes", "rules", "seed",
+                             "iterations"), kind=args.kind)
 
         def on_event(event):
             if args.json:
@@ -533,148 +525,56 @@ def _cmd_submit(args):
 def _cmd_chaos(args):
     import json
 
-    from repro.chaos import (ChaosPlan, check_knobs, check_stream_invariance,
-                             explore_invariance, run_soak)
-    from repro.errors import ChaosError, DeadlineExceeded, JobCancelled
+    from repro.errors import JobCancelled
     from repro.runtime.control import (JobControl, install_term_handler,
                                        interrupt_exit_code)
+    from repro.serve.jobs import run_job, validate_job
 
     install_term_handler()
-    kinds = tuple(k for k in args.kinds.split(",") if k)
-    # Unbounded injection keeps the differential oracle honest, but makes
-    # the exhaustive product grow with every fault; default the budget
-    # to a couple of injections per fault there so canned designs
-    # finish within --max-states.
-    budget = args.budget
-    if budget is None:
-        budget = 2 if args.exhaustive else -1
+    mode = ("soak" if args.soak else
+            "exhaustive" if args.exhaustive else "invariance")
+    spec = validate_job(_given(args, ("cycles", "coverage", "kinds", "budget",
+                                      "iterations", "max_states"),
+                               kind="chaos", mode=mode, design=args.design,
+                               seed=args.seed))
     try:
-        check_knobs(kinds, budget=budget, coverage=args.coverage)
-    except ChaosError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    from repro.designs import MC_DESIGNS
-    if args.exhaustive:
-        # Exhaustive mode explores every injection interleaving, so it
-        # needs the finite model-checking compositions (nondeterministic
-        # environments); the seeded simulation designs carry RNG state and
-        # never close their state graph.
-        if args.design not in MC_DESIGNS:
-            print(f"error: --exhaustive explores the model-checking "
-                  f"compositions (choose from: "
-                  f"{', '.join(sorted(MC_DESIGNS))})", file=sys.stderr)
-            return 2
-        from repro.designs import build_mc_design
-
-        def build():
-            return build_mc_design(args.design)
-    else:
-        if args.design not in _DESIGNS:
-            print(f"error: design {args.design!r} is a model-checking "
-                  f"composition (--exhaustive only); simulation designs: "
-                  f"{', '.join(sorted(_DESIGNS))}", file=sys.stderr)
-            return 2
-        build = _DESIGNS[args.design]
-
-    if args.soak:
-        control = JobControl()
-        if args.time_budget is not None:
-            control.arm_deadline(args.time_budget)
-        try:
-            payload = run_soak(args.design, seed=args.seed,
-                               iterations=args.iterations, cycles=args.cycles,
-                               engine=args.engine, coverage=args.coverage,
-                               kinds=kinds, checkpoint=args.checkpoint,
-                               control=control)
-        except KeyboardInterrupt:
-            # run_soak flushed every completed iteration before re-raising.
-            if args.checkpoint:
-                print(f"\ninterrupted: progress saved to {args.checkpoint}; "
-                      f"re-run with the same --checkpoint to resume",
-                      file=sys.stderr)
-            else:
-                print("\ninterrupted (no --checkpoint; progress lost)",
-                      file=sys.stderr)
-            return interrupt_exit_code()
-        except (JobCancelled, DeadlineExceeded) as exc:
-            hint = (f"progress saved to {args.checkpoint}; re-run with the "
-                    f"same --checkpoint to resume" if args.checkpoint
-                    else "no --checkpoint; progress lost")
-            print(f"stopped: {exc} ({hint})", file=sys.stderr)
-            return 1
-        if args.json:
-            print(json.dumps(payload, indent=2, sort_keys=True))
-            return 0 if payload["ok"] else 1
-        print(f"chaos soak: design={payload['design']} "
-              f"seed={payload['seed']} engine={payload['engine']}")
-        for row in payload["rows"]:
-            verdict = "OK" if row["ok"] else "FAIL"
-            print(f"  iter {row['iteration']:<2} seed={row['seed']:<12} "
-                  f"faults={row['faults']} plan={row['plan_digest'][:12]} "
-                  f"cycles={row['chaos_cycles']:<5} -> {verdict}")
-            for problem in row["problems"]:
-                print(f"      {problem}")
-        print(f"soak: {len(payload['rows'])}/{payload['iterations']} "
-              f"iteration(s) -> {'OK' if payload['ok'] else 'FAIL'}")
-        return 0 if payload["ok"] else 1
-
-    net = build()
-    plan = ChaosPlan.seeded(args.seed, list(net.channels), kinds=kinds,
-                            coverage=args.coverage, budget=budget)
-    fault_rows = [{"channel": f.channel, "kind": f.kind, "rate": f.rate,
-                   "seed": f.seed, "budget": f.budget}
-                  for f in plan.faults]
-
-    if args.exhaustive:
-        report = explore_invariance(build, plan, max_states=args.max_states,
-                                    checkpoint=args.checkpoint,
-                                    time_budget=args.time_budget)
-        result = report.result
-        payload = {
-            "mode": "exhaustive",
-            "design": args.design,
-            "seed": args.seed,
-            "plan_digest": report.plan_digest,
-            "faults": fault_rows,
-            "n_states": result.n_states,
-            "violations": [str(v) for v in result.violations],
-            "deadlocks": list(report.deadlocks),
-            "counterexample": list(report.counterexample),
-            "complete": bool(result.complete),
-            "stopped": result.stopped,
-            "ok": report.ok,
-        }
-    else:
-        report = check_stream_invariance(build, plan, cycles=args.cycles,
-                                         engine=args.engine)
-        payload = {
-            "mode": "invariance",
-            "design": args.design,
-            "engine": report.engine,
-            "seed": args.seed,
-            "plan_digest": report.plan_digest,
-            "faults": fault_rows,
-            "cycles": report.cycles,
-            "chaos_cycles": report.chaos_cycles,
-            "mismatches": list(report.mismatches),
-            "stuck": [f"{name}@{cycle}" for name, cycle in report.stuck],
-            "ok": report.ok,
-        }
-
+        payload = run_job(spec, control=JobControl(deadline=args.deadline),
+                          checkpoint=args.checkpoint, engine=args.engine)
+    except KeyboardInterrupt:
+        # The soak and the explorer flushed their checkpoint first.
+        print(f"\ninterrupted ({_saved(args.checkpoint)})", file=sys.stderr)
+        return interrupt_exit_code()
+    except JobCancelled as exc:         # incl. DeadlineExceeded
+        print(f"stopped: {exc} ({_saved(args.checkpoint)})", file=sys.stderr)
+        return 1
     if args.json:
         print(json.dumps(payload, indent=2, sort_keys=True))
         return 0 if payload["ok"] else 1
-    print(f"chaos {payload['mode']}: design={args.design} seed={args.seed} "
+    verdict = "OK" if payload["ok"] else "FAIL"
+    if mode == "soak":
+        print(f"chaos soak: design={payload['design']} "
+              f"seed={payload['seed']} engine={payload['engine']}")
+        for row in payload["rows"]:
+            print(f"  iter {row['iteration']:<2} seed={row['seed']:<12} "
+                  f"faults={row['faults']} plan={row['plan_digest'][:12]} "
+                  f"cycles={row['chaos_cycles']:<5} -> "
+                  f"{'OK' if row['ok'] else 'FAIL'}")
+            for problem in row["problems"]:
+                print(f"      {problem}")
+        print(f"soak: {len(payload['rows'])}/{payload['iterations']} "
+              f"iteration(s) -> {verdict}")
+        return 0 if payload["ok"] else 1
+    print(f"chaos {mode}: design={args.design} seed={args.seed} "
           f"plan={payload['plan_digest'][:12]}")
-    for row in fault_rows:
+    for row in payload["faults"]:
         print(f"  fault {row['kind']:<8} on {row['channel']:<12} "
               f"rate={row['rate']} budget={row['budget']}")
-    if args.exhaustive:
+    if mode == "exhaustive":
         print(f"  states={payload['n_states']} "
               f"violations={len(payload['violations'])} "
               f"deadlocks={len(payload['deadlocks'])} "
               f"complete={payload['complete']}")
-        if not payload["complete"] and not payload["stopped"]:
+        if not payload["complete"]:
             print("  incomplete: state bound exhausted "
                   "(raise --max-states or lower --budget/--coverage)")
         for violation in payload["violations"][:4]:
@@ -682,14 +582,12 @@ def _cmd_chaos(args):
         if payload["counterexample"]:
             print(f"  counterexample (state path): "
                   f"{payload['counterexample']}")
-        if payload["stopped"]:
-            print(f"  stopped: {payload['stopped']}")
     else:
         print(f"  golden {payload['cycles']} cycles, sabotaged "
               f"{payload['chaos_cycles']} cycles")
         for problem in payload["mismatches"] + payload["stuck"]:
             print(f"      {problem}")
-    print(f"-> {'OK' if payload['ok'] else 'FAIL'}")
+    print(f"-> {verdict}")
     return 0 if payload["ok"] else 1
 
 
@@ -756,12 +654,12 @@ def build_parser():
                         "progress atomically and resumes after a crash or "
                         "Ctrl-C")
     p.add_argument("--timeout", type=float, default=None,
-                   help="per-exploration time budget in seconds; the search "
-                        "stops at a consistent state boundary when spent "
-                        "(flushing the checkpoint, if any)")
+                   help="deadline of each exploration slice in seconds; the "
+                        "search stops at a consistent state boundary when "
+                        "it passes (flushing the checkpoint, if any)")
     p.add_argument("--retries", type=int, default=0,
-                   help="extra time-budget slices per exploration, each "
-                        "resuming where the previous one stopped")
+                   help="extra slices per exploration, each with a fresh "
+                        "deadline, resuming where the previous one stopped")
     p.set_defaults(fn=_cmd_verify)
 
     p = sub.add_parser("export", help="emit Verilog/SMV/dot for a canned design")
@@ -904,33 +802,39 @@ def build_parser():
     p.add_argument("--seed", type=int, default=0,
                    help="chaos plan seed (soak derives one sub-seed per "
                         "iteration)")
-    p.add_argument("--cycles", type=int, default=150,
-                   help="golden run length (the sabotaged run gets 8x slack)")
-    p.add_argument("--coverage", type=float, default=0.5,
+    # The knobs default to None: the chaos job fills in its mode's
+    # defaults and refuses a knob the mode does not use.
+    p.add_argument("--cycles", type=int,
+                   help="golden run length, default 150 (the sabotaged run "
+                        "gets 8x slack; not with --exhaustive)")
+    p.add_argument("--coverage", type=float,
                    help="fraction of channels the seeded plan splices a "
-                        "fault into, in [0, 1]")
-    p.add_argument("--kinds", default="stall,bubble",
-                   help="comma-separated fault kinds: stall (a join with a "
-                        "permission source), bubble (an empty buffer "
-                        "before that join), corrupt (a join XORing seeded "
-                        "masks into the data; expected to FAIL the oracle)")
-    p.add_argument("--budget", type=int, default=None,
+                        "fault into, in [0, 1]; default 0.5")
+    p.add_argument("--kinds", type=lambda text: [k for k in text.split(",")
+                                                  if k],
+                   help="comma-separated fault kinds, default stall,bubble: "
+                        "stall (a join with a permission source), bubble "
+                        "(an empty buffer before that join), corrupt (a "
+                        "join XORing seeded masks into the data; expected "
+                        "to FAIL the oracle)")
+    p.add_argument("--budget", type=int,
                    help="stall cycles (corrupt: nonzero masks) per fault, "
                         ">= 0 or -1 = unbounded; default -1, or 2 under "
-                        "--exhaustive to bound the state space")
-    p.add_argument("--soak", action="store_true",
-                   help="run many seeded plans, checkpointed per iteration")
-    p.add_argument("--iterations", type=int, default=5,
-                   help="soak iterations (each gets a fresh seeded plan)")
-    p.add_argument("--exhaustive", action="store_true",
-                   help="model-check every injection interleaving "
-                        "(permission sources become nondeterministic "
-                        "choice nodes)")
-    p.add_argument("--max-states", type=int, default=20000, dest="max_states",
-                   help="state bound for --exhaustive")
-    p.add_argument("--time-budget", type=float, default=None,
-                   dest="time_budget",
-                   help="wall-clock budget in seconds (soak stops at an "
+                        "--exhaustive; not with --soak")
+    mode = p.add_mutually_exclusive_group()
+    mode.add_argument("--soak", action="store_true",
+                      help="run many seeded plans, checkpointed per "
+                           "iteration")
+    mode.add_argument("--exhaustive", action="store_true",
+                      help="model-check every injection interleaving "
+                           "(permission sources become nondeterministic "
+                           "choice nodes)")
+    p.add_argument("--iterations", type=int,
+                   help="soak iterations, default 5 (each a fresh plan)")
+    p.add_argument("--max-states", type=int, dest="max_states",
+                   help="state bound for --exhaustive, default 20000")
+    p.add_argument("--time-budget", type=float, dest="deadline",
+                   help="wall-clock deadline in seconds (soak stops at an "
                         "iteration boundary, exhaustive at a checkpoint "
                         "boundary; progress is saved)")
     p.add_argument("--checkpoint", metavar="PATH", default=None,
@@ -1002,6 +906,10 @@ def main(argv=None):
             finally:
                 set_default_engine(previous)
         return args.fn(args)
+    except ServeError as exc:
+        # validate_job refused the job spec the flags describe.
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except KeyboardInterrupt:
         # Checkpointing commands flushed their last consistent boundary
         # before the interrupt propagated this far (and `sweep` exits

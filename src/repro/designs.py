@@ -2,8 +2,8 @@
 
 One registry instead of two: ``python -m repro export/profile/explore/
 lint`` and the ``repro serve`` job kinds (``measure``, ``verify``,
-``lint``) resolve design names through the same tables, so a design a
-client can ask the server for is exactly a design the CLI can inspect.
+``lint``, ``chaos``) resolve design names through the same tables, so a
+design a client can ask the server for is one the CLI can inspect.
 
 The fig6b/fig7b entries use pure (index-seeded) op streams so that
 resetting and re-running replays the same tokens — warm measurement
@@ -121,9 +121,9 @@ def _mc_speculative(scheduler_name):
     return patterns.speculative_mc(scheduler)[0]
 
 
-#: model-checking designs (``verify`` jobs): buffers under nondet
-#: environments plus the speculative shared-module composition with each
-#: scheduler the paper's Section 4.2 studies.
+#: model-checking designs (``verify`` and exhaustive ``chaos`` jobs):
+#: buffers under nondet environments plus the speculative shared-module
+#: composition with each scheduler the paper's Section 4.2 studies.
 MC_DESIGNS = {
     "eb": _mc_eb,
     "zbl": _mc_zbl,
@@ -131,6 +131,16 @@ MC_DESIGNS = {
     "spec-nondet": lambda: _mc_speculative("nondet"),
     "spec-static": lambda: _mc_speculative("static"),
 }
+
+#: Section 4.2's verdict rule per model-checking design, besides safety:
+#: the buffers must be ``deadlock-free``; leads-to (equation 1) on both
+#: shared channels must hold for the compliant scheduler (``live``), is
+#: only reported for the nondeterministic one, the specification
+#: (``safe``), and must fail for the static one without repair
+#: (``starves``).
+MC_VERDICTS = {"eb": "deadlock-free", "zbl": "deadlock-free",
+               "spec-toggle": "live", "spec-nondet": "safe",
+               "spec-static": "starves"}
 
 
 def build_mc_design(name):

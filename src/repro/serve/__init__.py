@@ -6,7 +6,8 @@ keeps one long-lived server per *root* directory instead:
 
 * :class:`~repro.serve.server.JobServer` — asyncio service speaking a
   length-prefixed JSON protocol over a unix socket or localhost TCP;
-  ``sweep`` / ``verify`` / ``measure`` / ``lint`` jobs run serially on a
+  ``sweep`` / ``verify`` / ``measure`` / ``lint`` / ``chaos`` jobs (the
+  code the matching CLI subcommands run in-process) run serially on a
   worker thread with bounded admission, per-job deadlines, cooperative
   cancellation at checkpoint boundaries, seeded-jitter retries and
   poison-job quarantine.

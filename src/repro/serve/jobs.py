@@ -1,14 +1,15 @@
 """Job kinds the server executes, their identities and their results.
 
-Four job kinds mirror the long-running CLI subcommands:
+Five job kinds, which the matching CLI subcommands validate (and, for
+``verify`` and ``chaos``, run) here too:
 
 ``measure``
     :func:`~repro.perf.report.performance_report` of a canned design
     (:data:`repro.designs.DESIGNS`).
 ``verify``
     Explicit-state exploration of a model-checking composition
-    (:data:`repro.designs.MC_DESIGNS`): safety violations, deadlocks,
-    completeness.
+    (:data:`repro.designs.MC_DESIGNS`); ``ok`` means its Section 4.2 rule
+    (:data:`repro.designs.MC_VERDICTS`) holds on a *complete* exploration.
 ``lint``
     Static analysis (:func:`repro.lint.run_lint`) of a canned design.
 ``sweep``
@@ -17,9 +18,12 @@ Four job kinds mirror the long-running CLI subcommands:
     per-job checkpoint file so a drained or killed job resumes instead
     of restarting.
 ``chaos``
-    A :func:`repro.chaos.run_soak` latency-insensitivity soak of a
-    canned design: seeded chaos plans, each differentially checked
-    against a golden run, checkpointed per iteration like a sweep.
+    A :mod:`repro.chaos` oracle by ``mode``: ``soak`` (the default,
+    checkpointed per iteration), ``invariance`` (one seeded plan) or
+    ``exhaustive`` (all its interleavings on a model-checking composition).
+
+A job stops early only through its
+:class:`~repro.runtime.control.JobControl`, by raising its stop error.
 
 Every job resolves to a **content-addressed key**: SHA-256 over the
 marshal-v2 canonical bytes of ``(format tag, kind, material, config,
@@ -43,20 +47,38 @@ import marshal
 from repro.errors import ServeError
 from repro.runtime.checkpoint import content_key
 
-#: job kinds accepted by the server, with their recognized config keys
-#: (beyond ``kind`` / ``design`` / ``grid`` / ``seed``)
+#: job kinds accepted by the server: their config keys (beyond ``kind``,
+#: ``seed`` and, except for sweeps, ``design``) with their defaults
 JOB_KINDS = {
-    "measure": ("channel", "cycles", "warmup"),
-    "verify": ("max_states", "lanes"),
-    "lint": ("rules",),
-    "sweep": ("cycles", "lanes"),
-    "chaos": ("cycles", "iterations"),
+    "measure": {"channel": None, "cycles": 2000, "warmup": 100},
+    "verify": {"max_states": 60000, "lanes": 1},
+    "lint": {"rules": None},
+    "sweep": {"grid": "fig6", "cycles": None, "lanes": 1},
+    "chaos": {"mode": "soak"},
 }
 
-#: Bumped whenever an unchanged key would name a different result (v3:
-#: the design material's ``Netlist.snapshot()`` became one flat tuple
-#: without node names).
-_KEY_FORMAT = "serve-v3"
+_PLAN = {"coverage": 0.5, "kinds": ("stall", "bubble")}
+
+#: the further config keys of each ``chaos`` mode: a mode takes only the
+#: ones it uses (``run_soak`` has no stall budget, say).  An exhaustive
+#: plan defaults to two injections per fault, bounding its state space.
+CHAOS_MODES = {
+    "soak": dict(_PLAN, cycles=150, iterations=5),
+    "invariance": dict(_PLAN, cycles=150, budget=-1),
+    "exhaustive": dict(_PLAN, budget=2, max_states=20000),
+}
+
+#: lower bound of each integer config key (``None``: any integer)
+_MINIMUM = {"seed": None, "cycles": 1, "warmup": 0, "max_states": 1,
+            "lanes": 1, "iterations": 1, "budget": None}
+
+#: leads-to owed under each speculative verdict rule of
+#: :data:`repro.designs.MC_VERDICTS` (``None``: reported, not owed)
+_LEADS_TO_OWED = {"live": True, "safe": None, "starves": False}
+
+#: Bumped whenever an unchanged key would name a different result (v4:
+#: verify payloads judge the verdict rule, chaos specs carry their mode).
+_KEY_FORMAT = "serve-v4"
 
 
 def validate_job(spec):
@@ -66,8 +88,9 @@ def validate_job(spec):
     (unknown keys are rejected, defaults are filled in), so two requests
     that mean the same job normalize to identical specs — and therefore
     identical cache keys.  Raises :class:`~repro.errors.ServeError` on
-    anything malformed; admission turns that into a structured rejection,
-    never a dead connection.
+    anything malformed (a count that is no integer or below its minimum,
+    a chaos knob :func:`~repro.chaos.check_knobs` refuses); admission
+    turns that into a structured rejection, never a dead connection.
     """
     if not isinstance(spec, dict):
         raise ServeError(f"job spec must be an object, got {type(spec).__name__}")
@@ -75,60 +98,74 @@ def validate_job(spec):
     if kind not in JOB_KINDS:
         raise ServeError(f"unknown job kind {kind!r} "
                          f"(known: {', '.join(sorted(JOB_KINDS))})")
-    allowed = {"kind", "seed"} | set(JOB_KINDS[kind])
-    allowed.add("grid" if kind == "sweep" else "design")
-    unknown = sorted(set(spec) - allowed)
+    config, label = dict(JOB_KINDS[kind], seed=0), kind
+    if kind == "chaos":
+        mode = spec.get("mode", "soak")
+        if mode not in CHAOS_MODES:
+            raise ServeError(f"unknown chaos mode {mode!r} "
+                             f"(known: {', '.join(CHAOS_MODES)})")
+        config.update(CHAOS_MODES[mode])
+        label = f"chaos {mode}"
+    unknown = sorted(set(spec) - set(config) - {"kind"}
+                     - ({"design"} if kind != "sweep" else set()))
     if unknown:
-        raise ServeError(f"unknown keys for a {kind} job: {', '.join(unknown)}")
+        raise ServeError(f"unknown keys for a {label} job: {', '.join(unknown)}")
 
-    out = {"kind": kind, "seed": spec.get("seed", 0)}
-    if not isinstance(out["seed"], int):
-        raise ServeError(f"seed must be an integer, got {out['seed']!r}")
+    out = {"kind": kind}
+    for name, default in config.items():
+        out[name] = value = spec.get(name, default)
+        if name not in _MINIMUM or (value is None and default is None):
+            continue            # not a count, or an optional one left out
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ServeError(f"{name} must be an integer, got {value!r}")
+        if _MINIMUM[name] is not None and value < _MINIMUM[name]:
+            raise ServeError(f"{name} must be >= {_MINIMUM[name]}, got {value}")
 
     if kind == "sweep":
         from repro.perf.presets import PRESET_SWEEPS
 
-        grid = spec.get("grid", "fig6")
-        if grid not in PRESET_SWEEPS:
-            raise ServeError(f"unknown sweep grid {grid!r} "
+        if out["grid"] not in PRESET_SWEEPS:
+            raise ServeError(f"unknown sweep grid {out['grid']!r} "
                              f"(known: {', '.join(sorted(PRESET_SWEEPS))})")
-        out["grid"] = grid
-        out["cycles"] = spec.get("cycles")
-        out["lanes"] = _lanes(spec)
         return out
 
     from repro.designs import DESIGNS, MC_DESIGNS
 
-    registry = MC_DESIGNS if kind == "verify" else DESIGNS
-    design = spec.get("design")
-    if design not in registry:
-        raise ServeError(f"unknown {kind} design {design!r} "
+    registry = MC_DESIGNS if _model_checked(spec) else DESIGNS
+    out["design"] = spec.get("design")
+    if out["design"] not in registry:
+        raise ServeError(f"unknown {label} design {out['design']!r} "
                          f"(known: {', '.join(sorted(registry))})")
-    out["design"] = design
-    if kind == "measure":
-        out["channel"] = spec.get("channel")
-        out["cycles"] = int(spec.get("cycles", 2000))
-        out["warmup"] = int(spec.get("warmup", 100))
-    elif kind == "verify":
-        out["max_states"] = int(spec.get("max_states", 60000))
-        out["lanes"] = _lanes(spec)
-    elif kind == "lint":
-        rules = spec.get("rules")
-        if rules not in (None, "all"):
-            raise ServeError(f"lint rules must be null or 'all', got {rules!r}")
-        out["rules"] = rules
-    elif kind == "chaos":
-        out["cycles"] = int(spec.get("cycles", 150))
-        out["iterations"] = int(spec.get("iterations", 5))
+    if kind == "lint" and out["rules"] not in (None, "all"):
+        raise ServeError(f"lint rules must be null or 'all', "
+                         f"got {out['rules']!r}")
+    if kind == "chaos":
+        _check_plan(out)
     return out
 
 
-def _lanes(spec):
-    """A spec's ``lanes`` (default 1), rejected at admission unless >= 1."""
-    lanes = int(spec.get("lanes", 1))
-    if lanes < 1:
-        raise ServeError(f"lanes must be >= 1, got {lanes}")
-    return lanes
+def _model_checked(spec):
+    """Whether a spec's design is in :data:`repro.designs.MC_DESIGNS`."""
+    return spec["kind"] == "verify" or spec.get("mode") == "exhaustive"
+
+
+def _check_plan(out):
+    """Normalize a ``chaos`` spec's plan knobs in place and refuse what
+    :func:`~repro.chaos.check_knobs` refuses."""
+    from repro.chaos import check_knobs
+    from repro.errors import ChaosError
+
+    kinds, coverage = out["kinds"], out["coverage"]
+    if not isinstance(kinds, (list, tuple)) \
+            or not all(isinstance(k, str) for k in kinds):
+        raise ServeError(f"kinds must be a list of fault kinds, got {kinds!r}")
+    if isinstance(coverage, bool) or not isinstance(coverage, (int, float)):
+        raise ServeError(f"coverage must be a number, got {coverage!r}")
+    out["kinds"], out["coverage"] = list(kinds), float(coverage)
+    try:
+        check_knobs(kinds, budget=out.get("budget", -1), coverage=coverage)
+    except ChaosError as exc:
+        raise ServeError(str(exc)) from None
 
 
 def _canonical(value):
@@ -149,14 +186,13 @@ def _design_material(spec):
         return ("preset-grid", spec["grid"])
     from repro import designs
 
-    verify = kind == "verify"
-    registry = designs.MC_DESIGNS if verify else designs._DESIGN_FACTORIES
-    return _built_material(verify, spec["design"],
-                           registry.get(spec["design"]))
+    mc = _model_checked(spec)
+    registry = designs.MC_DESIGNS if mc else designs._DESIGN_FACTORIES
+    return _built_material(mc, spec["design"], registry.get(spec["design"]))
 
 
 @functools.lru_cache(maxsize=64)
-def _built_material(verify, design, factory):
+def _built_material(mc, design, factory):
     """Build ``design`` once per process and factory and return its
     identity (an immutable tuple): a submit, cache hits included, needs
     only the key.  The factory is part of the memo key, so re-registering
@@ -165,7 +201,7 @@ def _built_material(verify, design, factory):
     from repro.designs import build_design, build_mc_design
     from repro.verif.encoding import StateCodec
 
-    net = (build_mc_design if verify else build_design)(design)
+    net = (build_mc_design if mc else build_design)(design)
     codec = StateCodec(net)
     nodes = tuple(sorted(
         (name, type(node).__name__) for name, node in net.nodes.items()
@@ -192,12 +228,10 @@ def job_key(spec, engine=None):
 
 # -- execution ---------------------------------------------------------------
 
-def _run_measure(spec, control):
+def _run_measure(spec):
     from repro.designs import build_design
     from repro.perf.report import performance_report
 
-    if control is not None:
-        control.raise_if_stopped("measure_start")
     net, names = build_design(spec["design"], with_names=True)
     channel = spec["channel"]
     if channel is not None:
@@ -219,92 +253,108 @@ def _run_measure(spec, control):
 
 
 def _run_verify(spec, control, checkpoint):
-    from repro.designs import build_mc_design
+    from repro.designs import MC_VERDICTS, build_mc_design
     from repro.verif.deadlock import find_deadlocks
     from repro.verif.explore import StateExplorer
+    from repro.verif.leads_to import check_leads_to
 
     net = build_mc_design(spec["design"])
-    explorer = StateExplorer(net, max_states=spec["max_states"],
-                            lanes=spec["lanes"], checkpoint=checkpoint,
-                            control=control)
-    result = explorer.explore()
-    if result.stopped is not None and control is not None \
-            and control.stop_reason() is not None:
-        # The explorer flushed its checkpoint at the boundary it stopped
-        # on; the job surfaces the cancellation/deadline as the structured
-        # error it is (a partial exploration is not a verdict).
+    result = StateExplorer(net, max_states=spec["max_states"],
+                           lanes=spec["lanes"], checkpoint=checkpoint,
+                           control=control).explore()
+    if result.stopped is not None:
+        # The explorer flushed its checkpoint first; a partial exploration
+        # is not a verdict.
         raise control.stop_error(result.stopped)
-    deadlocks = find_deadlocks(result)
-    ok = (not result.violations and not deadlocks and result.complete
-          and result.stopped is None)
+    rule = MC_VERDICTS[spec["design"]]
+    # Only a complete graph is judged: a frontier state has no successor.
+    deadlocks = len(find_deadlocks(result)) if result.complete else 0
+    leads_to = None
+    if rule == "deadlock-free":
+        holds = not deadlocks
+    else:
+        if result.complete:
+            leads_to = all(check_leads_to(result, f"fin{i}", f"fout{i}")[0]
+                           for i in (0, 1))
+        owed = _LEADS_TO_OWED[rule]
+        holds = owed is None or leads_to == owed
     return {
         "design": spec["design"],
+        "rule": rule,
         "n_states": result.n_states,
         "violations": len(result.violations),
-        "deadlocks": len(deadlocks),
+        "deadlocks": deadlocks,
+        "leads_to": leads_to,
         "complete": bool(result.complete),
-        "stopped": result.stopped,
-        "ok": bool(ok),
+        "ok": bool(result.complete and not result.violations and holds),
     }
 
 
-def _run_lint(spec, control):
+def _run_lint(spec):
     import json
 
     from repro.designs import build_design
     from repro.lint import run_lint
 
-    if control is not None:
-        control.raise_if_stopped("lint_start")
     net = build_design(spec["design"])
-    report = run_lint(net, rules=spec["rules"])
-    payload = json.loads(report.to_json())
-    # elapsed time would make equal runs unequal; everything else in the
-    # lint payload is deterministic
-    payload.pop("elapsed_seconds", None)
-    return payload
+    return json.loads(run_lint(net, rules=spec["rules"]).to_json())
 
 
-def _run_sweep(spec, control, checkpoint, engine):
+def preset_sweep(spec):
+    """The :class:`~repro.perf.sweep.SweepSpec` a normalized ``sweep``
+    job names: its preset grid, at the job's cycle count if it sets one."""
     from repro.perf.presets import PRESET_SWEEPS
-    from repro.perf.sweep import run_sweep
 
     kwargs = {}
     if spec["cycles"] is not None:
         kwargs["cycles"] = spec["cycles"]
-    sweep_spec = PRESET_SWEEPS[spec["grid"]](**kwargs)
-    result = run_sweep(sweep_spec, n_workers=1, lanes=spec["lanes"],
+    return PRESET_SWEEPS[spec["grid"]](**kwargs)
+
+
+def _run_sweep(spec, control, checkpoint, engine):
+    from repro.perf.sweep import run_sweep
+
+    result = run_sweep(preset_sweep(spec), n_workers=1, lanes=spec["lanes"],
                        engine=engine, checkpoint=checkpoint, control=control)
     return result.to_payload()
 
 
 def _run_chaos(spec, control, checkpoint, engine):
-    from repro.chaos import run_soak
+    from repro import chaos
 
-    # run_soak handles control/checkpoint itself: it checks the control at
-    # every iteration boundary (after flushing completed rows), so a
-    # cancelled/deadlined chaos job surfaces the structured stop error with
-    # its progress durable — a redispatch resumes instead of restarting.
-    return run_soak(spec["design"], seed=spec["seed"],
-                    iterations=spec["iterations"], cycles=spec["cycles"],
-                    engine=engine, checkpoint=checkpoint, control=control)
+    # seed, plan knobs and run lengths, as the mode's oracle takes them
+    knobs = {name: spec[name] for name in spec
+             if name not in ("kind", "design", "mode", "iterations")}
+    if spec["mode"] == "soak":
+        # run_soak checks the control at every iteration boundary (after
+        # flushing completed rows), so a cancelled/deadlined soak surfaces
+        # the structured stop error with its progress durable.
+        return chaos.run_soak(spec["design"], iterations=spec["iterations"],
+                              engine=engine, checkpoint=checkpoint,
+                              control=control, **knobs)
+    return chaos.plan_payload(spec["mode"], spec["design"], engine=engine,
+                              checkpoint=checkpoint, control=control, **knobs)
 
 
 def run_job(spec, control=None, checkpoint=None, engine=None):
     """Execute a normalized job spec; returns its deterministic payload.
 
-    ``checkpoint`` is a per-job file path (sweeps and explorations save
-    progress there, so a cancelled/killed job resumes); ``control`` is the
-    :class:`~repro.runtime.control.JobControl` carrying the deadline and
-    cancellation state, honoured at checkpoint boundaries.
+    ``checkpoint`` is a per-job file path (sweeps, soaks and explorations
+    save progress there, so a cancelled/killed job resumes); ``control``
+    is the :class:`~repro.runtime.control.JobControl` carrying the
+    deadline and cancellation state, honoured at the checkpoint boundaries
+    of sweeps, soaks and explorations by raising
+    :class:`~repro.errors.JobCancelled` /
+    :class:`~repro.errors.DeadlineExceeded` (measure and lint jobs have
+    none: the server checks the control before it starts a job).
     """
     kind = spec["kind"]
     if kind == "measure":
-        return _run_measure(spec, control)
+        return _run_measure(spec)
     if kind == "verify":
         return _run_verify(spec, control, checkpoint)
     if kind == "lint":
-        return _run_lint(spec, control)
+        return _run_lint(spec)
     if kind == "sweep":
         return _run_sweep(spec, control, checkpoint, engine)
     if kind == "chaos":

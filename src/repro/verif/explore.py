@@ -55,16 +55,16 @@ flushes it, and re-raises; a resumed run replays the identical BFS from
 ``k`` — same state indices, transition list, violations and verdicts as
 an uninterrupted run (the dedup index is rebuilt from the stored states
 by re-encoding, and a resume of a *finished* checkpoint returns the
-stored result without expanding anything).  ``time_budget`` bounds a
-single call's wall clock the same way: stop at a boundary, flush, mark
-the result ``stopped`` — `repro verify --timeout --retries` chains such
-slices into an any-length exploration that makes progress per slice.
+stored result without expanding anything).  Only a
+:class:`~repro.runtime.control.JobControl` stops an exploration early:
+its cancellation or deadline stops the search at a boundary, flushes it
+and marks the result ``stopped`` — `repro verify --timeout --retries`
+chains such slices into an exploration that makes progress per slice.
 """
 
 from __future__ import annotations
 
 import itertools
-import time
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -115,8 +115,8 @@ class ExplorationResult:
     complete: bool = True                              # hit no state cap
     channel_names: list = field(default_factory=list)  # packed-signal order
     #: ``None`` when the search ran to the end of the frontier; a reason
-    #: string when it stopped early (``time_budget`` exceeded).  The
-    #: partial result is still consistent and, with a checkpoint, resumable.
+    #: string when its ``control`` stopped it early.  The partial result
+    #: is still consistent and, with a checkpoint, resumable.
     stopped: object = None
 
     # lazily built adjacency index (invalidated when the graph grows)
@@ -196,13 +196,12 @@ class StateExplorer:
 
     def __init__(self, netlist, max_states=20000, check_protocol=True,
                  engine=None, lanes=1, checkpoint=None, checkpoint_every=1000,
-                 time_budget=None, control=None):
+                 control=None):
         self.netlist = netlist
         self.max_states = max_states
         self.check_protocol = check_protocol
         self.checkpoint = checkpoint
         self.checkpoint_every = max(1, int(checkpoint_every))
-        self.time_budget = time_budget
         #: optional :class:`~repro.runtime.control.JobControl`: progress
         #: is published and cancellation / deadline stops are honoured at
         #: every state boundary (flush first, then stop — the partial
@@ -361,9 +360,9 @@ class StateExplorer:
         """State-boundary hook, called the instant before expanding state
         ``current``: record the rollback point, fire the fault-injection
         point, write a periodic checkpoint, publish progress, and check
-        the time budget / job control.  Returns ``True`` when the search
-        should stop (``self._stop_reason`` says why; the boundary is
-        already flushed)."""
+        the job control.  Returns the control's stop reason when the
+        search should stop (the boundary is already flushed), else
+        ``None``."""
         self._boundary_state = (current, len(result.states),
                                 len(result.transitions),
                                 len(result.violations), result.complete)
@@ -372,21 +371,16 @@ class StateExplorer:
                 and current - self._last_saved >= self.checkpoint_every):
             self._flush_boundary(result)
             self._last_saved = current
-        if self.control is not None:
-            self.control.progress("explore_state", state=current,
-                                  n_states=len(result.states))
-            reason = self.control.stop_reason()
-            if reason is not None:
-                # Flush before reporting the stop: the caller may unwind,
-                # but the boundary is durable and resumable.
-                self._flush_boundary(result)
-                self._stop_reason = reason
-                return True
-        if self._deadline is not None and time.monotonic() >= self._deadline:
+        if self.control is None:
+            return None
+        self.control.progress("explore_state", state=current,
+                              n_states=len(result.states))
+        reason = self.control.stop_reason()
+        if reason is not None:
+            # Flush before reporting the stop: the caller may unwind, but
+            # the boundary is durable and resumable.
             self._flush_boundary(result)
-            self._stop_reason = "time budget exceeded"
-            return True
-        return False
+        return reason
 
     def _flush_boundary(self, result):
         """Roll ``result`` back to the last recorded state boundary (a
@@ -421,8 +415,8 @@ class StateExplorer:
         through :meth:`ExplorationResult.predecessors` are shortest-path.
         With ``checkpoint`` set, resumes from a matching checkpoint file
         and flushes the last consistent boundary on KeyboardInterrupt
-        before re-raising; with ``time_budget`` set, stops at a boundary
-        once the budget is spent and marks the result ``stopped``.
+        before re-raising; stops at a boundary once ``control`` is
+        cancelled or its deadline passes, and marks the result ``stopped``.
         """
         self.netlist.reset()
         initial_snapshot = self.netlist.snapshot()
@@ -435,9 +429,6 @@ class StateExplorer:
         start = self._try_resume(result, index)
         self._last_saved = start
         self._boundary_state = None
-        self._stop_reason = None
-        self._deadline = (time.monotonic() + self.time_budget
-                          if self.time_budget is not None else None)
         try:
             self._explore(result, index, start)
         except KeyboardInterrupt:
@@ -459,8 +450,8 @@ class StateExplorer:
         frontier = deque(range(start, len(states)))
         while frontier:
             current = frontier[0]
-            if self._boundary(result, current):
-                result.stopped = self._stop_reason
+            result.stopped = self._boundary(result, current)
+            if result.stopped is not None:
                 return
             frontier.popleft()
             snapshot, prev_signals = states[current]

@@ -81,12 +81,3 @@ def check_leads_to(result, in_channel, out_channel=None):
     if not starving:
         return True, []
     return False, sorted(min(starving, key=min))
-
-
-def starvation_free(result, channel_pairs):
-    """Check leads-to on several (in, out) pairs; returns dict of verdicts."""
-    verdicts = {}
-    for in_channel, out_channel in channel_pairs:
-        ok, lasso = check_leads_to(result, in_channel, out_channel)
-        verdicts[in_channel] = (ok, lasso)
-    return verdicts

@@ -335,7 +335,21 @@ class TestServeJob:
 
         spec = validate_job({"kind": "chaos", "design": "fig7b"})
         assert spec == {"kind": "chaos", "seed": 0, "design": "fig7b",
+                        "mode": "soak", "coverage": 0.5,
+                        "kinds": ["stall", "bubble"],
                         "cycles": 150, "iterations": 5}
+        spec = validate_job({"kind": "chaos", "design": "fig7b",
+                             "mode": "invariance"})
+        assert spec == {"kind": "chaos", "seed": 0, "design": "fig7b",
+                        "mode": "invariance", "coverage": 0.5,
+                        "kinds": ["stall", "bubble"],
+                        "cycles": 150, "budget": -1}
+        spec = validate_job({"kind": "chaos", "design": "spec-toggle",
+                             "mode": "exhaustive"})
+        assert spec == {"kind": "chaos", "seed": 0, "design": "spec-toggle",
+                        "mode": "exhaustive", "coverage": 0.5,
+                        "kinds": ["stall", "bubble"],
+                        "budget": 2, "max_states": 20000}
 
 
 # -- CLI ----------------------------------------------------------------------

@@ -76,6 +76,53 @@ class TestCli:
         assert sorted(path.name for path in tmp_path.iterdir()) == [
             "eb.ckpt", "nondet.ckpt", "static.ckpt", "toggle.ckpt", "zbl.ckpt"]
 
+    def test_verify_past_deadline_stops_every_line(self, capsys):
+        """``--timeout 0``: every slice's deadline has passed before the
+        first state boundary, so each exploration stops there, on each
+        of its two slices."""
+        assert main(["verify", "--timeout", "0", "--retries", "1"]) == 1
+        rows = [line for line in capsys.readouterr().out.splitlines()
+                if line.startswith("  ")]
+        assert len(rows) == 5
+        for row in rows:
+            assert row.endswith("states=1      -> STOPPED (deadline exceeded; "
+                                "partial progress lost (no --checkpoint))")
+
+    def test_verify_incomplete_exploration_fails(self, capsys):
+        """The speculative compositions need 257 states: under a bound of
+        100 their verdict is not reached, whatever leads-to says on the
+        truncated graph."""
+        assert main(["verify", "--max-states", "100"]) == 1
+        out = capsys.readouterr().out
+        assert ("  toggle                     states=100    violations=0 "
+                "incomplete (state bound hit; raise --max-states) -> FAIL"
+                in out)
+        assert "static w/o repair          states=97     safe=True " \
+               "leads-to=False -> OK (starves as predicted)" in out
+
+    @pytest.mark.parametrize("argv,message", [
+        (["sweep", "--cycles", "-1"], "cycles must be >= 1, got -1"),
+        (["sweep", "--cycles", "0"], "cycles must be >= 1, got 0"),
+        (["verify", "--max-states", "0"], "max_states must be >= 1, got 0"),
+        (["chaos", "--soak", "--budget", "3"],
+         "unknown keys for a chaos soak job: budget"),
+        (["chaos", "--soak", "--iterations", "0"],
+         "iterations must be >= 1, got 0"),
+        (["chaos", "--iterations", "3"],
+         "unknown keys for a chaos invariance job: iterations"),
+        (["chaos", "--design", "spec-toggle", "--exhaustive",
+          "--cycles", "40"], "unknown keys for a chaos exhaustive job: "
+                             "cycles"),
+        (["chaos", "--design", "spec-toggle", "--exhaustive",
+          "--max-states", "0"], "max_states must be >= 1, got 0"),
+    ])
+    def test_malformed_job_flags_exit_2(self, capsys, argv, message):
+        """The job layer's admission check is the CLI's too."""
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+
     def test_batch_is_not_an_engine_choice(self, capsys):
         """There is no lane engine (nor a naive one) to select."""
         for engine in ("batch", "naive"):

@@ -38,6 +38,7 @@ from repro.runtime.faults import (
     install_plan,
     plan_scope,
 )
+from repro.runtime.control import JobControl
 from repro.runtime.supervisor import Supervisor, usable_cpus
 from repro.verif.explore import StateExplorer
 from test_explore_diff import build_mc_pipeline
@@ -312,15 +313,16 @@ class TestExplorerResilience:
         ck = str(tmp_path / "explore.ckpt")
         clean = StateExplorer(explore_net(), max_states=5000).explore()
         sliced = StateExplorer(explore_net(), max_states=5000, checkpoint=ck,
-                               time_budget=0.0).explore()
-        assert sliced.stopped == "time budget exceeded"
+                               control=JobControl(deadline=0.0)).explore()
+        assert sliced.stopped == "deadline exceeded"
         assert not sliced.ok()
         for _ in range(10_000):
             if sliced.stopped is None:
                 break
             sliced = StateExplorer(explore_net(), max_states=5000,
                                    checkpoint=ck,
-                                   time_budget=0.005).explore()
+                                   control=JobControl(deadline=0.005)
+                                   ).explore()
         assert explorer_fingerprint(sliced) == explorer_fingerprint(clean)
 
     def test_resume_of_finished_checkpoint_is_a_cache_hit(self, tmp_path):

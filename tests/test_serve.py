@@ -17,6 +17,7 @@ import asyncio
 import contextlib
 import json
 import os
+import re
 import signal
 import socket
 import subprocess
@@ -122,6 +123,15 @@ class TestJobIdentity:
         spec = validate_job(LINT_SPEC)
         assert spec == {"kind": "lint", "design": "fig1a", "rules": None,
                         "seed": 0}
+        assert validate_job(MEASURE_SPEC) == {
+            "kind": "measure", "design": "fig1a", "seed": 0, "channel": None,
+            "cycles": 200, "warmup": 100}
+        assert validate_job({"kind": "verify", "design": "eb"}) == {
+            "kind": "verify", "design": "eb", "seed": 0, "max_states": 60000,
+            "lanes": 1}
+        assert validate_job({"kind": "sweep"}) == {
+            "kind": "sweep", "grid": "fig6", "seed": 0, "cycles": None,
+            "lanes": 1}
         with pytest.raises(ServeError, match="unknown job kind"):
             validate_job({"kind": "meteor"})
         with pytest.raises(ServeError, match="unknown lint design"):
@@ -134,6 +144,109 @@ class TestJobIdentity:
             validate_job({"kind": "verify", "design": "eb", "lanes": 0})
         with pytest.raises(ServeError, match="lanes must be >= 1, got -3"):
             validate_job({"kind": "sweep", "lanes": -3})
+
+    @pytest.mark.parametrize("spec,message", [
+        ({"kind": "chaos", "design": "fig6b", "iterations": -3},
+         "iterations must be >= 1, got -3"),
+        ({"kind": "chaos", "design": "fig6b", "iterations": 0},
+         "iterations must be >= 1, got 0"),
+        ({"kind": "chaos", "design": "fig6b", "cycles": 0},
+         "cycles must be >= 1, got 0"),
+        ({"kind": "sweep", "grid": "fig6", "cycles": -1},
+         "cycles must be >= 1, got -1"),
+        ({"kind": "sweep", "grid": "fig6", "cycles": "60"},
+         "cycles must be an integer, got '60'"),
+        ({"kind": "measure", "design": "fig1a", "cycles": "12"},
+         "cycles must be an integer, got '12'"),
+        ({"kind": "measure", "design": "fig1a", "cycles": True},
+         "cycles must be an integer, got True"),
+        ({"kind": "measure", "design": "fig1a", "cycles": 12.0},
+         "cycles must be an integer, got 12.0"),
+        ({"kind": "measure", "design": "fig1a", "cycles": 0},
+         "cycles must be >= 1, got 0"),
+        ({"kind": "measure", "design": "fig1a", "warmup": -1},
+         "warmup must be >= 0, got -1"),
+        ({"kind": "verify", "design": "eb", "max_states": 0},
+         "max_states must be >= 1, got 0"),
+        ({"kind": "verify", "design": "eb", "max_states": False},
+         "max_states must be an integer, got False"),
+        ({"kind": "verify", "design": "eb", "lanes": True},
+         "lanes must be an integer, got True"),
+        ({"kind": "lint", "design": "fig1a", "seed": True},
+         "seed must be an integer, got True"),
+        ({"kind": "chaos", "design": "spec-toggle", "mode": "exhaustive",
+          "max_states": 0}, "max_states must be >= 1, got 0"),
+        ({"kind": "chaos", "design": "fig6b", "budget": 3},
+         "unknown keys for a chaos soak job: budget"),
+        ({"kind": "chaos", "design": "fig6b", "max_states": 10},
+         "unknown keys for a chaos soak job: max_states"),
+        ({"kind": "chaos", "design": "fig6b", "mode": "invariance",
+          "iterations": 2}, "unknown keys for a chaos invariance job: "
+                            "iterations"),
+        ({"kind": "chaos", "design": "spec-toggle", "mode": "exhaustive",
+          "cycles": 10}, "unknown keys for a chaos exhaustive job: cycles"),
+        ({"kind": "chaos", "design": "fig6b", "mode": "exhaustive"},
+         "unknown chaos exhaustive design 'fig6b'"),
+        ({"kind": "chaos", "design": "spec-toggle"},
+         "unknown chaos soak design 'spec-toggle'"),
+        ({"kind": "chaos", "design": "fig6b", "mode": "storm"},
+         "unknown chaos mode 'storm'"),
+        ({"kind": "chaos", "design": "fig6b", "kinds": ["gremlin"]},
+         "unknown fault kind 'gremlin'"),
+        ({"kind": "chaos", "design": "fig6b", "kinds": []},
+         "no fault kinds given"),
+        ({"kind": "chaos", "design": "fig6b", "kinds": "stall"},
+         "kinds must be a list of fault kinds"),
+        ({"kind": "chaos", "design": "fig6b", "coverage": 1.5},
+         "coverage must be in [0, 1], got 1.5"),
+        ({"kind": "chaos", "design": "fig6b", "coverage": "half"},
+         "coverage must be a number"),
+        ({"kind": "chaos", "design": "fig6b", "mode": "invariance",
+          "budget": -9}, "budget must be -1 (unbounded) or >= 0, got -9"),
+    ])
+    def test_malformed_values_rejected_at_admission(self, spec, message):
+        """Each of these used to run (and cache) a result, or fail deep
+        inside the job; admission refuses them instead."""
+        with pytest.raises(ServeError, match=re.escape(message)):
+            validate_job(spec)
+
+    @pytest.mark.parametrize("design", ["eb", "spec-toggle"])
+    def test_incomplete_verify_is_no_verdict(self, design):
+        """A frontier state of a truncated graph has no expanded
+        successor: it is not counted as a deadlock, leads-to is not
+        judged, and the job does not pass."""
+        payload = run_job(validate_job({"kind": "verify", "design": design,
+                                        "max_states": 2}))
+        assert payload["n_states"] == 2 and not payload["complete"]
+        assert (payload["deadlocks"], payload["leads_to"], payload["ok"]) \
+            == (0, None, False)
+
+    @pytest.mark.parametrize("spec", [
+        {"kind": "verify", "design": "eb"},
+        {"kind": "chaos", "mode": "exhaustive", "design": "spec-toggle",
+         "seed": 2},
+    ], ids=["verify", "chaos-exhaustive"])
+    def test_explorations_stop_through_job_control(self, spec, tmp_path):
+        """A passed deadline stops the exploration at its first boundary
+        with the structured error; the checkpoint then resumes to the
+        clean payload."""
+        from repro.errors import DeadlineExceeded
+        from repro.runtime.control import JobControl
+
+        spec = validate_job(spec)
+        ckpt = str(tmp_path / "job.ckpt")
+        with pytest.raises(DeadlineExceeded, match="deadline exceeded"):
+            run_job(spec, control=JobControl(deadline=0), checkpoint=ckpt)
+        assert os.path.exists(ckpt)
+        assert run_job(spec, control=JobControl(), checkpoint=ckpt) \
+            == run_job(spec)
+
+    def test_equal_chaos_knobs_normalize_to_one_key(self):
+        a = validate_job({"kind": "chaos", "design": "fig6b",
+                          "coverage": 1, "kinds": ("stall",)})
+        b = validate_job({"kind": "chaos", "design": "fig6b",
+                          "coverage": 1.0, "kinds": ["stall"]})
+        assert a == b and job_key(a) == job_key(b)
 
     def test_keys_are_deterministic_and_config_sensitive(self):
         base = job_key(validate_job(MEASURE_SPEC))
@@ -159,9 +272,49 @@ class TestJobIdentity:
         assert before != after
 
 
-#: ``serve-v3`` keys of every canned design (engine None, seed 0), pinned
+#: ``serve-v4`` keys of every canned design (engine None, seed 0), pinned
 #: so that memoizing the design material cannot move a key.
 PINNED_KEYS = {
+    "chaos:fig1a":
+        "52471f9c2341fed4dd2995a17221b27e593fc2a12c389ba0de899c25d253e8a7",
+    "chaos:fig1d":
+        "38a05cecd7a66a37ec4908db1d42eaea49e101f479c8e44da871f8af6afd81cd",
+    "chaos:fig6b":
+        "acbbe355072841d575fbeecd77bc9f4440f82233a80f1a3c5c76cacfd28a384c",
+    "chaos:fig7b":
+        "4c0d093c3cb959138ef91d537f48c487f25b6b7240e8f3f279aae377becbeb77",
+    "lint:fig1a":
+        "103a88692eb736533c7e6d168758553716d89810d3b4ec87990a020148604fbc",
+    "lint:fig1d":
+        "5a684ba5e414f19ee5c8b982b79514f4bf9244c53533d14365f8d704933ed863",
+    "lint:fig6b":
+        "51fc85e059ed3a2e8a0eb38ad54d685fa7404f18e7c4df222492cb3588f136a7",
+    "lint:fig7b":
+        "0c80519eb96796321a0c241fa190e016ecea1cc3c78147364f6598f29ba369d5",
+    "measure:fig1a":
+        "3ccd9c5e74f93cebdfa54a0581520198cb09d9bd690a37e5d86ff93911010c3c",
+    "measure:fig1d":
+        "3f29ff0c7b61eccc5a479e6b6e3f594b9bfe2ecb48352e468ea6f27abfcf57dc",
+    "measure:fig6b":
+        "fbad977859172c76340cc0023c4846fbf74d7602f9ee5e6b5303cb66eaeb2fbe",
+    "measure:fig7b":
+        "962d2259a1c3a168437ceae9a7825c195de43f789fdf6680b8b9b078a954313c",
+    "verify:eb":
+        "989ffecbc12c021a2c6bd4d7119bf03fd72b4070cda851f33f37b86565fc9275",
+    "verify:spec-nondet":
+        "2625a68a0d61e46a46e401a4a570a3d0f2f8890f6b5eb1b0e2d5edd1cd9c23f8",
+    "verify:spec-static":
+        "a4b4dbfed9e0adcd65e4bc8ece67f8d2b3cabae4c626f56824a3090fff93535a",
+    "verify:spec-toggle":
+        "aa552304abe3a053ed8775b00cdd6b9b17f534e7a7dbae9998906fea28992079",
+    "verify:zbl":
+        "dfcdc8d401b93a6c021899efe5abebc8325e840698eb9868d379fa95ae7ecbb5",
+}
+
+#: the ``serve-v3`` keys the ``PINNED_KEYS`` designs had before verify
+#: payloads gained the verdict rule and chaos specs their mode: every
+#: key moved with the format
+SERVE_V3_KEYS = {
     "chaos:fig1a":
         "c9adc8f48d21c9324e96fb57069ec20f3e425359264aa89b5c4c8987ca3f7b9b",
     "chaos:fig1d":
@@ -198,7 +351,8 @@ PINNED_KEYS = {
         "03412ee5dc7892f64eda93d0a9202e06374bfbc0fc20f949772b53eefa4866d8",
 }
 
-#: the job mix of the ``serve`` perfbench workload, with their pinned keys
+#: the job mix of the ``serve`` perfbench workload, with their ``serve-v3``
+#: keys (which also name the parametrized tests)
 SERVE_TEMPLATE_KEYS = (
     ({"kind": "measure", "design": "fig1d", "channel": "ebin", "cycles": 300},
      "52d30612a4a744342c349b7df17940e83f66283bc7cd8774931614fce60aa9b0"),
@@ -219,6 +373,28 @@ SERVE_TEMPLATE_KEYS = (
 )
 
 
+
+#: ``serve-v3`` key -> ``serve-v4`` key of each ``SERVE_TEMPLATE_KEYS`` job
+SERVE_TEMPLATE_V4_KEYS = {
+    "52d30612a4a744342c349b7df17940e83f66283bc7cd8774931614fce60aa9b0":
+        "935d8b70bb809b10270c3c3a5550f77587eccfa27d793cd9c8d6614024d7ea4f",
+    "f24796d349ddbc135efc84be604add1d76e96b72e58746224dc7b79b39571ea6":
+        "1db21b0e4ca637ffb6f1ca424d9710bf9fe910968fef829afa6fb5036ad70f99",
+    "4b39cce05d4fc0b956583797b5d2512c39592abe1615caad28723924294e4696":
+        "25fc93f92b8c247c63eacf82cc30dcfe7b0009cb7b602f6c2364266f0c9a61d2",
+    "2aa71c500ab4f0674b85f70a922ed05a705083c49a0b1f17c5477b496eb6e1b5":
+        "51fc85e059ed3a2e8a0eb38ad54d685fa7404f18e7c4df222492cb3588f136a7",
+    "05712321b0a1443b80d5d31735e9fb0e4d0cf9b6b520336f29f26862625061ce":
+        "0c80519eb96796321a0c241fa190e016ecea1cc3c78147364f6598f29ba369d5",
+    "6bc7393fcacb99998e19b42353ae2ed9547c597db8230ef79599aea8fe0232e6":
+        "989ffecbc12c021a2c6bd4d7119bf03fd72b4070cda851f33f37b86565fc9275",
+    "fd3de07610777dbee562e4b489df0221964f68bcd6fee2e26c0f60690826a308":
+        "aa552304abe3a053ed8775b00cdd6b9b17f534e7a7dbae9998906fea28992079",
+    "7ad19fe2670390647c5094330236818cbf1c547190aaa22de50b8400f201a3ca":
+        "302531169305ba3c55f0296c0b779b1a6eb175465dcfd70a13e89a72f830ca4a",
+}
+
+
 class TestKeyMaterial:
     """A job key builds its design once per process: the material is
     memoized per (kind, design, factory), and the keys stay exactly what
@@ -230,10 +406,14 @@ class TestKeyMaterial:
         spec = validate_job({"kind": kind, "design": design})
         assert job_key(spec) == PINNED_KEYS[label]
         assert job_key(spec) == PINNED_KEYS[label]     # memoized: same key
+        assert PINNED_KEYS[label] != SERVE_V3_KEYS[label]
 
     @pytest.mark.parametrize("spec,key", SERVE_TEMPLATE_KEYS)
     def test_serve_template_keys_unchanged(self, spec, key):
-        assert job_key(validate_job(dict(spec))) == key
+        """``key`` is the template's ``serve-v3`` key; its ``serve-v4``
+        successor is pinned and differs."""
+        assert job_key(validate_job(dict(spec))) == SERVE_TEMPLATE_V4_KEYS[key]
+        assert SERVE_TEMPLATE_V4_KEYS[key] != key
 
     def test_every_design_is_pinned(self):
         from repro.designs import DESIGNS, MC_DESIGNS
@@ -393,6 +573,70 @@ class TestServerBasics:
                 client._simple({"op": "launch"})
             with pytest.raises(ServeError, match="unknown job"):
                 client.cancel("999")
+
+
+class TestCliParity:
+    """The CLI runs the job code ``repro submit`` runs: a local run and a
+    submitted run of one spec give the same payload.  Nothing here reads
+    a clock; each check compares payloads (or their rendering)."""
+
+    def test_verify_report_from_submitted_jobs(self, tmp_path):
+        from repro import cli
+        from test_cli import VERIFY_REPORT
+
+        lines = []
+        with running_server(tmp_path) as (_server, client):
+            for heading, checks in cli._VERIFY_CHECKS:
+                lines.append(heading)
+                for design, label, _slug in checks:
+                    reply = client.submit({"kind": "verify",
+                                           "design": design})
+                    lines.append(cli._verify_line(label, reply["payload"]))
+        assert "\n".join(lines) + "\n" == VERIFY_REPORT
+
+    @pytest.mark.parametrize("argv,spec", [
+        (["--design", "fig1d", "--soak", "--iterations", "1",
+          "--cycles", "60"],
+         {"design": "fig1d", "iterations": 1, "cycles": 60}),
+        (["--design", "fig6b", "--seed", "4", "--cycles", "60"],
+         {"mode": "invariance", "design": "fig6b", "seed": 4, "cycles": 60}),
+        (["--design", "spec-toggle", "--seed", "2", "--exhaustive"],
+         {"mode": "exhaustive", "design": "spec-toggle", "seed": 2}),
+    ], ids=["soak-mode", "invariance-mode", "exhaustive-mode"])
+    def test_chaos_json_equals_submitted_payload(self, tmp_path, capsys,
+                                                 argv, spec):
+        from repro import cli
+
+        assert cli.main(["chaos", *argv, "--json"]) == 0
+        local = json.loads(capsys.readouterr().out)
+        with running_server(tmp_path) as (_server, client):
+            reply = client.submit(dict(spec, kind="chaos"))
+        assert reply["payload"] == local
+
+    @pytest.mark.parametrize("audit", [False, True])
+    def test_lint_json_equals_submitted_payload(self, tmp_path, capsys,
+                                                audit):
+        from repro import cli
+
+        cli.main(["lint", "--design", "fig6b", "--json"]
+                 + (["--audit"] if audit else []))
+        local = json.loads(capsys.readouterr().out)
+        with running_server(tmp_path) as (_server, client):
+            reply = client.submit({"kind": "lint", "design": "fig6b",
+                                   "rules": "all" if audit else None})
+        assert reply["payload"] == local
+
+    def test_sweep_json_equals_submitted_payload(self, tmp_path, capsys):
+        from repro import cli
+
+        path = tmp_path / "sweep.json"
+        assert cli.main(["sweep", "--grid", "fig1", "--cycles", "60",
+                         "--json", str(path)]) == 0
+        local = json.loads(path.read_text())
+        with running_server(tmp_path / "root") as (_server, client):
+            reply = client.submit({"kind": "sweep", "grid": "fig1",
+                                   "cycles": 60})
+        assert reply["payload"] == local
 
 
 class TestAdmissionControl:
