@@ -17,10 +17,12 @@ in which
 * protocol monitoring, statistics, observers and the ``tick`` kernel of
   every kind — the shared module's scheduler feedback, the mux's kill
   counters and the variable-latency station included — are inlined into
-  the same generated function, so a cycle is one Python call.  A plain
-  step counts statistics straight from the locals and builds no
-  :class:`~repro.elastic.channel.ChannelEvents`; only a model-checking
-  step (``choices`` given) resolves the events dict it returns.
+  the same generated function, so a cycle is one Python call.  No step
+  builds a :class:`~repro.elastic.channel.ChannelEvents`: a plain step
+  counts statistics straight from the locals, and a model-checking step
+  (``choices`` given) returns the locals packed one byte per channel
+  (``v3 | p3 << 1 | a3 << 2 | m3 << 3``, the encoding of
+  :mod:`repro.verif.encoding`) in one ``bytes`` expression.
 
 Compilation is **all or nothing**.  Every kind of the paper's designs has
 an emitter — buffers, joins, forks, environments (including the
@@ -40,12 +42,16 @@ select with unknown data leaves its decision unknown, so the compiled
 mux hands the cycle to :meth:`CodegenBackend.diagnose_unknown`, which
 re-runs it interpreted and raises the worklist engine's diagnosis.
 
-The locals are flushed back into the ``ChannelState`` objects every cycle
-(before the monitor/statistics phases), and each channel's memoized
-events are dropped with that flush, so everything that inspects channel
-state between cycles — observers, ``Channel.events()``, the model
-checker's packed-signal reader, the ``tick`` of a subclass that
-overrides it — sees exactly what the worklist engine would produce.  The
+Right after the pre-cycle hooks, a cycle marks every channel unresolved
+(``vp = None`` on each ``ChannelState``) and drops its memoized events,
+so a ``Channel.events()`` call from inside the cycle (a ``Func`` or
+shared-module ``fn`` probing a channel) raises as it does on the
+worklist engine instead of serving the previous cycle's events.  The
+locals are flushed back into the ``ChannelState`` objects every cycle
+(before the monitor/statistics phases), so everything that inspects
+channel state between cycles — observers, ``Channel.events()``, the
+``tick`` of a subclass that overrides it — sees exactly what the worklist
+engine would produce.  The
 differential suite (``tests/test_codegen_diff.py``) pins the engine
 bit-identical to the worklist engine, including protocol violations and
 combinational-loop diagnoses.
@@ -98,12 +104,6 @@ from functools import partial
 from repro.core.scheduler import SchedulerFeedback
 from repro.core.shared import SharedModule
 from repro.elastic.buffers import ElasticBuffer, ZeroBackwardLatencyBuffer
-from repro.elastic.channel import (
-    EV_BACKWARD,
-    EV_CANCEL,
-    EV_IDLE,
-    ChannelEvents,
-)
 from repro.elastic.eemux import EarlyEvalMux
 from repro.elastic.environment import (
     KillerSink,
@@ -936,34 +936,25 @@ def _chunk_chain(targets, value, size=10):
     return lines
 
 
-#: a channel cycle's outcome -> the statistics counter it bumps (a bound
-#: default of the cycle function) and the event it resolves to.
-_OUTCOMES = {
-    "cancels": ("_ca", "EV_CANCEL"),
-    "transfers": ("_tr", "ChannelEvents(True, False, False, {data})"),
-    "stalls": ("_sl", "EV_IDLE"),
-    "backwards": ("_ba", "EV_BACKWARD"),
-    "idles": ("_il", "EV_IDLE"),
-}
-
-
-def _outcome_block(g, ci, action):
+def _count_block(g, ci):
     """The inlined classification of channel ``ci``'s cycle (exact mirror
-    of ``Channel._compute_events`` and ``ChannelStats.observe``), with
-    ``action(outcome)`` the one statement of each branch."""
+    of ``Channel._compute_events`` and ``ChannelStats.observe``), each
+    branch bumping its outcome's statistics counter (a bound default of
+    the cycle function)."""
     vp, sp, vm, sm = (g.csig(ci, s) for s in _CONTROLS)
+    key = repr(g.plan.channels[ci].name)
     return [
         f"if {vp}:",
         f"    if {vm}:",
-        f"        {action('cancels')}",
+        f"        _ca[{key}] += 1",
         f"    elif not {sp}:",
-        f"        {action('transfers')}",
+        f"        _tr[{key}] += 1",
         "    else:",
-        f"        {action('stalls')}",
+        f"        _sl[{key}] += 1",
         f"elif {vm} and not {sm}:",
-        f"    {action('backwards')}",
+        f"    _ba[{key}] += 1",
         "else:",
-        f"    {action('idles')}",
+        f"    _il[{key}] += 1",
     ]
 
 
@@ -1002,10 +993,16 @@ def _generate_source(netlist, check_protocol, content_hash):
         g.bind[name] = f"_nodes[{ni}].pre_cycle"
         body.append(f"{name}()")
 
-    # -- clear: every channel's signals are fresh locals ---------------------
+    # -- clear: every channel's signals are fresh locals, and its state
+    # -- reads as unresolved (no memoized events, vp unknown) until the
+    # -- flush, so a Channel.events() call inside the cycle raises --------
     locals_ = [f"{_LOC[s]}{ci}" for ci in range(len(channels))
                for s in ("vp", "sp", "vm", "sm", "data")]
     body += _chunk_chain(locals_, "None")
+    body += _chunk_chain([f"{g.chan_ref(ci)}.events_cache"
+                          for ci in range(len(channels))], "None")
+    body += _chunk_chain([f"{g.state_ref(ci)}.vp"
+                          for ci in range(len(channels))], "None")
 
     # -- straight-line region, in scheduled signal-task order ---------------
     for ni, reads, writes, emit in plan.task_order:
@@ -1014,16 +1011,13 @@ def _generate_source(netlist, check_protocol, content_hash):
         emit(g, ni, node, body)
         g.cover(node, [(p, s) for p, s in writes if s != "data"])
 
-    # -- flush locals into the ChannelState objects (observers, the model
-    # -- checker's packed reader and Channel.events() read them between
-    # -- phases / cycles) and drop any events memoized from the previous
-    # -- cycle's signals ----------------------------------------------------
+    # -- flush locals into the ChannelState objects (observers, ticks
+    # -- and Channel.events() read them between phases / cycles) --------
     for ci in range(len(channels)):
         st = g.state_ref(ci)
         body.append("; ".join(
-            [f"{st}.{s} = {_LOC[s]}{ci}"
-             for s in ("vp", "sp", "vm", "sm", "data")]
-            + [f"{g.chan_ref(ci)}.events_cache = None"]
+            f"{st}.{s} = {_LOC[s]}{ci}"
+            for s in ("vp", "sp", "vm", "sm", "data")
         ))
 
     # -- resolution check (combinational-loop diagnosis) --------------------
@@ -1066,24 +1060,21 @@ def _generate_source(netlist, check_protocol, content_hash):
                 ]
             body.append(f"_mp[{key}] = ({vp}, {sp}, {vm}, {sm}, {da})")
 
-    # -- statistics (step) / events dict (step_with_choices) ---------------
+    # -- statistics (step) / packed signals (step_with_choices) -----------
     body.append("if choices is None:")
-    for ci, ch in enumerate(channels):
-        key = repr(ch.name)
-        body += ["    " + ln for ln in _outcome_block(
-            g, ci, lambda o: f"{_OUTCOMES[o][0]}[{key}] += 1")]
+    for ci in range(len(channels)):
+        body += ["    " + ln for ln in _count_block(g, ci)]
     body += [
         "    _stats.cycles += 1",
         "    for _ob in _sim.observers:",
         "        _ob.observe(cycle, _net)",
         "else:",
-        "    _evd = {}",
+        "    _sig = bytes((",
     ]
-    for ci, ch in enumerate(channels):
-        data = g.csig(ci, "data")
-        body += ["    " + ln for ln in _outcome_block(
-            g, ci, lambda o: "_e = " + _OUTCOMES[o][1].format(data=data))]
-        body += [f"    {g.chan_ref(ci)}.events_cache = _evd[{ch.name!r}] = _e"]
+    for ci in range(len(channels)):
+        vp, sp, vm, sm = (g.csig(ci, s) for s in _CONTROLS)
+        body.append(f"        {vp} | {sp} << 1 | {vm} << 2 | {sm} << 3,")
+    body.append("    ))")
 
     # -- clock edge ---------------------------------------------------------
     for ni in plan.ticks:
@@ -1097,7 +1088,7 @@ def _generate_source(netlist, check_protocol, content_hash):
             g.bind[name] = f"_nodes[{ni}].tick"
             body.append(f"{name}()")
 
-    body += ["if choices is not None:", "    return _evd"]
+    body += ["if choices is not None:", "    return _sig"]
 
     # -- audit: every channel's four controls must be written
     # -- unconditionally by the straight-line region ------------------------
@@ -1117,9 +1108,6 @@ def _generate_source(netlist, check_protocol, content_hash):
         "_il": "_stats.idles",
         "_sim": 'env["sim"]', "_net": 'env["netlist"]',
         "_diag": 'env["diagnose"]',
-        "EV_IDLE": 'env["EV_IDLE"]', "EV_CANCEL": 'env["EV_CANCEL"]',
-        "EV_BACKWARD": 'env["EV_BACKWARD"]',
-        "ChannelEvents": 'env["ChannelEvents"]',
     })
     if check_protocol:
         g.bind.update({"_mp": "_mon._prev", "_mf": "_mon._fail"})
@@ -1257,10 +1245,6 @@ class CodegenBackend:
             "diagnose_unknown": self.diagnose_unknown,
             "SchedulerError": SchedulerError,
             "SchedulerFeedback": SchedulerFeedback,
-            "EV_IDLE": EV_IDLE,
-            "EV_CANCEL": EV_CANCEL,
-            "EV_BACKWARD": EV_BACKWARD,
-            "ChannelEvents": ChannelEvents,
         })
 
     def diagnose_unknown(self):

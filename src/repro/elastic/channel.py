@@ -232,11 +232,13 @@ class Channel:
         memoized for the rest of the cycle.
 
         Nothing resolves them eagerly: statistics count straight from the
-        signals, so a plain simulation step builds no event object.  The
-        engines drop the memo right after each fix-point (the worklist
-        engine after :meth:`~repro.sim.engine.Simulator._fixpoint`, the
-        compiled cycle after flushing its locals), so a call made while
-        signals were still settling is never served afterwards.
+        signals and a model-checking step returns them packed, so no
+        simulation step builds an event object.  A call made while
+        signals are still settling is never served afterwards: the
+        worklist engine drops the memo right after
+        :meth:`~repro.sim.engine.Simulator._fixpoint`, and a compiled
+        cycle marks the channel unresolved, memo dropped, until it
+        flushes its locals, so such a call raises.
         """
         cached = self.events_cache
         if cached is None:

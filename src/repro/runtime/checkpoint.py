@@ -18,7 +18,7 @@ properties from their on-disk progress records:
 File format (version 1)::
 
     repro-checkpoint 1\\n
-    <kind>\\n            e.g. "sweep" or "explore-v2"
+    <kind>\\n            e.g. "sweep" or "explore-v3"
     <codec>\\n           "json" or "pickle"
     <key>\\n             hex content-address of the producing job
     <sha256>\\n          hex digest of the body bytes

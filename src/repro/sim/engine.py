@@ -11,10 +11,11 @@ Each clock cycle proceeds in four phases:
    cycle and raise :class:`~repro.errors.CombinationalLoopError` — the
    hazard the paper warns about when chaining zero-backward-latency buffers;
 3. **observation** — the protocol monitor and the statistics read the
-   settled signals directly; observers and the model checker resolve a
-   channel's :class:`~repro.elastic.channel.ChannelEvents` on demand
-   (:meth:`Channel.events`, memoized for the rest of the cycle), so a
-   plain step builds no event object;
+   settled signals directly; observers resolve a channel's
+   :class:`~repro.elastic.channel.ChannelEvents` on demand
+   (:meth:`Channel.events`, memoized for the rest of the cycle), and a
+   model-checking step returns the signals packed one byte per channel,
+   so no step builds an event object unless something asks for one;
 4. **tick** — every node updates its sequential state.
 
 Fix-point engines
@@ -318,6 +319,7 @@ class Simulator:
         old_nodes = self._nodes
         nodes = self._nodes = list(self.netlist.nodes.values())
         channels = self._channels = list(self.netlist.channels.values())
+        self._states = [channel.state for channel in channels]
         # Number the signal ids the reader tables are indexed by.  Only
         # channels carrying this simulator's log: one a newer simulator
         # owns keeps that simulator's numbering.
@@ -498,9 +500,10 @@ class Simulator:
     def _interpreted_cycle(self, cycle, choices):
         """One interpreted (worklist) cycle: choices, pre-cycle,
         fix-point, monitor, then statistics and observers (plain steps)
-        or the per-channel events dict (choice steps, which return it),
-        and tick.  The codegen engine's generated cycle has the same
-        signature and semantics."""
+        or the packed signals (choice steps, which return them: one byte
+        ``VP | SP<<1 | VM<<2 | SM<<3`` per channel, packed from the
+        channel states), and tick.  The codegen engine's generated cycle
+        has the same signature and semantics."""
         if choices is not None:
             for node in self._choosers:
                 if node.choice_space() > 1:
@@ -510,17 +513,17 @@ class Simulator:
         self._fixpoint()
         if self.monitor is not None:
             self.monitor.observe(cycle)
-        events = None
+        packed = None
         if choices is None:
             self.stats.observe(cycle)
             for observer in self.observers:
                 observer.observe(cycle, self.netlist)
         else:
-            events = {channel.name: channel.events()
-                      for channel in self._channels}
+            packed = bytes([st.vp | st.sp << 1 | st.vm << 2 | st.sm << 3
+                            for st in self._states])
         for tick in self._ticks:
             tick()
-        return events
+        return packed
 
     def step(self):
         """Advance one clock cycle; returns the cycle index just completed."""
@@ -548,15 +551,16 @@ class Simulator:
         """One cycle with explicit environment choices.
 
         ``choices`` maps node name -> choice index; unnamed choice nodes get
-        choice 0.  Returns the per-channel events dict (the channels'
-        memoized :meth:`~repro.elastic.channel.Channel.events`) for
-        property evaluation by the model checker; statistics and observers
-        are not updated.
+        choice 0.  Returns the cycle's settled control signals packed one
+        byte per channel (``VP | SP<<1 | VM<<2 | SM<<3``, netlist channel
+        order; see :mod:`repro.verif.encoding`) for property evaluation by
+        the model checker; no :class:`~repro.elastic.channel.ChannelEvents`
+        is built, and statistics and observers are not updated.
         """
         self._ready()
-        events = self._cycle(self.cycle, choices)
+        packed = self._cycle(self.cycle, choices)
         self.cycle += 1
-        return events
+        return packed
 
     # -- profiling ---------------------------------------------------------------------
 

@@ -5,7 +5,10 @@ starting from it can ever produce another token or anti-token movement.
 The paper verifies "the absence of deadlocks ... for any scheduler that
 complies with the leads-to property"; we verify it by direct reachability:
 mark every state from which a productive transition is reachable, and
-report the rest.  The backward traversal runs over the
+report the rest.  A transition is productive when its target state's
+packed signals show a movement (:func:`repro.verif.encoding.productive`:
+the signals a state records are those of every transition into it).  The
+backward traversal runs over the
 :class:`~repro.verif.explore.ExplorationResult`'s prebuilt predecessor
 index instead of materializing its own reverse adjacency from the flat
 transition list.
@@ -13,15 +16,19 @@ transition list.
 
 from __future__ import annotations
 
+from repro.verif.encoding import productive
+
 
 def find_deadlocks(result):
     """Deadlocked state indices of an :class:`ExplorationResult`."""
     # Seed: sources of productive transitions (the movement happens when
     # leaving the state, so the *source* state is alive).
+    moved = [signals is not None and productive(signals)
+             for _snapshot, signals in result.states]
     alive = set()
     stack = []
     for t in result.transitions:
-        if t.productive and t.source not in alive:
+        if moved[t.target] and t.source not in alive:
             alive.add(t.source)
             stack.append(t.source)
     # Everything that can reach an alive state is alive too.

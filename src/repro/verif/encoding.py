@@ -12,10 +12,20 @@ Two layers make the states cheap:
 
 * **Packed signals** — the four control bits of every channel pack into
   **one byte per channel** (``VP | SP<<1 | VM<<2 | SM<<3``), in the
-  netlist's fixed channel order.  This is the representation carried in
-  ``ExplorationResult.states`` and consumed by the packed property checks
-  of :mod:`repro.verif.properties`; :func:`unpack_signals` recovers the
-  friendly ``{channel: (vp, sp, vm, sm)}`` view on demand.
+  netlist's fixed channel order.  This is what
+  :meth:`~repro.sim.engine.Simulator.step_with_choices` returns, the
+  representation carried in ``ExplorationResult.states`` and consumed by
+  the packed property checks of :mod:`repro.verif.properties`;
+  :func:`unpack_signals` recovers the friendly
+  ``{channel: (vp, sp, vm, sm)}`` view on demand.
+* **Outcomes** — a channel's cycle outcome (forward transfer,
+  cancellation, backward transfer, as
+  :meth:`~repro.elastic.channel.Channel.events` resolves them) is a pure
+  function of its byte: :data:`OUTCOME` tabulates it.  A transition's
+  events therefore need no objects of their own: every transition into a
+  state saw the signals the state records, so the deadlock and leads-to
+  analyses read a transition's outcomes from its *target* state
+  (forward data aside, which they do not read).
 * **State keys** — :meth:`StateCodec.encode` serializes the
   ``(packed signals, snapshot)`` pair through :func:`marshal.dumps` at
   version 2: a value-deterministic, C-speed encoding for the tuple/int/
@@ -49,6 +59,33 @@ import marshal
 #: would split equal states); version 2 is purely value-determined for the
 #: types the snapshot contract allows.
 _MARSHAL_VERSION = 2
+
+
+#: outcome flags of one channel's cycle: ``forward``, ``cancel`` and
+#: ``backward`` of :class:`~repro.elastic.channel.ChannelEvents`.
+FORWARD, CANCEL, BACKWARD = 1, 2, 4
+
+
+def _outcome(b):
+    """Exact mirror of ``Channel._compute_events`` on a packed byte."""
+    if b & 1:                                   # vp
+        if b & 4:                               # vm: token meets anti-token
+            return CANCEL
+        return 0 if b & 2 else FORWARD          # stalled by sp, or moves
+    return BACKWARD if b & 4 and not b & 8 else 0
+
+
+#: packed channel byte -> its outcome flags (0: idle or stalled).
+OUTCOME = bytes(_outcome(b) for b in range(256))
+
+#: the byte values of a channel where nothing moves.
+_STILL = bytes(b for b in range(256) if not OUTCOME[b])
+
+
+def productive(packed):
+    """Whether any channel of a packed signal vector moved a token or an
+    anti-token (its cycle had a forward, cancel or backward outcome)."""
+    return bool(packed.translate(None, _STILL))
 
 
 def pack_signals(signals, channel_names):

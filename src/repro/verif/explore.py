@@ -12,8 +12,13 @@ starvation (leads-to) analysis.
 A state is ``(netlist snapshot, previous channel signals)`` — the signal
 part makes the two-cycle Retry properties checkable per transition.  The
 signal part is carried *packed*, one byte per channel in netlist channel
-order (see :mod:`repro.verif.encoding`); decode a state's signals with
-:meth:`ExplorationResult.signals_of` when a friendly view is needed.
+order (see :mod:`repro.verif.encoding`), exactly as
+:meth:`~repro.sim.engine.Simulator.step_with_choices` returns it; decode a
+state's signals with :meth:`ExplorationResult.signals_of` when a friendly
+view is needed.  A :class:`Transition` stores no events: its channels'
+outcomes are those of its target state's signals
+(:data:`repro.verif.encoding.OUTCOME`), since every transition into a
+state saw the signals that state records.
 
 Exploration engines
 -------------------
@@ -67,6 +72,7 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from repro.elastic.node import Node
 from repro.errors import CheckpointError, VerificationError
@@ -77,25 +83,26 @@ from repro.verif.encoding import StateCodec, unpack_signals
 from repro.verif.properties import (
     check_invariant_packed,
     check_retry_packed,
+    protocol_screen,
     retry_exempt_channels,
+    retry_mask,
 )
 
 #: checkpoint kind and key tag; it changes with the stored state shape
-#: (v2: flat snapshots without node names).  A checkpoint of an older
-#: format (kind ``"explore"``) cannot resume: exploration starts fresh.
-_CHECKPOINT_FORMAT = "explore-v2"
-_STALE_FORMATS = ("explore",)
+#: (v2: flat snapshots without node names; v3: transitions without
+#: events).  A checkpoint of an older format (kind ``"explore"`` or
+#: ``"explore-v2"``) cannot resume: exploration starts fresh.
+_CHECKPOINT_FORMAT = "explore-v3"
+_STALE_FORMATS = ("explore", "explore-v2")
 
 
-@dataclass
-class Transition:
-    """One explored transition (for counterexample reporting)."""
+class Transition(NamedTuple):
+    """One explored transition (for counterexample reporting).  Its
+    channel outcomes are read from the target state's packed signals."""
 
     source: int
     target: int
     choices: dict
-    events: dict          # channel -> ChannelEvents
-    productive: bool      # any token/anti-token movement anywhere
 
 
 @dataclass
@@ -219,11 +226,8 @@ class StateExplorer:
             i for i, name in enumerate(self._channel_names)
             if name in self.retry_exempt
         )
-        # Bound channel-state list for the packed-signal gather
-        # (structure is fixed for the lifetime of an exploration).
-        self._channel_states = [
-            ch.state for ch in netlist.channels.values()
-        ]
+        self._retry_mask = retry_mask(len(self._channel_names),
+                                      self._exempt_indices)
         # The choice-*node* set is static per netlist (their per-state
         # choice spaces still vary — persistence pins an offering source
         # to space 1, say), so it is computed once instead of per state.
@@ -231,21 +235,6 @@ class StateExplorer:
             node for node in netlist.nodes.values()
             if type(node).choice_space is not Node.choice_space
         ]
-
-    def _packed_signals(self):
-        """One byte per channel of the netlist's resolved control
-        signals."""
-        packed = bytearray(len(self._channel_states))
-        for i, st in enumerate(self._channel_states):
-            b = 1 if st.vp else 0
-            if st.sp:
-                b |= 2
-            if st.vm:
-                b |= 4
-            if st.sm:
-                b |= 8
-            packed[i] = b
-        return bytes(packed)
 
     def _choice_vectors(self):
         """Choice vectors valid in the netlist's *current* state.
@@ -269,11 +258,13 @@ class StateExplorer:
         return key
 
     def _record(self, result, index, frontier, current, prev_signals,
-                choices, events, signals, successor_snapshot):
+                choices, signals, successor_snapshot):
         """Per-transition bookkeeping: protocol checks, state dedup
         (cap-aware) and the transition record.  ``signals`` /
-        ``prev_signals`` are packed byte vectors."""
-        if self.check_protocol:
+        ``prev_signals`` are packed byte vectors; the checks that word
+        the violations run only when the screen fires."""
+        if self.check_protocol and protocol_screen(
+                prev_signals, signals, self._retry_mask):
             problems = check_invariant_packed(signals, self._channel_names)
             if prev_signals is not None:
                 problems += check_retry_packed(
@@ -298,18 +289,7 @@ class StateExplorer:
             index[key] = target
             result.states.append((successor_snapshot, signals))
             frontier.append(target)
-        productive = any(
-            ev.forward or ev.cancel or ev.backward for ev in events.values()
-        )
-        result.transitions.append(
-            Transition(
-                source=current,
-                target=target,
-                choices=choices,
-                events=events,
-                productive=productive,
-            )
-        )
+        result.transitions.append(Transition(current, target, choices))
 
     # -- checkpoint / resume ------------------------------------------------
 
@@ -463,10 +443,9 @@ class StateExplorer:
                 if not restored:
                     netlist.restore(snapshot)
                 restored = False
-                events = sim.step_with_choices(choices)
-                signals = self._packed_signals()
+                signals = sim.step_with_choices(choices)
                 self._record(result, index, frontier, current, prev_signals,
-                             choices, events, signals, netlist.snapshot())
+                             choices, signals, netlist.snapshot())
 
 
 def explore_or_raise(netlist, max_states=20000, engine=None, lanes=1):

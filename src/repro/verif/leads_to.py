@@ -9,6 +9,12 @@ channel ``i`` while its token is offered at the shared output (``V+`` on
 the scheduler's contract.  *Killed* shows as a cancellation (or backward
 anti-token delivery) on the input or output channel.
 
+A transition's outcomes are those of its target state's packed signals
+(:data:`repro.verif.encoding.OUTCOME`): every transition into a state saw
+the signals that state records.  *Killed* is any outcome on the input
+channel; on the output channel both *served* and a forward transfer or
+cancellation need ``V+``, so the output test is the target's VP bit.
+
 Over a finite explored state graph the property fails exactly when there is
 a reachable *lasso*: a cycle of states in which channel ``i`` keeps
 offering a token while no transition in the cycle serves or kills it.
@@ -21,6 +27,7 @@ which the verification tests demonstrate.
 from __future__ import annotations
 
 from repro.netlist.graphalg import cyclic_sccs
+from repro.verif.encoding import OUTCOME
 
 
 def _token_waiting(packed_signals, channel_index):
@@ -29,22 +36,15 @@ def _token_waiting(packed_signals, channel_index):
     return bool(packed_signals[channel_index] & 1)       # VP bit
 
 
-def _released(transition, result, in_channel, out_channel, out_index):
-    """Did this transition serve or kill the token waiting on in_channel?"""
-    ev_in = transition.events.get(in_channel)
-    if ev_in is not None and (ev_in.forward or ev_in.cancel or ev_in.backward):
+def _released(signals, in_index, out_index):
+    """Did the transition into a state with packed ``signals`` serve or
+    kill the token waiting on the input channel?  Any outcome on the input
+    releases it; on the output, served (the scheduler granted the channel:
+    its token shows at the shared output), forwarded or cancelled all
+    show as ``V+``."""
+    if OUTCOME[signals[in_index]]:
         return True
-    if out_channel is not None:
-        ev_out = transition.events.get(out_channel)
-        if ev_out is not None and (ev_out.forward or ev_out.cancel):
-            return True
-        # Served: the scheduler granted the channel — its token shows at the
-        # shared output this cycle (the target state's recorded signals are
-        # the fix-point values of the transition's cycle).
-        signals = result.states[transition.target][1]
-        if signals is not None and signals[out_index] & 1:
-            return True
-    return False
+    return out_index is not None and bool(signals[out_index] & 1)
 
 
 def check_leads_to(result, in_channel, out_channel=None):
@@ -71,9 +71,10 @@ def check_leads_to(result, in_channel, out_channel=None):
         if src_signals is not None and not _token_waiting(src_signals, in_index):
             continue
         for t in result.successors(source):
-            if not _token_waiting(states[t.target][1], in_index):
+            signals = states[t.target][1]
+            if not _token_waiting(signals, in_index):
                 continue
-            if _released(t, result, in_channel, out_channel, out_index):
+            if _released(signals, in_index, out_index):
                 continue
             graph.setdefault(t.source, set()).add(t.target)
             graph.setdefault(t.target, set())

@@ -9,6 +9,11 @@ These are the Section 3.1 properties in transition-relation form:
 Both checks read the explorer's compact one-byte-per-channel encoding of
 :mod:`repro.verif.encoding` (bits ``VP | SP<<1 | VM<<2 | SM<<3``, channels
 in netlist order), so no per-channel tuple is unpacked on the hot path.
+They build the violation messages; the explorer calls them only when
+:func:`protocol_screen` fires, which it does exactly when they report a
+problem.  The screen is two C-level ``bytes.translate`` passes over
+256-entry tables and one integer mask test (:func:`retry_mask`), with no
+per-channel Python loop.
 :func:`retry_exempt_channels` derives the channels Section 4.2 exempts from
 Retry+ (the runtime :class:`~repro.sim.monitors.ProtocolMonitor` uses it
 too).
@@ -52,6 +57,41 @@ def check_retry_packed(prev, cur, channel_names, exempt_indices=frozenset()):
         if p & 0b1101 == 0b1100 and not c & 0b0100:   # vm & sm & ~vp held, vm dropped
             problems.append(f"{channel_names[i]}: stalled anti-token withdrawn (Retry-)")
     return problems
+
+
+#: the byte values of a channel that satisfies the Invariant.
+_INVARIANT_OK = bytes(b for b in range(256)
+                      if b & 0b0110 != 0b0110 and b & 0b1101 != 0b1101)
+
+#: previous byte -> the bit the current byte must keep: VP after a stalled
+#: token (Retry+), VM after a stalled anti-token (Retry-), else none.
+_RETRY_HELD = bytes(VP_BIT if b & 0b0111 == 0b0011
+                    else VM_BIT if b & 0b1101 == 0b1100 else 0
+                    for b in range(256))
+
+
+def retry_mask(n_channels, exempt_indices=frozenset()):
+    """The integer mask :func:`protocol_screen` applies to the held bits
+    of ``n_channels`` packed channels: every bit, except the VP bit of
+    each channel position exempt from Retry+."""
+    mask = (1 << 8 * n_channels) - 1
+    for i in exempt_indices:
+        mask &= ~(VP_BIT << 8 * i)
+    return mask
+
+
+def protocol_screen(prev, cur, mask):
+    """Whether :func:`check_invariant_packed` on ``cur`` or
+    :func:`check_retry_packed` on ``(prev, cur)`` reports a problem
+    (``prev`` is ``None`` for the initial state, which has no Retry
+    obligation; ``mask`` is the :func:`retry_mask` of the exempt
+    positions)."""
+    if cur.translate(None, _INVARIANT_OK):
+        return True
+    if prev is None:
+        return False
+    held = int.from_bytes(prev.translate(_RETRY_HELD), "little") & mask
+    return bool(held and held & ~int.from_bytes(cur, "little"))
 
 
 def retry_exempt_channels(netlist):

@@ -1,5 +1,8 @@
 """CLI tests (``python -m repro``)."""
 
+import os
+import shlex
+
 import pytest
 
 from repro.cli import main
@@ -122,6 +125,20 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.err == f"error: {message}\n"
         assert captured.out == ""
+
+    def test_readme_exhaustive_chaos_example_passes(self, capsys):
+        """The README's exhaustive chaos command, run as written, closes
+        its state space and exits 0."""
+        readme = os.path.join(os.path.dirname(__file__), os.pardir,
+                              "README.md")
+        with open(readme) as fh:
+            [line] = [ln for ln in fh
+                      if ln.startswith("python -m repro chaos ")
+                      and "--exhaustive" in ln]
+        argv = shlex.split(line.split("#")[0])
+        assert argv[:3] == ["python", "-m", "repro"]
+        assert main(argv[3:]) == 0
+        assert "complete=True" in capsys.readouterr().out
 
     def test_batch_is_not_an_engine_choice(self, capsys):
         """There is no lane engine (nor a naive one) to select."""

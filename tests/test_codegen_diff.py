@@ -963,9 +963,9 @@ class TestCompiledTicks:
 
 
 class TestPlainStepBuildsNoEvents:
-    """A plain step resolves no channel events on either engine (the
-    statistics count from the signals); only a model-checking step or an
-    explicit ``events()`` call builds them."""
+    """No step resolves channel events on either engine: a plain step's
+    statistics count from the signals, and a model-checking step returns
+    them packed, so only an explicit ``events()`` call builds them."""
 
     @staticmethod
     def _count_events(monkeypatch):
@@ -995,3 +995,31 @@ class TestPlainStepBuildsNoEvents:
         Simulator(net, engine=engine,
                   observers=[TransferLog(list(net.channels))]).run(50)
         assert built
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_exploration_builds_none(self, monkeypatch, engine):
+        """Full explorations of every model-checking design and of one
+        stall-chaos wrap, deadlock and leads-to analyses included."""
+        from repro.chaos import ChaosPlan, wrap
+        from repro.verif.deadlock import find_deadlocks
+        from repro.verif.explore import StateExplorer
+        from repro.verif.leads_to import check_leads_to
+
+        built = self._count_events(monkeypatch)
+        states = 0
+        for name in sorted(MC_DESIGNS):
+            result = StateExplorer(MC_DESIGNS[name](), max_states=60000,
+                                   engine=engine).explore()
+            assert result.complete and not result.violations
+            find_deadlocks(result)
+            if name.startswith("spec-"):
+                check_leads_to(result, "fin0", "fout0")
+            states += result.n_states
+        net = DESIGNS["fig1d"]()
+        wrap(net, ChaosPlan.seeded(5, sorted(net.channels), kinds=("stall",),
+                                   coverage=0.3, budget=2), nondet=True)
+        result = StateExplorer(net, max_states=400, engine=engine).explore()
+        find_deadlocks(result)
+        states += result.n_states
+        assert built == []
+        assert states > 1000

@@ -289,10 +289,12 @@ class TestEventCache:
 
     def test_mid_cycle_probe_never_served_later(self):
         """A ``Func`` whose function asks for a downstream channel's events
-        while the cycle computes: the first call (cycle 0, signals unknown)
-        raises on both engines, and whatever a later probe memoized is
-        dropped with the settled signals — the events seen after every
-        step equal a fresh resolution."""
+        while the cycle computes: the call raises on both engines in every
+        cycle (the compiled cycle marks the channel unresolved until its
+        flush, so neither the previous cycle's signals nor its memoized
+        events are served), both engines observe the same sequence, and
+        the events seen after every step equal a fresh resolution."""
+        seen = {}
         for engine in self.ENGINES:
             net = Netlist("p")
             observations = []
@@ -319,6 +321,8 @@ class TestEventCache:
                 assert mid.events() == mid._compute_events(), engine
             assert observations[0] == "unresolved", engine
             assert sink_values(net) == [1, 2, 3, 4]
+            seen[engine] = observations
+        assert seen["codegen"] == seen["worklist"]
 
 
 class TestProfiling:

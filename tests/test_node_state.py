@@ -485,8 +485,18 @@ class TestKeys:
         (kind ``explore``): an exploration of MC design ``eb`` interrupted
         at state 12.  It cannot resume; the exploration starts fresh,
         reaches the same verdict and leaves a current checkpoint."""
+        self._starts_fresh(tmp_path, "explore_v1_eb.ckpt")
+
+    def test_v2_checkpoint_is_not_resumed(self, tmp_path):
+        """The fixture was written by the explorer whose transitions
+        carried events (kind ``explore-v2``), interrupted at state 12 of
+        MC design ``eb``: it starts fresh too."""
+        self._starts_fresh(tmp_path, "explore_v2_eb.ckpt")
+
+    @staticmethod
+    def _starts_fresh(tmp_path, fixture):
         path = tmp_path / "eb.ckpt"
-        shutil.copy(os.path.join(DATA, "explore_v1_eb.ckpt"), path)
+        shutil.copy(os.path.join(DATA, fixture), path)
         fresh = StateExplorer(build_mc_design("eb")).explore()
         net = build_mc_design("eb")
         resumed = StateExplorer(net, checkpoint=str(path)).explore()
@@ -497,4 +507,4 @@ class TestKeys:
         net.reset()
         assert resumed.states[0] == (net.snapshot(), None)
         with open(path, "rb") as fh:
-            assert fh.read().split(b"\n")[1] == b"explore-v2"
+            assert fh.read().split(b"\n")[1] == b"explore-v3"

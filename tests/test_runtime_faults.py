@@ -64,8 +64,7 @@ def explorer_fingerprint(result):
     """Everything observable about an exploration, for identity checks."""
     return (
         result.states,
-        [(t.source, t.target, t.choices, t.events, t.productive)
-         for t in result.transitions],
+        [(t.source, t.target, t.choices) for t in result.transitions],
         result.violations,
         result.complete,
         result.channel_names,

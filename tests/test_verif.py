@@ -201,9 +201,9 @@ class TestAdjacencyIndex:
         from repro.verif.explore import ExplorationResult, Transition
 
         result = ExplorationResult(states=[(None, None), (None, None)])
-        result.transitions.append(Transition(0, 1, {}, {}, True))
+        result.transitions.append(Transition(0, 1, {}))
         assert len(result.successors(0)) == 1
-        result.transitions.append(Transition(0, 1, {}, {}, False))
+        result.transitions.append(Transition(0, 1, {"a": 1}))
         assert len(result.successors(0)) == 2      # lazily rebuilt
 
     def test_signals_decode(self):
