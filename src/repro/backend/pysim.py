@@ -14,15 +14,50 @@ in which
 * channel signals live in **flat local variables**
   (``v3``/``p3``/``a3``/``m3``/``d3`` for ``vp``/``sp``/``vm``/``sm``/
   ``data`` of channel slot 3) instead of ``ChannelState`` objects;
-* protocol monitoring, statistics, observers and the ``tick`` kernel of
-  every kind — the shared module's scheduler feedback, the mux's kill
-  counters and the variable-latency station included — are inlined into
-  the same generated function, so a cycle is one Python call.  No step
-  builds a :class:`~repro.elastic.channel.ChannelEvents`: a plain step
-  counts statistics straight from the locals, and a model-checking step
-  (``choices`` given) returns the locals packed one byte per channel
-  (``v3 | p3 << 1 | a3 << 2 | m3 << 3``, the encoding of
-  :mod:`repro.verif.encoding`) in one ``bytes`` expression.
+* the ``tick`` kernel of every kind — the shared module's scheduler
+  feedback, the mux's kill counters and the variable-latency station
+  included — the statistics, the protocol monitor's screen and the
+  observer calls are inlined into the same generated function.
+
+A **run is one Python call**: ``_cycle(cycle, choices, n)`` loops ``n``
+cycles in one frame (``Simulator.run``; a step is ``n=1``).  Between
+cycles the frame keeps in locals what the per-cycle design kept in
+objects:
+
+* **statistics** — per-channel outcome counts are local ints, loaded from
+  and stored back to one slice of ``ChannelStats.counts`` on entry and
+  exit;
+* **monitor history** — the Retry obligations a cycle leaves due (a
+  stalled token's due cycle and data, a stalled anti-token's due cycle)
+  are locals, loaded from and stored back to ``ProtocolMonitor._prev``.
+  Each cycle one short-circuit screen tests the Invariant, the
+  resolution check (an offered token without data) and, when an
+  obligation is due, Retry+ and Retry-.  Only when it fires does the
+  cycle flush its locals and hand over to
+  :meth:`Simulator._check_resolved` or, after the history is written
+  back, to ``ProtocolMonitor.observe``, so the violation wording lives
+  in the monitor alone;
+* **channel states** — on entry every channel is marked unresolved
+  (``vp = None`` on each ``ChannelState``, memoized events dropped), so
+  a ``Channel.events()`` call from inside a cycle (a ``Func`` or
+  shared-module ``fn`` probing a channel) raises as it does on the
+  worklist engine.  The locals are flushed into the ``ChannelState``
+  objects on the last cycle, before its observers and ticks, and before
+  a diagnosis.  A netlist with an interpreted ``tick`` (a subclass
+  overriding it) flushes every cycle, since that tick reads the states.
+
+No step builds a :class:`~repro.elastic.channel.ChannelEvents`: a plain
+step counts statistics straight from the locals, and a model-checking
+step (``choices`` given) skips statistics and returns the locals packed
+one byte per channel (``v3 | p3 << 1 | a3 << 2 | m3 << 3``, the encoding
+of :mod:`repro.verif.encoding`) in one ``bytes`` expression.  A cycle
+that raises leaves what the same cycle leaves when stepped: statistics
+and history through the previous cycle, the cycle counter at the failing
+cycle, and its channels unresolved — except for a diagnosis
+(:class:`~repro.errors.CombinationalLoopError`,
+:class:`~repro.errors.ProtocolViolationError`), which leaves the signals
+it reports on.  ``Simulator.run`` steps cycle by cycle instead when
+observers are attached or ``profile=True``.
 
 Compilation is **all or nothing**.  Every kind of the paper's designs has
 an emitter — buffers, joins, forks, environments (including the
@@ -42,19 +77,10 @@ select with unknown data leaves its decision unknown, so the compiled
 mux hands the cycle to :meth:`CodegenBackend.diagnose_unknown`, which
 re-runs it interpreted and raises the worklist engine's diagnosis.
 
-Right after the pre-cycle hooks, a cycle marks every channel unresolved
-(``vp = None`` on each ``ChannelState``) and drops its memoized events,
-so a ``Channel.events()`` call from inside the cycle (a ``Func`` or
-shared-module ``fn`` probing a channel) raises as it does on the
-worklist engine instead of serving the previous cycle's events.  The
-locals are flushed back into the ``ChannelState`` objects every cycle
-(before the monitor/statistics phases), so everything that inspects
-channel state between cycles — observers, ``Channel.events()``, the
-``tick`` of a subclass that overrides it — sees exactly what the worklist
-engine would produce.  The
-differential suite (``tests/test_codegen_diff.py``) pins the engine
+The differential suite (``tests/test_codegen_diff.py``) pins the engine
 bit-identical to the worklist engine, including protocol violations and
-combinational-loop diagnoses.
+combinational-loop diagnoses, and a multi-cycle run identical to as many
+steps.
 
 Caching and staleness
 ---------------------
@@ -68,7 +94,8 @@ that only affect sequential behaviour (capacities, rates, seeds, datapath
 functions) are deliberately *not* baked in — they are read from the node
 instances at run time — so a parameter sweep over one topology compiles
 exactly once.  ``build(env)`` re-binds a cached module to a concrete
-simulator's nodes, channels, stats and monitor.
+simulator's nodes, channels, stats and monitor: it copies the
+module-level ``_cycle`` with those objects as its positional defaults.
 
 Structural edits (the ``NetlistEdit`` log) mark the simulator
 dirty; its shared post-edit refresh, run before the next
@@ -118,8 +145,11 @@ from repro.elastic.fork import EagerFork
 from repro.elastic.functional import Func
 from repro.elastic.node import Node
 from repro.elastic.varlat import VariableLatencyUnit
-from repro.errors import SchedulerError
-from repro.sim.monitors import ProtocolMonitor
+from repro.errors import (
+    CombinationalLoopError,
+    ProtocolViolationError,
+    SchedulerError,
+)
 from repro.netlist.graphalg import cyclic_sccs
 from repro.sim.sensitivity import topology_signature
 
@@ -134,6 +164,7 @@ __all__ = [
 _LOC = {"vp": "v", "sp": "p", "vm": "a", "sm": "m", "data": "d"}
 
 _CONTROLS = ("vp", "sp", "vm", "sm")
+_SIGNALS = _CONTROLS + ("data",)
 
 
 def _definer(cls, attr):
@@ -166,7 +197,7 @@ def _definer(cls, attr):
 # mirroring drive()'s None no-op.  Tasks may not share scratch state — each
 # recomputes what it needs (locals with a leading underscore, which can
 # never collide with channel locals, and must not reuse a name _cycle binds
-# as a default, such as _sl for the stalls counter).
+# as a default, such as _cnt for the statistics counts).
 # ---------------------------------------------------------------------------
 
 
@@ -573,7 +604,7 @@ def _eemux_select(g, ni, node, out):
         f"if {g.sig(node, 's', 'vp')}:",
         f"    _se = {g.sig(node, 's', 'data')}",
         "    if _se is None:",
-        "        _udiag()",
+        "        _udiag(cycle)",
         f"    if not isinstance(_se, int) or not 0 <= _se < {node.n_inputs}:",
         f"        raise SchedulerError({head!r} + repr(_se) + {tail!r})",
     ]
@@ -936,32 +967,92 @@ def _chunk_chain(targets, value, size=10):
     return lines
 
 
-def _count_block(g, ci):
-    """The inlined classification of channel ``ci``'s cycle (exact mirror
-    of ``Channel._compute_events`` and ``ChannelStats.observe``), each
-    branch bumping its outcome's statistics counter (a bound default of
-    the cycle function)."""
-    vp, sp, vm, sm = (g.csig(ci, s) for s in _CONTROLS)
-    key = repr(g.plan.channels[ci].name)
-    return [
+def _wrapped(items, head, tail, size=12, indent="    "):
+    """``head + ", ".join(items) + tail`` over lines of ``size`` items,
+    continuation lines indented by ``indent``."""
+    rows = [", ".join(items[i:i + size])
+            for i in range(0, len(items), size)] or [""]
+    lines = [head + rows[0]] + [indent + row for row in rows[1:]]
+    lines[:-1] = [line + "," for line in lines[:-1]]
+    lines[-1] += tail
+    return lines
+
+
+def _count_block(g, ci, monitored, exempt):
+    """Channel ``ci``'s outcome this cycle (an exact mirror of
+    ``ChannelStats.observe``), counted in local ints: ``t``/``k``/``s``/
+    ``b``/``i`` for transfers, cancellations, stalls, backward moves and
+    idles.  Under a monitor a stall also sets the Retry obligation due at
+    the next cycle (``cycle`` has advanced already): ``w`` and ``r``, a
+    stalled token's due cycle and data (not on Retry+-exempt channels),
+    or ``u``, a stalled anti-token's, each raising the ``_due`` cycle of
+    the screen's Retry part."""
+    vp, sp, vm, sm, da = (g.csig(ci, s) for s in _SIGNALS)
+    lines = [
         f"if {vp}:",
         f"    if {vm}:",
-        f"        _ca[{key}] += 1",
-        f"    elif not {sp}:",
-        f"        _tr[{key}] += 1",
-        "    else:",
-        f"        _sl[{key}] += 1",
-        f"elif {vm} and not {sm}:",
-        f"    _ba[{key}] += 1",
-        "else:",
-        f"    _il[{key}] += 1",
+        f"        k{ci} += 1",
+        f"    elif {sp}:",
+        f"        s{ci} += 1",
     ]
+    if monitored and not exempt:
+        lines += [f"        _due = w{ci} = cycle", f"        r{ci} = {da}"]
+    lines += [
+        "    else:",
+        f"        t{ci} += 1",
+        f"elif {vm} and not {sm}:",
+        f"    b{ci} += 1",
+        "else:",
+        f"    i{ci} += 1",
+    ]
+    if monitored:
+        lines += [f"    if {vm}:", f"        _due = u{ci} = cycle"]
+    return lines
+
+
+def _screen(g, n_channels, exempt):
+    """The per-cycle screen: true exactly when the resolution check or,
+    under a monitor (``exempt`` is not None), ``ProtocolMonitor.observe``
+    would raise.  Per channel: the Invariant (kill with stop, stalled
+    cancellation) and an offered token without data; then, only when some
+    Retry obligation is ``_due`` this cycle, a stalled token withdrawn or
+    changed (Retry+) and a stalled anti-token withdrawn (Retry-)."""
+    terms, retry = [], []
+    for ci in range(n_channels):
+        vp, sp, vm, sm, da = (g.csig(ci, s) for s in _SIGNALS)
+        if exempt is None:
+            terms.append(f"{vp} and {da} is None")
+            continue
+        terms.append(f"{vm} and ({sp} or {vp} and {sm}) "
+                     f"or {vp} and {da} is None")
+        if ci not in exempt:
+            retry.append(f"w{ci} == cycle and (not {vp} or {da} != r{ci})")
+        retry.append(f"u{ci} == cycle and not {vm}")
+    if not terms:
+        return ["_bad = False"]
+    lines = ["_bad = (", "    " + terms[0]]
+    lines += ["    or " + term for term in terms[1:]]
+    if retry:
+        lines.append("    or _due == cycle and (")
+        lines.append("        " + retry[0])
+        lines += ["        or " + term for term in retry[1:]]
+        lines.append("    )")
+    lines.append(")")
+    return lines
 
 
 def _generate_source(netlist, check_protocol, content_hash):
     """The module source for ``netlist``: a ``build(env)`` returning the
-    compiled cycle, or only the banner (naming the deferred nodes) when
-    the netlist does not compile."""
+    compiled cycle function, or only the banner (naming the deferred
+    nodes) when the netlist does not compile.
+
+    ``_cycle(cycle, choices, n=1)`` runs ``n`` cycles from ``cycle`` in
+    one frame (a model-checking step passes ``choices`` and ``n=1``).
+    Channel signals, statistics counts and the monitor's Retry
+    obligations live in locals.  The locals reach the ``ChannelState``
+    objects only at the flush, which runs on the last cycle, and before
+    a diagnosis when the screen fires; statistics and monitor history are
+    written back once, on the way out."""
     plan = _build_plan(netlist)
     nodes, channels = plan.nodes, plan.channels
     lines = [
@@ -975,124 +1066,139 @@ def _generate_source(netlist, check_protocol, content_hash):
         lines.append(f"# not compiled (runs interpreted); deferred: {names}")
         return "\n".join(lines) + "\n"
     g = _Gen(plan)
-    body = []  # _cycle body lines, relative indentation included
+    chans = range(len(channels))
+    exempt = None
+    if check_protocol:
+        from repro.verif.properties import retry_exempt_channels
 
-    # -- nondeterministic choices (model-checker path only) -----------------
+        exempt_names = retry_exempt_channels(netlist)
+        exempt = {ci for ci in chans if channels[ci].name in exempt_names}
+    history = [f"{x}{ci}" for ci in chans for x in "wru"]
+    # ChannelStats.counts order: transfers, cancels, stalls, backwards, idles
+    counters = [f"{x}{ci}" for ci in chans for x in "tksbi"]
+    n_counts = len(counters)
+
+    # -- entry: load the statistics counts (plain steps) or apply the
+    # -- choices (model-checking steps), load the monitor's history, and
+    # -- mark every channel unresolved (no memoized events, vp unknown)
+    # -- until the flush, so a Channel.events() call inside a cycle raises
+    body = ["_end = cycle + n", "_last = _end - 1", "if choices is None:"]
+    body += ["    " + ln
+             for ln in _wrapped(counters, "(", f") = _cnt[:{n_counts}]")]
     if plan.choosers:
-        body.append("if choices is not None:")
+        body.append("else:")
         for ni in plan.choosers:
             n = g.node_ref(ni)
             body += [
                 f"    if {n}.choice_space() > 1:",
                 f"        {n}.set_choice(choices.get({nodes[ni].name!r}, 0))",
             ]
+    if check_protocol:
+        body += _wrapped(history, "(", ") = _hist")
+        body.append("_due = cycle")
+    body += _chunk_chain([f"{g.chan_ref(ci)}.events_cache" for ci in chans],
+                         "None")
+    body += _chunk_chain([f"{g.state_ref(ci)}.vp" for ci in chans], "None")
 
+    loop = []
     # -- pre-cycle hooks (freeze randomized / nondet decisions) -------------
     for ni in plan.pre_cycles:
         name = f"_p{ni}"
         g.bind[name] = f"_nodes[{ni}].pre_cycle"
-        body.append(f"{name}()")
-
-    # -- clear: every channel's signals are fresh locals, and its state
-    # -- reads as unresolved (no memoized events, vp unknown) until the
-    # -- flush, so a Channel.events() call inside the cycle raises --------
-    locals_ = [f"{_LOC[s]}{ci}" for ci in range(len(channels))
-               for s in ("vp", "sp", "vm", "sm", "data")]
-    body += _chunk_chain(locals_, "None")
-    body += _chunk_chain([f"{g.chan_ref(ci)}.events_cache"
-                          for ci in range(len(channels))], "None")
-    body += _chunk_chain([f"{g.state_ref(ci)}.vp"
-                          for ci in range(len(channels))], "None")
+        loop.append(f"{name}()")
+    # -- data writes are conditional: data locals start each cycle unknown
+    loop += _chunk_chain([g.csig(ci, "data") for ci in chans], "None")
 
     # -- straight-line region, in scheduled signal-task order ---------------
     for ni, reads, writes, emit in plan.task_order:
         node = nodes[ni]
-        body.append(f"# {node.name} ({node.kind})")
-        emit(g, ni, node, body)
+        loop.append(f"# {node.name} ({node.kind})")
+        emit(g, ni, node, loop)
         g.cover(node, [(p, s) for p, s in writes if s != "data"])
 
-    # -- flush locals into the ChannelState objects (observers, ticks
-    # -- and Channel.events() read them between phases / cycles) --------
-    for ci in range(len(channels)):
-        st = g.state_ref(ci)
-        body.append("; ".join(
-            f"{st}.{s} = {_LOC[s]}{ci}"
-            for s in ("vp", "sp", "vm", "sm", "data")
-        ))
-
-    # -- resolution check (combinational-loop diagnosis) --------------------
-    # Controls are unconditionally assigned two-valued expressions (audited
-    # below), so only the data obligation can fail.
-    for ci in range(len(channels)):
-        body.append(f"if {_LOC['vp']}{ci} and {_LOC['data']}{ci} is None:")
-        body.append("    _diag()")
-
-    # -- protocol monitor, inlined (exact ProtocolMonitor.observe mirror) ---
-    if check_protocol:
-        exempt = ProtocolMonitor(netlist)._retry_exempt
-        for ci, ch in enumerate(channels):
-            key = repr(ch.name)
-            vp, sp, vm, sm, da = (g.csig(ci, s)
-                                  for s in ("vp", "sp", "vm", "sm", "data"))
-            body += [
-                f"if {vm} and {sp}:",
-                f"    _mf('Invariant', {key}, cycle, 'V- and S+ both asserted')",
-                f"if {vp} and {vm} and {sm}:",
-                f"    _mf('Invariant', {key}, cycle, "
-                "'cancellation with S- asserted')",
-            ]
-            if ch.name not in exempt:
-                body += [
-                    f"_pv = _mp.get({key})",
-                    "if _pv is not None:",
-                    "    _pvp, _psp, _pvm, _psm, _pda = _pv",
-                    "    if _pvp and _psp and not _pvm:",
-                    f"        if not {vp}:",
-                    f"            _mf('Retry+', {key}, cycle, "
-                    "'stalled token withdrawn')",
-                    f"        if {da} != _pda:",
-                    f"            _mf('Retry+', {key}, cycle, "
-                    f"f'stalled token changed data {{_pda!r}} -> {{{da}!r}}')",
-                    "    if _pvm and _psm and not _pvp:",
-                    f"        if not {vm}:",
-                    f"            _mf('Retry-', {key}, cycle, "
-                    "'stalled anti-token withdrawn')",
-                ]
-            body.append(f"_mp[{key}] = ({vp}, {sp}, {vm}, {sm}, {da})")
-
-    # -- statistics (step) / packed signals (step_with_choices) -----------
-    body.append("if choices is None:")
-    for ci in range(len(channels)):
-        body += ["    " + ln for ln in _count_block(g, ci)]
-    body += [
-        "    _stats.cycles += 1",
-        "    for _ob in _sim.observers:",
-        "        _ob.observe(cycle, _net)",
-        "else:",
-        "    _sig = bytes((",
-    ]
-    for ci in range(len(channels)):
-        vp, sp, vm, sm = (g.csig(ci, s) for s in _CONTROLS)
-        body.append(f"        {vp} | {sp} << 1 | {vm} << 2 | {sm} << 3,")
-    body.append("    ))")
-
-    # -- clock edge ---------------------------------------------------------
+    # -- clock edge (emitted below the flush) ------------------------------
+    ticks = []
+    interpreted_tick = False
     for ni in plan.ticks:
         node = nodes[ni]
         emitter = _TICK_EMITTERS.get(_definer(type(node), "tick"))
         if emitter is not None:
-            body.append(f"# tick {node.name} ({node.kind})")
-            emitter(g, ni, node, body)
+            ticks.append(f"# tick {node.name} ({node.kind})")
+            emitter(g, ni, node, ticks)
         else:
+            interpreted_tick = True
             name = f"_t{ni}"
             g.bind[name] = f"_nodes[{ni}].tick"
-            body.append(f"{name}()")
+            ticks.append(f"{name}()")
 
-    body += ["if choices is not None:", "    return _sig"]
+    # -- screen; flush on the last cycle or when the screen fires, then the
+    # -- diagnosis, the observers (plain steps) or the monitor (choices).
+    # -- An interpreted tick reads the channel states: flush every cycle.
+    loop += _screen(g, len(channels), exempt)
+    loop.append("if True:" if interpreted_tick else
+                "if _bad or cycle == _last:")
+    for ci in chans:
+        st = g.state_ref(ci)
+        loop.append("    " + "; ".join(
+            f"{st}.{s} = {_LOC[s]}{ci}" for s in _SIGNALS))
+    loop += ["    if _bad:", "        _diag(cycle)"]
+    if check_protocol:
+        # a plain step reports the violation after the history write-back
+        loop += ["        if choices is None:", "            break"]
+    loop += ["    if choices is None:",
+             "        for _o in _sim.observers:",
+             "            _o.observe(cycle, _net)"]
+    if check_protocol:
+        loop += ["    else:", "        _mon.observe(cycle)"]
+
+    loop += ticks
+
+    # -- statistics and Retry obligations (plain steps) ---------------------
+    loop.append("cycle += 1")
+    if channels:
+        loop.append("if choices is None:")
+    for ci in chans:
+        loop += ["    " + ln for ln in _count_block(
+            g, ci, check_protocol, exempt is not None and ci in exempt)]
+    loop += ["if cycle == _end:", "    break"]
+
+    # -- exit: a raising cycle leaves the channels unresolved, except for a
+    # -- diagnosis, which reports on the settled signals; statistics,
+    # -- history and the cycle counter are written back on every way out
+    body += ["try:", "    while True:"]
+    body += ["        " + ln for ln in loop]
+    body += [
+        "except _keep:",
+        "    raise",
+        "except BaseException:",
+        "    _unres()",
+        "    raise",
+        "finally:",
+        "    if choices is None:",
+        "        _stats.cycles += cycle - _end + n",
+    ]
+    body += ["        " + ln
+             for ln in _wrapped(counters, f"_cnt[:{n_counts}] = (", ")")]
+    if check_protocol:
+        body += ["        " + ln
+                 for ln in _wrapped(history, "_hist[:] = (", ")")]
+    body.append("        _sim.cycle = cycle")
+    if check_protocol:
+        body += [
+            "if cycle != _end:",
+            "    _mon.observe(cycle)",
+            "    raise AssertionError('pysim: protocol screen fired "
+            "without a violation')",
+        ]
+    body += ["if choices is not None:", "    return bytes(("]
+    for ci in chans:
+        vp, sp, vm, sm = (g.csig(ci, s) for s in _CONTROLS)
+        body.append(f"        {vp} | {sp} << 1 | {vm} << 2 | {sm} << 3,")
+    body.append("    ))")
 
     # -- audit: every channel's four controls must be written
     # -- unconditionally by the straight-line region ------------------------
-    for ci in range(len(channels)):
+    for ci in chans:
         for sig in _CONTROLS:
             if (ci, sig) not in g.covered:
                 raise AssertionError(
@@ -1102,33 +1208,37 @@ def _generate_source(netlist, check_protocol, content_hash):
 
     # fixed environment bindings
     g.bind.update({
-        "_stats": "_stats",
-        "_tr": "_stats.transfers", "_ca": "_stats.cancels",
-        "_ba": "_stats.backwards", "_sl": "_stats.stalls",
-        "_il": "_stats.idles",
+        "_stats": "_stats", "_cnt": "_stats.counts",
         "_sim": 'env["sim"]', "_net": 'env["netlist"]',
-        "_diag": 'env["diagnose"]',
+        "_diag": 'env["diagnose"]', "_unres": 'env["unresolve"]',
+        "_keep": 'env["keep"]',
     })
     if check_protocol:
-        g.bind.update({"_mp": "_mon._prev", "_mf": "_mon._fail"})
+        g.bind.update({"_mon": "_mon", "_hist": "_mon._prev"})
 
-    params = [f"{name}={expr}" for name, expr in g.bind.items()]
+    # _cycle is a module-level function; build() rebinds its code to one
+    # simulator's objects, passed as positional defaults in g.bind order
+    names, exprs = ["n=1"], ["1"]
+    for name, expr in g.bind.items():
+        names.append(f"{name}=None")
+        exprs.append(expr)
+    lines += ["from types import FunctionType", "", ""]
+    lines += _wrapped(["cycle", "choices"] + names, "def _cycle(", "):", 6,
+                      indent=" " * 8)
+    lines += ["    " + ln if ln else "" for ln in body]
     lines += [
+        "",
         "",
         "def build(env):",
         '    _nodes = env["nodes"]',
         '    _channels = env["channels"]',
         '    _stats = env["stats"]',
         '    _mon = env["monitor"]',
-        "",
-        "    def _cycle(",
-        "        cycle,",
-        "        choices,",
     ]
-    lines += [f"        {p}," for p in params]
-    lines.append("    ):")
-    lines += ["        " + ln if ln else "" for ln in body]
-    lines += ["", "    return _cycle", ""]
+    lines += ["    return FunctionType(_cycle.__code__, globals(), '_cycle', ("]
+    lines += _wrapped(exprs, " " * 8, ",", 4, indent=" " * 8)
+    lines += ["    ))"]
+    lines.append("")
     return "\n".join(lines)
 
 
@@ -1243,16 +1353,24 @@ class CodegenBackend:
             "netlist": sim.netlist,
             "diagnose": sim._check_resolved,
             "diagnose_unknown": self.diagnose_unknown,
+            "unresolve": self.unresolve,
+            "keep": (CombinationalLoopError, ProtocolViolationError),
             "SchedulerError": SchedulerError,
             "SchedulerFeedback": SchedulerFeedback,
         })
 
-    def diagnose_unknown(self):
-        """Raise the worklist engine's combinational-loop diagnosis for a
-        cycle the straight-line code cannot finish: re-run every node's
-        interpreted ``comb()`` from cleared channels, pass after pass
-        until one leaves the change log empty, then check resolution —
-        same unresolved signals, same cycle."""
+    def unresolve(self):
+        """Mark every channel unresolved (signals unknown, no memoized
+        events): what a compiled cycle that raised leaves behind."""
+        for channel in self.sim._channels:
+            channel.clear_cycle()
+
+    def diagnose_unknown(self, cycle):
+        """Raise the worklist engine's combinational-loop diagnosis for
+        cycle ``cycle``, which the straight-line code cannot finish:
+        re-run every node's interpreted ``comb()`` from cleared channels,
+        pass after pass until one leaves the change log empty, then check
+        resolution — same unresolved signals, same cycle."""
         sim = self.sim
         for channel in sim._channels:
             channel.clear_cycle()
@@ -1263,4 +1381,4 @@ class CodegenBackend:
                 node.comb()
             if not log:
                 break
-        sim._check_resolved()
+        sim._check_resolved(cycle)

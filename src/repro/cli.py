@@ -6,7 +6,7 @@ Usage (after installation)::
     python -m repro fig1 [--bias 0.8]          # Figure 1(a)-(d) comparison
     python -m repro fig6                       # variable-latency ALU study
     python -m repro fig7 [--error-rate 0.1]    # SECDED resilience study
-    python -m repro verify [--lanes 8]         # model-check the controllers
+    python -m repro verify [--lanes 8] [--json]  # model-check the controllers
     python -m repro export DIR [--design fig1d]  # Verilog/SMV/dot artifacts
     python -m repro profile [--design fig1d]   # fix-point engine profile
     python -m repro sweep [--grid fig6] [--workers 4] [--lanes 8]  # sharded sweeps
@@ -238,6 +238,8 @@ def _verify_line(label, payload):
 
 
 def _cmd_verify(args):
+    import json
+
     from repro.errors import DeadlineExceeded
     from repro.runtime.control import JobControl, install_term_handler
     from repro.serve.jobs import run_job, validate_job
@@ -254,10 +256,13 @@ def _cmd_verify(args):
         os.makedirs(args.checkpoint, exist_ok=True)
 
     failures = 0
-    print("exploration engine: "
-          f"{lanes_engine(args.lanes) or get_default_engine()}")
+    payloads = {}
+    # --json prints only the payloads, keyed by design (None: stopped).
+    say = (lambda line: None) if args.json else print
+    say("exploration engine: "
+        f"{lanes_engine(args.lanes) or get_default_engine()}")
     for heading, checks in _VERIFY_CHECKS:
-        print(heading)
+        say(heading)
         for design, label, slug in checks:
             ckpt = (os.path.join(args.checkpoint, f"{slug}.ckpt")
                     if args.checkpoint else None)
@@ -274,14 +279,17 @@ def _cmd_verify(args):
                     break
                 except DeadlineExceeded as exc:
                     payload, stopped = None, exc
+            payloads[design] = payload
             if payload is None:
                 where = ("resumable via --checkpoint" if args.checkpoint
                          else "partial progress lost (no --checkpoint)")
-                print(f"  {label:<26} states={reached['n_states']:<6} "
-                      f"-> STOPPED ({stopped}; {where})")
+                say(f"  {label:<26} states={reached['n_states']:<6} "
+                    f"-> STOPPED ({stopped}; {where})")
             else:
-                print(_verify_line(label, payload))
+                say(_verify_line(label, payload))
             failures += payload is None or not payload["ok"]
+    if args.json:
+        print(json.dumps(payloads, indent=2, sort_keys=True))
     return 1 if failures else 0
 
 
@@ -660,6 +668,9 @@ def build_parser():
     p.add_argument("--retries", type=int, default=0,
                    help="extra slices per exploration, each with a fresh "
                         "deadline, resuming where the previous one stopped")
+    p.add_argument("--json", action="store_true",
+                   help="print the job payloads (the ones `repro submit` "
+                        "returns), keyed by design, instead of the report")
     p.set_defaults(fn=_cmd_verify)
 
     p = sub.add_parser("export", help="emit Verilog/SMV/dot for a canned design")

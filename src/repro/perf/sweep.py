@@ -547,7 +547,7 @@ def run_sweep(spec, n_workers=1, engine=None, lanes=1, timeout=None,
             supervisor = Supervisor(
                 "repro.perf.sweep:_supervised_config",
                 n_workers=n_workers, timeout=timeout, retries=retries,
-                backoff=backoff,
+                backoff=backoff, fault_plan=fault_plan,
                 on_result=lambda task, row: _boundary(row),
             )
             _results, task_failures = supervisor.run(tasks)

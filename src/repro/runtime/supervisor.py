@@ -12,9 +12,14 @@ production scheduler has:
   :func:`multiprocessing.connection.wait` and checks ``Process.is_alive``
   every tick, so a dead worker is detected within one tick, not at pool
   teardown.
+* **Ready handshake** — a fresh worker sends a ready message once its
+  runner is imported, and only ready workers get tasks, so spawning and
+  importing never eat into a task's deadline.  Start-up has its own
+  bound (``start_timeout``): a worker that is not ready in time is
+  killed and replaced, which counts as a respawn.
 * **Wall-clock timeouts** — each task carries a deadline (``timeout``
-  seconds); a worker that blows it is killed and replaced, and the task
-  is rescheduled.
+  seconds, from when a ready worker receives it); a worker that blows it
+  is killed and replaced, and the task is rescheduled.
 * **Respawn** — dead or killed workers are replaced immediately; the pool
   never shrinks below its target width while work remains.
 * **Retry with exponential backoff** — a failed task is retried up to
@@ -87,6 +92,8 @@ class SupervisorStats:
     respawns: int = 0     # workers replaced (died or killed)
     timeouts: int = 0     # tasks killed by the wall-clock deadline
     deaths: int = 0       # workers found dead (crash, not killed by us)
+    start_timeouts: int = 0   # workers killed for missing start_timeout
+    slow_starts: int = 0  # workers ready only after a task timeout's span
 
 
 @dataclass
@@ -101,23 +108,37 @@ class _Item:
 class _Worker:
     process: object
     conn: object
+    started: float
+    ready: bool = False
     item: object = field(default=None)
     deadline: object = field(default=None)
 
 
-def _worker_main(conn, runner_ref):
-    """Worker loop: receive ``(task_id, task)``, run, send the outcome.
+#: Workers in a row that may fail to start before :meth:`Supervisor.run`
+#: gives up (a runner that cannot be imported would respawn forever).
+_MAX_START_FAILURES = 3
 
-    Runs until the parent sends ``None`` or the pipe closes.  Any
-    exception in the runner is reported as a structured error message —
-    the worker itself survives and takes the next task.  A ``crash``
-    fault (or a real segfault) never reaches the except clause; the
-    parent notices the dead process instead.
+
+def _worker_main(conn, runner_ref, fault_plan=None, spawn_index=0):
+    """Worker loop: import the runner, send a ready message, then
+    receive ``(task_id, task)``, run, send the outcome.
+
+    ``fault_plan`` is installed for start-up only, at the site
+    ``worker_start`` keyed by ``spawn_index`` (the supervisor's count of
+    workers spawned before this one), so a test can delay or hang one
+    worker's start.  Runs until the parent sends ``None`` or the pipe
+    closes.  Any exception in the runner is reported as a structured
+    error message — the worker itself survives and takes the next task.
+    A ``crash`` fault (or a real segfault) never reaches the except
+    clause; the parent notices the dead process instead.
     """
     from repro.runtime import faults
 
     faults.mark_worker()
+    with faults.plan_scope(fault_plan):
+        faults.fault_point("worker_start", spawn_index)
     runner = resolve_ref(runner_ref)
+    conn.send((None, "ready", None))
     while True:
         try:
             message = conn.recv()
@@ -147,7 +168,8 @@ class Supervisor:
     n_workers:
         Target pool width.
     timeout:
-        Per-task wall-clock seconds; ``None`` disables deadlines.
+        Per-task wall-clock seconds, counted from dispatch to a ready
+        worker; ``None`` disables deadlines.
     retries:
         Per-task retry budget after the first attempt.
     backoff:
@@ -156,15 +178,24 @@ class Supervisor:
     on_result:
         Optional ``on_result(task, result)`` parent-side callback per
         completed task — the checkpoint hook.
+    fault_plan:
+        Optional :class:`~repro.runtime.faults.FaultPlan` each worker
+        installs for its start-up (site ``worker_start``, key: the
+        spawn index, counting from 0).
     """
 
     _TICK = 0.02
+    #: seconds a fresh worker may take to become ready (spawn plus runner
+    #: import) before it is killed and replaced
+    start_timeout = 60.0
 
     def __init__(self, runner, n_workers, timeout=None, retries=0,
-                 backoff=0.05, on_result=None):
+                 backoff=0.05, on_result=None, fault_plan=None):
         self.runner = runner
         self.n_workers = max(1, int(n_workers))
         self.timeout = timeout
+        self.fault_plan = fault_plan
+        self._spawned = 0
         self.retries = int(retries)
         self.backoff = backoff
         self.on_result = on_result
@@ -175,13 +206,35 @@ class Supervisor:
     # -- worker lifecycle ---------------------------------------------------
 
     def _spawn(self):
+        """Start a worker; it takes tasks once it reports ready."""
         parent_conn, child_conn = self._context.Pipe(duplex=True)
         process = self._context.Process(
-            target=_worker_main, args=(child_conn, self.runner), daemon=True
+            target=_worker_main,
+            args=(child_conn, self.runner, self.fault_plan, self._spawned),
+            daemon=True,
         )
+        self._spawned += 1
         process.start()
         child_conn.close()
-        return _Worker(process=process, conn=parent_conn)
+        return _Worker(process=process, conn=parent_conn,
+                       started=time.monotonic())
+
+    def _replace(self, worker, workers, kill=False):
+        """Reap ``worker`` and spawn its replacement (a respawn)."""
+        self.stats.respawns += 1
+        self._reap(worker, kill=kill)
+        workers[workers.index(worker)] = self._spawn()
+
+    def _start_failed(self, worker, workers, reason, kill=False):
+        """A worker died or timed out before it was ready: replace it,
+        unless too many starts in a row have failed."""
+        self._start_failures += 1
+        if self._start_failures > _MAX_START_FAILURES:
+            raise RuntimeError(
+                f"{self._start_failures} workers in a row failed to start "
+                f"(last: {reason}); runner {self.runner!r}"
+            )
+        self._replace(worker, workers, kill=kill)
 
     @staticmethod
     def _stop_process(process, grace=0.25):
@@ -252,15 +305,16 @@ class Supervisor:
         sweep does by row index); ``failures`` is a list of
         :class:`TaskFailure`.  KeyboardInterrupt tears the pool down
         (workers killed) and propagates, leaving any ``on_result``
-        checkpointing already durable.
+        checkpointing already durable.  Raises ``RuntimeError`` when
+        more than ``_MAX_START_FAILURES`` workers in a row fail to start.
         """
         ready = deque(self._make_item(task) for task in tasks)
         results, failures = [], []
         if not ready:
             return results, failures
+        self._start_failures = 0
         width = min(self.n_workers, len(ready))
         workers = [self._spawn() for _ in range(width)]
-        idle = list(workers)
         waiting = []      # backoff'd items not yet ready to run
         try:
             while ready or waiting or any(w.item is not None for w in workers):
@@ -269,6 +323,7 @@ class Supervisor:
                     if entry.not_before <= now:
                         waiting.remove(entry)
                         ready.append(entry)
+                idle = [w for w in workers if w.ready and w.item is None]
                 while idle and ready:
                     item = ready[0]
                     if item.not_before > now:
@@ -278,32 +333,23 @@ class Supervisor:
                         continue
                     ready.popleft()
                     worker = idle.pop()
-                    if not worker.process.is_alive():
-                        # Died while idle (should not happen, but never
-                        # assign work to a corpse).
-                        self.stats.respawns += 1
-                        self._reap(worker)
-                        workers.remove(worker)
-                        worker = self._spawn()
-                        workers.append(worker)
                     task = dict(item.task, attempt=item.attempt)
                     try:
+                        if not worker.process.is_alive():
+                            # Died while idle: never assign work to a corpse.
+                            raise BrokenPipeError
                         worker.conn.send((item.id, task))
                     except (BrokenPipeError, OSError):
-                        self.stats.respawns += 1
-                        self._reap(worker)
-                        workers.remove(worker)
-                        replacement = self._spawn()
-                        workers.append(replacement)
-                        idle.append(replacement)
+                        self._replace(worker, workers)
                         ready.appendleft(item)
                         continue
                     worker.item = item
                     worker.deadline = (
                         None if self.timeout is None else now + self.timeout
                     )
-                busy = [w for w in workers if w.item is not None]
-                if not busy:
+                pending = [w for w in workers
+                           if w.item is not None or not w.ready]
+                if not pending:
                     if waiting and not ready:
                         time.sleep(min(
                             self._TICK,
@@ -311,36 +357,42 @@ class Supervisor:
                         ))
                     continue
                 readable = connection.wait(
-                    [w.conn for w in busy], timeout=self._TICK
+                    [w.conn for w in pending], timeout=self._TICK
                 )
-                by_conn = {w.conn: w for w in busy}
+                by_conn = {w.conn: w for w in pending}
                 for conn in readable:
                     worker = by_conn[conn]
                     item = worker.item
                     try:
                         task_id, status, payload = conn.recv()
                     except (EOFError, OSError):
-                        # Worker died mid-task: its end of the pipe closed
-                        # before a result arrived (an os._exit / segfault
-                        # usually lands here, via the EOF, before the
-                        # liveness check below sees the corpse).
+                        # Worker died: its end of the pipe closed before a
+                        # message arrived (an os._exit / segfault usually
+                        # lands here, via the EOF, before the liveness
+                        # check below sees the corpse).
                         self.stats.deaths += 1
-                        self.stats.respawns += 1
-                        self._reap(worker)
-                        workers.remove(worker)
-                        replacement = self._spawn()
-                        workers.append(replacement)
-                        idle.append(replacement)
+                        exitcode = worker.process.exitcode
+                        if item is None:
+                            self._start_failed(
+                                worker, workers,
+                                f"died (exit code {exitcode})")
+                            continue
+                        self._replace(worker, workers)
                         self._fail(
-                            item,
-                            f"worker died (exit code "
+                            item, f"worker died (exit code "
                             f"{worker.process.exitcode})",
                             "", ready, failures,
                         )
                         continue
+                    if status == "ready":
+                        worker.ready = True
+                        self._start_failures = 0
+                        if (self.timeout is not None and time.monotonic()
+                                - worker.started > self.timeout):
+                            self.stats.slow_starts += 1
+                        continue
                     worker.item = None
                     worker.deadline = None
-                    idle.append(worker)
                     if status == "ok":
                         results.append(payload)
                         if self.on_result is not None:
@@ -351,29 +403,32 @@ class Supervisor:
                 now = time.monotonic()
                 for worker in list(workers):
                     item = worker.item
+                    if not worker.ready:
+                        if not worker.process.is_alive():
+                            self.stats.deaths += 1
+                            self._start_failed(
+                                worker, workers, "died (exit code "
+                                f"{worker.process.exitcode})")
+                        elif now - worker.started > self.start_timeout:
+                            self.stats.start_timeouts += 1
+                            self._start_failed(
+                                worker, workers,
+                                f"not ready after {self.start_timeout:.1f}s",
+                                kill=True)
+                        continue
                     if item is None:
                         continue
                     if not worker.process.is_alive():
                         exitcode = worker.process.exitcode
                         self.stats.deaths += 1
-                        self.stats.respawns += 1
-                        self._reap(worker)
-                        workers.remove(worker)
-                        replacement = self._spawn()
-                        workers.append(replacement)
-                        idle.append(replacement)
+                        self._replace(worker, workers)
                         self._fail(
                             item, f"worker died (exit code {exitcode})", "",
                             ready, failures,
                         )
                     elif worker.deadline is not None and now > worker.deadline:
                         self.stats.timeouts += 1
-                        self.stats.respawns += 1
-                        self._reap(worker, kill=True)
-                        workers.remove(worker)
-                        replacement = self._spawn()
-                        workers.append(replacement)
-                        idle.append(replacement)
+                        self._replace(worker, workers, kill=True)
                         self._fail(
                             item,
                             f"timed out after {self.timeout:.1f}s",

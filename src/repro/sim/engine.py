@@ -1,6 +1,6 @@
 """The elastic simulator.
 
-Each clock cycle proceeds in four phases:
+Each clock cycle proceeds in five phases:
 
 1. **pre-cycle** — every node freezes its randomized / nondeterministic
    choices for the cycle;
@@ -10,13 +10,23 @@ Each clock cycle proceeds in four phases:
    signals still unknown at the fix-point indicate a genuine combinational
    cycle and raise :class:`~repro.errors.CombinationalLoopError` — the
    hazard the paper warns about when chaining zero-backward-latency buffers;
-3. **observation** — the protocol monitor and the statistics read the
-   settled signals directly; observers resolve a channel's
+3. **observation** — the protocol monitor reads the settled signals
+   directly; observers resolve a channel's
    :class:`~repro.elastic.channel.ChannelEvents` on demand
    (:meth:`Channel.events`, memoized for the rest of the cycle), and a
    model-checking step returns the signals packed one byte per channel,
    so no step builds an event object unless something asks for one;
-4. **tick** — every node updates its sequential state.
+4. **tick** — every node updates its sequential state;
+5. **statistics** — the cycle's outcome per channel is counted from the
+   settled signals (plain steps only), so a cycle that raised in an
+   earlier phase is not counted.
+
+On the codegen engine a multi-cycle :meth:`Simulator.run` is one call of
+the compiled cycle function, which loops the cycles in one frame with
+statistics and monitor history in locals and checks the monitor with one
+screen per cycle; channel states are flushed once, on the last cycle (see
+:mod:`repro.backend.pysim`).  The result equals as many :meth:`step`
+calls.
 
 Fix-point engines
 -----------------
@@ -71,9 +81,9 @@ differential fuzz tests pin both engines to it.
 ``codegen`` (default) — the compiled engine of
 :mod:`repro.backend.pysim`.  The netlist is *elaborated*: every node's
 ``comb`` is emitted as straight-line Python with channel signals in flat
-locals, and protocol monitoring, statistics and the ``tick`` kernels of
-every kind are inlined into the same generated function — one Python
-call per cycle, no per-node dispatch.  Compilation is all or nothing: a
+locals, and the protocol monitor's screen, statistics and the ``tick``
+kernels of every kind are inlined into the same generated function — one
+Python call per run, no per-node dispatch.  Compilation is all or nothing: a
 netlist with a node that blocks it (no emitter, as for a user subclass
 that overrides ``comb``; an unbound port; a signal-level combinational
 loop) runs this simulator's interpreted worklist cycle instead.  The
@@ -340,11 +350,15 @@ class Simulator:
                             if type(node).pre_cycle is not Node.pre_cycle]
         self._choosers = [node for node in nodes
                           if type(node).choice_space is not Node.choice_space]
+        # A compiled run loads and stores the counts of these channels as
+        # one slice of ChannelStats.counts.
+        self.stats.layout([channel.name for channel in channels])
         cycle = None
         if self.engine == "codegen":
             from repro.backend.pysim import CodegenBackend
 
             cycle = CodegenBackend(self).cycle_fn
+        self._runs_compiled = cycle is not None and not self.profile
         if cycle is None:
             self._readers, self._order = sensitivity(nodes, channels)
             self._combs = [node.comb for node in nodes]
@@ -480,13 +494,14 @@ class Simulator:
         for channel in self._channels:
             channel.events_cache = None
 
-    def _check_resolved(self):
-        """Raise the combinational-loop diagnosis if the fix-point left
-        any signal unresolved (the codegen cycle calls this too, from its
-        inlined quick test)."""
+    def _check_resolved(self, cycle=None):
+        """Raise the combinational-loop diagnosis, at ``cycle`` (default:
+        the current one), if the fix-point left any signal unresolved
+        (a compiled run calls this too, when its screen fires)."""
         unresolved = unresolved_signals(self._channels)
         if unresolved:
-            raise CombinationalLoopError(unresolved, cycle=self.cycle)
+            raise CombinationalLoopError(
+                unresolved, cycle=self.cycle if cycle is None else cycle)
 
     def _counted_cycle(self, compiled, cycle, choices):
         """Run a compiled cycle under ``profile=True``: it evaluates every
@@ -499,11 +514,12 @@ class Simulator:
 
     def _interpreted_cycle(self, cycle, choices):
         """One interpreted (worklist) cycle: choices, pre-cycle,
-        fix-point, monitor, then statistics and observers (plain steps)
-        or the packed signals (choice steps, which return them: one byte
+        fix-point, monitor, observers (plain steps) or the packed signals
+        (choice steps, which return them: one byte
         ``VP | SP<<1 | VM<<2 | SM<<3`` per channel, packed from the
-        channel states), and tick.  The codegen engine's generated cycle
-        has the same signature and semantics."""
+        channel states), tick, then statistics (plain steps), so a cycle
+        that raises is not counted.  A compiled cycle function has the
+        same signature and semantics, plus a cycle count ``n``."""
         if choices is not None:
             for node in self._choosers:
                 if node.choice_space() > 1:
@@ -515,7 +531,6 @@ class Simulator:
             self.monitor.observe(cycle)
         packed = None
         if choices is None:
-            self.stats.observe(cycle)
             for observer in self.observers:
                 observer.observe(cycle, self.netlist)
         else:
@@ -523,6 +538,8 @@ class Simulator:
                             for st in self._states])
         for tick in self._ticks:
             tick()
+        if choices is None:
+            self.stats.observe(cycle)
         return packed
 
     def step(self):
@@ -534,7 +551,19 @@ class Simulator:
         return done
 
     def run(self, n_cycles):
-        """Run ``n_cycles`` cycles; returns ``self`` for chaining."""
+        """Run ``n_cycles`` cycles; returns ``self`` for chaining.
+
+        On a compiled netlist without observers or profiling, the run is
+        one call of the compiled cycle function, which loops the cycles
+        in one frame; otherwise it steps cycle by cycle.  Either way the
+        statistics, channel states, monitor history and cycle counter
+        afterwards are those of ``n_cycles`` calls of :meth:`step`, also
+        when a cycle raises."""
+        if n_cycles > 0:
+            self._ready()
+            if self._runs_compiled and not self.observers:
+                self._cycle(self.cycle, None, n_cycles)
+                return self
         for _ in range(n_cycles):
             self.step()
         return self
@@ -558,8 +587,9 @@ class Simulator:
         is built, and statistics and observers are not updated.
         """
         self._ready()
-        packed = self._cycle(self.cycle, choices)
-        self.cycle += 1
+        done = self.cycle
+        packed = self._cycle(done, choices)
+        self.cycle = done + 1
         return packed
 
     # -- profiling ---------------------------------------------------------------------

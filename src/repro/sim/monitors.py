@@ -23,82 +23,99 @@ from repro.errors import ProtocolViolationError
 
 
 class ProtocolMonitor:
-    """Per-channel monitor automata for the SELF properties."""
+    """Per-channel monitor automata for the SELF properties.
+
+    The history between cycles is the Retry obligations a cycle leaves due
+    at the next one, kept in the flat list :attr:`_prev`, three slots per
+    channel in netlist channel order: the cycle at which a stalled token
+    must still be offered (``-1`` when none is due), that token's data,
+    and the cycle at which a stalled anti-token must still be offered.
+    The compiled engine keeps the same slots in locals during a run and
+    writes them back here, so both engines share one history.
+    """
 
     def __init__(self, netlist):
         self.netlist = netlist
-        # channel name -> (vp, sp, vm, sm, data) of the previous cycle
-        self._prev = {}
+        self._prev = []
         self.violations = []
+        self._layout()
+
+    def _layout(self):
         # Section 4.2: "the output channels of the shared modules are not
         # required to be persistent" — the scheduler may legally change its
         # prediction after a retry cycle, and the withdrawal propagates
-        # through downstream combinational nodes until the next EB.
+        # through downstream combinational nodes until the next EB.  That
+        # exempts those channels from Retry+ only; a stalled anti-token
+        # must persist everywhere (the explorer's rule, verif.properties).
         from repro.verif.properties import retry_exempt_channels
 
-        self._retry_exempt = retry_exempt_channels(netlist)
+        exempt = retry_exempt_channels(self.netlist)
+        self._channels = list(self.netlist.channels.values())
+        self._retry_exempt = [ch.name in exempt for ch in self._channels]
+        self._prev[:] = [-1, None, -1] * len(self._channels)
 
-    def structure_changed(self, channel_name=None):
-        """Re-derive the retry-exemption set after a structural netlist
-        edit, and forget previous-cycle signals: the edited channel's when
-        one is named (a freshly (re)connected channel starts history-free,
-        exactly as under a rebuilt monitor), or *every* channel's when
-        called bare — a splice changes combinational cones arbitrarily far
-        downstream, so any channel's one-cycle history may be stale (e.g.
-        inserting a registered node legally withdraws a downstream offer
-        for one cycle)."""
-        from repro.verif.properties import retry_exempt_channels
-
-        self._retry_exempt = retry_exempt_channels(self.netlist)
-        if channel_name is not None:
-            self._prev.pop(channel_name, None)
-        else:
-            self._prev.clear()
+    def structure_changed(self):
+        """Re-derive the channel layout and the Retry+ exemptions after a
+        structural netlist edit, and forget every channel's history: a
+        splice changes combinational cones arbitrarily far downstream, so
+        any channel's one-cycle history may be stale (e.g. inserting a
+        registered node legally withdraws a downstream offer for one
+        cycle), and a freshly (re)connected channel starts history-free,
+        exactly as under a rebuilt monitor."""
+        self._layout()
 
     def reset(self):
-        """Clear per-run history (previous-cycle signals, recorded
-        violations); the property configuration is kept."""
-        self._prev.clear()
+        """Clear per-run history (Retry obligations, recorded violations);
+        the property configuration is kept."""
+        self._prev[:] = [-1, None, -1] * len(self._channels)
         self.violations.clear()
 
     def observe(self, cycle):
-        for name, channel in self.netlist.channels.items():
+        """Check cycle ``cycle``'s settled signals on every channel, in
+        channel order, raising the first violation; then record the Retry
+        obligations it leaves due at ``cycle + 1``.  A violating cycle
+        records nothing."""
+        prev = self._prev
+        for i, channel in enumerate(self._channels):
             st = channel.state
-            vp, sp, vm, sm = bool(st.vp), bool(st.sp), bool(st.vm), bool(st.sm)
-            self._check_invariant(name, cycle, vp, sp, vm, sm)
-            prev = self._prev.get(name)
-            if prev is not None and name not in self._retry_exempt:
-                self._check_retry(name, cycle, prev, vp, vm, st.data)
-            self._prev[name] = (vp, sp, vm, sm, st.data)
+            name = channel.name
+            # Kill and stop are mutually exclusive (consumer side).
+            if st.vm and st.sp:
+                self._fail("Invariant", name, cycle, "V- and S+ both asserted")
+            # A cancelling producer must not stall the anti-token.
+            if st.vp and st.vm and st.sm:
+                self._fail("Invariant", name, cycle,
+                           "cancellation with S- asserted")
+            j = 3 * i
+            if prev[j] == cycle:
+                # A token was offered and stalled (and not killed): it
+                # must persist, data included.
+                if not st.vp:
+                    self._fail("Retry+", name, cycle, "stalled token withdrawn")
+                if st.data != prev[j + 1]:
+                    self._fail(
+                        "Retry+", name, cycle,
+                        f"stalled token changed data {prev[j + 1]!r} -> "
+                        f"{st.data!r}",
+                    )
+            if prev[j + 2] == cycle and not st.vm:
+                # An anti-token was offered and stalled (and did not
+                # cancel): it must persist.
+                self._fail("Retry-", name, cycle, "stalled anti-token withdrawn")
+        due = cycle + 1
+        for i, channel in enumerate(self._channels):
+            st = channel.state
+            if st.vp:
+                if st.sp and not st.vm and not self._retry_exempt[i]:
+                    prev[3 * i] = due
+                    prev[3 * i + 1] = st.data
+            elif st.vm and st.sm:
+                prev[3 * i + 2] = due
 
     def _fail(self, prop, channel, cycle, detail):
         err = ProtocolViolationError(prop, channel, cycle, detail)
         self.violations.append(err)
         raise err
-
-    def _check_invariant(self, name, cycle, vp, sp, vm, sm):
-        # Kill and stop are mutually exclusive (consumer side).
-        if vm and sp:
-            self._fail("Invariant", name, cycle, "V- and S+ both asserted")
-        # A cancelling producer must not stall the anti-token.
-        if vp and vm and sm:
-            self._fail("Invariant", name, cycle, "cancellation with S- asserted")
-
-    def _check_retry(self, name, cycle, prev, vp, vm, data):
-        pvp, psp, pvm, psm, pdata = prev
-        if pvp and psp and not pvm:
-            # Token was offered and stalled (and not killed): must persist.
-            if not vp:
-                self._fail("Retry+", name, cycle, "stalled token withdrawn")
-            if data != pdata:
-                self._fail(
-                    "Retry+", name, cycle,
-                    f"stalled token changed data {pdata!r} -> {data!r}",
-                )
-        if pvm and psm and not pvp:
-            # Anti-token was offered and stalled (and did not cancel): persist.
-            if not vm:
-                self._fail("Retry-", name, cycle, "stalled anti-token withdrawn")
 
 
 class BoundedLivenessMonitor:

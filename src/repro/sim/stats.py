@@ -3,59 +3,116 @@ stall cycles — the raw material for throughput measurements."""
 
 from __future__ import annotations
 
+from collections.abc import Mapping
+
+
+class _Counts(Mapping):
+    """One outcome's counts, a live read-only mapping channel name ->
+    int over :attr:`ChannelStats.counts`."""
+
+    __slots__ = ("_stats", "_field")
+
+    def __init__(self, stats, field):
+        self._stats = stats
+        self._field = field
+
+    def __getitem__(self, name):
+        stats = self._stats
+        return stats.counts[_WIDTH * stats._slot[name] + self._field]
+
+    def __iter__(self):
+        return iter(self._stats.names)
+
+    def __len__(self):
+        return len(self._stats.names)
+
+    def __repr__(self):
+        return repr(dict(self))
+
+
+#: counts per channel in :attr:`ChannelStats.counts`: transfers, cancels,
+#: stalls, backwards, idles.
+_WIDTH = 5
+
 
 class ChannelStats:
-    """Counts channel events over a simulation run."""
+    """Counts channel events over a simulation run.
+
+    The counts live in one flat list, :attr:`counts`: five ints per
+    channel (transfers, cancels, stalls, backwards, idles), channels in
+    the order of :attr:`names`.  ``transfers``, ``cancels``,
+    ``backwards``, ``stalls`` and ``idles`` are live read-only mappings
+    over it, keyed by channel name.  A compiled run loads the counts of
+    its channels into locals and stores them back once (see
+    :meth:`layout`).
+    """
 
     def __init__(self, netlist):
         self.netlist = netlist
         self.cycles = 0
-        self.transfers = {name: 0 for name in netlist.channels}
-        self.cancels = {name: 0 for name in netlist.channels}
-        self.backwards = {name: 0 for name in netlist.channels}
-        self.stalls = {name: 0 for name in netlist.channels}
-        self.idles = {name: 0 for name in netlist.channels}
-
-    def _counters(self):
-        return (self.transfers, self.cancels, self.backwards,
-                self.stalls, self.idles)
+        self.names = []
+        self.counts = []
+        self._slot = {}
+        for name in netlist.channels:
+            self.add_channel(name)
+        self.transfers = _Counts(self, 0)
+        self.cancels = _Counts(self, 1)
+        self.stalls = _Counts(self, 2)
+        self.backwards = _Counts(self, 3)
+        self.idles = _Counts(self, 4)
 
     def add_channel(self, name):
         """Start counting a channel added to the netlist after construction
         (a followed structural edit); counts of a previously removed
         channel of the same name continue rather than restart."""
-        for counter in self._counters():
-            counter.setdefault(name, 0)
+        if name not in self._slot:
+            self._slot[name] = len(self.names)
+            self.names.append(name)
+            self.counts += [0] * _WIDTH
+
+    def layout(self, names):
+        """Reorder the channels so that ``names`` come first, in that
+        order, keeping every count (a name not counted yet starts at
+        zero); the counts of ``names`` are then
+        ``counts[:5 * len(names)]``."""
+        for name in names:
+            self.add_channel(name)
+        slot, first = self._slot, set(names)
+        order = list(names) + [name for name in self.names
+                               if name not in first]
+        self.counts[:] = [count for name in order
+                          for count in self.counts[_WIDTH * slot[name]:
+                                                   _WIDTH * slot[name] + _WIDTH]]
+        self.names[:] = order
+        self._slot = {name: i for i, name in enumerate(order)}
 
     def reset(self):
-        """Zero every counter in place (held references stay live), keyed
+        """Zero every count in place (held references stay live), keyed
         by the netlist's *current* channel set."""
         self.cycles = 0
-        for counter in self._counters():
-            counter.clear()
-            for name in self.netlist.channels:
-                counter[name] = 0
+        self.names[:] = list(self.netlist.channels)
+        self._slot = {name: i for i, name in enumerate(self.names)}
+        self.counts[:] = [0] * (_WIDTH * len(self.names))
 
     def observe(self, cycle):
         """Count one cycle from the channels' settled control signals (the
         classification :meth:`~repro.elastic.channel.Channel.events`
         resolves, plus stalls: a token offered and stopped)."""
-        transfers, cancels, backwards = (self.transfers, self.cancels,
-                                         self.backwards)
-        stalls, idles = self.stalls, self.idles
+        counts, slot = self.counts, self._slot
         for name, channel in self.netlist.channels.items():
             st = channel.state
+            i = _WIDTH * slot[name]
             if st.vp:
                 if st.vm:
-                    cancels[name] += 1
+                    counts[i + 1] += 1          # cancel
                 elif st.sp:
-                    stalls[name] += 1
+                    counts[i + 2] += 1          # stall
                 else:
-                    transfers[name] += 1
+                    counts[i] += 1              # transfer
             elif st.vm and not st.sm:
-                backwards[name] += 1
+                counts[i + 3] += 1              # backward
             else:
-                idles[name] += 1
+                counts[i + 4] += 1              # idle
         self.cycles += 1
 
     def throughput(self, channel_name):

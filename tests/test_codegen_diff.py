@@ -20,7 +20,7 @@ import pytest
 from repro.backend import pysim
 from repro.designs import DESIGNS, MC_DESIGNS
 from repro.elastic.buffers import ElasticBuffer
-from repro.elastic.environment import ListSource, Sink
+from repro.elastic.environment import ListSource, NondetSink, Sink
 from repro.elastic.fork import EagerFork
 from repro.elastic.functional import Func
 from repro.errors import (
@@ -1023,3 +1023,393 @@ class TestPlainStepBuildsNoEvents:
         states += result.n_states
         assert built == []
         assert states > 1000
+
+
+# ---------------------------------------------------------------------------
+# compiled multi-cycle runs: run(n) is n steps
+
+
+def _leaves(sim):
+    """Everything a run leaves observable: cycle counter, statistics,
+    channel states and the events they resolve to, monitor history and
+    violations, and every node's sequential state."""
+    net = sim.netlist
+    events = {}
+    for name, channel in net.channels.items():
+        try:
+            events[name] = channel.events()
+        except Exception as exc:        # an unresolved channel
+            events[name] = type(exc).__name__
+    monitor = sim.monitor
+    return {
+        "cycle": sim.cycle,
+        "stats": {key: value if key == "cycles" else dict(value)
+                  for key, value in _stats_dict(sim).items()},
+        "states": {name: (ch.state.vp, ch.state.sp, ch.state.vm,
+                          ch.state.sm, ch.state.data)
+                   for name, ch in net.channels.items()},
+        "events": events,
+        "history": None if monitor is None else list(monitor._prev),
+        "violations": None if monitor is None else [
+            str(err) for err in monitor.violations],
+        "nodes": net.snapshot(),
+    }
+
+
+def _drive(sim, plan):
+    """Run ``plan``: ``("run", n)`` / ``("steps", n)`` entries, or
+    callables applied to the simulator between them; returns the
+    exception raised (type, message, channel, cycle), if any."""
+    try:
+        for entry in plan:
+            if callable(entry):
+                entry(sim)
+            elif entry[0] == "run":
+                sim.run(entry[1])
+            else:
+                for _ in range(entry[1]):
+                    sim.step()
+    except Exception as exc:
+        return (type(exc).__name__, str(exc), getattr(exc, "channel", None),
+                getattr(exc, "cycle", None))
+    return None
+
+
+def assert_run_is_steps(make, plan, check_protocol=True, worklist=True,
+                        follow_edits=False, prepare=None, compiled=True):
+    """``make()`` driven by ``plan`` (as :func:`_drive`) on the codegen
+    engine, once with every ``("run", n)`` a compiled multi-cycle run
+    (unless ``compiled`` is false: the netlist does not compile) and once
+    with it replaced by ``n`` steps, must leave identical :func:`_leaves`
+    and raise the same exception; with ``worklist``, the worklist engine
+    must agree too.  Returns the exception, if any."""
+    outcomes = {}
+    stepped = [("steps", e[1]) if not callable(e) and e[0] == "run" else e
+               for e in plan]
+    runs = [("codegen-run", "codegen", plan), ("codegen-steps", "codegen",
+                                                stepped)]
+    if worklist:
+        runs.append(("worklist", "worklist", plan))
+    for label, engine, todo in runs:
+        net = make()
+        sim = Simulator(net, engine=engine, check_protocol=check_protocol,
+                        follow_edits=follow_edits)
+        if engine == "codegen":
+            assert sim._runs_compiled is compiled
+        if prepare is not None:
+            prepare(sim)
+        outcomes[label] = (_drive(sim, todo), _leaves(sim))
+    assert outcomes["codegen-run"] == outcomes["codegen-steps"]
+    if worklist:
+        assert outcomes["worklist"] == outcomes["codegen-run"]
+    return outcomes["codegen-run"][0]
+
+
+#: one long run, then short ones around the entry and exit work (n=0
+#: included)
+_CHUNKS = [("run", 0), ("run", 1), ("run", 7), ("run", 0), ("run", 150),
+           ("run", 2)]
+
+
+class TestRunIsSteps:
+    """``Simulator.run(n)`` on a compiled netlist is one call of the
+    generated cycle function looping ``n`` cycles; it must be
+    indistinguishable from ``n`` calls of ``step()`` (and from the
+    worklist engine) in everything a run leaves behind."""
+
+    @pytest.mark.parametrize("check_protocol", [True, False])
+    @pytest.mark.parametrize("name", sorted(DESIGNS))
+    def test_designs(self, name, check_protocol):
+        assert_run_is_steps(DESIGNS[name], _CHUNKS,
+                            check_protocol=check_protocol)
+
+    @pytest.mark.parametrize("seed", range(N_RANDOM_NETLISTS))
+    def test_fuzz_corpus(self, seed):
+        stages, stall, kill = _random_pipeline_params(seed)
+        assert_run_is_steps(
+            lambda: build_pipeline(stages, stall, seed, list(range(25)),
+                                   kill=kill), _CHUNKS)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_chaos_wrapped(self, seed):
+        from repro.chaos import ChaosPlan, wrap
+
+        stages, stall, kill = _random_pipeline_params(seed)
+
+        def make():
+            net = build_pipeline(stages, stall, seed, list(range(25)),
+                                 kill=kill)
+            wrap(net, ChaosPlan.seeded(seed, list(net.channels),
+                                       kinds=("stall", "bubble", "corrupt"),
+                                       coverage=0.6))
+            return net
+
+        assert_run_is_steps(make, _CHUNKS)
+
+    def test_empty_netlist(self):
+        assert_run_is_steps(lambda: Netlist("empty"), _CHUNKS)
+
+    def test_reset_between_runs(self):
+        assert_run_is_steps(DESIGNS["fig1d"], [
+            ("run", 60), lambda sim: sim.reset(), ("run", 45),
+            lambda sim: sim.reset(), ("run", 0), ("run", 3)])
+
+    def test_observers_attached_between_runs(self):
+        logs = []
+
+        def attach(sim):
+            logs.append(TransferLog(list(sim.netlist.channels)))
+            sim.observers.append(logs[-1])
+
+        def detach(sim):
+            sim.observers.clear()
+
+        assert_run_is_steps(DESIGNS["fig6b"], [
+            ("run", 40), attach, ("run", 30), detach, ("run", 30), attach,
+            ("run", 5)])
+        # two logs per simulator: codegen run, codegen steps, worklist
+        streams = [log.streams for log in logs]
+        for same in (streams[0::2], streams[1::2]):
+            assert same[0] == same[1] == same[2]
+            assert any(same[0].values())
+
+    def test_followed_edit_between_runs(self):
+        def edit(sim):
+            insert_bubble(sim.netlist, "c1")
+
+        stages = ["eb", "func", "zbl", "eb"]
+        assert_run_is_steps(
+            lambda: build_pipeline(stages, 0.3, 3, list(range(40))),
+            [("run", 25), edit, ("run", 40), edit, ("run", 1)],
+            follow_edits=True)
+
+
+class WithdrawingListSource(ListSource):
+    """Protocol mutant: at its ``at``-th cycle it withdraws the token it
+    offers, stalled or not (Retry+)."""
+
+    kind = "mutant_withdraw"
+    state_slots = {**ListSource.state_slots, "_age": 0}
+
+    def __init__(self, name, values, at):
+        self.at = at
+        super().__init__(name, values)
+
+    def pre_cycle(self):
+        super().pre_cycle()
+        if self._age == self.at:
+            self._offering = False
+        self._age += 1
+
+
+def _withdrawing_net():
+    net = Netlist("withdraw")
+    net.add(WithdrawingListSource("src", list(range(9)), at=6))
+    net.add(ElasticBuffer("eb"))
+    net.add(Sink("snk", stall_rate=1.0))
+    net.connect("src.o", "eb.i", name="in")
+    net.connect("eb.o", "snk.i", name="out")
+    return net
+
+
+def _data_changing_net():
+    """A function block whose ``fn`` returns a new value at every call:
+    its stalled output token changes data (Retry+).  Both engines call a
+    compiled ``fn`` once per cycle only on codegen, so compare codegen
+    runs with codegen steps."""
+    from itertools import count
+
+    calls = count(100)
+    net = Netlist("data_change")
+    net.add(ListSource("src", list(range(9))))
+    net.add(Func("f", lambda x: x + next(calls), n_inputs=1))
+    net.add(Sink("snk", stall_rate=0.5, seed=4))
+    net.connect("src.o", "f.i0", name="in")
+    net.connect("f.o", "snk.i", name="out")
+    return net
+
+
+def _broken_kill_net():
+    from repro.chaos.mutants import BrokenKillBuffer
+    from repro.elastic.environment import KillerSink
+
+    net = Netlist("broken_kill")
+    net.add(ListSource("src", list(range(30))))
+    net.add(BrokenKillBuffer("buf"))
+    net.add(KillerSink("snk", kill_rate=0.2, stall_rate=0.3, seed=5))
+    net.connect("src.o", "buf.i", name="in")
+    net.connect("buf.o", "snk.i", name="out")
+    return net
+
+
+class TestRunIsStepsOnFailure:
+    """A cycle that raises mid-run leaves what the same cycle leaves when
+    stepped: the message, channel and cycle of the error, statistics
+    through the previous cycle, the same channel states and history."""
+
+    def test_broken_kill_buffer(self):
+        # its own comb: the netlist runs interpreted under codegen
+        raised = assert_run_is_steps(_broken_kill_net, [("run", 60)],
+                                     compiled=False)
+        assert raised[0] == "ProtocolViolationError" and raised[3] > 0
+
+    def test_stalled_token_withdrawn(self):
+        raised = assert_run_is_steps(_withdrawing_net, [("run", 40)])
+        assert raised[:4] == ("ProtocolViolationError", raised[1], "in", 6)
+        assert "stalled token withdrawn" in raised[1]
+
+    def test_stalled_token_changes_data(self):
+        raised = assert_run_is_steps(_data_changing_net, [("run", 40)],
+                                     worklist=False)
+        assert raised[0] == "ProtocolViolationError"
+        assert "stalled token changed data" in raised[1] and raised[3] > 0
+
+    def test_scheduler_error(self):
+        from itertools import count
+
+        def make():
+            calls = count()
+            return patterns.fig1d(
+                lambda g: 7 if next(calls) == 40 else g & 1)[0]
+
+        raised = assert_run_is_steps(make, [("run", 5), ("run", 80)],
+                                     worklist=False)
+        assert raised[0] == "SchedulerError" and "out of range" in raised[1]
+
+    def test_unknown_select_data_diagnosis(self):
+        """The select goes unknown mid-run: the diagnosis leaves the
+        signals its interpreted re-run settled, as on worklist."""
+        raised = assert_run_is_steps(
+            lambda: patterns.fig1d(lambda g: None if g >= 20 else g & 1)[0],
+            [("run", 80)])
+        assert raised[0] == "CombinationalLoopError" and raised[3] > 0
+
+    def test_unknown_data_diagnosis(self):
+        """A token offered without data mid-run: the diagnosis leaves the
+        flushed signals, as on worklist."""
+        def make():
+            net = build_pipeline(["eb", "eb"], 0.2, 1, list(range(40)))
+            net.add(Func("f", lambda x: None if x >= 12 else x, n_inputs=1))
+            net.disconnect("c1")
+            net.connect("n0.o", "f.i0", name="c1")
+            net.connect("f.o", "n1.i", name="c1b")
+            return net
+
+        raised = assert_run_is_steps(make, [("run", 60)])
+        assert raised[:2] == ("CombinationalLoopError", raised[1])
+        assert "c1b.data" in raised[1] and raised[3] > 0
+
+    def test_tick_assertion(self):
+        def prepare(sim):
+            sim.netlist.nodes["mux"]._kills = (0, 2)
+
+        raised = assert_run_is_steps(TestEemuxKillOverflow._net,
+                                     [("run", 10)], prepare=prepare,
+                                     worklist=False)
+        assert raised[:2] == ("AssertionError",
+                              "EarlyEvalMux mux: kill counter out of range")
+
+
+class FickleKiller(NondetSink):
+    """Protocol mutant: a killing sink that withdraws its anti-token after
+    one cycle, stalled or not (Retry-)."""
+
+    kind = "mutant_fickle_kill"
+
+    def tick(self):
+        if self._killing:
+            self._killing = False
+            self._choice = 0
+        else:
+            super().tick()
+
+
+def _fickle_net(nondet=False):
+    """The mutant kills on a shared-module output (exempt from Retry+
+    only) whose anti-token the empty, anti-token-less buffer upstream
+    stalls.  The output channel comes first, so its violation is the one
+    reported."""
+    from repro.core.scheduler import StaticScheduler
+    from repro.core.shared import SharedModule
+    from repro.elastic.environment import NondetSource
+
+    net = Netlist("fickle")
+    net.add(NondetSource("s0") if nondet else ListSource("s0", []))
+    net.add(ListSource("s1", [1, 2, 3]))
+    net.add(ElasticBuffer("eb0", anti_capacity=0))
+    net.add(ElasticBuffer("eb1"))
+    net.add(SharedModule("sh", lambda x: x,
+                         StaticScheduler(2, favourite=1)))
+    net.add(FickleKiller("k0", can_kill=True))
+    net.add(Sink("k1"))
+    net.connect("sh.o0", "k0.i", name="out")
+    net.connect("s0.o", "eb0.i", name="in0")
+    net.connect("eb0.o", "sh.i0", name="mid0")
+    net.connect("s1.o", "eb1.i", name="in1")
+    net.connect("eb1.o", "sh.i1", name="mid1")
+    net.connect("sh.o1", "k1.i", name="out1")
+    return net
+
+
+class TestRetryMinusEverywhere:
+    """Section 4.2 exempts shared-module outputs (and the combinational
+    cone behind them) from Retry+ only: a stalled anti-token must persist
+    on every channel, in simulation as in exploration."""
+
+    def test_exempt_from_retry_plus_only(self):
+        from repro.verif.properties import retry_exempt_channels
+
+        assert "out" in retry_exempt_channels(_fickle_net())
+
+    def test_both_engines_flag_the_withdrawal(self):
+        def prepare(sim):
+            sim.netlist.nodes["k0"]._choice = 2     # kill at cycle 0
+
+        raised = assert_run_is_steps(_fickle_net, [("run", 5)],
+                                     prepare=prepare)
+        assert raised == (
+            "ProtocolViolationError",
+            "protocol property Retry- violated on channel 'out' at cycle "
+            "1: stalled anti-token withdrawn", "out", 1)
+
+    def test_explorer_flags_the_withdrawal(self):
+        from repro.verif.explore import StateExplorer
+
+        result = StateExplorer(_fickle_net(nondet=True),
+                               max_states=300).explore()
+        assert any(v.endswith("out: stalled anti-token withdrawn (Retry-)")
+                   for v in result.violations)
+
+
+#: generated_source() lengths (check_protocol=True) before compiled
+#: multi-cycle runs: the multi-cycle module must be no larger.
+_SOURCE_CEILINGS = {"fig1a": 21339, "fig1d": 22499, "fig6b": 29187,
+                    "fig7b": 29142}
+
+
+class TestMultiCycleModule:
+    @pytest.mark.parametrize("name", sorted(_SOURCE_CEILINGS))
+    def test_no_larger_than_per_cycle_module(self, name):
+        source = pysim.generated_source(DESIGNS[name]())
+        assert len(source) <= _SOURCE_CEILINGS[name]
+        # the wording lives in ProtocolMonitor only
+        assert "_mf(" not in source and "Retry" not in source
+
+    def test_interpreted_tick_flushes_every_cycle(self):
+        """A tick the module calls reads the channel states, so a run
+        flushes them every cycle, and still equals as many steps."""
+        class OwnTickBuffer(ElasticBuffer):
+            def tick(self):
+                assert self.st("o").vp is not None     # flushed
+                super().tick()
+
+        def make():
+            net = build_pipeline(["eb"], 0.3, 1, list(range(20)))
+            net.add(OwnTickBuffer("extra"))
+            net.disconnect("c0")
+            net.connect("src.o", "extra.i", name="c0")
+            net.connect("extra.o", "n0.i", name="c0b")
+            return net
+
+        assert "if True:" in pysim.generated_source(make())
+        assert_run_is_steps(make, _CHUNKS)

@@ -409,6 +409,48 @@ class TestSupervisorMultiprocessing:
         assert sorted(results) == [0, 2, 4, 6]
         assert supervisor.stats.timeouts >= 1
 
+    def test_slow_worker_start_does_not_eat_the_retry_deadline(self):
+        """The retry of a hung task lands on a replacement worker whose
+        start-up is delayed past the task timeout: the deadline starts
+        only once that worker is ready, so the retry completes whatever
+        the host load (one worker, so the retry must use it)."""
+        plan = FaultPlan([Fault("task", 1, kind="hang", seconds=60.0)])
+        start = FaultPlan([Fault("worker_start", 1, kind="slow",
+                                 seconds=1.5)])
+        supervisor = Supervisor("test_runtime_faults:_runner_with_plan",
+                                n_workers=1, timeout=1.0, retries=1,
+                                backoff=0.0, fault_plan=start)
+        results, failures = supervisor.run(
+            [{"n": n, "plan": plan} for n in range(4)]
+        )
+        assert failures == []
+        assert sorted(results) == [0, 2, 4, 6]
+        assert supervisor.stats.timeouts == 1
+        assert supervisor.stats.slow_starts == 1
+        assert supervisor.stats.start_timeouts == 0
+
+    def test_worker_that_never_starts_is_replaced(self):
+        start = FaultPlan([Fault("worker_start", 0, kind="hang")])
+        supervisor = Supervisor("test_runtime_faults:_runner_with_plan",
+                                n_workers=1, timeout=30.0, backoff=0.0,
+                                fault_plan=start)
+        supervisor.start_timeout = 3.0
+        results, failures = supervisor.run(
+            [{"n": n, "plan": None} for n in range(3)]
+        )
+        assert failures == []
+        assert sorted(results) == [0, 2, 4]
+        assert supervisor.stats.start_timeouts == 1
+        assert supervisor.stats.respawns == 1
+        assert supervisor.stats.timeouts == 0
+
+    def test_unimportable_runner_stops_respawning(self):
+        supervisor = Supervisor("no_such_module_anywhere:runner",
+                                n_workers=1, backoff=0.0)
+        with pytest.raises(RuntimeError, match="failed to start"):
+            supervisor.run([{"n": 0}])
+        assert supervisor.stats.respawns == 3
+
     def test_exhausted_crashes_become_task_failures(self):
         plan = FaultPlan([Fault("task", 2, kind="crash", times=99)])
         supervisor = Supervisor("test_runtime_faults:_runner_with_plan",

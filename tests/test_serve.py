@@ -594,6 +594,19 @@ class TestCliParity:
                     lines.append(cli._verify_line(label, reply["payload"]))
         assert "\n".join(lines) + "\n" == VERIFY_REPORT
 
+    def test_verify_json_equals_submitted_payloads(self, tmp_path, capsys):
+        from repro import cli
+
+        assert cli.main(["verify", "--json"]) == 0
+        local = json.loads(capsys.readouterr().out)
+        designs = [design for _heading, checks in cli._VERIFY_CHECKS
+                   for design, _label, _slug in checks]
+        assert sorted(local) == sorted(designs)
+        with running_server(tmp_path) as (_server, client):
+            for design in designs:
+                reply = client.submit({"kind": "verify", "design": design})
+                assert reply["payload"] == local[design]
+
     @pytest.mark.parametrize("argv,spec", [
         (["--design", "fig1d", "--soak", "--iterations", "1",
           "--cycles", "60"],
