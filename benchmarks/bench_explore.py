@@ -1,10 +1,10 @@
-"""E11 — ``lanes=32`` model checking vs worklist BFS (ISSUE 5).
+"""E11 — model checking on codegen vs worklist.
 
 The Section 4.2 verification enumerates every reachable state of a
-speculative controller composition under nondeterministic environments,
-paying one fix-point per transition.  ``StateExplorer(lanes=32)`` runs
-that fix-point on the compiled codegen engine; the baseline is the
-worklist engine.
+speculative controller composition under nondeterministic environments.
+``StateExplorer(engine="codegen")`` expands each state with one call of
+the compiled expansion entry; the baseline, ``engine="worklist"``, pays
+one interpreted fix-point per transition.
 
 The benchmark design is the paper's speculative composition (two nondet
 sources -> shared unit + toggle scheduler -> early-evaluation mux) with a
@@ -17,16 +17,24 @@ Correctness first: the two explorations must be bit-identical (states in
 discovery order, transition list, violations, completeness) and agree on
 the deadlock and leads-to verdicts — a fast wrong answer cannot pass.
 The acceptance bar is a >= 2x median wall-clock speedup.  The runs go as
-``PAIRS`` worklist/lanes pairs, alternating which side explores first;
+``PAIRS`` worklist/codegen pairs, alternating which side explores first;
 every run, the median speedup and its quartiles are merged into
 ``results/BENCH_explore.json`` (merged, not clobbered, like the other
-BENCH files).
+BENCH files), and each run appends its states/s per engine, speedup and
+environment to the file's ``history`` list.  The ``explore_batching``
+entry of that file is the last run recorded before the history existed
+(when codegen was requested as ``lanes=32``).
+
+Run:  PYTHONPATH=src python -m pytest -q benchmarks/bench_explore.py
 """
 
+import json
+import os
+import platform
 import statistics
 import time
 
-from conftest import merge_json, write_result
+from conftest import RESULTS_DIR, merge_json, write_result
 
 from repro.core.scheduler import ToggleScheduler
 from repro.netlist import patterns
@@ -34,11 +42,11 @@ from repro.verif.deadlock import find_deadlocks
 from repro.verif.explore import StateExplorer
 from repro.verif.leads_to import check_leads_to
 
-LANES = 32
 N_ZBL = 3
 MAX_STATES = 300_000
 SPEEDUP_BAR = 2.0    # acceptance bar on the median per-pair speedup
-PAIRS = 5            # worklist/lanes pairs, alternating the first
+PAIRS = 5            # worklist/codegen pairs, alternating the first
+ENGINES = ("worklist", "codegen")
 
 
 def _design():
@@ -55,61 +63,92 @@ def _verdicts(result):
     )
 
 
-def _explore(**engine_args):
+def _explore(engine):
     start = time.perf_counter()
     result = StateExplorer(_design(), max_states=MAX_STATES,
-                           **engine_args).explore()
+                           engine=engine).explore()
     return result, time.perf_counter() - start
 
 
-def _measure_pair(lanes_first):
-    # The baseline names worklist: a bare lanes=1 runs the default, codegen.
-    if lanes_first:
-        batched, batched_seconds = _explore(lanes=LANES)
-        scalar, scalar_seconds = _explore(engine="worklist")
-    else:
-        scalar, scalar_seconds = _explore(engine="worklist")
-        batched, batched_seconds = _explore(lanes=LANES)
+def _measure_pair(codegen_first):
+    order = ENGINES[::-1] if codegen_first else ENGINES
+    runs = {engine: _explore(engine) for engine in order}
+    (scalar, scalar_s), (compiled, compiled_s) = (runs[e] for e in ENGINES)
     # Correctness first — bit-identical exploration and identical verdicts.
-    assert scalar.states == batched.states
-    assert scalar.transitions == batched.transitions
-    assert scalar.violations == batched.violations == []
-    assert scalar.complete and batched.complete
-    assert _verdicts(scalar) == _verdicts(batched)
-    return scalar, scalar_seconds, batched_seconds
+    assert scalar.states == compiled.states
+    assert scalar.transitions == compiled.transitions
+    assert scalar.violations == compiled.violations == []
+    assert scalar.complete and compiled.complete
+    assert _verdicts(scalar) == _verdicts(compiled)
+    return scalar, scalar_s, compiled_s
 
 
-def test_explore_lane_batching():
-    scalar_runs, batched_runs, speedups = [], [], []
+def _history(entry):
+    """``BENCH_explore.json``'s recorded runs with ``entry`` appended; a
+    file written before the history existed contributes its last run
+    first."""
+    path = os.path.join(RESULTS_DIR, "BENCH_explore.json")
+    old = {}
+    if os.path.exists(path):
+        with open(path) as fh:
+            old = json.load(fh)
+    history = old.get("history")
+    if history is None:
+        history = []
+        last = old.get("explore_batching")
+        if last:
+            history.append({
+                "states": last["states"],
+                "transitions": last["transitions"],
+                "pairs": last["pairs"],
+                "states_per_second": {
+                    "worklist": last["states"] / last["wall_seconds_scalar"],
+                    "codegen": last["states"] / last["wall_seconds_batched"],
+                },
+                "speedup": last["speedup"],
+                "speedup_q1": last["speedup_q1"],
+                "speedup_q3": last["speedup_q3"],
+            })
+    return history + [entry]
+
+
+def test_explore_codegen_vs_worklist():
+    seconds = {engine: [] for engine in ENGINES}
+    speedups = []
     for pair in range(PAIRS):
-        scalar, scalar_s, batched_s = _measure_pair(lanes_first=pair % 2)
-        scalar_runs.append(scalar_s)
-        batched_runs.append(batched_s)
-        speedups.append(scalar_s / batched_s)
+        scalar, scalar_s, compiled_s = _measure_pair(codegen_first=pair % 2)
+        seconds["worklist"].append(scalar_s)
+        seconds["codegen"].append(compiled_s)
+        speedups.append(scalar_s / compiled_s)
     assert scalar.n_states >= 2000, "benchmark state space shrank"
     q1, speedup, q3 = statistics.quantiles(speedups, n=4, method="inclusive")
-    scalar_seconds = statistics.median(scalar_runs)
-    batched_seconds = statistics.median(batched_runs)
+    median_s = {engine: statistics.median(runs)
+                for engine, runs in seconds.items()}
+    rates = {engine: scalar.n_states / median_s[engine]
+             for engine in ENGINES}
     ok0, _ = check_leads_to(scalar, "fin0", "fout0")
     ok1, _ = check_leads_to(scalar, "fin1", "fout1")
     assert ok0 and ok1 and not find_deadlocks(scalar)
+    entry = {
+        "states": scalar.n_states,
+        "transitions": len(scalar.transitions),
+        "pairs": PAIRS,
+        "states_per_second": rates,
+        "speedup": speedup,
+        "speedup_q1": q1,
+        "speedup_q3": q3,
+        "environment": {"python": platform.python_version(),
+                        "cpus": os.cpu_count()},
+    }
     payload = {
-        "explore_batching": {
+        "explore_engines": {
             "design": f"speculative_mc+zbl{N_ZBL}+kill",
-            "lanes": LANES,
-            "engine": "codegen",
-            "states": scalar.n_states,
-            "transitions": len(scalar.transitions),
-            "pairs": PAIRS,
-            "wall_seconds_scalar": scalar_seconds,
-            "wall_seconds_batched": batched_seconds,
-            "wall_seconds_scalar_runs": scalar_runs,
-            "wall_seconds_batched_runs": batched_runs,
-            "speedup": speedup,
-            "speedup_q1": q1,
-            "speedup_q3": q3,
+            **entry,
+            "wall_seconds": median_s,
+            "wall_seconds_runs": seconds,
             "speedup_runs": speedups,
         },
+        "history": _history(entry),
     }
     merge_json("BENCH_explore.json", payload)
     write_result(
@@ -118,11 +157,13 @@ def test_explore_lane_batching():
         f"chain, killing sink, median of {PAIRS} alternating pairs\n"
         f"  states={scalar.n_states} transitions={len(scalar.transitions)}"
         f" (violations=0, deadlock-free, leads-to OK)\n"
-        f"  worklist BFS:              {scalar_seconds:.2f}s\n"
-        f"  lanes={LANES} (codegen) BFS:  {batched_seconds:.2f}s\n"
+        f"  worklist BFS: {median_s['worklist']:.2f}s "
+        f"({rates['worklist']:,.0f} states/s)\n"
+        f"  codegen BFS:  {median_s['codegen']:.2f}s "
+        f"({rates['codegen']:,.0f} states/s)\n"
         f"  speedup: {speedup:.2f}x (quartiles {q1:.2f}x-{q3:.2f}x)",
     )
     assert speedup >= SPEEDUP_BAR, (
-        f"lanes={LANES} exploration speedup {speedup:.2f}x below the "
+        f"codegen exploration speedup {speedup:.2f}x below the "
         f"{SPEEDUP_BAR}x acceptance bar"
     )

@@ -19,10 +19,26 @@ in which
   included — the statistics, the protocol monitor's screen and the
   observer calls are inlined into the same generated function.
 
-A **run is one Python call**: ``_cycle(cycle, choices, n)`` loops ``n``
-cycles in one frame (``Simulator.run``; a step is ``n=1``).  Between
-cycles the frame keeps in locals what the per-cycle design kept in
-objects:
+Two **entry points** are derived from the one scheduled cycle body —
+pre-cycle hooks, the straight-line region, the screen and the ticks —
+each generated into its own module and compiled only on first use:
+
+* **run entry** — ``_cycle(cycle, n=1)`` serves plain steps and runs: a
+  **run is one Python call** that loops ``n`` cycles in one frame
+  (``Simulator.run``; a step is ``n=1``);
+* **expansion entry** — ``_expand(cycle, snapshot, vectors)`` expands
+  one explored state (``Simulator.expand``; ``step_with_choices`` is its
+  one-vector case): per choice vector it restores ``snapshot`` (except
+  before the first), calls ``set_choice`` on the choosers whose choice
+  space is above 1, runs the cycle body without statistics, packs the
+  signals one byte per channel (``v3 | p3 << 1 | a3 << 2 | m3 << 3``,
+  the encoding of :mod:`repro.verif.encoding`) in one ``bytes``
+  expression and takes the successor snapshot.  ``sim.cycle`` advances
+  by one per vector.
+
+A sweep therefore never compiles an expansion entry, and an exploration
+never compiles a run entry.  Between cycles the run entry keeps in locals
+what the per-cycle design kept in objects:
 
 * **statistics** — per-channel outcome counts are local ints, loaded from
   and stored back to one slice of ``ChannelStats.counts`` on entry and
@@ -36,25 +52,28 @@ objects:
   cycle flush its locals and hand over to
   :meth:`Simulator._check_resolved` or, after the history is written
   back, to ``ProtocolMonitor.observe``, so the violation wording lives
-  in the monitor alone;
-* **channel states** — on entry every channel is marked unresolved
-  (``vp = None`` on each ``ChannelState``, memoized events dropped), so
-  a ``Channel.events()`` call from inside a cycle (a ``Func`` or
-  shared-module ``fn`` probing a channel) raises as it does on the
-  worklist engine.  The locals are flushed into the ``ChannelState``
-  objects on the last cycle, before its observers and ticks, and before
-  a diagnosis.  A netlist with an interpreted ``tick`` (a subclass
-  overriding it) flushes every cycle, since that tick reads the states.
+  in the monitor alone.  (The expansion entry screens only the
+  resolution check; under a monitor it calls ``ProtocolMonitor.observe``
+  every vector, as a monitored choice step always did.)
+
+Both entries handle **channel states** alike: on entry every channel is
+marked unresolved (``vp = None`` on each ``ChannelState``, memoized
+events dropped), so a ``Channel.events()`` call from inside a cycle (a
+``Func`` or shared-module ``fn`` probing a channel) raises as it does on
+the worklist engine.  The locals are flushed into the ``ChannelState``
+objects once — on a run's last cycle, before its observers and ticks, or
+after an expansion's last vector — and before a diagnosis.  A netlist
+with an interpreted ``tick`` (a subclass overriding it) flushes every
+cycle, since that tick reads the states; so does a monitored expansion,
+since the monitor reads them, and both then mark the channels unresolved
+again at the start of every vector.
 
 No step builds a :class:`~repro.elastic.channel.ChannelEvents`: a plain
-step counts statistics straight from the locals, and a model-checking
-step (``choices`` given) skips statistics and returns the locals packed
-one byte per channel (``v3 | p3 << 1 | a3 << 2 | m3 << 3``, the encoding
-of :mod:`repro.verif.encoding`) in one ``bytes`` expression.  A cycle
-that raises leaves what the same cycle leaves when stepped: statistics
-and history through the previous cycle, the cycle counter at the failing
-cycle, and its channels unresolved — except for a diagnosis
-(:class:`~repro.errors.CombinationalLoopError`,
+step counts statistics straight from the locals, and an expansion returns
+the packed signals.  A cycle that raises leaves what the same cycle
+leaves when stepped: statistics and history through the previous cycle,
+the cycle counter at the failing cycle, and its channels unresolved —
+except for a diagnosis (:class:`~repro.errors.CombinationalLoopError`,
 :class:`~repro.errors.ProtocolViolationError`), which leaves the signals
 it reports on.  ``Simulator.run`` steps cycle by cycle instead when
 observers are attached or ``profile=True``.
@@ -75,7 +94,9 @@ Straight-line code carries only known control values.  The one kernel
 whose control depends on *data* is the early-evaluation mux: an offered
 select with unknown data leaves its decision unknown, so the compiled
 mux hands the cycle to :meth:`CodegenBackend.diagnose_unknown`, which
-re-runs it interpreted and raises the worklist engine's diagnosis.
+re-runs it interpreted and raises the worklist engine's diagnosis — or,
+when that re-run resolves (a select ``fn`` that is not pure), a
+combinational-loop diagnosis naming the select channel's data.
 
 The differential suite (``tests/test_codegen_diff.py``) pins the engine
 bit-identical to the worklist engine, including protocol violations and
@@ -85,17 +106,20 @@ steps.
 Caching and staleness
 ---------------------
 
-Generated modules are ``exec``-compiled once per topology and cached
-process-wide, keyed by the netlist **content signature** (node names,
-classes, ports, declared sensitivities, channel wiring — see
-:func:`repro.sim.sensitivity.topology_signature`) plus the
-``check_protocol`` flag.  Numeric parameters
+Generated modules are ``exec``-compiled once per topology and entry and
+cached process-wide, keyed by the netlist **content signature** (node
+names, classes, ports, declared sensitivities, channel wiring — see
+:func:`repro.sim.sensitivity.topology_signature`), the
+``check_protocol`` flag and the entry.  Numeric parameters
 that only affect sequential behaviour (capacities, rates, seeds, datapath
 functions) are deliberately *not* baked in — they are read from the node
 instances at run time — so a parameter sweep over one topology compiles
 exactly once.  ``build(env)`` re-binds a cached module to a concrete
 simulator's nodes, channels, stats and monitor: it copies the
-module-level ``_cycle`` with those objects as its positional defaults.
+module-level entry function with those objects as its positional
+defaults.  Every compile happens inside a :class:`CodegenBackend`
+construction, which a simulator makes per entry on that entry's first use
+after each structure refresh.
 
 Structural edits (the ``NetlistEdit`` log) mark the simulator
 dirty; its shared post-edit refresh, run before the next
@@ -106,7 +130,7 @@ mutated design can never execute stale generated code.  A netlist whose
 exactly like the worklist engine.  The cache keeps the 32 most recently
 used modules; an evicted topology recompiles to the same source.
 :func:`cache_stats` exposes the hit / re-elaboration / eviction counters
-(CLI: ``repro elaborate``).
+and the cached modules per entry (CLI: ``repro elaborate``).
 
 A compiled cycle evaluates every node exactly once, so its profiling
 counters are constants, which the simulator adds itself: nothing is
@@ -154,6 +178,7 @@ from repro.netlist.graphalg import cyclic_sccs
 from repro.sim.sensitivity import topology_signature
 
 __all__ = [
+    "ENTRIES",
     "CodegenBackend",
     "cache_stats",
     "clear_module_cache",
@@ -196,8 +221,8 @@ def _definer(cls, attr):
 # unconditionally (the elaborator audits this); data writes are conditional,
 # mirroring drive()'s None no-op.  Tasks may not share scratch state — each
 # recomputes what it needs (locals with a leading underscore, which can
-# never collide with channel locals, and must not reuse a name _cycle binds
-# as a default, such as _cnt for the statistics counts).
+# never collide with channel locals, and must not reuse a name an entry
+# binds as a default, such as _cnt for the statistics counts).
 # ---------------------------------------------------------------------------
 
 
@@ -599,12 +624,13 @@ def _eemux_select(g, ni, node, out):
     g.bind["SchedulerError"] = 'env["SchedulerError"]'
     head = f"EarlyEvalMux {node.name}: select value "
     tail = f" out of range 0..{node.n_inputs - 1}"
+    select = g.plan.channels[g.plan.port_channel[(node.name, "s")]].name
     out += [
         f"_pk = {n}._pk",
         f"if {g.sig(node, 's', 'vp')}:",
         f"    _se = {g.sig(node, 's', 'data')}",
         "    if _se is None:",
-        "        _udiag(cycle)",
+        f"        _udiag(cycle, {select!r})",
         f"    if not isinstance(_se, int) or not 0 <= _se < {node.n_inputs}:",
         f"        raise SchedulerError({head!r} + repr(_se) + {tail!r})",
     ]
@@ -1041,25 +1067,29 @@ def _screen(g, n_channels, exempt):
     return lines
 
 
-def _generate_source(netlist, check_protocol, content_hash):
-    """The module source for ``netlist``: a ``build(env)`` returning the
-    compiled cycle function, or only the banner (naming the deferred
-    nodes) when the netlist does not compile.
+def _indent(lines, depth=1):
+    """``lines`` indented by ``depth`` levels of four spaces."""
+    pad = "    " * depth
+    return [pad + ln for ln in lines]
 
-    ``_cycle(cycle, choices, n=1)`` runs ``n`` cycles from ``cycle`` in
-    one frame (a model-checking step passes ``choices`` and ``n=1``).
-    Channel signals, statistics counts and the monitor's Retry
-    obligations live in locals.  The locals reach the ``ChannelState``
-    objects only at the flush, which runs on the last cycle, and before
-    a diagnosis when the screen fires; statistics and monitor history are
-    written back once, on the way out."""
+
+def _generate_source(netlist, check_protocol, content_hash, entry):
+    """The module source of ``entry`` (see :data:`ENTRIES`) for
+    ``netlist``: a ``build(env)`` returning the compiled function, or
+    only the banner (naming the deferred nodes) when the netlist does not
+    compile.
+
+    Both entries loop the same cycle body: pre-cycle hooks, the
+    straight-line region in scheduled signal-task order, the screen and
+    the ticks, with channel signals in locals that reach the
+    ``ChannelState`` objects only at a flush."""
     plan = _build_plan(netlist)
     nodes, channels = plan.nodes, plan.channels
     lines = [
         f"# generated by repro.backend.pysim — topology {content_hash}",
         f"# netlist {netlist.name!r}: {len(nodes)} nodes, {len(channels)} "
         f"channels, {len(plan.deferred)} deferred",
-        f"# flags: check_protocol={bool(check_protocol)}",
+        f"# flags: check_protocol={bool(check_protocol)}, entry={entry}",
     ]
     if plan.deferred:
         names = ", ".join(nodes[ni].name for ni in plan.deferred)
@@ -1067,56 +1097,24 @@ def _generate_source(netlist, check_protocol, content_hash):
         return "\n".join(lines) + "\n"
     g = _Gen(plan)
     chans = range(len(channels))
-    exempt = None
-    if check_protocol:
-        from repro.verif.properties import retry_exempt_channels
 
-        exempt_names = retry_exempt_channels(netlist)
-        exempt = {ci for ci in chans if channels[ci].name in exempt_names}
-    history = [f"{x}{ci}" for ci in chans for x in "wru"]
-    # ChannelStats.counts order: transfers, cancels, stalls, backwards, idles
-    counters = [f"{x}{ci}" for ci in chans for x in "tksbi"]
-    n_counts = len(counters)
-
-    # -- entry: load the statistics counts (plain steps) or apply the
-    # -- choices (model-checking steps), load the monitor's history, and
-    # -- mark every channel unresolved (no memoized events, vp unknown)
-    # -- until the flush, so a Channel.events() call inside a cycle raises
-    body = ["_end = cycle + n", "_last = _end - 1", "if choices is None:"]
-    body += ["    " + ln
-             for ln in _wrapped(counters, "(", f") = _cnt[:{n_counts}]")]
-    if plan.choosers:
-        body.append("else:")
-        for ni in plan.choosers:
-            n = g.node_ref(ni)
-            body += [
-                f"    if {n}.choice_space() > 1:",
-                f"        {n}.set_choice(choices.get({nodes[ni].name!r}, 0))",
-            ]
-    if check_protocol:
-        body += _wrapped(history, "(", ") = _hist")
-        body.append("_due = cycle")
-    body += _chunk_chain([f"{g.chan_ref(ci)}.events_cache" for ci in chans],
-                         "None")
-    body += _chunk_chain([f"{g.state_ref(ci)}.vp" for ci in chans], "None")
-
-    loop = []
-    # -- pre-cycle hooks (freeze randomized / nondet decisions) -------------
+    # -- the cycle body: pre-cycle hooks (freeze randomized / nondet
+    # -- decisions), data locals unknown (data writes are conditional),
+    # -- then the straight-line region in scheduled signal-task order
+    body = []
     for ni in plan.pre_cycles:
         name = f"_p{ni}"
         g.bind[name] = f"_nodes[{ni}].pre_cycle"
-        loop.append(f"{name}()")
-    # -- data writes are conditional: data locals start each cycle unknown
-    loop += _chunk_chain([g.csig(ci, "data") for ci in chans], "None")
-
-    # -- straight-line region, in scheduled signal-task order ---------------
+        body.append(f"{name}()")
+    body += _chunk_chain([g.csig(ci, "data") for ci in chans], "None")
     for ni, reads, writes, emit in plan.task_order:
         node = nodes[ni]
-        loop.append(f"# {node.name} ({node.kind})")
-        emit(g, ni, node, loop)
+        body.append(f"# {node.name} ({node.kind})")
+        emit(g, ni, node, body)
         g.cover(node, [(p, s) for p, s in writes if s != "data"])
 
-    # -- clock edge (emitted below the flush) ------------------------------
+    # -- the clock edge; a tick without an emitter is called, and since it
+    # -- reads the channel states, its netlist flushes every cycle
     ticks = []
     interpreted_tick = False
     for ni in plan.ticks:
@@ -1131,73 +1129,32 @@ def _generate_source(netlist, check_protocol, content_hash):
             g.bind[name] = f"_nodes[{ni}].tick"
             ticks.append(f"{name}()")
 
-    # -- screen; flush on the last cycle or when the screen fires, then the
-    # -- diagnosis, the observers (plain steps) or the monitor (choices).
-    # -- An interpreted tick reads the channel states: flush every cycle.
-    loop += _screen(g, len(channels), exempt)
-    loop.append("if True:" if interpreted_tick else
-                "if _bad or cycle == _last:")
-    for ci in chans:
-        st = g.state_ref(ci)
-        loop.append("    " + "; ".join(
-            f"{st}.{s} = {_LOC[s]}{ci}" for s in _SIGNALS))
-    loop += ["    if _bad:", "        _diag(cycle)"]
-    if check_protocol:
-        # a plain step reports the violation after the history write-back
-        loop += ["        if choices is None:", "            break"]
-    loop += ["    if choices is None:",
-             "        for _o in _sim.observers:",
-             "            _o.observe(cycle, _net)"]
-    if check_protocol:
-        loop += ["    else:", "        _mon.observe(cycle)"]
+    # -- every channel unresolved (no memoized events, vp unknown) until
+    # -- the flush, so a Channel.events() call inside a cycle raises
+    unresolve = _chunk_chain(
+        [f"{g.chan_ref(ci)}.events_cache" for ci in chans], "None")
+    unresolve += _chunk_chain([f"{g.state_ref(ci)}.vp" for ci in chans],
+                              "None")
+    flush = ["; ".join(f"{g.state_ref(ci)}.{s} = {_LOC[s]}{ci}"
+                       for s in _SIGNALS) for ci in chans]
 
-    loop += ticks
+    if entry == "run":
+        exempt = None
+        if check_protocol:
+            from repro.verif.properties import retry_exempt_channels
 
-    # -- statistics and Retry obligations (plain steps) ---------------------
-    loop.append("cycle += 1")
-    if channels:
-        loop.append("if choices is None:")
-    for ci in chans:
-        loop += ["    " + ln for ln in _count_block(
-            g, ci, check_protocol, exempt is not None and ci in exempt)]
-    loop += ["if cycle == _end:", "    break"]
-
-    # -- exit: a raising cycle leaves the channels unresolved, except for a
-    # -- diagnosis, which reports on the settled signals; statistics,
-    # -- history and the cycle counter are written back on every way out
-    body += ["try:", "    while True:"]
-    body += ["        " + ln for ln in loop]
-    body += [
-        "except _keep:",
-        "    raise",
-        "except BaseException:",
-        "    _unres()",
-        "    raise",
-        "finally:",
-        "    if choices is None:",
-        "        _stats.cycles += cycle - _end + n",
-    ]
-    body += ["        " + ln
-             for ln in _wrapped(counters, f"_cnt[:{n_counts}] = (", ")")]
-    if check_protocol:
-        body += ["        " + ln
-                 for ln in _wrapped(history, "_hist[:] = (", ")")]
-    body.append("        _sim.cycle = cycle")
-    if check_protocol:
-        body += [
-            "if cycle != _end:",
-            "    _mon.observe(cycle)",
-            "    raise AssertionError('pysim: protocol screen fired "
-            "without a violation')",
-        ]
-    body += ["if choices is not None:", "    return bytes(("]
-    for ci in chans:
-        vp, sp, vm, sm = (g.csig(ci, s) for s in _CONTROLS)
-        body.append(f"        {vp} | {sp} << 1 | {vm} << 2 | {sm} << 3,")
-    body.append("    ))")
+            exempt_names = retry_exempt_channels(netlist)
+            exempt = {ci for ci in chans
+                      if channels[ci].name in exempt_names}
+        fn, signature, defaults, source = _run_entry(
+            g, body, ticks, unresolve, flush, exempt, interpreted_tick)
+    else:
+        fn, signature, defaults, source = _expand_entry(
+            g, body, ticks, unresolve, flush, check_protocol,
+            interpreted_tick)
 
     # -- audit: every channel's four controls must be written
-    # -- unconditionally by the straight-line region ------------------------
+    # -- unconditionally by the straight-line region
     for ci in chans:
         for sig in _CONTROLS:
             if (ci, sig) not in g.covered:
@@ -1206,26 +1163,17 @@ def _generate_source(netlist, check_protocol, content_hash):
                     "unconditionally driven by the straight-line region"
                 )
 
-    # fixed environment bindings
-    g.bind.update({
-        "_stats": "_stats", "_cnt": "_stats.counts",
-        "_sim": 'env["sim"]', "_net": 'env["netlist"]',
-        "_diag": 'env["diagnose"]', "_unres": 'env["unresolve"]',
-        "_keep": 'env["keep"]',
-    })
-    if check_protocol:
-        g.bind.update({"_mon": "_mon", "_hist": "_mon._prev"})
-
-    # _cycle is a module-level function; build() rebinds its code to one
-    # simulator's objects, passed as positional defaults in g.bind order
-    names, exprs = ["n=1"], ["1"]
+    # the entry is a module-level function; build() rebinds its code to
+    # one simulator's objects, passed as positional defaults in g.bind order
+    names = [f"{name}={value}" for name, value in defaults.items()]
+    exprs = list(defaults.values())
     for name, expr in g.bind.items():
         names.append(f"{name}=None")
         exprs.append(expr)
     lines += ["from types import FunctionType", "", ""]
-    lines += _wrapped(["cycle", "choices"] + names, "def _cycle(", "):", 6,
+    lines += _wrapped(signature + names, f"def {fn}(", "):", 6,
                       indent=" " * 8)
-    lines += ["    " + ln if ln else "" for ln in body]
+    lines += ["    " + ln if ln else "" for ln in source]
     lines += [
         "",
         "",
@@ -1234,12 +1182,139 @@ def _generate_source(netlist, check_protocol, content_hash):
         '    _channels = env["channels"]',
         '    _stats = env["stats"]',
         '    _mon = env["monitor"]',
+        f"    return FunctionType({fn}.__code__, globals(), {fn!r}, (",
     ]
-    lines += ["    return FunctionType(_cycle.__code__, globals(), '_cycle', ("]
     lines += _wrapped(exprs, " " * 8, ",", 4, indent=" " * 8)
-    lines += ["    ))"]
-    lines.append("")
+    lines += ["    ))", ""]
     return "\n".join(lines)
+
+
+#: default-argument bindings both entries use
+_ENV_BINDINGS = {"_sim": 'env["sim"]', "_diag": 'env["diagnose"]',
+                 "_unres": 'env["unresolve"]', "_keep": 'env["keep"]'}
+
+
+def _run_entry(g, body, ticks, unresolve, flush, exempt, interpreted_tick):
+    """``_cycle(cycle, n=1)``: plain steps and runs.  It loops ``n``
+    cycles from ``cycle`` in one frame; statistics counts and the
+    monitor's Retry obligations (under a monitor: ``exempt`` is then the
+    set of Retry+-exempt channel slots) live in locals, loaded on entry
+    and written back once, on every way out.  The locals are flushed on
+    the last cycle (before its observers and ticks) and before a
+    diagnosis when the screen fires.  Returns the function name, its
+    parameters, its defaulted parameters and its body."""
+    n_channels = len(g.plan.channels)
+    chans = range(n_channels)
+    monitored = exempt is not None
+    history = [f"{x}{ci}" for ci in chans for x in "wru"]
+    # ChannelStats.counts order: transfers, cancels, stalls, backwards, idles
+    counters = [f"{x}{ci}" for ci in chans for x in "tksbi"]
+    n_counts = len(counters)
+
+    src = ["_end = cycle + n", "_last = _end - 1"]
+    src += _wrapped(counters, "(", f") = _cnt[:{n_counts}]")
+    if monitored:
+        src += _wrapped(history, "(", ") = _hist")
+        src.append("_due = cycle")
+    src += unresolve
+
+    loop = list(body)
+    loop += _screen(g, n_channels, exempt)
+    loop.append("if True:" if interpreted_tick else
+                "if _bad or cycle == _last:")
+    loop += _indent(flush)
+    loop += ["    if _bad:", "        _diag(cycle)"]
+    if monitored:
+        # the violation is reported after the history write-back
+        loop.append("        break")
+    loop += ["    for _o in _sim.observers:", "        _o.observe(cycle, _net)"]
+    loop += ticks
+    loop.append("cycle += 1")
+    for ci in chans:
+        loop += _count_block(g, ci, monitored, monitored and ci in exempt)
+    loop += ["if cycle == _end:", "    break"]
+
+    # -- exit: a raising cycle leaves the channels unresolved, except for a
+    # -- diagnosis, which reports on the settled signals
+    src += ["try:", "    while True:"] + _indent(loop, 2)
+    src += ["except _keep:", "    raise", "except BaseException:",
+            "    _unres()", "    raise", "finally:",
+            "    _stats.cycles += cycle - _end + n"]
+    src += _indent(_wrapped(counters, f"_cnt[:{n_counts}] = (", ")"))
+    if monitored:
+        src += _indent(_wrapped(history, "_hist[:] = (", ")"))
+    src.append("    _sim.cycle = cycle")
+    if monitored:
+        src += [
+            "if cycle != _end:",
+            "    _mon.observe(cycle)",
+            "    raise AssertionError('pysim: protocol screen fired "
+            "without a violation')",
+        ]
+    g.bind.update(_ENV_BINDINGS)
+    g.bind.update({"_stats": "_stats", "_cnt": "_stats.counts",
+                   "_net": 'env["netlist"]'})
+    if monitored:
+        g.bind.update({"_mon": "_mon", "_hist": "_mon._prev"})
+    return "_cycle", ["cycle"], {"n": "1"}, src
+
+
+def _expand_entry(g, body, ticks, unresolve, flush, check_protocol,
+                  interpreted_tick):
+    """``_expand(cycle, snapshot, vectors)``: one explored state.  For
+    each ``(vector, choices)`` of ``vectors`` (``vector`` holds one value
+    per chooser, None where its space is 1) it restores ``snapshot``
+    (except before the first), sets the choices, runs the cycle body
+    without statistics and appends ``(choices, packed signals, successor
+    snapshot)`` to the returned list; ``sim.cycle`` advances by one per
+    vector.  Channel states are flushed once, after the last vector, and
+    before a diagnosis — every vector under a monitor (which reads them)
+    or an interpreted tick.  Returns as :func:`_run_entry` does."""
+    n_channels = len(g.plan.channels)
+    chans = range(n_channels)
+    per_vector = check_protocol or interpreted_tick
+    src = ["_out = []"]
+    if not per_vector:
+        src += unresolve
+
+    loop = ["if _i:", "    _restore(snapshot)"]
+    xs = [f"_x{k}" for k in range(len(g.plan.choosers))]
+    if xs:
+        loop += _wrapped(xs, "(", ",) = _vec")
+    for x, ni in zip(xs, g.plan.choosers):
+        loop += [f"if {x} is not None:",
+                 f"    {g.node_ref(ni)}.set_choice({x})"]
+    if per_vector:
+        loop += unresolve
+    loop += body
+    loop += _screen(g, n_channels, None)
+    if per_vector:
+        loop += flush
+        loop += ["if _bad:", "    _diag(cycle)"]
+        if check_protocol:
+            loop.append("_mon.observe(cycle)")
+    else:
+        loop += ["if _bad:"] + _indent(flush) + ["    _diag(cycle)"]
+    loop += ticks
+    loop.append("_out.append((_ch, bytes((")
+    for ci in chans:
+        vp, sp, vm, sm = (g.csig(ci, s) for s in _CONTROLS)
+        loop.append(f"    {vp} | {sp} << 1 | {vm} << 2 | {sm} << 3,")
+    loop += [")), _snap()))", "cycle += 1"]
+
+    src += ["try:", "    for _i, (_vec, _ch) in enumerate(vectors):"]
+    src += _indent(loop, 2)
+    src += ["except _keep:", "    raise", "except BaseException:",
+            "    _unres()", "    raise", "finally:", "    _sim.cycle = cycle"]
+    if not per_vector and n_channels:
+        src += ["if _out:"] + _indent(flush)
+    src.append("return _out")
+    g.bind.update(_ENV_BINDINGS)
+    g.bind.update({"_snap": 'env["netlist"].snapshot',
+                   "_restore": 'env["netlist"].restore'})
+    if check_protocol:
+        g.bind["_mon"] = "_mon"
+    return "_expand", ["cycle", "snapshot", "vectors"], {}, src
 
 
 # ---------------------------------------------------------------------------
@@ -1248,9 +1323,9 @@ def _generate_source(netlist, check_protocol, content_hash):
 
 
 class CompiledModule:
-    """One exec-compiled module for one (topology, flags) key; ``build``
-    is None when the netlist does not compile (the source is then only
-    the banner naming the deferred nodes)."""
+    """One exec-compiled module for one (topology, flags, entry) key;
+    ``build`` is None when the netlist does not compile (the source is
+    then only the banner naming the deferred nodes)."""
 
     __slots__ = ("source", "build", "content_hash")
 
@@ -1260,6 +1335,10 @@ class CompiledModule:
         self.content_hash = content_hash
 
 
+#: The generated entry points: ``run`` serves plain steps and runs,
+#: ``expand`` expands explored states (and model-checking steps).
+ENTRIES = ("run", "expand")
+
 #: Most modules kept at once: a long-lived process (``repro serve``, a
 #: chaos soak) meets a new topology per chaos wrap, and each module holds
 #: a few hundred KB; one ``sweep.codegen`` round compiles 5.
@@ -1268,22 +1347,22 @@ _MODULE_CACHE = OrderedDict()      # least recently used first
 _CACHE_STATS = {"hits": 0, "misses": 0, "evictions": 0}
 
 
-def _module_key(netlist, check_protocol):
-    return (topology_signature(netlist), bool(check_protocol))
-
-
-def _module_for(netlist, check_protocol):
-    key = _module_key(netlist, check_protocol)
+def _module_for(netlist, check_protocol, entry):
+    if entry not in ENTRIES:
+        raise ValueError(f"unknown entry {entry!r}; choose from {ENTRIES}")
+    topology = (topology_signature(netlist), bool(check_protocol))
+    key = topology + (entry,)
     module = _MODULE_CACHE.get(key)
     if module is not None:
         _CACHE_STATS["hits"] += 1
         _MODULE_CACHE.move_to_end(key)
         return module
     _CACHE_STATS["misses"] += 1
-    content_hash = hashlib.sha256(repr(key).encode()).hexdigest()[:16]
-    source = _generate_source(netlist, check_protocol, content_hash)
+    content_hash = hashlib.sha256(repr(topology).encode()).hexdigest()[:16]
+    source = _generate_source(netlist, check_protocol, content_hash, entry)
     namespace = {}
-    exec(compile(source, f"<pysim:{content_hash}>", "exec"), namespace)
+    exec(compile(source, f"<pysim:{content_hash}:{entry}>", "exec"),
+         namespace)
     module = CompiledModule(source, namespace.get("build"), content_hash)
     _MODULE_CACHE[key] = module
     if len(_MODULE_CACHE) > _MODULE_CACHE_SIZE:
@@ -1292,25 +1371,31 @@ def _module_for(netlist, check_protocol):
     return module
 
 
-def generated_source(netlist, check_protocol=True):
-    """The generated module source for ``netlist`` (compiling and caching
-    it if this topology has not been elaborated yet) — the inspection aid
-    behind ``repro elaborate``.  A netlist that does not compile yields
-    only the banner, which names its deferred nodes."""
+def generated_source(netlist, check_protocol=True, entry="run"):
+    """The generated module source of ``entry`` for ``netlist``
+    (compiling and caching it if this topology's entry has not been
+    elaborated yet) — the inspection aid behind ``repro elaborate``.  A
+    netlist that does not compile yields only the banner, which names its
+    deferred nodes."""
     netlist.validate()
-    return _module_for(netlist, check_protocol).source
+    return _module_for(netlist, check_protocol, entry).source
 
 
 def cache_stats():
     """Process-wide module-cache counters: ``hits`` (reused modules),
     ``re_elaborations`` (actual codegen+compile runs), ``modules``
-    (currently cached, at most ``_MODULE_CACHE_SIZE``) and ``evictions``
-    (least recently used modules dropped to stay within that bound)."""
+    (currently cached, at most ``_MODULE_CACHE_SIZE``), ``evictions``
+    (least recently used modules dropped to stay within that bound) and
+    ``modules_by_entry`` (the cached modules per entry point)."""
+    by_entry = dict.fromkeys(ENTRIES, 0)
+    for key in _MODULE_CACHE:
+        by_entry[key[-1]] += 1
     return {
         "hits": _CACHE_STATS["hits"],
         "re_elaborations": _CACHE_STATS["misses"],
         "modules": len(_MODULE_CACHE),
         "evictions": _CACHE_STATS["evictions"],
+        "modules_by_entry": by_entry,
     }
 
 
@@ -1327,24 +1412,26 @@ def clear_module_cache():
 
 
 class CodegenBackend:
-    """Elaborates one :class:`~repro.sim.engine.Simulator`'s netlist into
-    a compiled cycle function.
+    """Elaborates one entry point (:data:`ENTRIES`) of one
+    :class:`~repro.sim.engine.Simulator`'s netlist.
 
     The simulator owns everything engine-independent — stats, monitor,
     observers, the cycle counter, edit bookkeeping, ``reset``, choice
     listing, the loop diagnosis and evaluation counts — and calls
-    :attr:`cycle_fn` ``(cycle, choices)`` in place of its interpreted
-    cycle.  Construction binds the module for the simulator's current
-    topology (compiling it on a cache miss); :attr:`cycle_fn` is None when
-    that netlist does not compile, and the simulator then runs its
-    interpreted worklist cycle.  The simulator elaborates afresh at every
-    structure refresh (see the module docstring on caching and staleness).
+    :attr:`fn` in place of its interpreted cycle: ``fn(cycle, n=1)`` for
+    the ``run`` entry, ``fn(cycle, snapshot, vectors)`` for ``expand``.
+    Construction binds the entry's module for the simulator's current
+    topology, compiling it on a cache miss, so every compile happens
+    inside a construction; the simulator constructs each entry on first
+    use after a structure refresh (see the module docstring on caching
+    and staleness).  :attr:`fn` is None when the netlist does not compile,
+    and the simulator then runs its interpreted worklist cycle.
     """
 
-    def __init__(self, sim):
+    def __init__(self, sim, entry="run"):
         self.sim = sim
-        module = _module_for(sim.netlist, sim.monitor is not None)
-        self.cycle_fn = None if module.build is None else module.build({
+        module = _module_for(sim.netlist, sim.monitor is not None, entry)
+        self.fn = None if module.build is None else module.build({
             "nodes": sim._nodes,
             "channels": sim._channels,
             "stats": sim.stats,
@@ -1365,12 +1452,16 @@ class CodegenBackend:
         for channel in self.sim._channels:
             channel.clear_cycle()
 
-    def diagnose_unknown(self, cycle):
+    def diagnose_unknown(self, cycle, select):
         """Raise the worklist engine's combinational-loop diagnosis for
-        cycle ``cycle``, which the straight-line code cannot finish:
+        cycle ``cycle``, which the straight-line code cannot finish
+        because channel ``select`` offers a select token without data:
         re-run every node's interpreted ``comb()`` from cleared channels,
         pass after pass until one leaves the change log empty, then check
-        resolution — same unresolved signals, same cycle."""
+        resolution — same unresolved signals, same cycle.  A re-run that
+        resolves everything (an impure ``fn`` returned data the second
+        time) still raises, naming the select data the compiled cycle
+        found unknown."""
         sim = self.sim
         for channel in sim._channels:
             channel.clear_cycle()
@@ -1382,3 +1473,4 @@ class CodegenBackend:
             if not log:
                 break
         sim._check_resolved(cycle)
+        raise CombinationalLoopError([f"{select}.data"], cycle=cycle)

@@ -448,9 +448,11 @@ def _cmd_elaborate(args):
                 break
             print(line.lstrip("# "))
     stats = pysim.cache_stats()
+    by_entry = ", ".join(f"{entry} {count}" for entry, count
+                         in stats["modules_by_entry"].items())
     print(f"cache: {stats['hits']} hits, "
           f"{stats['re_elaborations']} re-elaborations, "
-          f"{stats['modules']} modules cached")
+          f"{stats['modules']} modules cached ({by_entry})")
     return 0
 
 

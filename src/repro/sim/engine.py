@@ -22,11 +22,18 @@ Each clock cycle proceeds in five phases:
    earlier phase is not counted.
 
 On the codegen engine a multi-cycle :meth:`Simulator.run` is one call of
-the compiled cycle function, which loops the cycles in one frame with
+the compiled run entry, which loops the cycles in one frame with
 statistics and monitor history in locals and checks the monitor with one
 screen per cycle; channel states are flushed once, on the last cycle (see
 :mod:`repro.backend.pysim`).  The result equals as many :meth:`step`
-calls.
+calls.  The model checker's :meth:`Simulator.expand` is one call of the
+compiled expansion entry per explored state: it runs phases 1–4 once per
+choice vector, restoring the state between vectors, skips statistics and
+returns each vector's packed signals and successor snapshot; channel
+states are flushed once, after the last vector.  The result equals a
+restore, a :meth:`step_with_choices` and a snapshot per vector.  Each
+entry is compiled on its first use, so a simulator that only runs never
+compiles an expansion entry and an explorer's never compiles a run entry.
 
 Fix-point engines
 -----------------
@@ -83,16 +90,17 @@ differential fuzz tests pin both engines to it.
 ``comb`` is emitted as straight-line Python with channel signals in flat
 locals, and the protocol monitor's screen, statistics and the ``tick``
 kernels of every kind are inlined into the same generated function — one
-Python call per run, no per-node dispatch.  Compilation is all or nothing: a
-netlist with a node that blocks it (no emitter, as for a user subclass
-that overrides ``comb``; an unbound port; a signal-level combinational
-loop) runs this simulator's interpreted worklist cycle instead.  The
-choice is made again at every structure refresh, so a simulator
-following edits switches either way.  Modules are ``exec``-compiled
-once per topology and cached process-wide, least recently used out past
-32 (sequential parameters are read at run time, so sweeps over one
-topology compile once); structural edits re-elaborate before the next
-step, never serving stale code.  Highest per-cycle
+Python call per run (or per explored state), no per-node dispatch.
+Compilation is all or nothing: a netlist with a node that blocks it (no
+emitter, as for a user subclass that overrides ``comb``; an unbound
+port; a signal-level combinational loop) runs this simulator's
+interpreted worklist cycle instead.  The choice is made again at every
+structure refresh, so a simulator following edits switches either way.
+Modules are ``exec``-compiled once per topology and entry (run or
+expansion, each on first use) and cached process-wide, least recently
+used out past 32 (sequential parameters are read at run time, so sweeps
+over one topology compile once); structural edits re-elaborate before
+the next step, never serving stale code.  Highest per-cycle
 throughput (~8x over worklist on the deep-pipeline bench, and ahead of
 it on the paper's speculative designs) at the cost of a one-time
 elaboration per topology; pinned bit-identical to the worklist engine by
@@ -110,13 +118,15 @@ A follower (``follow_edits=True``, as ``Session.simulator()`` builds)
 runs ``worklist``: a codegen follower re-elaborates at the first step
 after every followed edit that makes a new topology, and on
 ``benchmarks/bench_incremental.py``'s 200-step fig6b transform-measure
-loop it took 11.5 s against 1.3 s on worklist (one run each, 2-vCPU
-container).  An explicit ``engine=`` or :func:`set_default_engine` (the
-CLI's ``--engine``) applies to followers too.
+loop, with this default patched to codegen, two runs took 14.8 s and
+16.1 s against 1.3 s and 1.5 s on worklist (2 CPUs).  An explicit
+``engine=`` or :func:`set_default_engine` (the CLI's ``--engine``)
+applies to followers too.
 """
 
 from __future__ import annotations
 
+import itertools
 from collections import deque
 from functools import partial
 
@@ -188,6 +198,23 @@ def get_default_engine():
     """The engine ``Simulator(engine=None)`` uses when it does not follow
     edits."""
     return _default_engine or _BUILTIN_DEFAULT
+
+
+def _choice_vectors(choosers, spaces):
+    """``(vector, choices)`` for every choice vector of ``choosers`` with
+    choice spaces ``spaces``, in ``itertools.product`` order over the
+    choosers whose space exceeds 1: ``vector`` holds one choice per
+    chooser (None where the space is 1), ``choices`` names the others'."""
+    active = [i for i, space in enumerate(spaces) if space > 1]
+    names = [choosers[i].name for i in active]
+    blank = [None] * len(choosers)
+    vectors = []
+    for combo in itertools.product(*[range(spaces[i]) for i in active]):
+        vector = list(blank)
+        for i, choice in zip(active, combo):
+            vector[i] = choice
+        vectors.append((tuple(vector), dict(zip(names, combo))))
+    return vectors
 
 
 def superseded_error():
@@ -323,9 +350,10 @@ class Simulator:
     def _sync_structures(self):
         """(Re)derive the per-cycle structures from the current netlist:
         fresh node and channel lists, the channels' signal-id blocks,
-        profile counters, pre-bound method lists and the cycle — the
-        compiled one when the codegen engine compiles this netlist, else
-        the interpreted one over freshly built sensitivity tables."""
+        profile counters and pre-bound method lists.  The cycle functions
+        follow on first use (:meth:`_entry`): a compiled entry when the
+        codegen engine compiles this netlist, else the interpreted cycle
+        over freshly built sensitivity tables."""
         old_nodes = self._nodes
         nodes = self._nodes = list(self.netlist.nodes.values())
         channels = self._channels = list(self.netlist.channels.values())
@@ -353,21 +381,54 @@ class Simulator:
         # A compiled run loads and stores the counts of these channels as
         # one slice of ChannelStats.counts.
         self.stats.layout([channel.name for channel in channels])
-        cycle = None
-        if self.engine == "codegen":
-            from repro.backend.pysim import CodegenBackend
+        # Codegen entries are elaborated on first use (_entry), so a
+        # simulator that only explores compiles no run entry and one that
+        # only runs compiles no expansion entry.
+        self._entries = {}
+        self._readers = None
+        self._vectors = {}
+        self._cycle = None
+        self._runs_compiled = False
+        if self.engine != "codegen":
+            self._run_cycle()
 
-            cycle = CodegenBackend(self).cycle_fn
-        self._runs_compiled = cycle is not None and not self.profile
-        if cycle is None:
-            self._readers, self._order = sensitivity(nodes, channels)
-            self._combs = [node.comb for node in nodes]
-            self._pending = bytearray(len(nodes))
-            self._all_pending = b"\x01" * len(nodes)
+    def _entry(self, name):
+        """The compiled entry ``name`` (``"run"`` or ``"expand"``, see
+        :mod:`repro.backend.pysim`) of the current netlist, elaborated on
+        first use after each structure sync; None when the engine is
+        worklist or the netlist does not compile, and the interpreted
+        cycle's sensitivity tables are then built."""
+        entries = self._entries
+        if name not in entries:
+            compiled = None
+            if self.engine == "codegen":
+                from repro.backend.pysim import CodegenBackend
+
+                compiled = CodegenBackend(self, name).fn
+            entries[name] = compiled
+            if compiled is None and self._readers is None:
+                nodes = self._nodes
+                self._readers, self._order = sensitivity(nodes,
+                                                         self._channels)
+                self._combs = [node.comb for node in nodes]
+                self._pending = bytearray(len(nodes))
+                self._all_pending = b"\x01" * len(nodes)
+        return entries[name]
+
+    def _run_cycle(self):
+        """Bind and return :attr:`_cycle`, the cycle function of plain
+        steps and runs: the compiled run entry, counted under
+        ``profile=True``, or the interpreted cycle."""
+        compiled = self._entry("run")
+        self._runs_compiled = compiled is not None and not self.profile
+        if compiled is None:
             cycle = self._interpreted_cycle
         elif self.profile:
-            cycle = partial(self._counted_cycle, cycle)
+            cycle = partial(self._counted_cycle, compiled)
+        else:
+            cycle = compiled
         self._cycle = cycle
+        return cycle
 
     def apply_edit(self, edit):
         """Follow one structural netlist edit.
@@ -503,34 +564,39 @@ class Simulator:
             raise CombinationalLoopError(
                 unresolved, cycle=self.cycle if cycle is None else cycle)
 
-    def _counted_cycle(self, compiled, cycle, choices):
-        """Run a compiled cycle under ``profile=True``: it evaluates every
-        node exactly once, so its counters are constants."""
+    def _count_compiled(self, cycles):
+        """Profile ``cycles`` compiled cycles: each evaluates every node
+        exactly once, so the counters are constants."""
         calls = self.comb_calls
         for i in range(len(calls)):
-            calls[i] += 1
-        self.evals_per_cycle.append(len(calls))
-        return compiled(cycle, choices)
+            calls[i] += cycles
+        self.evals_per_cycle.extend([len(calls)] * cycles)
 
-    def _interpreted_cycle(self, cycle, choices):
+    def _counted_cycle(self, compiled, cycle):
+        """Run one compiled cycle under ``profile=True``."""
+        self._count_compiled(1)
+        return compiled(cycle)
+
+    def _interpreted_cycle(self, cycle, vector=None):
         """One interpreted (worklist) cycle: choices, pre-cycle,
         fix-point, monitor, observers (plain steps) or the packed signals
         (choice steps, which return them: one byte
         ``VP | SP<<1 | VM<<2 | SM<<3`` per channel, packed from the
         channel states), tick, then statistics (plain steps), so a cycle
-        that raises is not counted.  A compiled cycle function has the
-        same signature and semantics, plus a cycle count ``n``."""
-        if choices is not None:
-            for node in self._choosers:
-                if node.choice_space() > 1:
-                    node.set_choice(choices.get(node.name, 0))
+        that raises is not counted.  A choice step passes ``vector``, one
+        choice per chooser in node order, None for a chooser left alone
+        (choice space 1)."""
+        if vector is not None:
+            for node, choice in zip(self._choosers, vector):
+                if choice is not None:
+                    node.set_choice(choice)
         for pre_cycle in self._pre_cycles:
             pre_cycle()
         self._fixpoint()
         if self.monitor is not None:
             self.monitor.observe(cycle)
         packed = None
-        if choices is None:
+        if vector is None:
             for observer in self.observers:
                 observer.observe(cycle, self.netlist)
         else:
@@ -538,7 +604,7 @@ class Simulator:
                             for st in self._states])
         for tick in self._ticks:
             tick()
-        if choices is None:
+        if vector is None:
             self.stats.observe(cycle)
         return packed
 
@@ -546,7 +612,7 @@ class Simulator:
         """Advance one clock cycle; returns the cycle index just completed."""
         self._ready()
         done = self.cycle
-        self._cycle(done, None)
+        (self._cycle or self._run_cycle())(done)
         self.cycle = done + 1
         return done
 
@@ -554,15 +620,16 @@ class Simulator:
         """Run ``n_cycles`` cycles; returns ``self`` for chaining.
 
         On a compiled netlist without observers or profiling, the run is
-        one call of the compiled cycle function, which loops the cycles
-        in one frame; otherwise it steps cycle by cycle.  Either way the
+        one call of the compiled run entry, which loops the cycles in one
+        frame; otherwise it steps cycle by cycle.  Either way the
         statistics, channel states, monitor history and cycle counter
         afterwards are those of ``n_cycles`` calls of :meth:`step`, also
         when a cycle raises."""
         if n_cycles > 0:
             self._ready()
+            cycle = self._cycle or self._run_cycle()
             if self._runs_compiled and not self.observers:
-                self._cycle(self.cycle, None, n_cycles)
+                cycle(self.cycle, n_cycles)
                 return self
         for _ in range(n_cycles):
             self.step()
@@ -576,6 +643,49 @@ class Simulator:
     def load_state(self, state):
         self.netlist.restore(state)
 
+    def expand(self, snapshot):
+        """Expand one explored state: every choice vector valid in
+        ``snapshot``, each stepped from ``snapshot``.
+
+        Returns one ``(choices, packed, successor)`` triple per vector, in
+        ``itertools.product`` order over the choosers whose choice space
+        exceeds 1 (node order): ``choices`` maps those choosers' names to
+        their choices (the dicts are cached per space tuple and shared, so
+        treat them as read-only), ``packed`` is what
+        :meth:`step_with_choices` returns for them and ``successor`` the
+        netlist snapshot after the cycle.  The result, the channel states
+        and the cycle counter (one per vector) equal a restore of
+        ``snapshot`` plus :meth:`step_with_choices` and a snapshot per
+        vector, also when a cycle raises.  On codegen this is one call of
+        the compiled expansion entry."""
+        self._ready()
+        self.netlist.restore(snapshot)
+        spaces = tuple([node.choice_space() for node in self._choosers])
+        vectors = self._vectors.get(spaces)
+        if vectors is None:
+            vectors = self._vectors[spaces] = _choice_vectors(
+                self._choosers, spaces)
+        return self._expand(snapshot, vectors)
+
+    def _expand(self, snapshot, vectors):
+        """Step every ``(vector, choices)`` of ``vectors`` from the
+        netlist's current state, restoring ``snapshot`` before all but
+        the first (see :meth:`expand`)."""
+        compiled = self._entry("expand")
+        if compiled is not None:
+            if self.profile:
+                self._count_compiled(len(vectors))
+            return compiled(self.cycle, snapshot, vectors)
+        netlist = self.netlist
+        out = []
+        for i, (vector, choices) in enumerate(vectors):
+            if i:
+                netlist.restore(snapshot)
+            packed = self._interpreted_cycle(self.cycle, vector)
+            self.cycle += 1
+            out.append((choices, packed, netlist.snapshot()))
+        return out
+
     def step_with_choices(self, choices):
         """One cycle with explicit environment choices.
 
@@ -584,13 +694,14 @@ class Simulator:
         byte per channel (``VP | SP<<1 | VM<<2 | SM<<3``, netlist channel
         order; see :mod:`repro.verif.encoding`) for property evaluation by
         the model checker; no :class:`~repro.elastic.channel.ChannelEvents`
-        is built, and statistics and observers are not updated.
+        is built, and statistics and observers are not updated.  It is
+        the one-vector case of :meth:`expand`.
         """
         self._ready()
-        done = self.cycle
-        packed = self._cycle(done, choices)
-        self.cycle = done + 1
-        return packed
+        vector = tuple([choices.get(node.name, 0)
+                        if node.choice_space() > 1 else None
+                        for node in self._choosers])
+        return self._expand(None, [(vector, choices)])[0][1]
 
     # -- profiling ---------------------------------------------------------------------
 

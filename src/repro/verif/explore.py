@@ -23,9 +23,14 @@ state saw the signals that state records.
 Exploration engines
 -------------------
 
-Classic breadth-first search: one scalar fix-point (``engine=`` selects
-worklist or the compiled ``codegen`` module) per explored
-``(state, choice-vector)`` transition.  ``lanes=N`` with ``N > 1`` is
+Classic breadth-first search that expands each state with one
+:meth:`~repro.sim.engine.Simulator.expand`: every choice vector valid in
+the state is stepped from it, in ``itertools.product`` order over the
+choosers whose choice space exceeds 1.  On the compiled ``codegen``
+engine that is one call of the generated expansion entry per state
+(restore, choices, cycle, packed signals and successor snapshot per
+vector, in one frame); on ``worklist`` it is one interpreted fix-point
+per ``(state, choice-vector)`` transition.  ``lanes=N`` with ``N > 1`` is
 another way to ask for ``engine="codegen"``
 (:func:`~repro.sim.engine.lanes_engine`); the engines are bit-identical,
 so the explored graph does not depend on the choice.
@@ -69,12 +74,10 @@ chains such slices into an exploration that makes progress per slice.
 
 from __future__ import annotations
 
-import itertools
 from collections import deque
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from repro.elastic.node import Node
 from repro.errors import CheckpointError, VerificationError
 from repro.runtime.checkpoint import content_key, load_checkpoint, save_checkpoint
 from repro.runtime.faults import fault_point
@@ -193,12 +196,12 @@ class ExplorationResult:
 class StateExplorer:
     """Breadth-first reachability over environment/scheduler choices.
 
-    ``engine`` selects the scalar fix-point engine (the process default,
+    ``engine`` selects the fix-point engine (the process default,
     :func:`~repro.sim.engine.get_default_engine`, which is codegen unless
-    set otherwise):
-    the explorer pays one fix-point per explored transition, so a faster
-    engine speeds up whole model-checking runs.  ``lanes=N`` (``N > 1``)
-    selects ``codegen``; ``engine`` must then be left at ``None``.
+    set otherwise): codegen expands each state with one compiled call,
+    worklist with one interpreted fix-point per transition.  ``lanes=N``
+    (``N > 1``) selects ``codegen``; ``engine`` must then be left at
+    ``None``.
     """
 
     def __init__(self, netlist, max_states=20000, check_protocol=True,
@@ -228,26 +231,6 @@ class StateExplorer:
         )
         self._retry_mask = retry_mask(len(self._channel_names),
                                       self._exempt_indices)
-        # The choice-*node* set is static per netlist (their per-state
-        # choice spaces still vary — persistence pins an offering source
-        # to space 1, say), so it is computed once instead of per state.
-        self._choice_nodes = [
-            node for node in netlist.nodes.values()
-            if type(node).choice_space is not Node.choice_space
-        ]
-
-    def _choice_vectors(self):
-        """Choice vectors valid in the netlist's *current* state.
-
-        The per-node spaces are read when the generator starts, so the
-        caller must have the state of interest restored at that point;
-        iteration after that is state-independent.
-        """
-        nodes = [n for n in self._choice_nodes if n.choice_space() > 1]
-        spaces = [range(node.choice_space()) for node in nodes]
-        names = [node.name for node in nodes]
-        for combo in itertools.product(*spaces):
-            yield dict(zip(names, combo))
 
     def _key(self, snapshot, signals):
         """Compact dedup-index key of a state (tuple fallback when a
@@ -257,39 +240,19 @@ class StateExplorer:
             return (snapshot, signals)
         return key
 
-    def _record(self, result, index, frontier, current, prev_signals,
-                choices, signals, successor_snapshot):
-        """Per-transition bookkeeping: protocol checks, state dedup
-        (cap-aware) and the transition record.  ``signals`` /
-        ``prev_signals`` are packed byte vectors; the checks that word
-        the violations run only when the screen fires."""
-        if self.check_protocol and protocol_screen(
-                prev_signals, signals, self._retry_mask):
-            problems = check_invariant_packed(signals, self._channel_names)
-            if prev_signals is not None:
-                problems += check_retry_packed(
-                    prev_signals, signals, self._channel_names,
-                    self._exempt_indices,
-                )
-            for problem in problems:
-                result.violations.append(
-                    f"state {current} choices {choices}: {problem}"
-                )
-        key = self._key(successor_snapshot, signals)
-        target = index.get(key)
-        if target is None:
-            if len(result.states) >= self.max_states:
-                # Over the cap: the successor stays unindexed and the
-                # transition is dropped (there is no target id to record),
-                # but expansion continues so transitions into already-
-                # indexed states are still captured.
-                result.complete = False
-                return
-            target = len(result.states)
-            index[key] = target
-            result.states.append((successor_snapshot, signals))
-            frontier.append(target)
-        result.transitions.append(Transition(current, target, choices))
+    def _violations(self, result, current, prev_signals, choices, signals):
+        """Word the protocol problems of one transition whose screen
+        fired (``signals`` / ``prev_signals`` are packed byte vectors)."""
+        problems = check_invariant_packed(signals, self._channel_names)
+        if prev_signals is not None:
+            problems += check_retry_packed(
+                prev_signals, signals, self._channel_names,
+                self._exempt_indices,
+            )
+        for problem in problems:
+            result.violations.append(
+                f"state {current} choices {choices}: {problem}"
+            )
 
     # -- checkpoint / resume ------------------------------------------------
 
@@ -424,9 +387,16 @@ class StateExplorer:
         return result
 
     def _explore(self, result, index, start=0):
-        netlist = self.netlist
-        sim = self.sim
+        """The BFS loop: one :meth:`Simulator.expand` per state, then per
+        transition the protocol screen, state dedup (cap-aware) and the
+        transition record."""
+        expand = self.sim.expand
+        key_of = self._key
+        check = self.check_protocol
+        mask = self._retry_mask
+        cap = self.max_states
         states = result.states
+        transitions = result.transitions
         frontier = deque(range(start, len(states)))
         while frontier:
             current = frontier[0]
@@ -435,17 +405,27 @@ class StateExplorer:
                 return
             frontier.popleft()
             snapshot, prev_signals = states[current]
-            # One restore serves both the choice-space enumeration and the
-            # first expansion; later vectors re-restore before stepping.
-            netlist.restore(snapshot)
-            restored = True
-            for choices in self._choice_vectors():
-                if not restored:
-                    netlist.restore(snapshot)
-                restored = False
-                signals = sim.step_with_choices(choices)
-                self._record(result, index, frontier, current, prev_signals,
-                             choices, signals, netlist.snapshot())
+            for choices, signals, successor in expand(snapshot):
+                if check and protocol_screen(prev_signals, signals, mask):
+                    self._violations(result, current, prev_signals, choices,
+                                     signals)
+                key = key_of(successor, signals)
+                target = index.get(key)
+                if target is None:
+                    if len(states) >= cap:
+                        # Over the cap: the successor stays unindexed and
+                        # the transition is dropped (there is no target id
+                        # to record), but expansion continues so
+                        # transitions into indexed states are still kept.
+                        result.complete = False
+                        continue
+                    target = len(states)
+                    index[key] = target
+                    states.append((successor, signals))
+                    frontier.append(target)
+                # expand() shares one choices dict per vector space
+                transitions.append(Transition(current, target,
+                                              dict(choices)))
 
 
 def explore_or_raise(netlist, max_states=20000, engine=None, lanes=1):

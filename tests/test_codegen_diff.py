@@ -1094,11 +1094,12 @@ def assert_run_is_steps(make, plan, check_protocol=True, worklist=True,
         net = make()
         sim = Simulator(net, engine=engine, check_protocol=check_protocol,
                         follow_edits=follow_edits)
-        if engine == "codegen":
-            assert sim._runs_compiled is compiled
         if prepare is not None:
             prepare(sim)
         outcomes[label] = (_drive(sim, todo), _leaves(sim))
+        if engine == "codegen":
+            # the run entry is elaborated at the first step or run
+            assert sim._runs_compiled is compiled
     assert outcomes["codegen-run"] == outcomes["codegen-steps"]
     if worklist:
         assert outcomes["worklist"] == outcomes["codegen-run"]
