@@ -46,15 +46,16 @@ what the per-cycle design kept in objects:
 * **monitor history** — the Retry obligations a cycle leaves due (a
   stalled token's due cycle and data, a stalled anti-token's due cycle)
   are locals, loaded from and stored back to ``ProtocolMonitor._prev``.
-  Each cycle one short-circuit screen tests the Invariant, the
-  resolution check (an offered token without data) and, when an
-  obligation is due, Retry+ and Retry-.  Only when it fires does the
-  cycle flush its locals and hand over to
+  The terms are rendered from the rule table of
+  :mod:`repro.verif.properties`: each cycle one short-circuit screen
+  tests the Invariant, the resolution check (an offered token without
+  data) and, when an obligation is due, the Retry rules; each channel's
+  count records the obligations it leaves.  Only when the screen fires
+  does the cycle flush its locals and hand over to
   :meth:`Simulator._check_resolved` or, after the history is written
-  back, to ``ProtocolMonitor.observe``, so the violation wording lives
-  in the monitor alone.  (The expansion entry screens only the
-  resolution check; under a monitor it calls ``ProtocolMonitor.observe``
-  every vector, as a monitored choice step always did.)
+  back, to ``ProtocolMonitor.observe``, which words the violation.  (The
+  expansion entry screens only the resolution check: model-checking
+  steps are unmonitored, so there is one expansion module per topology.)
 
 Both entries handle **channel states** alike: on entry every channel is
 marked unresolved (``vp = None`` on each ``ChannelState``, memoized
@@ -64,9 +65,8 @@ the worklist engine.  The locals are flushed into the ``ChannelState``
 objects once — on a run's last cycle, before its observers and ticks, or
 after an expansion's last vector — and before a diagnosis.  A netlist
 with an interpreted ``tick`` (a subclass overriding it) flushes every
-cycle, since that tick reads the states; so does a monitored expansion,
-since the monitor reads them, and both then mark the channels unresolved
-again at the start of every vector.
+cycle, since that tick reads the states, and then marks the channels
+unresolved again at the start of every vector.
 
 No step builds a :class:`~repro.elastic.channel.ChannelEvents`: a plain
 step counts statistics straight from the locals, and an expansion returns
@@ -109,8 +109,8 @@ Caching and staleness
 Generated modules are ``exec``-compiled once per topology and entry and
 cached process-wide, keyed by the netlist **content signature** (node
 names, classes, ports, declared sensitivities, channel wiring — see
-:func:`repro.sim.sensitivity.topology_signature`), the
-``check_protocol`` flag and the entry.  Numeric parameters
+:func:`repro.sim.sensitivity.topology_signature`), the entry and, for the
+run entry, the ``check_protocol`` flag.  Numeric parameters
 that only affect sequential behaviour (capacities, rates, seeds, datapath
 functions) are deliberately *not* baked in — they are read from the node
 instances at run time — so a parameter sweep over one topology compiles
@@ -151,6 +151,7 @@ from __future__ import annotations
 import hashlib
 from collections import OrderedDict, deque
 from functools import partial
+from itertools import combinations
 
 from repro.core.scheduler import SchedulerFeedback
 from repro.core.shared import SharedModule
@@ -1004,56 +1005,90 @@ def _wrapped(items, head, tail, size=12, indent="    "):
     return lines
 
 
-def _count_block(g, ci, monitored, exempt):
+#: the due-cycle local of each Retry rule's obligation, in rule order; the
+#: rule that holds data keeps it in ``r<slot>``
+_DUE = "wu"
+
+#: ``ChannelStats.observe``'s classification of one channel: nested
+#: ``(test, then, else)`` with ``(signal, asserted)`` literal tests and
+#: the local count at each leaf
+_COUNT_TREE = ([("vp", 1)], ([("vm", 1)], "k", ([("sp", 1)], "s", "t")),
+               ([("vm", 1), ("sm", 0)], "b", "i"))
+
+
+def _checked(ci, exempt):
+    """``(due local, rule)`` of each Retry rule the monitor checks on
+    channel slot ``ci`` (``exempt``: the Retry+-exempt slots, None without
+    a monitor)."""
+    from repro.verif.properties import RETRY
+
+    return [(due, rule) for due, rule in zip(_DUE, RETRY)
+            if exempt is not None and not (rule.exempt and ci in exempt)]
+
+
+def _holds(b, lits):
+    """Whether the packed channel byte ``b`` satisfies every literal."""
+    return all((b >> _CONTROLS.index(name) & 1) == on for name, on in lits)
+
+
+def _count_block(g, ci, rules, tree=_COUNT_TREE, within=range(16)):
     """Channel ``ci``'s outcome this cycle (an exact mirror of
-    ``ChannelStats.observe``), counted in local ints: ``t``/``k``/``s``/
-    ``b``/``i`` for transfers, cancellations, stalls, backward moves and
-    idles.  Under a monitor a stall also sets the Retry obligation due at
-    the next cycle (``cycle`` has advanced already): ``w`` and ``r``, a
-    stalled token's due cycle and data (not on Retry+-exempt channels),
-    or ``u``, a stalled anti-token's, each raising the ``_due`` cycle of
-    the screen's Retry part."""
-    vp, sp, vm, sm, da = (g.csig(ci, s) for s in _SIGNALS)
-    lines = [
-        f"if {vp}:",
-        f"    if {vm}:",
-        f"        k{ci} += 1",
-        f"    elif {sp}:",
-        f"        s{ci} += 1",
-    ]
-    if monitored and not exempt:
-        lines += [f"        _due = w{ci} = cycle", f"        r{ci} = {da}"]
-    lines += [
-        "    else:",
-        f"        t{ci} += 1",
-        f"elif {vm} and not {sm}:",
-        f"    b{ci} += 1",
-        "else:",
-        f"    i{ci} += 1",
-    ]
-    if monitored:
-        lines += [f"    if {vm}:", f"        _due = u{ci} = cycle"]
-    return lines
+    ``ChannelStats.observe``, ``within`` the packed bytes reaching
+    ``tree``) counted in local ints: ``t``/``k``/``s``/``b``/``i`` for
+    transfers, cancellations, stalls, backward moves and idles.  A count
+    also records the obligations of ``rules`` (:func:`_checked`) its bytes
+    leave due at the next cycle (``cycle`` has advanced already), under
+    the fewest of the rule's literals that single them out: the due cycle,
+    raising the screen's ``_due``, and the data a rule holds."""
+    from repro.verif.properties import conjunction, literals
+
+    signal = partial(g.csig, ci)
+    if isinstance(tree, str):
+        lines = [f"{tree}{ci} += 1"]
+        for due, rule in rules:
+            pattern = literals(rule.mask, rule.value)
+            hit = [b for b in within if _holds(b, pattern)]
+            if not hit:
+                continue
+            guard = next(lits for n in range(len(pattern) + 1)
+                         for lits in combinations(pattern, n)
+                         if [b for b in within if _holds(b, lits)] == hit)
+            record = [f"_due = {due}{ci} = cycle"]
+            record += [f"r{ci} = {signal('data')}"] * bool(rule.data)
+            if guard:
+                record = [f"if {conjunction(guard, signal)}:"] + _indent(record)
+            lines += record
+        return lines
+    lines, keyword = [], "if"
+    while not isinstance(tree, str):
+        test, then, tree = tree
+        lines.append(f"{keyword} {conjunction(test, signal)}:")
+        lines += _indent(_count_block(g, ci, rules, then, [
+            b for b in within if _holds(b, test)]))
+        within = [b for b in within if not _holds(b, test)]
+        keyword = "elif"
+    return lines + ["else:"] + _indent(_count_block(g, ci, rules, tree, within))
 
 
 def _screen(g, n_channels, exempt):
     """The per-cycle screen: true exactly when the resolution check or,
     under a monitor (``exempt`` is not None), ``ProtocolMonitor.observe``
-    would raise.  Per channel: the Invariant (kill with stop, stalled
-    cancellation) and an offered token without data; then, only when some
-    Retry obligation is ``_due`` this cycle, a stalled token withdrawn or
-    changed (Retry+) and a stalled anti-token withdrawn (Retry-)."""
+    would raise.  Per channel: the rule table's Invariant test and an
+    offered token without data; then, only when some Retry obligation is
+    ``_due`` this cycle, each obligation due and broken (its held signal
+    dropped or, for a rule that holds data, the data changed)."""
+    from repro.verif.properties import invariant_test, retry_test
+
     terms, retry = [], []
     for ci in range(n_channels):
-        vp, sp, vm, sm, da = (g.csig(ci, s) for s in _SIGNALS)
-        if exempt is None:
-            terms.append(f"{vp} and {da} is None")
-            continue
-        terms.append(f"{vm} and ({sp} or {vp} and {sm}) "
-                     f"or {vp} and {da} is None")
-        if ci not in exempt:
-            retry.append(f"w{ci} == cycle and (not {vp} or {da} != r{ci})")
-        retry.append(f"u{ci} == cycle and not {vm}")
+        signal = partial(g.csig, ci)
+        term = f"{signal('vp')} and {signal('data')} is None"
+        if exempt is not None:
+            term = f"{invariant_test(signal)} or {term}"
+        terms.append(term)
+        retry += [f"{due}{ci} == cycle and "
+                  + retry_test(rule, signal, f"r{ci}")
+                  for due, rule in _checked(ci, exempt)]
     if not terms:
         return ["_bad = False"]
     lines = ["_bad = (", "    " + terms[0]]
@@ -1150,8 +1185,7 @@ def _generate_source(netlist, check_protocol, content_hash, entry):
             g, body, ticks, unresolve, flush, exempt, interpreted_tick)
     else:
         fn, signature, defaults, source = _expand_entry(
-            g, body, ticks, unresolve, flush, check_protocol,
-            interpreted_tick)
+            g, body, ticks, unresolve, flush, interpreted_tick)
 
     # -- audit: every channel's four controls must be written
     # -- unconditionally by the straight-line region
@@ -1206,7 +1240,8 @@ def _run_entry(g, body, ticks, unresolve, flush, exempt, interpreted_tick):
     n_channels = len(g.plan.channels)
     chans = range(n_channels)
     monitored = exempt is not None
-    history = [f"{x}{ci}" for ci in chans for x in "wru"]
+    history = [name for ci in chans for due, rule in _checked(ci, set())
+               for name in (f"{due}{ci}", f"r{ci}")[:1 + bool(rule.data)]]
     # ChannelStats.counts order: transfers, cancels, stalls, backwards, idles
     counters = [f"{x}{ci}" for ci in chans for x in "tksbi"]
     n_counts = len(counters)
@@ -1231,7 +1266,7 @@ def _run_entry(g, body, ticks, unresolve, flush, exempt, interpreted_tick):
     loop += ticks
     loop.append("cycle += 1")
     for ci in chans:
-        loop += _count_block(g, ci, monitored, monitored and ci in exempt)
+        loop += _count_block(g, ci, _checked(ci, exempt))
     loop += ["if cycle == _end:", "    break"]
 
     # -- exit: a raising cycle leaves the channels unresolved, except for a
@@ -1259,22 +1294,20 @@ def _run_entry(g, body, ticks, unresolve, flush, exempt, interpreted_tick):
     return "_cycle", ["cycle"], {"n": "1"}, src
 
 
-def _expand_entry(g, body, ticks, unresolve, flush, check_protocol,
-                  interpreted_tick):
+def _expand_entry(g, body, ticks, unresolve, flush, interpreted_tick):
     """``_expand(cycle, snapshot, vectors)``: one explored state.  For
     each ``(vector, choices)`` of ``vectors`` (``vector`` holds one value
     per chooser, None where its space is 1) it restores ``snapshot``
     (except before the first), sets the choices, runs the cycle body
-    without statistics and appends ``(choices, packed signals, successor
-    snapshot)`` to the returned list; ``sim.cycle`` advances by one per
-    vector.  Channel states are flushed once, after the last vector, and
-    before a diagnosis — every vector under a monitor (which reads them)
-    or an interpreted tick.  Returns as :func:`_run_entry` does."""
+    without statistics or monitor and appends ``(choices, packed signals,
+    successor snapshot)`` to the returned list; ``sim.cycle`` advances by
+    one per vector.  Channel states are flushed once, after the last
+    vector, and before a diagnosis — every vector under an interpreted
+    tick (which reads them).  Returns as :func:`_run_entry` does."""
     n_channels = len(g.plan.channels)
     chans = range(n_channels)
-    per_vector = check_protocol or interpreted_tick
     src = ["_out = []"]
-    if not per_vector:
+    if not interpreted_tick:
         src += unresolve
 
     loop = ["if _i:", "    _restore(snapshot)"]
@@ -1284,15 +1317,12 @@ def _expand_entry(g, body, ticks, unresolve, flush, check_protocol,
     for x, ni in zip(xs, g.plan.choosers):
         loop += [f"if {x} is not None:",
                  f"    {g.node_ref(ni)}.set_choice({x})"]
-    if per_vector:
+    if interpreted_tick:
         loop += unresolve
     loop += body
     loop += _screen(g, n_channels, None)
-    if per_vector:
-        loop += flush
-        loop += ["if _bad:", "    _diag(cycle)"]
-        if check_protocol:
-            loop.append("_mon.observe(cycle)")
+    if interpreted_tick:
+        loop += flush + ["if _bad:", "    _diag(cycle)"]
     else:
         loop += ["if _bad:"] + _indent(flush) + ["    _diag(cycle)"]
     loop += ticks
@@ -1306,14 +1336,12 @@ def _expand_entry(g, body, ticks, unresolve, flush, check_protocol,
     src += _indent(loop, 2)
     src += ["except _keep:", "    raise", "except BaseException:",
             "    _unres()", "    raise", "finally:", "    _sim.cycle = cycle"]
-    if not per_vector and n_channels:
+    if not interpreted_tick and n_channels:
         src += ["if _out:"] + _indent(flush)
     src.append("return _out")
     g.bind.update(_ENV_BINDINGS)
     g.bind.update({"_snap": 'env["netlist"].snapshot',
                    "_restore": 'env["netlist"].restore'})
-    if check_protocol:
-        g.bind["_mon"] = "_mon"
     return "_expand", ["cycle", "snapshot", "vectors"], {}, src
 
 
@@ -1350,7 +1378,10 @@ _CACHE_STATS = {"hits": 0, "misses": 0, "evictions": 0}
 def _module_for(netlist, check_protocol, entry):
     if entry not in ENTRIES:
         raise ValueError(f"unknown entry {entry!r}; choose from {ENTRIES}")
-    topology = (topology_signature(netlist), bool(check_protocol))
+    # the monitor checks runs only, so there is one expansion module per
+    # topology
+    check_protocol = bool(check_protocol) and entry == "run"
+    topology = (topology_signature(netlist), check_protocol)
     key = topology + (entry,)
     module = _MODULE_CACHE.get(key)
     if module is not None:
@@ -1376,7 +1407,7 @@ def generated_source(netlist, check_protocol=True, entry="run"):
     (compiling and caching it if this topology's entry has not been
     elaborated yet) — the inspection aid behind ``repro elaborate``.  A
     netlist that does not compile yields only the banner, which names its
-    deferred nodes."""
+    deferred nodes.  ``check_protocol`` applies to the run entry only."""
     netlist.validate()
     return _module_for(netlist, check_protocol, entry).source
 

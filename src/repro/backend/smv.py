@@ -69,23 +69,37 @@ MODULE shared2(i0_vp, i1_vp, o0_sp, o1_sp, o0_vm, o1_vm, i0_sm, i1_sm, g)
     i1_sp := o1_vm ? FALSE : (g = 1 ? o1_sp : TRUE);
 """
 
-_SPEC_TEMPLATE = """
-  -- SELF protocol properties (Section 3.1) on channel {name}
-  LTLSPEC G (({vp} & {sp} & !{vm}) -> X {vp})          -- Retry+
-  LTLSPEC G (({vm} & {sm} & !{vp}) -> X {vm})          -- Retry-
-  LTLSPEC G !({vm} & {sp})                             -- Invariant (kill/stop)
-"""
+def _specs(name, exempt):
+    """Channel ``name``'s LTLSPECs, rendered from the rule table of
+    :mod:`repro.verif.properties`: each Retry obligation (but the exempt
+    rule when ``exempt``), then each Invariant pattern."""
+    from repro.verif.properties import (
+        INVARIANT, RETRY, conjunction, literals, signal_of)
+
+    def pattern(rule):
+        return conjunction(literals(rule.mask, rule.value),
+                           f"{name}_{{}}".format, " & ", "!")
+
+    specs = [f"G (({pattern(r)}) -> X {name}_{signal_of(r.held)})  -- {r.prop}"
+             for r in RETRY if not (r.exempt and exempt)]
+    specs += [f"G !({pattern(r)})  -- {r.prop}: {r.detail}" for r in INVARIANT]
+    return "".join([f"\n  -- SELF protocol properties (Section 3.1) on "
+                    f"channel {name}\n"] + [f"  LTLSPEC {s}\n" for s in specs])
 
 
-def to_smv(netlist, liveness=False, retry_exempt=()):
+def to_smv(netlist, liveness=False):
     """Emit a NuSMV model skeleton for the netlist's control network.
 
     Channels driven by environment nodes become FROZENVAR-free
     nondeterministic inputs; controller nodes map to behavioural modules.
-    ``retry_exempt`` channels get no Retry+ spec (shared-module cones,
-    Section 4.2).
+    Every channel between controllers gets the SELF specs, except Retry+
+    on the channels Section 4.2 exempts (shared-module cones, see
+    :func:`repro.verif.properties.retry_exempt_channels`).
     """
+    from repro.verif.properties import retry_exempt_channels
+
     netlist.validate()
+    retry_exempt = retry_exempt_channels(netlist)
     lines = ["-- Generated by repro: NuSMV model of the elastic control network",
              f"-- design: {netlist.name}"]
     kinds = {node.kind for node in netlist.nodes.values()}
@@ -143,18 +157,11 @@ def to_smv(netlist, liveness=False, retry_exempt=()):
     lines.extend(instances)
     specs = []
     for name in netlist.channels:
-        if name in retry_exempt:
-            continue
         src = netlist.nodes[netlist.channels[name].producer[0]]
         dst = netlist.nodes[netlist.channels[name].consumer[0]]
         if src.is_environment or dst.is_environment:
             continue
-        specs.append(
-            _SPEC_TEMPLATE.format(
-                name=name, vp=f"{name}_vp", sp=f"{name}_sp",
-                vm=f"{name}_vm", sm=f"{name}_sm",
-            )
-        )
+        specs.append(_specs(name, name in retry_exempt))
         if liveness:
             specs.append(
                 f"  LTLSPEC G F (({name}_vp & !{name}_sp) | ({name}_vm & !{name}_sm))"

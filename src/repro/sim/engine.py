@@ -10,12 +10,12 @@ Each clock cycle proceeds in five phases:
    signals still unknown at the fix-point indicate a genuine combinational
    cycle and raise :class:`~repro.errors.CombinationalLoopError` — the
    hazard the paper warns about when chaining zero-backward-latency buffers;
-3. **observation** — the protocol monitor reads the settled signals
-   directly; observers resolve a channel's
+3. **observation** — on a plain step the protocol monitor reads the
+   settled signals directly and observers resolve a channel's
    :class:`~repro.elastic.channel.ChannelEvents` on demand
-   (:meth:`Channel.events`, memoized for the rest of the cycle), and a
-   model-checking step returns the signals packed one byte per channel,
-   so no step builds an event object unless something asks for one;
+   (:meth:`Channel.events`, memoized for the rest of the cycle); an
+   unmonitored model-checking step returns the signals packed one byte
+   per channel, so no step builds an event object unless asked to;
 4. **tick** — every node updates its sequential state;
 5. **statistics** — the cycle's outcome per channel is counted from the
    settled signals (plain steps only), so a cycle that raised in an
@@ -28,12 +28,13 @@ screen per cycle; channel states are flushed once, on the last cycle (see
 :mod:`repro.backend.pysim`).  The result equals as many :meth:`step`
 calls.  The model checker's :meth:`Simulator.expand` is one call of the
 compiled expansion entry per explored state: it runs phases 1–4 once per
-choice vector, restoring the state between vectors, skips statistics and
-returns each vector's packed signals and successor snapshot; channel
-states are flushed once, after the last vector.  The result equals a
-restore, a :meth:`step_with_choices` and a snapshot per vector.  Each
-entry is compiled on its first use, so a simulator that only runs never
-compiles an expansion entry and an explorer's never compiles a run entry.
+choice vector, restoring the state between vectors, skips monitor and
+statistics and returns each vector's packed signals and successor
+snapshot; channel states are flushed once, after the last vector.  The
+result equals a restore, a :meth:`step_with_choices` and a snapshot per
+vector.  Each entry is compiled on its first use, so a simulator that
+only runs never compiles an expansion entry and an explorer's never
+compiles a run entry.
 
 Fix-point engines
 -----------------
@@ -252,7 +253,8 @@ class Simulator:
         The design; it is validated and reset on construction.
     check_protocol:
         Install runtime monitors for the SELF properties (Retry+, Retry-,
-        Invariant) on every channel; violations raise immediately.
+        Invariant) on every channel; violations raise immediately, on
+        steps and runs (model-checking steps are unmonitored).
     observers:
         Optional iterable of objects with an ``observe(cycle, netlist)``
         method called after each fix-point (trace recorders etc.); kept as
@@ -579,8 +581,8 @@ class Simulator:
 
     def _interpreted_cycle(self, cycle, vector=None):
         """One interpreted (worklist) cycle: choices, pre-cycle,
-        fix-point, monitor, observers (plain steps) or the packed signals
-        (choice steps, which return them: one byte
+        fix-point, monitor and observers (plain steps) or the packed
+        signals (choice steps, which return them: one byte
         ``VP | SP<<1 | VM<<2 | SM<<3`` per channel, packed from the
         channel states), tick, then statistics (plain steps), so a cycle
         that raises is not counted.  A choice step passes ``vector``, one
@@ -593,10 +595,10 @@ class Simulator:
         for pre_cycle in self._pre_cycles:
             pre_cycle()
         self._fixpoint()
-        if self.monitor is not None:
-            self.monitor.observe(cycle)
         packed = None
         if vector is None:
+            if self.monitor is not None:
+                self.monitor.observe(cycle)
             for observer in self.observers:
                 observer.observe(cycle, self.netlist)
         else:
@@ -694,8 +696,9 @@ class Simulator:
         byte per channel (``VP | SP<<1 | VM<<2 | SM<<3``, netlist channel
         order; see :mod:`repro.verif.encoding`) for property evaluation by
         the model checker; no :class:`~repro.elastic.channel.ChannelEvents`
-        is built, and statistics and observers are not updated.  It is
-        the one-vector case of :meth:`expand`.
+        is built, and statistics, observers and the monitor (whose history
+        follows one linear run) are not updated.  It is the one-vector
+        case of :meth:`expand`.
         """
         self._ready()
         vector = tuple([choices.get(node.name, 0)

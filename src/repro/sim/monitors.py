@@ -1,20 +1,13 @@
 """Runtime SELF protocol monitors.
 
-The paper verifies four LTL properties on every channel (Section 3.1):
-
-* ``Retry+``:  ``G((V+ & S+) -> X V+)`` — a stalled token stays offered
-  (we additionally check the data is held, the usual strengthening);
-* ``Retry-``:  ``G((V- & S-) -> X V-)`` — a stalled anti-token stays offered;
-* ``Invariant``: a token cannot be killed and stopped at the same time
-  (and symmetrically for anti-tokens) — we check the stronger structural
-  form used throughout the library: ``V- -> !S+`` and ``(V+ & V-) -> !S-``;
-* ``Liveness``: ``G F((V+ & !S+) | (V- & !S-))`` — checked in bounded form
-  during simulation (no channel is event-free for more than a configurable
-  window once it has seen at least one token), and exactly by the model
-  checker in :mod:`repro.verif`.
-
-Violations raise :class:`~repro.errors.ProtocolViolationError` at the cycle
-where they occur, which turns every simulation into a protocol test.
+:class:`ProtocolMonitor` checks the Invariant, Retry+ and Retry- rules of
+:mod:`repro.verif.properties` (the one statement of the Section 3.1
+properties) on every channel and raises
+:class:`~repro.errors.ProtocolViolationError` at the cycle where one
+breaks, which turns every simulation into a protocol test; it checks
+linear runs (``Simulator.step``/``run``), while model-checking steps jump
+between branches and are checked by the explorer instead.
+:class:`BoundedLivenessMonitor` checks Liveness in bounded form.
 """
 
 from __future__ import annotations
@@ -26,96 +19,106 @@ class ProtocolMonitor:
     """Per-channel monitor automata for the SELF properties.
 
     The history between cycles is the Retry obligations a cycle leaves due
-    at the next one, kept in the flat list :attr:`_prev`, three slots per
-    channel in netlist channel order: the cycle at which a stalled token
-    must still be offered (``-1`` when none is due), that token's data,
-    and the cycle at which a stalled anti-token must still be offered.
-    The compiled engine keeps the same slots in locals during a run and
-    writes them back here, so both engines share one history.
+    at the next one, kept in the flat list :attr:`_prev` in netlist channel
+    order: per channel and Retry rule, the cycle at which the channel must
+    still keep the rule's held signal (``-1`` when none is due), then the
+    data a rule that holds data (Retry+) must keep.  The compiled engine
+    keeps the same slots in locals during a run and writes them back here,
+    so both engines share one history.
     """
 
     def __init__(self, netlist):
         self.netlist = netlist
         self._prev = []
         self.violations = []
-        self._layout()
+        self.structure_changed()
 
-    def _layout(self):
+    def structure_changed(self):
+        """Derive the channel layout and the Retry+ exemptions (again,
+        after a structural netlist edit), forgetting every channel's
+        history: a splice changes combinational cones arbitrarily far
+        downstream, so any channel's one-cycle history may be stale (e.g.
+        inserting a registered node legally withdraws a downstream offer
+        for one cycle), and a freshly (re)connected channel starts
+        history-free, exactly as under a rebuilt monitor."""
         # Section 4.2: "the output channels of the shared modules are not
         # required to be persistent" — the scheduler may legally change its
         # prediction after a retry cycle, and the withdrawal propagates
         # through downstream combinational nodes until the next EB.  That
-        # exempts those channels from Retry+ only; a stalled anti-token
-        # must persist everywhere (the explorer's rule, verif.properties).
-        from repro.verif.properties import retry_exempt_channels
+        # waives the exempt rule (Retry+) on those channels, nothing else.
+        from repro.verif.properties import RETRY, retry_exempt_channels
 
         exempt = retry_exempt_channels(self.netlist)
-        self._channels = list(self.netlist.channels.values())
-        self._retry_exempt = [ch.name in exempt for ch in self._channels]
-        self._prev[:] = [-1, None, -1] * len(self._channels)
-
-    def structure_changed(self):
-        """Re-derive the channel layout and the Retry+ exemptions after a
-        structural netlist edit, and forget every channel's history: a
-        splice changes combinational cones arbitrarily far downstream, so
-        any channel's one-cycle history may be stale (e.g. inserting a
-        registered node legally withdraws a downstream offer for one
-        cycle), and a freshly (re)connected channel starts history-free,
-        exactly as under a rebuilt monitor."""
-        self._layout()
+        blank = [slot for rule in RETRY
+                 for slot in ([-1, None] if rule.data else [-1])]
+        self._blank = blank * len(self.netlist.channels)
+        self._rows = [(channel.state, len(blank) * i, name, name in exempt)
+                      for i, (name, channel)
+                      in enumerate(self.netlist.channels.items())]
+        self._prev[:] = self._blank
 
     def reset(self):
         """Clear per-run history (Retry obligations, recorded violations);
         the property configuration is kept."""
-        self._prev[:] = [-1, None, -1] * len(self._channels)
+        self._prev[:] = self._blank
         self.violations.clear()
 
     def observe(self, cycle):
-        """Check cycle ``cycle``'s settled signals on every channel, in
-        channel order, raising the first violation; then record the Retry
-        obligations it leaves due at ``cycle + 1``.  A violating cycle
-        records nothing."""
-        prev = self._prev
-        for i, channel in enumerate(self._channels):
-            st = channel.state
-            name = channel.name
-            # Kill and stop are mutually exclusive (consumer side).
-            if st.vm and st.sp:
-                self._fail("Invariant", name, cycle, "V- and S+ both asserted")
-            # A cancelling producer must not stall the anti-token.
-            if st.vp and st.vm and st.sm:
-                self._fail("Invariant", name, cycle,
-                           "cancellation with S- asserted")
-            j = 3 * i
-            if prev[j] == cycle:
-                # A token was offered and stalled (and not killed): it
-                # must persist, data included.
-                if not st.vp:
-                    self._fail("Retry+", name, cycle, "stalled token withdrawn")
-                if st.data != prev[j + 1]:
-                    self._fail(
-                        "Retry+", name, cycle,
-                        f"stalled token changed data {prev[j + 1]!r} -> "
-                        f"{st.data!r}",
-                    )
-            if prev[j + 2] == cycle and not st.vm:
-                # An anti-token was offered and stalled (and did not
-                # cancel): it must persist.
-                self._fail("Retry-", name, cycle, "stalled anti-token withdrawn")
-        due = cycle + 1
-        for i, channel in enumerate(self._channels):
-            st = channel.state
-            if st.vp:
-                if st.sp and not st.vm and not self._retry_exempt[i]:
-                    prev[3 * i] = due
-                    prev[3 * i + 1] = st.data
-            elif st.vm and st.sm:
-                prev[3 * i + 2] = due
+        """Check cycle ``cycle``'s settled signals on every channel,
+        raising the first violation in channel order; then record the
+        Retry obligations it leaves due at ``cycle + 1``.  A violating
+        cycle records nothing.  The first call replaces this method by
+        its rendering from the rule table (:func:`_render_observe`)."""
+        ProtocolMonitor.observe = _render_observe()
+        return self.observe(cycle)
 
     def _fail(self, prop, channel, cycle, detail):
         err = ProtocolViolationError(prop, channel, cycle, detail)
         self.violations.append(err)
         raise err
+
+
+def _render_observe():
+    """:meth:`ProtocolMonitor.observe`, rendered from the rule table: per
+    channel one short-circuit screen — the compiled engine's tests: the
+    Invariant, then each Retry obligation due and broken — and, when it
+    fires, the rules one by one (Invariant patterns, then each due
+    obligation's held signal and data) up to the first that fails; then
+    per channel the obligations it leaves."""
+    from repro.verif.properties import (
+        INVARIANT, RETRY, conjunction, invariant_test, literals, retry_test,
+        signal_of)
+
+    signal = "st.{}".format
+    screen, word, record, j = [invariant_test(signal)], [], [], 0
+    for rule in INVARIANT:
+        word += [f"if {conjunction(literals(rule.mask, rule.value), signal)}:",
+                 f"    fail({rule.prop!r}, name, cycle, {rule.detail!r})"]
+    for rule in RETRY:
+        due, held = f"prev[j + {j}]", f"prev[j + {j + 1}]"
+        screen.append(f"{due} == cycle and {retry_test(rule, signal, held)}")
+        word += [f"if {due} == cycle and not {signal(signal_of(rule.held))}:",
+                 f"    fail({rule.prop!r}, name, cycle, {rule.detail!r})"]
+        if rule.data:
+            word += [f"if {due} == cycle and st.data != {held}:",
+                     f"    fail({rule.prop!r}, name, cycle, "
+                     f"{rule.data!r}.format({held}, st.data))"]
+        trigger = conjunction(literals(rule.mask, rule.value), signal)
+        record += [f"if {trigger}{' and not exempt' * rule.exempt}:",
+                   f"    {due} = due"] + [f"    {held} = st.data"] * bool(rule.data)
+        j += 2 if rule.data else 1
+    source = "\n    ".join([
+        "def observe(self, cycle):",
+        "prev, fail = self._prev, self._fail",
+        "for st, j, name, exempt in self._rows:",
+        "    if (" + "\n            or ".join(screen) + "):",
+    ] + ["        " + line for line in word] + [
+        "due = cycle + 1",
+        "for st, j, name, exempt in self._rows:",
+    ] + ["    " + line for line in record])
+    namespace = {}
+    exec(compile(source, "<ProtocolMonitor.observe>", "exec"), namespace)
+    return namespace["observe"]
 
 
 class BoundedLivenessMonitor:
@@ -140,15 +143,11 @@ class BoundedLivenessMonitor:
         self._since_event.clear()
         self.stuck.clear()
 
-    def structure_changed(self, channel_name=None):
-        """React to a structural netlist edit: forget the edited channel's
-        counter when one is named; called bare, drop counters of channels
+    def structure_changed(self):
+        """React to a structural netlist edit: drop counters of channels
         that no longer exist and restart the surviving ones (a splice
         legally freezes downstream channels for a cycle or two — they
         should not inherit a nearly-expired window)."""
-        if channel_name is not None:
-            self._since_event.pop(channel_name, None)
-            return
         channels = self.netlist.channels
         stale = [name for name in self._since_event if name not in channels]
         for name in stale:

@@ -13,9 +13,10 @@ Two layers make the states cheap:
 * **Packed signals** — the four control bits of every channel pack into
   **one byte per channel** (``VP | SP<<1 | VM<<2 | SM<<3``), in the
   netlist's fixed channel order.  This is what
-  :meth:`~repro.sim.engine.Simulator.step_with_choices` returns, the
-  representation carried in ``ExplorationResult.states`` and consumed by
-  the packed property checks of :mod:`repro.verif.properties`;
+  :meth:`~repro.sim.engine.Simulator.expand` returns per choice vector
+  (``step_with_choices`` for one vector), the representation carried in
+  ``ExplorationResult.states`` and read by the rule table's screen and
+  wording (:mod:`repro.verif.properties`);
   :func:`unpack_signals` recovers the friendly
   ``{channel: (vp, sp, vm, sm)}`` view on demand.
 * **Outcomes** — a channel's cycle outcome (forward transfer,

@@ -13,8 +13,8 @@ A state is ``(netlist snapshot, previous channel signals)`` — the signal
 part makes the two-cycle Retry properties checkable per transition.  The
 signal part is carried *packed*, one byte per channel in netlist channel
 order (see :mod:`repro.verif.encoding`), exactly as
-:meth:`~repro.sim.engine.Simulator.step_with_choices` returns it; decode a
-state's signals with :meth:`ExplorationResult.signals_of` when a friendly
+:meth:`~repro.sim.engine.Simulator.expand` returns it per choice vector;
+decode a state's signals with :meth:`ExplorationResult.signals_of` when a friendly
 view is needed.  A :class:`Transition` stores no events: its channels'
 outcomes are those of its target state's signals
 (:data:`repro.verif.encoding.OUTCOME`), since every transition into a
@@ -84,8 +84,7 @@ from repro.runtime.faults import fault_point
 from repro.sim.engine import Simulator, lanes_engine
 from repro.verif.encoding import StateCodec, unpack_signals
 from repro.verif.properties import (
-    check_invariant_packed,
-    check_retry_packed,
+    protocol_problems,
     protocol_screen,
     retry_exempt_channels,
     retry_mask,
@@ -218,9 +217,9 @@ class StateExplorer:
         #: result is consistent and, with a checkpoint, resumable).
         self.control = control
         engine = lanes_engine(int(lanes), engine)
-        # The simulator's own online monitor is disabled: exploration jumps
-        # between branches, so two-cycle properties are checked explicitly
-        # against the state-embedded previous signals.
+        # Expansion never consults a monitor (exploration jumps between
+        # branches): transitions are checked against the state-embedded
+        # previous signals instead.
         self.sim = Simulator(netlist, check_protocol=False, engine=engine)
         self.retry_exempt = retry_exempt_channels(netlist)
         self._codec = StateCodec(netlist)
@@ -239,20 +238,6 @@ class StateExplorer:
         if key is None:
             return (snapshot, signals)
         return key
-
-    def _violations(self, result, current, prev_signals, choices, signals):
-        """Word the protocol problems of one transition whose screen
-        fired (``signals`` / ``prev_signals`` are packed byte vectors)."""
-        problems = check_invariant_packed(signals, self._channel_names)
-        if prev_signals is not None:
-            problems += check_retry_packed(
-                prev_signals, signals, self._channel_names,
-                self._exempt_indices,
-            )
-        for problem in problems:
-            result.violations.append(
-                f"state {current} choices {choices}: {problem}"
-            )
 
     # -- checkpoint / resume ------------------------------------------------
 
@@ -388,8 +373,8 @@ class StateExplorer:
 
     def _explore(self, result, index, start=0):
         """The BFS loop: one :meth:`Simulator.expand` per state, then per
-        transition the protocol screen, state dedup (cap-aware) and the
-        transition record."""
+        transition the protocol screen (wording the problems only when it
+        fires), state dedup (cap-aware) and the transition record."""
         expand = self.sim.expand
         key_of = self._key
         check = self.check_protocol
@@ -407,8 +392,11 @@ class StateExplorer:
             snapshot, prev_signals = states[current]
             for choices, signals, successor in expand(snapshot):
                 if check and protocol_screen(prev_signals, signals, mask):
-                    self._violations(result, current, prev_signals, choices,
-                                     signals)
+                    result.violations += [
+                        f"state {current} choices {choices}: {problem}"
+                        for problem in protocol_problems(
+                            prev_signals, signals, self._channel_names,
+                            self._exempt_indices)]
                 key = key_of(successor, signals)
                 target = index.get(key)
                 if target is None:

@@ -12,6 +12,7 @@ from repro.datapath.secded import Secded
 from repro.netlist import patterns
 from repro.netlist.varlat import variable_latency_speculative
 from repro.tech.gates import GateNetlist
+from repro.verif.properties import retry_exempt_channels
 
 
 def balanced_modules(text):
@@ -80,9 +81,39 @@ class TestSmv:
 
     def test_retry_exempt_channels_skipped(self):
         net, names = patterns.table1_design()
-        exempt = {names["fout0"], names["fout1"]}
-        text = to_smv(net, retry_exempt=exempt)
-        assert f"({names['fout0']}_vp & {names['fout0']}_sp" not in text.replace("  ", " ")
+        text = to_smv(net)
+        for channel in (names["fout0"], names["fout1"], names["mux_out"]):
+            assert f"(({channel}_vp & {channel}_sp" not in text
+
+    def test_table1_specs_follow_the_rule_table(self):
+        """Plain ``to_smv`` (what ``repro export`` writes) computes the
+        Section 4.2 exemption itself: the three shared-module cone channels
+        lose Retry+ and keep Retry- and both Invariant terms, and every
+        other channel between controllers gets all four specs."""
+        net, _names = patterns.table1_design()
+        text = to_smv(net)
+        exempt = {"fin0__tail", "fin1__tail", "mux_f"}
+        assert retry_exempt_channels(net) == exempt
+        header = "  -- SELF protocol properties (Section 3.1) on channel "
+        blocks = {}
+        for line in text.splitlines():
+            if line.startswith(header):
+                specs = blocks[line[len(header):]] = []
+            elif line.startswith("  LTLSPEC"):
+                specs.append(line)
+        assert sorted(blocks) == sorted(net.channels)
+        for name, specs in blocks.items():
+            want = [
+                f"  LTLSPEC G (({name}_vp & {name}_sp & !{name}_vm) -> X "
+                f"{name}_vp)  -- Retry+",
+                f"  LTLSPEC G ((!{name}_vp & {name}_vm & {name}_sm) -> X "
+                f"{name}_vm)  -- Retry-",
+                f"  LTLSPEC G !({name}_sp & {name}_vm)  -- Invariant: "
+                "V- and S+ both asserted",
+                f"  LTLSPEC G !({name}_vp & {name}_vm & {name}_sm)  -- "
+                "Invariant: cancellation with S- asserted",
+            ]
+            assert specs == want[name in exempt:], name
 
     def test_shared_module_emitted(self):
         net, _names = patterns.table1_design()

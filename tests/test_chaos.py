@@ -583,16 +583,6 @@ class TestBoundedLivenessLifecycle:
         sim.run(10)
         assert monitor.stuck                    # but it still fires later
 
-    def test_named_structure_change_only_forgets_that_channel(self):
-        net = self._stalled_net()
-        monitor = BoundedLivenessMonitor(net, window=100)
-        Simulator(net, observers=(monitor,)).run(10)
-        counters = dict(monitor._since_event)
-        monitor.structure_changed("out")
-        assert "out" not in monitor._since_event
-        remaining = {k: v for k, v in counters.items() if k != "out"}
-        assert monitor._since_event == remaining
-
     def test_wrap_notifies_warm_simulator_observers(self):
         """Wrapping mid-run must reach observers through the engine's
         _refresh_structures hook — the monitor restarts its windows

@@ -118,6 +118,36 @@ def assert_expand_is_steps(make, engine, check_protocol=False,
     return expanded, raised
 
 
+def assert_monitor_ignored(make, engine, max_states=150):
+    """Breadth-first over ``make()``'s states: ``expand`` on a monitored
+    simulator equals ``expand`` on an unmonitored one (triples, error,
+    cycle counter, channel and node state) and leaves the monitor's
+    history and violations untouched.  Returns as
+    :func:`assert_expand_is_steps` does."""
+    monitored = Simulator(make(), engine=engine)
+    plain = Simulator(make(), check_protocol=False, engine=engine)
+    blank = list(monitored.monitor._prev)
+    initial = plain.netlist.snapshot()
+    seen, queue = {initial}, deque([initial])
+    expanded, raised = 0, []
+    while queue and expanded < max_states:
+        snapshot = queue.popleft()
+        start = plain.cycle
+        got = outcome(monitored, lambda: monitored.expand(snapshot))
+        want = outcome(plain, lambda: plain.expand(snapshot))
+        assert got[:5] == want[:5]
+        assert got[5] == blank and monitored.monitor.violations == []
+        expanded += 1
+        if got[1] is not None:
+            raised.append(plain.cycle - start)
+            continue
+        for _choices, _packed, successor in got[0]:
+            if successor not in seen:
+                seen.add(successor)
+                queue.append(successor)
+    return expanded, raised
+
+
 def cases():
     out = [pytest.param(MC_DESIGNS[name], id=name)
            for name in sorted(MC_DESIGNS)]
@@ -141,12 +171,19 @@ class TestExpandIsSteps:
 
     @pytest.mark.parametrize("engine", ENGINES)
     def test_monitored_simulator(self, engine):
-        """A monitored simulator checks every vector's cycle, as a
-        monitored ``step_with_choices`` does (its history then runs
-        across sibling branches, so it may raise where the explorer's
-        per-state check would not)."""
-        assert_expand_is_steps(MC_DESIGNS["spec-nondet"], engine,
-                               check_protocol=True)
+        """The monitor checks linear runs only: a monitored simulator
+        expands as an unmonitored one does."""
+        assert_monitor_ignored(MC_DESIGNS["spec-nondet"], engine)
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_sibling_branches_share_no_history(self, engine):
+        """A stalled select token on one branch is no Retry+ obligation
+        on its sibling: monitored expansion of the speculative
+        composition raises nothing (it used to report ``cs`` changing
+        data 0 -> 1 at cycle 4)."""
+        expanded, raised = assert_monitor_ignored(MC_DESIGNS["spec-toggle"],
+                                                  engine)
+        assert expanded > 4 and raised == []
 
     @pytest.mark.parametrize("engine", ENGINES)
     def test_cycle_advances_per_vector(self, engine):
@@ -272,18 +309,28 @@ class TestExpandOnFailure:
 
     @pytest.mark.parametrize("engine", ENGINES)
     def test_broken_kill_buffer(self, engine):
-        """Runs interpreted under codegen (the mutant overrides comb)."""
-        _expanded, raised = assert_expand_is_steps(
-            _broken_kill_net, engine, check_protocol=True)
-        assert raised
+        """Runs interpreted under codegen (the mutant overrides comb).
+        Expansion does not consult the monitor; the explorer reports the
+        stalled cancellation from the transitions' packed signals."""
+        expanded, _raised = assert_expand_is_steps(_broken_kill_net, engine)
+        assert expanded > 1
+        assert_monitor_ignored(_broken_kill_net, engine)
+        result = StateExplorer(_broken_kill_net(), engine=engine).explore()
+        assert any(v.endswith("out: cancellation with S- asserted")
+                   for v in result.violations)
 
     @pytest.mark.parametrize("engine", ENGINES)
     def test_retry_minus_withdrawal(self, engine):
         """Compiled with the mutant's own tick: channel states flush every
-        vector, and the monitor raises Retry-."""
-        _expanded, raised = assert_expand_is_steps(
-            lambda: _fickle_net(nondet=True), engine, check_protocol=True)
-        assert raised
+        vector.  The explorer reports the withdrawn anti-token."""
+        expanded, _raised = assert_expand_is_steps(
+            lambda: _fickle_net(nondet=True), engine)
+        assert expanded > 1
+        assert_monitor_ignored(lambda: _fickle_net(nondet=True), engine)
+        result = StateExplorer(_fickle_net(nondet=True), max_states=300,
+                               engine=engine).explore()
+        assert any(v.endswith("out: stalled anti-token withdrawn (Retry-)")
+                   for v in result.violations)
 
 
 class TestCounts:

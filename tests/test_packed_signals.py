@@ -24,8 +24,7 @@ from repro.designs import MC_DESIGNS, build_design
 from repro.verif.encoding import BACKWARD, CANCEL, FORWARD, OUTCOME, productive
 from repro.verif.explore import StateExplorer
 from repro.verif.properties import (
-    check_invariant_packed,
-    check_retry_packed,
+    protocol_problems,
     protocol_screen,
     retry_mask,
 )
@@ -86,11 +85,8 @@ class TestDecodedOutcomes:
 
 
 def reference_problems(prev, cur, exempt):
-    names = [f"c{i}" for i in range(len(cur))]
-    problems = check_invariant_packed(cur, names)
-    if prev is not None:
-        problems += check_retry_packed(prev, cur, names, exempt)
-    return problems
+    return protocol_problems(prev, cur, [f"c{i}" for i in range(len(cur))],
+                             exempt)
 
 
 class TestProtocolScreen:

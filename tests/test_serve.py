@@ -692,9 +692,11 @@ class TestAdmissionControl:
 
 class TestDeadlinesAndCancellation:
     def test_deadline_stops_at_checkpoint_boundary(self, tmp_path):
+        # the deadline must fall well inside the job: the fig6 sweep runs
+        # about 0.2 s once its topologies are compiled
         with running_server(tmp_path) as (_server, client):
             terminal = client.submit({"kind": "sweep", "grid": "fig6"},
-                                     deadline=0.3)
+                                     deadline=0.05)
             assert terminal["type"] == "cancelled"
             assert terminal["reason"] == "deadline exceeded"
 
@@ -970,7 +972,13 @@ class TestSubprocessServer:
         # restart: the pending job must complete without any client
         proc = _spawn_server(tmp_path, "--retries", "0")
         try:
-            wait_for_endpoint(str(tmp_path), timeout=30)
+            # the killed server's endpoint file outlives it: wait for the
+            # one the restarted server writes once it listens
+            deadline = time.monotonic() + 30
+            while (wait_for_endpoint(str(tmp_path), timeout=30).get("pid")
+                   != proc.pid):
+                assert time.monotonic() < deadline, "restart never listened"
+                time.sleep(0.05)
             client = ServeClient(root=str(tmp_path), timeout=60)
             deadline = time.monotonic() + 60
             while time.monotonic() < deadline:
