@@ -155,7 +155,7 @@ from itertools import combinations
 
 from repro.core.scheduler import SchedulerFeedback
 from repro.core.shared import SharedModule
-from repro.elastic.buffers import ElasticBuffer, ZeroBackwardLatencyBuffer
+from repro.elastic.buffers import ElasticBuffer, ZeroBackwardLatencyBuffer, _TokenStore
 from repro.elastic.eemux import EarlyEvalMux
 from repro.elastic.environment import (
     KillerSink,
@@ -390,10 +390,10 @@ def _tick_nondet_sink(g, ni, node, out):
 def _comb_eb(g, ni, node, out):
     n = g.node_ref(ni)
     out += [
-        f"_x = {n}._wr - {n}._rd",
+        f"_x = {n}.count",
         f"{g.sig(node, 'o', 'vp')} = _x >= 1",
         "if _x >= 1:",
-        f"    {g.sig(node, 'o', 'data')} = {n}._store[{n}._rd]",
+        f"    {g.sig(node, 'o', 'data')} = {n}._tokens[0]",
         f"{g.sig(node, 'o', 'sm')} = _x <= -{n}.anti_capacity",
         f"{g.sig(node, 'i', 'sp')} = _x >= {n}.capacity",
         f"{g.sig(node, 'i', 'vm')} = _x <= -1",
@@ -405,15 +405,18 @@ def _tick_eb(g, ni, node, out):
     ivp, isp, ivm, ism = (g.sig(node, "i", s) for s in _CONTROLS)
     ovp, osp, ovm, osm = (g.sig(node, "o", s) for s in _CONTROLS)
     out += [
+        f"_x = {n}.count",
         f"if {ivp} and not {isp}:",
-        f"    if {n}._wr >= {n}._rd:",
-        f"        {n}._store[{n}._wr] = {g.sig(node, 'i', 'data')}",
-        f"    {n}._wr += 1",
+        "    if _x >= 0:",
+        f"        {n}._tokens += ({g.sig(node, 'i', 'data')},)",
+        "    _x += 1",
         f"elif {ivm} and not {ism}:",
-        f"    {n}._wr += 1",
+        "    _x += 1",
         f"if ({ovp} and not {osp}) or ({ovm} and not {osm}):",
-        f"    {n}._store.pop({n}._rd, None)",
-        f"    {n}._rd += 1",
+        f"    if {n}._tokens:",
+        f"        {n}._tokens = {n}._tokens[1:]",
+        "    _x -= 1",
+        f"{n}.count = _x",
     ]
 
 
@@ -477,7 +480,7 @@ def _func_fwd(g, ni, node, out):
     n = g.node_ref(ni)
     k_in = node.n_inputs
     out += [
-        f"_pk = {n}._pk",
+        f"_pk = {n}._kills",
         f"_av = {_func_avail(g, node)}",
         f"{g.sig(node, 'o', 'vp')} = _av",
         "if _av:",
@@ -495,7 +498,7 @@ def _func_fwd(g, ni, node, out):
 def _func_back(g, ni, node, out):
     n = g.node_ref(ni)
     out += [
-        f"_pk = {n}._pk",
+        f"_pk = {n}._kills",
         f"_fr = ({_func_avail(g, node)}) and not {g.sig(node, 'o', 'sp')}",
     ]
     for k in range(node.n_inputs):
@@ -516,37 +519,45 @@ def _func_sm(g, ni, node, out):
         f"_pk[{k}] < {n}.max_kills" for k in range(node.n_inputs)
     )
     out += [
-        f"_pk = {n}._pk",
+        f"_pk = {n}._kills",
         f"{g.sig(node, 'o', 'sm')} = "
         f"False if ({_func_avail(g, node)}) else not ({room})",
     ]
 
 
 def _tick_func(g, ni, node, out):
+    """Kills are rare: a tick with no kill offered at an input (``vm``,
+    high exactly while one is pending there) and none absorbed at the
+    output leaves the counters as they are."""
     n = g.node_ref(ni)
     ovp, ovm, osm = (g.sig(node, "o", s) for s in ("vp", "vm", "sm"))
     msg = f"Func {node.name}: kill counter out of range"
+    ks = [f"_k{k}" for k in range(node.n_inputs)]
+    offered = " or ".join(g.sig(node, f"i{k}", "vm")
+                          for k in range(node.n_inputs))
     out += [
         f"_ab = {ovm} and not {osm} and not {ovp}",
-        f"_pk = {n}._pk",
+        f"if _ab or {offered}:",
+        f"    ({', '.join(ks)},) = {n}._kills",
     ]
     for k in range(node.n_inputs):
         p = f"i{k}"
         vp, vm, sm = (g.sig(node, p, s) for s in ("vp", "vm", "sm"))
         out += [
-            f"if {vm} and ({vp} or not {sm}):",
-            f"    _pk[{k}] -= 1",
-            "if _ab:",
-            f"    _pk[{k}] += 1",
-            f"if _pk[{k}] < 0 or _pk[{k}] > {n}.max_kills:",
-            f"    raise AssertionError({msg!r})",
+            f"    if {vm} and ({vp} or not {sm}):",
+            f"        _k{k} -= 1",
+            "    if _ab:",
+            f"        _k{k} += 1",
+            f"    if _k{k} < 0 or _k{k} > {n}.max_kills:",
+            f"        raise AssertionError({msg!r})",
         ]
+    out.append(f"    {n}._kills = ({', '.join(ks)},)")
 
 
 def _fork_fwd(g, ni, node, out):
     n = g.node_ref(ni)
     ivp, idata = g.sig(node, "i", "vp"), g.sig(node, "i", "data")
-    out += [f"_pk = {n}._pk", f"_dn = {n}._done"]
+    out += [f"_pk = {n}._kills", f"_dn = {n}._served"]
     for k in range(node.n_outputs):
         p = f"o{k}"
         out += [
@@ -562,7 +573,7 @@ def _fork_isp(g, ni, node, out):
     n = g.node_ref(ni)
     k_out = node.n_outputs
     ivp = g.sig(node, "i", "vp")
-    out += [f"_pk = {n}._pk", f"_dn = {n}._done"]
+    out += [f"_pk = {n}._kills", f"_dn = {n}._served"]
     for k in range(k_out):
         out += [
             f"_e = _dn[{k}] or _pk[{k}] > 0",
@@ -578,30 +589,42 @@ def _fork_ivm(g, ni, node, out):
 
 
 def _tick_fork(g, ni, node, out):
+    """The branch flags ``_d{k}`` and kill counters ``_k{k}`` in locals;
+    the counters are only written when a kill is pending or absorbed, the
+    flags only when they change."""
     n = g.node_ref(ni)
     k_out = node.n_outputs
+    ds = [f"_d{k}" for k in range(k_out)]
+    ks = [f"_k{k}" for k in range(k_out)]
+    absorbs = []
+    for k in range(k_out):
+        vp, vm, sm = (g.sig(node, f"o{k}", s) for s in ("vp", "vm", "sm"))
+        absorbs.append(f"({vm} and not {sm} and not {vp})")
     out += [
         f"_tk = {g.sig(node, 'i', 'vp')}",
-        f"_pk = {n}._pk",
-        f"_dn = {n}._done",
+        f"_sv = ({', '.join(ds)},) = {n}._served",
+        f"({', '.join(ks)},) = {n}._kills",
+        f"if {' or '.join(ks + absorbs)}:",
     ]
     for k in range(k_out):
-        p = f"o{k}"
-        vp, sp, vm, sm = (g.sig(node, p, s) for s in _CONTROLS)
         out += [
-            f"if _tk and _pk[{k}] > 0 and not _dn[{k}]:",
-            f"    _dn[{k}] = True",
-            f"    _pk[{k}] -= 1",
-            f"_b{k} = {vp} and not {sp}",
-            f"if {vm} and not {sm} and not {vp}:",
-            f"    _pk[{k}] += 1",
+            f"    if _tk and _k{k} > 0 and not _d{k}:",
+            f"        _d{k} = True",
+            f"        _k{k} -= 1",
+            f"    if {absorbs[k]}:",
+            f"        _k{k} += 1",
         ]
+    out.append(f"    {n}._kills = ({', '.join(ks)},)")
     for k in range(k_out):
-        out += [f"if _b{k}:", f"    _dn[{k}] = True"]
-    all_done = " and ".join(f"_dn[{k}]" for k in range(k_out))
-    out.append(f"if _tk and {all_done}:")
-    for k in range(k_out):
-        out.append(f"    _dn[{k}] = False")
+        p = f"o{k}"
+        out += [f"if {g.sig(node, p, 'vp')} and not {g.sig(node, p, 'sp')}:",
+                f"    _d{k} = True"]
+    out += [
+        f"if _tk and {' and '.join(ds)}:",
+        f"    {' = '.join(ds)} = False",
+        f"if ({', '.join(ds)},) != _sv:",
+        f"    {n}._served = ({', '.join(ds)},)",
+    ]
 
 
 def _by_select(node, rhs, lhs, out):
@@ -627,7 +650,7 @@ def _eemux_select(g, ni, node, out):
     tail = f" out of range 0..{node.n_inputs - 1}"
     select = g.plan.channels[g.plan.port_channel[(node.name, "s")]].name
     out += [
-        f"_pk = {n}._pk",
+        f"_pk = {n}._kills",
         f"if {g.sig(node, 's', 'vp')}:",
         f"    _se = {g.sig(node, 's', 'data')}",
         "    if _se is None:",
@@ -676,28 +699,37 @@ def _eemux_svm(g, ni, node, out):
 
 
 def _tick_eemux(g, ni, node, out):
+    """``_u{j}``: the change of input ``j``'s kill counter, a kill from
+    this firing less one delivered; the counters are rewritten only when
+    one changes."""
     n = g.node_ref(ni)
     svp, ssp = g.sig(node, "s", "vp"), g.sig(node, "s", "sp")
     ovp, ovm, osm = (g.sig(node, "o", s) for s in ("vp", "vm", "sm"))
     msg = f"EarlyEvalMux {node.name}: kill counter out of range"
+    us = [f"_u{j}" for j in range(node.n_inputs)]
+    ks = [f"_k{j}" for j in range(node.n_inputs)]
     out += [
         f"_fi = {svp} and not {ssp}",
-        f"_pk = {n}._pk",
         f"if _fi and {n}._pko > 0:",
         f"    {n}._pko -= 1",
     ]
     for j in range(node.n_inputs):
         p = f"i{j}"
         vp, vm, sm = (g.sig(node, p, s) for s in ("vp", "vm", "sm"))
+        out.append(f"_u{j} = (_fi and {g.sig(node, 's', 'data')} != {j}) "
+                   f"- ({vm} and ({vp} or not {sm}))")
+    out += [
+        f"if {' or '.join(us)}:",
+        f"    ({', '.join(ks)},) = {n}._kills",
+    ]
+    for j in range(node.n_inputs):
         out += [
-            f"if {vm} and ({vp} or not {sm}):",
-            f"    _pk[{j}] -= 1",
-            f"if _fi and {g.sig(node, 's', 'data')} != {j}:",
-            f"    _pk[{j}] += 1",
-            f"if _pk[{j}] < 0 or _pk[{j}] > {n}.max_kills:",
-            f"    raise AssertionError({msg!r})",
+            f"    _k{j} += _u{j}",
+            f"    if _k{j} < 0 or _k{j} > {n}.max_kills:",
+            f"        raise AssertionError({msg!r})",
         ]
     out += [
+        f"    {n}._kills = ({', '.join(ks)},)",
         f"if {ovm} and not {osm} and not {ovp}:",
         f"    {n}._pko += 1",
     ]
@@ -768,7 +800,7 @@ def _tick_shared(g, ni, node, out):
 def _comb_varlat(g, ni, node, out):
     n = g.node_ref(ni)
     out += [
-        f"_vq = {n}._q",
+        f"_vq = {n}._station",
         "_hr = _vq[0][1] == 0 if _vq else False",
         f"{g.sig(node, 'o', 'vp')} = _hr",
         "if _hr:",
@@ -784,17 +816,18 @@ def _tick_varlat(g, ni, node, out):
     idata = g.sig(node, "i", "data")
     ivp, isp, ivm = (g.sig(node, "i", s) for s in ("vp", "sp", "vm"))
     out += [
-        f"_vq = {n}._q",
+        f"_vq = {n}._station",
         f"if {g.sig(node, 'o', 'vp')} and not {g.sig(node, 'o', 'sp')}:",
-        "    _vq.popleft()",
+        "    _vq = _vq[1:]",
         "elif _vq and _vq[0][1] > 0:",
-        "    _vq[0][1] -= 1",
+        "    _vq = ((_vq[0][0], _vq[0][1] - 1),) + _vq[1:]",
         f"if {ivp} and not {isp} and not {ivm}:",
         f"    _sw = bool({n}.err_fn({idata}))",
-        f"    _vq.append([{n}.fn({idata}), 1 if _sw else 0])",
+        f"    _vq += (({n}.fn({idata}), 1 if _sw else 0),)",
         f"    {n}.total_ops += 1",
         "    if _sw:",
         f"        {n}.slow_ops += 1",
+        f"{n}._station = _vq",
     ]
 
 
@@ -821,7 +854,7 @@ _COMB_EMITTERS = {
 
 #: tick-definer class -> tick emitter.
 _TICK_EMITTERS = {
-    ElasticBuffer: _tick_eb,
+    _TokenStore: _tick_eb,
     ZeroBackwardLatencyBuffer: _tick_zbl,
     Func: _tick_func,
     EagerFork: _tick_fork,
@@ -1340,8 +1373,10 @@ def _expand_entry(g, body, ticks, unresolve, flush, interpreted_tick):
         src += ["if _out:"] + _indent(flush)
     src.append("return _out")
     g.bind.update(_ENV_BINDINGS)
-    g.bind.update({"_snap": 'env["netlist"].snapshot',
-                   "_restore": 'env["netlist"].restore'})
+    # the netlist's state accessor itself: the entry is rebuilt on every
+    # structure sync, and Simulator.expand checks the version first
+    g.bind.update({"_snap": 'env["netlist"].state_access()[0]',
+                   "_restore": 'env["netlist"].state_access()[1]'})
     return "_expand", ["cycle", "snapshot", "vectors"], {}, src
 
 

@@ -6,9 +6,10 @@ Two implementations are provided:
   ``Lf = 1``, backward latency ``Lb = 1`` and configurable capacity
   (default ``C = 2 = Lf + Lb``, the minimum that sustains full throughput).
   Its semantics are exactly the Figure 3 abstract FIFO model of the paper
-  with the non-deterministic latencies fixed to their minimum: ``wr``/``rd``
-  pointers, tokens when ``wr > rd``, anti-tokens when ``wr < rd``, a single
-  pointer increment when a token and an anti-token cancel at a boundary.
+  with the non-deterministic latencies fixed to their minimum: a signed
+  occupancy ``wr - rd`` (tokens when positive, anti-tokens when negative)
+  and the stored values; a token and an anti-token meeting at a boundary
+  cancel in a single step.
 
 * :class:`ZeroBackwardLatencyBuffer` — the Figure 5 variant with ``Lb = 0``
   and capacity ``C = Lf + Lb = 1``.  Stop and kill bits travel
@@ -27,38 +28,43 @@ from repro.kleene import kand, kite, knot
 
 
 class _TokenStore(Node):
-    """The Figure 3 store between two pointers: tokens while ``wr > rd``,
-    anti-tokens while ``wr < rd``.  Shared by :class:`ElasticBuffer` and the
-    abstract FIFO of :mod:`repro.elastic.fifo_model`; subclasses set
-    ``init_tokens`` (and ``init_anti``) before :meth:`reset`."""
+    """The Figure 3 store: tokens while ``count > 0``, anti-tokens while
+    ``count < 0``.  Shared by :class:`ElasticBuffer` and the abstract FIFO
+    of :mod:`repro.elastic.fifo_model`; subclasses set ``init_tokens``
+    (and ``init_anti``) before :meth:`reset`."""
 
     registers_tokens = True
     init_anti = 0
-    #: canonical state: the signed occupancy, then the stored values
+    #: the signed occupancy (tokens when positive, anti-tokens when
+    #: negative), then the stored values, oldest first
     state_slots = {"count": lambda n: len(n.init_tokens) - n.init_anti,
                    "_tokens": lambda n: tuple(n.init_tokens)}
 
-    @property
-    def count(self):
-        """Signed occupancy: tokens when positive, anti-tokens when negative."""
-        return self._wr - self._rd
-
-    @count.setter
-    def count(self, count):
-        self._wr = max(count, 0)
-        self._rd = max(-count, 0)
-
     def contents(self):
         """Current token values, oldest first (empty when holding anti-tokens)."""
-        return [self._store[i] for i in range(self._rd, self._wr)]
+        return list(self._tokens)
 
-    @property
-    def _tokens(self):
-        return tuple(self.contents())
-
-    @_tokens.setter
-    def _tokens(self, values):
-        self._store = dict(enumerate(values, self._rd))
+    def tick(self):
+        """Figure 3 with deterministic latencies: a token entering while
+        no anti-token is held is stored (entering while anti-tokens are
+        held, it annihilates one).  The occupancy rises when a token
+        enters or a held anti-token leaves backward, and falls when a
+        token leaves forward or an anti-token enters at the output
+        (cancelling with the head token, or stored); both at once cancel
+        at the boundary."""
+        ist = self.st("i")
+        ost = self.st("o")
+        count = self.count
+        entered = ist.vp and not ist.sp
+        if entered and count >= 0:
+            self._tokens += (ist.data,)
+        if entered or (ist.vm and not ist.sm):
+            count += 1
+        if (ost.vp and not ost.sp) or (ost.vm and not ost.sm):
+            if self._tokens:
+                self._tokens = self._tokens[1:]
+            count -= 1
+        self.count = count
 
     def width_pairs(self):
         return [("i", "o")]
@@ -112,7 +118,7 @@ class ElasticBuffer(_TokenStore):
     # -- combinational behaviour (all driven from registered state) -----------
 
     def comb_tasks(self):
-        # Fully registered: comb() is a function of the wr/rd pointers only,
+        # Fully registered: comb() is a function of the occupancy only,
         # so the worklist engine never needs to re-evaluate it within a cycle.
         return [([], self.drives())]
 
@@ -120,7 +126,7 @@ class ElasticBuffer(_TokenStore):
         c = self.count
         self.drive("o", "vp", c >= 1)
         if c >= 1:
-            self.drive("o", "data", self._store[self._rd])
+            self.drive("o", "data", self._tokens[0])
         # Accept an anti-token at the output side unless the anti store is full.
         # When a token is present the arriving anti-token cancels with it in
         # the output channel, so sm must be low (c >= 1 implies the test is
@@ -131,27 +137,6 @@ class ElasticBuffer(_TokenStore):
         self.drive("i", "sp", c >= self.capacity)
         # Offer a stored anti-token backward while holding any.
         self.drive("i", "vm", c <= -1)
-
-    # -- sequential behaviour (Figure 3 with deterministic latencies) ---------
-
-    def tick(self):
-        ist = self.st("i")
-        # wr advances when a token enters OR our anti-token leaves backward
-        # (single increment when both happen at once = cancellation).
-        wr_inc = (ist.vp and not ist.sp) or (ist.vm and not ist.sm)
-        # rd advances when a token leaves forward OR an anti-token enters at
-        # the output side (cancellation with the head token, or storage).
-        ost = self.st("o")
-        rd_inc = (ost.vp and not ost.sp) or (ost.vm and not ost.sm)
-        # A token entering while anti-tokens are held (wr < rd) annihilates
-        # one of them: it is never stored.
-        if ist.vp and not ist.sp and self._wr >= self._rd:
-            self._store[self._wr] = ist.data
-        if wr_inc:
-            self._wr += 1
-        if rd_inc:
-            self._store.pop(self._rd, None)
-            self._rd += 1
 
     # -- performance models ----------------------------------------------------
 
@@ -176,8 +161,9 @@ class ZeroBackwardLatencyBuffer(Node):
 
     kind = "zbl_eb"
     registers_tokens = True
+    #: the slot flag, then the latched value (``None`` while empty)
     state_slots = {"_full": lambda n: bool(n.init_tokens),
-                   "_held": lambda n: n.init_tokens[0] if n.init_tokens else None}
+                   "_value": lambda n: n.init_tokens[0] if n.init_tokens else None}
 
     def __init__(self, name, init=()):
         super().__init__(name)
@@ -189,15 +175,6 @@ class ZeroBackwardLatencyBuffer(Node):
         self.init_tokens = init
         self.capacity = 1
         self.reset()
-
-    @property
-    def _held(self):
-        """The latched value, masked to ``None`` while empty."""
-        return self._value if self._full else None
-
-    @_held.setter
-    def _held(self, value):
-        self._value = value
 
     @property
     def count(self):

@@ -48,16 +48,6 @@ class EarlyEvalMux(Node):
         self.add_out("o")
         self.reset()
 
-    @property
-    def _kills(self):
-        """Pending kills per data input (stored as the mutable list
-        ``_pk``)."""
-        return tuple(self._pk)
-
-    @_kills.setter
-    def _kills(self, kills):
-        self._pk = list(kills)
-
     # -- combinational ------------------------------------------------------------
 
     def _select(self):
@@ -75,7 +65,7 @@ class EarlyEvalMux(Node):
                 f"EarlyEvalMux {self.name}: select value {sel!r} out of range 0..{self.n_inputs - 1}"
             )
         ist = self.st(f"i{sel}")
-        avail = kand(ist.vp, self._pk[sel] == 0)
+        avail = kand(ist.vp, self._kills[sel] == 0)
         return sel, avail
 
     def comb_tasks(self):
@@ -114,7 +104,7 @@ class EarlyEvalMux(Node):
             else:
                 kill_now = j != sel
                 consumed = j == sel
-            vm_j = kor(self._pk[j] > 0, kill_now)
+            vm_j = kor(self._kills[j] > 0, kill_now)
             self.drive(port, "vm", vm_j)
             self.drive(port, "sp", kite(vm_j, False, knot(consumed)))
         self.drive(
@@ -135,16 +125,25 @@ class EarlyEvalMux(Node):
         ost = channels["o"].state
         fire = sst.vp and not sst.sp
         sel = sst.data if fire else None
-        in_ports = self.in_ports     # ["s", "i0", ...] by construction —
-        pk = self._pk                # no per-tick f-strings (hot path)
-        if fire and self._pko > 0:
+        in_ports = self.in_ports     # ["s", "i0", ...] by construction:
+        if fire and self._pko > 0:   # no per-tick f-strings (hot path)
             self._pko -= 1
-        for j in range(self.n_inputs):
+        # a firing kills every non-selected input; a kill delivered in the
+        # same cycle leaves its counter as it was
+        kills = None
+        for j, pending in enumerate(self._kills):
             ist = channels[in_ports[1 + j]].state
-            delivered = ist.vm and (ist.vp or not ist.sm)
-            pk[j] += int(fire and j != sel) - int(delivered)
-            if pk[j] < 0 or pk[j] > self.max_kills:
-                raise AssertionError(f"EarlyEvalMux {self.name}: kill counter out of range")
+            step = (int(fire and j != sel)
+                    - int(ist.vm and (ist.vp or not ist.sm)))
+            if step:
+                pending += step
+                if pending < 0 or pending > self.max_kills:
+                    raise AssertionError(f"EarlyEvalMux {self.name}: kill counter out of range")
+                if kills is None:
+                    kills = list(self._kills)
+                kills[j] = pending
+        if kills is not None:
+            self._kills = tuple(kills)
         if ost.vm and not ost.sm and not ost.vp:
             self._pko += 1
 

@@ -1,10 +1,10 @@
 """The Figure 3 abstract elastic FIFO — the *specification* buffers refine.
 
-An unbounded FIFO storing tokens (``wr > rd``) or anti-tokens
-(``wr < rd``), with **nondeterministic** forward/backward latencies: the
-model may delay offering a stored token (``V+out = *``) or a stored
-anti-token (``V-in = *``), and may assert stop bits nondeterministically
-subject to the protocol invariant.  The paper's refinement argument
+An unbounded FIFO storing tokens (a positive occupancy ``wr - rd``) or
+anti-tokens (a negative one), with **nondeterministic** forward/backward
+latencies: the model may delay offering a stored token (``V+out = *``) or
+a stored anti-token (``V-in = *``), and may assert stop bits
+nondeterministically subject to the protocol invariant.  The paper's refinement argument
 (Section 4.2) shows a shared module composed with an EB refines this
 specification; here the model serves two purposes:
 
@@ -56,7 +56,7 @@ class AbstractElasticFifo(_TokenStore):
     # -- combinational ---------------------------------------------------------------
 
     def comb_tasks(self):
-        # Offers/stops are functions of the pointers, retry registers and
+        # Offers/stops are functions of the occupancy, retry registers and
         # the frozen nondeterministic choice only.
         return [([], self.drives())]
 
@@ -71,7 +71,7 @@ class AbstractElasticFifo(_TokenStore):
         offer_anti = offer_anti and self.count <= -1
         self.drive("o", "vp", offer_token)
         if offer_token:
-            self.drive("o", "data", self._store[self._rd])
+            self.drive("o", "data", self._tokens[0])
         self.drive("i", "vm", offer_anti)
         # Stops: never stall what would cancel; bound occupancy so the
         # explorer's state space stays finite.
@@ -81,18 +81,9 @@ class AbstractElasticFifo(_TokenStore):
     # -- sequential -------------------------------------------------------------------
 
     def tick(self):
+        super().tick()
+        # Retry registers (Figure 3): R+ <- V+out & S+out, R- <- V-in & S-in
         ist = self.st("i")
         ost = self.st("o")
-        wr_inc = (ist.vp and not ist.sp) or (ist.vm and not ist.sm)
-        rd_inc = (ost.vp and not ost.sp) or (ost.vm and not ost.sm)
-        # a token entering while anti-tokens are held annihilates one
-        if ist.vp and not ist.sp and self._wr >= self._rd:
-            self._store[self._wr] = ist.data
-        if wr_inc:
-            self._wr += 1
-        if rd_inc:
-            self._store.pop(self._rd, None)
-            self._rd += 1
-        # Retry registers (Figure 3): R+ <- V+out & S+out, R- <- V-in & S-in
         self._retry_plus = bool(ost.vp and ost.sp)
         self._retry_minus = bool(ist.vm and ist.sm)

@@ -38,25 +38,6 @@ class EagerFork(Node):
             self.add_out(f"o{k}")
         self.reset()
 
-    # the branch flags and kill counters are stored as mutable lists
-    # (``_done``, ``_pk``); their canonical forms are tuples
-
-    @property
-    def _served(self):
-        return tuple(self._done)
-
-    @_served.setter
-    def _served(self, served):
-        self._done = list(served)
-
-    @property
-    def _kills(self):
-        return tuple(self._pk)
-
-    @_kills.setter
-    def _kills(self, kills):
-        self._pk = list(kills)
-
     # -- combinational -----------------------------------------------------------
 
     def comb_tasks(self):
@@ -79,14 +60,14 @@ class EagerFork(Node):
             ost = self.st(port)
             # A branch whose copy is already served -- or doomed by a pending
             # kill -- offers nothing.
-            eff_done = self._done[k] or self._pk[k] > 0
+            eff_done = self._served[k] or self._kills[k] > 0
             vp_k = kand(ist.vp, not eff_done)
             self.drive(port, "vp", vp_k)
             if ist.vp is True and ist.data is not None:
                 self.drive(port, "data", ist.data)
             # Accept anti-tokens: cancel with the offered copy when valid,
             # else absorb into the branch counter while there is room.
-            self.drive(port, "sm", kite(vp_k, False, self._pk[k] >= self.max_kills))
+            self.drive(port, "sm", kite(vp_k, False, self._kills[k] >= self.max_kills))
             # Branch complete this cycle: already done, doomed, or transferring.
             branch_ok.append(kor(eff_done, kand(vp_k, knot(ost.sp))))
         all_ok = kand(*branch_ok)
@@ -96,25 +77,27 @@ class EagerFork(Node):
     # -- sequential ----------------------------------------------------------------
 
     def tick(self):
-        ist = self.st("i")
-        token_present = bool(ist.vp)
-        newly_done = [False] * self.n_outputs
-        for k in range(self.n_outputs):
-            port = f"o{k}"
-            ost = self.st(port)
-            # Pending kill consumes this token's copy on branch k.
-            if token_present and self._pk[k] > 0 and not self._done[k]:
-                self._done[k] = True
-                self._pk[k] -= 1
+        token_present = bool(self.st("i").vp)
+        outs = [self.st(port) for port in self.out_ports]
+        served = list(self._served)
+        absorbed = [ost.vm and not ost.sm and not ost.vp for ost in outs]
+        if any(self._kills) or any(absorbed):
+            kills = list(self._kills)
+            for k, absorbs in enumerate(absorbed):
+                # Pending kill consumes this token's copy on branch k.
+                if token_present and kills[k] > 0 and not served[k]:
+                    served[k] = True
+                    kills[k] -= 1
+                # Absorb a fresh anti-token targeting a future copy.
+                if absorbs:
+                    kills[k] += 1
+            self._kills = tuple(kills)
+        for k, ost in enumerate(outs):
             if ost.vp and not ost.sp:
-                newly_done[k] = True
-            # Absorb a fresh anti-token targeting a future copy.
-            if ost.vm and not ost.sm and not ost.vp:
-                self._pk[k] += 1
-        for k in range(self.n_outputs):
-            self._done[k] = self._done[k] or newly_done[k]
-        if token_present and all(self._done):
-            self._done = [False] * self.n_outputs
+                served[k] = True
+        if token_present and all(served):
+            served = [False] * self.n_outputs
+        self._served = tuple(served)
 
     # -- performance ------------------------------------------------------------------
 

@@ -58,15 +58,6 @@ class Func(Node):
         self.add_out("o")
         self.reset()
 
-    @property
-    def _kills(self):
-        """Pending kills per input (stored as the mutable list ``_pk``)."""
-        return tuple(self._pk)
-
-    @_kills.setter
-    def _kills(self, kills):
-        self._pk = list(kills)
-
     # -- combinational ---------------------------------------------------------
 
     def _in(self, i):
@@ -91,7 +82,7 @@ class Func(Node):
         avails = []
         for i in range(self.n_inputs):
             ist = self._in(i)
-            avails.append(kand(ist.vp, self._pk[i] == 0))
+            avails.append(kand(ist.vp, self._kills[i] == 0))
         all_avail = kand(*avails)
         self.drive("o", "vp", all_avail)
         # fire covers both forward transfer and output-side cancellation
@@ -99,7 +90,7 @@ class Func(Node):
         fire = kand(all_avail, knot(ost.sp))
         for i in range(self.n_inputs):
             port = f"i{i}"
-            pending = self._pk[i] > 0
+            pending = self._kills[i] > 0
             self.drive(port, "vm", pending)
             if pending:
                 # Kill and stop are mutually exclusive on a channel.
@@ -109,7 +100,7 @@ class Func(Node):
         # Accept an anti-token at the output: cancel with the offered token
         # when valid, otherwise absorb it into the kill counters if there is
         # room on every input.
-        room = all(pk < self.max_kills for pk in self._pk)
+        room = all(pk < self.max_kills for pk in self._kills)
         self.drive("o", "sm", kite(all_avail, False, not room))
         # Data: fn runs once per cycle — a re-evaluation after o.data is
         # known could only re-drive the same value.
@@ -123,15 +114,21 @@ class Func(Node):
     def tick(self):
         ost = self.st("o")
         absorbed = ost.vm and not ost.sm and not ost.vp
-        for i in range(self.n_inputs):
+        # An input offers a kill (vm) only while one is pending there, so
+        # without pending kills or an absorbed anti-token nothing changes.
+        if not (absorbed or any(self._kills)):
+            return
+        kills = []
+        for i, pending in enumerate(self._kills):
             ist = self._in(i)
-            delivered = ist.vm and (ist.vp or not ist.sm)
-            if delivered:
-                self._pk[i] -= 1
+            if ist.vm and (ist.vp or not ist.sm):      # delivered
+                pending -= 1
             if absorbed:
-                self._pk[i] += 1
-            if self._pk[i] < 0 or self._pk[i] > self.max_kills:
+                pending += 1
+            if pending < 0 or pending > self.max_kills:
                 raise AssertionError(f"Func {self.name}: kill counter out of range")
+            kills.append(pending)
+        self._kills = tuple(kills)
 
     # -- performance ---------------------------------------------------------------
 

@@ -30,18 +30,22 @@ statistics).  A reset value is a constant or a function of the node, i.e.
 of its constructor parameters (an elastic buffer's ``init_tokens``, a
 source's ``seed``).  :meth:`~Stateful.reset`, :meth:`~Stateful.snapshot`
 and :meth:`~Stateful.restore` are derived from the declaration; the
-snapshot is the tuple of the slots' values.  A slot must hold its
-*canonical* form: an immutable value that is equal exactly when the states
-are.  Where the stored representation is not canonical (a mutable list, a
-pointer pair, a value that only matters while a flag is set), the slot is a
-property of the class that converts: its getter returns the canonical form
-and its setter stores it.  A kind whose state lives in a component returns
-it from :meth:`~Stateful.state_host` (a shared module's scheduler).  The
-netlist assigns and reads the declared slots of all its nodes in one call
-(:meth:`repro.netlist.graph.Netlist.snapshot`), so the explicit-state model
-checker of :mod:`repro.verif` restores a state without a method call per
-node; a subclass that overrides ``snapshot``/``restore`` keeps working and
-is called as before.
+snapshot is the tuple of the slots' values.  A slot is a plain attribute
+holding its *canonical* value: an immutable value (a tuple, never a list)
+that is equal exactly when the states are, so ``comb``/``tick`` read and
+write the state in that form.  A tick replaces a slot's value, never
+changes it in place: a snapshot shares the values, so an in-place change
+would rewrite states already taken.  A slot that *canonicalizes* — keeps
+less than the node does between snapshots, such as a source's running
+counter modulo 4 — is a property of the class instead: its getter returns
+the canonical form and its setter stores it.  A kind whose state lives in
+a component returns it from :meth:`~Stateful.state_host` (a shared
+module's scheduler).  The netlist assigns and reads the declared slots of
+all its nodes in one call (:meth:`repro.netlist.graph.Netlist.snapshot`),
+straight attribute loads and stores, so the explicit-state model checker
+of :mod:`repro.verif` restores a state without a method call per node; a
+subclass that overrides ``snapshot``/``restore`` keeps working and is
+called as before.
 
 Nodes also expose the static descriptors the analytic models and lint
 rules read:
@@ -79,7 +83,9 @@ class Stateful:
 
     #: the state the snapshot carries, in snapshot order: ``{attribute:
     #: reset value}``, each value an immutable constant or a function of
-    #: the object.
+    #: the object.  Each attribute is a plain one holding its canonical
+    #: value (a property only where the slot canonicalizes; see the module
+    #: docstring), which ticks replace rather than change in place.
     state_slots = {}
     #: state ``reset`` also assigns (before :attr:`state_slots`) but the
     #: snapshot leaves out: ``{attribute: reset value}``.

@@ -20,8 +20,6 @@ a data-to-control crossing with delay ``err_path_delay``.
 
 from __future__ import annotations
 
-from collections import deque
-
 from repro.elastic.node import BWD, DATA, Node
 
 
@@ -46,7 +44,8 @@ class VariableLatencyUnit(Node):
     registers_tokens = True
     #: the two-slot station (head in flight + skid slot)
     capacity = 2
-    #: the snapshot is the station's tuple of pairs
+    #: the snapshot is the station: ``(value, remaining cycles)`` pairs,
+    #: head first
     state_slots = {"_station": ()}
     bare_slot = True
     reset_slots = {"slow_ops": 0, "total_ops": 0}
@@ -64,19 +63,9 @@ class VariableLatencyUnit(Node):
         self.reset()
 
     @property
-    def _station(self):
-        """The station as ``(value, remaining cycles)`` pairs, head first
-        (stored as a deque of mutable ``[value, remaining]`` lists)."""
-        return tuple([(v, r) for v, r in self._q])
-
-    @_station.setter
-    def _station(self, pairs):
-        self._q = deque([list(item) for item in pairs])
-
-    @property
     def count(self):
         """Tokens currently occupying the two-slot station."""
-        return len(self._q)
+        return len(self._station)
 
     # -- combinational ---------------------------------------------------------
 
@@ -85,14 +74,15 @@ class VariableLatencyUnit(Node):
         return [([], self.drives())]
 
     def comb(self):
-        head_ready = bool(self._q) and self._q[0][1] == 0
+        station = self._station
+        head_ready = bool(station) and station[0][1] == 0
         self.drive("o", "vp", head_ready)
         if head_ready:
-            self.drive("o", "data", self._q[0][0])
+            self.drive("o", "data", station[0][0])
         # Anti-tokens: a ready head can be cancelled in the channel; an
         # in-flight computation cannot be killed mid-stage (stall the anti).
         self.drive("o", "sm", not head_ready)
-        self.drive("i", "sp", len(self._q) >= 2)
+        self.drive("i", "sp", len(station) >= 2)
         self.drive("i", "vm", False)
 
     # -- sequential ----------------------------------------------------------------
@@ -103,20 +93,20 @@ class VariableLatencyUnit(Node):
         # The single function unit only works on the op occupying the head
         # slot this cycle; a token promoted from the skid slot starts its
         # computation next cycle (no overlap with the stall it replaces).
-        head_before = self._q[0] if self._q else None
-        popped = False
+        station = self._station
         if ost.vp and not ost.sp:          # forward transfer or cancel
-            self._q.popleft()
-            popped = True
-        if not popped and head_before is not None and head_before[1] > 0:
-            head_before[1] -= 1
+            station = station[1:]
+        elif station and station[0][1] > 0:
+            value, remaining = station[0]
+            station = ((value, remaining - 1),) + station[1:]
         if ist.vp and not ist.sp and not ist.vm:
             value = ist.data
             slow = bool(self.err_fn(value))
-            self._q.append([self.fn(value), 1 if slow else 0])
+            station += ((self.fn(value), 1 if slow else 0),)
             self.total_ops += 1
             if slow:
                 self.slow_ops += 1
+        self._station = station
 
     # -- performance -------------------------------------------------------------------
 

@@ -301,9 +301,10 @@ def undeclared_state(cls):
     """Private attributes (``self._x``) that the ``reset`` or ``tick`` of
     node class ``cls`` assigns but no declared slot covers, sorted: state
     its snapshot would drop.  Declared are the keys of ``state_slots`` and
-    ``reset_slots`` and what the setter of a property slot stores.  A
-    class that overrides ``snapshot``/``restore`` states its own state and
-    is not flagged."""
+    ``reset_slots`` — plain attributes holding the canonical values — and,
+    for a slot that canonicalizes through a property, what its setter
+    stores.  A class that overrides ``snapshot``/``restore`` states its
+    own state and is not flagged."""
     from repro.elastic.node import Stateful
 
     if (cls.snapshot is not Stateful.snapshot

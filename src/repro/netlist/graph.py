@@ -57,7 +57,7 @@ class Netlist:
         #: add / remove / connect / disconnect (never by state changes).
         self.version = 0
         self._subscribers = []
-        self._state_access = None   # version-keyed snapshot/restore pair
+        self._state_access = None   # (version, snapshot/restore pair)
 
     def __repr__(self):
         return f"Netlist({self.name!r}, {len(self.nodes)} nodes, {len(self.channels)} channels)"
@@ -253,32 +253,31 @@ class Netlist:
         ``snapshot``).  Structure, wiring and node names are not recorded —
         see the module docstring for the clone / snapshot / edit-log
         contrast."""
-        access = self._state_access
-        if access is None or access[0] != self.version:
-            access = self._bind_state_access()
-        return access[1]()
+        return self.state_access()[0]()
 
     def restore(self, state):
         """Restore a :meth:`snapshot` onto the structure it was taken from
         (a state of another length raises ``ValueError``)."""
+        self.state_access()[1](state)
+
+    def state_access(self):
+        """The ``(snapshot, restore)`` pair behind :meth:`snapshot` and
+        :meth:`restore`, bound to the current nodes and kept per
+        structural :attr:`version`.  It is valid until the next
+        structural edit: a caller that snapshots per explored transition
+        (the model checker's expansion) takes it once and calls it
+        directly."""
         access = self._state_access
         if access is None or access[0] != self.version:
-            access = self._bind_state_access()
-        access[2](state)
-
-    def _bind_state_access(self):
-        """Bind the ``(snapshot, restore)`` accessor to the current nodes;
-        kept per structural :attr:`version`, since the model checker
-        snapshots and restores once per explored transition."""
-        self._state_access = (self.version,) + _state_accessor(
-            [node for _name, node in sorted(self.nodes.items())])
-        return self._state_access
+            access = self._state_access = (self.version, _state_accessor(
+                [node for _name, node in sorted(self.nodes.items())]))
+        return access[1]
 
 
 def _state_accessor(nodes):
     """``(snapshot, restore)`` for ``nodes``: every declared slot is read
-    and assigned as an attribute of its holder (a property slot converts
-    through its getter and setter); a node or holder that overrides
+    and assigned as a plain attribute of its holder, which stores the
+    slot's canonical value; a node or holder that overrides
     ``snapshot``/``restore`` is called instead."""
     hosts, layout = [], []
     for node in nodes:

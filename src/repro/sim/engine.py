@@ -678,14 +678,14 @@ class Simulator:
             if self.profile:
                 self._count_compiled(len(vectors))
             return compiled(self.cycle, snapshot, vectors)
-        netlist = self.netlist
+        take, restore = self.netlist.state_access()
         out = []
         for i, (vector, choices) in enumerate(vectors):
             if i:
-                netlist.restore(snapshot)
+                restore(snapshot)
             packed = self._interpreted_cycle(self.cycle, vector)
             self.cycle += 1
-            out.append((choices, packed, netlist.snapshot()))
+            out.append((choices, packed, take()))
         return out
 
     def step_with_choices(self, choices):

@@ -149,7 +149,7 @@ class TestAntiTokens:
             held_anti = eb.count < 0
             sim.step()
             annihilated += held_anti and entering.vp and not entering.sp
-            assert len(eb._store) == max(eb.count, 0)
+            assert len(eb._tokens) == max(eb.count, 0)
         assert annihilated > 0        # the run does cancel on entry
 
 
@@ -199,7 +199,7 @@ class TestChainThroughput:
     def test_snapshot_restore_roundtrip(self):
         eb = ElasticBuffer("eb", init=[1, 2])
         snap = eb.snapshot()
-        eb._wr += 5
+        eb.count += 5
         eb.restore(snap)
         assert eb.count == 2
         assert eb.contents() == [1, 2]

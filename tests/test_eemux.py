@@ -117,8 +117,8 @@ class TestOutputKills:
         mux = EarlyEvalMux("m", n_inputs=2)
         mux.reset()
         snap = mux.snapshot()
-        mux._pk[0] = 2
+        mux._kills = (2, 0)
         mux._pko = 1
         mux.restore(snap)
-        assert mux._pk == [0, 0]
+        assert mux._kills == (0, 0)
         assert mux._pko == 0

@@ -74,7 +74,7 @@ class TestTokenStore:
             held_anti = fifo.count < 0
             sim.step_with_choices(choices)
             annihilated += held_anti and entering.vp and not entering.sp
-            assert len(fifo._store) == max(fifo.count, 0)
+            assert len(fifo._tokens) == max(fifo.count, 0)
         assert annihilated > 0
 
 

@@ -98,8 +98,8 @@ class TestStateRoundtrip:
         fork = EagerFork("f", n_outputs=2)
         fork.reset()
         snap = fork.snapshot()
-        fork._done[0] = True
-        fork._pk[1] = 2
+        fork._served = (True, False)
+        fork._kills = (0, 2)
         fork.restore(snap)
-        assert fork._done == [False, False]
-        assert fork._pk == [0, 0]
+        assert fork._served == (False, False)
+        assert fork._kills == (0, 0)

@@ -110,14 +110,14 @@ class TestCloneAndState:
     def test_clone_is_independent(self):
         net = small_net()
         other = net.clone()
-        other.nodes["eb"]._wr += 1
+        other.nodes["eb"].count += 1
         assert net.nodes["eb"].count == 0
         assert other.nodes["eb"].count == 1
 
     def test_snapshot_restore(self):
         net = small_net()
         snap = net.snapshot()
-        net.nodes["eb"]._wr += 1
+        net.nodes["eb"].count += 1
         net.restore(snap)
         assert net.nodes["eb"].count == 0
 

@@ -9,9 +9,14 @@ on the same designs), so a canonical form that moves shows up here — and
 in the explorer's state counts.
 """
 
+import copy
 import hashlib
+import inspect
 import os
+import random
 import shutil
+import sys
+from collections import Counter
 
 import pytest
 
@@ -21,6 +26,7 @@ from repro.core.scheduler import (
     OracleScheduler,
     PrimaryScheduler,
     RandomScheduler,
+    Scheduler,
     StaticScheduler,
     ToggleScheduler,
     TwoBitScheduler,
@@ -45,6 +51,7 @@ from repro.elastic.environment import (
     NondetSource,
     PermissionSource,
     Sink,
+    _RecordingSink,
 )
 from repro.elastic.node import Node, Stateful
 from repro.lint import undeclared_state
@@ -137,11 +144,11 @@ class TestDerivedState:
                     f"{cls.__name__}.{name}"
 
     def test_mutable_reset_values_are_fresh(self):
-        a, b = Func("a", max, n_inputs=2), Func("b", max, n_inputs=2)
-        a._pk[0] = 3
-        assert b._pk == [0, 0]
+        a, b = Sink("a"), Sink("b")
+        a.received.append((0, 3))
+        assert b.received == []
         a.reset()
-        assert a._pk == [0, 0]
+        assert a.received == []
 
     def test_restore_rejects_a_state_of_another_arity(self):
         with pytest.raises(ValueError):
@@ -442,6 +449,154 @@ class TestUndeclaredStateAudit:
         assert undeclared_state(DeclaredBuffer) == []
         buf = DeclaredBuffer("b")
         assert buf.snapshot() == (0, (), 0)
+
+
+# -- plain-attribute state ----------------------------------------------------------
+
+#: the slots that *canonicalize* rather than store, so they stay properties
+#: (definer class, slot) -> why: storing the canonical value instead would
+#: change what the node does between snapshots
+CANONICALIZING_SLOTS = {
+    (NondetSource, "_token_phase"):
+        "the running counter is the token data; the snapshot keeps it "
+        "modulo 4, so the explored state space stays finite",
+    (_RecordingSink, "_n_received"):
+        "the snapshot keeps the transfer stream's length; a restore "
+        "truncates received",
+}
+
+
+def state_host_classes():
+    """Every class whose declared slots a snapshot reads: the node kinds
+    and the shared module's schedulers."""
+    found, frontier = set(node_classes()), [Scheduler]
+    while frontier:
+        cls = frontier.pop()
+        frontier += cls.__subclasses__()
+        if cls.__module__.startswith(repro.__name__ + "."):
+            found.add(cls)
+    return found
+
+
+def _definer(cls, name):
+    return next(k for k in cls.__mro__ if name in k.__dict__)
+
+
+class TestPlainSlots:
+    @pytest.mark.parametrize("cls", sorted(state_host_classes(),
+                                           key=lambda c: c.__name__),
+                             ids=lambda c: c.__name__)
+    def test_no_slot_is_a_property(self, cls):
+        for name in cls.state_slots:
+            view = inspect.getattr_static(cls, name, None)
+            if isinstance(view, property):
+                assert (_definer(cls, name), name) in CANONICALIZING_SLOTS, \
+                    f"{cls.__name__}.{name} is a property"
+
+    def test_the_allowlist_is_live(self):
+        for (cls, name), reason in CANONICALIZING_SLOTS.items():
+            assert name in cls.state_slots and reason
+            assert isinstance(cls.__dict__[name], property)
+
+
+def stall_wrap(design):
+    """``design`` under the nondeterministic stall plan an exhaustive
+    chaos exploration explores."""
+    net = DESIGNS[design]()
+    wrap(net, ChaosPlan.seeded(0, sorted(net.channels), kinds=("stall",),
+                               coverage=0.3, budget=2), nondet=True)
+    return net
+
+
+def _python_frames(fn, *args):
+    """The code objects of every Python frame ``fn(*args)`` runs."""
+    codes = []
+
+    def profile(frame, event, _arg):
+        if event == "call":
+            codes.append(frame.f_code)
+
+    sys.setprofile(profile)
+    try:
+        fn(*args)
+    finally:
+        sys.setprofile(None)
+    return codes
+
+
+_PHASE = (NondetSource, "_token_phase")
+_RECEIVED = (_RecordingSink, "_n_received")
+
+
+@pytest.mark.parametrize("label, canonicalizing", [
+    ("stall:fig1d", {}),
+    ("stall:fig6b", {_RECEIVED: 1}),
+    ("mc:zbl", {_PHASE: 1}),
+    ("mc:spec-toggle", {_PHASE: 2}),
+])
+def test_snapshot_and_restore_run_only_the_accessor(label, canonicalizing):
+    """A count of Python frames, not a timing: a snapshot or restore runs
+    ``Netlist.snapshot``/``restore``, ``Netlist.state_access`` and the
+    compiled accessor, plus one getter or setter per canonicalizing slot
+    of a node — no other getter, setter or method."""
+    kind, design = label.split(":")
+    net = stall_wrap(design) if kind == "stall" else MC_DESIGNS[design]()
+    snap = net.snapshot()          # binds the accessor
+    net.restore(snap)
+    views = {key: key[0].__dict__[key[1]] for key in CANONICALIZING_SLOTS}
+    for method, args, role in ((net.snapshot, (), "fget"),
+                               (net.restore, (snap,), "fset")):
+        frames = Counter()
+        for code in _python_frames(method, *args):
+            if code.co_filename == "<netlist state>":
+                frames["accessor"] += 1
+            elif code in (getattr(Netlist, method.__name__).__code__,
+                          Netlist.state_access.__code__):
+                frames["netlist"] += 1
+            else:
+                frames[next((key for key, view in views.items()
+                             if code is getattr(view, role).__code__),
+                            f"{code.co_filename}:{code.co_name}")] += 1
+        assert frames == Counter({"netlist": 2, "accessor": 1,
+                                  **canonicalizing}), method.__name__
+
+
+ALIASING_NETLISTS = sorted([f"design:{name}" for name in DESIGNS]
+                           + [f"mc:{name}" for name in MC_DESIGNS])
+
+
+@pytest.mark.parametrize("engine", ["worklist", "codegen"])
+@pytest.mark.parametrize("label", ALIASING_NETLISTS)
+def test_ticks_never_mutate_a_stored_state(label, engine):
+    """A snapshot shares its values with the nodes' slots, so no tick may
+    change a value in place: 40 cycles later, a snapshot still equals its
+    deep copy from capture time.  A design runs (one compiled run-entry
+    call on codegen); a model-checking composition steps with seeded
+    random choices (the expansion entry)."""
+    kind, design = label.split(":")
+    net = (DESIGNS if kind == "design" else MC_DESIGNS)[design]()
+    sim = Simulator(net, check_protocol=False, engine=engine)
+    rng = random.Random(label)
+    choosers = [node for node in net.nodes.values()
+                if type(node).choice_space is not Node.choice_space]
+
+    def cycles(n):
+        """Run ``n`` cycles; the states they end in."""
+        if not choosers:
+            sim.run(n)
+            return {net.snapshot()}
+        visited = set()
+        for _ in range(n):
+            sim.step_with_choices({node.name: rng.randrange(
+                node.choice_space()) for node in choosers})
+            visited.add(net.snapshot())
+        return visited
+
+    cycles(5)                      # spec-static starves from cycle 7
+    snap = net.snapshot()
+    frozen = copy.deepcopy(snap)
+    assert cycles(40) - {frozen}   # the run left the captured state
+    assert snap == frozen
 
 
 # -- content keys over the state shape ----------------------------------------------

@@ -2,6 +2,10 @@
 scheduler leads-to property — the Section 4.2 verification, rebuilt on the
 library's explicit-state explorer."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.core.scheduler import (
@@ -291,3 +295,40 @@ class TestStateCodec:
         codec = StateCodec(net)
         weird = (("node", (object(),)),)        # not marshal-serializable
         assert codec.encode(weird, None) is None
+
+
+# ---------------------------------------------------------------------------
+# import hygiene
+
+
+def test_rule_table_imports_no_model_checker():
+    """The rule table every monitored or compiled simulator imports loads
+    without the model checker; the package exports still resolve (a count
+    of the modules imported, not a timing)."""
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env["PYTHONPATH"] = os.path.abspath(src) + (
+        os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    checker = ["repro.verif.explore", "repro.verif.deadlock",
+               "repro.verif.leads_to", "repro.verif.equivalence"]
+    code = (
+        "import sys\n"
+        "import repro.verif.properties\n"
+        f"print(sorted(set({checker!r}) & set(sys.modules)))\n"
+        "from repro.verif import StateExplorer, find_deadlocks\n"
+        "from repro.verif.explore import StateExplorer as explorer\n"
+        "assert StateExplorer is explorer\n"
+        "print(StateExplorer.__name__, find_deadlocks.__name__)\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split("\n")[:2] == ["[]", "StateExplorer find_deadlocks"]
+
+
+def test_unknown_export_raises_attribute_error():
+    import repro.verif
+
+    with pytest.raises(AttributeError, match="no_such_name"):
+        repro.verif.no_such_name
+    assert "StateExplorer" in dir(repro.verif)
