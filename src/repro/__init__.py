@@ -16,73 +16,41 @@ Quick start::
                            names["fin1"], names["fout1"]])
     Simulator(net, observers=[trace]).run(7)
     print(format_trace_table(trace))
+
+Every package's exports, and this one's, load on first use (PEP 562, see
+:mod:`repro._lazy`): ``import repro`` imports no subpackage, and a name
+such as ``repro.Simulator`` or ``repro.sim`` imports the module that
+defines it when it is first looked up.  A process therefore loads only
+the layers it runs.
 """
 
-from repro import errors
-from repro.elastic import (
-    Channel,
-    EagerFork,
-    EarlyEvalMux,
-    ElasticBuffer,
-    Func,
-    KillerSink,
-    ListSource,
-    FunctionSource,
-    Sink,
-    ZeroBackwardLatencyBuffer,
-    bubble,
-)
-from repro.core import (
-    OracleScheduler,
-    PrimaryScheduler,
-    RepairScheduler,
-    RoundRobinScheduler,
-    SharedModule,
-    StaticScheduler,
-    ToggleScheduler,
-    TwoBitScheduler,
-    speculate,
-)
-from repro.lint import Diagnostic, LintReport, cached_lint, run_lint
-from repro.netlist import Netlist, to_dot
-from repro.netlist import patterns
-from repro.sim import Simulator, TraceRecorder, format_trace_table
-from repro.transform import Session
+from repro._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "errors",
-    "Channel",
-    "ElasticBuffer",
-    "ZeroBackwardLatencyBuffer",
-    "bubble",
-    "Func",
-    "EagerFork",
-    "EarlyEvalMux",
-    "ListSource",
-    "FunctionSource",
-    "Sink",
-    "KillerSink",
-    "SharedModule",
-    "StaticScheduler",
-    "ToggleScheduler",
-    "RoundRobinScheduler",
-    "RepairScheduler",
-    "PrimaryScheduler",
-    "TwoBitScheduler",
-    "OracleScheduler",
-    "speculate",
-    "Netlist",
-    "to_dot",
-    "Diagnostic",
-    "LintReport",
-    "run_lint",
-    "cached_lint",
-    "patterns",
-    "Simulator",
-    "TraceRecorder",
-    "format_trace_table",
-    "Session",
-    "__version__",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".elastic.channel": ("Channel",),
+    ".elastic.buffers": ("ElasticBuffer", "ZeroBackwardLatencyBuffer",
+                         "bubble"),
+    ".elastic.functional": ("Func",),
+    ".elastic.fork": ("EagerFork",),
+    ".elastic.eemux": ("EarlyEvalMux",),
+    ".elastic.environment": ("ListSource", "FunctionSource", "Sink",
+                             "KillerSink"),
+    ".core.shared": ("SharedModule",),
+    ".core.scheduler": ("StaticScheduler", "ToggleScheduler",
+                        "RoundRobinScheduler", "RepairScheduler",
+                        "PrimaryScheduler", "TwoBitScheduler",
+                        "OracleScheduler"),
+    ".core.speculation": ("speculate",),
+    ".netlist.graph": ("Netlist",),
+    ".netlist.dot": ("to_dot",),
+    ".netlist": ("patterns",),
+    ".lint.diagnostics": ("Diagnostic", "LintReport"),
+    ".lint.runner": ("run_lint", "cached_lint"),
+    ".sim.engine": ("Simulator",),
+    ".sim.trace": ("TraceRecorder", "format_trace_table"),
+    ".transform.session": ("Session",),
+})
+
+__all__ = ["errors", *__all__, "__version__"]

@@ -10,8 +10,10 @@ imported here — the simulation back-end must stay importable without
 pulling the export back-ends, and vice versa; use
 ``from repro.backend import pysim`` directly."""
 
-from repro.backend.verilog import to_verilog
-from repro.backend.smv import to_smv
-from repro.backend.blif import to_blif, parse_blif
+from repro._lazy import lazy_exports
 
-__all__ = ["to_verilog", "to_smv", "to_blif", "parse_blif"]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".verilog": ("to_verilog",),
+    ".smv": ("to_smv",),
+    ".blif": ("to_blif", "parse_blif"),
+})

@@ -150,7 +150,7 @@ from __future__ import annotations
 
 import hashlib
 from collections import OrderedDict, deque
-from functools import partial
+from functools import lru_cache, partial
 from itertools import combinations
 
 from repro.core.scheduler import SchedulerFeedback
@@ -1064,20 +1064,42 @@ def _holds(b, lits):
     return all((b >> _CONTROLS.index(name) & 1) == on for name, on in lits)
 
 
-def _count_block(g, ci, rules, tree=_COUNT_TREE, within=range(16)):
+def _count_block(ci, rules):
     """Channel ``ci``'s outcome this cycle (an exact mirror of
-    ``ChannelStats.observe``, ``within`` the packed bytes reaching
-    ``tree``) counted in local ints: ``t``/``k``/``s``/``b``/``i`` for
-    transfers, cancellations, stalls, backward moves and idles.  A count
-    also records the obligations of ``rules`` (:func:`_checked`) its bytes
-    leave due at the next cycle (``cycle`` has advanced already), under
-    the fewest of the rule's literals that single them out: the due cycle,
-    raising the screen's ``_due``, and the data a rule holds."""
+    ``ChannelStats.observe``) counted in local ints: ``t``/``k``/``s``/
+    ``b``/``i`` for transfers, cancellations, stalls, backward moves and
+    idles.  A count also records the obligations of ``rules``
+    (:func:`_checked`) its bytes leave due at the next cycle (``cycle``
+    has advanced already): the due cycle, raising the screen's ``_due``,
+    and the data a rule holds.  The block differs between channels only
+    in the slot index, so it is rendered once per rule set
+    (:func:`_count_template`) and the index substituted."""
+    return [line.replace(_SLOT, str(ci))
+            for line in _count_template(tuple(rules))]
+
+
+#: the slot index placeholder in a :func:`_count_template` line
+_SLOT = "{ci}"
+
+
+@lru_cache(maxsize=None)
+def _count_template(rules):
+    """:func:`_count_block`'s lines for ``rules``, with :data:`_SLOT` in
+    place of the slot index."""
+    return tuple(_count_lines(rules))
+
+
+def _count_lines(rules, tree=_COUNT_TREE, within=range(16)):
+    """The count block's lines ``within`` the packed bytes reaching
+    ``tree``.  An obligation is recorded under the fewest of its rule's
+    literals that single out the bytes leaving it due."""
     from repro.verif.properties import conjunction, literals
 
-    signal = partial(g.csig, ci)
+    def signal(name):
+        return f"{_LOC[name]}{_SLOT}"
+
     if isinstance(tree, str):
-        lines = [f"{tree}{ci} += 1"]
+        lines = [f"{tree}{_SLOT} += 1"]
         for due, rule in rules:
             pattern = literals(rule.mask, rule.value)
             hit = [b for b in within if _holds(b, pattern)]
@@ -1086,8 +1108,8 @@ def _count_block(g, ci, rules, tree=_COUNT_TREE, within=range(16)):
             guard = next(lits for n in range(len(pattern) + 1)
                          for lits in combinations(pattern, n)
                          if [b for b in within if _holds(b, lits)] == hit)
-            record = [f"_due = {due}{ci} = cycle"]
-            record += [f"r{ci} = {signal('data')}"] * bool(rule.data)
+            record = [f"_due = {due}{_SLOT} = cycle"]
+            record += [f"r{_SLOT} = {signal('data')}"] * bool(rule.data)
             if guard:
                 record = [f"if {conjunction(guard, signal)}:"] + _indent(record)
             lines += record
@@ -1096,11 +1118,11 @@ def _count_block(g, ci, rules, tree=_COUNT_TREE, within=range(16)):
     while not isinstance(tree, str):
         test, then, tree = tree
         lines.append(f"{keyword} {conjunction(test, signal)}:")
-        lines += _indent(_count_block(g, ci, rules, then, [
+        lines += _indent(_count_lines(rules, then, [
             b for b in within if _holds(b, test)]))
         within = [b for b in within if not _holds(b, test)]
         keyword = "elif"
-    return lines + ["else:"] + _indent(_count_block(g, ci, rules, tree, within))
+    return lines + ["else:"] + _indent(_count_lines(rules, tree, within))
 
 
 def _screen(g, n_channels, exempt):
@@ -1299,7 +1321,7 @@ def _run_entry(g, body, ticks, unresolve, flush, exempt, interpreted_tick):
     loop += ticks
     loop.append("cycle += 1")
     for ci in chans:
-        loop += _count_block(g, ci, _checked(ci, exempt))
+        loop += _count_block(ci, _checked(ci, exempt))
     loop += ["if cycle == _end:", "    break"]
 
     # -- exit: a raising cycle leaves the channels unresolved, except for a

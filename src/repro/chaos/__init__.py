@@ -23,48 +23,14 @@ package attacks both promises on purpose:
   that the oracles *can* fail.
 """
 
-from repro.chaos.mutants import (
-    BrokenKillBuffer,
-    LatencySensitiveBuffer,
-    broken_kill_design,
-    latency_sensitive_design,
-)
-from repro.chaos.plan import (
-    FAULT_KINDS,
-    ChaosFault,
-    ChaosHandle,
-    ChaosPlan,
-    check_knobs,
-    unwrap,
-    wrap,
-)
-from repro.chaos.verify import (
-    ExploreReport,
-    InvarianceReport,
-    check_stream_invariance,
-    explore_invariance,
-    plan_payload,
-    run_soak,
-    sink_streams,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "BrokenKillBuffer",
-    "ChaosFault",
-    "ChaosHandle",
-    "ChaosPlan",
-    "ExploreReport",
-    "FAULT_KINDS",
-    "InvarianceReport",
-    "LatencySensitiveBuffer",
-    "broken_kill_design",
-    "check_knobs",
-    "check_stream_invariance",
-    "explore_invariance",
-    "latency_sensitive_design",
-    "plan_payload",
-    "run_soak",
-    "sink_streams",
-    "unwrap",
-    "wrap",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".mutants": ("BrokenKillBuffer", "LatencySensitiveBuffer",
+                 "broken_kill_design", "latency_sensitive_design"),
+    ".plan": ("FAULT_KINDS", "ChaosFault", "ChaosHandle", "ChaosPlan",
+              "check_knobs", "unwrap", "wrap"),
+    ".verify": ("ExploreReport", "InvarianceReport", "check_stream_invariance",
+                "explore_invariance", "plan_payload", "run_soak",
+                "sink_streams"),
+})

@@ -8,37 +8,14 @@
   speculation pipeline of Section 4.
 """
 
-from repro.core.scheduler import (
-    Scheduler,
-    SchedulerFeedback,
-    StaticScheduler,
-    ToggleScheduler,
-    RoundRobinScheduler,
-    RepairScheduler,
-    PrimaryScheduler,
-    LastGrantScheduler,
-    TwoBitScheduler,
-    OracleScheduler,
-    RandomScheduler,
-    NondetScheduler,
-)
-from repro.core.shared import SharedModule
-from repro.core.speculation import speculate, SpeculationReport
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Scheduler",
-    "SchedulerFeedback",
-    "StaticScheduler",
-    "ToggleScheduler",
-    "RoundRobinScheduler",
-    "RepairScheduler",
-    "PrimaryScheduler",
-    "LastGrantScheduler",
-    "TwoBitScheduler",
-    "OracleScheduler",
-    "RandomScheduler",
-    "NondetScheduler",
-    "SharedModule",
-    "speculate",
-    "SpeculationReport",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".scheduler": ("Scheduler", "SchedulerFeedback", "StaticScheduler",
+                   "ToggleScheduler", "RoundRobinScheduler",
+                   "RepairScheduler", "PrimaryScheduler",
+                   "LastGrantScheduler", "TwoBitScheduler",
+                   "OracleScheduler", "RandomScheduler", "NondetScheduler"),
+    ".shared": ("SharedModule",),
+    ".speculation": ("speculate", "SpeculationReport"),
+})

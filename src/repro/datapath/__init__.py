@@ -7,29 +7,12 @@ Every block exists twice: as a fast functional model (used inside elastic
 simulations) and as a :class:`~repro.tech.gates.GateNetlist` (used for
 bit-exact cross-checking and for area/delay numbers)."""
 
-from repro.datapath.adders import (
-    add_functional,
-    ripple_carry_adder,
-    kogge_stone_adder,
-)
-from repro.datapath.approx import (
-    approx_add_functional,
-    approx_error_functional,
-    approx_adder_gates,
-    approx_error_detector_gates,
-)
-from repro.datapath.alu import Alu, ALU_OPS
-from repro.datapath.secded import Secded
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "add_functional",
-    "ripple_carry_adder",
-    "kogge_stone_adder",
-    "approx_add_functional",
-    "approx_error_functional",
-    "approx_adder_gates",
-    "approx_error_detector_gates",
-    "Alu",
-    "ALU_OPS",
-    "Secded",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".adders": ("add_functional", "ripple_carry_adder", "kogge_stone_adder"),
+    ".approx": ("approx_add_functional", "approx_error_functional",
+                "approx_adder_gates", "approx_error_detector_gates"),
+    ".alu": ("Alu", "ALU_OPS"),
+    ".secded": ("Secded",),
+})

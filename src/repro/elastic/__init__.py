@@ -6,47 +6,18 @@ plus the early-evaluation / anti-token machinery of reference [7] that the
 speculation method of Section 4 builds on.
 """
 
-from repro.elastic.channel import Channel, ChannelState, ChannelEvents, PRODUCER, CONSUMER
-from repro.elastic.node import Node, PortRole
-from repro.elastic.buffers import ElasticBuffer, ZeroBackwardLatencyBuffer, bubble
-from repro.elastic.fifo_model import AbstractElasticFifo
-from repro.elastic.functional import Func, identity_block, const_block
-from repro.elastic.fork import EagerFork
-from repro.elastic.eemux import EarlyEvalMux
-from repro.elastic.varlat import VariableLatencyUnit
-from repro.elastic.environment import (
-    ListSource,
-    FunctionSource,
-    PermissionSource,
-    Sink,
-    KillerSink,
-    NondetSource,
-    NondetSink,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Channel",
-    "ChannelState",
-    "ChannelEvents",
-    "PRODUCER",
-    "CONSUMER",
-    "Node",
-    "PortRole",
-    "ElasticBuffer",
-    "ZeroBackwardLatencyBuffer",
-    "bubble",
-    "AbstractElasticFifo",
-    "VariableLatencyUnit",
-    "Func",
-    "identity_block",
-    "const_block",
-    "EagerFork",
-    "EarlyEvalMux",
-    "ListSource",
-    "FunctionSource",
-    "PermissionSource",
-    "Sink",
-    "KillerSink",
-    "NondetSource",
-    "NondetSink",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".channel": ("Channel", "ChannelState", "ChannelEvents", "PRODUCER",
+                 "CONSUMER"),
+    ".node": ("Node", "PortRole"),
+    ".buffers": ("ElasticBuffer", "ZeroBackwardLatencyBuffer", "bubble"),
+    ".fifo_model": ("AbstractElasticFifo",),
+    ".varlat": ("VariableLatencyUnit",),
+    ".functional": ("Func", "identity_block", "const_block"),
+    ".fork": ("EagerFork",),
+    ".eemux": ("EarlyEvalMux",),
+    ".environment": ("ListSource", "FunctionSource", "PermissionSource",
+                     "Sink", "KillerSink", "NondetSource", "NondetSink"),
+})

@@ -2,8 +2,10 @@
 exploration toolkit — "a collection of modules and FIFOs connected by
 elastic channels" (Section 5)."""
 
-from repro.netlist.graph import Netlist
-from repro.netlist.edits import NetlistEdit
-from repro.netlist.dot import to_dot
+from repro._lazy import lazy_exports
 
-__all__ = ["Netlist", "NetlistEdit", "to_dot"]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".graph": ("Netlist",),
+    ".edits": ("NetlistEdit",),
+    ".dot": ("to_dot",),
+})

@@ -91,7 +91,7 @@ from repro.perf.report import PerfReport, format_report_table, performance_repor
 from repro.runtime import faults
 from repro.runtime.checkpoint import content_key, load_checkpoint, save_checkpoint
 from repro.runtime.control import jittered_backoff, task_key
-from repro.runtime.supervisor import Supervisor, SupervisorStats
+from repro.runtime.supervisor import SupervisorStats
 from repro.sim.engine import (
     check_engine,
     get_default_engine,
@@ -544,6 +544,8 @@ def run_sweep(spec, n_workers=1, engine=None, lanes=1, timeout=None,
                 _serial_config(task, retries, backoff, stats, _boundary,
                                failures)
         else:
+            from repro.runtime.supervisor import Supervisor
+
             supervisor = Supervisor(
                 "repro.perf.sweep:_supervised_config",
                 n_workers=n_workers, timeout=timeout, retries=retries,

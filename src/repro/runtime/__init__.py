@@ -13,56 +13,15 @@ cancellation / deadlines at checkpoint boundaries, seeded retry jitter
 and SIGTERM-parity signal handling.
 """
 
-from repro.runtime.checkpoint import (
-    atomic_write_bytes,
-    atomic_write_text,
-    content_key,
-    load_checkpoint,
-    save_checkpoint,
-)
-from repro.runtime.control import (
-    JobControl,
-    install_term_handler,
-    interrupt_exit_code,
-    jittered_backoff,
-    task_key,
-    term_signal_fired,
-)
-from repro.runtime.faults import (
-    Fault,
-    FaultPlan,
-    InjectedFault,
-    corrupt_checkpoint,
-    fault_point,
-    install_plan,
-)
-from repro.runtime.supervisor import (
-    Supervisor,
-    SupervisorStats,
-    TaskFailure,
-    usable_cpus,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "atomic_write_bytes",
-    "atomic_write_text",
-    "content_key",
-    "JobControl",
-    "install_term_handler",
-    "interrupt_exit_code",
-    "jittered_backoff",
-    "task_key",
-    "term_signal_fired",
-    "load_checkpoint",
-    "save_checkpoint",
-    "Fault",
-    "FaultPlan",
-    "InjectedFault",
-    "corrupt_checkpoint",
-    "fault_point",
-    "install_plan",
-    "Supervisor",
-    "SupervisorStats",
-    "TaskFailure",
-    "usable_cpus",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".checkpoint": ("atomic_write_bytes", "atomic_write_text", "content_key",
+                    "load_checkpoint", "save_checkpoint"),
+    ".control": ("JobControl", "install_term_handler", "interrupt_exit_code",
+                 "jittered_backoff", "task_key", "term_signal_fired"),
+    ".faults": ("Fault", "FaultPlan", "InjectedFault", "corrupt_checkpoint",
+                "fault_point", "install_plan"),
+    ".supervisor": ("Supervisor", "SupervisorStats", "TaskFailure",
+                    "usable_cpus"),
+})

@@ -39,18 +39,21 @@ from a ``"module:attribute"`` reference, keeping the protocol picklable
 under the spawn start method (workers inherit nothing from the parent —
 the same discipline :mod:`repro.perf.sweep` established for engine
 propagation).
+
+``multiprocessing`` is imported by :meth:`Supervisor.run`, where the
+first worker starts: importing this module (a serial sweep does, for
+:class:`SupervisorStats`) or building a :class:`Supervisor` loads none
+of it.
 """
 
 from __future__ import annotations
 
 import importlib
-import multiprocessing
 import os
 import time
 import traceback
 from collections import deque
 from dataclasses import dataclass, field
-from multiprocessing import connection
 
 from repro.runtime.control import jittered_backoff, task_key
 
@@ -200,7 +203,7 @@ class Supervisor:
         self.backoff = backoff
         self.on_result = on_result
         self.stats = SupervisorStats()
-        self._context = multiprocessing.get_context("spawn")
+        self._context = None            # spawn context, made by run()
         self._next_id = 0
 
     # -- worker lifecycle ---------------------------------------------------
@@ -312,6 +315,10 @@ class Supervisor:
         results, failures = [], []
         if not ready:
             return results, failures
+        import multiprocessing
+        from multiprocessing import connection
+
+        self._context = multiprocessing.get_context("spawn")
         self._start_failures = 0
         width = min(self.n_workers, len(ready))
         workers = [self._spawn() for _ in range(width)]

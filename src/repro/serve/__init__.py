@@ -23,23 +23,21 @@ keeps one long-lived server per *root* directory instead:
 
 Use ``python -m repro serve ROOT`` / ``python -m repro submit --root
 ROOT ...`` from the command line.
+
+The exports load on first use (:mod:`repro._lazy`), and the modules keep
+their layers apart: :mod:`~repro.serve.client` imports only the wire
+protocol and the error types, so ``repro submit`` loads neither asyncio
+nor the job code, and the server imports a job kind's layer
+(simulation, model checking, lint, sweeps) when the first job of that
+kind runs, not at start-up.
 """
 
-from repro.serve.cache import ResultCache
-from repro.serve.client import ServeClient, wait_for_endpoint
-from repro.serve.jobs import JOB_KINDS, job_key, run_job, validate_job
-from repro.serve.journal import JobJournal
-from repro.serve.server import JobServer, serve_forever
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "JOB_KINDS",
-    "JobJournal",
-    "JobServer",
-    "ResultCache",
-    "ServeClient",
-    "job_key",
-    "run_job",
-    "serve_forever",
-    "validate_job",
-    "wait_for_endpoint",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".cache": ("ResultCache",),
+    ".client": ("ServeClient", "wait_for_endpoint"),
+    ".jobs": ("JOB_KINDS", "job_key", "run_job", "validate_job"),
+    ".journal": ("JobJournal",),
+    ".server": ("JobServer", "serve_forever"),
+})

@@ -1,4 +1,4 @@
-"""Crash-safe job journal: what was accepted, what finished, what failed.
+"""Crash-safe job journal: what was accepted and is not finished yet.
 
 The journal is the server's write-ahead log.  A job is journaled
 ``submitted`` *before* its acceptance is acknowledged to the client, and
@@ -13,11 +13,16 @@ mid-grid and completes with byte-identical results.
 
 Physically the journal is one checkpoint-format file rewritten
 atomically per append (temp file + fsync + rename + directory fsync via
-:func:`~repro.runtime.checkpoint.save_checkpoint`): tens of records at
-the queue bound, so the rewrite is cheaper than maintaining a separate
-framed append-log format, and it inherits the checksum verification —
-a torn or corrupted journal fails loudly on load instead of silently
-replaying half a history.
+:func:`~repro.runtime.checkpoint.save_checkpoint`), and it inherits the
+checksum verification — a torn or corrupted journal fails loudly on load
+instead of silently replaying half a history.  A terminal append
+compacts it: the file keeps only the pending jobs' ``submitted`` records
+and one ``high_water`` record holding the highest job id journaled, so
+it never holds more than the admission queue plus one record, and an
+append costs the same after ten jobs as after ten thousand.  A journal
+written before compaction existed (the same ``journal-v1`` format, with
+every terminal record kept) loads as it is and compacts at its first
+terminal append.
 
 Appends pass through ``fault_point("serve_journal", event)`` *before*
 mutating in-memory state, so an injected journal failure leaves the
@@ -39,12 +44,19 @@ _KEY = "journal-v1"
 #: without one of these is pending and re-enqueued on restart)
 TERMINAL_EVENTS = ("done", "failed", "cancelled")
 
+#: the record a compacted journal keeps the highest job id in
+HIGH_WATER = "high_water"
+
 
 class JobJournal:
-    """Append-only job history backed by one atomic checkpoint file."""
+    """Job journal backed by one atomic checkpoint file: the accepted,
+    unfinished jobs and the highest job id ever journaled."""
 
     def __init__(self, path):
         self.path = path
+        #: the file's records: ``submitted`` ones, then (once a job has
+        #: finished) a ``high_water`` one; a journal from before
+        #: compaction also holds terminal records until its next one
         self.records = []
 
     def load(self):
@@ -56,11 +68,14 @@ class JobJournal:
         return self
 
     def append(self, event, job_id, key=None, spec=None, **extra):
-        """Durably append one record; returns it.
+        """Durably journal one record; returns it.
 
-        The fault point fires before any state changes, and a failed
-        save rolls the in-memory list back — an append either fully
-        happened or fully didn't.
+        A terminal record is not kept: it removes its job's ``submitted``
+        record and every other finished job's, and raises the
+        ``high_water`` record to cover ``job_id``.  The fault point fires
+        before any state changes, and the in-memory list changes only
+        after the save — an append either fully happened or fully
+        didn't.
         """
         fault_point("serve_journal", event)
         record = {"event": event, "job": job_id}
@@ -69,31 +84,41 @@ class JobJournal:
         if spec is not None:
             record["spec"] = spec
         record.update(extra)
-        self.records.append(record)
-        try:
-            save_checkpoint(self.path, _KIND, _KEY,
-                            {"records": self.records}, codec="json")
-        except BaseException:
-            self.records.pop()
-            raise
+        if event in TERMINAL_EVENTS:
+            high = str(max(self.max_job_id(), _job_number(job_id)))
+            records = [r for r in self._pending_records()
+                       if r["job"] != job_id]
+            records.append({"event": HIGH_WATER, "job": high})
+        else:
+            records = self.records + [record]
+        save_checkpoint(self.path, _KIND, _KEY, {"records": records},
+                        codec="json")
+        self.records = records
         return record
+
+    def _pending_records(self):
+        """The ``submitted`` records no terminal record follows."""
+        finished = {r["job"] for r in self.records
+                    if r["event"] in TERMINAL_EVENTS}
+        return [r for r in self.records
+                if r["event"] == "submitted" and r["job"] not in finished]
 
     def pending(self):
         """Accepted-but-unfinished jobs, in submission order: a list of
         ``(job_id, key, spec)`` tuples."""
-        finished = {r["job"] for r in self.records
-                    if r["event"] in TERMINAL_EVENTS}
         return [(r["job"], r.get("key"), r.get("spec"))
-                for r in self.records
-                if r["event"] == "submitted" and r["job"] not in finished]
+                for r in self._pending_records()]
 
     def max_job_id(self):
         """Highest numeric job id journaled (0 when empty) — restart
         continues the id sequence instead of reusing live ids."""
-        best = 0
-        for record in self.records:
-            try:
-                best = max(best, int(record["job"]))
-            except (KeyError, TypeError, ValueError):
-                pass
-        return best
+        return max((_job_number(r.get("job")) for r in self.records),
+                   default=0)
+
+
+def _job_number(job_id):
+    """A job id's number (the server numbers jobs; 0 for any other id)."""
+    try:
+        return int(job_id)
+    except (TypeError, ValueError):
+        return 0

@@ -2,7 +2,9 @@
 IR with evaluation / area / delay analysis, and helpers to estimate elastic
 controller overheads."""
 
-from repro.tech.library import TechLibrary, GateSpec, DEFAULT_TECH
-from repro.tech.gates import GateNetlist, Gate
+from repro._lazy import lazy_exports
 
-__all__ = ["TechLibrary", "GateSpec", "DEFAULT_TECH", "GateNetlist", "Gate"]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".library": ("TechLibrary", "GateSpec", "DEFAULT_TECH"),
+    ".gates": ("GateNetlist", "Gate"),
+})

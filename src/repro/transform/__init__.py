@@ -3,26 +3,14 @@
 decomposition (multiplexor retiming), early-evaluation conversion and
 module sharing, plus the scripted exploration session of Section 5."""
 
-from repro.transform.base import replace_node, splice_node, TransformRecord
-from repro.transform.bubbles import insert_bubble, remove_empty_buffer, insert_zbl_buffer
-from repro.transform.retiming import retime_forward, retime_backward
-from repro.transform.shannon import shannon_decompose, make_lazy_mux
-from repro.transform.early_eval import convert_to_early_eval
-from repro.transform.sharing import share_blocks
-from repro.transform.session import Session
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "replace_node",
-    "splice_node",
-    "TransformRecord",
-    "insert_bubble",
-    "remove_empty_buffer",
-    "insert_zbl_buffer",
-    "retime_forward",
-    "retime_backward",
-    "shannon_decompose",
-    "make_lazy_mux",
-    "convert_to_early_eval",
-    "share_blocks",
-    "Session",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".base": ("replace_node", "splice_node", "TransformRecord"),
+    ".bubbles": ("insert_bubble", "remove_empty_buffer", "insert_zbl_buffer"),
+    ".retiming": ("retime_forward", "retime_backward"),
+    ".shannon": ("shannon_decompose", "make_lazy_mux"),
+    ".early_eval": ("convert_to_early_eval",),
+    ".sharing": ("share_blocks",),
+    ".session": ("Session",),
+})

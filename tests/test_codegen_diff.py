@@ -12,6 +12,7 @@ PR 9 satellites: up-front unknown-engine rejection and the stale-code
 safety guards around the compiled-module cache.
 """
 
+import hashlib
 import random
 import re
 
@@ -660,6 +661,48 @@ class TestNothingDeferred:
     @pytest.mark.parametrize("name", sorted(MC_DESIGNS))
     def test_mc_designs(self, name):
         assert pysim._build_plan(MC_DESIGNS[name]()).deferred == []
+
+
+#: design -> SHA-256 prefixes of ``generated_source`` for the run entry
+#: with and without the monitor and for the expansion entry (which has no
+#: monitor), recorded before the count block was rendered once per rule
+#: set: rendering it from a template must not change a byte
+GENERATED_SOURCE_DIGESTS = {
+    "design:fig1a": ("4bbd6adfc2a68978", "bc77d98629d89353",
+                     "5bd9f87680b8ad05"),
+    "design:fig1d": ("745056388890d322", "79217bc56fb98294",
+                     "e033e1ff097330d5"),
+    "design:fig6b": ("2cd6fffc0eda5433", "8125d36e8f4d96b8",
+                     "4e0da11f4f73e16e"),
+    "design:fig7b": ("74867b974f71c4c2", "395e3aada1c3dd10",
+                     "526473415a6ac32b"),
+    "mc:eb": ("d8921360fb01e736", "d1bb0c83c8aaee5a", "284a62c391f210fb"),
+    "mc:spec-nondet": ("8ad9b0118a1fb771", "06f7196caaa8424a",
+                       "9fd1f6a91bece49d"),
+    "mc:spec-static": ("8ad9b0118a1fb771", "06f7196caaa8424a",
+                       "9fd1f6a91bece49d"),
+    "mc:spec-toggle": ("8ad9b0118a1fb771", "06f7196caaa8424a",
+                       "9fd1f6a91bece49d"),
+    "mc:zbl": ("497e9e17dfc81649", "5d5a3307c35548db", "7a9dd0865c8376fa"),
+}
+
+
+class TestGeneratedSourcePinned:
+    def test_table_covers_every_design(self):
+        assert sorted(GENERATED_SOURCE_DIGESTS) == sorted(
+            [f"design:{name}" for name in DESIGNS]
+            + [f"mc:{name}" for name in MC_DESIGNS])
+
+    @pytest.mark.parametrize("label", sorted(GENERATED_SOURCE_DIGESTS))
+    def test_source_unchanged(self, label):
+        table, name = label.split(":")
+        make = (DESIGNS if table == "design" else MC_DESIGNS)[name]
+        sources = (pysim.generated_source(make(), check_protocol=True),
+                   pysim.generated_source(make(), check_protocol=False),
+                   pysim.generated_source(make(), entry="expand"))
+        digests = tuple(hashlib.sha256(source.encode()).hexdigest()[:16]
+                        for source in sources)
+        assert digests == GENERATED_SOURCE_DIGESTS[label]
 
 
 def _scheduler_cases():

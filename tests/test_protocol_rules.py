@@ -124,7 +124,7 @@ class TestCompiledScreen:
         when the table reports a violation."""
         g = pysim._Gen(None)
         slots = {0} if exempt else set()
-        count = "\n".join(pysim._count_block(g, 0, pysim._checked(0, slots)))
+        count = "\n".join(pysim._count_block(0, pysim._checked(0, slots)))
         screen = "\n".join(pysim._screen(g, 1, slots))
         for (p, c), changed in itertools.product(PAIRS, (False, True)):
             env = dict(cycle=0, _due=0, w0=-1, r0=None, u0=-1,

@@ -529,6 +529,72 @@ class TestJobJournal:
         assert [r["event"] for r in JobJournal(path).load().records] \
             == ["submitted"]
 
+    def test_journal_stays_bounded_by_pending_jobs(self, tmp_path):
+        """500 jobs through a queue of 4, finished mostly in order and
+        some cancelled ahead of older ones: the file never holds more than
+        the queue plus the high-water record, and a restarted server
+        finishes the pending jobs and continues the id sequence."""
+        max_queue = 4
+        path = str(tmp_path / "journal.ckpt")
+        spec = validate_job(LINT_SPEC)
+        key = job_key(spec)
+        journal = JobJournal(path).load()
+        queue = []
+        for job in range(1, 501):
+            if len(queue) == max_queue:
+                # every seventh time, the newest queued job is cancelled
+                # instead of the oldest finishing
+                victim = queue.pop(-1 if job % 7 == 0 else 0)
+                journal.append("cancelled" if job % 7 == 0 else "done",
+                               victim, key=key)
+            journal.append("submitted", str(job), key=key, spec=spec)
+            queue.append(str(job))
+            assert len(journal.records) <= max_queue + 1
+        reloaded = JobJournal(path).load()
+        assert len(reloaded.records) <= max_queue + 1
+        assert [job for job, _, _ in reloaded.pending()] == queue
+        assert reloaded.max_job_id() == 500
+        reference = run_job(spec)
+        with running_server(tmp_path, max_queue=max_queue) as (_s, client):
+            deadline = time.monotonic() + 30
+            while JobJournal(path).load().pending():
+                assert time.monotonic() < deadline, "pending jobs never ran"
+                time.sleep(0.05)
+            terminal = client.submit(LINT_SPEC, fresh=True)
+            assert terminal["job"] == "501"
+            assert canonical(terminal["payload"]) == canonical(reference)
+        assert JobJournal(path).load().records == [
+            {"event": "high_water", "job": "501"}]
+
+    def test_uncompacted_journal_still_loads(self, tmp_path):
+        """A ``journal-v1`` file that kept every terminal record (how the
+        journal was written before compaction) loads with its pending
+        jobs and high-water id, and compacts at its next terminal
+        append."""
+        from repro.runtime.checkpoint import save_checkpoint
+
+        path = str(tmp_path / "journal.ckpt")
+        spec = validate_job(LINT_SPEC)
+        history = []
+        for job in ("1", "2", "3", "4"):
+            history.append({"event": "submitted", "job": job, "key": "k",
+                            "spec": spec})
+        history += [{"event": "done", "job": "1", "key": "k"},
+                    {"event": "failed", "job": "4", "key": "k",
+                     "error": "boom"},
+                    {"event": "cancelled", "job": "2", "key": "k",
+                     "reason": "client"}]
+        save_checkpoint(path, "serve-journal", "journal-v1",
+                        {"records": history}, codec="json")
+        journal = JobJournal(path).load()
+        assert journal.pending() == [("3", "k", spec)]
+        assert journal.max_job_id() == 4
+        journal.append("submitted", "5", key="k", spec=spec)
+        journal.append("done", "3", key="k")
+        assert JobJournal(path).load().records == [
+            {"event": "submitted", "job": "5", "key": "k", "spec": spec},
+            {"event": "high_water", "job": "5"}]
+
 
 # ---------------------------------------------------------------------------
 # server behaviour (in-thread)
@@ -779,12 +845,12 @@ class TestExecutionFaults:
             assert "injected" in terminal["error"]
             # other jobs are unaffected
             assert client.submit(MEASURE_SPEC)["type"] == "result"
-        # quarantine: the journal records the failure, so a restarted
-        # server does NOT resurrect the poison job
+        # quarantine: the journal records the failure (its terminal append
+        # drops the job's submission), so a restarted server does NOT
+        # resurrect the poison job
         journal = JobJournal(str(tmp_path / "journal.ckpt")).load()
         assert journal.pending() == []
-        events = [r["event"] for r in journal.records]
-        assert "failed" in events
+        assert journal.records == [{"event": "high_water", "job": "2"}]
 
     def test_cache_write_fault_degrades_to_uncached_reply(self, tmp_path):
         plan = FaultPlan([Fault("serve_cache", kind="raise", times=99)])
