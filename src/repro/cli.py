@@ -59,14 +59,15 @@ import sys
 from repro.errors import ServeError
 
 
-def _at_least_one(what):
-    """argparse type of an integer option that must be >= 1 (``--lanes``,
-    ``--window``); ``what`` names it in the error."""
+def _at_least(minimum, what):
+    """argparse type of an integer option that must be >= ``minimum``
+    (``--lanes``, ``--window``, ``--retries``); ``what`` names it in the
+    error."""
     def parse(text):
         value = int(text)
-        if value < 1:
+        if value < minimum:
             raise argparse.ArgumentTypeError(
-                f"{what} must be >= 1, got {value}")
+                f"{what} must be >= {minimum}, got {value}")
         return value
 
     parse.__name__ = "int"      # argparse's "invalid int value" message
@@ -241,7 +242,8 @@ def _cmd_verify(args):
     import json
 
     from repro.errors import DeadlineExceeded
-    from repro.runtime.control import JobControl, install_term_handler
+    from repro.runtime.control import (JobControl, RetryPolicy,
+                                       install_term_handler)
     from repro.serve.jobs import run_job, validate_job
     from repro.sim.engine import get_default_engine, lanes_engine
 
@@ -255,6 +257,9 @@ def _cmd_verify(args):
     if args.checkpoint:
         os.makedirs(args.checkpoint, exist_ok=True)
 
+    # Each slice gets a fresh ``--timeout`` deadline and resumes the
+    # checkpoint; only a deadline stop is worth another slice.
+    policy = RetryPolicy(args.retries, backoff=0)
     failures = 0
     payloads = {}
     # --json prints only the payloads, keyed by design (None: stopped).
@@ -266,19 +271,20 @@ def _cmd_verify(args):
         for design, label, slug in checks:
             ckpt = (os.path.join(args.checkpoint, f"{slug}.ckpt")
                     if args.checkpoint else None)
-            # Each slice gets a fresh ``--timeout`` deadline and resumes the
-            # checkpoint; progress tells a stopped line how far it got.
-            reached = {"n_states": 0}
-            for _ in range(max(args.retries, 0) + 1):
+            reached = {"n_states": 0}     # how far a stopped line got
+
+            def run_slice(attempt):
                 control = JobControl(
                     deadline=args.timeout, progress_interval=0,
                     on_progress=lambda site, info: reached.update(info))
-                try:
-                    payload = run_job(dict(spec, design=design),
-                                      control=control, checkpoint=ckpt)
-                    break
-                except DeadlineExceeded as exc:
-                    payload, stopped = None, exc
+                return run_job(dict(spec, design=design), control=control,
+                               checkpoint=ckpt)
+
+            try:
+                payload = policy.run(run_slice, design,
+                                     retry_on=DeadlineExceeded)
+            except DeadlineExceeded as exc:
+                payload, stopped = None, exc
             payloads[design] = payload
             if payload is None:
                 where = ("resumable via --checkpoint" if args.checkpoint
@@ -642,7 +648,7 @@ def build_parser():
     p.set_defaults(fn=_cmd_fig1)
 
     p = sub.add_parser("fig6", help="variable-latency ALU study (Section 5.1)")
-    p.add_argument("--window", type=_at_least_one("window"), default=3,
+    p.add_argument("--window", type=_at_least(1, "window"), default=3,
                    help="carry window of the approximate adder, in bits")
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--cycles", type=int, default=2000)
@@ -656,7 +662,7 @@ def build_parser():
 
     p = sub.add_parser("verify", help="model-check controllers (Section 4.2)")
     p.add_argument("--max-states", type=int, default=60000)
-    p.add_argument("--lanes", type=_at_least_one("lanes"), default=1,
+    p.add_argument("--lanes", type=_at_least(1, "lanes"), default=1,
                    help="N > 1 runs the explorations on the codegen engine "
                         "(not combinable with --engine)")
     p.add_argument("--checkpoint", metavar="DIR", default=None,
@@ -667,7 +673,7 @@ def build_parser():
                    help="deadline of each exploration slice in seconds; the "
                         "search stops at a consistent state boundary when "
                         "it passes (flushing the checkpoint, if any)")
-    p.add_argument("--retries", type=int, default=0,
+    p.add_argument("--retries", type=_at_least(0, "retries"), default=0,
                    help="extra slices per exploration, each with a fresh "
                         "deadline, resuming where the previous one stopped")
     p.add_argument("--json", action="store_true",
@@ -692,7 +698,7 @@ def build_parser():
                         "stalling-vs-speculative grid)")
     p.add_argument("--workers", type=int, default=1,
                    help="worker processes; 1 = serial in-process")
-    p.add_argument("--lanes", type=_at_least_one("lanes"), default=1,
+    p.add_argument("--lanes", type=_at_least(1, "lanes"), default=1,
                    help="N > 1 runs the configurations on the codegen "
                         "engine (not combinable with --engine)")
     p.add_argument("--cycles", type=int, default=None,
@@ -707,7 +713,7 @@ def build_parser():
                    help="per-configuration wall-clock seconds before a "
                         "hung worker is killed and the configuration "
                         "retried (multiprocessing only)")
-    p.add_argument("--retries", type=int, default=0,
+    p.add_argument("--retries", type=_at_least(0, "retries"), default=0,
                    help="retry budget per configuration before it is "
                         "reported as a failed row instead of aborting "
                         "the sweep")
@@ -790,7 +796,7 @@ def build_parser():
     p.add_argument("--max-queue", type=int, default=8,
                    help="admission bound: queued+running jobs beyond this "
                         "are rejected with structured backpressure")
-    p.add_argument("--retries", type=int, default=1,
+    p.add_argument("--retries", type=_at_least(0, "retries"), default=1,
                    help="execution retries per job before quarantine")
     p.add_argument("--deadline", type=float, default=None,
                    help="default per-job wall-clock deadline in seconds")
@@ -879,7 +885,7 @@ def build_parser():
     p.add_argument("--cycles", type=int, default=None)
     p.add_argument("--warmup", type=int, default=None)
     p.add_argument("--max-states", type=int, default=None, dest="max_states")
-    p.add_argument("--lanes", type=_at_least_one("lanes"), default=None)
+    p.add_argument("--lanes", type=_at_least(1, "lanes"), default=None)
     p.add_argument("--rules", choices=["all"], default=None,
                    help="lint rule set override")
     p.add_argument("--iterations", type=int, default=None,

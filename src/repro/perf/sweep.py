@@ -31,16 +31,16 @@ Supervision, retries and checkpointing
 ``n_workers > 1`` no longer uses a bare ``multiprocessing.Pool``: the
 configurations run under a :class:`~repro.runtime.supervisor.Supervisor`
 that tracks per-configuration liveness, applies a per-configuration
-wall-clock ``timeout``, kills and respawns dead or hung workers, and
-retries failed configurations with exponential backoff up to a
-``retries`` budget.  Each configuration is its own task, so one poison
-configuration cannot take down another; a configuration that exhausts
-its retries becomes a structured
-:class:`FailedRow` in :attr:`SweepResult.failures` instead of an
-exception that loses the whole run (``on_error="raise"`` restores the
-old fail-fast behaviour).  The serial path applies the same retry /
-FailedRow semantics in-process (wall-clock timeouts need a worker to
-kill, so ``timeout`` is only enforced when ``n_workers > 1``).
+wall-clock ``timeout`` and kills and respawns dead or hung workers.
+Both paths retry a failed configuration under one
+:class:`~repro.runtime.control.RetryPolicy`, keyed on the sweep name
+and configuration index.  Each configuration is its own task, so one
+poison configuration cannot take down another; a configuration that
+exhausts its retries becomes a structured :class:`FailedRow` in
+:attr:`SweepResult.failures` instead of an exception that loses the
+whole run (``on_error="raise"`` restores the old fail-fast behaviour).
+Wall-clock timeouts need a worker to kill, so ``timeout`` is only
+enforced when ``n_workers > 1``.
 
 ``checkpoint=PATH`` makes progress durable: after every completed
 configuration the merged successful rows are written atomically (temp file +
@@ -79,19 +79,18 @@ as the factories in :mod:`repro.perf.presets` do.
 
 from __future__ import annotations
 
-import importlib
 import itertools
 import json
 import time
 import traceback
 from dataclasses import dataclass, field
 
-from repro.errors import ElasticError
+from repro.errors import ElasticError, JobCancelled
 from repro.perf.report import PerfReport, format_report_table, performance_report
 from repro.runtime import faults
 from repro.runtime.checkpoint import content_key, load_checkpoint, save_checkpoint
-from repro.runtime.control import jittered_backoff, task_key
-from repro.runtime.supervisor import SupervisorStats
+from repro.runtime.control import RetryPolicy, task_key
+from repro.runtime.supervisor import SupervisorStats, TaskFailure, resolve_ref
 from repro.sim.engine import (
     check_engine,
     get_default_engine,
@@ -186,18 +185,6 @@ class SweepSpec:
         return configs
 
 
-def _resolve_factory(ref):
-    if callable(ref):
-        return ref
-    module_name, sep, attr = str(ref).partition(":")
-    if not sep:
-        raise ValueError(
-            f"factory {ref!r} is not callable and not a 'module:attribute' "
-            "reference"
-        )
-    return getattr(importlib.import_module(module_name), attr)
-
-
 def _resolve_channel(netlist, names, channel):
     if channel is None:
         return None
@@ -212,16 +199,34 @@ def _resolve_channel(netlist, names, channel):
     )
 
 
-def _build_payload(payload):
-    """Instantiate a payload's netlist and resolve its measurement channel."""
-    factory = _resolve_factory(payload["factory"])
-    made = factory(**payload["params"])
-    netlist, names = made if isinstance(made, tuple) else (made, {})
-    channel = _resolve_channel(netlist, names, payload["channel"])
-    return netlist, channel
+def _supervised_config(task):
+    """Measure one configuration: the supervisor's task runner (resolved
+    in spawn workers as ``repro.perf.sweep:_supervised_config``) and the
+    serial path's, so both agree on semantics.
 
-
-def _row_from_report(payload, report):
+    Installs the task's fault plan and attempt number, and the payload's
+    engine as the process default, for the duration of the run — the
+    engine is what carries the parent's ``--engine`` choice across the
+    spawn boundary.
+    """
+    payload = task["payload"]
+    with faults.plan_scope(task.get("fault_plan")), \
+            faults.attempt_scope(task.get("attempt", 0)):
+        faults.fault_point("sweep_config", payload["index"])
+        previous = set_default_engine(payload["engine"])
+        try:
+            made = resolve_ref(payload["factory"])(**payload["params"])
+            netlist, names = made if isinstance(made, tuple) else (made, {})
+            report = performance_report(
+                netlist,
+                sim_channel=_resolve_channel(netlist, names,
+                                             payload["channel"]),
+                cycles=payload["cycles"],
+                warmup=payload["warmup"],
+                name=payload["name"],
+            )
+        finally:
+            set_default_engine(previous)
     return {
         "index": payload["index"],
         "design": report.name,
@@ -233,40 +238,6 @@ def _row_from_report(payload, report):
         "throughput_source": report.throughput_source,
         "engine": payload["engine"],
     }
-
-
-def _run_payload(payload):
-    """Measure one configuration; runs in the worker *and* in serial mode.
-
-    Installs the payload's engine as the process default for the duration
-    of the run — this is what carries the parent's ``--engine`` choice
-    across the spawn boundary.
-    """
-    faults.fault_point("sweep_config", payload["index"])
-    previous = set_default_engine(payload["engine"])
-    try:
-        netlist, channel = _build_payload(payload)
-        report = performance_report(
-            netlist,
-            sim_channel=channel,
-            cycles=payload["cycles"],
-            warmup=payload["warmup"],
-            name=payload["name"],
-        )
-        return _row_from_report(payload, report)
-    finally:
-        set_default_engine(previous)
-
-
-def _supervised_config(task):
-    """Supervisor task runner: install the task's fault plan and attempt
-    number for the duration of one execution, then measure its
-    configuration.  Runs in spawn workers (resolved as
-    ``repro.perf.sweep:_supervised_config``) and in the serial path, so
-    both agree on semantics."""
-    with faults.plan_scope(task.get("fault_plan")), \
-            faults.attempt_scope(task.get("attempt", 0)):
-        return _run_payload(task["payload"])
 
 
 @dataclass
@@ -308,34 +279,24 @@ class SweepRunError(ElasticError):
         )
 
 
-def _factory_ref(factory):
-    """Stable textual identity of a sweep factory for content-addressing
-    (importable reference when one exists; module-qualified name
-    otherwise — no object addresses, so the key is process-independent)."""
-    if isinstance(factory, str):
-        return factory
-    module = getattr(factory, "__module__", "?")
-    qualname = getattr(factory, "__qualname__", type(factory).__name__)
-    return f"{module}:{qualname}"
-
-
 def _sweep_key(spec, payloads):
     """Content-address of one sweep: the expanded payloads (params, cycles,
-    measurement channels, resolved engine) plus the factory identity —
+    measurement channels, resolved engine) plus the factory identity (its
+    import path, via :func:`~repro.runtime.control.task_key`) —
     everything that determines the rows, nothing that doesn't (worker
     count and checkpoint cadence are execution details; their rows are
     identical by the PR 2/3 pinning)."""
     identity = {
         "format": "sweep-v1",
         "sweep": spec.name,
-        "factory": _factory_ref(spec.factory),
+        "factory": spec.factory,
         "payloads": [
             {k: payload[k] for k in ("index", "name", "params", "channel",
                                      "cycles", "warmup", "engine")}
             for payload in payloads
         ],
     }
-    return content_key(json.dumps(identity, sort_keys=True, default=repr))
+    return content_key(task_key(identity))
 
 
 @dataclass
@@ -409,37 +370,6 @@ class SweepResult:
         return json.dumps(self.to_payload(), indent=2, sort_keys=True)
 
 
-def _serial_config(task, retries, backoff, stats, on_row, failures):
-    """Serial twin of the supervisor's failure routing: run one
-    configuration in-process with the same retry / FailedRow semantics
-    (minus wall-clock timeouts, which need a separate process to kill)."""
-    payload = task["payload"]
-    attempt = 0
-    while True:
-        try:
-            row = _supervised_config(dict(task, attempt=attempt))
-        except KeyboardInterrupt:
-            raise
-        except Exception as exc:
-            if attempt >= retries:
-                failures.append(FailedRow(
-                    index=payload["index"], design=payload["name"],
-                    params=payload["params"],
-                    error=f"{type(exc).__name__}: {exc}",
-                    traceback=traceback.format_exc(),
-                    attempts=attempt + 1,
-                ))
-                return
-            stats.retries += 1
-            time.sleep(jittered_backoff(
-                backoff, attempt, key=task_key([payload["index"]]),
-            ))
-            attempt += 1
-        else:
-            on_row(row)
-            return
-
-
 def run_sweep(spec, n_workers=1, engine=None, lanes=1, timeout=None,
               retries=0, backoff=0.05, checkpoint=None, fault_plan=None,
               on_error="collect", control=None):
@@ -463,9 +393,9 @@ def run_sweep(spec, n_workers=1, engine=None, lanes=1, timeout=None,
 
     Resilience knobs (see the module docstring for the full story):
     ``timeout`` — per-configuration wall-clock seconds, enforced by the
-    supervisor when ``n_workers > 1``; ``retries`` / ``backoff`` —
-    per-configuration retry budget and exponential backoff base;
-    ``checkpoint`` — path of an atomic,
+    supervisor when ``n_workers > 1``; ``retries`` / ``backoff`` — the
+    :class:`~repro.runtime.control.RetryPolicy`; ``checkpoint`` — path
+    of an atomic,
     content-addressed progress file to write and resume from;
     ``fault_plan`` — a deterministic
     :class:`~repro.runtime.faults.FaultPlan` for testing the recovery
@@ -488,6 +418,7 @@ def run_sweep(spec, n_workers=1, engine=None, lanes=1, timeout=None,
     if on_error not in ("collect", "raise"):
         raise ValueError(f"on_error must be 'collect' or 'raise', "
                          f"got {on_error!r}")
+    policy = RetryPolicy(retries, backoff)
     resolved_engine = (lanes_engine(lanes, engine or spec.engine)
                        or get_default_engine())
     check_engine(resolved_engine)
@@ -530,9 +461,11 @@ def run_sweep(spec, n_workers=1, engine=None, lanes=1, timeout=None,
             control.raise_if_stopped("sweep_chunk", done=len(done),
                                      total=len(payloads))
 
-    failures = []
     stats = SupervisorStats()
-    tasks = [{"payload": payload, "fault_plan": fault_plan}
+    # The retry key is one stable value per configuration, shared by
+    # both paths: no object address (the factory) enters it.
+    tasks = [{"payload": payload, "fault_plan": fault_plan,
+              "key": f"{spec.name}#{payload['index']}"}
              for payload in remaining]
     if control is not None:
         control.raise_if_stopped("sweep_start", done=len(done),
@@ -540,9 +473,25 @@ def run_sweep(spec, n_workers=1, engine=None, lanes=1, timeout=None,
     start = time.perf_counter()
     try:
         if n_workers <= 1 or not tasks:
+            task_failures = []
             for task in tasks:
-                _serial_config(task, retries, backoff, stats, _boundary,
-                               failures)
+                def attempt_config(attempt, task=task):
+                    if attempt:
+                        stats.retries += 1
+                    return _supervised_config(dict(task, attempt=attempt))
+
+                try:
+                    row = policy.run(attempt_config, task["key"])
+                except JobCancelled:
+                    raise
+                except Exception as exc:
+                    task_failures.append(TaskFailure(
+                        task=task, error=f"{type(exc).__name__}: {exc}",
+                        traceback=traceback.format_exc(),
+                        attempts=policy.retries + 1,
+                    ))
+                else:
+                    _boundary(row)
         else:
             from repro.runtime.supervisor import Supervisor
 
@@ -554,14 +503,6 @@ def run_sweep(spec, n_workers=1, engine=None, lanes=1, timeout=None,
             )
             _results, task_failures = supervisor.run(tasks)
             stats = supervisor.stats
-            for task_failure in task_failures:
-                payload = task_failure.task["payload"]
-                failures.append(FailedRow(
-                    index=payload["index"], design=payload["name"],
-                    params=payload["params"], error=task_failure.error,
-                    traceback=task_failure.traceback,
-                    attempts=task_failure.attempts,
-                ))
     except KeyboardInterrupt:
         # Completed rows are already durable (one save per row); make
         # sure the final state is flushed even if interrupted between a
@@ -570,6 +511,15 @@ def run_sweep(spec, n_workers=1, engine=None, lanes=1, timeout=None,
         raise
     _save()
     elapsed = time.perf_counter() - start
+    failures = []
+    for task_failure in task_failures:
+        payload = task_failure.task["payload"]
+        failures.append(FailedRow(
+            index=payload["index"], design=payload["name"],
+            params=payload["params"], error=task_failure.error,
+            traceback=task_failure.traceback,
+            attempts=task_failure.attempts,
+        ))
     failures.sort(key=lambda failure: failure.index)
     if failures and on_error == "raise":
         raise SweepRunError(failures)

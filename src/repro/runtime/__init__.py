@@ -9,7 +9,7 @@ checksummed content-addressed checkpoints
 harness (:mod:`~repro.runtime.faults`) that makes every recovery path
 differentially testable against an unfaulted run, and the shared
 job-control plumbing (:mod:`~repro.runtime.control`): cooperative
-cancellation / deadlines at checkpoint boundaries, seeded retry jitter
+cancellation / deadlines at checkpoint boundaries, the retry policy
 and SIGTERM-parity signal handling.
 """
 
@@ -18,8 +18,9 @@ from repro._lazy import lazy_exports
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     ".checkpoint": ("atomic_write_bytes", "atomic_write_text", "content_key",
                     "load_checkpoint", "save_checkpoint"),
-    ".control": ("JobControl", "install_term_handler", "interrupt_exit_code",
-                 "jittered_backoff", "task_key", "term_signal_fired"),
+    ".control": ("JobControl", "RetryPolicy", "install_term_handler",
+                 "interrupt_exit_code", "jittered_backoff", "task_key",
+                 "term_signal_fired"),
     ".faults": ("Fault", "FaultPlan", "InjectedFault", "corrupt_checkpoint",
                 "fault_point", "install_plan"),
     ".supervisor": ("Supervisor", "SupervisorStats", "TaskFailure",

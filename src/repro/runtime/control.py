@@ -1,5 +1,5 @@
 """Shared job-control primitives: cooperative cancellation, wall-clock
-deadlines, deterministic retry jitter and SIGTERM parity.
+deadlines, the retry policy and SIGTERM parity.
 
 The long-running subsystems (:func:`~repro.perf.sweep.run_sweep`,
 :class:`~repro.verif.explore.StateExplorer`) already stop cleanly at
@@ -16,12 +16,11 @@ client-initiated cancellation, per-job deadlines and streaming progress:
 * progress published through :meth:`JobControl.progress` is throttled so
   per-state instrumentation does not flood the event stream.
 
-:func:`jittered_backoff` replaces bare exponential backoff everywhere a
-retry is scheduled: the delay is scaled by a factor in ``[0.5, 1.5)``
-derived deterministically from the task's key, so simultaneous failures
-spread out instead of retrying in lockstep, while any given task's
-schedule stays bit-reproducible (the property every differential
-resilience test relies on).
+:class:`RetryPolicy` is the one retry rule of the sweep (both paths),
+the job server and ``verify``'s deadline slices.  Its delay,
+:func:`jittered_backoff`, is exponential and scaled by a factor in
+``[0.5, 1.5)`` derived from the task's key: simultaneous failures spread
+out, while each task's schedule stays bit-reproducible.
 
 :func:`install_term_handler` gives SIGTERM the same semantics SIGINT has
 had since PR 6 — flush checkpoints, then exit — with the conventional
@@ -39,12 +38,21 @@ import time
 from repro.errors import DeadlineExceeded, JobCancelled
 
 
+def _stable_repr(value):
+    """A callable by its import path (never its per-process address),
+    anything else by ``repr`` (stable for the dataclasses used here)."""
+    if callable(value):
+        qualname = getattr(value, "__qualname__", type(value).__name__)
+        return f"{getattr(value, '__module__', '?')}:{qualname}"
+    return repr(value)
+
+
 def task_key(task):
     """Stable textual identity of a task for keying retry jitter (and
     anything else that wants a reproducible, process-independent handle on
-    "this task").  Any JSON-renderable structure works; non-JSON values
-    degrade to ``repr`` (stable for the dataclasses used here)."""
-    return json.dumps(task, sort_keys=True, default=repr)
+    "this task").  Any JSON-renderable structure works; other values
+    render through :func:`_stable_repr`."""
+    return json.dumps(task, sort_keys=True, default=_stable_repr)
 
 
 def jittered_backoff(base, attempt, key=None):
@@ -62,6 +70,53 @@ def jittered_backoff(base, attempt, key=None):
     digest = hashlib.sha256(f"{key}#{attempt}".encode("utf-8")).digest()
     fraction = int.from_bytes(digest[:8], "big") / 2.0 ** 64
     return delay * (0.5 + fraction)
+
+
+class RetryPolicy:
+    """How often a failed task is retried, how long to wait first, and
+    which failures count.
+
+    ``retries`` is the budget after the first attempt (attempts count
+    from 0); ``backoff`` is the base of the :func:`jittered_backoff`
+    delay.  A stop (:class:`~repro.errors.JobCancelled`, deadlines
+    included) is not retried unless asked for by type, and
+    :class:`KeyboardInterrupt` always propagates.  Schedulers (the
+    supervisor, the job server) ask :meth:`exhausted` and :meth:`delay`;
+    in-process callers hand the whole loop to :meth:`run`.
+    """
+
+    def __init__(self, retries=0, backoff=0.05):
+        self.retries = int(retries)
+        if self.retries < 0:
+            raise ValueError(f"retries must be >= 0, got {self.retries}")
+        self.backoff = backoff
+
+    def exhausted(self, attempt):
+        """True when a failure of ``attempt`` spent the budget."""
+        return attempt >= self.retries
+
+    def delay(self, attempt, key):
+        """Seconds to wait after a failure of ``attempt``, seeded by the
+        task's stable ``key``."""
+        return jittered_backoff(self.backoff, attempt, key=key)
+
+    def run(self, call, key, retry_on=None):
+        """Return ``call(attempt)`` of the first attempt that succeeds,
+        sleeping :meth:`delay` before each retry.  The error of attempt
+        ``retries``, or one not retried, propagates.  ``retry_on`` (a
+        type or tuple) replaces the default: any ``Exception`` but a
+        stop."""
+        attempt = 0
+        while True:
+            try:
+                return call(attempt)
+            except Exception as exc:
+                retried = (isinstance(exc, retry_on) if retry_on is not None
+                           else not isinstance(exc, JobCancelled))
+                if not retried or self.exhausted(attempt):
+                    raise
+            time.sleep(self.delay(attempt, key))
+            attempt += 1
 
 
 class JobControl:

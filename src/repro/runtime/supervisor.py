@@ -22,14 +22,13 @@ production scheduler has:
   is killed and replaced, and the task is rescheduled.
 * **Respawn** — dead or killed workers are replaced immediately; the pool
   never shrinks below its target width while work remains.
-* **Retry with exponential backoff** — a failed task is retried up to
-  ``retries`` times, waiting ``backoff * 2**attempt`` seconds (scaled by
-  a deterministic task-seeded jitter in ``[0.5, 1.5)`` — see
-  :func:`repro.runtime.control.jittered_backoff` — so simultaneous
-  failures do not retry in lockstep) between attempts; the attempt
-  number is shipped inside the task payload so
-  deterministic fault schedules (:mod:`repro.runtime.faults`) are
-  exhausted by retries even across process respawns.
+* **Retry** — a failed task is retried as
+  :class:`~repro.runtime.control.RetryPolicy` says (budget and jittered
+  delay, keyed on the task's ``"key"`` entry when it has one, else on
+  :func:`~repro.runtime.control.task_key`); the attempt number is
+  shipped inside the task payload so deterministic fault schedules
+  (:mod:`repro.runtime.faults`) are exhausted by retries even across
+  process respawns.
 * **Graceful degradation** — a task that exhausts its retry budget
   becomes a structured :class:`TaskFailure` in the result instead of an
   exception that aborts the run.
@@ -55,7 +54,7 @@ import traceback
 from collections import deque
 from dataclasses import dataclass, field
 
-from repro.runtime.control import jittered_backoff, task_key
+from repro.runtime.control import RetryPolicy, task_key
 
 
 def usable_cpus():
@@ -173,11 +172,8 @@ class Supervisor:
     timeout:
         Per-task wall-clock seconds, counted from dispatch to a ready
         worker; ``None`` disables deadlines.
-    retries:
-        Per-task retry budget after the first attempt.
-    backoff:
-        Base of the exponential retry delay (``backoff * 2**attempt``,
-        task-seeded jitter applied on top).
+    retries / backoff:
+        The task's :class:`~repro.runtime.control.RetryPolicy`.
     on_result:
         Optional ``on_result(task, result)`` parent-side callback per
         completed task — the checkpoint hook.
@@ -199,12 +195,10 @@ class Supervisor:
         self.timeout = timeout
         self.fault_plan = fault_plan
         self._spawned = 0
-        self.retries = int(retries)
-        self.backoff = backoff
+        self.policy = RetryPolicy(retries, backoff)
         self.on_result = on_result
         self.stats = SupervisorStats()
         self._context = None            # spawn context, made by run()
-        self._next_id = 0
 
     # -- worker lifecycle ---------------------------------------------------
 
@@ -276,28 +270,20 @@ class Supervisor:
 
     # -- scheduling ---------------------------------------------------------
 
-    def _make_item(self, task):
-        item = _Item(id=self._next_id, task=task)
-        self._next_id += 1
-        return item
-
-    def _fail(self, item, error, tb, ready, failures):
-        """Route one failed execution: retry with backoff, or give up
-        into a :class:`TaskFailure`."""
-        if item.attempt < self.retries:
-            self.stats.retries += 1
-            # Seeded jitter (deterministic per task) spreads simultaneous
-            # failures apart instead of retrying them in lockstep.
-            delay = jittered_backoff(self.backoff, item.attempt,
-                                     key=task_key(item.task))
-            ready.append(_Item(
-                id=item.id, task=item.task, attempt=item.attempt + 1,
-                not_before=time.monotonic() + delay,
+    def _fail(self, item, error, tb, waiting, failures):
+        """Route one failed execution: back off into ``waiting``, or give
+        up into a :class:`TaskFailure`."""
+        if self.policy.exhausted(item.attempt):
+            failures.append(TaskFailure(
+                task=item.task, error=error, traceback=tb,
+                attempts=item.attempt + 1,
             ))
             return
-        failures.append(TaskFailure(
-            task=item.task, error=error, traceback=tb,
-            attempts=item.attempt + 1,
+        self.stats.retries += 1
+        key = item.task.get("key") or task_key(item.task)
+        waiting.append(_Item(
+            id=item.id, task=item.task, attempt=item.attempt + 1,
+            not_before=time.monotonic() + self.policy.delay(item.attempt, key),
         ))
 
     def run(self, tasks):
@@ -311,7 +297,8 @@ class Supervisor:
         checkpointing already durable.  Raises ``RuntimeError`` when
         more than ``_MAX_START_FAILURES`` workers in a row fail to start.
         """
-        ready = deque(self._make_item(task) for task in tasks)
+        ready = deque(_Item(id=index, task=task)
+                      for index, task in enumerate(tasks))
         results, failures = [], []
         if not ready:
             return results, failures
@@ -322,7 +309,7 @@ class Supervisor:
         self._start_failures = 0
         width = min(self.n_workers, len(ready))
         workers = [self._spawn() for _ in range(width)]
-        waiting = []      # backoff'd items not yet ready to run
+        waiting = []      # failed items backing off until not_before
         try:
             while ready or waiting or any(w.item is not None for w in workers):
                 now = time.monotonic()
@@ -332,13 +319,7 @@ class Supervisor:
                         ready.append(entry)
                 idle = [w for w in workers if w.ready and w.item is None]
                 while idle and ready:
-                    item = ready[0]
-                    if item.not_before > now:
-                        # deque holds only due items except via _fail; keep
-                        # order by moving it to the waiting set instead.
-                        waiting.append(ready.popleft())
-                        continue
-                    ready.popleft()
+                    item = ready.popleft()
                     worker = idle.pop()
                     task = dict(item.task, attempt=item.attempt)
                     try:
@@ -356,12 +337,9 @@ class Supervisor:
                     )
                 pending = [w for w in workers
                            if w.item is not None or not w.ready]
-                if not pending:
-                    if waiting and not ready:
-                        time.sleep(min(
-                            self._TICK,
-                            max(0.0, min(e.not_before for e in waiting) - now),
-                        ))
+                if not pending:       # only backed-off items are left
+                    wake = min((e.not_before for e in waiting), default=now)
+                    time.sleep(min(self._TICK, max(0.0, wake - now)))
                     continue
                 readable = connection.wait(
                     [w.conn for w in pending], timeout=self._TICK
@@ -378,18 +356,13 @@ class Supervisor:
                         # lands here, via the EOF, before the liveness
                         # check below sees the corpse).
                         self.stats.deaths += 1
-                        exitcode = worker.process.exitcode
+                        died = f"died (exit code {worker.process.exitcode})"
                         if item is None:
-                            self._start_failed(
-                                worker, workers,
-                                f"died (exit code {exitcode})")
-                            continue
-                        self._replace(worker, workers)
-                        self._fail(
-                            item, f"worker died (exit code "
-                            f"{worker.process.exitcode})",
-                            "", ready, failures,
-                        )
+                            self._start_failed(worker, workers, died)
+                        else:
+                            self._replace(worker, workers)
+                            self._fail(item, f"worker {died}", "", waiting,
+                                       failures)
                         continue
                     if status == "ready":
                         worker.ready = True
@@ -406,7 +379,7 @@ class Supervisor:
                             self.on_result(item.task, payload)
                     else:
                         self._fail(item, payload["error"],
-                                   payload["traceback"], ready, failures)
+                                   payload["traceback"], waiting, failures)
                 now = time.monotonic()
                 for worker in list(workers):
                     item = worker.item
@@ -426,21 +399,17 @@ class Supervisor:
                     if item is None:
                         continue
                     if not worker.process.is_alive():
-                        exitcode = worker.process.exitcode
                         self.stats.deaths += 1
                         self._replace(worker, workers)
-                        self._fail(
-                            item, f"worker died (exit code {exitcode})", "",
-                            ready, failures,
-                        )
+                        self._fail(item, "worker died (exit code "
+                                   f"{worker.process.exitcode})", "",
+                                   waiting, failures)
                     elif worker.deadline is not None and now > worker.deadline:
                         self.stats.timeouts += 1
                         self._replace(worker, workers, kill=True)
-                        self._fail(
-                            item,
-                            f"timed out after {self.timeout:.1f}s",
-                            "", ready, failures,
-                        )
+                        self._fail(item,
+                                   f"timed out after {self.timeout:.1f}s",
+                                   "", waiting, failures)
         finally:
             self._shutdown(workers)
         return results, failures

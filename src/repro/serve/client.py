@@ -24,9 +24,12 @@ from repro.serve.protocol import recv_message, send_message
 
 
 def wait_for_endpoint(root, timeout=10.0):
-    """Poll for the server's endpoint file; returns the endpoint dict."""
+    """Poll for the server's endpoint file; returns the endpoint dict.
+    The interval doubles from 1 ms up to 50 ms, so a client started with
+    its server connects soon after the server is ready."""
     path = os.path.join(root, "endpoint.json")
     deadline = time.monotonic() + timeout
+    interval = 0.001
     while True:
         try:
             with open(path) as fh:
@@ -36,7 +39,8 @@ def wait_for_endpoint(root, timeout=10.0):
                 raise ServeError(
                     f"no server endpoint appeared at {path} within "
                     f"{timeout:.0f}s") from None
-            time.sleep(0.05)
+            time.sleep(interval)
+            interval = min(2 * interval, 0.05)
 
 
 class ServeClient:

@@ -22,6 +22,12 @@ Five job kinds, which the matching CLI subcommands validate (and, for
     checkpointed per iteration), ``invariance`` (one seeded plan) or
     ``exhaustive`` (all its interleavings on a model-checking composition).
 
+``repro lint`` and ``repro sweep`` stay library calls rather than
+``run_job`` calls.  ``lint`` lints a design point after a transform
+SCRIPT, which no job spec can name.  ``sweep`` takes ``--workers`` and
+``--timeout``, which are execution details and must stay out of the job
+key.
+
 A job stops early only through its
 :class:`~repro.runtime.control.JobControl`, by raising its stop error.
 

@@ -21,12 +21,13 @@ Failure containment, site by site (each pinned by the PR 6 fault plans):
     injected admission fault all answer with a structured ``rejected`` /
     ``error`` reply — the connection is never just dropped.
 ``serve_execute``
-    Execution: failures retry with key-seeded jittered backoff
-    (:func:`~repro.runtime.control.jittered_backoff`); a job that fails
-    every attempt is **quarantined** — journaled ``failed`` so a restart
-    will not re-run it — and reported as a structured ``failed`` event.
-    Cancellations and deadlines stop the job at its next checkpoint
-    boundary and are never retried.
+    Execution: failures retry as the server's
+    :class:`~repro.runtime.control.RetryPolicy` says, keyed on the job
+    key; a job that fails every attempt is **quarantined** — journaled
+    ``failed`` so a restart will not re-run it — and reported as a
+    structured ``failed`` event.  Cancellations and deadlines stop the
+    job at its next checkpoint boundary and are never retried; a drain
+    ends a retry's backoff and detaches the job.
 ``serve_cache``
     A failed cache write degrades to an uncached (still correct) reply
     carrying a ``cache_error`` note.
@@ -45,6 +46,7 @@ Failure containment, site by site (each pinned by the PR 6 fault plans):
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import json
 import os
 import signal
@@ -54,7 +56,7 @@ from concurrent.futures import ThreadPoolExecutor
 from repro.errors import JobCancelled, JobRejected, ServeError
 from repro.runtime import faults
 from repro.runtime.checkpoint import atomic_write_text
-from repro.runtime.control import JobControl, jittered_backoff
+from repro.runtime.control import JobControl, RetryPolicy
 from repro.runtime.faults import fault_point
 from repro.serve.cache import ResultCache
 from repro.serve.jobs import job_key, run_job, validate_job
@@ -80,8 +82,7 @@ class JobServer:
         self.host = host
         self.port = port
         self.max_queue = max(1, int(max_queue))
-        self.retries = max(0, int(retries))
-        self.backoff = backoff
+        self.policy = RetryPolicy(retries, backoff)
         self.deadline = deadline
         self.cache_entries = cache_entries
         self.engine = engine
@@ -309,14 +310,20 @@ class JobServer:
                 return
             except Exception as exc:
                 self.running = None
-                attempt += 1
-                if attempt <= self.retries and not self.draining:
+                if not self.policy.exhausted(attempt):
                     self._publish(job, {
                         "type": "retry", "job": job["id"],
-                        "attempt": attempt, "error": str(exc)})
-                    await asyncio.sleep(jittered_backoff(
-                        self.backoff, attempt - 1, key=job["key"]))
-                    continue
+                        "attempt": attempt + 1, "error": str(exc)})
+                    # A drain ends the backoff and starts no more attempts.
+                    with contextlib.suppress(asyncio.TimeoutError):
+                        await asyncio.wait_for(
+                            self._drain_event.wait(),
+                            self.policy.delay(attempt, job["key"]))
+                    if not self.draining:
+                        attempt += 1
+                        continue
+                    self._detach(job)
+                    return
                 # Quarantine: journaled failed, so a restart will not
                 # poison itself re-running this job.
                 self.depth -= 1

@@ -169,6 +169,18 @@ class TestCli:
         assert f"lanes must be >= 1, got {lanes}" in stderr
         assert "Traceback" not in stderr
 
+    @pytest.mark.parametrize("argv", [["verify"], ["sweep"],
+                                      ["serve", "ROOT"]])
+    def test_negative_retries_exit_2(self, capsys, argv):
+        """A negative retry budget is a usage error on every subcommand
+        that takes one, not clamped or passed through."""
+        with pytest.raises(SystemExit) as err:
+            main([*argv, "--retries", "-1"])
+        assert err.value.code == 2
+        stderr = capsys.readouterr().err
+        assert "retries must be >= 0, got -1" in stderr
+        assert "Traceback" not in stderr
+
     @pytest.mark.parametrize("window", ["0", "-2"])
     def test_bad_fig6_window_exits_2(self, capsys, window):
         """A carry window below one bit would let the detector miss real

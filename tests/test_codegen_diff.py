@@ -629,13 +629,13 @@ class TestResidueWorklist:
 def _sweep_topologies():
     """One netlist per distinct topology of the four sweep presets."""
     from repro.perf.presets import PRESET_SWEEPS
-    from repro.perf.sweep import _resolve_factory
+    from repro.runtime.supervisor import resolve_ref
     from repro.sim.sensitivity import topology_signature
 
     seen = {}
     for preset in ("fig1", "fig1-accuracy", "fig6", "fig7"):
         spec = PRESET_SWEEPS[preset]()
-        factory = _resolve_factory(spec.factory)
+        factory = resolve_ref(spec.factory)
         for config in spec.expand():
             made = factory(**config.params)
             net = made[0] if isinstance(made, tuple) else made
@@ -909,10 +909,10 @@ class TestVariableLatencyCounters:
     def test_fig6_grid_points(self):
         from repro.elastic.varlat import VariableLatencyUnit
         from repro.perf.presets import PRESET_SWEEPS
-        from repro.perf.sweep import _resolve_factory
+        from repro.runtime.supervisor import resolve_ref
 
         spec = PRESET_SWEEPS["fig6"]()
-        factory = _resolve_factory(spec.factory)
+        factory = resolve_ref(spec.factory)
         points = slow = 0
         for config in spec.expand():
             counters = {}

@@ -852,6 +852,31 @@ class TestExecutionFaults:
         assert journal.pending() == []
         assert journal.records == [{"event": "high_water", "job": "2"}]
 
+    def test_drain_ends_retry_backoff_without_another_attempt(self,
+                                                            tmp_path):
+        """A drain during a retry's backoff (here at least 15 s) ends the
+        wait and starts no further attempt: the job is detached and stays
+        journaled pending for the next server."""
+        plan = FaultPlan([Fault("serve_execute", "lint", kind="raise",
+                                times=1)])
+        events = []
+
+        def drain_on_retry(event):
+            events.append(event["type"])
+            if event["type"] == "retry":
+                client.shutdown()
+
+        with running_server(tmp_path, retries=1, backoff=30.0,
+                            fault_plan=plan) as (server, client):
+            terminal = client.submit(LINT_SPEC, on_event=drain_on_retry)
+        # running_server joined the drained server within 10 s
+        assert events == ["accepted", "retry"]
+        assert terminal["type"] == "detached"
+        assert server.jobs[terminal["job"]]["attempts"] == 1
+        journal = JobJournal(str(tmp_path / "journal.ckpt")).load()
+        assert [job_id for job_id, _key, _spec in journal.pending()] == [
+            terminal["job"]]
+
     def test_cache_write_fault_degrades_to_uncached_reply(self, tmp_path):
         plan = FaultPlan([Fault("serve_cache", kind="raise", times=99)])
         clean = run_job(validate_job(LINT_SPEC))
@@ -902,6 +927,42 @@ class TestCacheIntegrity:
             # the rewritten entry is valid again
             third = client.submit(LINT_SPEC)
             assert third["cached"]
+
+
+class TestEndpointDiscovery:
+    @pytest.fixture
+    def clock(self, monkeypatch):
+        """A fake clock that only ``time.sleep`` advances; records naps."""
+        state = {"now": 0.0, "naps": [], "on_nap": None}
+
+        def sleep(seconds):
+            state["naps"].append(seconds)
+            state["now"] += seconds
+            if state["on_nap"] is not None:
+                state["on_nap"](len(state["naps"]))
+
+        monkeypatch.setattr(time, "sleep", sleep)
+        monkeypatch.setattr(time, "monotonic", lambda: state["now"])
+        return state
+
+    def test_file_is_seen_on_the_first_look_after_it_appears(self, tmp_path,
+                                                             clock):
+        endpoint = tmp_path / "endpoint.json"
+
+        def appear(naps):
+            if naps == 9:
+                endpoint.write_text('{"socket": "serve.sock"}')
+
+        clock["on_nap"] = appear
+        assert wait_for_endpoint(str(tmp_path)) == {"socket": "serve.sock"}
+        # intervals double from 1 ms up to 50 ms
+        assert clock["naps"] == [0.001 * 2 ** n for n in range(6)] + [0.05] * 3
+
+    def test_overall_timeout_is_kept(self, tmp_path, clock):
+        with pytest.raises(ServeError, match="within 2s"):
+            wait_for_endpoint(str(tmp_path), timeout=2.0)
+        assert 2.0 <= sum(clock["naps"]) < 2.05
+        assert set(clock["naps"][-10:]) == {0.05}
 
 
 # ---------------------------------------------------------------------------
