@@ -14,10 +14,11 @@ in which
 * channel signals live in **flat local variables**
   (``v3``/``p3``/``a3``/``m3``/``d3`` for ``vp``/``sp``/``vm``/``sm``/
   ``data`` of channel slot 3) instead of ``ChannelState`` objects;
-* the ``tick`` kernel of every kind — the shared module's scheduler
-  feedback, the mux's kill counters and the variable-latency station
-  included — the statistics, the protocol monitor's screen and the
-  observer calls are inlined into the same generated function.
+* every node's ``tick`` (and ``pre_cycle`` and ``set_choice``) is the
+  body of the node's own method, read with :mod:`inspect` and rewritten
+  by one :mod:`ast` pass; it, the statistics, the protocol monitor's
+  screen and the observer calls are inlined into the same generated
+  function.
 
 Two **entry points** are derived from the one scheduled cycle body —
 pre-cycle hooks, the straight-line region, the screen and the ticks —
@@ -29,8 +30,8 @@ each generated into its own module and compiled only on first use:
 * **expansion entry** — ``_expand(cycle, snapshot, vectors)`` expands
   one explored state (``Simulator.expand``; ``step_with_choices`` is its
   one-vector case): per choice vector it restores ``snapshot`` (except
-  before the first), calls ``set_choice`` on the choosers whose choice
-  space is above 1, runs the cycle body without statistics, packs the
+  before the first), runs the ``set_choice`` of the choosers whose
+  choice space is above 1, runs the cycle body without statistics, packs the
   signals one byte per channel (``v3 | p3 << 1 | a3 << 2 | m3 << 3``,
   the encoding of :mod:`repro.verif.encoding`) in one ``bytes``
   expression and takes the successor snapshot.  ``sim.cycle`` advances
@@ -64,7 +65,7 @@ events dropped), so a ``Channel.events()`` call from inside a cycle (a
 the worklist engine.  The locals are flushed into the ``ChannelState``
 objects once — on a run's last cycle, before its observers and ticks, or
 after an expansion's last vector — and before a diagnosis.  A netlist
-with an interpreted ``tick`` (a subclass overriding it) flushes every
+with a called ``tick`` (one outside the inlined subset) flushes every
 cycle, since that tick reads the states, and then marks the channels
 unresolved again at the start of every vector.
 
@@ -79,7 +80,7 @@ it reports on.  ``Simulator.run`` steps cycle by cycle instead when
 observers are attached or ``profile=True``.
 
 Compilation is **all or nothing**.  Every kind of the paper's designs has
-an emitter — buffers, joins, forks, environments (including the
+comb emitters — buffers, joins, forks, environments (including the
 permission source that a :mod:`repro.chaos` stall splices in beside a
 join), the shared module, the early-evaluation mux and the
 variable-latency unit — so chaos-wrapped designs compile too.  A netlist
@@ -109,14 +110,15 @@ Caching and staleness
 Generated modules are ``exec``-compiled once per topology and entry and
 cached process-wide, keyed by the netlist **content signature** (node
 names, classes, ports, declared sensitivities, channel wiring — see
-:func:`repro.sim.sensitivity.topology_signature`), the entry and, for the
-run entry, the ``check_protocol`` flag.  Numeric parameters
-that only affect sequential behaviour (capacities, rates, seeds, datapath
-functions) are deliberately *not* baked in — they are read from the node
-instances at run time — so a parameter sweep over one topology compiles
-exactly once.  ``build(env)`` re-binds a cached module to a concrete
-simulator's nodes, channels, stats and monitor: it copies the
-module-level entry function with those objects as its positional
+:func:`repro.sim.sensitivity.topology_signature`), the code of the
+nodes' sequential methods (which the signature names only by class),
+the entry and, for the run entry, the ``check_protocol`` flag.  Numeric
+parameters that only affect sequential behaviour (capacities, rates,
+seeds, datapath functions) are deliberately *not* baked in — they are
+read from the node instances at run time — so a parameter sweep over one
+topology compiles exactly once.  ``build(env)`` re-binds a cached module
+to a concrete simulator's nodes, channels, stats and monitor: it copies
+the module-level entry function with those objects as its positional
 defaults.  Every compile happens inside a :class:`CodegenBackend`
 construction, which a simulator makes per entry on that entry's first use
 after each structure refresh.
@@ -136,26 +138,31 @@ A compiled cycle evaluates every node exactly once, so its profiling
 counters are constants, which the simulator adds itself: nothing is
 woven into the generated code.
 
-Emitters are trusted by definition site: a per-kind emitter is used only
-for node classes whose ``comb`` (or ``tick``, for tick emitters) is
-*defined by* the class the emitter was written against — a subclass
-overriding ``comb`` is deferred, and a subclass overriding only ``tick``
-compiles with a call to its own ``tick``.  Comb emitters also need the
-declared tasks they were written for: a subclass that overrides
-``comb_tasks`` below the class defining its ``comb`` is deferred too, so
-it runs interpreted on exactly the sensitivity it declares.
+Comb emitters are trusted by definition site: a per-kind emitter is used
+only for node classes whose ``comb`` is *defined by* the class the
+emitter was written against — a subclass overriding ``comb`` is deferred.
+Comb emitters also need the declared tasks they were written for: a
+subclass that overrides ``comb_tasks`` below the class defining its
+``comb`` is deferred too, so it runs interpreted on exactly the
+sensitivity it declares.  ``tick``, ``pre_cycle`` and ``set_choice``
+need no trust rule: a user subclass or a :mod:`repro.chaos` mutant that
+overrides one compiles its own method body, or calls it (see
+:class:`_Inline`); the body alone decides.
 """
 
 from __future__ import annotations
 
+import ast
 import hashlib
+import inspect
+import re
+import textwrap
 from collections import OrderedDict, deque
 from functools import lru_cache, partial
 from itertools import combinations
 
-from repro.core.scheduler import SchedulerFeedback
 from repro.core.shared import SharedModule
-from repro.elastic.buffers import ElasticBuffer, ZeroBackwardLatencyBuffer, _TokenStore
+from repro.elastic.buffers import ElasticBuffer, ZeroBackwardLatencyBuffer
 from repro.elastic.eemux import EarlyEvalMux
 from repro.elastic.environment import (
     KillerSink,
@@ -243,32 +250,6 @@ def _comb_source(g, ni, node, out):
     ]
 
 
-def _tick_source(g, ni, node, out):
-    n = g.node_ref(ni)
-    vp, sp = g.sig(node, "o", "vp"), g.sig(node, "o", "sp")
-    vm, sm = g.sig(node, "o", "vm"), g.sig(node, "o", "sm")
-    msg = f"source {node.name}: unbounded anti-token debt"
-    out += [
-        f"if {vp} and not {sp}:",
-        f"    {n}.emitted += 1",
-        f"    if {vm}:",
-        f"        {n}.killed += 1",
-        f"    {n}._offering = False",
-        f"    {n}._value = None",
-        f"elif {vm} and not {sm} and not {vp}:",
-        f"    {n}._skip += 1",
-        f"    if {n}._skip > {n}.max_skips:",
-        f"        raise AssertionError({msg!r})",
-        f"while {n}._skip > 0:",
-        f"    _v = {n}._next_value()",
-        "    if _v is None:",
-        "        break",
-        f"    {n}._skip -= 1",
-        f"    {n}.killed += 1",
-        f"    {n}.emitted += 1",
-    ]
-
-
 def _comb_sink(g, ni, node, out):
     n = g.node_ref(ni)
     out += [
@@ -277,34 +258,11 @@ def _comb_sink(g, ni, node, out):
     ]
 
 
-def _tick_sink(g, ni, node, out):
-    n = g.node_ref(ni)
-    vp, sp, vm = (g.sig(node, "i", s) for s in ("vp", "sp", "vm"))
-    out += [
-        f"if {vp} and not {sp} and not {vm}:",
-        f"    {n}.received.append(({n}._cycle, {g.sig(node, 'i', 'data')}))",
-        f"{n}._cycle += 1",
-    ]
-
-
 def _comb_killer_sink(g, ni, node, out):
     n = g.node_ref(ni)
     out += [
         f"{g.sig(node, 'i', 'vm')} = {n}._killing",
         f"{g.sig(node, 'i', 'sp')} = False if {n}._killing else {n}._stall_now",
-    ]
-
-
-def _tick_killer_sink(g, ni, node, out):
-    n = g.node_ref(ni)
-    vp, sp, vm, sm = (g.sig(node, "i", s) for s in _CONTROLS)
-    out += [
-        f"if {n}._killing and ({vp} or not {sm}):",
-        f"    {n}._killing = False",
-        f"    {n}.kills_sent += 1",
-        f"elif {vp} and not {sp} and not {vm}:",
-        f"    {n}.received.append(({n}._cycle, {g.sig(node, 'i', 'data')}))",
-        f"{n}._cycle += 1",
     ]
 
 
@@ -318,31 +276,8 @@ def _comb_nondet_source(g, ni, node, out, value_attr="_counter"):
     ]
 
 
-def _tick_nondet_source(g, ni, node, out):
-    n = g.node_ref(ni)
-    vp, sp = g.sig(node, "o", "vp"), g.sig(node, "o", "sp")
-    vm, sm = g.sig(node, "o", "vm"), g.sig(node, "o", "sm")
-    out += [
-        f"if {vp} and not {sp}:",
-        f"    {n}._offering = False",
-        f"    {n}._counter += 1",
-        f"    {n}.emitted += 1",
-        f"elif {vm} and not {sm} and not {vp}:",
-        f"    {n}._counter += 1",
-    ]
-
-
 def _comb_nc_source(g, ni, node, out):
     _comb_nondet_source(g, ni, node, out, value_attr="_value")
-
-
-def _tick_nc_source(g, ni, node, out):
-    n = g.node_ref(ni)
-    out += [
-        f"if {g.sig(node, 'o', 'vp')} and not {g.sig(node, 'o', 'sp')}:",
-        f"    {n}._offering = False",
-        f"    {n}.emitted += 1",
-    ]
 
 
 def _comb_permission(g, ni, node, out):
@@ -352,14 +287,6 @@ def _comb_permission(g, ni, node, out):
         f"if {n}._offering:",
         f"    {g.sig(node, 'o', 'data')} = True",
         f"{g.sig(node, 'o', 'sm')} = False",
-    ]
-
-
-def _tick_permission(g, ni, node, out):
-    n = g.node_ref(ni)
-    out += [
-        f"if {g.sig(node, 'o', 'vp')} and not {g.sig(node, 'o', 'sp')}:",
-        f"    {n}._offering = False",
     ]
 
 
@@ -375,18 +302,6 @@ def _comb_nondet_sink(g, ni, node, out):
     ]
 
 
-def _tick_nondet_sink(g, ni, node, out):
-    n = g.node_ref(ni)
-    vp, sp, vm, sm = (g.sig(node, "i", s) for s in _CONTROLS)
-    out += [
-        f"if {n}._killing:",
-        f"    if {vp} or not {sm}:",
-        f"        {n}._killing = False",
-        f"elif {vp} and not {sp} and not {vm}:",
-        f"    {n}.received += 1",
-    ]
-
-
 def _comb_eb(g, ni, node, out):
     n = g.node_ref(ni)
     out += [
@@ -397,26 +312,6 @@ def _comb_eb(g, ni, node, out):
         f"{g.sig(node, 'o', 'sm')} = _x <= -{n}.anti_capacity",
         f"{g.sig(node, 'i', 'sp')} = _x >= {n}.capacity",
         f"{g.sig(node, 'i', 'vm')} = _x <= -1",
-    ]
-
-
-def _tick_eb(g, ni, node, out):
-    n = g.node_ref(ni)
-    ivp, isp, ivm, ism = (g.sig(node, "i", s) for s in _CONTROLS)
-    ovp, osp, ovm, osm = (g.sig(node, "o", s) for s in _CONTROLS)
-    out += [
-        f"_x = {n}.count",
-        f"if {ivp} and not {isp}:",
-        "    if _x >= 0:",
-        f"        {n}._tokens += ({g.sig(node, 'i', 'data')},)",
-        "    _x += 1",
-        f"elif {ivm} and not {ism}:",
-        "    _x += 1",
-        f"if ({ovp} and not {osp}) or ({ovm} and not {osm}):",
-        f"    if {n}._tokens:",
-        f"        {n}._tokens = {n}._tokens[1:]",
-        "    _x -= 1",
-        f"{n}.count = _x",
     ]
 
 
@@ -454,19 +349,6 @@ def _zbl_isp(g, ni, node, out):
         f"({g.sig(node, 'o', 'sp')} and not {g.sig(node, 'o', 'vm')}) "
         f"if {n}._full else False"
     )
-
-
-def _tick_zbl(g, ni, node, out):
-    n = g.node_ref(ni)
-    out += [
-        f"if {n}._full and {g.sig(node, 'o', 'vp')} and not {g.sig(node, 'o', 'sp')}:",
-        f"    {n}._full = False",
-        f"    {n}._value = None",
-        f"if {g.sig(node, 'i', 'vp')} and not {g.sig(node, 'i', 'sp')} "
-        f"and not {g.sig(node, 'i', 'vm')}:",
-        f"    {n}._full = True",
-        f"    {n}._value = {g.sig(node, 'i', 'data')}",
-    ]
 
 
 def _func_avail(g, node):
@@ -525,35 +407,6 @@ def _func_sm(g, ni, node, out):
     ]
 
 
-def _tick_func(g, ni, node, out):
-    """Kills are rare: a tick with no kill offered at an input (``vm``,
-    high exactly while one is pending there) and none absorbed at the
-    output leaves the counters as they are."""
-    n = g.node_ref(ni)
-    ovp, ovm, osm = (g.sig(node, "o", s) for s in ("vp", "vm", "sm"))
-    msg = f"Func {node.name}: kill counter out of range"
-    ks = [f"_k{k}" for k in range(node.n_inputs)]
-    offered = " or ".join(g.sig(node, f"i{k}", "vm")
-                          for k in range(node.n_inputs))
-    out += [
-        f"_ab = {ovm} and not {osm} and not {ovp}",
-        f"if _ab or {offered}:",
-        f"    ({', '.join(ks)},) = {n}._kills",
-    ]
-    for k in range(node.n_inputs):
-        p = f"i{k}"
-        vp, vm, sm = (g.sig(node, p, s) for s in ("vp", "vm", "sm"))
-        out += [
-            f"    if {vm} and ({vp} or not {sm}):",
-            f"        _k{k} -= 1",
-            "    if _ab:",
-            f"        _k{k} += 1",
-            f"    if _k{k} < 0 or _k{k} > {n}.max_kills:",
-            f"        raise AssertionError({msg!r})",
-        ]
-    out.append(f"    {n}._kills = ({', '.join(ks)},)")
-
-
 def _fork_fwd(g, ni, node, out):
     n = g.node_ref(ni)
     ivp, idata = g.sig(node, "i", "vp"), g.sig(node, "i", "data")
@@ -586,45 +439,6 @@ def _fork_isp(g, ni, node, out):
 
 def _fork_ivm(g, ni, node, out):
     out.append(f"{g.sig(node, 'i', 'vm')} = False")
-
-
-def _tick_fork(g, ni, node, out):
-    """The branch flags ``_d{k}`` and kill counters ``_k{k}`` in locals;
-    the counters are only written when a kill is pending or absorbed, the
-    flags only when they change."""
-    n = g.node_ref(ni)
-    k_out = node.n_outputs
-    ds = [f"_d{k}" for k in range(k_out)]
-    ks = [f"_k{k}" for k in range(k_out)]
-    absorbs = []
-    for k in range(k_out):
-        vp, vm, sm = (g.sig(node, f"o{k}", s) for s in ("vp", "vm", "sm"))
-        absorbs.append(f"({vm} and not {sm} and not {vp})")
-    out += [
-        f"_tk = {g.sig(node, 'i', 'vp')}",
-        f"_sv = ({', '.join(ds)},) = {n}._served",
-        f"({', '.join(ks)},) = {n}._kills",
-        f"if {' or '.join(ks + absorbs)}:",
-    ]
-    for k in range(k_out):
-        out += [
-            f"    if _tk and _k{k} > 0 and not _d{k}:",
-            f"        _d{k} = True",
-            f"        _k{k} -= 1",
-            f"    if {absorbs[k]}:",
-            f"        _k{k} += 1",
-        ]
-    out.append(f"    {n}._kills = ({', '.join(ks)},)")
-    for k in range(k_out):
-        p = f"o{k}"
-        out += [f"if {g.sig(node, p, 'vp')} and not {g.sig(node, p, 'sp')}:",
-                f"    _d{k} = True"]
-    out += [
-        f"if _tk and {' and '.join(ds)}:",
-        f"    {' = '.join(ds)} = False",
-        f"if ({', '.join(ds)},) != _sv:",
-        f"    {n}._served = ({', '.join(ds)},)",
-    ]
 
 
 def _by_select(node, rhs, lhs, out):
@@ -698,43 +512,6 @@ def _eemux_svm(g, ni, node, out):
     out.append(f"{g.sig(node, 's', 'vm')} = False")
 
 
-def _tick_eemux(g, ni, node, out):
-    """``_u{j}``: the change of input ``j``'s kill counter, a kill from
-    this firing less one delivered; the counters are rewritten only when
-    one changes."""
-    n = g.node_ref(ni)
-    svp, ssp = g.sig(node, "s", "vp"), g.sig(node, "s", "sp")
-    ovp, ovm, osm = (g.sig(node, "o", s) for s in ("vp", "vm", "sm"))
-    msg = f"EarlyEvalMux {node.name}: kill counter out of range"
-    us = [f"_u{j}" for j in range(node.n_inputs)]
-    ks = [f"_k{j}" for j in range(node.n_inputs)]
-    out += [
-        f"_fi = {svp} and not {ssp}",
-        f"if _fi and {n}._pko > 0:",
-        f"    {n}._pko -= 1",
-    ]
-    for j in range(node.n_inputs):
-        p = f"i{j}"
-        vp, vm, sm = (g.sig(node, p, s) for s in ("vp", "vm", "sm"))
-        out.append(f"_u{j} = (_fi and {g.sig(node, 's', 'data')} != {j}) "
-                   f"- ({vm} and ({vp} or not {sm}))")
-    out += [
-        f"if {' or '.join(us)}:",
-        f"    ({', '.join(ks)},) = {n}._kills",
-    ]
-    for j in range(node.n_inputs):
-        out += [
-            f"    _k{j} += _u{j}",
-            f"    if _k{j} < 0 or _k{j} > {n}.max_kills:",
-            f"        raise AssertionError({msg!r})",
-        ]
-    out += [
-        f"    {n}._kills = ({', '.join(ks)},)",
-        f"if {ovm} and not {osm} and not {ovp}:",
-        f"    {n}._pko += 1",
-    ]
-
-
 def _shared_fwd(g, ni, node, out, j=0):
     n = g.node_ref(ni)
     ivp, odata = g.sig(node, f"i{j}", "vp"), g.sig(node, f"o{j}", "data")
@@ -767,36 +544,6 @@ def _shared_isp(g, ni, node, out, j=0):
     )
 
 
-def _tick_shared(g, ni, node, out):
-    """The scheduler's feedback, built from the locals exactly as
-    ``SharedModule.tick`` builds it from the flushed channel states."""
-    n = g.node_ref(ni)
-    g.bind["SchedulerFeedback"] = 'env["SchedulerFeedback"]'
-    k = node.n_channels
-    out += [f"_g = {n}.scheduler.prediction()", "_gr = None", "_kl = ()",
-            "_va = ()"]
-    stalls = []
-    for j in range(k):
-        vp, sp, vm, sm = (g.sig(node, f"o{j}", s) for s in _CONTROLS)
-        out += [
-            f"if {vp} and not {sp} and not {vm}:",
-            f"    _gr = {j}",
-            f"if {vm} and ({vp} or not {sm}):",
-            f"    _kl += ({j},)",
-            f"if {g.sig(node, f'i{j}', 'vp')}:",
-            f"    _va += ({j},)",
-        ]
-        stalls.append(f"{vp} and {sp} and not {vm}")
-    out += [
-        f"_st = bool(({', '.join(stalls)})[_g])",
-        "if _gr is not None:",
-        f"    {n}.grants += 1",
-        "if _st:",
-        f"    {n}.mispredicts += 1",
-        f"{n}.scheduler.observe(SchedulerFeedback(_g, _gr, _kl, _st, _va))",
-    ]
-
-
 def _comb_varlat(g, ni, node, out):
     n = g.node_ref(ni)
     out += [
@@ -808,26 +555,6 @@ def _comb_varlat(g, ni, node, out):
         f"{g.sig(node, 'o', 'sm')} = not _hr",
         f"{g.sig(node, 'i', 'sp')} = len(_vq) >= 2",
         f"{g.sig(node, 'i', 'vm')} = False",
-    ]
-
-
-def _tick_varlat(g, ni, node, out):
-    n = g.node_ref(ni)
-    idata = g.sig(node, "i", "data")
-    ivp, isp, ivm = (g.sig(node, "i", s) for s in ("vp", "sp", "vm"))
-    out += [
-        f"_vq = {n}._station",
-        f"if {g.sig(node, 'o', 'vp')} and not {g.sig(node, 'o', 'sp')}:",
-        "    _vq = _vq[1:]",
-        "elif _vq and _vq[0][1] > 0:",
-        "    _vq = ((_vq[0][0], _vq[0][1] - 1),) + _vq[1:]",
-        f"if {ivp} and not {isp} and not {ivm}:",
-        f"    _sw = bool({n}.err_fn({idata}))",
-        f"    _vq += (({n}.fn({idata}), 1 if _sw else 0),)",
-        f"    {n}.total_ops += 1",
-        "    if _sw:",
-        f"        {n}.slow_ops += 1",
-        f"{n}._station = _vq",
     ]
 
 
@@ -852,23 +579,294 @@ _COMB_EMITTERS = {
     NondetSink: (_comb_nondet_sink,),
 }
 
-#: tick-definer class -> tick emitter.
-_TICK_EMITTERS = {
-    _TokenStore: _tick_eb,
-    ZeroBackwardLatencyBuffer: _tick_zbl,
-    Func: _tick_func,
-    EagerFork: _tick_fork,
-    EarlyEvalMux: _tick_eemux,
-    SharedModule: _tick_shared,
-    VariableLatencyUnit: _tick_varlat,
-    _SourceBase: _tick_source,
-    Sink: _tick_sink,
-    KillerSink: _tick_killer_sink,
-    NondetSource: _tick_nondet_source,
-    NondetChoiceSource: _tick_nc_source,
-    PermissionSource: _tick_permission,
-    NondetSink: _tick_nondet_sink,
-}
+
+# ---------------------------------------------------------------------------
+# sequential code, derived: tick, pre_cycle and set_choice
+#
+# By the clock edge every signal is known, so a tick is two-valued and its
+# Python method can be the one description of it.  _Inline rewrites:
+# self.st(P).sig, directly or through a local alias, to the local of the
+# channel at port P (in ticks only: before the fix-point the locals are
+# not this cycle's); self.x to _n<ni>.x; a method local x to _x_, which
+# no channel local, scratch name or entry binding ends with; set_choice's
+# parameter to the choice vector's local; a module global X to _g_X,
+# bound from the method's globals; a top-level `if c: return` to a guard
+# over the rest.  A loop over range(self.<arity attribute>),
+# self.in_ports or self.out_ports unrolls, and ports fold only from
+# literals, unrolled loop variables and port lists, so no numeric
+# parameter is baked in.  Anything else is refused and the method called:
+# super(), a channel state escaping (into a call, a container or an alias
+# bound in a branch), a port that does not fold (picked from state),
+# self.channel(...) or self._channels, any other loop, a return
+# elsewhere, a helper of self that reaches channels, a class with no
+# source (made by exec).  A method renders once per node shape into a
+# template each node fills in: `@` is the node, `@<port>@<signal>` a
+# channel local.
+# ---------------------------------------------------------------------------
+
+#: the node methods rendered into the cycle body
+_SEQUENTIAL = ("pre_cycle", "tick", "set_choice")
+
+#: attributes through which a method reaches channels other than a folded
+#: ``self.st(port)``
+_CHANNEL_ACCESS = frozenset({"st", "ev", "channel", "_channels", "drive"})
+
+#: statements rendered as they are once their expressions are rewritten
+_SIMPLE = (ast.Assign, ast.AugAssign, ast.Expr, ast.Raise, ast.Assert,
+           ast.Pass, ast.Break, ast.Continue)
+
+#: a template's placeholders (see above)
+_PLACEHOLDER = re.compile(r"@(\w+)@(\w+)|@")
+
+
+class _Refused(Exception):
+    """The method body is outside the inlined subset: call it instead."""
+
+
+@lru_cache(maxsize=256)
+def _method_tree(code):
+    """The parsed ``def`` of a method's code object; None when it has no
+    source (a class made by ``exec``).  Shared: never change it."""
+    try:
+        tree = ast.parse(textwrap.dedent(inspect.getsource(code))).body[0]
+    except (OSError, TypeError, SyntaxError):
+        return None
+    return tree if isinstance(tree, ast.FunctionDef) else None
+
+
+def _self_attr(expr, me):
+    """``attr`` when ``expr`` is ``<me>.attr``, else None."""
+    if (isinstance(expr, ast.Attribute) and isinstance(expr.value, ast.Name)
+            and expr.value.id == me):
+        return expr.attr
+    return None
+
+
+def _check_helper(cls, attr, seen):
+    """Refuse when ``self.<attr>`` is a method or property of ``cls`` that
+    may reach a channel, or whose source cannot be read."""
+    if attr in seen:
+        return
+    seen.add(attr)
+    value = next((k.__dict__[attr] for k in cls.__mro__
+                  if attr in k.__dict__), None)
+    funcs = ((value.fget, value.fset) if isinstance(value, property)
+             else (getattr(value, "__func__", value),))
+    for func in filter(callable, funcs):    # not None or a class constant
+        tree = _method_tree(getattr(func, "__code__", None))
+        if tree is None:
+            raise _Refused
+        me = tree.args.args[0].arg if tree.args.args else None
+        for n in ast.walk(tree):
+            if (isinstance(n, ast.Name) and n.id == "super"
+                    or isinstance(n, ast.Attribute)
+                    and n.attr in _CHANNEL_ACCESS):
+                raise _Refused
+            if _self_attr(n, me) is not None:
+                _check_helper(cls, n.attr, seen)
+
+
+@lru_cache(maxsize=256)
+def _template(cls, method, arg, in_ports, out_ports, arity):
+    """``(text, globals)``: ``method`` of ``cls`` rendered for nodes with
+    these port lists and :attr:`~repro.elastic.node.Node.arity_checks`
+    values, and the module globals it binds; None outside the subset."""
+    try:
+        inline = _Inline(cls, method, arg, in_ports, out_ports, arity)
+    except _Refused:
+        return None
+    return inline.text, tuple(inline.globals_used)
+
+
+class _Inline(ast.NodeTransformer):
+    """One method rendered as a template (see the comment above); raises
+    :class:`_Refused` outside the subset.  ``arg`` names the local passed
+    to ``set_choice``."""
+
+    def __init__(self, cls, method, arg, in_ports, out_ports, arity):
+        func = getattr(cls, method)
+        tree = _method_tree(getattr(func, "__code__", None))
+        if tree is None or tree.decorator_list or any(
+                isinstance(n, ast.Constant) and "@" in str(n.value)
+                for n in ast.walk(tree)):
+            raise _Refused
+        a = tree.args
+        params = [p.arg for p in a.args]
+        if (a.posonlyargs or a.vararg or a.kwonlyargs or a.kwarg
+                or len(params) != 1 + (arg is not None)):
+            raise _Refused
+        self.cls, self.me = cls, params[0]
+        self.arg = dict(zip(params[1:], [arg]))
+        self.locals = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)
+                       and isinstance(n.ctx, ast.Store)}
+        self.globals = func.__globals__
+        self.globals_used = {}
+        self.signals = method == "tick"
+        self.port_lists = {"in_ports": in_ports, "out_ports": out_ports}
+        self.arity = {
+            attr: value for (attr, ports, fixed), value
+            in zip(cls.arity_checks, arity)
+            if value == len(self.port_lists.get(ports, ())) - fixed}
+        self.consts = {}      # unrolled loop variable -> its value
+        self.ports = {}       # channel state alias -> port
+        self.seen = set()     # helpers of self checked
+        self.text = ast.unparse(ast.Module(self._block(tree.body, True), []))
+
+    def _block(self, body, top=False, unrolled=False, straight=True):
+        """``body`` rewritten.  ``straight``: outside any branch, so a
+        channel state alias may be bound; ``unrolled``: directly in an
+        unrolled loop, where break and continue have no loop to leave."""
+        out = []
+        for k, s in enumerate(body):
+            if isinstance(s, ast.Expr) and isinstance(s.value, ast.Constant):
+                continue                                 # a docstring
+            if (top and isinstance(s, ast.If) and not s.orelse
+                    and len(s.body) == 1 and isinstance(s.body[0], ast.Return)
+                    and s.body[0].value is None):
+                test = self.visit(s.test)
+                test = (test.operand if isinstance(test, ast.UnaryOp)
+                        and isinstance(test.op, ast.Not)
+                        else ast.UnaryOp(ast.Not(), test))
+                rest = self._block(body[k + 1:], top=True) or [ast.Pass()]
+                out.append(ast.If(test, rest, []))
+                break
+            port = (self._port(s.value) if isinstance(s, ast.Assign)
+                    and len(s.targets) == 1
+                    and isinstance(s.targets[0], ast.Name) else None)
+            if port is not None and straight:
+                self.ports[s.targets[0].id] = port
+            elif isinstance(s, ast.For):
+                for value in self._unrolled(s):
+                    self.consts[s.target.id] = value
+                    out += self._block(s.body, unrolled=True,
+                                       straight=straight)
+            elif isinstance(s, (ast.If, ast.While)) and port is None:
+                inner = unrolled and isinstance(s, ast.If)
+                if isinstance(s, ast.While) and s.orelse:
+                    raise _Refused
+                out.append(type(s)(
+                    self.visit(s.test),
+                    self._block(s.body, unrolled=inner, straight=False)
+                    or [ast.Pass()],
+                    self._block(s.orelse, unrolled=inner, straight=False)))
+            elif (isinstance(s, _SIMPLE) and port is None and not (
+                    unrolled and isinstance(s, (ast.Break, ast.Continue)))):
+                out.append(self.visit(s))
+            else:
+                raise _Refused
+        return out
+
+    def _unrolled(self, loop):
+        """The values of an unrollable loop's variable."""
+        it, me = loop.iter, self.me
+        if loop.orelse or not isinstance(loop.target, ast.Name):
+            raise _Refused
+        if _self_attr(it, me) in self.port_lists:
+            return self.port_lists[it.attr]
+        if (isinstance(it, ast.Call) and isinstance(it.func, ast.Name)
+                and it.func.id == "range" and "range" not in self.globals
+                and len(it.args) == 1 and not it.keywords
+                and _self_attr(it.args[0], me) in self.arity):
+            return range(self.arity[it.args[0].attr])
+        raise _Refused
+
+    def _fold(self, e):
+        """The value of a port expression: literals, unrolled loop
+        variables, port lists and sums of these."""
+        if isinstance(e, ast.Constant):
+            return e.value
+        if isinstance(e, ast.Name) and e.id in self.consts:
+            return self.consts[e.id]
+        try:
+            if isinstance(e, ast.BinOp) and isinstance(e.op, ast.Add):
+                return self._fold(e.left) + self._fold(e.right)
+            if (isinstance(e, ast.Subscript) and _self_attr(e.value, self.me)
+                    in self.port_lists):
+                return self.port_lists[e.value.attr][self._fold(e.slice)]
+        except (TypeError, IndexError):
+            pass
+        raise _Refused
+
+    def _port(self, e):
+        """The port whose channel state ``e`` is (an alias or
+        ``self.st(P)``), else None."""
+        if isinstance(e, ast.Name) and e.id in self.ports:
+            return self.ports[e.id]
+        if not (isinstance(e, ast.Call) and _self_attr(e.func, self.me) == "st"):
+            return None
+        if len(e.args) != 1 or e.keywords or not self.signals:
+            raise _Refused
+        port = self._fold(e.args[0])
+        if port not in self.port_lists["in_ports"] + self.port_lists[
+                "out_ports"] or not re.fullmatch(r"\w+", port):
+            raise _Refused
+        return port
+
+    def generic_visit(self, node):
+        # a rewritten copy: the parsed trees are shared
+        fields = {name: [self.visit(v) if isinstance(v, ast.AST) else v
+                         for v in value] if isinstance(value, list)
+                  else self.visit(value) if isinstance(value, ast.AST)
+                  else value for name, value in ast.iter_fields(node)}
+        return ast.copy_location(type(node)(**fields), node)
+
+    def visit_Attribute(self, n):
+        port = self._port(n.value)
+        if port is not None:
+            if n.attr not in _SIGNALS or not isinstance(n.ctx, ast.Load):
+                raise _Refused
+            return ast.Name(f"@{port}@{n.attr}", ast.Load())
+        if _self_attr(n, self.me) is None:
+            return self.generic_visit(n)
+        if n.attr in _CHANNEL_ACCESS:
+            raise _Refused
+        _check_helper(self.cls, n.attr, self.seen)
+        return ast.Attribute(ast.Name("@", ast.Load()), n.attr, n.ctx)
+
+    def visit_Name(self, n):
+        name = n.id
+        if name in self.consts and isinstance(n.ctx, ast.Load):
+            return ast.Constant(self.consts[name])
+        if name in (self.me, "super") or name in self.ports \
+                or name in self.consts:
+            raise _Refused     # self or a channel state escaping, super()
+        if name in self.arg:
+            return ast.Name(self.arg[name], n.ctx)
+        if name in self.locals:
+            return ast.Name(f"_{name}_", n.ctx)
+        if name not in self.globals:
+            return n                                     # a builtin
+        self.globals_used[name] = None
+        return ast.Name(f"_g_{name}", n.ctx)
+
+    def _refuse(self, n):
+        raise _Refused
+
+    # (a matrix product would render the placeholder `@`)
+    visit_Lambda = visit_Yield = visit_YieldFrom = visit_Await = _refuse
+    visit_MatMult = _refuse
+
+
+def _sequential(g, ni, node, method, arg=None):
+    """``(lines, inlined)``: node ``ni``'s ``method`` in the cycle body,
+    its body inlined or, outside the subset, one call of it."""
+    cls = type(node)
+    template = _template(
+        cls, method, arg, tuple(node.in_ports), tuple(node.out_ports),
+        tuple(getattr(node, attr, None) for attr, _, _ in cls.arity_checks))
+    space = template and getattr(cls, method).__globals__
+    if template is None or any(   # another node's global of the same name
+            g.globals.setdefault(name, space[name]) is not space[name]
+            for name in template[1]):
+        name = f"_{method[0]}{ni}"
+        g.bind[name] = f"_nodes[{ni}].{method}"
+        return [f"{name}({arg or ''})"], False
+    for name in template[1]:
+        g.bind[f"_g_{name}"] = f"type(_nodes[{ni}]).{method}.__globals__[{name!r}]"
+    ref = g.node_ref(ni)
+    return _PLACEHOLDER.sub(
+        lambda m: ref if m[1] is None else g.sig(node, m[1], m[2]),
+        template[0]).splitlines(), True
 
 
 # ---------------------------------------------------------------------------
@@ -992,6 +990,7 @@ class _Gen:
         self.plan = plan
         self.bind = {}        # default-arg name -> build-scope expression
         self.covered = set()  # (ci, control) unconditionally assigned
+        self.globals = {}     # module global bound as _g_<name> -> object
 
     def node_ref(self, ni):
         name = f"_n{ni}"
@@ -1193,9 +1192,7 @@ def _generate_source(netlist, check_protocol, content_hash, entry):
     # -- then the straight-line region in scheduled signal-task order
     body = []
     for ni in plan.pre_cycles:
-        name = f"_p{ni}"
-        g.bind[name] = f"_nodes[{ni}].pre_cycle"
-        body.append(f"{name}()")
+        body += _sequential(g, ni, nodes[ni], "pre_cycle")[0]
     body += _chunk_chain([g.csig(ci, "data") for ci in chans], "None")
     for ni, reads, writes, emit in plan.task_order:
         node = nodes[ni]
@@ -1203,21 +1200,15 @@ def _generate_source(netlist, check_protocol, content_hash, entry):
         emit(g, ni, node, body)
         g.cover(node, [(p, s) for p, s in writes if s != "data"])
 
-    # -- the clock edge; a tick without an emitter is called, and since it
-    # -- reads the channel states, its netlist flushes every cycle
+    # -- the clock edge; a called tick reads the channel states, so its
+    # -- netlist flushes them every cycle
     ticks = []
     interpreted_tick = False
     for ni in plan.ticks:
         node = nodes[ni]
-        emitter = _TICK_EMITTERS.get(_definer(type(node), "tick"))
-        if emitter is not None:
-            ticks.append(f"# tick {node.name} ({node.kind})")
-            emitter(g, ni, node, ticks)
-        else:
-            interpreted_tick = True
-            name = f"_t{ni}"
-            g.bind[name] = f"_nodes[{ni}].tick"
-            ticks.append(f"{name}()")
+        code, inlined = _sequential(g, ni, node, "tick")
+        ticks += [f"# tick {node.name} ({node.kind})", *code]
+        interpreted_tick |= not inlined
 
     # -- every channel unresolved (no memoized events, vp unknown) until
     # -- the flush, so a Channel.events() call inside a cycle raises
@@ -1370,8 +1361,9 @@ def _expand_entry(g, body, ticks, unresolve, flush, interpreted_tick):
     if xs:
         loop += _wrapped(xs, "(", ",) = _vec")
     for x, ni in zip(xs, g.plan.choosers):
-        loop += [f"if {x} is not None:",
-                 f"    {g.node_ref(ni)}.set_choice({x})"]
+        code = _sequential(g, ni, g.plan.nodes[ni], "set_choice", x)[0]
+        if code:
+            loop += [f"if {x} is not None:"] + _indent(code)
     if interpreted_tick:
         loop += unresolve
     loop += body
@@ -1439,7 +1431,10 @@ def _module_for(netlist, check_protocol, entry):
     # topology
     check_protocol = bool(check_protocol) and entry == "run"
     topology = (topology_signature(netlist), check_protocol)
-    key = topology + (entry,)
+    # the topology names classes, but the inlined code is their methods'
+    key = topology + (tuple(
+        getattr(getattr(type(node), name), "__code__", None)
+        for node in netlist.nodes.values() for name in _SEQUENTIAL), entry)
     module = _MODULE_CACHE.get(key)
     if module is not None:
         _CACHE_STATS["hits"] += 1
@@ -1531,7 +1526,6 @@ class CodegenBackend:
             "unresolve": self.unresolve,
             "keep": (CombinationalLoopError, ProtocolViolationError),
             "SchedulerError": SchedulerError,
-            "SchedulerFeedback": SchedulerFeedback,
         })
 
     def unresolve(self):

@@ -126,35 +126,27 @@ class SharedModule(Node):
     def tick(self):
         g = self.scheduler.prediction()
         granted = None
-        killed = []
-        valid = []
-        channels = self._channels
-        in_ports = self.in_ports     # ["i0", ...] / ["o0", ...] by
-        out_ports = self.out_ports   # construction — no f-strings here,
-        for j in range(self.n_channels):     # tick is a model-checking hot path
-            ost = channels[out_ports[j]].state
-            ist = channels[in_ports[j]].state
+        killed = ()
+        valid = ()
+        stalled = False
+        for j in range(self.n_channels):
+            ost = self.st(self.out_ports[j])
             if ost.vp and not ost.sp and not ost.vm:
                 granted = j
             if ost.vm and (ost.vp or not ost.sm):
-                killed.append(j)
-            if ist.vp:
-                valid.append(j)
-        og = channels[out_ports[g]].state
-        stalled = bool(og.vp and og.sp and not og.vm)
+                killed += (j,)
+            if self.st(self.in_ports[j]).vp:
+                valid += (j,)
+            if j == g:
+                stalled = bool(ost.vp and ost.sp and not ost.vm)
         if granted is not None:
             self.grants += 1
         if stalled:
             self.mispredicts += 1
+        # positional (predicted, granted, killed, stalled, valid_inputs):
+        # one feedback per shared module per cycle
         self.scheduler.observe(
-            SchedulerFeedback(
-                predicted=g,
-                granted=granted,
-                killed=tuple(killed),
-                stalled=stalled,
-                valid_inputs=tuple(valid),
-            )
-        )
+            SchedulerFeedback(g, granted, killed, stalled, valid))
 
     # -- performance ---------------------------------------------------------------------
 

@@ -55,10 +55,11 @@ class _TokenStore(Node):
         ist = self.st("i")
         ost = self.st("o")
         count = self.count
-        entered = ist.vp and not ist.sp
-        if entered and count >= 0:
-            self._tokens += (ist.data,)
-        if entered or (ist.vm and not ist.sm):
+        if ist.vp and not ist.sp:            # a token entered
+            if count >= 0:
+                self._tokens += (ist.data,)
+            count += 1
+        elif ist.vm and not ist.sm:          # a held anti-token left
             count += 1
         if (ost.vp and not ost.sp) or (ost.vm and not ost.sm):
             if self._tokens:

@@ -18,7 +18,7 @@ scheduler corrects itself.
 
 from __future__ import annotations
 
-from repro.elastic.node import BWD, DATA, VALID, Node
+from repro.elastic.node import BWD, DATA, VALID, Node, adjusted
 from repro.errors import SchedulerError
 from repro.kleene import kand, kite, knot, kor
 
@@ -120,30 +120,19 @@ class EarlyEvalMux(Node):
     # -- sequential -----------------------------------------------------------------
 
     def tick(self):
-        channels = self._channels
-        sst = channels["s"].state
-        ost = channels["o"].state
+        sst = self.st("s")
+        ost = self.st("o")
         fire = sst.vp and not sst.sp
-        sel = sst.data if fire else None
-        in_ports = self.in_ports     # ["s", "i0", ...] by construction:
-        if fire and self._pko > 0:   # no per-tick f-strings (hot path)
+        if fire and self._pko > 0:
             self._pko -= 1
         # a firing kills every non-selected input; a kill delivered in the
         # same cycle leaves its counter as it was
-        kills = None
-        for j, pending in enumerate(self._kills):
-            ist = channels[in_ports[1 + j]].state
-            step = (int(fire and j != sel)
-                    - int(ist.vm and (ist.vp or not ist.sm)))
+        for j in range(self.n_inputs):
+            ist = self.st(self.in_ports[1 + j])       # in_ports[0] is "s"
+            step = (fire and j != sst.data) - (ist.vm and (ist.vp or not ist.sm))
             if step:
-                pending += step
-                if pending < 0 or pending > self.max_kills:
-                    raise AssertionError(f"EarlyEvalMux {self.name}: kill counter out of range")
-                if kills is None:
-                    kills = list(self._kills)
-                kills[j] = pending
-        if kills is not None:
-            self._kills = tuple(kills)
+                self._kills = adjusted(self._kills, j, step, self.max_kills,
+                                       f"EarlyEvalMux {self.name}")
         if ost.vm and not ost.sm and not ost.vp:
             self._pko += 1
 

@@ -14,7 +14,7 @@ counterflow network small while preserving transfer equivalence.
 
 from __future__ import annotations
 
-from repro.elastic.node import BWD, DATA, VALID, Node
+from repro.elastic.node import BWD, DATA, VALID, Node, adjusted
 from repro.kleene import kand, kite, knot, kor
 
 
@@ -77,27 +77,33 @@ class EagerFork(Node):
     # -- sequential ----------------------------------------------------------------
 
     def tick(self):
-        token_present = bool(self.st("i").vp)
-        outs = [self.st(port) for port in self.out_ports]
-        served = list(self._served)
-        absorbed = [ost.vm and not ost.sm and not ost.vp for ost in outs]
-        if any(self._kills) or any(absorbed):
-            kills = list(self._kills)
-            for k, absorbs in enumerate(absorbed):
-                # Pending kill consumes this token's copy on branch k.
-                if token_present and kills[k] > 0 and not served[k]:
-                    served[k] = True
-                    kills[k] -= 1
-                # Absorb a fresh anti-token targeting a future copy.
-                if absorbs:
-                    kills[k] += 1
-            self._kills = tuple(kills)
-        for k, ost in enumerate(outs):
-            if ost.vp and not ost.sp:
-                served[k] = True
-        if token_present and all(served):
-            served = [False] * self.n_outputs
-        self._served = tuple(served)
+        token_present = self.st("i").vp       # known at the clock edge
+        served = self._served
+        owed = 0            # branches still owed the current token's copy
+        for k in range(self.n_outputs):
+            ost = self.st(self.out_ports[k])
+            if self._kills[k] or ost.vm:
+                served = self._kill(k, served, token_present,
+                                    ost.vm and not ost.sm and not ost.vp)
+            if not (served[k] or ost.vp and not ost.sp):
+                owed += 1
+        if token_present and not owed:     # every copy left: next token
+            served = (False,) * self.n_outputs
+        else:                              # mark the branches served now
+            for k in range(self.n_outputs):
+                if self.st(self.out_ports[k]).vp and not self.st(self.out_ports[k]).sp:
+                    served = served[:k] + (True,) + served[k + 1:]
+        self._served = served
+
+    def _kill(self, k, served, token_present, absorbed):
+        """Branch ``k``'s kills at the clock edge: a pending kill consumes
+        the current token's copy (returned marked in ``served``), and an
+        absorbed anti-token targets a future copy."""
+        consumed = token_present and self._kills[k] > 0 and not served[k]
+        if absorbed - consumed:
+            self._kills = adjusted(self._kills, k, absorbed - consumed,
+                                   self.max_kills, f"EagerFork {self.name}")
+        return served[:k] + (True,) + served[k + 1:] if consumed else served
 
     # -- performance ------------------------------------------------------------------
 

@@ -14,7 +14,7 @@ backward into the producer (an EB absorbs it as a stored anti-token).
 
 from __future__ import annotations
 
-from repro.elastic.node import BWD, DATA, VALID, Node
+from repro.elastic.node import BWD, DATA, VALID, Node, adjusted
 from repro.kleene import kand, kite, knot
 
 
@@ -60,9 +60,6 @@ class Func(Node):
 
     # -- combinational ---------------------------------------------------------
 
-    def _in(self, i):
-        return self.st(f"i{i}")
-
     def comb_tasks(self):
         # Lazy join: fires on the input valids (and their data) and the
         # downstream stop; it never reads i.sm or o.vm combinationally.
@@ -81,7 +78,7 @@ class Func(Node):
         # A waiting token on input i only participates when no kill targets it.
         avails = []
         for i in range(self.n_inputs):
-            ist = self._in(i)
+            ist = self.st(self.in_ports[i])
             avails.append(kand(ist.vp, self._kills[i] == 0))
         all_avail = kand(*avails)
         self.drive("o", "vp", all_avail)
@@ -105,7 +102,7 @@ class Func(Node):
         # Data: fn runs once per cycle — a re-evaluation after o.data is
         # known could only re-drive the same value.
         if all_avail is True and ost.data is None:
-            args = [self._in(i).data for i in range(self.n_inputs)]
+            args = [self.st(port).data for port in self.in_ports]
             if all(a is not None for a in args):
                 self.drive("o", "data", self.fn(*args))
 
@@ -114,21 +111,13 @@ class Func(Node):
     def tick(self):
         ost = self.st("o")
         absorbed = ost.vm and not ost.sm and not ost.vp
-        # An input offers a kill (vm) only while one is pending there, so
-        # without pending kills or an absorbed anti-token nothing changes.
-        if not (absorbed or any(self._kills)):
-            return
-        kills = []
-        for i, pending in enumerate(self._kills):
-            ist = self._in(i)
-            if ist.vm and (ist.vp or not ist.sm):      # delivered
-                pending -= 1
-            if absorbed:
-                pending += 1
-            if pending < 0 or pending > self.max_kills:
-                raise AssertionError(f"Func {self.name}: kill counter out of range")
-            kills.append(pending)
-        self._kills = tuple(kills)
+        for i in range(self.n_inputs):
+            ist = self.st(self.in_ports[i])
+            # one more per absorbed anti-token, one less per delivered kill
+            step = absorbed - (ist.vm and (ist.vp or not ist.sm))
+            if step:
+                self._kills = adjusted(self._kills, i, step, self.max_kills,
+                                       f"Func {self.name}")
 
     # -- performance ---------------------------------------------------------------
 

@@ -15,6 +15,11 @@ cycle:
 2. :meth:`Node.tick` — the clock edge.  All signals are resolved; the node
    updates its sequential state from the channel events.
 
+The compiled engine inlines ``tick``, ``pre_cycle`` and ``set_choice``
+from their source (:mod:`repro.backend.pysim`); keep ticks to reading
+``self.st(port)`` with ports from literals and port lists, or they are
+called, flushing the channel states every cycle.
+
 What ``comb`` reads is declared once, by :meth:`Node.comb_tasks`: the
 signal tasks both engines derive their schedules from (the worklist
 engine's wake-up sets through :meth:`Node.comb_reads`, the compiled
@@ -75,6 +80,16 @@ from repro.elastic.channel import PRODUCER, CONSUMER, SIGNALS_BY_ROLE
 DATA = "D"
 VALID = "V"
 BWD = "B"
+
+
+def adjusted(counts, i, step, limit, owner):
+    """The tuple ``counts`` with ``step`` added to count ``i``, which must
+    stay in ``0..limit``: how a tick moves one pending-kill counter of a
+    tuple slot (``owner`` names the node in the error)."""
+    count = counts[i] + step
+    if not 0 <= count <= limit:
+        raise AssertionError(f"{owner}: kill counter out of range")
+    return counts[:i] + (count,) + counts[i + 1:]
 
 
 class Stateful:

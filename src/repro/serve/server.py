@@ -26,8 +26,8 @@ Failure containment, site by site (each pinned by the PR 6 fault plans):
     key; a job that fails every attempt is **quarantined** — journaled
     ``failed`` so a restart will not re-run it — and reported as a
     structured ``failed`` event.  Cancellations and deadlines stop the
-    job at its next checkpoint boundary and are never retried; a drain
-    ends a retry's backoff and detaches the job.
+    job at its next checkpoint boundary and are never retried; a cancel
+    or a drain ends a retry's backoff, cancelling or detaching the job.
 ``serve_cache``
     A failed cache write degrades to an uncached (still correct) reply
     carrying a ``cache_error`` note.
@@ -195,6 +195,7 @@ class JobServer:
         self.drain_signal = signum
         if self.running is not None:
             self.running["control"].cancel("server draining")
+            self.running["wake"].set()
         self.queue.put_nowait(None)         # wake the worker
         self._drain_event.set()
 
@@ -214,6 +215,7 @@ class JobServer:
             "id": job_id, "key": key, "kind": spec["kind"], "spec": spec,
             "status": "queued", "attempts": 0, "deadline": deadline,
             "control": control, "subscribers": [], "terminal": None,
+            "wake": asyncio.Event(),    # set by a cancel or a drain
         }
         control.on_progress = (
             lambda site, info: self.loop.call_soon_threadsafe(
@@ -282,6 +284,14 @@ class JobServer:
                      "finished by the next server on this root",
         })
 
+    def _stopped(self, job, reason):
+        """The running job stopped on a cancel, a deadline or a drain."""
+        self.running = None
+        if self.draining and job["control"].stop_reason() == "server draining":
+            self._detach(job)
+        else:
+            self._finish_cancelled(job, reason)
+
     def _finish_cancelled(self, job, reason):
         self.depth -= 1
         warning = self._journal_guarded("cancelled", job, reason=reason)
@@ -302,28 +312,26 @@ class JobServer:
                 payload = await self.loop.run_in_executor(
                     self.executor, self._execute, job, attempt)
             except JobCancelled as exc:    # incl. DeadlineExceeded
-                self.running = None
-                if self.draining and control.stop_reason() == "server draining":
-                    self._detach(job)
-                else:
-                    self._finish_cancelled(job, str(exc))
+                self._stopped(job, str(exc))
                 return
             except Exception as exc:
-                self.running = None
                 if not self.policy.exhausted(attempt):
                     self._publish(job, {
                         "type": "retry", "job": job["id"],
                         "attempt": attempt + 1, "error": str(exc)})
-                    # A drain ends the backoff and starts no more attempts.
+                    # A cancel or a drain ends the backoff and starts no
+                    # more attempts (the job stays self.running, so a
+                    # drain stops it as it stops a running attempt).
                     with contextlib.suppress(asyncio.TimeoutError):
                         await asyncio.wait_for(
-                            self._drain_event.wait(),
+                            job["wake"].wait(),
                             self.policy.delay(attempt, job["key"]))
-                    if not self.draining:
+                    if not control.cancelled():
                         attempt += 1
                         continue
-                    self._detach(job)
+                    self._stopped(job, control.stop_reason())
                     return
+                self.running = None
                 # Quarantine: journaled failed, so a restart will not
                 # poison itself re-running this job.
                 self.depth -= 1
@@ -474,6 +482,7 @@ class JobServer:
                 "error_type": "ServeError"})
             return
         job["control"].cancel(message.get("reason") or "cancelled by client")
+        job["wake"].set()
         await write_message(writer, {"type": "ok", "job": job["id"]})
 
     def _status_payload(self):

@@ -89,8 +89,9 @@ differential fuzz tests pin both engines to it.
 ``codegen`` (default) — the compiled engine of
 :mod:`repro.backend.pysim`.  The netlist is *elaborated*: every node's
 ``comb`` is emitted as straight-line Python with channel signals in flat
-locals, and the protocol monitor's screen, statistics and the ``tick``
-kernels of every kind are inlined into the same generated function — one
+locals, and the protocol monitor's screen, statistics and every node's
+own ``tick``, ``pre_cycle`` and ``set_choice`` bodies (rendered from the
+methods' source) are inlined into the same generated function — one
 Python call per run (or per explored state), no per-node dispatch.
 Compilation is all or nothing: a netlist with a node that blocks it (no
 emitter, as for a user subclass that overrides ``comb``; an unbound

@@ -1,6 +1,13 @@
 import os
 
 import pytest
+from hypothesis import settings
+
+# Tier-1 is deterministic: every run draws the same examples (each test
+# keeps its own max_examples) and no example database carries failures
+# from one run into the next.
+settings.register_profile("tier1", derandomize=True, database=None)
+settings.load_profile("tier1")
 
 
 def pytest_configure(config):

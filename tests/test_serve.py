@@ -877,6 +877,31 @@ class TestExecutionFaults:
         assert [job_id for job_id, _key, _spec in journal.pending()] == [
             terminal["job"]]
 
+    def test_cancel_ends_retry_backoff_without_another_attempt(self,
+                                                             tmp_path):
+        """A cancel during a retry's backoff (here at least 15 s) ends the
+        wait: the job finishes cancelled after its one attempt, where
+        waiting the delay out would start a second one that stops at its
+        first checkpoint."""
+        plan = FaultPlan([Fault("serve_execute", "lint", kind="raise",
+                                times=1)])
+        events = []
+
+        def cancel_on_retry(event):
+            events.append(event["type"])
+            if event["type"] == "retry":
+                client.cancel(event["job"], reason="no retry")
+
+        with running_server(tmp_path, retries=1, backoff=30.0,
+                            fault_plan=plan) as (server, client):
+            terminal = client.submit(LINT_SPEC, on_event=cancel_on_retry)
+        assert events == ["accepted", "retry"]
+        assert terminal["type"] == "cancelled"
+        assert terminal["reason"] == "no retry"
+        assert server.jobs[terminal["job"]]["attempts"] == 1
+        journal = JobJournal(str(tmp_path / "journal.ckpt")).load()
+        assert journal.pending() == []
+
     def test_cache_write_fault_degrades_to_uncached_reply(self, tmp_path):
         plan = FaultPlan([Fault("serve_cache", kind="raise", times=99)])
         clean = run_job(validate_job(LINT_SPEC))
