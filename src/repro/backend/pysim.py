@@ -512,12 +512,19 @@ def _eemux_svm(g, ni, node, out):
     out.append(f"{g.sig(node, 's', 'vm')} = False")
 
 
+def _prediction(g, ni):
+    """The local holding the shared module's prediction this cycle: a
+    function of registered state, so one call per cycle serves every
+    channel's tasks."""
+    return g.per_cycle(f"_pr{ni}", f"{g.node_ref(ni)}.scheduler.prediction()")
+
+
 def _shared_fwd(g, ni, node, out, j=0):
     n = g.node_ref(ni)
     ivp, odata = g.sig(node, f"i{j}", "vp"), g.sig(node, f"o{j}", "data")
     idata = g.sig(node, f"i{j}", "data")
     out += [
-        f"_gv = {n}.scheduler.prediction() == {j} and {ivp}",
+        f"_gv = {_prediction(g, ni)} == {j} and {ivp}",
         f"{g.sig(node, f'o{j}', 'vp')} = _gv",
         f"if _gv and {idata} is not None:",
         f"    {odata} = {n}.fn({idata})",
@@ -535,12 +542,11 @@ def _shared_osm(g, ni, node, out, j=0):
 
 
 def _shared_isp(g, ni, node, out, j=0):
-    n = g.node_ref(ni)
     op = f"o{j}"
     out.append(
         f"{g.sig(node, f'i{j}', 'sp')} = False if {g.sig(node, op, 'vm')} "
         f"else ({g.sig(node, op, 'sp')} "
-        f"if {n}.scheduler.prediction() == {j} else True)"
+        f"if {_prediction(g, ni)} == {j} else True)"
     )
 
 
@@ -991,6 +997,13 @@ class _Gen:
         self.bind = {}        # default-arg name -> build-scope expression
         self.covered = set()  # (ci, control) unconditionally assigned
         self.globals = {}     # module global bound as _g_<name> -> object
+        self.cycle_locals = {}  # local name -> expression, once per cycle
+
+    def per_cycle(self, name, expr):
+        """``name``, a local assigned ``expr`` once per cycle, after the
+        pre-cycle hooks (and an expansion's choices)."""
+        self.cycle_locals[name] = expr
+        return name
 
     def node_ref(self, ni):
         name = f"_n{ni}"
@@ -1169,6 +1182,7 @@ def _generate_source(netlist, check_protocol, content_hash, entry):
     compile.
 
     Both entries loop the same cycle body: pre-cycle hooks, the
+    per-cycle locals the emitters asked for (:meth:`_Gen.per_cycle`), the
     straight-line region in scheduled signal-task order, the screen and
     the ticks, with channel signals in locals that reach the
     ``ChannelState`` objects only at a flush."""
@@ -1188,17 +1202,20 @@ def _generate_source(netlist, check_protocol, content_hash, entry):
     chans = range(len(channels))
 
     # -- the cycle body: pre-cycle hooks (freeze randomized / nondet
-    # -- decisions), data locals unknown (data writes are conditional),
-    # -- then the straight-line region in scheduled signal-task order
-    body = []
+    # -- decisions), the per-cycle locals (a shared module's prediction),
+    # -- data locals unknown (data writes are conditional), then the
+    # -- straight-line region in scheduled signal-task order
+    pre = []
     for ni in plan.pre_cycles:
-        body += _sequential(g, ni, nodes[ni], "pre_cycle")[0]
-    body += _chunk_chain([g.csig(ci, "data") for ci in chans], "None")
+        pre += _sequential(g, ni, nodes[ni], "pre_cycle")[0]
+    region = _chunk_chain([g.csig(ci, "data") for ci in chans], "None")
     for ni, reads, writes, emit in plan.task_order:
         node = nodes[ni]
-        body.append(f"# {node.name} ({node.kind})")
-        emit(g, ni, node, body)
+        region.append(f"# {node.name} ({node.kind})")
+        emit(g, ni, node, region)
         g.cover(node, [(p, s) for p, s in writes if s != "data"])
+    body = pre + [f"{name} = {expr}" for name, expr in g.cycle_locals.items()]
+    body += region
 
     # -- the clock edge; a called tick reads the channel states, so its
     # -- netlist flushes them every cycle

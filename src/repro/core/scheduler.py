@@ -102,15 +102,14 @@ class Scheduler(Stateful):
         "a channel that is not valid ... cannot use the shared unit even if
         selected".  Repairing on both is what makes the repair-style
         schedulers satisfy the leads-to constraint for *every* environment
-        behaviour (the model-checking tests exercise exactly this).
+        behaviour (the model-checking tests exercise exactly this).  When
+        the predicted channel is idle, another channel is valid exactly
+        when any channel is.
         """
         if feedback.stalled:
             return True
-        others_valid = any(
-            ch != feedback.predicted for ch in feedback.valid_inputs
-        )
-        predicted_idle = feedback.predicted not in feedback.valid_inputs
-        return predicted_idle and others_valid
+        valid = feedback.valid_inputs
+        return bool(valid) and feedback.predicted not in valid
 
 
 class StaticScheduler(Scheduler):

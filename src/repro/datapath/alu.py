@@ -23,6 +23,9 @@ from repro.tech.gates import GateNetlist
 
 #: operation encoding
 ALU_OPS = {"add": 0, "sub": 1, "and": 2, "or": 3, "xor": 4}
+_ADD, _SUB, _AND, _OR, _XOR = (ALU_OPS[name]
+                                for name in ("add", "sub", "and", "or", "xor"))
+_LOGIC = frozenset((_AND, _OR, _XOR))
 
 
 @dataclass(frozen=True)
@@ -46,15 +49,15 @@ class Alu:
         """Exact result (the F_exact block)."""
         a &= self._mask
         b &= self._mask
-        if op == ALU_OPS["add"]:
+        if op == _ADD:
             value, _carry = add_functional(a, b, self.width)
-        elif op == ALU_OPS["sub"]:
+        elif op == _SUB:
             value, _carry = add_functional(a, (~b) & self._mask, self.width, cin=1)
-        elif op == ALU_OPS["and"]:
+        elif op == _AND:
             value = a & b
-        elif op == ALU_OPS["or"]:
+        elif op == _OR:
             value = a | b
-        elif op == ALU_OPS["xor"]:
+        elif op == _XOR:
             value = a ^ b
         else:
             raise ValueError(f"bad ALU op {op!r}")
@@ -64,23 +67,39 @@ class Alu:
         """Approximate result plus the F_err flag (the F_approx block)."""
         a &= self._mask
         b &= self._mask
-        if op == ALU_OPS["add"]:
+        if op == _ADD:
             value = approx_add_functional(a, b, self.width, self.window)
             err = approx_error_functional(a, b, self.width, self.window)
-        elif op == ALU_OPS["sub"]:
-            nb = (~b) & self._mask
-            # carry-in 1 for two's complement: fold it into bit 0 exactly;
-            # approximate the rest of the chain
-            value = approx_add_functional(a, nb, self.width, self.window)
-            err = 1 if value != self.exact(op, a, b).value else \
-                approx_error_functional(a, nb, self.width, self.window)
+        elif op == _SUB:
+            value, err = self._approx_sub(a, b)
         else:
             return self.exact(op, a, b)
         return AluResult(value, err)
 
+    def _approx_sub(self, a, b):
+        """``(value, err)`` of the approximate ``a - b`` (masked operands)."""
+        nb = (~b) & self._mask
+        # carry-in 1 for two's complement: fold it into bit 0 exactly;
+        # approximate the rest of the chain
+        value = approx_add_functional(a, nb, self.width, self.window)
+        err = 1 if value != (a - b) & self._mask else \
+            approx_error_functional(a, nb, self.width, self.window)
+        return value, err
+
     def mispredicts(self, op, a, b):
-        """True when the speculative design must replay this operation."""
-        return bool(self.approx(op, a, b).err)
+        """True when the speculative design must replay this operation:
+        ``approx(op, a, b).err``, computed without building a result.  The
+        add flag is the carry-window detector alone; logic ops never
+        replay."""
+        a &= self._mask
+        b &= self._mask
+        if op == _ADD:
+            return approx_error_functional(a, b, self.width, self.window) == 1
+        if op == _SUB:
+            return self._approx_sub(a, b)[1] == 1
+        if op in _LOGIC:
+            return False
+        raise ValueError(f"bad ALU op {op!r}")
 
     # -- gate-level models ---------------------------------------------------------
 

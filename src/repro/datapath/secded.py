@@ -19,21 +19,28 @@ Both the functional model (used in elastic simulations) and gate-level
 encoder/decoder netlists (XOR trees, used for area/delay and bit-exact
 cross-checks) are provided.
 
-The functional model works on whole words.  Two tables, built once per
-code, replace the per-bit loops:
+The functional model works on whole words through byte lanes.  The
+code is linear over GF(2): the codeword of ``a ^ b`` is the XOR of the
+codewords of ``a`` and ``b``, and so are the raw data bits, the syndrome
+and the overall parity of a received word.  So each is the XOR of one
+table entry per byte lane, built once per ``data_bits`` from the
+single-bit codewords (:data:`_TABLES`, on a code's first use):
 
-* one *cover mask* per check bit: the codeword bits whose 1-based
-  position has that check bit's index bit set.  A check bit (or a
-  syndrome bit) is the parity of ``code & cover``, one popcount;
-* the *data runs*: the data positions form contiguous runs between the
-  check positions (3, 5-7, 9-15, 17-31, ...), each stored as
-  ``(data shift, run mask, codeword shift)``, so spreading the data into
-  a codeword and gathering it back out is one shift-and-mask per run.
+* an *encode* lane maps a data byte to the codeword of that byte alone;
+* a *decode* lane maps a codeword byte to its raw data bits, syndrome and
+  overall parity, packed into one int (``raw | syndrome << data_bits |
+  parity << data_bits + check_bits``);
+* the *fix* table, indexed by syndrome and parity (the packed int above
+  ``data_bits``), gives the status and the data bit to flip: correction is
+  one lookup.  A syndrome that addresses a check bit, or a position past
+  the body, flips no data bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 from repro.tech.gates import GateNetlist
 
@@ -53,6 +60,79 @@ class DecodeResult:
         return self.status == DOUBLE
 
 
+#: byte-lane tables by ``data_bits`` (module docstring): built on the
+#: first use of a code of that width, then shared by every such code
+_TABLES = {}
+
+
+class _Lanes(NamedTuple):
+    """One width's tables, and the masks that fit a word to its lanes."""
+
+    encode: tuple
+    decode: tuple
+    fix: tuple
+    data_mask: int
+    code_mask: int
+
+
+def _fold(lanes, word):
+    """XOR of each byte lane's entry for its byte of ``word``: the image
+    of ``word`` under the linear map the lanes tabulate."""
+    acc = 0
+    for table, byte in zip(lanes, word.to_bytes(len(lanes), "little")):
+        acc ^= table[byte]
+    return acc
+
+
+def _byte_lanes(columns):
+    """The byte lanes of the linear map taking bit ``i`` to
+    ``columns[i]``: entry ``v`` of lane ``k`` is the XOR of the columns of
+    the bits set in ``v << 8 * k``."""
+    lanes = []
+    for base in range(0, len(columns), 8):
+        cols = columns[base:base + 8]
+        table = [0] * (1 << len(cols))
+        for v in range(1, len(table)):
+            low = v & -v
+            table[v] = table[v ^ low] ^ cols[low.bit_length() - 1]
+        lanes.append(tuple(table))
+    return tuple(lanes)
+
+
+def _build_lanes(code):
+    data_bits, check_bits = code.data_bits, code.check_bits
+    data_index = {pos: idx for idx, pos in enumerate(code._data_positions)}
+    # The single-bit codewords: a data bit at position ``pos`` sets the
+    # check bits of ``pos``'s set bits, then the overall parity if odd.
+    encode = []
+    for pos in code._data_positions:
+        word = 1 << (pos - 1)
+        for check_pos in code._check_positions:
+            if pos & check_pos:
+                word |= 1 << (check_pos - 1)
+        encode.append(word | (word.bit_count() & 1) << (code.code_bits - 1))
+    # What one received bit adds to the packed raw data | syndrome |
+    # parity: its data bit, if any; its position (the syndrome is the XOR
+    # of the positions of the set body bits); and one to the parity.
+    parity = 1 << (data_bits + check_bits)
+    decode = [(1 << data_index[pos] if pos in data_index else 0)
+              | pos << data_bits | parity for pos in code._positions]
+    decode.append(parity)                          # the overall parity bit
+    fix = []
+    for key in range(1 << (check_bits + 1)):
+        syndrome, odd = key & ((1 << check_bits) - 1), key >> check_bits
+        if syndrome == 0:
+            fix.append((0, PARITY_FIXED if odd else OK))
+        elif odd:
+            # a single error at position ``syndrome``: flip it if a data bit
+            flip = data_index.get(syndrome)
+            fix.append((0 if flip is None else 1 << flip, CORRECTED))
+        else:
+            fix.append((0, DOUBLE))
+    return _Lanes(_byte_lanes(encode), _byte_lanes(decode), tuple(fix),
+                  (1 << data_bits) - 1, (1 << code.code_bits) - 1)
+
+
 class Secded:
     """Extended Hamming encoder/decoder for ``data_bits`` payload bits."""
 
@@ -64,22 +144,6 @@ class Secded:
         self._positions = list(range(1, data_bits + self.check_bits + 1))
         self._data_positions = [p for p in self._positions if p & (p - 1)]
         self._check_positions = [1 << i for i in range(self.check_bits)]
-        # Word-level tables of the functional model (module docstring).
-        self._covers = [
-            sum(1 << (pos - 1) for pos in self._positions if pos & check_pos)
-            for check_pos in self._check_positions
-        ]
-        self._runs = []
-        idx = 0
-        for check_pos in self._check_positions[1:]:
-            first = check_pos + 1
-            last = min(2 * check_pos - 1, self._positions[-1])
-            if first > last:
-                break
-            length = last - first + 1
-            self._runs.append((idx, (1 << length) - 1, first - 1))
-            idx += length
-        self._body_mask = (1 << (self.code_bits - 1)) - 1
 
     @staticmethod
     def _needed_check_bits(data_bits):
@@ -88,59 +152,47 @@ class Secded:
             r += 1
         return r
 
+    @cached_property
+    def _lanes(self):
+        """This width's tables (:data:`_TABLES`), built on first use."""
+        lanes = _TABLES.get(self.data_bits)
+        if lanes is None:
+            lanes = _TABLES[self.data_bits] = _build_lanes(self)
+        return lanes
+
     # -- functional ----------------------------------------------------------------
 
     def encode(self, data):
         """64-bit data -> 72-bit codeword (low bits = positions 1..71,
-        top bit = overall parity).
-
-        The data runs spread the payload into the body; each check bit is
-        then the parity of the body under its cover mask (the check
-        positions are still 0, and no cover includes another check
-        position, so the order does not matter)."""
-        data &= (1 << self.data_bits) - 1
-        code = 0
-        for data_shift, run_mask, code_shift in self._runs:
-            code |= ((data >> data_shift) & run_mask) << code_shift
-        for check_pos, cover in zip(self._check_positions, self._covers):
-            if (code & cover).bit_count() & 1:
-                code |= 1 << (check_pos - 1)
-        overall = code.bit_count() & 1
-        code |= overall << (self.code_bits - 1)
-        return code
+        top bit = overall parity): the XOR of the data bytes' codewords."""
+        lanes = self._lanes
+        return _fold(lanes.encode, data & lanes.data_mask)
 
     def decode(self, code):
         """72-bit codeword -> :class:`DecodeResult` (corrected data + status).
 
-        Syndrome bit ``i`` is the parity of the body under cover mask ``i``.
-        Bits above the codeword are ignored; a syndrome that addresses a
-        position past the body flips a bit the data runs never read."""
-        body = code & self._body_mask
-        overall_bit = (code >> (self.code_bits - 1)) & 1
-        syndrome = 0
-        for check_pos, cover in zip(self._check_positions, self._covers):
-            if (body & cover).bit_count() & 1:
-                syndrome |= check_pos
-        parity_all = (body.bit_count() + overall_bit) & 1
-        if syndrome == 0 and parity_all == 0:
-            status = OK
-        elif syndrome != 0 and parity_all == 1:
-            body ^= 1 << (syndrome - 1)       # correct the flipped position
-            status = CORRECTED
-        elif syndrome == 0 and parity_all == 1:
-            status = PARITY_FIXED             # the parity bit itself flipped
-        else:
-            status = DOUBLE
-        return DecodeResult(self.decode_raw(body), status)
+        One fold gives the raw data, syndrome and overall parity; the fix
+        table gives the status and the data bit to flip.  Bits above the
+        codeword are ignored."""
+        lanes = self._lanes
+        packed = _fold(lanes.decode, code & lanes.code_mask)
+        flip, status = lanes.fix[packed >> self.data_bits]
+        return DecodeResult((packed & lanes.data_mask) ^ flip, status)
 
     def decode_raw(self, code):
         """Extract the data bits *without* correction (just drop the check
         bits) — the zero-delay path the speculative design of Figure 7(b)
-        feeds straight into the adder.  One shift-and-mask per data run."""
-        data = 0
-        for data_shift, run_mask, code_shift in self._runs:
-            data |= ((code >> code_shift) & run_mask) << data_shift
-        return data
+        feeds straight into the adder."""
+        lanes = self._lanes
+        return _fold(lanes.decode, code & lanes.code_mask) & lanes.data_mask
+
+    def detect(self, code):
+        """True when the syndrome or the overall parity is nonzero, that is
+        when :meth:`decode`'s status is not ``OK``: the functional twin of
+        :meth:`detector_gates`'s ``err``, the short path Figure 7(b) puts
+        on the select channel."""
+        lanes = self._lanes
+        return _fold(lanes.decode, code & lanes.code_mask) >> self.data_bits != 0
 
     def inject(self, code, *bit_positions):
         """Flip the given codeword bit indices (0-based) — fault injection."""

@@ -122,9 +122,13 @@ def _correct(code):
 
 
 def _detect(code):
+    """The select channel's block: 1 when either operand's syndrome or
+    parity is nonzero (``Secded.detect``, the twin of
+    ``detector_gates()``); it never corrects, which ``correct`` does."""
+
     def fn(tok):
         a, b = tok
-        return int(code.decode(a).status != "ok" or code.decode(b).status != "ok")
+        return int(code.detect(a) or code.detect(b))
 
     return fn
 

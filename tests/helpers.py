@@ -81,7 +81,7 @@ class DenseSweepSimulator(Simulator):
 # -- bit-serial datapath references ------------------------------------------
 #
 # The functional SECDED and carry-window models in ``repro.datapath`` work
-# on whole words (mask tables, popcounts, a carry recurrence).  These are
+# on whole words (byte-lane tables, a carry recurrence).  These are
 # the bit-at-a-time definitions they replaced, kept as the reference the
 # differential tests pin them to, as ``DenseSweepSimulator`` is for the
 # engines.  They read only ``data_bits``, ``check_bits`` and ``code_bits``

@@ -667,23 +667,25 @@ class TestNothingDeferred:
 #: with and without the monitor and for the expansion entry (which has no
 #: monitor), re-recorded when ticks, pre-cycle hooks and choice setters
 #: became the nodes' own method bodies, inlined (the count block's
-#: template rendering changed no byte before that)
+#: template rendering changed no byte before that); the designs with a
+#: shared module re-recorded again when its comb tasks came to read one
+#: per-cycle prediction local
 GENERATED_SOURCE_DIGESTS = {
     "design:fig1a": ("cc12089c7e844c66", "effa2dbb9d8b74aa",
                      "7a95c014b0189444"),
-    "design:fig1d": ("a612329e0750b796", "380f62fdd20bbbc5",
-                     "24cdea7e14d5cea5"),
-    "design:fig6b": ("b252ced4ee76c9f0", "44f2ffd131fd0551",
-                     "d623500a5eee7b32"),
-    "design:fig7b": ("52f565f36a39de9e", "52e86cf5c35b805b",
-                     "83aec634610045b9"),
+    "design:fig1d": ("05f231c8bfa9f386", "25712cbff9d58835",
+                     "3ef98a5dc807a200"),
+    "design:fig6b": ("94fd8ff363d07142", "2e2460aebc08160b",
+                     "692bb35212e4f2a0"),
+    "design:fig7b": ("2968816fb96acfa4", "c631534449f72f93",
+                     "fd53e68ada691430"),
     "mc:eb": ("2f41e2428ee2084b", "809a3c6ddc70a237", "481a6a3f397db598"),
-    "mc:spec-nondet": ("c1e56f300a9c9dc2", "773df66500c5135f",
-                       "130ec041b75890bb"),
-    "mc:spec-static": ("c1e56f300a9c9dc2", "773df66500c5135f",
-                       "130ec041b75890bb"),
-    "mc:spec-toggle": ("c1e56f300a9c9dc2", "773df66500c5135f",
-                       "130ec041b75890bb"),
+    "mc:spec-nondet": ("50669fa4d2b8ef7b", "306af323f225afe8",
+                       "1f7df1ab6f95783f"),
+    "mc:spec-static": ("50669fa4d2b8ef7b", "306af323f225afe8",
+                       "1f7df1ab6f95783f"),
+    "mc:spec-toggle": ("50669fa4d2b8ef7b", "306af323f225afe8",
+                       "1f7df1ab6f95783f"),
     "mc:zbl": ("f6f74783f1098368", "a7075d706765d464", "aaf493c3790760e9"),
 }
 

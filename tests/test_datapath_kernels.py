@@ -1,8 +1,8 @@
 """The word-level datapath kernels against their bit-serial references
 and against the gate level.
 
-``Secded.encode``/``decode``/``decode_raw`` and the carry-window
-``approx_*_functional`` models use mask tables, popcounts and a carry
+``Secded.encode``/``decode``/``decode_raw``/``detect`` fold byte-lane
+tables, and the carry-window ``approx_*_functional`` models run a carry
 recurrence.  ``tests/helpers.py`` keeps the bit-at-a-time definitions they
 replaced; the differential classes pin the kernels to them bit for bit,
 including on inputs the elastic designs never produce (bits above the
@@ -31,10 +31,15 @@ from repro.datapath.approx import (
     approx_error_detector_gates,
     approx_error_functional,
 )
+from repro.datapath import secded
 from repro.datapath.secded import CORRECTED, DOUBLE, OK, PARITY_FIXED, Secded
 
+from test_imports import _fresh
+
 #: data widths whose data runs end at a power of two (1, 4, 11, 26, 57,
-#: 120) or stop short of one (5: a single bit at position 9; 64: 65..71).
+#: 120) or stop short of one (5: a single bit at position 9; 64: 65..71);
+#: all but 64 and 120 end their data in a partial byte lane, and the
+#: codewords of 1 and 5 (4 and 10 bits) end in one too.
 SECDED_WIDTHS = (1, 4, 5, 11, 26, 57, 64, 120)
 
 
@@ -119,7 +124,7 @@ class TestSecdedDifferential:
 
     def test_syndromes_past_the_last_position(self):
         """In Hamming(72,64) positions run to 71, but a multi-bit error can
-        address 72..127: the flip lands outside the data runs."""
+        address 72..127: the correction flips no data bit."""
         code = Secded(64)
         encoded = code.encode(0x0123456789ABCDEF)
         past = [bits for bits in itertools.combinations(
@@ -133,6 +138,53 @@ class TestSecdedDifferential:
             word = code.inject(encoded, pos_a - 1, pos_b - 1)
             assert _decoded(code, word) == reference_decode(code, word)
             assert code.decode(word).status == DOUBLE
+
+
+    def test_detect_is_a_non_ok_status(self, code):
+        """``detect`` is the decoder's status test without the decode."""
+        rng = random.Random(code.data_bits + 3)
+        encoded = code.encode(rng.getrandbits(code.data_bits))
+        words = [rng.getrandbits(code.code_bits + 4) for _ in range(200)]
+        words += [code.inject(encoded, *bits) for bits in itertools.chain(
+            [()], itertools.combinations(range(code.code_bits), 1),
+            itertools.combinations(range(code.code_bits), 2))]
+        for word in words:
+            assert code.detect(word) is (
+                reference_decode(code, word)[1] != OK), hex(word)
+
+
+class TestSecdedTables:
+    """The byte-lane tables: one per width, shared by every code of that
+    width, built on a code's first use rather than at import or
+    construction."""
+
+    def test_codes_of_one_width_share_one_table(self):
+        a, b = Secded(64), Secded(64)
+        assert a.encode(5) == b.encode(5)
+        assert a._lanes is b._lanes
+        assert a._lanes is secded._TABLES[64]
+
+    def test_each_width_its_own(self):
+        widths = (11, 26, 64)
+        lanes = [Secded(width)._lanes for width in widths]
+        assert len({id(table) for table in lanes}) == len(widths)
+        for width, table in zip(widths, lanes):
+            assert secded._TABLES[width] is table
+            assert len(table.encode) == -(-width // 8)
+
+    def test_built_on_first_use(self, monkeypatch):
+        monkeypatch.setattr(secded, "_TABLES", {})
+        code = Secded(64)
+        assert secded._TABLES == {}
+        word = code.encode(0x0123456789ABCDEF)
+        assert list(secded._TABLES) == [64]
+        assert word == reference_encode(code, 0x0123456789ABCDEF)
+
+    def test_import_builds_nothing(self):
+        probe = ("import json, repro.datapath.secded as s\n"
+                 "s.Secded(64)\n"
+                 "print(json.dumps(sorted(s._TABLES)))\n")
+        assert _fresh(probe) == []
 
 
 def _gate_inputs(code, word):
@@ -171,6 +223,12 @@ class TestSecdedGateOracle:
             err = det.evaluate(_gate_inputs(code, word))["err"]
             assert err == (code.decode(word).status != OK), hex(word)
 
+    def test_detect_matches_detector_gates(self, code, words):
+        det = code.detector_gates()
+        for word in words:
+            err = det.evaluate(_gate_inputs(code, word))["err"]
+            assert code.detect(word) is err, hex(word)
+
     def test_decoder_flags_match_status(self, code, words):
         dec = code.decoder_gates()
         for word in words:
@@ -195,6 +253,23 @@ class TestCarryWindowGateOracle:
             assert value == approx_add_functional(a, b, width, window)
             err = detector.evaluate(inputs)["err"]
             assert int(err) == approx_error_functional(a, b, width, window)
+
+
+class TestAluFlag:
+    """``Alu.mispredicts`` computes only the replay flag; it is the flag
+    ``approx`` reports, for every op and 8-bit operand pair."""
+
+    @pytest.mark.parametrize("window", range(1, 5))
+    def test_exhaustive_width_8(self, window):
+        alu = Alu(width=8, window=window)
+        for op in ALU_OPS.values():
+            for a, b in itertools.product(range(256), repeat=2):
+                assert alu.mispredicts(op, a, b) is \
+                    bool(alu.approx(op, a, b).err), (op, a, b)
+
+    def test_bad_op(self):
+        with pytest.raises(ValueError, match="bad ALU op"):
+            Alu().mispredicts(7, 1, 2)
 
 
 class TestWindowValidation:

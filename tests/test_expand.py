@@ -14,7 +14,7 @@ only where it is used.
 """
 
 import itertools
-from collections import deque
+from collections import Counter, deque
 from itertools import count
 
 import pytest
@@ -22,6 +22,7 @@ import pytest
 from repro.backend import pysim
 from repro.chaos.mutants import BrokenKillBuffer
 from repro.core.scheduler import ToggleScheduler
+from repro.core.shared import SharedModule
 from repro.designs import DESIGNS, MC_DESIGNS
 from repro.elastic.environment import NondetSink, NondetSource
 from repro.elastic.functional import Func
@@ -32,7 +33,7 @@ from repro.netlist.graph import Netlist
 from repro.sim.engine import ENGINES, Simulator
 from repro.verif.explore import StateExplorer
 
-from test_codegen_diff import _fickle_net
+from test_codegen_diff import _CHUNKS, _fickle_net, assert_run_is_steps
 from test_explore_diff import N_FUZZ_COMBOS, _fuzz_combo, build_mc_pipeline
 from test_packed_signals import CHAOS_WRAPS, stall_wrapped
 
@@ -418,6 +419,56 @@ class TestCounts:
         StateExplorer(MC_DESIGNS["zbl"](), engine="codegen").explore()
         assert pysim.cache_stats()["re_elaborations"] == 4
         assert outside == []
+
+
+def counting_predictions(make, calls):
+    """``make`` with every shared module's scheduler counting its
+    ``prediction`` calls into ``calls``, by module name."""
+    def build():
+        net = make()
+        for node in net.nodes.values():
+            if isinstance(node, SharedModule):
+                base = type(node.scheduler)
+
+                class Counting(base):
+                    def prediction(self, _name=node.name):
+                        calls[_name] += 1
+                        return super().prediction()
+
+                node.scheduler.__class__ = Counting
+        return net
+    return build
+
+
+_PREDICTING = [pytest.param(DESIGNS["fig6b"], id="fig6b"),
+               pytest.param(MC_DESIGNS["spec-nondet"], id="mc-spec-nondet")]
+
+
+class TestPredictionCalls:
+    """The prediction is a function of registered state: a compiled cycle
+    asks each shared module's scheduler for it once for all its comb
+    tasks, and once more in the inlined tick."""
+
+    @pytest.mark.parametrize("make", _PREDICTING)
+    def test_run_entry(self, make):
+        calls = Counter()
+        sim = Simulator(counting_predictions(make, calls)(), engine="codegen")
+        sim.run(200)
+        assert sim._runs_compiled and sim.cycle == 200
+        assert calls and max(calls.values()) <= 2 * 200
+        assert_run_is_steps(counting_predictions(make, Counter()), _CHUNKS)
+
+    @pytest.mark.parametrize("make", _PREDICTING)
+    def test_expand_entry(self, make):
+        calls = Counter()
+        explorer = StateExplorer(counting_predictions(make, calls)(),
+                                 max_states=150, engine="codegen")
+        explorer.explore()
+        cycles = explorer.sim.cycle
+        assert cycles >= 150
+        assert calls and max(calls.values()) <= 2 * cycles
+        assert_expand_is_steps(counting_predictions(make, Counter()),
+                               "codegen")
 
 
 class TestEemuxDiagnosis:

@@ -1,11 +1,19 @@
 """Integration tests for the Section 5 examples: the variable-latency ALU
 (Figure 6) and the SECDED-resilient adder (Figure 7)."""
 
+import sys
+from collections import Counter
+from types import CodeType
+
 import pytest
 
+from helpers import sink_values
 from repro.datapath.alu import Alu
 from repro.datapath.secded import Secded
 from repro.netlist.resilient import (
+    _correct,
+    _detect,
+    _strip,
     plain_adder,
     reference_sums,
     resilient_nonspeculative,
@@ -120,6 +128,55 @@ class TestFig7Correctness:
         values = run_stream(net, "out", 200)
         assert len(values) > 100
         assert values == reference_sums(code, len(values), error_rate=0.2, seed=10)
+
+
+#: fig7b's SECDED blocks by the code object of the ``fn`` each returns
+_BLOCKS = {const: maker.__name__ for maker in (_correct, _detect, _strip)
+           for const in maker.__code__.co_consts
+           if isinstance(const, CodeType)}
+
+
+class CountingSecded(Secded):
+    """Counts ``decode`` and ``detect`` calls by the fig7b block that
+    makes them (None outside the blocks)."""
+
+    calls = None
+
+    def decode(self, code):
+        self.calls["decode", _BLOCKS.get(sys._getframe(1).f_code)] += 1
+        return super().decode(code)
+
+    def detect(self, code):
+        self.calls["detect", _BLOCKS.get(sys._getframe(1).f_code)] += 1
+        return super().detect(code)
+
+
+class TestFig7WorkCounts:
+    """Work counted, not timed: fig7b's select channel runs the SECDED
+    detector only (Section 5.2), and only the ``correct`` block decodes,
+    once per operand of each token it consumes."""
+
+    @pytest.mark.parametrize("engine", ["worklist", "codegen"])
+    def test_only_correct_decodes(self, engine, monkeypatch):
+        from repro.datapath import secded
+        from repro.perf.presets import fig7_point
+
+        calls = Counter()
+        monkeypatch.setattr(CountingSecded, "calls", calls)
+        monkeypatch.setattr(secded, "Secded", CountingSecded)
+        net, _names = fig7_point("fig7b", error_rate=0.2)
+        sim = Simulator(net, engine=engine)
+        sim.run(300)
+        consumed = sim.stats.transfers["c_corr"]
+        assert consumed > 200
+        correct, detect = ("decode", "_correct"), ("detect", "_detect")
+        assert set(calls) == {correct, detect}
+        assert calls[correct] == 2 * consumed
+        assert calls[detect] >= consumed
+        values = sink_values(net)
+        assert len(values) > 200
+        assert values == reference_sums(Secded(64), len(values),
+                                        error_rate=0.2, seed=1)
 
 
 class TestFig7BlockCosts:

@@ -1,5 +1,7 @@
 """Unit tests for the scheduler zoo (Section 4.1.1)."""
 
+import itertools
+
 import pytest
 
 from repro.core.scheduler import (
@@ -10,6 +12,7 @@ from repro.core.scheduler import (
     RandomScheduler,
     RepairScheduler,
     RoundRobinScheduler,
+    Scheduler,
     SchedulerFeedback,
     StaticScheduler,
     ToggleScheduler,
@@ -33,6 +36,32 @@ class TestBase:
     def test_out_of_range_favourite(self):
         with pytest.raises(SchedulerError):
             StaticScheduler(2, favourite=5)
+
+
+def _old_evidence(feedback):
+    """The evidence formula before it was simplified: stalled, or the
+    predicted channel idle while a channel other than it is valid."""
+    if feedback.stalled:
+        return True
+    others_valid = any(ch != feedback.predicted
+                       for ch in feedback.valid_inputs)
+    return feedback.predicted not in feedback.valid_inputs and others_valid
+
+
+class TestMispredictEvidence:
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_every_feedback(self, k):
+        channels = range(k)
+        subsets = [tuple(ch for ch in channels if mask >> ch & 1)
+                   for mask in range(1 << k)]
+        cases = 0
+        for predicted, granted, killed, stalled, valid in itertools.product(
+                channels, (None, *channels), subsets, (False, True), subsets):
+            feedback = fb(predicted, granted, killed, stalled, valid)
+            assert Scheduler._mispredict_evidence(feedback) is \
+                _old_evidence(feedback), feedback
+            cases += 1
+        assert cases == k * (k + 1) * 2 * (1 << k) ** 2
 
 
 class TestStatic:
