@@ -8,17 +8,21 @@ statistics and ticks.  This module removes all of it by **elaboration**:
 given a netlist, it emits one specialized Python module per *topology*
 in which
 
-* every node's ``comb`` becomes **straight-line code** — each kind's
-  kernel is split into signal tasks, inlined by a per-kind emitter and
-  evaluated exactly once per cycle, in dependency order;
+* every node's ``comb`` becomes **straight-line code** — the node's own
+  method, rendered once per signal task it declares
+  (:meth:`~repro.elastic.node.Node.comb_tasks`) and evaluated exactly
+  once per cycle, in dependency order;
 * channel signals live in **flat local variables**
   (``v3``/``p3``/``a3``/``m3``/``d3`` for ``vp``/``sp``/``vm``/``sm``/
   ``data`` of channel slot 3) instead of ``ChannelState`` objects;
 * every node's ``tick`` (and ``pre_cycle`` and ``set_choice``) is the
-  body of the node's own method, read with :mod:`inspect` and rewritten
-  by one :mod:`ast` pass; it, the statistics, the protocol monitor's
-  screen and the observer calls are inlined into the same generated
-  function.
+  body of the node's own method too; it, the statistics, the protocol
+  monitor's screen and the observer calls are inlined into the same
+  generated function.
+
+Each method is read with :mod:`inspect` and rewritten by one :mod:`ast`
+pass (:class:`_Inline`), so no kind's behaviour is written twice and this
+module names no node kind.
 
 Two **entry points** are derived from the one scheduled cycle body —
 pre-cycle hooks, the straight-line region, the screen and the ticks —
@@ -79,25 +83,25 @@ except for a diagnosis (:class:`~repro.errors.CombinationalLoopError`,
 it reports on.  ``Simulator.run`` steps cycle by cycle instead when
 observers are attached or ``profile=True``.
 
-Compilation is **all or nothing**.  Every kind of the paper's designs has
-comb emitters — buffers, joins, forks, environments (including the
+Compilation is **all or nothing**.  Every kind's ``comb`` is in the
+compiled subset — buffers, joins, forks, environments (including the
 permission source that a :mod:`repro.chaos` stall splices in beside a
-join), the shared module, the early-evaluation mux and the
-variable-latency unit — so chaos-wrapped designs compile too.  A netlist
-with a node that blocks compilation (a subclass that overrides ``comb``,
-:class:`~repro.elastic.fifo_model.AbstractElasticFifo`, a port bound to
-no live channel, or a task on a genuine signal-level combinational loop)
-gets no cycle function at all: :func:`generated_source` returns a banner
-naming those *deferred* nodes, and the simulator runs its own interpreted
-worklist cycle until an edit makes the netlist compile again.
+join), the shared module, the early-evaluation mux, the variable-latency
+unit and the abstract FIFO — so chaos-wrapped designs compile too.  A
+netlist with a node that blocks compilation (a ``comb`` outside the
+subset, or one reading a signal its declared tasks do not, a port bound
+to no live channel, or a task on a genuine signal-level combinational
+loop) gets no cycle function at all: :func:`generated_source` returns a
+banner naming those *deferred* nodes, and the simulator runs its own
+interpreted worklist cycle until an edit makes the netlist compile again.
 
-Straight-line code carries only known control values.  The one kernel
-whose control depends on *data* is the early-evaluation mux: an offered
-select with unknown data leaves its decision unknown, so the compiled
-mux hands the cycle to :meth:`CodegenBackend.diagnose_unknown`, which
-re-runs it interpreted and raises the worklist engine's diagnosis — or,
-when that re-run resolves (a select ``fn`` that is not pure), a
-combinational-loop diagnosis naming the select channel's data.
+Straight-line code carries only known control values.  A control value
+that depends on *data* (the early-evaluation mux's select) is unknown
+while that data is: the compiled cycle then hands over to
+:meth:`CodegenBackend.diagnose_unknown`, which re-runs it interpreted and
+raises the worklist engine's diagnosis — or, when that re-run resolves (a
+select ``fn`` that is not pure), a combinational-loop diagnosis naming
+the channel's data.
 
 The differential suite (``tests/test_codegen_diff.py``) pins the engine
 bit-identical to the worklist engine, including protocol violations and
@@ -111,7 +115,7 @@ Generated modules are ``exec``-compiled once per topology and entry and
 cached process-wide, keyed by the netlist **content signature** (node
 names, classes, ports, declared sensitivities, channel wiring — see
 :func:`repro.sim.sensitivity.topology_signature`), the code of the
-nodes' sequential methods (which the signature names only by class),
+nodes' inlined methods (which the signature names only by class),
 the entry and, for the run entry, the ``check_protocol`` flag.  Numeric
 parameters that only affect sequential behaviour (capacities, rates,
 seeds, datapath functions) are deliberately *not* baked in — they are
@@ -138,16 +142,12 @@ A compiled cycle evaluates every node exactly once, so its profiling
 counters are constants, which the simulator adds itself: nothing is
 woven into the generated code.
 
-Comb emitters are trusted by definition site: a per-kind emitter is used
-only for node classes whose ``comb`` is *defined by* the class the
-emitter was written against — a subclass overriding ``comb`` is deferred.
-Comb emitters also need the declared tasks they were written for: a
-subclass that overrides ``comb_tasks`` below the class defining its
-``comb`` is deferred too, so it runs interpreted on exactly the
-sensitivity it declares.  ``tick``, ``pre_cycle`` and ``set_choice``
-need no trust rule: a user subclass or a :mod:`repro.chaos` mutant that
-overrides one compiles its own method body, or calls it (see
-:class:`_Inline`); the body alone decides.
+No method needs a trust rule: a user subclass or a :mod:`repro.chaos`
+mutant that overrides one compiles its own method body (see
+:class:`_Inline`); the body alone decides.  A ``tick``, ``pre_cycle`` or
+``set_choice`` outside the subset is called; a ``comb`` outside it, or
+one that reads outside its declared tasks, defers its node, so the node
+runs interpreted on exactly the sensitivity it declares.
 """
 
 from __future__ import annotations
@@ -161,27 +161,9 @@ from collections import OrderedDict, deque
 from functools import lru_cache, partial
 from itertools import combinations
 
-from repro.core.shared import SharedModule
-from repro.elastic.buffers import ElasticBuffer, ZeroBackwardLatencyBuffer
-from repro.elastic.eemux import EarlyEvalMux
-from repro.elastic.environment import (
-    KillerSink,
-    NondetChoiceSource,
-    NondetSink,
-    NondetSource,
-    PermissionSource,
-    Sink,
-    _SourceBase,
-)
-from repro.elastic.fork import EagerFork
-from repro.elastic.functional import Func
 from repro.elastic.node import Node
-from repro.elastic.varlat import VariableLatencyUnit
-from repro.errors import (
-    CombinationalLoopError,
-    ProtocolViolationError,
-    SchedulerError,
-)
+from repro.errors import CombinationalLoopError, ProtocolViolationError
+from repro.kleene import kand, kite, knot, kor
 from repro.netlist.graphalg import cyclic_sccs
 from repro.sim.sensitivity import topology_signature
 
@@ -200,418 +182,54 @@ _CONTROLS = ("vp", "sp", "vm", "sm")
 _SIGNALS = _CONTROLS + ("data",)
 
 
-def _definer(cls, attr):
-    """The class in ``cls``'s MRO that defines ``attr`` (None if absent)."""
-    for k in cls.__mro__:
-        if attr in k.__dict__:
-            return k
-    return None
-
-
 # ---------------------------------------------------------------------------
-# per-kind code emitters
+# node methods, derived: comb, tick, pre_cycle and set_choice
 #
-# Each kind's comb() is split into *signal tasks*, declared once on the
-# node class by Node.comb_tasks(): (reads, writes) pairs of (port, signal).
-# The same declaration gives the worklist engine its wake-up sets
-# (Node.comb_reads() is the union of the task reads).  Here each task gets
-# one emitter (_COMB_EMITTERS, in comb_tasks() order), which appends
-# straight-line statements computing exactly what the kernel drives for
-# the task's writes, via g.sig(node, port, signal) (a flat local of the
-# bound channel).  Scheduling happens at
-# task granularity because that is where elastic control is acyclic: a ZBL
-# chain is cyclic node-to-node (the buffer reads downstream sp/vm, the
-# downstream join reads its vp) but acyclic signal-to-signal (vp/data flow
-# forward, sp/vm flow backward) — exactly the structure the worklist engine
-# discovers dynamically, resolved statically here.
-#
-# Every control signal listed in a task's writes MUST be assigned
-# unconditionally (the elaborator audits this); data writes are conditional,
-# mirroring drive()'s None no-op.  Tasks may not share scratch state — each
-# recomputes what it needs (locals with a leading underscore, which can
-# never collide with channel locals, and must not reuse a name an entry
-# binds as a default, such as _cnt for the statistics counts).
-# ---------------------------------------------------------------------------
-
-
-def _comb_source(g, ni, node, out):
-    n = g.node_ref(ni)
-    out += [
-        f"if not {n}._offering and {n}._pending_start:",
-        f"    _v = {n}._next_value()",
-        "    if _v is not None:",
-        f"        {n}._offering = True",
-        f"        {n}._value = _v",
-        f"    {n}._pending_start = False",
-        f"{g.sig(node, 'o', 'vp')} = {n}._offering",
-        f"if {n}._offering:",
-        f"    {g.sig(node, 'o', 'data')} = {n}._value",
-        f"{g.sig(node, 'o', 'sm')} = False",
-    ]
-
-
-def _comb_sink(g, ni, node, out):
-    n = g.node_ref(ni)
-    out += [
-        f"{g.sig(node, 'i', 'sp')} = {n}._stall_now",
-        f"{g.sig(node, 'i', 'vm')} = False",
-    ]
-
-
-def _comb_killer_sink(g, ni, node, out):
-    n = g.node_ref(ni)
-    out += [
-        f"{g.sig(node, 'i', 'vm')} = {n}._killing",
-        f"{g.sig(node, 'i', 'sp')} = False if {n}._killing else {n}._stall_now",
-    ]
-
-
-def _comb_nondet_source(g, ni, node, out, value_attr="_counter"):
-    n = g.node_ref(ni)
-    out += [
-        f"{g.sig(node, 'o', 'vp')} = {n}._offering",
-        f"if {n}._offering:",
-        f"    {g.sig(node, 'o', 'data')} = {n}.{value_attr}",
-        f"{g.sig(node, 'o', 'sm')} = False",
-    ]
-
-
-def _comb_nc_source(g, ni, node, out):
-    _comb_nondet_source(g, ni, node, out, value_attr="_value")
-
-
-def _comb_permission(g, ni, node, out):
-    n = g.node_ref(ni)
-    out += [
-        f"{g.sig(node, 'o', 'vp')} = {n}._offering",
-        f"if {n}._offering:",
-        f"    {g.sig(node, 'o', 'data')} = True",
-        f"{g.sig(node, 'o', 'sm')} = False",
-    ]
-
-
-def _comb_nondet_sink(g, ni, node, out):
-    n = g.node_ref(ni)
-    out += [
-        f"if {n}._killing:",
-        f"    {g.sig(node, 'i', 'vm')} = True",
-        f"    {g.sig(node, 'i', 'sp')} = False",
-        "else:",
-        f"    {g.sig(node, 'i', 'vm')} = False",
-        f"    {g.sig(node, 'i', 'sp')} = {n}._choice == 1",
-    ]
-
-
-def _comb_eb(g, ni, node, out):
-    n = g.node_ref(ni)
-    out += [
-        f"_x = {n}.count",
-        f"{g.sig(node, 'o', 'vp')} = _x >= 1",
-        "if _x >= 1:",
-        f"    {g.sig(node, 'o', 'data')} = {n}._tokens[0]",
-        f"{g.sig(node, 'o', 'sm')} = _x <= -{n}.anti_capacity",
-        f"{g.sig(node, 'i', 'sp')} = _x >= {n}.capacity",
-        f"{g.sig(node, 'i', 'vm')} = _x <= -1",
-    ]
-
-
-def _zbl_fwd(g, ni, node, out):
-    n = g.node_ref(ni)
-    out += [
-        f"if {n}._full:",
-        f"    {g.sig(node, 'o', 'vp')} = True",
-        f"    {g.sig(node, 'o', 'data')} = {n}._value",
-        "else:",
-        f"    {g.sig(node, 'o', 'vp')} = False",
-    ]
-
-
-def _zbl_ivm(g, ni, node, out):
-    n = g.node_ref(ni)
-    out.append(
-        f"{g.sig(node, 'i', 'vm')} = False if {n}._full "
-        f"else {g.sig(node, 'o', 'vm')}"
-    )
-
-
-def _zbl_osm(g, ni, node, out):
-    n = g.node_ref(ni)
-    out.append(
-        f"{g.sig(node, 'o', 'sm')} = False if {n}._full "
-        f"else ({g.sig(node, 'i', 'sm')} if {g.sig(node, 'o', 'vm')} else False)"
-    )
-
-
-def _zbl_isp(g, ni, node, out):
-    n = g.node_ref(ni)
-    out.append(
-        f"{g.sig(node, 'i', 'sp')} = "
-        f"({g.sig(node, 'o', 'sp')} and not {g.sig(node, 'o', 'vm')}) "
-        f"if {n}._full else False"
-    )
-
-
-def _func_avail(g, node):
-    return " and ".join(
-        f"({g.sig(node, f'i{k}', 'vp')} and _pk[{k}] == 0)"
-        for k in range(node.n_inputs)
-    )
-
-
-def _func_fwd(g, ni, node, out):
-    n = g.node_ref(ni)
-    k_in = node.n_inputs
-    out += [
-        f"_pk = {n}._kills",
-        f"_av = {_func_avail(g, node)}",
-        f"{g.sig(node, 'o', 'vp')} = _av",
-        "if _av:",
-    ]
-    for k in range(k_in):
-        out.append(f"    _a{k} = {g.sig(node, f'i{k}', 'data')}")
-    known = " and ".join(f"_a{k} is not None" for k in range(k_in))
-    args = ", ".join(f"_a{k}" for k in range(k_in))
-    out += [
-        f"    if {known}:",
-        f"        {g.sig(node, 'o', 'data')} = {n}.fn({args})",
-    ]
-
-
-def _func_back(g, ni, node, out):
-    n = g.node_ref(ni)
-    out += [
-        f"_pk = {n}._kills",
-        f"_fr = ({_func_avail(g, node)}) and not {g.sig(node, 'o', 'sp')}",
-    ]
-    for k in range(node.n_inputs):
-        p = f"i{k}"
-        out += [
-            f"if _pk[{k}] > 0:",
-            f"    {g.sig(node, p, 'vm')} = True",
-            f"    {g.sig(node, p, 'sp')} = False",
-            "else:",
-            f"    {g.sig(node, p, 'vm')} = False",
-            f"    {g.sig(node, p, 'sp')} = not _fr",
-        ]
-
-
-def _func_sm(g, ni, node, out):
-    n = g.node_ref(ni)
-    room = " and ".join(
-        f"_pk[{k}] < {n}.max_kills" for k in range(node.n_inputs)
-    )
-    out += [
-        f"_pk = {n}._kills",
-        f"{g.sig(node, 'o', 'sm')} = "
-        f"False if ({_func_avail(g, node)}) else not ({room})",
-    ]
-
-
-def _fork_fwd(g, ni, node, out):
-    n = g.node_ref(ni)
-    ivp, idata = g.sig(node, "i", "vp"), g.sig(node, "i", "data")
-    out += [f"_pk = {n}._kills", f"_dn = {n}._served"]
-    for k in range(node.n_outputs):
-        p = f"o{k}"
-        out += [
-            f"_v = {ivp} and not (_dn[{k}] or _pk[{k}] > 0)",
-            f"{g.sig(node, p, 'vp')} = _v",
-            f"if {ivp} and {idata} is not None:",
-            f"    {g.sig(node, p, 'data')} = {idata}",
-            f"{g.sig(node, p, 'sm')} = False if _v else _pk[{k}] >= {n}.max_kills",
-        ]
-
-
-def _fork_isp(g, ni, node, out):
-    n = g.node_ref(ni)
-    k_out = node.n_outputs
-    ivp = g.sig(node, "i", "vp")
-    out += [f"_pk = {n}._kills", f"_dn = {n}._served"]
-    for k in range(k_out):
-        out += [
-            f"_e = _dn[{k}] or _pk[{k}] > 0",
-            f"_b{k} = _e or (({ivp} and not _e) "
-            f"and not {g.sig(node, f'o{k}', 'sp')})",
-        ]
-    all_ok = " and ".join(f"_b{k}" for k in range(k_out))
-    out.append(f"{g.sig(node, 'i', 'sp')} = not ({ivp} and {all_ok})")
-
-
-def _fork_ivm(g, ni, node, out):
-    out.append(f"{g.sig(node, 'i', 'vm')} = False")
-
-
-def _by_select(node, rhs, lhs, out):
-    """``lhs = rhs(port)`` for the input port the select ``_se`` names, as
-    an if/elif chain one level deep (``_se`` is range-checked first)."""
-    k_in = node.n_inputs
-    for j in range(k_in):
-        head = "if" if j == 0 else "elif"
-        out += [f"    {head} _se == {j}:" if j < k_in - 1 else "    else:",
-                f"        {lhs} = {rhs(f'i{j}')}"]
-
-
-def _eemux_select(g, ni, node, out):
-    """``_cf`` (the mux can fire) from the select token and the selected
-    input, with ``_se`` the select value when one is offered.  An offered
-    select with unknown data leaves the decision unknown, which
-    straight-line code cannot carry: ``_udiag`` re-runs the cycle
-    interpreted and raises its combinational-loop diagnosis."""
-    n = g.node_ref(ni)
-    g.bind["_udiag"] = 'env["diagnose_unknown"]'
-    g.bind["SchedulerError"] = 'env["SchedulerError"]'
-    head = f"EarlyEvalMux {node.name}: select value "
-    tail = f" out of range 0..{node.n_inputs - 1}"
-    select = g.plan.channels[g.plan.port_channel[(node.name, "s")]].name
-    out += [
-        f"_pk = {n}._kills",
-        f"if {g.sig(node, 's', 'vp')}:",
-        f"    _se = {g.sig(node, 's', 'data')}",
-        "    if _se is None:",
-        f"        _udiag(cycle, {select!r})",
-        f"    if not isinstance(_se, int) or not 0 <= _se < {node.n_inputs}:",
-        f"        raise SchedulerError({head!r} + repr(_se) + {tail!r})",
-    ]
-    _by_select(node, lambda p: f"{g.sig(node, p, 'vp')} and "
-               f"_pk[{p[1:]}] == 0", "_cf", out)
-    out += ["else:", "    _cf = False"]
-
-
-def _eemux_fwd(g, ni, node, out):
-    n = g.node_ref(ni)
-    _eemux_select(g, ni, node, out)
-    out += [
-        f"_ok = _cf and {n}._pko == 0",
-        f"{g.sig(node, 'o', 'vp')} = _ok",
-        f"{g.sig(node, 'o', 'sm')} = False if _ok else "
-        f"{n}._pko >= {n}.max_kills",
-        "if _ok:",
-    ]
-    _by_select(node, lambda p: g.sig(node, p, "data"), "_dx", out)
-    out += ["    if _dx is not None:",
-            f"        {g.sig(node, 'o', 'data')} = _dx"]
-
-
-def _eemux_back(g, ni, node, out):
-    n = g.node_ref(ni)
-    _eemux_select(g, ni, node, out)
-    out += [
-        f"_fi = _cf if {n}._pko > 0 else _cf and not {g.sig(node, 'o', 'sp')}",
-        f"{g.sig(node, 's', 'sp')} = not _fi",
-    ]
-    for j in range(node.n_inputs):
-        p = f"i{j}"
-        out += [
-            f"_km = _pk[{j}] > 0 or (_fi and _se != {j})",
-            f"{g.sig(node, p, 'vm')} = _km",
-            f"{g.sig(node, p, 'sp')} = False if _km else not (_fi and _se == {j})",
-        ]
-
-
-def _eemux_svm(g, ni, node, out):
-    out.append(f"{g.sig(node, 's', 'vm')} = False")
-
-
-def _prediction(g, ni):
-    """The local holding the shared module's prediction this cycle: a
-    function of registered state, so one call per cycle serves every
-    channel's tasks."""
-    return g.per_cycle(f"_pr{ni}", f"{g.node_ref(ni)}.scheduler.prediction()")
-
-
-def _shared_fwd(g, ni, node, out, j=0):
-    n = g.node_ref(ni)
-    ivp, odata = g.sig(node, f"i{j}", "vp"), g.sig(node, f"o{j}", "data")
-    idata = g.sig(node, f"i{j}", "data")
-    out += [
-        f"_gv = {_prediction(g, ni)} == {j} and {ivp}",
-        f"{g.sig(node, f'o{j}', 'vp')} = _gv",
-        f"if _gv and {idata} is not None:",
-        f"    {odata} = {n}.fn({idata})",
-    ]
-
-
-def _shared_ivm(g, ni, node, out, j=0):
-    out.append(f"{g.sig(node, f'i{j}', 'vm')} = {g.sig(node, f'o{j}', 'vm')}")
-
-
-def _shared_osm(g, ni, node, out, j=0):
-    ip = f"i{j}"
-    out.append(f"{g.sig(node, f'o{j}', 'sm')} = False if "
-               f"{g.sig(node, ip, 'vp')} else {g.sig(node, ip, 'sm')}")
-
-
-def _shared_isp(g, ni, node, out, j=0):
-    op = f"o{j}"
-    out.append(
-        f"{g.sig(node, f'i{j}', 'sp')} = False if {g.sig(node, op, 'vm')} "
-        f"else ({g.sig(node, op, 'sp')} "
-        f"if {_prediction(g, ni)} == {j} else True)"
-    )
-
-
-def _comb_varlat(g, ni, node, out):
-    n = g.node_ref(ni)
-    out += [
-        f"_vq = {n}._station",
-        "_hr = _vq[0][1] == 0 if _vq else False",
-        f"{g.sig(node, 'o', 'vp')} = _hr",
-        "if _hr:",
-        f"    {g.sig(node, 'o', 'data')} = _vq[0][0]",
-        f"{g.sig(node, 'o', 'sm')} = not _hr",
-        f"{g.sig(node, 'i', 'sp')} = len(_vq) >= 2",
-        f"{g.sig(node, 'i', 'vm')} = False",
-    ]
-
-
-#: comb-definer class -> its emitters, one per task of the kind's
-#: ``comb_tasks()``, in that order.  The shared module declares four tasks
-#: per channel pair: its emitters are reused for each pair, given the pair
-#: index ``j`` (see the module docstring on trust).
-_COMB_EMITTERS = {
-    ElasticBuffer: (_comb_eb,),
-    ZeroBackwardLatencyBuffer: (_zbl_fwd, _zbl_ivm, _zbl_osm, _zbl_isp),
-    Func: (_func_fwd, _func_back, _func_sm),
-    EagerFork: (_fork_fwd, _fork_isp, _fork_ivm),
-    EarlyEvalMux: (_eemux_fwd, _eemux_back, _eemux_svm),
-    SharedModule: (_shared_fwd, _shared_ivm, _shared_osm, _shared_isp),
-    VariableLatencyUnit: (_comb_varlat,),
-    _SourceBase: (_comb_source,),
-    Sink: (_comb_sink,),
-    KillerSink: (_comb_killer_sink,),
-    NondetSource: (_comb_nondet_source,),
-    NondetChoiceSource: (_comb_nc_source,),
-    PermissionSource: (_comb_permission,),
-    NondetSink: (_comb_nondet_sink,),
-}
-
-
-# ---------------------------------------------------------------------------
-# sequential code, derived: tick, pre_cycle and set_choice
-#
-# By the clock edge every signal is known, so a tick is two-valued and its
-# Python method can be the one description of it.  _Inline rewrites:
+# Each method of a node is the one description of what it does, and
+# _Inline renders its source into the cycle body.  It rewrites
 # self.st(P).sig, directly or through a local alias, to the local of the
-# channel at port P (in ticks only: before the fix-point the locals are
+# channel at port P (in comb and tick: before the fix-point the locals are
 # not this cycle's); self.x to _n<ni>.x; a method local x to _x_, which
 # no channel local, scratch name or entry binding ends with; set_choice's
 # parameter to the choice vector's local; a module global X to _g_X,
 # bound from the method's globals; a top-level `if c: return` to a guard
-# over the rest.  A loop over range(self.<arity attribute>),
-# self.in_ports or self.out_ports unrolls, and ports fold only from
+# over the rest.  A loop or list comprehension over range(self.<arity
+# attribute>), self.in_ports or self.out_ports unrolls (a list display
+# unpacked into a call passes its items), and ports fold only from
 # literals, unrolled loop variables and port lists, so no numeric
-# parameter is baked in.  Anything else is refused and the method called:
-# super(), a channel state escaping (into a call, a container or an alias
-# bound in a branch), a port that does not fold (picked from state),
-# self.channel(...) or self._channels, any other loop, a return
-# elsewhere, a helper of self that reaches channels, a class with no
-# source (made by exec).  A method renders once per node shape into a
-# template each node fills in: `@` is the node, `@<port>@<signal>` a
-# channel local.
+# parameter but the arity attributes (the node's shape) is baked in.
+# Anything else is refused: super(), a channel state escaping (into a
+# call, a container or an alias bound in a branch), a port that does not
+# fold (picked from state), self.channel(...) or self._channels, any other
+# loop, a return elsewhere, a helper of self that reaches channels, a
+# class with no source (made by exec), a parameter beyond set_choice's.
+# A refused tick, pre_cycle or set_choice is called; a refused comb
+# defers its node.
+#
+# comb is rendered once per task its node declares (Node.comb_tasks).
+# Every signal the straight-line region reads is a known bool, so the
+# Kleene helpers kand/kor/knot/kite render exactly as and/or/not/`a if c
+# else b` (an operand with a call is refused: the operators would not
+# evaluate it), and self.drive(P, s, e) becomes the assignment of e to the
+# channel local; `x = True` followed by the unrolled `x = x and e` is
+# `x = e`, and a branch assigning one name on both sides is `x = a if c
+# else b`.  A task keeps the drives it writes and what they need: the
+# locals they read, a raise where the locals it reports are live, a call
+# or a store to node state always.  A task is refused when it may
+# leave a control write unassigned, or reads a signal outside its
+# declared reads (its own data write aside, unknown until written).  A
+# data read that feeds a control value must be assigned straight to a
+# local, and is guarded there: when unknown, the cycle goes to
+# diagnose_unknown.  The leading assignments of comb that read no channel,
+# each to a local assigned once, are locals of the whole cycle
+# (_Gen.per_cycle), named _x_@.  A method renders once per node shape
+# into a template each node fills in: `@` is the node, `@<port>@<signal>`
+# a channel local.
 # ---------------------------------------------------------------------------
 
-#: the node methods rendered into the cycle body
-_SEQUENTIAL = ("pre_cycle", "tick", "set_choice")
+#: the node methods rendered into the cycle body (the module cache keys on
+#: their code)
+_INLINED = ("pre_cycle", "tick", "set_choice", "comb")
 
 #: attributes through which a method reaches channels other than a folded
 #: ``self.st(port)``
@@ -626,13 +244,13 @@ _PLACEHOLDER = re.compile(r"@(\w+)@(\w+)|@")
 
 
 class _Refused(Exception):
-    """The method body is outside the inlined subset: call it instead."""
+    """The method body is outside the inlined subset."""
 
 
-@lru_cache(maxsize=256)
 def _method_tree(code):
     """The parsed ``def`` of a method's code object; None when it has no
-    source (a class made by ``exec``).  Shared: never change it."""
+    source (a class made by ``exec``).  Parsed afresh on each call: only
+    the rendered templates are kept."""
     try:
         tree = ast.parse(textwrap.dedent(inspect.getsource(code))).body[0]
     except (OSError, TypeError, SyntaxError):
@@ -673,23 +291,26 @@ def _check_helper(cls, attr, seen):
 
 
 @lru_cache(maxsize=256)
-def _template(cls, method, arg, in_ports, out_ports, arity):
-    """``(text, globals)``: ``method`` of ``cls`` rendered for nodes with
-    these port lists and :attr:`~repro.elastic.node.Node.arity_checks`
-    values, and the module globals it binds; None outside the subset."""
+def _template(cls, method, arg, in_ports, out_ports, arity, tasks=None):
+    """``(text, globals, head)``: ``method`` of ``cls`` rendered for nodes
+    with these port lists and :attr:`~repro.elastic.node.Node.arity_checks`
+    values, the module globals it binds and, for ``comb`` (given its
+    ``tasks``; its text is then one slice per task), its per-cycle locals
+    as ``(name, expression)`` pairs; None outside the subset."""
     try:
-        inline = _Inline(cls, method, arg, in_ports, out_ports, arity)
+        inline = _Inline(cls, method, arg, in_ports, out_ports, arity, tasks)
     except _Refused:
         return None
-    return inline.text, tuple(inline.globals_used)
+    return inline.text, tuple(inline.globals_used), inline.head
 
 
 class _Inline(ast.NodeTransformer):
     """One method rendered as a template (see the comment above); raises
     :class:`_Refused` outside the subset.  ``arg`` names the local passed
-    to ``set_choice``."""
+    to ``set_choice``; ``tasks`` are comb's ``(reads, writes)`` pairs."""
 
-    def __init__(self, cls, method, arg, in_ports, out_ports, arity):
+    def __init__(self, cls, method, arg, in_ports, out_ports, arity,
+                 tasks=None):
         func = getattr(cls, method)
         tree = _method_tree(getattr(func, "__code__", None))
         if tree is None or tree.decorator_list or any(
@@ -707,7 +328,10 @@ class _Inline(ast.NodeTransformer):
                        and isinstance(n.ctx, ast.Store)}
         self.globals = func.__globals__
         self.globals_used = {}
-        self.signals = method == "tick"
+        self.signals = method in ("tick", "comb")
+        # comb: the (port, signal) pairs its tasks write, which it may drive
+        self.drives = None if tasks is None else {
+            pair for _reads, writes in tasks for pair in writes}
         self.port_lists = {"in_ports": in_ports, "out_ports": out_ports}
         self.arity = {
             attr: value for (attr, ports, fixed), value
@@ -716,7 +340,9 @@ class _Inline(ast.NodeTransformer):
         self.consts = {}      # unrolled loop variable -> its value
         self.ports = {}       # channel state alias -> port
         self.seen = set()     # helpers of self checked
-        self.text = ast.unparse(ast.Module(self._block(tree.body, True), []))
+        body, self.head = self._block(tree.body, True), ()
+        self.text = (ast.unparse(ast.Module(body, [])) if tasks is None
+                     else self._comb(body, tasks))
 
     def _block(self, body, top=False, unrolled=False, straight=True):
         """``body`` rewritten.  ``straight``: outside any branch, so a
@@ -736,13 +362,21 @@ class _Inline(ast.NodeTransformer):
                 rest = self._block(body[k + 1:], top=True) or [ast.Pass()]
                 out.append(ast.If(test, rest, []))
                 break
+            if (self.drives is not None and isinstance(s, ast.Expr)
+                    and isinstance(s.value, ast.Call)
+                    and _self_attr(s.value.func, self.me) == "drive"):
+                out.append(self._drive(s.value.args, s.value.keywords))
+                continue
             port = (self._port(s.value) if isinstance(s, ast.Assign)
                     and len(s.targets) == 1
                     and isinstance(s.targets[0], ast.Name) else None)
             if port is not None and straight:
                 self.ports[s.targets[0].id] = port
             elif isinstance(s, ast.For):
-                for value in self._unrolled(s):
+                values = self._unrolled(s)
+                if values is None:
+                    raise _Refused
+                for value in values:
                     self.consts[s.target.id] = value
                     out += self._block(s.body, unrolled=True,
                                        straight=straight)
@@ -763,10 +397,12 @@ class _Inline(ast.NodeTransformer):
         return out
 
     def _unrolled(self, loop):
-        """The values of an unrollable loop's variable."""
+        """The values of the variable of an unrollable loop or
+        comprehension, else None."""
         it, me = loop.iter, self.me
-        if loop.orelse or not isinstance(loop.target, ast.Name):
-            raise _Refused
+        if (getattr(loop, "orelse", None) or getattr(loop, "ifs", None)
+                or not isinstance(loop.target, ast.Name)):
+            return None
         if _self_attr(it, me) in self.port_lists:
             return self.port_lists[it.attr]
         if (isinstance(it, ast.Call) and isinstance(it.func, ast.Name)
@@ -774,7 +410,20 @@ class _Inline(ast.NodeTransformer):
                 and len(it.args) == 1 and not it.keywords
                 and _self_attr(it.args[0], me) in self.arity):
             return range(self.arity[it.args[0].attr])
-        raise _Refused
+        return None
+
+    def visit_ListComp(self, n):
+        # unrolled into a list display where the loop unrolls
+        values = self._unrolled(n.generators[0]) if len(
+            n.generators) == 1 else None
+        if values is None:
+            return self.generic_visit(n)
+        name, elts, outer = n.generators[0].target.id, [], self.consts
+        for value in values:
+            self.consts = {**outer, name: value}
+            elts.append(self.visit(n.elt))
+        self.consts = outer
+        return ast.List(elts, ast.Load())
 
     def _fold(self, e):
         """The value of a port expression: literals, unrolled loop
@@ -802,11 +451,75 @@ class _Inline(ast.NodeTransformer):
             return None
         if len(e.args) != 1 or e.keywords or not self.signals:
             raise _Refused
-        port = self._fold(e.args[0])
+        return self._portname(e.args[0])
+
+    def _portname(self, e):
+        """The port ``e`` folds to (see :meth:`_fold`)."""
+        port = self._fold(e)
         if port not in self.port_lists["in_ports"] + self.port_lists[
                 "out_ports"] or not re.fullmatch(r"\w+", port):
             raise _Refused
         return port
+
+    def _drive(self, args, keywords):
+        """``self.drive(P, s, e)`` as the assignment ``@P@s = e``, for a
+        pair the tasks write."""
+        if len(args) != 3 or keywords:
+            raise _Refused
+        pair = (self._portname(args[0]), self._fold(args[1]))
+        if pair not in self.drives:
+            raise _Refused
+        return ast.Assign([ast.Name("@%s@%s" % pair, ast.Store())],
+                          self.visit(args[2]), lineno=0)
+
+    def visit_Call(self, n):
+        f = n.func
+        helper = (self.globals.get(f.id) if isinstance(f, ast.Name)
+                  and f.id not in self.locals else None)
+        args = []             # an unpacked display passed item by item
+        for a in map(self.visit, n.args):
+            args += (a.value.elts if isinstance(a, ast.Starred) and isinstance(
+                a.value, (ast.List, ast.Tuple)) else [a])
+        if not any(helper is h for h in (kand, kor, knot, kite)):
+            return ast.Call(self.visit(f), args,
+                            [self.visit(k) for k in n.keywords])
+        if n.keywords or any(isinstance(x, (ast.Call, ast.Starred))
+                             for a in args for x in ast.walk(a)):
+            raise _Refused        # an operand with an effect, or unpacked
+        if helper is knot and len(args) == 1:
+            return ast.UnaryOp(ast.Not(), args[0])
+        if helper is kite and len(args) == 3:
+            return ast.IfExp(*args)
+        if helper in (kand, kor) and args:
+            return args[0] if len(args) == 1 else ast.BoolOp(
+                ast.And() if helper is kand else ast.Or(), args)
+        raise _Refused
+
+    def _comb(self, body, tasks):
+        """comb's slices, one per task (see the comment above), after
+        moving its channel-free head to :attr:`head`."""
+        if any(isinstance(n, (ast.While, ast.Break, ast.Continue))
+               for s in body for n in ast.walk(s)):
+            raise _Refused
+        locals_ = {f"_{name}_" for name in self.locals}
+        stored = [n.id for s in body for n in ast.walk(s)
+                  if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)]
+        head = []
+        while (body and isinstance(body[0], ast.Assign)
+               and len(body[0].targets) == 1
+               and getattr(body[0].targets[0], "id", None) in locals_
+               and stored.count(body[0].targets[0].id) == 1
+               and not _reads(body[:1])):
+            head.append(body.pop(0))
+        hoisted = {s.targets[0].id for s in head}
+        for n in (n for s in head + body for n in ast.walk(s)):
+            if isinstance(n, ast.Name) and n.id in hoisted:
+                n.id += "@"
+        self.head = tuple((s.targets[0].id, ast.unparse(s.value))
+                          for s in head)
+        body = _seeds_folded(body)
+        return tuple(_task_slice(body, locals_, reads, writes)
+                     for reads, writes in tasks)
 
     def generic_visit(self, node):
         # a rewritten copy: the parsed trees are shared
@@ -824,6 +537,8 @@ class _Inline(ast.NodeTransformer):
             return ast.Name(f"@{port}@{n.attr}", ast.Load())
         if _self_attr(n, self.me) is None:
             return self.generic_visit(n)
+        if n.attr in self.arity and isinstance(n.ctx, ast.Load):
+            return ast.Constant(self.arity[n.attr])      # the node's shape
         if n.attr in _CHANNEL_ACCESS:
             raise _Refused
         _check_helper(self.cls, n.attr, self.seen)
@@ -853,26 +568,189 @@ class _Inline(ast.NodeTransformer):
     visit_MatMult = _refuse
 
 
+def _loads(tree):
+    """The names ``tree`` loads, repeats included."""
+    return [n.id for n in ast.walk(tree)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)]
+
+
+def _reads(body):
+    """The channel locals (``@<port>@<signal>``) ``body`` reads."""
+    return {name for s in body for name in _loads(s)
+            if name[:1] == "@" and name != "@"}
+
+
+def _sliced(body, keep, locals_, live=frozenset()):
+    """``(statements, live)``: ``body`` reduced to what the drives in
+    ``keep`` need (see the comment above; ``locals_`` are the method's
+    locals), and the names live before it given ``live`` after it."""
+    out = []
+    for s in reversed(body):
+        if isinstance(s, ast.If):
+            then, live_then = _sliced(s.body, keep, locals_, live)
+            other, live_other = _sliced(s.orelse, keep, locals_, live)
+            if not (then or other):
+                continue
+            s = ast.If(s.test, then or [ast.Pass()], other)
+            live = live_then | live_other | set(_loads(s.test))
+        elif isinstance(s, ast.Pass):
+            continue
+        else:
+            targets = getattr(s, "targets", [getattr(s, "target", None)])
+            names = {t.id for t in targets if isinstance(t, ast.Name)}
+            uses = set(_loads(s))
+            if isinstance(s, (ast.Raise, ast.Assert)):
+                needed = uses & locals_ <= live
+            elif names and len(names) == len(targets):
+                needed = any(name in keep if name[0] == "@" else name in live
+                             for name in names)
+            else:
+                needed = True        # a call or a store to node state
+            if not needed:
+                continue
+            if isinstance(s, ast.AugAssign):
+                uses |= names
+            live = live - names | uses
+        out.append(s)
+    return out[::-1], live
+
+
+def _seeds_folded(body):
+    """``body`` with each ``x = True`` whose next use is ``x = x and e``
+    folded into ``x = e``: the first step of an unrolled conjunction."""
+    out, last = [], {}        # name -> index in out of its last use
+    for s in body:
+        x = getattr(s.targets[0], "id", None) if isinstance(
+            s, ast.Assign) and len(s.targets) == 1 else None
+        seed = out[last[x]] if x in last else None
+        step = s.value if isinstance(s, ast.Assign) else None
+        if (isinstance(step, ast.BoolOp) and isinstance(step.op, ast.And)
+                and getattr(step.values[0], "id", None) == x
+                and isinstance(seed, ast.Assign) and len(seed.targets) == 1
+                and getattr(seed.value, "value", None) is True):
+            out[last[x]] = None
+            rest = step.values[1:]
+            s = ast.Assign(s.targets, rest[0] if len(rest) == 1
+                           else ast.BoolOp(ast.And(), rest), lineno=0)
+        last.update((n.id, len(out)) for n in ast.walk(s)
+                    if isinstance(n, ast.Name))
+        out.append(s)
+    return [s for s in out if s is not None]
+
+
+def _assigned(body):
+    """The names every path through ``body`` assigns; None when no path
+    falls through it."""
+    out = set()
+    for s in body:
+        if isinstance(s, ast.Raise):
+            return None
+        if isinstance(s, ast.If):
+            then, other = _assigned(s.body), _assigned(s.orelse)
+            if then is None and other is None:
+                return None
+            out |= (other if then is None else then if other is None
+                    else then & other)
+        elif isinstance(s, ast.Assign):
+            out.update(t.id for t in s.targets if isinstance(t, ast.Name))
+    return out
+
+
+def _assigned_name(body):
+    """``x`` when ``body`` is the one statement ``x = e``, else None."""
+    if (len(body) == 1 and isinstance(body[0], ast.Assign)
+            and len(body[0].targets) == 1
+            and isinstance(body[0].targets[0], ast.Name)):
+        return body[0].targets[0].id
+    return None
+
+
+def _finished(body, fed):
+    """``body`` as rendered: each ``x = <data read in fed>`` followed by a
+    guard that hands an unknown ``x`` to
+    :meth:`CodegenBackend.diagnose_unknown`, and a branch that assigns one
+    name on both sides as ``x = a if c else b``."""
+    out = []
+    for s in body:
+        if isinstance(s, ast.If):
+            then, other = _finished(s.body, fed), _finished(s.orelse, fed)
+            name = _assigned_name(then)
+            s = (ast.Assign(then[0].targets, ast.IfExp(
+                s.test, then[0].value, other[0].value), lineno=0)
+                if name is not None and name == _assigned_name(other)
+                else ast.If(s.test, then, other))
+        out.append(s)
+        if isinstance(s, ast.Assign) and getattr(s.value, "id", None) in fed:
+            out += ast.parse(f"if {s.targets[0].id} is None:\n"
+                             f"    _udiag(cycle, {s.value.id!r})").body
+    return out
+
+
+def _task_slice(body, locals_, reads, writes):
+    """The text of comb's task writing ``writes`` from ``reads``: comb's
+    rendered ``body`` sliced to it, its control-feeding data reads
+    guarded; refused when it may leave a control write unassigned or reads
+    outside ``reads``."""
+    writes = {"@%s@%s" % pair for pair in writes}
+    controls = {w for w in writes if not w.endswith("@data")}
+    stmts = _sliced(body, writes, locals_)[0]
+    assigned = _assigned(stmts)
+    fed = {r for r in _reads(_sliced(body, controls, locals_)[0])
+           if r.endswith("@data")}
+    direct = [n for s in stmts for n in ast.walk(s)
+              if isinstance(n, ast.Assign) and len(n.targets) == 1
+              and isinstance(n.targets[0], ast.Name)
+              and getattr(n.value, "id", None) in fed]
+    if (assigned is not None and not controls <= assigned
+            or not _reads(stmts) <= (writes - controls).union(
+                "@%s@%s" % pair for pair in reads)
+            or fed & writes
+            or len(direct) != sum(name in fed for s in stmts
+                                  for name in _loads(s))):
+        raise _Refused
+    return ast.unparse(ast.Module(_finished(stmts, fed), []))
+
+
+def _node_template(node, method, arg=None, tasks=None):
+    """:func:`_template` of ``node``'s ``method`` for its shape."""
+    cls = type(node)
+    return _template(
+        cls, method, arg, tuple(node.in_ports), tuple(node.out_ports),
+        tuple(getattr(node, attr, None) for attr, _, _ in cls.arity_checks),
+        tasks)
+
+
+def _claims(taken, node, method, template):
+    """Whether ``template`` (None outside the subset) binds its module
+    globals under their own names: no other node's global of a name it
+    uses is bound (``taken``: name -> object, updated)."""
+    space = template and getattr(type(node), method).__globals__
+    return template is not None and not any(
+        taken.setdefault(name, space[name]) is not space[name]
+        for name in template[1])
+
+
+def _filled(g, ni, node, method, template, text):
+    """``text``, a part of node ``ni``'s ``method`` template, filled in for
+    the node; binds the template's module globals."""
+    for name in template[1]:
+        g.bind[f"_g_{name}"] = \
+            f"type(_nodes[{ni}]).{method}.__globals__[{name!r}]"
+    ref = g.node_ref(ni)
+    return _PLACEHOLDER.sub(
+        lambda m: ref if m[1] is None else g.sig(node, m[1], m[2]), text)
+
+
 def _sequential(g, ni, node, method, arg=None):
     """``(lines, inlined)``: node ``ni``'s ``method`` in the cycle body,
     its body inlined or, outside the subset, one call of it."""
-    cls = type(node)
-    template = _template(
-        cls, method, arg, tuple(node.in_ports), tuple(node.out_ports),
-        tuple(getattr(node, attr, None) for attr, _, _ in cls.arity_checks))
-    space = template and getattr(cls, method).__globals__
-    if template is None or any(   # another node's global of the same name
-            g.globals.setdefault(name, space[name]) is not space[name]
-            for name in template[1]):
+    template = _node_template(node, method, arg)
+    if not _claims(g.plan.globals, node, method, template):
         name = f"_{method[0]}{ni}"
         g.bind[name] = f"_nodes[{ni}].{method}"
         return [f"{name}({arg or ''})"], False
-    for name in template[1]:
-        g.bind[f"_g_{name}"] = f"type(_nodes[{ni}]).{method}.__globals__[{name!r}]"
-    ref = g.node_ref(ni)
-    return _PLACEHOLDER.sub(
-        lambda m: ref if m[1] is None else g.sig(node, m[1], m[2]),
-        template[0]).splitlines(), True
+    return _filled(g, ni, node, method, template,
+                   template[0]).splitlines(), True
 
 
 # ---------------------------------------------------------------------------
@@ -880,25 +758,12 @@ def _sequential(g, ni, node, method, arg=None):
 # ---------------------------------------------------------------------------
 
 
-def _comb_emitters(cls):
-    """The comb emitters trusted for node class ``cls``: those of the class
-    that defines its ``comb``, unless ``comb_tasks`` is overridden below
-    that class (the emitters would not match the declared tasks).  None
-    when the class has no trusted emitters."""
-    definer = _definer(cls, "comb")
-    emitters = _COMB_EMITTERS.get(definer)
-    if emitters is None or not issubclass(definer,
-                                          _definer(cls, "comb_tasks")):
-        return None
-    return emitters
-
-
 class _Plan:
     """Structural classification of one netlist for code generation."""
 
     __slots__ = (
         "nodes", "channels", "port_channel", "task_order", "deferred",
-        "pre_cycles", "choosers", "ticks",
+        "pre_cycles", "choosers", "ticks", "combs", "globals",
     )
 
 
@@ -906,9 +771,11 @@ def _build_plan(netlist):
     """Schedule ``netlist``'s signal tasks into ``plan.task_order``.
 
     ``plan.deferred`` lists, by index, the nodes that block compilation: a
-    node with no trusted comb emitters, a port bound to no live channel, a
-    read no task produces, or a task on a signal-level cycle.  When it is
-    non-empty nothing is scheduled and no cycle function is generated.
+    node whose ``comb`` does not render for its declared tasks, a port
+    bound to no live channel, a read no task produces, or a task on a
+    signal-level cycle.  When it is non-empty nothing is scheduled and no
+    cycle function is generated.  ``plan.combs`` maps every other node to
+    its comb template.
     """
     plan = _Plan()
     nodes = plan.nodes = list(netlist.nodes.values())
@@ -921,13 +788,20 @@ def _build_plan(netlist):
     plan.ticks = [ni for ni, node in enumerate(nodes)
                   if type(node).tick is not Node.tick]
     plan.task_order = []
+    plan.combs = {}
+    plan.globals = {}     # module global bound as _g_<name> -> object
     deferred = plan.deferred = []
 
     port_channel = plan.port_channel = {}
     tasks = []
     for ni, node in enumerate(nodes):
-        emitters = _comb_emitters(type(node))
-        ok = emitters is not None
+        declared = tuple((tuple(reads), tuple(writes))
+                         for reads, writes in node.comb_tasks())
+        comb = None
+        if sorted(pair for _, writes in declared for pair in writes) \
+                == sorted(node.drives()):
+            comb = _node_template(node, "comb", tasks=declared)
+        ok = _claims(plan.globals, node, "comb", comb)
         for port in node.ports:
             ch = node._channels.get(port)
             ci = None if ch is None else chan_idx.get(ch.name)
@@ -936,10 +810,9 @@ def _build_plan(netlist):
                 continue
             port_channel[(node.name, port)] = ci
         if ok:
-            for t, (reads, writes) in enumerate(node.comb_tasks()):
-                j, k = divmod(t, len(emitters))
-                emit = emitters[k] if j == 0 else partial(emitters[k], j=j)
-                tasks.append((ni, reads, writes, emit))
+            plan.combs[ni] = comb
+            tasks += [(ni, reads, writes, text)
+                      for (reads, writes), text in zip(declared, comb[0])]
         else:
             deferred.append(ni)
     if deferred:
@@ -947,15 +820,17 @@ def _build_plan(netlist):
 
     # Tasks are wired by (channel, signal) and topologically sorted.
     # Scheduling happens per task, not per node: elastic control is
-    # acyclic signal-to-signal even where it is cyclic node-to-node.
+    # acyclic signal-to-signal even where it is cyclic node-to-node (a ZBL
+    # chain: the buffer reads downstream sp/vm, the downstream join reads
+    # its vp).
     produced = {}
-    for t, (ni, reads, writes, emit) in enumerate(tasks):
+    for t, (ni, reads, writes, text) in enumerate(tasks):
         for port, sig in writes:
             produced[(port_channel[(nodes[ni].name, port)], sig)] = t
     indeg = [0] * len(tasks)
     adj = [[] for _ in tasks]
     starved = set()
-    for t, (ni, reads, writes, emit) in enumerate(tasks):
+    for t, (ni, reads, writes, text) in enumerate(tasks):
         for port, sig in reads:
             src = produced.get((port_channel[(nodes[ni].name, port)], sig))
             if src is None:
@@ -990,13 +865,12 @@ def _build_plan(netlist):
 
 
 class _Gen:
-    """Binding/naming context shared by the emitters."""
+    """Binding/naming context shared by the rendered node methods."""
 
     def __init__(self, plan):
         self.plan = plan
         self.bind = {}        # default-arg name -> build-scope expression
         self.covered = set()  # (ci, control) unconditionally assigned
-        self.globals = {}     # module global bound as _g_<name> -> object
         self.cycle_locals = {}  # local name -> expression, once per cycle
 
     def per_cycle(self, name, expr):
@@ -1182,7 +1056,7 @@ def _generate_source(netlist, check_protocol, content_hash, entry):
     compile.
 
     Both entries loop the same cycle body: pre-cycle hooks, the
-    per-cycle locals the emitters asked for (:meth:`_Gen.per_cycle`), the
+    per-cycle locals heading the nodes' combs (:meth:`_Gen.per_cycle`), the
     straight-line region in scheduled signal-task order, the screen and
     the ticks, with channel signals in locals that reach the
     ``ChannelState`` objects only at a flush."""
@@ -1208,12 +1082,19 @@ def _generate_source(netlist, check_protocol, content_hash, entry):
     pre = []
     for ni in plan.pre_cycles:
         pre += _sequential(g, ni, nodes[ni], "pre_cycle")[0]
+    for ni, comb in plan.combs.items():
+        for name, expr in comb[2]:
+            g.per_cycle(*(_filled(g, ni, nodes[ni], "comb", comb, text)
+                          for text in (name, expr)))
     region = _chunk_chain([g.csig(ci, "data") for ci in chans], "None")
-    for ni, reads, writes, emit in plan.task_order:
+    for ni, reads, writes, text in plan.task_order:
         node = nodes[ni]
         region.append(f"# {node.name} ({node.kind})")
-        emit(g, ni, node, region)
+        region += _filled(g, ni, node, "comb", plan.combs[ni],
+                          text).splitlines()
         g.cover(node, [(p, s) for p, s in writes if s != "data"])
+    if any("_udiag(" in line for line in region):
+        g.bind["_udiag"] = 'env["diagnose_unknown"]'
     body = pre + [f"{name} = {expr}" for name, expr in g.cycle_locals.items()]
     body += region
 
@@ -1451,7 +1332,7 @@ def _module_for(netlist, check_protocol, entry):
     # the topology names classes, but the inlined code is their methods'
     key = topology + (tuple(
         getattr(getattr(type(node), name), "__code__", None)
-        for node in netlist.nodes.values() for name in _SEQUENTIAL), entry)
+        for node in netlist.nodes.values() for name in _INLINED), entry)
     module = _MODULE_CACHE.get(key)
     if module is not None:
         _CACHE_STATS["hits"] += 1
@@ -1542,7 +1423,6 @@ class CodegenBackend:
             "diagnose_unknown": self.diagnose_unknown,
             "unresolve": self.unresolve,
             "keep": (CombinationalLoopError, ProtocolViolationError),
-            "SchedulerError": SchedulerError,
         })
 
     def unresolve(self):
@@ -1551,16 +1431,16 @@ class CodegenBackend:
         for channel in self.sim._channels:
             channel.clear_cycle()
 
-    def diagnose_unknown(self, cycle, select):
+    def diagnose_unknown(self, cycle, local):
         """Raise the worklist engine's combinational-loop diagnosis for
         cycle ``cycle``, which the straight-line code cannot finish
-        because channel ``select`` offers a select token without data:
-        re-run every node's interpreted ``comb()`` from cleared channels,
-        pass after pass until one leaves the change log empty, then check
-        resolution — same unresolved signals, same cycle.  A re-run that
-        resolves everything (an impure ``fn`` returned data the second
-        time) still raises, naming the select data the compiled cycle
-        found unknown."""
+        because a control value depends on the data local ``local``
+        (``d<slot>``), unknown: re-run every node's interpreted ``comb()``
+        from cleared channels, pass after pass until one leaves the change
+        log empty, then check resolution — same unresolved signals, same
+        cycle.  A re-run that resolves everything (an impure ``fn``
+        returned data the second time) still raises, naming the data the
+        compiled cycle found unknown."""
         sim = self.sim
         for channel in sim._channels:
             channel.clear_cycle()
@@ -1572,4 +1452,5 @@ class CodegenBackend:
             if not log:
                 break
         sim._check_resolved(cycle)
+        select = sim._channels[int(local[1:])].name
         raise CombinationalLoopError([f"{select}.data"], cycle=cycle)

@@ -13,7 +13,7 @@ package attacks both promises on purpose:
   ordinary node kinds (a join with a
   :class:`~repro.elastic.environment.PermissionSource` stalls, an empty
   buffer before it adds a bubble, a join with a mask source corrupts),
-  so every engine runs it with the kinds' own comb emitters and ticks;
+  so every engine runs it with the kinds' own combs and ticks;
 * :mod:`repro.chaos.verify` — the executable oracles:
   :func:`check_stream_invariance` (differential),
   :func:`explore_invariance` (exhaustive, all interleavings), and

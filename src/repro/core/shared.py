@@ -98,28 +98,24 @@ class SharedModule(Node):
     def comb(self):
         g = self.scheduler.prediction()
         for j in range(self.n_channels):
-            ip, op = f"i{j}", f"o{j}"
-            ist, ost = self.st(ip), self.st(op)
-            predicted = j == g
+            ist = self.st(self.in_ports[j])
+            ost = self.st(self.out_ports[j])
             # Forward: only the predicted channel's token goes through.
-            vp_j = kand(predicted, ist.vp)
-            self.drive(op, "vp", vp_j)
+            vp_j = kand(j == g, ist.vp)
+            self.drive(self.out_ports[j], "vp", vp_j)
             # fn runs once per cycle — a re-evaluation after o.data is
             # known could only re-drive the same value.
-            if vp_j is True and ist.data is not None and ost.data is None:
-                self.drive(op, "data", self.fn(ist.data))
+            if vp_j and ist.data is not None and ost.data is None:
+                self.drive(self.out_ports[j], "data", self.fn(ist.data))
             # Kill pass-through: anti-tokens rush backward combinationally.
-            self.drive(ip, "vm", ost.vm)
+            self.drive(self.in_ports[j], "vm", ost.vm)
             # Anti-token delivered when it cancels with a waiting input token
             # or when the input's producer absorbs it.
-            self.drive(op, "sm", kite(ist.vp, False, ist.sm))
+            self.drive(self.out_ports[j], "sm", kite(ist.vp, False, ist.sm))
             # Stop: killed tokens are never stopped; the predicted channel
             # follows downstream back-pressure; others stall.
-            if predicted:
-                sp_j = kite(ost.vm, False, ost.sp)
-            else:
-                sp_j = kite(ost.vm, False, True)
-            self.drive(ip, "sp", sp_j)
+            self.drive(self.in_ports[j], "sp",
+                       kite(ost.vm, False, kite(j == g, ost.sp, True)))
 
     # -- sequential ------------------------------------------------------------------
 

@@ -50,24 +50,6 @@ class EarlyEvalMux(Node):
 
     # -- combinational ------------------------------------------------------------
 
-    def _select(self):
-        """Resolve (sel, can_fire) in Kleene terms."""
-        sst = self.st("s")
-        if sst.vp is False:
-            return None, False
-        if sst.vp is None:
-            return None, None
-        sel = sst.data
-        if sel is None:
-            return None, None
-        if not isinstance(sel, int) or not 0 <= sel < self.n_inputs:
-            raise SchedulerError(
-                f"EarlyEvalMux {self.name}: select value {sel!r} out of range 0..{self.n_inputs - 1}"
-            )
-        ist = self.st(f"i{sel}")
-        avail = kand(ist.vp, self._kills[sel] == 0)
-        return sel, avail
-
     def comb_tasks(self):
         # The fire decision reads across ports: select valid *and data*
         # (the data value picks which input's valid/data matter — declare
@@ -84,38 +66,50 @@ class EarlyEvalMux(Node):
         ]
 
     def comb(self):
+        sst = self.st("s")
         ost = self.st("o")
-        sel, can_fire = self._select()
-        self.drive("o", "vp", kand(can_fire, self._pko == 0))
-        if self._pko > 0:
-            fire = can_fire
+        kills = self._kills
+        pko = self._pko
+        # The select token and the selected input decide whether the mux
+        # can fire (Kleene: unknown until the select's valid and data are).
+        if sst.vp:
+            sel = sst.data
+            if sel is not None and not (isinstance(sel, int)
+                                        and 0 <= sel < self.n_inputs):
+                raise SchedulerError(
+                    f"EarlyEvalMux {self.name}: select value {sel!r} "
+                    f"out of range 0..{self.n_inputs - 1}")
+            ready = None
+            for j in range(self.n_inputs):
+                if sel == j:
+                    ready = kand(self.st(self.in_ports[1 + j]).vp,
+                                 kills[j] == 0)
         else:
-            fire = kand(can_fire, knot(ost.sp))
+            sel = None
+            ready = sst.vp             # False, or None while unknown
+        offer = kand(ready, pko == 0)
+        self.drive("o", "vp", offer)
+        if pko > 0:
+            fire = ready
+        else:
+            fire = kand(ready, knot(ost.sp))
         self.drive("s", "sp", knot(fire))
         self.drive("s", "vm", False)
+        # A firing kills every input but the selected one, and consumes
+        # that one: unknown while fire is (``and`` keeps a None fire, and
+        # a fire that is True has a known select).
         for j in range(self.n_inputs):
-            port = f"i{j}"
-            if fire is False:
-                kill_now = False
-                consumed = False
-            elif sel is None or fire is None:
-                kill_now = None
-                consumed = None
-            else:
-                kill_now = j != sel
-                consumed = j == sel
-            vm_j = kor(self._kills[j] > 0, kill_now)
-            self.drive(port, "vm", vm_j)
-            self.drive(port, "sp", kite(vm_j, False, knot(consumed)))
-        self.drive(
-            "o", "sm", kite(kand(can_fire, self._pko == 0), False, self._pko >= self.max_kills)
-        )
+            vm = kor(kills[j] > 0, fire and j != sel)
+            self.drive(self.in_ports[1 + j], "vm", vm)
+            self.drive(self.in_ports[1 + j], "sp",
+                       kite(vm, False, knot(fire and j == sel)))
+        self.drive("o", "sm", kite(offer, False, pko >= self.max_kills))
         # Drive data whenever the output token is offered (vp may be high
         # while the consumer stalls us — data must be valid then too).
-        if can_fire is True and self._pko == 0 and sel is not None:
-            data = self.st(f"i{sel}").data
-            if data is not None:
-                self.drive("o", "data", data)
+        if offer:
+            for j in range(self.n_inputs):
+                if sel == j:
+                    self.drive("o", "data", self.st(self.in_ports[1 + j]).data)
 
     # -- sequential -----------------------------------------------------------------
 

@@ -54,23 +54,24 @@ class EagerFork(Node):
 
     def comb(self):
         ist = self.st("i")
-        branch_ok = []
+        kills = self._kills
+        served = self._served
+        all_ok = True
         for k in range(self.n_outputs):
-            port = f"o{k}"
-            ost = self.st(port)
             # A branch whose copy is already served -- or doomed by a pending
-            # kill -- offers nothing.
-            eff_done = self._served[k] or self._kills[k] > 0
-            vp_k = kand(ist.vp, not eff_done)
-            self.drive(port, "vp", vp_k)
-            if ist.vp is True and ist.data is not None:
-                self.drive(port, "data", ist.data)
+            # kill -- offers nothing; it completes this cycle when done,
+            # doomed, or transferring its copy.
+            vp_k = kand(ist.vp, not (served[k] or kills[k] > 0))
+            self.drive(self.out_ports[k], "vp", vp_k)
+            if ist.vp and ist.data is not None:
+                self.drive(self.out_ports[k], "data", ist.data)
             # Accept anti-tokens: cancel with the offered copy when valid,
             # else absorb into the branch counter while there is room.
-            self.drive(port, "sm", kite(vp_k, False, self._kills[k] >= self.max_kills))
-            # Branch complete this cycle: already done, doomed, or transferring.
-            branch_ok.append(kor(eff_done, kand(vp_k, knot(ost.sp))))
-        all_ok = kand(*branch_ok)
+            self.drive(self.out_ports[k], "sm",
+                       kite(vp_k, False, kills[k] >= self.max_kills))
+            all_ok = kand(all_ok, kor(served[k] or kills[k] > 0,
+                                      knot(self.st(self.out_ports[k]).sp)))
+        # The token leaves once every branch completes.
         self.drive("i", "sp", knot(kand(ist.vp, all_ok)))
         self.drive("i", "vm", False)
 

@@ -75,36 +75,33 @@ class Func(Node):
 
     def comb(self):
         ost = self.st("o")
+        kills = self._kills
         # A waiting token on input i only participates when no kill targets it.
-        avails = []
+        all_avail = True
         for i in range(self.n_inputs):
-            ist = self.st(self.in_ports[i])
-            avails.append(kand(ist.vp, self._kills[i] == 0))
-        all_avail = kand(*avails)
+            all_avail = kand(all_avail, kand(self.st(self.in_ports[i]).vp,
+                                             kills[i] == 0))
         self.drive("o", "vp", all_avail)
         # fire covers both forward transfer and output-side cancellation
         # (vp & vm with sp forced low): inputs are consumed either way.
         fire = kand(all_avail, knot(ost.sp))
         for i in range(self.n_inputs):
-            port = f"i{i}"
-            pending = self._kills[i] > 0
-            self.drive(port, "vm", pending)
-            if pending:
-                # Kill and stop are mutually exclusive on a channel.
-                self.drive(port, "sp", False)
-            else:
-                self.drive(port, "sp", knot(fire))
+            pending = kills[i] > 0
+            self.drive(self.in_ports[i], "vm", pending)
+            # Kill and stop are mutually exclusive on a channel.
+            self.drive(self.in_ports[i], "sp",
+                       kite(pending, False, knot(fire)))
         # Accept an anti-token at the output: cancel with the offered token
         # when valid, otherwise absorb it into the kill counters if there is
         # room on every input.
-        room = all(pk < self.max_kills for pk in self._kills)
-        self.drive("o", "sm", kite(all_avail, False, not room))
+        self.drive("o", "sm", kite(all_avail, False, not kand(
+            *[kills[i] < self.max_kills for i in range(self.n_inputs)])))
         # Data: fn runs once per cycle — a re-evaluation after o.data is
         # known could only re-drive the same value.
-        if all_avail is True and ost.data is None:
-            args = [self.st(port).data for port in self.in_ports]
-            if all(a is not None for a in args):
-                self.drive("o", "data", self.fn(*args))
+        if all_avail and ost.data is None and kand(
+                *[self.st(port).data is not None for port in self.in_ports]):
+            self.drive("o", "data", self.fn(
+                *[self.st(port).data for port in self.in_ports]))
 
     # -- sequential --------------------------------------------------------------
 

@@ -15,10 +15,11 @@ cycle:
 2. :meth:`Node.tick` — the clock edge.  All signals are resolved; the node
    updates its sequential state from the channel events.
 
-The compiled engine inlines ``tick``, ``pre_cycle`` and ``set_choice``
-from their source (:mod:`repro.backend.pysim`); keep ticks to reading
-``self.st(port)`` with ports from literals and port lists, or they are
-called, flushing the channel states every cycle.
+The compiled engine inlines ``comb``, ``tick``, ``pre_cycle`` and
+``set_choice`` from their source (:mod:`repro.backend.pysim`); keep them
+to reading ``self.st(port)`` with ports from literals and port lists, or
+a tick is called, flushing the channel states every cycle, and a comb
+defers its whole netlist to the interpreted engine (see :meth:`Node.comb`).
 
 What ``comb`` reads is declared once, by :meth:`Node.comb_tasks`: the
 signal tasks both engines derive their schedules from (the worklist
@@ -318,7 +319,26 @@ class Node(Stateful):
         :meth:`drive`, only the signals the port roles permit: the engines
         take every signal's writer from port roles (``lint`` rule E111
         flags any other drive).  Returns nothing: fix-point progress is
-        seen through the change log, not reported by the node."""
+        seen through the change log, not reported by the node.
+
+        The compiled engine renders this method once per task of
+        :meth:`comb_tasks`, where every signal read is a known bool.  Its
+        subset: ``self.drive(P, s, e)`` statements, the Kleene helpers
+        ``kand``/``kor``/``knot``/``kite`` on bools (operands without
+        calls), reads ``self.st(P).s`` directly or through a local bound
+        outside any branch, ``if``, assignments, ``raise`` and a top-level
+        ``if c: return``, with ports from literals, port lists and loops
+        (list comprehensions too) over ``range(<arity attribute>)`` or a port
+        list.  Every path must drive each control signal a task writes,
+        and a task may read only its declared reads (and its own data
+        write, unknown until written).  A data read that a control value
+        depends on is assigned straight to a local, only where its channel
+        offers a token: the compiled cycle diagnoses an unknown value there
+        as the interpreted one does an unknown control.  The assignments
+        heading the method that read no channel, each to a local assigned
+        only there, run once per cycle.  Anything else (``super()``,
+        ``try``, other loops, a channel state passed on, a
+        parameter) defers the node: its netlist runs interpreted."""
 
     def tick(self):
         """Clock edge: update sequential state from resolved channels."""

@@ -7,9 +7,10 @@ the worklist engine only re-evaluates a node when a signal in
 schedules each task after the tasks writing its reads, both take every
 signal's writer from port roles (``drives()``), and a codegen simulator
 falls back to that same worklist for a netlist it cannot compile — one
-with a node whose ``comb`` has no emitter, such as a user subclass that
-overrides it.  One undeclared read produces silently wrong fix-points
-with no error anywhere.
+with a node whose ``comb`` is outside the compiled subset.  Codegen
+checks a compiled ``comb``'s reads against its declared tasks, but an
+interpreted one is trusted: one undeclared read produces silently wrong
+fix-points with no error anywhere.
 
 The auditor verifies the contract *dynamically*: it replaces a node's
 channels with recording proxies and executes ``comb()`` under a

@@ -88,25 +88,25 @@ differential fuzz tests pin both engines to it.
 
 ``codegen`` (default) — the compiled engine of
 :mod:`repro.backend.pysim`.  The netlist is *elaborated*: every node's
-``comb`` is emitted as straight-line Python with channel signals in flat
-locals, and the protocol monitor's screen, statistics and every node's
-own ``tick``, ``pre_cycle`` and ``set_choice`` bodies (rendered from the
-methods' source) are inlined into the same generated function — one
+own ``comb`` is rendered from its source as straight-line Python with
+channel signals in flat locals, and the protocol monitor's screen,
+statistics and every node's own ``tick``, ``pre_cycle`` and
+``set_choice`` bodies are inlined into the same generated function — one
 Python call per run (or per explored state), no per-node dispatch.
-Compilation is all or nothing: a netlist with a node that blocks it (no
-emitter, as for a user subclass that overrides ``comb``; an unbound
-port; a signal-level combinational loop) runs this simulator's
-interpreted worklist cycle instead.  The choice is made again at every
-structure refresh, so a simulator following edits switches either way.
-Modules are ``exec``-compiled once per topology and entry (run or
-expansion, each on first use) and cached process-wide, least recently
-used out past 32 (sequential parameters are read at run time, so sweeps
-over one topology compile once); structural edits re-elaborate before
-the next step, never serving stale code.  Highest per-cycle
-throughput (~8x over worklist on the deep-pipeline bench, and ahead of
-it on the paper's speculative designs) at the cost of a one-time
-elaboration per topology; pinned bit-identical to the worklist engine by
-``tests/test_codegen_diff.py``.
+Compilation is all or nothing: a netlist with a node that blocks it (a
+``comb`` outside the compiled subset, or one reading outside its declared
+tasks; an unbound port; a signal-level combinational loop) runs this
+simulator's interpreted worklist cycle instead.  The choice is made
+again at every structure refresh, so a simulator following edits
+switches either way.  Modules are ``exec``-compiled once per topology
+and entry (run or expansion, each on first use) and cached
+process-wide, least recently used out past 32 (sequential parameters are
+read at run time, so sweeps over one topology compile once); structural
+edits re-elaborate before the next step, never serving stale code.
+Highest per-cycle throughput (~8x over worklist on the deep-pipeline
+bench, and ahead of it on the paper's speculative designs) at the cost
+of a one-time elaboration per topology; pinned bit-identical to the
+worklist engine by ``tests/test_codegen_diff.py``.
 
 ``lanes=N`` (``N > 1``) on :func:`~repro.perf.sweep.run_sweep` and
 :class:`~repro.verif.explore.StateExplorer` is another way to ask for

@@ -173,7 +173,7 @@ class TestProtocolVerdicts:
         """Deliberately broken: withdraws a stalled token after 2 cycles.
 
         Subclasses ElasticBuffer only to inherit wiring; comb is replaced
-        by a protocol-violating offer, so codegen runs it interpreted.
+        by a protocol-violating offer, which codegen compiles.
         """
 
         def __init__(self, name):
@@ -309,9 +309,10 @@ class TestLaneCountEdgeCases:
 
 class TestFallbackMidFixpointEvents:
     class ProbingSink(Sink):
-        """Interpreted sink (it overrides ``comb``, so codegen defers it)
-        whose comb consults another channel's events() mid-fix-point
-        (legal, must raise on unresolved)."""
+        """Interpreted sink (its ``comb``'s ``try`` is outside the compiled
+        subset, so codegen defers it) whose comb consults another
+        channel's events() mid-fix-point (legal, must raise on
+        unresolved)."""
 
         def __init__(self, name, watch):
             super().__init__(name)

@@ -438,10 +438,9 @@ class TestLint:
 
 class TestCodegenEngagement:
     def test_saboteurs_compile_to_straight_line_tasks(self):
-        """Every node a splice adds must compile with the codegen
-        backend's own spec/tick emitters — visible as named straight-line
-        comb and tick sections in the generated module, not an
-        interpreted fallback."""
+        """Every node a splice adds must compile from its kind's own comb
+        and tick — visible as named straight-line comb and tick sections
+        in the generated module, not an interpreted fallback."""
         from repro.backend.pysim import generated_source
         from repro.elastic.buffers import ElasticBuffer
         from repro.elastic.environment import ListSource, Sink
@@ -517,8 +516,8 @@ class TestSplices:
 
     def test_import_leaves_codegen_tables_alone(self):
         """Importing the chaos package registers nothing with the codegen
-        backend: the spliced kinds use the comb emitters pysim already
-        has, and their ticks derive from their own methods."""
+        backend: the spliced kinds' comb and tick derive from their own
+        methods, so no module-level table of pysim changes."""
         import os
         import subprocess
         import sys
@@ -531,10 +530,10 @@ class TestSplices:
             "import sys\n"
             "from repro.backend import pysim\n"
             "assert 'repro.chaos' not in sys.modules\n"
-            "before = dict(pysim._COMB_EMITTERS)\n"
+            "before = dict(vars(pysim))\n"
             "import repro.chaos\n"
             "import repro.chaos.mutants, repro.chaos.plan, repro.chaos.verify\n"
-            "assert pysim._COMB_EMITTERS == before\n"
+            "assert vars(pysim) == before\n"
         )
         out = subprocess.run([sys.executable, "-c", code], env=env,
                              capture_output=True, text=True, timeout=120)

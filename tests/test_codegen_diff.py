@@ -19,6 +19,7 @@ import re
 import pytest
 
 from repro.backend import pysim
+from repro.chaos.mutants import BrokenKillBuffer
 from repro.designs import DESIGNS, MC_DESIGNS
 from repro.elastic.buffers import ElasticBuffer
 from repro.elastic.environment import ListSource, NondetSink, Sink
@@ -42,6 +43,15 @@ from repro.transform.bubbles import insert_bubble
 
 from test_engine_diff import N_RANDOM_NETLISTS, _random_pipeline_params, _stats_dict
 from test_fuzz import build_pipeline
+
+
+class RefusedKillBuffer(BrokenKillBuffer):
+    """The broken-kill mutant with its comb behind ``super()``, which the
+    compiled subset refuses: a netlist holding it runs interpreted under
+    codegen."""
+
+    def comb(self):
+        super().comb()
 
 
 def _run_one(make_net, engine, cycles):
@@ -78,10 +88,10 @@ class TestRandomPipelines:
 
 
 class TestChaosSaboteurs:
-    """Chaos-wrapped corpus pipelines: a splice is made of kinds with
-    straight-line spec + tick emitters, so a wrapped netlist must
-    compile (no per-node fallback on the spliced nodes) and stay
-    bit-identical to the worklist engine."""
+    """Chaos-wrapped corpus pipelines: a splice is made of kinds whose
+    comb and tick compile, so a wrapped netlist must compile (no per-node
+    fallback on the spliced nodes) and stay bit-identical to the worklist
+    engine."""
 
     @pytest.mark.parametrize("seed", range(8))
     def test_wrapped_pipeline_bit_identical(self, seed):
@@ -148,15 +158,14 @@ class TestPaperDesigns:
 
 class TestProtocolViolationParity:
     """The inlined monitor must raise the *same* violation as the scalar
-    monitor: same property, channel, cycle, and message."""
+    monitor: same property, channel, cycle, and message — whether the
+    broken node's comb is compiled or, refused, runs interpreted."""
 
     class WithdrawingSource(ElasticBuffer):
         """Deliberately broken: withdraws a stalled token after 2 cycles.
 
         Subclasses ElasticBuffer only to inherit wiring; ``comb`` is
-        replaced by a protocol-violating offer, so codegen has no emitter
-        for the node: the netlist does not compile, the codegen simulator
-        runs it interpreted, and the violation must still match.
+        replaced by a protocol-violating offer, which compiles.
         """
 
         def __init__(self, name):
@@ -174,33 +183,48 @@ class TestProtocolViolationParity:
         def tick(self):
             self._age += 1
 
-    def _net(self):
+    class RefusedWithdrawingSource(WithdrawingSource):
+        """The same offer behind ``super()``: refused, so the netlist
+        does not compile and the codegen simulator runs it interpreted."""
+
+        def comb(self):
+            super().comb()
+
+    def _net(self, cls):
         net = Netlist("broken")
         net.add(ListSource("src", []))
-        net.add(self.WithdrawingSource("bad"))
+        net.add(cls("bad"))
         net.add(Sink("snk", stall_rate=1.0, seed=1))
         net.connect("src.o", "bad.i", name="in")
         net.connect("bad.o", "snk.i", name="out")
         return net
 
+    def _variants(self):
+        """``(node class, whether its netlist compiles)``."""
+        return ((self.WithdrawingSource, True),
+                (self.RefusedWithdrawingSource, False))
+
     def test_same_violation_as_worklist(self):
-        scalar = Simulator(self._net(), engine="worklist")
-        with pytest.raises(ProtocolViolationError) as scalar_err:
-            scalar.run(10)
-        compiled = Simulator(self._net(), engine="codegen")
-        with pytest.raises(ProtocolViolationError) as codegen_err:
-            compiled.run(10)
-        for attr in ("prop", "channel", "cycle"):
-            assert getattr(codegen_err.value, attr) == getattr(
-                scalar_err.value, attr
-            )
-        assert str(codegen_err.value) == str(scalar_err.value)
+        for cls, compiles in self._variants():
+            scalar = Simulator(self._net(cls), engine="worklist")
+            with pytest.raises(ProtocolViolationError) as scalar_err:
+                scalar.run(10)
+            compiled = Simulator(self._net(cls), engine="codegen")
+            with pytest.raises(ProtocolViolationError) as codegen_err:
+                compiled.run(10)
+            assert compiled._runs_compiled is compiles
+            for attr in ("prop", "channel", "cycle"):
+                assert getattr(codegen_err.value, attr) == getattr(
+                    scalar_err.value, attr
+                )
+            assert str(codegen_err.value) == str(scalar_err.value)
 
     def test_violation_recorded_on_monitor(self):
-        sim = Simulator(self._net(), engine="codegen")
-        with pytest.raises(ProtocolViolationError):
-            sim.run(10)
-        assert len(sim.monitor.violations) == 1
+        for cls, _compiles in self._variants():
+            sim = Simulator(self._net(cls), engine="codegen")
+            with pytest.raises(ProtocolViolationError):
+                sim.run(10)
+            assert len(sim.monitor.violations) == 1
 
 
 class TestLoopDiagnosisParity:
@@ -513,24 +537,24 @@ class TestModuleCache:
 class TestResidueWorklist:
     """The paper's speculative designs compile whole, never doing more
     comb() evaluations than the interpreted worklist engine.  A netlist
-    that does not compile (here a comb-overriding mutant in a ZBL chain)
-    gets no generated cycle at all: the codegen simulator runs the
-    worklist engine's own cycle on it, and a follower switches back and
-    forth as edits make its netlist compile or not.  Deterministic work
+    that does not compile (here a mutant in a ZBL chain whose comb is
+    outside the compiled subset) gets no generated cycle at all: the
+    codegen simulator runs the worklist engine's own cycle on it, and a
+    follower switches back and forth as edits make its netlist compile or
+    not.  The broken-kill mutant itself compiles.  Deterministic work
     counters, so a return to bounded re-sweeps fails without timing
     anything."""
 
     DESIGNS = ("fig1d", "fig6b", "fig7b")
 
     @staticmethod
-    def _mutant_pipeline():
-        from repro.chaos.mutants import BrokenKillBuffer
+    def _mutant_pipeline(mutant=RefusedKillBuffer):
         from repro.elastic.buffers import ZeroBackwardLatencyBuffer
 
         net = Netlist("residue")
         net.add(ListSource("src", list(range(60))))
         net.add(ZeroBackwardLatencyBuffer("z0"))
-        net.add(BrokenKillBuffer("bad"))
+        net.add(mutant("bad"))
         net.add(ZeroBackwardLatencyBuffer("z1"))
         net.add(Sink("snk", stall_rate=0.4, seed=3))
         net.connect("src.o", "z0.i", name="c0")
@@ -614,6 +638,17 @@ class TestResidueWorklist:
         self._assert_work_no_worse(self._mutant_pipeline)
         assert_codegen_identical(self._mutant_pipeline, cycles=200)
 
+    def test_compiled_mutant_parity(self):
+        """The broken-kill mutant's own comb is in the compiled subset:
+        the same chain compiles whole and matches the worklist engine."""
+        def make():
+            return self._mutant_pipeline(BrokenKillBuffer)
+
+        assert pysim._build_plan(make()).deferred == []
+        assert "0 deferred" in pysim.generated_source(make())
+        assert_codegen_identical(make, cycles=200)
+        self._assert_work_no_worse(make)
+
     @staticmethod
     def _assert_work_no_worse(make):
         reports = {}
@@ -645,8 +680,8 @@ def _sweep_topologies():
 
 class TestNothingDeferred:
     """Every node of the paper's designs — the sweep grids, the canned
-    designs and the model-checking compositions — has an emitter, so
-    nothing runs interpreted under codegen."""
+    designs and the model-checking compositions — has a comb in the
+    compiled subset, so nothing runs interpreted under codegen."""
 
     def test_sweep_topologies(self):
         topologies = _sweep_topologies()
@@ -669,24 +704,25 @@ class TestNothingDeferred:
 #: became the nodes' own method bodies, inlined (the count block's
 #: template rendering changed no byte before that); the designs with a
 #: shared module re-recorded again when its comb tasks came to read one
-#: per-cycle prediction local
+#: per-cycle prediction local; every design re-recorded when each kind's
+#: comb came to be rendered from its own source, once per declared task
 GENERATED_SOURCE_DIGESTS = {
-    "design:fig1a": ("cc12089c7e844c66", "effa2dbb9d8b74aa",
-                     "7a95c014b0189444"),
-    "design:fig1d": ("05f231c8bfa9f386", "25712cbff9d58835",
-                     "3ef98a5dc807a200"),
-    "design:fig6b": ("94fd8ff363d07142", "2e2460aebc08160b",
-                     "692bb35212e4f2a0"),
-    "design:fig7b": ("2968816fb96acfa4", "c631534449f72f93",
-                     "fd53e68ada691430"),
-    "mc:eb": ("2f41e2428ee2084b", "809a3c6ddc70a237", "481a6a3f397db598"),
-    "mc:spec-nondet": ("50669fa4d2b8ef7b", "306af323f225afe8",
-                       "1f7df1ab6f95783f"),
-    "mc:spec-static": ("50669fa4d2b8ef7b", "306af323f225afe8",
-                       "1f7df1ab6f95783f"),
-    "mc:spec-toggle": ("50669fa4d2b8ef7b", "306af323f225afe8",
-                       "1f7df1ab6f95783f"),
-    "mc:zbl": ("f6f74783f1098368", "a7075d706765d464", "aaf493c3790760e9"),
+    "design:fig1a": ("04f08e3716b763ff", "669dbf453dc19d45",
+                     "09477f9c9782295d"),
+    "design:fig1d": ("2d5894bbaaf82ed6", "6ae8db27f4d3bc8b",
+                     "e73f09aafcfa428c"),
+    "design:fig6b": ("77cf50a43d8fd1ad", "9759c01b58d417b5",
+                     "c50e02f6be64de94"),
+    "design:fig7b": ("30ee14da9eefb7a7", "1d5b87af9707c576",
+                     "8f2c9f3ec4e45a93"),
+    "mc:eb": ("92908345df0a5892", "66ab95851989e1fd", "ebb4fb0395ad44c2"),
+    "mc:spec-nondet": ("c1295954d1d97005", "d4583b0111491f87",
+                       "f24b5cbc64897d6f"),
+    "mc:spec-static": ("c1295954d1d97005", "d4583b0111491f87",
+                       "f24b5cbc64897d6f"),
+    "mc:spec-toggle": ("c1295954d1d97005", "d4583b0111491f87",
+                       "f24b5cbc64897d6f"),
+    "mc:zbl": ("a215d120afd686cd", "d0c999dd3d17c1e0", "c822b1cfbb156eba"),
 }
 
 
@@ -795,8 +831,8 @@ def build_speculative(make_scheduler, k, seed):
 
 class TestSpeculationKinds:
     """Seeded fuzz of the early-evaluation mux, shared module and
-    variable-latency emitters: every scheduler, 2 and 3 channels, killing
-    and stalling downstreams — compiled with nothing deferred and
+    variable-latency unit: every scheduler, 2 and 3 channels, killing and
+    stalling downstreams — compiled with nothing deferred and
     bit-identical to the worklist engine."""
 
     @pytest.mark.parametrize("make_scheduler,k,seed", SCHEDULER_CASES)
@@ -840,6 +876,27 @@ class TestExplorerParity:
         assert codegen.transitions == worklist.transitions
         assert codegen.violations == worklist.violations
         assert codegen.complete == worklist.complete
+
+    def test_spec_fifo_same_state_graph(self):
+        """The Figure 3 specification FIFO, whose nondeterministic comb
+        compiles too, between a nondeterministic source and killing
+        sink."""
+        from repro.elastic.fifo_model import AbstractElasticFifo
+        from repro.verif.explore import StateExplorer
+
+        from test_fifo_model import harness
+
+        def make():
+            return harness(AbstractElasticFifo("fifo", max_occupancy=2))
+
+        assert pysim._build_plan(make()).deferred == []
+        results = {engine: StateExplorer(make(), engine=engine).explore()
+                   for engine in ("worklist", "codegen")}
+        codegen, worklist = results["codegen"], results["worklist"]
+        assert codegen.complete and codegen.n_states > 10
+        assert codegen.states == worklist.states
+        assert codegen.transitions == worklist.transitions
+        assert codegen.violations == worklist.violations == []
 
 
 class TestSchedulerFeedbackParity:
@@ -1276,13 +1333,12 @@ def _data_changing_net():
     return net
 
 
-def _broken_kill_net():
-    from repro.chaos.mutants import BrokenKillBuffer
+def _broken_kill_net(mutant=BrokenKillBuffer):
     from repro.elastic.environment import KillerSink
 
     net = Netlist("broken_kill")
     net.add(ListSource("src", list(range(30))))
-    net.add(BrokenKillBuffer("buf"))
+    net.add(mutant("buf"))
     net.add(KillerSink("snk", kill_rate=0.2, stall_rate=0.3, seed=5))
     net.connect("src.o", "buf.i", name="in")
     net.connect("buf.o", "snk.i", name="out")
@@ -1295,10 +1351,12 @@ class TestRunIsStepsOnFailure:
     through the previous cycle, the same channel states and history."""
 
     def test_broken_kill_buffer(self):
-        # its own comb: the netlist runs interpreted under codegen
-        raised = assert_run_is_steps(_broken_kill_net, [("run", 60)],
-                                     compiled=False)
-        assert raised[0] == "ProtocolViolationError" and raised[3] > 0
+        # its own comb compiles; refused, the netlist runs interpreted
+        for mutant, compiled in ((BrokenKillBuffer, True),
+                                 (RefusedKillBuffer, False)):
+            raised = assert_run_is_steps(lambda: _broken_kill_net(mutant),
+                                         [("run", 60)], compiled=compiled)
+            assert raised[0] == "ProtocolViolationError" and raised[3] > 0
 
     def test_stalled_token_withdrawn(self):
         raised = assert_run_is_steps(_withdrawing_net, [("run", 40)])

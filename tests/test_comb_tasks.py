@@ -3,10 +3,11 @@ declaration.
 
 Both engines derive their schedules from it — the worklist engine's
 wake-up sets through ``comb_reads()`` (the ordered union of the task
-reads), the codegen engine's straight-line order task by task, with one
-emitter per task (``pysim._COMB_EMITTERS``).  These tests pin the shape
-every emitter-backed kind must have, and the trust rule that keeps a
-subclass's own declaration off the emitters written for its parent."""
+reads), the codegen engine's straight-line order task by task, each task
+rendered from the kind's own ``comb`` (:mod:`repro.backend.pysim`).  These
+tests pin the shape every kind must have, that every kind and arity
+renders every task it declares, and that a declaration narrower than what
+``comb`` reads keeps the node off the compiled path."""
 
 import pytest
 
@@ -31,6 +32,7 @@ from repro.elastic.environment import (
     PermissionSource,
     _SourceBase,
 )
+from repro.elastic.fifo_model import AbstractElasticFifo
 from repro.netlist import Netlist
 
 from test_codegen_diff import assert_codegen_identical
@@ -40,8 +42,9 @@ def _ident(*args):
     return args[0]
 
 
-#: comb-definer class -> factories of instances at the arities under test
-#: (the mux needs a choice of two inputs, the shared module two channels).
+#: class defining a ``comb`` -> factories of instances at the arities
+#: under test (the mux needs a choice of two inputs, the shared module two
+#: channels).
 INSTANCES = {
     ElasticBuffer: [lambda: ElasticBuffer("n")],
     ZeroBackwardLatencyBuffer: [lambda: ZeroBackwardLatencyBuffer("n")],
@@ -60,6 +63,7 @@ INSTANCES = {
     NondetChoiceSource: [lambda: NondetChoiceSource("n")],
     PermissionSource: [lambda: PermissionSource("n", rate=0.5)],
     NondetSink: [lambda: NondetSink("n", can_kill=True)],
+    AbstractElasticFifo: [lambda: AbstractElasticFifo("n")],
 }
 
 CASES = [pytest.param(cls, make, id=f"{cls.__name__}-{i}")
@@ -68,7 +72,19 @@ CASES = [pytest.param(cls, make, id=f"{cls.__name__}-{i}")
 
 
 def test_every_emitter_backed_kind_is_covered():
-    assert set(INSTANCES) == set(pysim._COMB_EMITTERS)
+    """Every shipped kind that writes its own ``comb`` (its one emitter)
+    is under test here; the chaos mutants are the residue tests'."""
+    from test_node_state import node_classes
+
+    assert set(INSTANCES) == {
+        cls for cls in node_classes() if "comb" in cls.__dict__
+        and not cls.__module__.startswith("repro.chaos")}
+
+
+def _rendered(node):
+    """``node``'s comb template for its declared tasks (None: deferred)."""
+    return pysim._node_template(node, "comb", tasks=tuple(
+        (tuple(reads), tuple(writes)) for reads, writes in node.comb_tasks()))
 
 
 class TestStructure:
@@ -81,10 +97,15 @@ class TestStructure:
 
     @pytest.mark.parametrize("cls,make", CASES)
     def test_task_count_is_a_multiple_of_the_emitters(self, cls, make):
+        """The kind's comb renders one slice per declared task, at every
+        arity under test."""
         node = make()
-        emitters = pysim._comb_emitters(type(node))
-        assert emitters is pysim._COMB_EMITTERS[cls]
-        assert len(node.comb_tasks()) % len(emitters) == 0
+        texts = _rendered(node)[0]
+        assert len(texts) == len(node.comb_tasks())
+        for text, (_reads, writes) in zip(texts, node.comb_tasks()):
+            for port, signal in writes:
+                if signal != "data":
+                    assert f"@{port}@{signal} =" in text
 
     @pytest.mark.parametrize("cls,make", CASES)
     def test_comb_reads_is_the_ordered_union(self, cls, make):
@@ -119,16 +140,16 @@ def _drops_data_read_net():
 
 class TestTrustRule:
     def test_overriding_only_comb_tasks_is_deferred(self):
-        """The subclass keeps Func's comb, but its tasks no longer match
-        Func's emitters: it runs interpreted, on the reads it declares."""
+        """The subclass keeps Func's comb, which reads more than its tasks
+        declare: it runs interpreted, on the reads it declares."""
         plan = pysim._build_plan(_drops_data_read_net())
         assert [plan.nodes[ni].name for ni in plan.deferred] == ["F"]
         assert_codegen_identical(_drops_data_read_net, cycles=200)
 
     def test_inherited_comb_tasks_is_trusted(self):
+        """A comb renders against the tasks its class inherits."""
         assert "comb_tasks" not in NondetChoiceSource.__dict__
-        assert pysim._comb_emitters(NondetChoiceSource) == \
-            pysim._COMB_EMITTERS[NondetChoiceSource]
+        assert _rendered(NondetChoiceSource("n")) is not None
 
     def test_comb_reads_cannot_be_overridden(self):
         with pytest.raises(TypeError, match="comb_tasks"):

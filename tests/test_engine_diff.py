@@ -270,8 +270,9 @@ def _sink_values(net):
 
 def _combs_return_none(net):
     """Give every node a ``comb()`` that drives the same signals and
-    returns None, through a per-node subclass (so codegen cannot compile
-    the netlist and runs the worklist cycle, which calls the wrapper)."""
+    returns None, through a per-node subclass (its extra parameter is
+    outside the compiled subset, so codegen cannot compile the netlist and
+    runs the worklist cycle, which calls the wrapper)."""
     for node in net.nodes.values():
         base = type(node)
 

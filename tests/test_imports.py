@@ -62,6 +62,21 @@ def test_import_repro_loads_no_subpackage():
     assert loaded["stdlib"] == []
 
 
+#: the modules defining node kinds
+NODE_KIND_MODULES = tuple(
+    [f"repro.elastic.{m}" for m in ("buffers", "fork", "functional", "eemux",
+                                    "environment", "varlat")]
+    + ["repro.core.shared", "repro.core.scheduler"])
+
+
+def test_codegen_backend_loads_no_node_kind():
+    """The compiled engine renders each node's methods from their source:
+    it names no node kind, so importing it loads none."""
+    loaded = _fresh("import repro.backend.pysim\n" + REPORT)
+    assert "repro.backend.pysim" in loaded["repro"]
+    assert [m for m in NODE_KIND_MODULES if m in loaded["repro"]] == []
+
+
 def test_client_loads_no_simulation_asyncio_or_multiprocessing():
     loaded = _fresh("import repro.serve.client\n" + REPORT)
     assert _within(loaded["repro"], SIMULATION_LAYERS) == []

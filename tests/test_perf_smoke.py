@@ -243,10 +243,10 @@ CHAOS_EVALS_PER_NODE = 2.0
 def test_chaos_wrap_compiles_and_stays_incremental():
     """The fig6b wrap that ``benchmarks/bench_chaos.py`` times
     (``ChaosPlan.seeded(1, ...)``: stall and bubble splices on about half
-    the channels) splices in only kinds with codegen emitters, so the
+    the channels) splices in only kinds whose comb compiles, so the
     compiled module defers no node; and a profiled worklist run
     evaluates fewer than ``CHAOS_EVALS_PER_NODE`` comb() calls per node
-    per cycle on average.  A spliced node with no emitter fails the
+    per cycle on average.  A spliced node that does not compile fails the
     first check; one that declares every signal as a comb read fails the
     second.  Counters, not wall clock; the timing stays in the bench."""
     from repro.backend import pysim
