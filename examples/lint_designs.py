@@ -6,9 +6,9 @@ Three acts:
 1. lint a healthy design (the Table 1 speculative loop) — clean bill;
 2. break it three ways — a zero-bubble ring, speculation with no kill
    point, a mis-wired width — and show each diagnostic with its fix hint;
-3. audit the sensitivity declarations (``comb_tasks`` and port-role drives)
-   that every engine optimization silently trusts, catching a node that
-   lies about what it reads.
+3. audit the sensitivity every engine optimization silently trusts (the
+   reads derived from each ``comb`` and the port-role drives), catching a
+   seeded bug in the derivation.
 
 Run:  python examples/lint_designs.py
 """
@@ -18,6 +18,7 @@ from repro.core import SharedModule, StaticScheduler
 from repro.elastic import ElasticBuffer, Func, ListSource, Sink
 from repro.lint import audit_node
 from repro.netlist import Netlist
+from repro.sim import inline
 
 
 def act1_clean_design():
@@ -75,23 +76,32 @@ def act2_broken_designs():
 
 
 def act3_sensitivity_audit():
-    print("=== 3. auditing the sensitivity declarations ===")
+    print("=== 3. auditing the derived sensitivity ===")
 
     honest = Func("honest", fn=lambda a, b: a + b, n_inputs=2)
     audit = audit_node(honest)
-    print(f"{audit.node}: declared == observed: "
+    print(f"{audit.node}: derived == observed: "
           f"{audit.observed_reads == audit.declared_reads}")
 
     class Liar(Func):
-        """Claims not to read i0.data — the worklist engine would skip
-        re-evaluating it when that input changes."""
+        """A function block the seeded bug below derives wrongly."""
 
-        def comb_tasks(self):
-            return [([(p, s) for p, s in reads if (p, s) != ("i0", "data")],
-                     writes)
-                    for reads, writes in super().comb_tasks()]
+    derived = inline.comb_sensitivity
 
-    audit = audit_node(Liar("liar", fn=lambda a, b: a + b, n_inputs=2))
+    def buggy(node):
+        """The derivation with a bug: it loses a liar's read of i0.data,
+        so the worklist engine would skip re-evaluating it when that
+        input changes."""
+        tasks, reads = derived(node)
+        if isinstance(node, Liar):
+            reads = tuple(pair for pair in reads if pair != ("i0", "data"))
+        return tasks, reads
+
+    inline.comb_sensitivity = buggy
+    try:
+        audit = audit_node(Liar("liar", fn=lambda a, b: a + b, n_inputs=2))
+    finally:
+        inline.comb_sensitivity = derived
     print(f"{audit.node}: undeclared reads caught: "
           f"{sorted(audit.undeclared_reads)}")
     assert ("i0", "data") in audit.undeclared_reads

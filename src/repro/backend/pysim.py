@@ -9,7 +9,7 @@ given a netlist, it emits one specialized Python module per *topology*
 in which
 
 * every node's ``comb`` becomes **straight-line code** — the node's own
-  method, rendered once per signal task it declares
+  method, rendered once per signal task derived from it
   (:meth:`~repro.elastic.node.Node.comb_tasks`) and evaluated exactly
   once per cycle, in dependency order;
 * channel signals live in **flat local variables**
@@ -21,8 +21,9 @@ in which
   generated function.
 
 Each method is read with :mod:`inspect` and rewritten by one :mod:`ast`
-pass (:class:`_Inline`), so no kind's behaviour is written twice and this
-module names no node kind.
+pass (:mod:`repro.sim.inline`, which derives comb's tasks in the same
+pass), so no kind's behaviour is written twice and this module names no
+node kind.
 
 Two **entry points** are derived from the one scheduled cycle body —
 pre-cycle hooks, the straight-line region, the screen and the ticks —
@@ -89,7 +90,7 @@ permission source that a :mod:`repro.chaos` stall splices in beside a
 join), the shared module, the early-evaluation mux, the variable-latency
 unit and the abstract FIFO — so chaos-wrapped designs compile too.  A
 netlist with a node that blocks compilation (a ``comb`` outside the
-subset, or one reading a signal its declared tasks do not, a port bound
+subset, or one whose task slice is refused, a port bound
 to no live channel, or a task on a genuine signal-level combinational
 loop) gets no cycle function at all: :func:`generated_source` returns a
 banner naming those *deferred* nodes, and the simulator runs its own
@@ -113,7 +114,7 @@ Caching and staleness
 
 Generated modules are ``exec``-compiled once per topology and entry and
 cached process-wide, keyed by the netlist **content signature** (node
-names, classes, ports, declared sensitivities, channel wiring — see
+names, classes, ports, derived sensitivities, channel wiring — see
 :func:`repro.sim.sensitivity.topology_signature`), the code of the
 nodes' inlined methods (which the signature names only by class),
 the entry and, for the run entry, the ``check_protocol`` flag.  Numeric
@@ -142,29 +143,23 @@ A compiled cycle evaluates every node exactly once, so its profiling
 counters are constants, which the simulator adds itself: nothing is
 woven into the generated code.
 
-No method needs a trust rule: a user subclass or a :mod:`repro.chaos`
-mutant that overrides one compiles its own method body (see
-:class:`_Inline`); the body alone decides.  A ``tick``, ``pre_cycle`` or
-``set_choice`` outside the subset is called; a ``comb`` outside it, or
-one that reads outside its declared tasks, defers its node, so the node
-runs interpreted on exactly the sensitivity it declares.
+A user subclass or a :mod:`repro.chaos` mutant that overrides a method
+compiles its own body: a ``tick``, ``pre_cycle`` or ``set_choice``
+outside the subset is called, a ``comb`` outside it defers its node.
 """
 
 from __future__ import annotations
 
-import ast
 import hashlib
-import inspect
 import re
-import textwrap
 from collections import OrderedDict, deque
 from functools import lru_cache, partial
 from itertools import combinations
 
 from repro.elastic.node import Node
 from repro.errors import CombinationalLoopError, ProtocolViolationError
-from repro.kleene import kand, kite, knot, kor
 from repro.netlist.graphalg import cyclic_sccs
+from repro.sim.inline import PLACEHOLDER, node_template
 from repro.sim.sensitivity import topology_signature
 
 __all__ = [
@@ -183,574 +178,55 @@ _SIGNALS = _CONTROLS + ("data",)
 
 
 # ---------------------------------------------------------------------------
-# node methods, derived: comb, tick, pre_cycle and set_choice
-#
-# Each method of a node is the one description of what it does, and
-# _Inline renders its source into the cycle body.  It rewrites
-# self.st(P).sig, directly or through a local alias, to the local of the
-# channel at port P (in comb and tick: before the fix-point the locals are
-# not this cycle's); self.x to _n<ni>.x; a method local x to _x_, which
-# no channel local, scratch name or entry binding ends with; set_choice's
-# parameter to the choice vector's local; a module global X to _g_X,
-# bound from the method's globals; a top-level `if c: return` to a guard
-# over the rest.  A loop or list comprehension over range(self.<arity
-# attribute>), self.in_ports or self.out_ports unrolls (a list display
-# unpacked into a call passes its items), and ports fold only from
-# literals, unrolled loop variables and port lists, so no numeric
-# parameter but the arity attributes (the node's shape) is baked in.
-# Anything else is refused: super(), a channel state escaping (into a
-# call, a container or an alias bound in a branch), a port that does not
-# fold (picked from state), self.channel(...) or self._channels, any other
-# loop, a return elsewhere, a helper of self that reaches channels, a
-# class with no source (made by exec), a parameter beyond set_choice's.
-# A refused tick, pre_cycle or set_choice is called; a refused comb
-# defers its node.
-#
-# comb is rendered once per task its node declares (Node.comb_tasks).
-# Every signal the straight-line region reads is a known bool, so the
-# Kleene helpers kand/kor/knot/kite render exactly as and/or/not/`a if c
-# else b` (an operand with a call is refused: the operators would not
-# evaluate it), and self.drive(P, s, e) becomes the assignment of e to the
-# channel local; `x = True` followed by the unrolled `x = x and e` is
-# `x = e`, and a branch assigning one name on both sides is `x = a if c
-# else b`.  A task keeps the drives it writes and what they need: the
-# locals they read, a raise where the locals it reports are live, a call
-# or a store to node state always.  A task is refused when it may
-# leave a control write unassigned, or reads a signal outside its
-# declared reads (its own data write aside, unknown until written).  A
-# data read that feeds a control value must be assigned straight to a
-# local, and is guarded there: when unknown, the cycle goes to
-# diagnose_unknown.  The leading assignments of comb that read no channel,
-# each to a local assigned once, are locals of the whole cycle
-# (_Gen.per_cycle), named _x_@.  A method renders once per node shape
-# into a template each node fills in: `@` is the node, `@<port>@<signal>`
-# a channel local.
+# node methods, rendered by repro.sim.inline and filled in node by node
 # ---------------------------------------------------------------------------
 
 #: the node methods rendered into the cycle body (the module cache keys on
 #: their code)
 _INLINED = ("pre_cycle", "tick", "set_choice", "comb")
 
-#: attributes through which a method reaches channels other than a folded
-#: ``self.st(port)``
-_CHANNEL_ACCESS = frozenset({"st", "ev", "channel", "_channels", "drive"})
-
-#: statements rendered as they are once their expressions are rewritten
-_SIMPLE = (ast.Assign, ast.AugAssign, ast.Expr, ast.Raise, ast.Assert,
-           ast.Pass, ast.Break, ast.Continue)
-
-#: a template's placeholders (see above)
-_PLACEHOLDER = re.compile(r"@(\w+)@(\w+)|@")
-
-
-class _Refused(Exception):
-    """The method body is outside the inlined subset."""
-
-
-def _method_tree(code):
-    """The parsed ``def`` of a method's code object; None when it has no
-    source (a class made by ``exec``).  Parsed afresh on each call: only
-    the rendered templates are kept."""
-    try:
-        tree = ast.parse(textwrap.dedent(inspect.getsource(code))).body[0]
-    except (OSError, TypeError, SyntaxError):
-        return None
-    return tree if isinstance(tree, ast.FunctionDef) else None
-
-
-def _self_attr(expr, me):
-    """``attr`` when ``expr`` is ``<me>.attr``, else None."""
-    if (isinstance(expr, ast.Attribute) and isinstance(expr.value, ast.Name)
-            and expr.value.id == me):
-        return expr.attr
-    return None
-
-
-def _check_helper(cls, attr, seen):
-    """Refuse when ``self.<attr>`` is a method or property of ``cls`` that
-    may reach a channel, or whose source cannot be read."""
-    if attr in seen:
-        return
-    seen.add(attr)
-    value = next((k.__dict__[attr] for k in cls.__mro__
-                  if attr in k.__dict__), None)
-    funcs = ((value.fget, value.fset) if isinstance(value, property)
-             else (getattr(value, "__func__", value),))
-    for func in filter(callable, funcs):    # not None or a class constant
-        tree = _method_tree(getattr(func, "__code__", None))
-        if tree is None:
-            raise _Refused
-        me = tree.args.args[0].arg if tree.args.args else None
-        for n in ast.walk(tree):
-            if (isinstance(n, ast.Name) and n.id == "super"
-                    or isinstance(n, ast.Attribute)
-                    and n.attr in _CHANNEL_ACCESS):
-                raise _Refused
-            if _self_attr(n, me) is not None:
-                _check_helper(cls, n.attr, seen)
-
-
-@lru_cache(maxsize=256)
-def _template(cls, method, arg, in_ports, out_ports, arity, tasks=None):
-    """``(text, globals, head)``: ``method`` of ``cls`` rendered for nodes
-    with these port lists and :attr:`~repro.elastic.node.Node.arity_checks`
-    values, the module globals it binds and, for ``comb`` (given its
-    ``tasks``; its text is then one slice per task), its per-cycle locals
-    as ``(name, expression)`` pairs; None outside the subset."""
-    try:
-        inline = _Inline(cls, method, arg, in_ports, out_ports, arity, tasks)
-    except _Refused:
-        return None
-    return inline.text, tuple(inline.globals_used), inline.head
-
-
-class _Inline(ast.NodeTransformer):
-    """One method rendered as a template (see the comment above); raises
-    :class:`_Refused` outside the subset.  ``arg`` names the local passed
-    to ``set_choice``; ``tasks`` are comb's ``(reads, writes)`` pairs."""
-
-    def __init__(self, cls, method, arg, in_ports, out_ports, arity,
-                 tasks=None):
-        func = getattr(cls, method)
-        tree = _method_tree(getattr(func, "__code__", None))
-        if tree is None or tree.decorator_list or any(
-                isinstance(n, ast.Constant) and "@" in str(n.value)
-                for n in ast.walk(tree)):
-            raise _Refused
-        a = tree.args
-        params = [p.arg for p in a.args]
-        if (a.posonlyargs or a.vararg or a.kwonlyargs or a.kwarg
-                or len(params) != 1 + (arg is not None)):
-            raise _Refused
-        self.cls, self.me = cls, params[0]
-        self.arg = dict(zip(params[1:], [arg]))
-        self.locals = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)
-                       and isinstance(n.ctx, ast.Store)}
-        self.globals = func.__globals__
-        self.globals_used = {}
-        self.signals = method in ("tick", "comb")
-        # comb: the (port, signal) pairs its tasks write, which it may drive
-        self.drives = None if tasks is None else {
-            pair for _reads, writes in tasks for pair in writes}
-        self.port_lists = {"in_ports": in_ports, "out_ports": out_ports}
-        self.arity = {
-            attr: value for (attr, ports, fixed), value
-            in zip(cls.arity_checks, arity)
-            if value == len(self.port_lists.get(ports, ())) - fixed}
-        self.consts = {}      # unrolled loop variable -> its value
-        self.ports = {}       # channel state alias -> port
-        self.seen = set()     # helpers of self checked
-        body, self.head = self._block(tree.body, True), ()
-        self.text = (ast.unparse(ast.Module(body, [])) if tasks is None
-                     else self._comb(body, tasks))
-
-    def _block(self, body, top=False, unrolled=False, straight=True):
-        """``body`` rewritten.  ``straight``: outside any branch, so a
-        channel state alias may be bound; ``unrolled``: directly in an
-        unrolled loop, where break and continue have no loop to leave."""
-        out = []
-        for k, s in enumerate(body):
-            if isinstance(s, ast.Expr) and isinstance(s.value, ast.Constant):
-                continue                                 # a docstring
-            if (top and isinstance(s, ast.If) and not s.orelse
-                    and len(s.body) == 1 and isinstance(s.body[0], ast.Return)
-                    and s.body[0].value is None):
-                test = self.visit(s.test)
-                test = (test.operand if isinstance(test, ast.UnaryOp)
-                        and isinstance(test.op, ast.Not)
-                        else ast.UnaryOp(ast.Not(), test))
-                rest = self._block(body[k + 1:], top=True) or [ast.Pass()]
-                out.append(ast.If(test, rest, []))
-                break
-            if (self.drives is not None and isinstance(s, ast.Expr)
-                    and isinstance(s.value, ast.Call)
-                    and _self_attr(s.value.func, self.me) == "drive"):
-                out.append(self._drive(s.value.args, s.value.keywords))
-                continue
-            port = (self._port(s.value) if isinstance(s, ast.Assign)
-                    and len(s.targets) == 1
-                    and isinstance(s.targets[0], ast.Name) else None)
-            if port is not None and straight:
-                self.ports[s.targets[0].id] = port
-            elif isinstance(s, ast.For):
-                values = self._unrolled(s)
-                if values is None:
-                    raise _Refused
-                for value in values:
-                    self.consts[s.target.id] = value
-                    out += self._block(s.body, unrolled=True,
-                                       straight=straight)
-            elif isinstance(s, (ast.If, ast.While)) and port is None:
-                inner = unrolled and isinstance(s, ast.If)
-                if isinstance(s, ast.While) and s.orelse:
-                    raise _Refused
-                out.append(type(s)(
-                    self.visit(s.test),
-                    self._block(s.body, unrolled=inner, straight=False)
-                    or [ast.Pass()],
-                    self._block(s.orelse, unrolled=inner, straight=False)))
-            elif (isinstance(s, _SIMPLE) and port is None and not (
-                    unrolled and isinstance(s, (ast.Break, ast.Continue)))):
-                out.append(self.visit(s))
-            else:
-                raise _Refused
-        return out
-
-    def _unrolled(self, loop):
-        """The values of the variable of an unrollable loop or
-        comprehension, else None."""
-        it, me = loop.iter, self.me
-        if (getattr(loop, "orelse", None) or getattr(loop, "ifs", None)
-                or not isinstance(loop.target, ast.Name)):
-            return None
-        if _self_attr(it, me) in self.port_lists:
-            return self.port_lists[it.attr]
-        if (isinstance(it, ast.Call) and isinstance(it.func, ast.Name)
-                and it.func.id == "range" and "range" not in self.globals
-                and len(it.args) == 1 and not it.keywords
-                and _self_attr(it.args[0], me) in self.arity):
-            return range(self.arity[it.args[0].attr])
-        return None
-
-    def visit_ListComp(self, n):
-        # unrolled into a list display where the loop unrolls
-        values = self._unrolled(n.generators[0]) if len(
-            n.generators) == 1 else None
-        if values is None:
-            return self.generic_visit(n)
-        name, elts, outer = n.generators[0].target.id, [], self.consts
-        for value in values:
-            self.consts = {**outer, name: value}
-            elts.append(self.visit(n.elt))
-        self.consts = outer
-        return ast.List(elts, ast.Load())
-
-    def _fold(self, e):
-        """The value of a port expression: literals, unrolled loop
-        variables, port lists and sums of these."""
-        if isinstance(e, ast.Constant):
-            return e.value
-        if isinstance(e, ast.Name) and e.id in self.consts:
-            return self.consts[e.id]
-        try:
-            if isinstance(e, ast.BinOp) and isinstance(e.op, ast.Add):
-                return self._fold(e.left) + self._fold(e.right)
-            if (isinstance(e, ast.Subscript) and _self_attr(e.value, self.me)
-                    in self.port_lists):
-                return self.port_lists[e.value.attr][self._fold(e.slice)]
-        except (TypeError, IndexError):
-            pass
-        raise _Refused
-
-    def _port(self, e):
-        """The port whose channel state ``e`` is (an alias or
-        ``self.st(P)``), else None."""
-        if isinstance(e, ast.Name) and e.id in self.ports:
-            return self.ports[e.id]
-        if not (isinstance(e, ast.Call) and _self_attr(e.func, self.me) == "st"):
-            return None
-        if len(e.args) != 1 or e.keywords or not self.signals:
-            raise _Refused
-        return self._portname(e.args[0])
-
-    def _portname(self, e):
-        """The port ``e`` folds to (see :meth:`_fold`)."""
-        port = self._fold(e)
-        if port not in self.port_lists["in_ports"] + self.port_lists[
-                "out_ports"] or not re.fullmatch(r"\w+", port):
-            raise _Refused
-        return port
-
-    def _drive(self, args, keywords):
-        """``self.drive(P, s, e)`` as the assignment ``@P@s = e``, for a
-        pair the tasks write."""
-        if len(args) != 3 or keywords:
-            raise _Refused
-        pair = (self._portname(args[0]), self._fold(args[1]))
-        if pair not in self.drives:
-            raise _Refused
-        return ast.Assign([ast.Name("@%s@%s" % pair, ast.Store())],
-                          self.visit(args[2]), lineno=0)
-
-    def visit_Call(self, n):
-        f = n.func
-        helper = (self.globals.get(f.id) if isinstance(f, ast.Name)
-                  and f.id not in self.locals else None)
-        args = []             # an unpacked display passed item by item
-        for a in map(self.visit, n.args):
-            args += (a.value.elts if isinstance(a, ast.Starred) and isinstance(
-                a.value, (ast.List, ast.Tuple)) else [a])
-        if not any(helper is h for h in (kand, kor, knot, kite)):
-            return ast.Call(self.visit(f), args,
-                            [self.visit(k) for k in n.keywords])
-        if n.keywords or any(isinstance(x, (ast.Call, ast.Starred))
-                             for a in args for x in ast.walk(a)):
-            raise _Refused        # an operand with an effect, or unpacked
-        if helper is knot and len(args) == 1:
-            return ast.UnaryOp(ast.Not(), args[0])
-        if helper is kite and len(args) == 3:
-            return ast.IfExp(*args)
-        if helper in (kand, kor) and args:
-            return args[0] if len(args) == 1 else ast.BoolOp(
-                ast.And() if helper is kand else ast.Or(), args)
-        raise _Refused
-
-    def _comb(self, body, tasks):
-        """comb's slices, one per task (see the comment above), after
-        moving its channel-free head to :attr:`head`."""
-        if any(isinstance(n, (ast.While, ast.Break, ast.Continue))
-               for s in body for n in ast.walk(s)):
-            raise _Refused
-        locals_ = {f"_{name}_" for name in self.locals}
-        stored = [n.id for s in body for n in ast.walk(s)
-                  if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)]
-        head = []
-        while (body and isinstance(body[0], ast.Assign)
-               and len(body[0].targets) == 1
-               and getattr(body[0].targets[0], "id", None) in locals_
-               and stored.count(body[0].targets[0].id) == 1
-               and not _reads(body[:1])):
-            head.append(body.pop(0))
-        hoisted = {s.targets[0].id for s in head}
-        for n in (n for s in head + body for n in ast.walk(s)):
-            if isinstance(n, ast.Name) and n.id in hoisted:
-                n.id += "@"
-        self.head = tuple((s.targets[0].id, ast.unparse(s.value))
-                          for s in head)
-        body = _seeds_folded(body)
-        return tuple(_task_slice(body, locals_, reads, writes)
-                     for reads, writes in tasks)
-
-    def generic_visit(self, node):
-        # a rewritten copy: the parsed trees are shared
-        fields = {name: [self.visit(v) if isinstance(v, ast.AST) else v
-                         for v in value] if isinstance(value, list)
-                  else self.visit(value) if isinstance(value, ast.AST)
-                  else value for name, value in ast.iter_fields(node)}
-        return ast.copy_location(type(node)(**fields), node)
-
-    def visit_Attribute(self, n):
-        port = self._port(n.value)
-        if port is not None:
-            if n.attr not in _SIGNALS or not isinstance(n.ctx, ast.Load):
-                raise _Refused
-            return ast.Name(f"@{port}@{n.attr}", ast.Load())
-        if _self_attr(n, self.me) is None:
-            return self.generic_visit(n)
-        if n.attr in self.arity and isinstance(n.ctx, ast.Load):
-            return ast.Constant(self.arity[n.attr])      # the node's shape
-        if n.attr in _CHANNEL_ACCESS:
-            raise _Refused
-        _check_helper(self.cls, n.attr, self.seen)
-        return ast.Attribute(ast.Name("@", ast.Load()), n.attr, n.ctx)
-
-    def visit_Name(self, n):
-        name = n.id
-        if name in self.consts and isinstance(n.ctx, ast.Load):
-            return ast.Constant(self.consts[name])
-        if name in (self.me, "super") or name in self.ports \
-                or name in self.consts:
-            raise _Refused     # self or a channel state escaping, super()
-        if name in self.arg:
-            return ast.Name(self.arg[name], n.ctx)
-        if name in self.locals:
-            return ast.Name(f"_{name}_", n.ctx)
-        if name not in self.globals:
-            return n                                     # a builtin
-        self.globals_used[name] = None
-        return ast.Name(f"_g_{name}", n.ctx)
-
-    def _refuse(self, n):
-        raise _Refused
-
-    # (a matrix product would render the placeholder `@`)
-    visit_Lambda = visit_Yield = visit_YieldFrom = visit_Await = _refuse
-    visit_MatMult = _refuse
-
-
-def _loads(tree):
-    """The names ``tree`` loads, repeats included."""
-    return [n.id for n in ast.walk(tree)
-            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)]
-
-
-def _reads(body):
-    """The channel locals (``@<port>@<signal>``) ``body`` reads."""
-    return {name for s in body for name in _loads(s)
-            if name[:1] == "@" and name != "@"}
-
-
-def _sliced(body, keep, locals_, live=frozenset()):
-    """``(statements, live)``: ``body`` reduced to what the drives in
-    ``keep`` need (see the comment above; ``locals_`` are the method's
-    locals), and the names live before it given ``live`` after it."""
-    out = []
-    for s in reversed(body):
-        if isinstance(s, ast.If):
-            then, live_then = _sliced(s.body, keep, locals_, live)
-            other, live_other = _sliced(s.orelse, keep, locals_, live)
-            if not (then or other):
-                continue
-            s = ast.If(s.test, then or [ast.Pass()], other)
-            live = live_then | live_other | set(_loads(s.test))
-        elif isinstance(s, ast.Pass):
-            continue
-        else:
-            targets = getattr(s, "targets", [getattr(s, "target", None)])
-            names = {t.id for t in targets if isinstance(t, ast.Name)}
-            uses = set(_loads(s))
-            if isinstance(s, (ast.Raise, ast.Assert)):
-                needed = uses & locals_ <= live
-            elif names and len(names) == len(targets):
-                needed = any(name in keep if name[0] == "@" else name in live
-                             for name in names)
-            else:
-                needed = True        # a call or a store to node state
-            if not needed:
-                continue
-            if isinstance(s, ast.AugAssign):
-                uses |= names
-            live = live - names | uses
-        out.append(s)
-    return out[::-1], live
-
-
-def _seeds_folded(body):
-    """``body`` with each ``x = True`` whose next use is ``x = x and e``
-    folded into ``x = e``: the first step of an unrolled conjunction."""
-    out, last = [], {}        # name -> index in out of its last use
-    for s in body:
-        x = getattr(s.targets[0], "id", None) if isinstance(
-            s, ast.Assign) and len(s.targets) == 1 else None
-        seed = out[last[x]] if x in last else None
-        step = s.value if isinstance(s, ast.Assign) else None
-        if (isinstance(step, ast.BoolOp) and isinstance(step.op, ast.And)
-                and getattr(step.values[0], "id", None) == x
-                and isinstance(seed, ast.Assign) and len(seed.targets) == 1
-                and getattr(seed.value, "value", None) is True):
-            out[last[x]] = None
-            rest = step.values[1:]
-            s = ast.Assign(s.targets, rest[0] if len(rest) == 1
-                           else ast.BoolOp(ast.And(), rest), lineno=0)
-        last.update((n.id, len(out)) for n in ast.walk(s)
-                    if isinstance(n, ast.Name))
-        out.append(s)
-    return [s for s in out if s is not None]
-
-
-def _assigned(body):
-    """The names every path through ``body`` assigns; None when no path
-    falls through it."""
-    out = set()
-    for s in body:
-        if isinstance(s, ast.Raise):
-            return None
-        if isinstance(s, ast.If):
-            then, other = _assigned(s.body), _assigned(s.orelse)
-            if then is None and other is None:
-                return None
-            out |= (other if then is None else then if other is None
-                    else then & other)
-        elif isinstance(s, ast.Assign):
-            out.update(t.id for t in s.targets if isinstance(t, ast.Name))
-    return out
-
-
-def _assigned_name(body):
-    """``x`` when ``body`` is the one statement ``x = e``, else None."""
-    if (len(body) == 1 and isinstance(body[0], ast.Assign)
-            and len(body[0].targets) == 1
-            and isinstance(body[0].targets[0], ast.Name)):
-        return body[0].targets[0].id
-    return None
-
-
-def _finished(body, fed):
-    """``body`` as rendered: each ``x = <data read in fed>`` followed by a
-    guard that hands an unknown ``x`` to
-    :meth:`CodegenBackend.diagnose_unknown`, and a branch that assigns one
-    name on both sides as ``x = a if c else b``."""
-    out = []
-    for s in body:
-        if isinstance(s, ast.If):
-            then, other = _finished(s.body, fed), _finished(s.orelse, fed)
-            name = _assigned_name(then)
-            s = (ast.Assign(then[0].targets, ast.IfExp(
-                s.test, then[0].value, other[0].value), lineno=0)
-                if name is not None and name == _assigned_name(other)
-                else ast.If(s.test, then, other))
-        out.append(s)
-        if isinstance(s, ast.Assign) and getattr(s.value, "id", None) in fed:
-            out += ast.parse(f"if {s.targets[0].id} is None:\n"
-                             f"    _udiag(cycle, {s.value.id!r})").body
-    return out
-
-
-def _task_slice(body, locals_, reads, writes):
-    """The text of comb's task writing ``writes`` from ``reads``: comb's
-    rendered ``body`` sliced to it, its control-feeding data reads
-    guarded; refused when it may leave a control write unassigned or reads
-    outside ``reads``."""
-    writes = {"@%s@%s" % pair for pair in writes}
-    controls = {w for w in writes if not w.endswith("@data")}
-    stmts = _sliced(body, writes, locals_)[0]
-    assigned = _assigned(stmts)
-    fed = {r for r in _reads(_sliced(body, controls, locals_)[0])
-           if r.endswith("@data")}
-    direct = [n for s in stmts for n in ast.walk(s)
-              if isinstance(n, ast.Assign) and len(n.targets) == 1
-              and isinstance(n.targets[0], ast.Name)
-              and getattr(n.value, "id", None) in fed]
-    if (assigned is not None and not controls <= assigned
-            or not _reads(stmts) <= (writes - controls).union(
-                "@%s@%s" % pair for pair in reads)
-            or fed & writes
-            or len(direct) != sum(name in fed for s in stmts
-                                  for name in _loads(s))):
-        raise _Refused
-    return ast.unparse(ast.Module(_finished(stmts, fed), []))
-
-
-def _node_template(node, method, arg=None, tasks=None):
-    """:func:`_template` of ``node``'s ``method`` for its shape."""
-    cls = type(node)
-    return _template(
-        cls, method, arg, tuple(node.in_ports), tuple(node.out_ports),
-        tuple(getattr(node, attr, None) for attr, _, _ in cls.arity_checks),
-        tasks)
-
 
 def _claims(taken, node, method, template):
-    """Whether ``template`` (None outside the subset) binds its module
-    globals under their own names: no other node's global of a name it
-    uses is bound (``taken``: name -> object, updated)."""
-    space = template and getattr(type(node), method).__globals__
-    return template is not None and not any(
-        taken.setdefault(name, space[name]) is not space[name]
-        for name in template[1])
+    """Whether ``template`` (None outside the subset, its text None for a
+    refused comb slice) binds its module globals under their own names: no
+    other node's global of a name it uses is bound (``taken``: name ->
+    object, updated)."""
+    if template is None or template.text is None:
+        return False
+    space = getattr(type(node), method).__globals__
+    return not any(taken.setdefault(name, space[name]) is not space[name]
+                   for name in template.globals)
 
 
 def _filled(g, ni, node, method, template, text):
     """``text``, a part of node ``ni``'s ``method`` template, filled in for
     the node; binds the template's module globals."""
-    for name in template[1]:
+    for name in template.globals:
         g.bind[f"_g_{name}"] = \
             f"type(_nodes[{ni}]).{method}.__globals__[{name!r}]"
     ref = g.node_ref(ni)
-    return _PLACEHOLDER.sub(
+    return PLACEHOLDER.sub(
         lambda m: ref if m[1] is None else g.sig(node, m[1], m[2]), text)
 
 
 def _sequential(g, ni, node, method, arg=None):
     """``(lines, inlined)``: node ``ni``'s ``method`` in the cycle body,
     its body inlined or, outside the subset, one call of it."""
-    template = _node_template(node, method, arg)
+    template = node_template(node, method, arg)
     if not _claims(g.plan.globals, node, method, template):
         name = f"_{method[0]}{ni}"
         g.bind[name] = f"_nodes[{ni}].{method}"
         return [f"{name}({arg or ''})"], False
-    return _filled(g, ni, node, method, template,
-                   template[0]).splitlines(), True
+    text = template.text
+    if method == "tick" and ni in g.plan.combs:
+        heads = {expr: name for name, expr in g.plan.combs[ni].head}
+        text = _ASSIGNMENT.sub(lambda m: m[1] + heads.get(m[2], m[2]), text)
+    return _filled(g, ni, node, method, template, text).splitlines(), True
+
+
+#: a top-level assignment of a tick: a value that is one of its node's comb
+#: per-cycle expressions reads that local
+_ASSIGNMENT = re.compile(r"^(\w+ = )(.*)$", re.M)
 
 
 # ---------------------------------------------------------------------------
@@ -771,7 +247,7 @@ def _build_plan(netlist):
     """Schedule ``netlist``'s signal tasks into ``plan.task_order``.
 
     ``plan.deferred`` lists, by index, the nodes that block compilation: a
-    node whose ``comb`` does not render for its declared tasks, a port
+    node whose ``comb`` does not render, a port
     bound to no live channel, a read no task produces, or a task on a
     signal-level cycle.  When it is non-empty nothing is scheduled and no
     cycle function is generated.  ``plan.combs`` maps every other node to
@@ -795,12 +271,7 @@ def _build_plan(netlist):
     port_channel = plan.port_channel = {}
     tasks = []
     for ni, node in enumerate(nodes):
-        declared = tuple((tuple(reads), tuple(writes))
-                         for reads, writes in node.comb_tasks())
-        comb = None
-        if sorted(pair for _, writes in declared for pair in writes) \
-                == sorted(node.drives()):
-            comb = _node_template(node, "comb", tasks=declared)
+        comb = node_template(node, "comb")
         ok = _claims(plan.globals, node, "comb", comb)
         for port in node.ports:
             ch = node._channels.get(port)
@@ -812,7 +283,7 @@ def _build_plan(netlist):
         if ok:
             plan.combs[ni] = comb
             tasks += [(ni, reads, writes, text)
-                      for (reads, writes), text in zip(declared, comb[0])]
+                      for (reads, writes), text in zip(comb.tasks, comb.text)]
         else:
             deferred.append(ni)
     if deferred:
@@ -1083,7 +554,7 @@ def _generate_source(netlist, check_protocol, content_hash, entry):
     for ni in plan.pre_cycles:
         pre += _sequential(g, ni, nodes[ni], "pre_cycle")[0]
     for ni, comb in plan.combs.items():
-        for name, expr in comb[2]:
+        for name, expr in comb.head:
             g.per_cycle(*(_filled(g, ni, nodes[ni], "comb", comb, text)
                           for text in (name, expr)))
     region = _chunk_chain([g.csig(ci, "data") for ci in chans], "None")

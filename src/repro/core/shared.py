@@ -79,22 +79,6 @@ class SharedModule(Node):
 
     # -- combinational -------------------------------------------------------------
 
-    def comb_tasks(self):
-        # Per channel pair, four independent wires (so no channel's backward
-        # path is tied to another's forward path): the input token
-        # (valid/data/anti-stop) and the output-side back-pressure and
-        # kill, which rush backward combinationally (Section 4.1 / 4.3).
-        tasks = []
-        for j in range(self.n_channels):
-            ip, op = f"i{j}", f"o{j}"
-            tasks += [
-                ([(ip, "vp"), (ip, "data")], [(op, "vp"), (op, "data")]),
-                ([(op, "vm")], [(ip, "vm")]),
-                ([(ip, "vp"), (ip, "sm")], [(op, "sm")]),
-                ([(op, "vm"), (op, "sp")], [(ip, "sp")]),
-            ]
-        return tasks
-
     def comb(self):
         g = self.scheduler.prediction()
         for j in range(self.n_channels):

@@ -118,11 +118,6 @@ class ElasticBuffer(_TokenStore):
 
     # -- combinational behaviour (all driven from registered state) -----------
 
-    def comb_tasks(self):
-        # Fully registered: comb() is a function of the occupancy only,
-        # so the worklist engine never needs to re-evaluate it within a cycle.
-        return [([], self.drives())]
-
     def comb(self):
         c = self.count
         self.drive("o", "vp", c >= 1)
@@ -183,18 +178,6 @@ class ZeroBackwardLatencyBuffer(Node):
 
     def contents(self):
         return [self._value] if self._full else []
-
-    def comb_tasks(self):
-        # The Lb=0 controller lets stop/kill rush through combinationally:
-        # i.sp follows o.sp/o.vm while full, the anti-token pass-through
-        # reads o.vm and the upstream i.sm while empty.  The forward side
-        # is registered, so a chain is acyclic signal-to-signal.
-        return [
-            ([], [("o", "vp"), ("o", "data")]),
-            ([("o", "vm")], [("i", "vm")]),
-            ([("o", "vm"), ("i", "sm")], [("o", "sm")]),
-            ([("o", "sp"), ("o", "vm")], [("i", "sp")]),
-        ]
 
     def comb(self):
         ost = self.st("o")

@@ -66,6 +66,19 @@ SIGNALS_BY_ROLE = {
     CONSUMER: ("sp", "vm"),
 }
 
+
+def role_pairs(in_ports, out_ports):
+    """``(drives, opposite)``: the ``(port, signal)`` pairs the port roles
+    let a node with these ports drive, and those its opposite endpoints
+    drive."""
+    def pairs(in_role, out_role):
+        return tuple([(port, sig) for port in in_ports
+                      for sig in SIGNALS_BY_ROLE[in_role]]
+                     + [(port, sig) for port in out_ports
+                        for sig in SIGNALS_BY_ROLE[out_role]])
+    return pairs(CONSUMER, PRODUCER), pairs(PRODUCER, CONSUMER)
+
+
 CONTROL_SIGNALS = ("vp", "sp", "vm", "sm")
 
 #: All per-channel signals, in global-signal-id order.

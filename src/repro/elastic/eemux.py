@@ -50,21 +50,6 @@ class EarlyEvalMux(Node):
 
     # -- combinational ------------------------------------------------------------
 
-    def comb_tasks(self):
-        # The fire decision reads across ports: select valid *and data*
-        # (the data value picks which input's valid/data matter — declare
-        # them all), plus the downstream stop on the backward side.
-        ins = [f"i{j}" for j in range(self.n_inputs)]
-        select = [("s", "vp"), ("s", "data")] + [(port, "vp") for port in ins]
-        return [
-            (select + [(port, "data") for port in ins],
-             [("o", "vp"), ("o", "data"), ("o", "sm")]),
-            (select + [("o", "sp")],
-             [("s", "sp")] + [(port, sig) for port in ins
-                              for sig in ("vm", "sp")]),
-            ([], [("s", "vm")]),
-        ]
-
     def comb(self):
         sst = self.st("s")
         ost = self.st("o")

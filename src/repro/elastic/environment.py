@@ -45,10 +45,6 @@ class _SourceBase(Node):
         """Randomized / nondet gate deciding whether to start an offer."""
         return True
 
-    def comb_tasks(self):
-        # Drives purely from the offer registers frozen in pre_cycle.
-        return [([], self.drives())]
-
     def comb(self):
         if not self._offering and self._pending_start:
             value = self._next_value()
@@ -194,9 +190,6 @@ class PermissionSource(Node):
         else:
             self._offering = True
 
-    def comb_tasks(self):
-        return [([], self.drives())]
-
     def comb(self):
         self.drive("o", "vp", self._offering)
         if self._offering:
@@ -249,9 +242,6 @@ class Sink(_RecordingSink):
     def pre_cycle(self):
         self._stall_now = self.stall_rate > 0 and self._rng.random() < self.stall_rate
 
-    def comb_tasks(self):
-        return [([], self.drives())]
-
     def comb(self):
         self.drive("i", "sp", self._stall_now)
         self.drive("i", "vm", False)
@@ -292,9 +282,6 @@ class KillerSink(_RecordingSink):
         self._stall_now = (
             not self._killing and self.stall_rate > 0 and self._rng.random() < self.stall_rate
         )
-
-    def comb_tasks(self):
-        return [([], self.drives())]
 
     def comb(self):
         self.drive("i", "vm", self._killing)
@@ -345,9 +332,6 @@ class NondetSource(Node):
         if not self._offering and self._choice == 1:
             self._offering = True
 
-    def comb_tasks(self):
-        return [([], self.drives())]
-
     def comb(self):
         self.drive("o", "vp", self._offering)
         if self._offering:
@@ -391,10 +375,6 @@ class NondetSink(Node):
     def pre_cycle(self):
         if not self._killing and self.can_kill and self._choice == 2:
             self._killing = True
-
-    def comb_tasks(self):
-        # Drives purely from the frozen choice / kill registers.
-        return [([], self.drives())]
 
     def comb(self):
         if self._killing:

@@ -55,11 +55,6 @@ class AbstractElasticFifo(_TokenStore):
 
     # -- combinational ---------------------------------------------------------------
 
-    def comb_tasks(self):
-        # Offers/stops are functions of the occupancy, retry registers and
-        # the frozen nondeterministic choice only.
-        return [([], self.drives())]
-
     def comb(self):
         offer_token = self._retry_plus or (
             self.count >= 1 and bool(self._choice & 1)

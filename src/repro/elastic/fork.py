@@ -40,18 +40,6 @@ class EagerFork(Node):
 
     # -- combinational -----------------------------------------------------------
 
-    def comb_tasks(self):
-        # Reads across ports: the input token (valid + data) feeds every
-        # branch, and every branch's downstream stop feeds the shared
-        # completion logic behind i.sp.
-        outs = [f"o{k}" for k in range(self.n_outputs)]
-        return [
-            ([("i", "vp"), ("i", "data")],
-             [(port, sig) for port in outs for sig in ("vp", "data", "sm")]),
-            ([("i", "vp")] + [(port, "sp") for port in outs], [("i", "sp")]),
-            ([], [("i", "vm")]),
-        ]
-
     def comb(self):
         ist = self.st("i")
         kills = self._kills

@@ -60,19 +60,6 @@ class Func(Node):
 
     # -- combinational ---------------------------------------------------------
 
-    def comb_tasks(self):
-        # Lazy join: fires on the input valids (and their data) and the
-        # downstream stop; it never reads i.sm or o.vm combinationally.
-        ins = [f"i{i}" for i in range(self.n_inputs)]
-        valids = [(port, "vp") for port in ins]
-        return [
-            (valids + [(port, "data") for port in ins],
-             [("o", "vp"), ("o", "data")]),
-            (valids + [("o", "sp")],
-             [(port, sig) for port in ins for sig in ("vm", "sp")]),
-            (valids, [("o", "sm")]),
-        ]
-
     def comb(self):
         ost = self.st("o")
         kills = self._kills

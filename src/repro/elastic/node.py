@@ -21,11 +21,10 @@ to reading ``self.st(port)`` with ports from literals and port lists, or
 a tick is called, flushing the channel states every cycle, and a comb
 defers its whole netlist to the interpreted engine (see :meth:`Node.comb`).
 
-What ``comb`` reads is declared once, by :meth:`Node.comb_tasks`: the
-signal tasks both engines derive their schedules from (the worklist
-engine's wake-up sets through :meth:`Node.comb_reads`, the compiled
-engine's straight-line order task by task).  What it drives follows from
-port roles (:meth:`Node.drives`).
+Nothing is declared beside ``comb``: the signal tasks both engines
+schedule from (:meth:`Node.comb_tasks`, :meth:`Node.comb_reads`) are
+derived from its rendered source, and what it drives follows from port
+roles (:meth:`Node.drives`).
 
 Sequential state is declared once per kind, on the class
 (:class:`Stateful`): :attr:`~Stateful.state_slots` maps each attribute the
@@ -74,7 +73,7 @@ serialisation label only, and chaos splices overwrite it per instance.
 
 from __future__ import annotations
 
-from repro.elastic.channel import PRODUCER, CONSUMER, SIGNALS_BY_ROLE
+from repro.elastic.channel import PRODUCER, CONSUMER, role_pairs
 
 #: timing planes (see :meth:`Node.timing_arcs`): datapath words, forward
 #: valid bits, backward stop and kill bits.
@@ -213,9 +212,10 @@ class Node(Stateful):
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        if "comb_reads" in cls.__dict__:
-            raise TypeError(f"{cls.__qualname__} overrides comb_reads(), which "
-                            "is derived: declare the reads in comb_tasks()")
+        for name in ("comb_tasks", "comb_reads"):
+            if name in cls.__dict__:
+                raise TypeError(f"{cls.__qualname__} overrides {name}(), "
+                                "which is derived from comb()")
 
     def __repr__(self):
         return f"{type(self).__name__}({self.name!r})"
@@ -273,37 +273,25 @@ class Node(Stateful):
         """``(port, signal)`` pairs the port roles let :meth:`comb` drive:
         ``sp``/``vm`` on every input port, ``vp``/``sm``/``data`` on every
         output port."""
-        return ([(port, sig) for port in self.in_ports
-                 for sig in SIGNALS_BY_ROLE[CONSUMER]]
-                + [(port, sig) for port in self.out_ports
-                   for sig in SIGNALS_BY_ROLE[PRODUCER]])
+        return list(role_pairs(self.in_ports, self.out_ports)[0])
 
     def comb_tasks(self):
-        """``(reads, writes)`` *signal tasks* of :meth:`comb`, each a pair
-        of ``(port, signal)`` lists; together they write :meth:`drives`
-        exactly once.  The one declaration of what a kind reads: the
-        worklist engine wakes a node on :meth:`comb_reads`, codegen
-        schedules each task after the tasks writing its reads.
+        """``(reads, writes)`` *signal tasks* of :meth:`comb`, pairs of
+        ``(port, signal)`` tuples writing :meth:`drives` once between
+        them; codegen schedules each after the tasks writing its reads.
+        Derived from ``comb`` once per node shape, never overridden
+        (:func:`repro.sim.inline.comb_sensitivity`)."""
+        from repro.sim.inline import comb_sensitivity
 
-        The default is one conservative task that reads every signal the
-        opposite endpoints drive.  Kinds whose combinational function
-        reads less — elastic buffers and environments drive purely from
-        sequential state, for instance — override this to narrow it;
-        ``comb`` must never read outside the declared reads (``lint``
-        rule E110 audits this).
-        """
-        reads = ([(port, sig) for port in self.in_ports
-                  for sig in SIGNALS_BY_ROLE[PRODUCER]]
-                 + [(port, sig) for port in self.out_ports
-                    for sig in SIGNALS_BY_ROLE[CONSUMER]])
-        return [(reads, self.drives())]
+        return comb_sensitivity(self)[0]
 
     def comb_reads(self):
-        """``(port, signal)`` pairs :meth:`comb` may *read*: the ordered,
-        duplicate-free union of the :meth:`comb_tasks` reads.  Derived,
-        never overridden — declare reads in :meth:`comb_tasks`."""
-        return list(dict.fromkeys(
-            pair for reads, _writes in self.comb_tasks() for pair in reads))
+        """``(port, signal)`` pairs the opposite endpoints drive that
+        :meth:`comb` reads: the worklist engine's wake-up set, derived
+        with :meth:`comb_tasks` (``lint`` rule E110 audits it)."""
+        from repro.sim.inline import comb_sensitivity
+
+        return comb_sensitivity(self)[1]
 
     # -- simulation interface -------------------------------------------------
 
@@ -321,24 +309,25 @@ class Node(Stateful):
         flags any other drive).  Returns nothing: fix-point progress is
         seen through the change log, not reported by the node.
 
-        The compiled engine renders this method once per task of
-        :meth:`comb_tasks`, where every signal read is a known bool.  Its
+        :meth:`comb_tasks` and :meth:`comb_reads` are derived from this
+        method, and the compiled engine renders it once per task, where
+        every signal read is a known bool.  Its
         subset: ``self.drive(P, s, e)`` statements, the Kleene helpers
         ``kand``/``kor``/``knot``/``kite`` on bools (operands without
         calls), reads ``self.st(P).s`` directly or through a local bound
         outside any branch, ``if``, assignments, ``raise`` and a top-level
         ``if c: return``, with ports from literals, port lists and loops
         (list comprehensions too) over ``range(<arity attribute>)`` or a port
-        list.  Every path must drive each control signal a task writes,
-        and a task may read only its declared reads (and its own data
-        write, unknown until written).  A data read that a control value
+        list.  Every path must drive each control signal a task writes.
+        A data read that a control value
         depends on is assigned straight to a local, only where its channel
         offers a token: the compiled cycle diagnoses an unknown value there
         as the interpreted one does an unknown control.  The assignments
         heading the method that read no channel, each to a local assigned
         only there, run once per cycle.  Anything else (``super()``,
         ``try``, other loops, a channel state passed on, a
-        parameter) defers the node: its netlist runs interpreted."""
+        parameter) defers the node: its netlist runs interpreted, and the
+        node wakes on every signal its opposite endpoints drive."""
 
     def tick(self):
         """Clock edge: update sequential state from resolved channels."""

@@ -69,10 +69,6 @@ class VariableLatencyUnit(Node):
 
     # -- combinational ---------------------------------------------------------
 
-    def comb_tasks(self):
-        # Drives purely from the (registered) two-slot station.
-        return [([], self.drives())]
-
     def comb(self):
         station = self._station
         head_ready = bool(station) and station[0][1] == 0

@@ -5,9 +5,10 @@ and the model checker discover a broken design by running it into a
 deadlock, lint finds the structural cause *before* anything runs — an
 elastic cycle with no buffer, a loop with no bubble, a speculative path
 whose mispredictions can never be killed — and it is the only tool that
-verifies the ``comb_tasks()`` sensitivity declarations and the port-role
-drives every engine optimization silently trusts (the ``sensitivity``
-rule's auditor, :mod:`repro.lint.audit`).
+checks the sensitivity derived from each ``comb`` and the port-role
+drives every engine optimization silently trusts against what ``comb``
+does when run (the ``sensitivity`` rule's auditor,
+:mod:`repro.lint.audit`).
 
 Entry points::
 

@@ -1,16 +1,13 @@
 """The sensitivity-soundness auditor — lint's race detector.
 
-Every engine optimization in this codebase trusts each node's *declared*
-combinational sensitivity, declared once per kind by ``comb_tasks()``:
-the worklist engine only re-evaluates a node when a signal in
-``comb_reads()`` (the union of the task reads) changes, codegen
-schedules each task after the tasks writing its reads, both take every
-signal's writer from port roles (``drives()``), and a codegen simulator
-falls back to that same worklist for a netlist it cannot compile — one
-with a node whose ``comb`` is outside the compiled subset.  Codegen
-checks a compiled ``comb``'s reads against its declared tasks, but an
-interpreted one is trusted: one undeclared read produces silently wrong
-fix-points with no error anywhere.
+Every engine optimization in this codebase trusts each node's
+combinational sensitivity, derived from the kind's own ``comb``
+(:mod:`repro.sim.inline`): the worklist engine only re-evaluates a node
+when a signal in ``comb_reads()`` changes, codegen schedules each task of
+``comb_tasks()`` after the tasks writing its reads, and both take every
+signal's writer from port roles (``drives()``).  A read the derivation
+misses produces silently wrong fix-points with no error anywhere; the
+auditor is the derivation's oracle.
 
 The auditor verifies the contract *dynamically*: it replaces a node's
 channels with recording proxies and executes ``comb()`` under a
@@ -18,8 +15,8 @@ deterministic schedule of fuzzed channel-state assignments (Kleene
 corners plus seeded random trials), recording every channel-signal read
 and write actually performed.  Reads are recorded only for signals the
 *opposite* endpoint drives (reading back your own drive cannot wake you),
-writes for everything driven.  Reads outside the declared task reads are
-E110 findings, drives outside ``drives()`` E111 findings.
+writes for everything driven.  Reads outside the derived ``comb_reads()``
+are E110 findings, drives outside ``drives()`` E111 findings.
 
 Coverage note: the Kleene helpers evaluate their arguments eagerly, so
 most reads happen on attribute *access* regardless of the assigned value
@@ -212,7 +209,7 @@ def _assignments(env_signals, trials, seed, data_pool):
 
 def audit_node(node, trials=64, seed=0, states=None, data_pool=(0, 1, 2, 3),
                clone=True):
-    """Audit one node's declared sensitivity against observed behaviour.
+    """Audit one node's derived sensitivity against observed behaviour.
 
     ``states`` is an optional list of :meth:`Node.snapshot` values to run
     the schedule under (sequential state picks combinational branches);

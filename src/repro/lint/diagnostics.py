@@ -6,7 +6,7 @@ CI greps can rely on it across releases:
 * ``E0xx`` — structural errors (wiring, widths, arities),
 * ``E1xx`` — elastic-protocol errors derived from the paper's invariants
   (unbroken combinational cycles, zero-bubble deadlocks, unkillable
-  speculation, sensitivity-declaration violations),
+  speculation, sensitivity-derivation misses),
 * ``W2xx`` — performance / coverage warnings (token-free cycles, dead
   nodes, fork/join imbalance, chaos splices left behind).
 
@@ -45,8 +45,8 @@ CODES = {
              "add capacity or remove initial tokens so at least one bubble can circulate"),
     "E103": ("speculative path with no reachable kill/commit point",
              "route the shared-module output to an early-evaluation mux data input (or a killing sink) so mispredicted tokens can be cancelled"),
-    "E110": ("comb() read a channel signal outside its declared comb_tasks() reads",
-             "declare the (port, signal) pair in comb_tasks() — the worklist engine will otherwise miss wakeups"),
+    "E110": ("comb() read a channel signal its derived comb_reads() miss",
+             "a bug in deriving the reads from comb() (repro.sim.inline): report it with the node kind — the worklist engine misses wakeups on that signal"),
     "E111": ("comb() drove a channel signal outside its port role",
              "drive only what the port role permits (producer: vp/sm/data, consumer: sp/vm) — every engine takes each signal's writer from port roles"),
     "W201": ("token-free cycle: no token can ever circulate",

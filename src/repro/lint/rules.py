@@ -475,7 +475,8 @@ def rule_chaos(netlist):
 
 @lint_rule("sensitivity", ("E110", "E111"),
            "execute each node's comb() under fuzzed channel states and "
-           "flag reads/writes outside its declared sensitivity",
+           "flag reads its derived sensitivity misses and drives outside "
+           "its port roles",
            default=False)
 def rule_sensitivity(netlist):
     # Imported lazily: the auditor executes node code and is the one
@@ -489,8 +490,8 @@ def rule_sensitivity(netlist):
             diags.append(Diagnostic(
                 code="E110",
                 message=(f"{audit.kind} {audit.node}: comb() read "
-                         f"{port}.{signal} without declaring it — "
-                         f"declare it in comb_tasks() (worklist wakeups "
+                         f"{port}.{signal}, which the reads derived from "
+                         f"it miss — a derivation bug (worklist wakeups "
                          f"will be missed)"),
                 node=audit.node))
         for port, signal in sorted(audit.undeclared_writes):

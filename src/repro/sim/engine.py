@@ -53,9 +53,9 @@ aggregation — is owned once by :class:`Simulator`.
 sensitivity map** (:func:`~repro.sim.sensitivity.sensitivity`, computed at
 construction and again at every structure refresh after edits — see
 `Edit following` on :class:`Simulator`).  The engine asks every node which
-channel signals its ``comb`` may read (:meth:`Node.comb_reads`, the
-union of the reads of the signal tasks each kind declares once in
-:meth:`Node.comb_tasks` — the declaration codegen schedules from too)
+channel signals its ``comb`` may read (:meth:`Node.comb_reads`, derived
+from the kind's own ``comb`` together with the signal tasks codegen
+schedules from, :meth:`Node.comb_tasks`)
 and inverts the read sets into signal -> dependent-node lists; what a
 node may drive follows from its port roles (:meth:`Node.drives`).  Every
 ``unknown -> known`` signal
@@ -94,8 +94,8 @@ statistics and every node's own ``tick``, ``pre_cycle`` and
 ``set_choice`` bodies are inlined into the same generated function — one
 Python call per run (or per explored state), no per-node dispatch.
 Compilation is all or nothing: a netlist with a node that blocks it (a
-``comb`` outside the compiled subset, or one reading outside its declared
-tasks; an unbound port; a signal-level combinational loop) runs this
+``comb`` outside the compiled subset, or one whose task slice is
+refused; an unbound port; a signal-level combinational loop) runs this
 simulator's interpreted worklist cycle instead.  The choice is made
 again at every structure refresh, so a simulator following edits
 switches either way.  Modules are ``exec``-compiled once per topology

@@ -1,8 +1,8 @@
 """Static sensitivity and structural identity of a netlist.
 
-:func:`sensitivity` inverts every node's ``comb_reads()`` — the union of
-the reads of the signal tasks its kind declares in ``comb_tasks()`` —
-into per-signal reader lists and levelizes the writer -> reader graph
+:func:`sensitivity` inverts every node's ``comb_reads()`` — the signals
+the opposite endpoints drive that its ``comb`` reads, derived from the
+method itself (:mod:`repro.sim.inline`) — into per-signal reader lists and levelizes the writer -> reader graph
 into the once-per-cycle seed order.  The writer of every channel signal follows
 from port roles: the producer drives ``vp``/``sm``/``data``, the consumer
 drives ``sp``/``vm``.  The interpreted worklist cycle computes it at
@@ -34,7 +34,7 @@ def sensitivity(nodes, channels):
     """``(readers, order)`` for ``nodes`` wired by ``channels``.
 
     ``readers[slot * N_SIGNALS + SIG_INDEX[signal]]`` lists the indices
-    into ``nodes`` of the nodes whose ``comb_reads()`` declare ``signal``
+    into ``nodes`` of the nodes whose ``comb_reads()`` list ``signal``
     of ``channels[slot]`` (reads of a port bound to no channel in
     ``channels`` are ignored).  ``order`` lists every node index once,
     writers before their readers, cyclic regions in list order (the scan
@@ -70,7 +70,7 @@ def topology_signature(netlist):
     """Structural identity of a netlist.
 
     Two netlists have equal signatures iff they have the same node names,
-    classes, port lists and declared combinational reads, and the same
+    classes, port lists and derived combinational reads, and the same
     channel wiring (what each node drives follows from its ports).
     Parameters that only affect *sequential* behaviour (capacities, seeds,
     schedulers, datapath functions) are deliberately excluded, so every

@@ -705,24 +705,28 @@ class TestNothingDeferred:
 #: template rendering changed no byte before that); the designs with a
 #: shared module re-recorded again when its comb tasks came to read one
 #: per-cycle prediction local; every design re-recorded when each kind's
-#: comb came to be rendered from its own source, once per declared task
+#: comb came to be rendered from its own source, once per declared task,
+#: and again when the tasks came to be derived from that rendering (the
+#: topology signature holds the derived reads; a data task no longer tests
+#: its own unwritten data; a shared module's tick reads the prediction
+#: local)
 GENERATED_SOURCE_DIGESTS = {
-    "design:fig1a": ("04f08e3716b763ff", "669dbf453dc19d45",
-                     "09477f9c9782295d"),
-    "design:fig1d": ("2d5894bbaaf82ed6", "6ae8db27f4d3bc8b",
-                     "e73f09aafcfa428c"),
-    "design:fig6b": ("77cf50a43d8fd1ad", "9759c01b58d417b5",
-                     "c50e02f6be64de94"),
-    "design:fig7b": ("30ee14da9eefb7a7", "1d5b87af9707c576",
-                     "8f2c9f3ec4e45a93"),
-    "mc:eb": ("92908345df0a5892", "66ab95851989e1fd", "ebb4fb0395ad44c2"),
-    "mc:spec-nondet": ("c1295954d1d97005", "d4583b0111491f87",
-                       "f24b5cbc64897d6f"),
-    "mc:spec-static": ("c1295954d1d97005", "d4583b0111491f87",
-                       "f24b5cbc64897d6f"),
-    "mc:spec-toggle": ("c1295954d1d97005", "d4583b0111491f87",
-                       "f24b5cbc64897d6f"),
-    "mc:zbl": ("a215d120afd686cd", "d0c999dd3d17c1e0", "c822b1cfbb156eba"),
+    "design:fig1a": ("e032cc79b7f690b9", "b43a80f75c557405",
+                     "8bfd661d9e365cd8"),
+    "design:fig1d": ("73b869fd9c930fb1", "954109a427e86a1a",
+                     "83c61218dac65c3e"),
+    "design:fig6b": ("1301a64d2edbb8ef", "07cc6a644b069431",
+                     "8287c694c8658f65"),
+    "design:fig7b": ("cf973ca72109b59d", "d9372ab8e1ee93b1",
+                     "3165c9ceff43362c"),
+    "mc:eb": ("45b5c07d4c41ac00", "8ee7e4a47122d31f", "60c023f5aeb08c04"),
+    "mc:spec-nondet": ("129cfeb860936274", "cd5de12e4bbce0d7",
+                       "ac255aea9b533a05"),
+    "mc:spec-static": ("129cfeb860936274", "cd5de12e4bbce0d7",
+                       "ac255aea9b533a05"),
+    "mc:spec-toggle": ("129cfeb860936274", "cd5de12e4bbce0d7",
+                       "ac255aea9b533a05"),
+    "mc:zbl": ("fb04cf05f25595b3", "903d938a96635da1", "9bee996594c8b2c8"),
 }
 
 

@@ -1,18 +1,22 @@
-"""``Node.comb_tasks()``: each kind's one combinational dependency
-declaration.
+"""``Node.comb_tasks()`` and ``comb_reads()``: derived from each kind's own
+``comb``, never declared.
 
-Both engines derive their schedules from it — the worklist engine's
-wake-up sets through ``comb_reads()`` (the ordered union of the task
-reads), the codegen engine's straight-line order task by task, each task
-rendered from the kind's own ``comb`` (:mod:`repro.backend.pysim`).  These
-tests pin the shape every kind must have, that every kind and arity
-renders every task it declares, and that a declaration narrower than what
-``comb`` reads keeps the node off the compiled path."""
+The method is rendered once per node shape (:mod:`repro.sim.inline`); each
+drive's reads are the channel reads of its slice, drives with equal reads
+form one signal task, and a port's data joins its vp task.  Both engines
+schedule from the result — the worklist engine's wake-up sets through
+``comb_reads()``, the codegen engine's straight-line order task by task.
+These tests pin the shape every kind's tasks must have, that every kind
+and arity renders every task, the wake-up sets of every shipped kind (as
+its hand-written declaration stated them before the derivation replaced
+it), that a subclass cannot declare either accessor, and that a cold
+elaboration renders each comb once per shape."""
 
 import pytest
 
 from repro.backend import pysim
 from repro.core import SharedModule, StaticScheduler
+from repro.designs import DESIGNS
 from repro.elastic import (
     EagerFork,
     EarlyEvalMux,
@@ -33,9 +37,10 @@ from repro.elastic.environment import (
     _SourceBase,
 )
 from repro.elastic.fifo_model import AbstractElasticFifo
-from repro.netlist import Netlist
+from repro.sim import inline
+from repro.sim.engine import Simulator
 
-from test_codegen_diff import assert_codegen_identical
+from test_derived_combs import PeekingFunc
 
 
 def _ident(*args):
@@ -82,9 +87,15 @@ def test_every_emitter_backed_kind_is_covered():
 
 
 def _rendered(node):
-    """``node``'s comb template for its declared tasks (None: deferred)."""
-    return pysim._node_template(node, "comb", tasks=tuple(
-        (tuple(reads), tuple(writes)) for reads, writes in node.comb_tasks()))
+    """``node``'s comb template for its shape (None: deferred)."""
+    return inline.node_template(node, "comb")
+
+
+def _opposite(node):
+    """The ``(port, signal)`` pairs ``node``'s opposite endpoints drive."""
+    return ({(port, sig) for port in node.in_ports
+             for sig in ("vp", "sm", "data")}
+            | {(port, sig) for port in node.out_ports for sig in ("sp", "vm")})
 
 
 class TestStructure:
@@ -97,10 +108,10 @@ class TestStructure:
 
     @pytest.mark.parametrize("cls,make", CASES)
     def test_task_count_is_a_multiple_of_the_emitters(self, cls, make):
-        """The kind's comb renders one slice per declared task, at every
-        arity under test."""
+        """The kind's comb renders one slice per derived task, at every
+        arity under test, each assigning the task's control writes."""
         node = make()
-        texts = _rendered(node)[0]
+        texts = _rendered(node).text
         assert len(texts) == len(node.comb_tasks())
         for text, (_reads, writes) in zip(texts, node.comb_tasks()):
             for port, signal in writes:
@@ -109,48 +120,126 @@ class TestStructure:
 
     @pytest.mark.parametrize("cls,make", CASES)
     def test_comb_reads_is_the_ordered_union(self, cls, make):
+        """The wake-up reads are the task reads the opposite endpoints
+        drive, in port order."""
         node = make()
-        union = []
-        for reads, _writes in node.comb_tasks():
-            union += [pair for pair in reads if pair not in union]
-        assert node.comb_reads() == union
+        union = {pair for reads, _writes in node.comb_tasks()
+                 for pair in reads} & _opposite(node)
+        order = [(port, sig) for port in node.ports
+                 for sig in ("vp", "sp", "vm", "sm", "data")]
+        assert node.comb_reads() == tuple(
+            sorted(union, key=order.index))
 
 
-class DropsDataRead(Func):
-    """Declares one data read fewer than its comb() performs."""
+#: every kind and arity of INSTANCES -> its wake-up reads, sorted, as the
+#: hand-written comb_tasks() declarations stated them
+PINNED_READS = {
+    "ElasticBuffer-0": [],
+    "ZeroBackwardLatencyBuffer-0": [("i", "sm"), ("o", "sp"), ("o", "vm")],
+    "Func-0": [("i0", "data"), ("i0", "vp"), ("o", "sp")],
+    "Func-1": [("i0", "data"), ("i0", "vp"), ("i1", "data"), ("i1", "vp"),
+               ("o", "sp")],
+    "Func-2": [("i0", "data"), ("i0", "vp"), ("i1", "data"), ("i1", "vp"),
+               ("i2", "data"), ("i2", "vp"), ("o", "sp")],
+    "EagerFork-0": [("i", "data"), ("i", "vp"), ("o0", "sp")],
+    "EagerFork-1": [("i", "data"), ("i", "vp"), ("o0", "sp"), ("o1", "sp")],
+    "EagerFork-2": [("i", "data"), ("i", "vp"), ("o0", "sp"), ("o1", "sp"),
+                    ("o2", "sp")],
+    "EarlyEvalMux-0": [("i0", "data"), ("i0", "vp"), ("i1", "data"),
+                       ("i1", "vp"), ("o", "sp"), ("s", "data"), ("s", "vp")],
+    "EarlyEvalMux-1": [("i0", "data"), ("i0", "vp"), ("i1", "data"),
+                       ("i1", "vp"), ("i2", "data"), ("i2", "vp"), ("o", "sp"),
+                       ("s", "data"), ("s", "vp")],
+    "SharedModule-0": [("i0", "data"), ("i0", "sm"), ("i0", "vp"),
+                       ("i1", "data"), ("i1", "sm"), ("i1", "vp"),
+                       ("o0", "sp"), ("o0", "vm"), ("o1", "sp"), ("o1", "vm")],
+    "SharedModule-1": [("i0", "data"), ("i0", "sm"), ("i0", "vp"),
+                       ("i1", "data"), ("i1", "sm"), ("i1", "vp"),
+                       ("i2", "data"), ("i2", "sm"), ("i2", "vp"),
+                       ("o0", "sp"), ("o0", "vm"), ("o1", "sp"), ("o1", "vm"),
+                       ("o2", "sp"), ("o2", "vm")],
+    "VariableLatencyUnit-0": [],
+    "_SourceBase-0": [],
+    "Sink-0": [],
+    "KillerSink-0": [],
+    "NondetSource-0": [],
+    "NondetChoiceSource-0": [],
+    "PermissionSource-0": [],
+    "NondetSink-0": [],
+    "AbstractElasticFifo-0": [],
+}
 
-    def comb_tasks(self):
-        return [([pair for pair in reads if pair != ("i0", "data")], writes)
-                for reads, writes in super().comb_tasks()]
+
+def test_pinned_reads_cover_every_case():
+    assert sorted(PINNED_READS) == sorted(case.id for case in CASES)
 
 
-def _drops_data_read_net():
-    net = Netlist("drops")
-    net.add(ListSource("a", list(range(40)), rate=0.7, seed=1))
-    net.add(ListSource("b", list(range(100, 140)), rate=0.6, seed=2))
-    net.add(DropsDataRead("F", fn=lambda x, y: x + y, n_inputs=2))
-    net.add(ElasticBuffer("eb"))
-    net.add(Sink("snk", stall_rate=0.3, seed=3))
-    net.connect("a.o", "F.i0", name="ca")
-    net.connect("b.o", "F.i1", name="cb")
-    net.connect("F.o", "eb.i", name="cf")
-    net.connect("eb.o", "snk.i", name="co")
-    return net
+@pytest.mark.parametrize("cls,make", CASES)
+def test_comb_reads_pinned(request, cls, make):
+    """The derivation neither widens nor narrows any wake-up set."""
+    case = request.node.callspec.id
+    assert sorted(make().comb_reads()) == PINNED_READS[case]
 
 
 class TestTrustRule:
-    def test_overriding_only_comb_tasks_is_deferred(self):
-        """The subclass keeps Func's comb, which reads more than its tasks
-        declare: it runs interpreted, on the reads it declares."""
-        plan = pysim._build_plan(_drops_data_read_net())
-        assert [plan.nodes[ni].name for ni in plan.deferred] == ["F"]
-        assert_codegen_identical(_drops_data_read_net, cycles=200)
+    def test_comb_tasks_cannot_be_overridden(self):
+        with pytest.raises(TypeError, match="comb_tasks.*derived from comb"):
+            type("Narrowed", (Func,), {"comb_tasks": lambda self: []})
 
     def test_inherited_comb_tasks_is_trusted(self):
-        """A comb renders against the tasks its class inherits."""
+        """Every kind inherits the derived accessor, which reads the
+        kind's own comb: a subclass overriding comb gets its own tasks."""
         assert "comb_tasks" not in NondetChoiceSource.__dict__
         assert _rendered(NondetChoiceSource("n")) is not None
+        plain, peeking = Func("n", fn=_ident), PeekingFunc("n", fn=_ident)
+        assert ("o", "vm") not in plain.comb_reads()
+        assert ("o", "vm") in peeking.comb_reads()
+        assert (("i0", "vp"), ("o", "vm")) in [
+            reads for reads, _writes in peeking.comb_tasks()]
 
     def test_comb_reads_cannot_be_overridden(self):
-        with pytest.raises(TypeError, match="comb_tasks"):
+        with pytest.raises(TypeError, match="comb_reads.*derived from comb"):
             type("Narrowed", (Node,), {"comb_reads": lambda self: []})
+
+    def test_comb_outside_the_subset_reads_conservatively(self):
+        """A comb that does not render keeps one task reading every signal
+        the opposite endpoints drive."""
+        class SuperSink(Sink):
+            def comb(self):
+                super().comb()
+
+        node = SuperSink("n")
+        assert _rendered(node) is None
+        drives = tuple(node.drives())
+        assert node.comb_tasks() == ((node.comb_reads(), drives),)
+        assert set(node.comb_reads()) == _opposite(node)
+
+
+def test_cold_elaboration_renders_each_comb_once(monkeypatch):
+    """A cold elaboration renders each kind's comb once per shape: the
+    derivation of its tasks and reads (the topology signature, the
+    worklist sensitivity) and the compiled slices share that pass."""
+    rendered = []
+
+    class Counting(inline._Inline):
+        def __init__(self, cls, method, *args):
+            rendered.append((cls, method, *args))
+            super().__init__(cls, method, *args)
+
+    monkeypatch.setattr(inline, "_Inline", Counting)
+    inline.template.cache_clear()
+    pysim.clear_module_cache()
+    try:
+        for name in ("fig1d", "fig6b"):
+            for entry in pysim.ENTRIES:
+                net = DESIGNS[name]()
+                pysim.generated_source(net, entry=entry)
+                Simulator(net, engine="worklist").run(5)
+                Simulator(net, engine="codegen").run(5)
+        combs = [key for key in rendered if key[1] == "comb"]
+        assert combs and len(combs) == len(set(combs))
+        assert {key[0] for key in combs} >= {Func, SharedModule,
+                                             EarlyEvalMux}
+    finally:
+        inline.template.cache_clear()
+        pysim.clear_module_cache()

@@ -1,15 +1,18 @@
 """Derived combinational code: the compiled engine renders each node's own
-``comb`` into the straight-line region, once per declared signal task.
+``comb`` into the straight-line region, once per signal task derived from
+it.
 
-:mod:`repro.backend.pysim` reads the method's source: ``self.drive(P, s,
-e)`` becomes an assignment to the channel local when the task writes
-``(P, s)``, the Kleene helpers become Python operators, and each task keeps
-only what its writes need.  A comb outside that subset defers its node,
-and the netlist runs the interpreted worklist cycle.  These tests pin both
-sides: no generated entry of the shipped designs calls a node's ``comb``,
-an in-subset user subclass compiles with nothing written for it, each
-refused idiom and a read outside the declared tasks defer, and every case
-equals the worklist engine under runs, steps and state expansion.
+:mod:`repro.sim.inline` reads the method's source: ``self.drive(P, s, e)``
+becomes an assignment to the channel local, the Kleene helpers become
+Python operators, and each task keeps only what its writes need; the
+tasks and the worklist engine's wake-up reads come from the same
+rendering.  A comb outside that subset defers its node, and the netlist
+runs the interpreted worklist cycle.  These tests pin both sides: no
+generated entry of the shipped designs calls a node's ``comb``, in-subset
+user subclasses compile with nothing written for them (one reading more
+than its base class, which nothing declares), each refused idiom defers,
+and every case equals the worklist engine under runs, steps and state
+expansion.
 """
 
 import ast
@@ -120,8 +123,8 @@ class ListedFunc(Func):
 
 
 class PeekingFunc(Func):
-    """In the subset, but its ``o.sm`` reads ``o.vm``, which none of
-    Func's declared tasks reads."""
+    """In the subset; its ``o.sm`` reads ``o.vm``, which Func's comb does
+    not read, so both engines must wake and schedule it on ``o.vm``."""
 
     kind = "case_peeking"
 
@@ -147,7 +150,7 @@ CASES = {
     "try": (lambda: _net(TryCombSink), False),
     "extra-parameter": (lambda: _net(ParameterCombSink), False),
     "state-in-list": (lambda: _func_case(ListedFunc), False),
-    "undeclared-read": (lambda: _func_case(PeekingFunc), False),
+    "undeclared-read": (lambda: _func_case(PeekingFunc), True),
 }
 
 

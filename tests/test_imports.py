@@ -77,6 +77,30 @@ def test_codegen_backend_loads_no_node_kind():
     assert [m for m in NODE_KIND_MODULES if m in loaded["repro"]] == []
 
 
+def test_method_renderer_loads_no_node_kind():
+    """The renderer both engines derive from (comb's sensitivity, the
+    compiled templates) reads node kinds' source: it names none."""
+    loaded = _fresh("import repro.sim.inline\n" + REPORT)
+    assert "repro.sim.inline" in loaded["repro"]
+    assert [m for m in NODE_KIND_MODULES if m in loaded["repro"]] == []
+    assert "repro.backend.pysim" not in loaded["repro"]
+
+
+def test_serial_worklist_sweep_loads_no_codegen_backend():
+    """The worklist engine derives wake-up sets from the renderer alone:
+    a worklist sweep never imports the compiled engine."""
+    code = (
+        "from repro.perf.presets import PRESET_SWEEPS\n"
+        "from repro.perf.sweep import run_sweep\n"
+        "spec = PRESET_SWEEPS['fig6']()\n"
+        "spec.cycles, spec.warmup = 40, 5\n"
+        "assert run_sweep(spec, n_workers=1, engine='worklist').rows\n"
+        + REPORT)
+    loaded = _fresh(code)
+    assert "repro.sim.inline" in loaded["repro"]
+    assert "repro.backend.pysim" not in loaded["repro"]
+
+
 def test_client_loads_no_simulation_asyncio_or_multiprocessing():
     loaded = _fresh("import repro.serve.client\n" + REPORT)
     assert _within(loaded["repro"], SIMULATION_LAYERS) == []

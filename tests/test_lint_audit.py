@@ -2,12 +2,12 @@
 
 The worklist scheduler and its seed order — which a codegen simulator
 also runs on a netlist it cannot compile — trust each node's
-``comb_tasks()`` declarations and port-role drives without ever checking
-them.  The auditor
-executes ``comb()`` against recording channel proxies under fuzzed channel
-states; these tests pin **declared == observed** for every built-in node
-kind (so drift becomes a test failure, not a silent missed wakeup) and
-prove a deliberately mis-declared node is caught."""
+sensitivity, derived from its own ``comb`` (``comb_reads()``), and its
+port-role drives without ever checking them.  The auditor executes
+``comb()`` against recording channel proxies under fuzzed channel states;
+these tests pin **derived == observed** for every built-in node kind (so
+a derivation bug becomes a test failure, not a silent missed wakeup) and
+prove a seeded derivation bug is caught."""
 
 import pytest
 
@@ -30,6 +30,7 @@ from repro.elastic import (
 from repro.elastic.environment import NondetChoiceSource, PermissionSource
 from repro.lint import audit_netlist, audit_node, run_lint
 from repro.netlist import Netlist, patterns
+from repro.sim import inline
 
 
 def _ident(v):
@@ -67,21 +68,21 @@ class TestBuiltinKinds:
         factory, states = BUILTIN_NODES[tag]
         audit = audit_node(factory(), states=states)
         assert audit.undeclared_reads == frozenset(), (
-            f"{tag}: comb() reads beyond its comb_tasks() reads: "
+            f"{tag}: comb() reads beyond its derived reads: "
             f"{sorted(audit.undeclared_reads)}")
         assert audit.undeclared_writes == frozenset(), (
             f"{tag}: comb() writes outside its port roles: "
             f"{sorted(audit.undeclared_writes)}")
-        # the fuzz schedule must also *reach* every declared read, or the
-        # declaration could rot into an over-approximation unnoticed
+        # the fuzz schedule must also *reach* every derived read, or the
+        # derivation could drift into an over-approximation unnoticed
         assert audit.observed_reads == audit.declared_reads, (
-            f"{tag}: declared reads never observed: "
+            f"{tag}: derived reads never observed: "
             f"{sorted(audit.declared_reads - audit.observed_reads)}")
 
     def test_shared_module_covers_both_predictions(self):
         # The shared module reads o<j>.sp only for the currently predicted
         # channel, so one schedule covers one prediction; the union over
-        # both static favourites must equal the declaration.
+        # both static favourites must equal the derived reads.
         audits = [
             audit_node(SharedModule(
                 "n", fn=_ident,
@@ -127,15 +128,30 @@ class TestWholeNetlistAudit:
         assert net.snapshot() == snap
 
 
-# -- deliberate mis-declarations are caught ------------------------------------
+# -- a seeded derivation bug and a wrong-role drive are caught -----------------
 
 
 class UnderDeclaredReads(Func):
-    """Declares one data read fewer than comb() performs."""
+    """A function block whose derived reads lose ``("i0", "data")`` to the
+    derivation bug :func:`underived` seeds."""
 
-    def comb_tasks(self):
-        return [([pair for pair in reads if pair != ("i0", "data")], writes)
-                for reads, writes in super().comb_tasks()]
+
+@pytest.fixture
+def underived(monkeypatch):
+    """Seed a derivation bug: the tasks and reads derived for an
+    :class:`UnderDeclaredReads` drop ``("i0", "data")``."""
+    derived = inline.comb_sensitivity
+
+    def buggy(node):
+        tasks, reads = derived(node)
+        if isinstance(node, UnderDeclaredReads):
+            def keep(pairs):
+                return tuple(p for p in pairs if p != ("i0", "data"))
+            tasks = tuple((keep(r), w) for r, w in tasks)
+            reads = keep(reads)
+        return tasks, reads
+
+    monkeypatch.setattr(inline, "comb_sensitivity", buggy)
 
 
 class UndeclaredWrite(Func):
@@ -157,8 +173,9 @@ def _one_func_net(cls):
 
 
 class TestMisdeclarationsCaught:
-    def test_undeclared_read_flagged_e110(self):
+    def test_undeclared_read_flagged_e110(self, underived):
         net = _one_func_net(UnderDeclaredReads)
+        assert ("i0", "data") not in net.nodes["F"].comb_reads()
         [audit] = [a for a in audit_netlist(net) if a.node == "F"]
         assert ("i0", "data") in audit.undeclared_reads
         report = run_lint(net, rules="all")
@@ -171,7 +188,7 @@ class TestMisdeclarationsCaught:
         [diag] = [d for d in report.errors if d.code == "E111"]
         assert diag.node == "F" and "o.sp" in diag.message
 
-    def test_sensitivity_rule_is_opt_in(self):
-        # the mis-declaration is invisible to the static default set
+    def test_sensitivity_rule_is_opt_in(self, underived):
+        # the derivation bug is invisible to the static default set
         report = run_lint(_one_func_net(UnderDeclaredReads))
         assert not any(d.code in ("E110", "E111") for d in report.diagnostics)
