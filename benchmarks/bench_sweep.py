@@ -135,7 +135,7 @@ def test_sweep_lane_batching():
     cycles-throughput."""
     spec = fig6_lane_spec(cycles=LANE_CYCLES, warmup=LANE_WARMUP)
     total_cycles = LANES * (LANE_CYCLES + LANE_WARMUP)
-    serial_runs, batch_runs, speedups = [], [], []
+    worklist_runs, codegen_runs, speedups = [], [], []
 
     def serial_run():
         return run_sweep(spec, n_workers=1, engine="worklist")
@@ -155,14 +155,14 @@ def test_sweep_lane_batching():
         # with the worklist engine in everything but the recorded engine.
         for scalar_row, batched_row in zip(serial.rows, batched.rows):
             assert dict(scalar_row, engine="codegen") == batched_row
-        serial_runs.append(serial.elapsed_seconds)
-        batch_runs.append(batched.elapsed_seconds)
+        worklist_runs.append(serial.elapsed_seconds)
+        codegen_runs.append(batched.elapsed_seconds)
         speedups.append(serial.elapsed_seconds / batched.elapsed_seconds)
     q1, speedup, q3 = statistics.quantiles(speedups, n=4, method="inclusive")
-    serial_wall = statistics.median(serial_runs)
-    batch_wall = statistics.median(batch_runs)
-    serial_rate = total_cycles / serial_wall
-    batch_rate = total_cycles / batch_wall
+    worklist_wall = statistics.median(worklist_runs)
+    codegen_wall = statistics.median(codegen_runs)
+    worklist_rate = total_cycles / worklist_wall
+    codegen_rate = total_cycles / codegen_wall
     _merge_bench_json({
         "lane_batching": {
             "grid": spec.name,
@@ -171,17 +171,17 @@ def test_sweep_lane_batching():
             "engine": batched.engine,
             "cycles_per_config": LANE_CYCLES + LANE_WARMUP,
             "wall_seconds": {
-                "serial_scalar": serial_wall,
-                "batch_8_lanes": batch_wall,
+                "worklist": worklist_wall,
+                "codegen": codegen_wall,
             },
             "cycles_per_second": {
-                "serial_scalar": serial_rate,
-                "batch_8_lanes": batch_rate,
+                "worklist": worklist_rate,
+                "codegen": codegen_rate,
             },
             "pairs": LANE_PAIRS,
             "wall_seconds_runs": {
-                "serial_scalar": serial_runs,
-                "batch_8_lanes": batch_runs,
+                "worklist": worklist_runs,
+                "codegen": codegen_runs,
             },
             "speedup": speedup,
             "speedup_q1": q1,
@@ -194,10 +194,10 @@ def test_sweep_lane_batching():
         f"fig6 single-topology slice: {LANES} configurations x "
         f"{LANE_CYCLES + LANE_WARMUP} cycles, one process, median of "
         f"{LANE_PAIRS} alternating pairs\n"
-        f"  serial worklist:   {serial_wall:6.2f}s "
-        f"({serial_rate:9.0f} cycles/s)\n"
-        f"  lanes=8 ({batched.engine}): {batch_wall:6.2f}s "
-        f"({batch_rate:9.0f} cycles/s)\n"
+        f"  serial worklist:   {worklist_wall:6.2f}s "
+        f"({worklist_rate:9.0f} cycles/s)\n"
+        f"  lanes=8 ({batched.engine}): {codegen_wall:6.2f}s "
+        f"({codegen_rate:9.0f} cycles/s)\n"
         f"  speedup: {speedup:.2f}x (quartiles {q1:.2f}x-{q3:.2f}x)\n"
         f"  results identical to worklist: True",
     )

@@ -11,7 +11,8 @@ in which
 * every node's ``comb`` becomes **straight-line code** — the node's own
   method, rendered once per signal task derived from it
   (:meth:`~repro.elastic.node.Node.comb_tasks`) and evaluated exactly
-  once per cycle, in dependency order;
+  once per cycle, in dependency order (a computation of locals that two
+  of a node's tasks share runs once, in the first of them);
 * channel signals live in **flat local variables**
   (``v3``/``p3``/``a3``/``m3``/``d3`` for ``vp``/``sp``/``vm``/``sm``/
   ``data`` of channel slot 3) instead of ``ChannelState`` objects;
@@ -528,8 +529,9 @@ def _generate_source(netlist, check_protocol, content_hash, entry):
 
     Both entries loop the same cycle body: pre-cycle hooks, the
     per-cycle locals heading the nodes' combs (:meth:`_Gen.per_cycle`), the
-    straight-line region in scheduled signal-task order, the screen and
-    the ticks, with channel signals in locals that reach the
+    straight-line region in scheduled signal-task order (a computation
+    two tasks of one node share placed in the first of them), the screen
+    and the ticks, with channel signals in locals that reach the
     ``ChannelState`` objects only at a flush."""
     plan = _build_plan(netlist)
     nodes, channels = plan.nodes, plan.channels
@@ -558,11 +560,15 @@ def _generate_source(netlist, check_protocol, content_hash, entry):
             g.per_cycle(*(_filled(g, ni, nodes[ni], "comb", comb, text)
                           for text in (name, expr)))
     region = _chunk_chain([g.csig(ci, "data") for ci in chans], "None")
-    for ni, reads, writes, text in plan.task_order:
+    computed = set()      # (node, key) of the shared chunks placed
+    for ni, reads, writes, chunks in plan.task_order:
         node = nodes[ni]
         region.append(f"# {node.name} ({node.kind})")
-        region += _filled(g, ni, node, "comb", plan.combs[ni],
-                          text).splitlines()
+        for key, text in chunks:
+            if key is None or (ni, key) not in computed:
+                computed.add((ni, key))
+                region += _filled(g, ni, node, "comb", plan.combs[ni],
+                                  text).splitlines()
         g.cover(node, [(p, s) for p, s in writes if s != "data"])
     if any("_udiag(" in line for line in region):
         g.bind["_udiag"] = 'env["diagnose_unknown"]'

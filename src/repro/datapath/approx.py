@@ -51,20 +51,30 @@ def approx_add_functional(a, b, width, window):
     ``window`` steps (no more than ``width``, after which it is exact)."""
     check_window(window)
     mask = _mask(width)
-    a &= mask
-    b &= mask
+    return window_sum(a & mask, b & mask, mask, min(window, width))
+
+
+def window_sum(a, b, mask, steps):
+    """:func:`approx_add_functional` of operands already masked to
+    ``mask``, ``steps`` carry steps, the window not checked."""
     p = a ^ b
     g = a & b
     carry = 0
-    for _ in range(min(window, width)):
+    for _ in range(steps):
         carry = ((g | (p & carry)) << 1) & mask
-    return (p ^ carry) & mask
+    return p ^ carry
 
 
 def approx_error_functional(a, b, width, window):
     """Conservative error flag: any ``window`` consecutive propagates."""
     check_window(window)
-    p = (a ^ b) & _mask(width)
+    return window_run(a ^ b, _mask(width), window)
+
+
+def window_run(p, mask, window):
+    """:func:`approx_error_functional` of the propagates ``p``, the window
+    not checked."""
+    p &= mask
     run = p
     for shift in range(1, window):
         if not run:

@@ -34,6 +34,15 @@ single-bit codewords (:data:`_TABLES`, on a code's first use):
   ``data_bits``), gives the status and the data bit to flip: correction is
   one lookup.  A syndrome that addresses a check bit, or a position past
   the body, flips no data bit.
+
+A fold is one expression: the 8 encode and 9 decode lanes of the paper's
+Hamming(72,64) each have a fold that unpacks the tables and the word's
+bytes into locals and XORs the entries, with a loop over the lanes for
+other lane counts (:func:`_folder`).  The compiled cycle of Figure 7
+calls only paths that build no result object: :meth:`Secded.correct`
+(the corrected data alone, the ``correct`` block), ``decode_raw`` and
+``detect``; :meth:`Secded.decode` adds the status in a
+:class:`DecodeResult`.
 """
 
 from __future__ import annotations
@@ -66,22 +75,46 @@ _TABLES = {}
 
 
 class _Lanes(NamedTuple):
-    """One width's tables, and the masks that fit a word to its lanes."""
+    """One width's tables and their folds (:func:`_folder`), the data
+    flips of the fix table by index, and the masks that fit a word to its
+    lanes."""
 
     encode: tuple
     decode: tuple
     fix: tuple
+    flip: tuple
     data_mask: int
     code_mask: int
+    fold_encode: object
+    fold_decode: object
 
 
-def _fold(lanes, word):
-    """XOR of each byte lane's entry for its byte of ``word``: the image
-    of ``word`` under the linear map the lanes tabulate."""
-    acc = 0
-    for table, byte in zip(lanes, word.to_bytes(len(lanes), "little")):
-        acc ^= table[byte]
-    return acc
+def _folder(lanes):
+    """``fold(word)``: the XOR of each byte lane's entry for its byte of
+    ``word``, the image of ``word`` under the linear map ``lanes``
+    tabulate (``word`` fits the lanes)."""
+    n = len(lanes)
+    if n == 9:
+        t0, t1, t2, t3, t4, t5, t6, t7, t8 = lanes
+
+        def fold(word):
+            b0, b1, b2, b3, b4, b5, b6, b7, b8 = word.to_bytes(9, "little")
+            return (t0[b0] ^ t1[b1] ^ t2[b2] ^ t3[b3] ^ t4[b4] ^ t5[b5]
+                    ^ t6[b6] ^ t7[b7] ^ t8[b8])
+    elif n == 8:
+        t0, t1, t2, t3, t4, t5, t6, t7 = lanes
+
+        def fold(word):
+            b0, b1, b2, b3, b4, b5, b6, b7 = word.to_bytes(8, "little")
+            return (t0[b0] ^ t1[b1] ^ t2[b2] ^ t3[b3] ^ t4[b4] ^ t5[b5]
+                    ^ t6[b6] ^ t7[b7])
+    else:
+        def fold(word):
+            acc = 0
+            for table, byte in zip(lanes, word.to_bytes(n, "little")):
+                acc ^= table[byte]
+            return acc
+    return fold
 
 
 def _byte_lanes(columns):
@@ -129,8 +162,11 @@ def _build_lanes(code):
             fix.append((0 if flip is None else 1 << flip, CORRECTED))
         else:
             fix.append((0, DOUBLE))
-    return _Lanes(_byte_lanes(encode), _byte_lanes(decode), tuple(fix),
-                  (1 << data_bits) - 1, (1 << code.code_bits) - 1)
+    encode, decode = _byte_lanes(encode), _byte_lanes(decode)
+    return _Lanes(encode, decode, tuple(fix),
+                  tuple(flip for flip, _status in fix),
+                  (1 << data_bits) - 1, (1 << code.code_bits) - 1,
+                  _folder(encode), _folder(decode))
 
 
 class Secded:
@@ -166,7 +202,7 @@ class Secded:
         """64-bit data -> 72-bit codeword (low bits = positions 1..71,
         top bit = overall parity): the XOR of the data bytes' codewords."""
         lanes = self._lanes
-        return _fold(lanes.encode, data & lanes.data_mask)
+        return lanes.fold_encode(data & lanes.data_mask)
 
     def decode(self, code):
         """72-bit codeword -> :class:`DecodeResult` (corrected data + status).
@@ -175,16 +211,24 @@ class Secded:
         table gives the status and the data bit to flip.  Bits above the
         codeword are ignored."""
         lanes = self._lanes
-        packed = _fold(lanes.decode, code & lanes.code_mask)
+        packed = lanes.fold_decode(code & lanes.code_mask)
         flip, status = lanes.fix[packed >> self.data_bits]
         return DecodeResult((packed & lanes.data_mask) ^ flip, status)
+
+    def correct(self, code):
+        """The corrected data of :meth:`decode`, without its status: the
+        ``correct`` block of Figure 7 (a double error passes its raw data
+        through, as ``decode`` does)."""
+        lanes = self._lanes
+        packed = lanes.fold_decode(code & lanes.code_mask)
+        return (packed & lanes.data_mask) ^ lanes.flip[packed >> self.data_bits]
 
     def decode_raw(self, code):
         """Extract the data bits *without* correction (just drop the check
         bits) — the zero-delay path the speculative design of Figure 7(b)
         feeds straight into the adder."""
         lanes = self._lanes
-        return _fold(lanes.decode, code & lanes.code_mask) & lanes.data_mask
+        return lanes.fold_decode(code & lanes.code_mask) & lanes.data_mask
 
     def detect(self, code):
         """True when the syndrome or the overall parity is nonzero, that is
@@ -192,7 +236,7 @@ class Secded:
         :meth:`detector_gates`'s ``err``, the short path Figure 7(b) puts
         on the select channel."""
         lanes = self._lanes
-        return _fold(lanes.decode, code & lanes.code_mask) >> self.data_bits != 0
+        return lanes.fold_decode(code & lanes.code_mask) >> self.data_bits != 0
 
     def inject(self, code, *bit_positions):
         """Flip the given codeword bit indices (0-based) — fault injection."""

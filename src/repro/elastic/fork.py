@@ -49,7 +49,8 @@ class EagerFork(Node):
             # A branch whose copy is already served -- or doomed by a pending
             # kill -- offers nothing; it completes this cycle when done,
             # doomed, or transferring its copy.
-            vp_k = kand(ist.vp, not (served[k] or kills[k] > 0))
+            done = served[k] or kills[k] > 0
+            vp_k = kand(ist.vp, not done)
             self.drive(self.out_ports[k], "vp", vp_k)
             if ist.vp and ist.data is not None:
                 self.drive(self.out_ports[k], "data", ist.data)
@@ -57,8 +58,7 @@ class EagerFork(Node):
             # else absorb into the branch counter while there is room.
             self.drive(self.out_ports[k], "sm",
                        kite(vp_k, False, kills[k] >= self.max_kills))
-            all_ok = kand(all_ok, kor(served[k] or kills[k] > 0,
-                                      knot(self.st(self.out_ports[k]).sp)))
+            all_ok = kand(all_ok, kor(done, knot(self.st(self.out_ports[k]).sp)))
         # The token leaves once every branch completes.
         self.drive("i", "sp", knot(kand(ist.vp, all_ok)))
         self.drive("i", "vm", False)

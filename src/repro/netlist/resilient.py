@@ -116,7 +116,7 @@ def _strip(code):
 def _correct(code):
     def fn(tok):
         a, b = tok
-        return (code.decode(a).data, code.decode(b).data)
+        return (code.correct(a), code.correct(b))
 
     return fn
 
@@ -239,5 +239,5 @@ def reference_sums(code, n_ops, error_rate=0.0, seed=0):
     out = []
     for i in range(n_ops):
         a, b = gen(i)
-        out.append((code.decode(a).data + code.decode(b).data) & _MASK64)
+        out.append((code.correct(a) + code.correct(b)) & _MASK64)
     return out

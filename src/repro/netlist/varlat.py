@@ -50,6 +50,11 @@ _CMP_DELAY = 2.8
 _CMP_AREA = 8 * 2.2 + 3 * 1.3
 
 
+#: the ops a stream token draws from: arithmetic, else logic
+_ARITH_OPS = (ALU_OPS["add"], ALU_OPS["sub"])
+_LOGIC_OPS = tuple(ALU_OPS.values())[2:]
+
+
 def alu_op_stream(n_ops=None, seed=0, arith_fraction=0.7, width=8,
                   pure=False):
     """Deterministic random stream of ``(op, a, b)`` tuples.
@@ -62,13 +67,9 @@ def alu_op_stream(n_ops=None, seed=0, arith_fraction=0.7, width=8,
     warm-simulator measurement loop (``reuse_simulator=``) relies on for
     run-to-run reproducibility.
     """
-    ops = list(ALU_OPS.values())
-
     def draw(rng):
-        if rng.random() < arith_fraction:
-            op = rng.choice([ALU_OPS["add"], ALU_OPS["sub"]])
-        else:
-            op = rng.choice(ops[2:])
+        op = rng.choice(_ARITH_OPS if rng.random() < arith_fraction
+                        else _LOGIC_OPS)
         return (op, rng.getrandbits(width), rng.getrandbits(width))
 
     if pure:
@@ -124,7 +125,7 @@ def variable_latency_stalling(alu=None, tech=None, seed=0, arith_fraction=0.7,
     net.add(ElasticBuffer("eb_in", capacity=2))
     unit = VariableLatencyUnit(
         "vl",
-        fn=lambda tok: alu.exact(*tok).value,
+        fn=lambda tok: alu.exact_value(*tok),
         err_fn=lambda tok: alu.mispredicts(*tok),
         delay=blocks["exact_delay"],
         err_path_delay=blocks["err_delay"] + tech.vl_ctrl_delay,
@@ -165,9 +166,9 @@ def variable_latency_speculative(alu=None, tech=None, seed=0,
                                                 pure=pure_stream)))
     net.add(ElasticBuffer("eb_in", capacity=2))
     net.add(EagerFork("fork", n_outputs=3))
-    net.add(Func("Fapprox", lambda tok: alu.approx(*tok).value, n_inputs=1,
+    net.add(Func("Fapprox", lambda tok: alu.approx_value(*tok), n_inputs=1,
                  delay=blocks["approx_delay"], area_cost=blocks["approx_area"]))
-    net.add(Func("Fexact", lambda tok: alu.exact(*tok).value, n_inputs=1,
+    net.add(Func("Fexact", lambda tok: alu.exact_value(*tok), n_inputs=1,
                  delay=blocks["exact_delay"], area_cost=blocks["exact_area"]))
     net.add(ElasticBuffer("recovery_eb", capacity=2))
     net.add(Func("Ferr", lambda tok: int(alu.mispredicts(*tok)), n_inputs=1,
@@ -199,4 +200,4 @@ def variable_latency_speculative(alu=None, tech=None, seed=0,
 def reference_output_stream(alu, n_ops, seed=0, arith_fraction=0.7):
     """Golden model: exact pipeline results for the first ``n_ops`` tokens."""
     gen = alu_op_stream(seed=seed, arith_fraction=arith_fraction)
-    return [_g_stage(alu.exact(*gen(i)).value) for i in range(n_ops)]
+    return [_g_stage(alu.exact_value(*gen(i))) for i in range(n_ops)]

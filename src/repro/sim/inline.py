@@ -15,6 +15,7 @@ one rendering.  This module names no node kind.
 from __future__ import annotations
 
 import ast
+import copy
 import inspect
 import re
 import textwrap
@@ -45,16 +46,21 @@ __all__ = ["PLACEHOLDER", "Template", "comb_sensitivity", "node_template"]
 # and e` is `x = e`.  Its leading assignments that read no channel, each
 # to a local assigned once, become per-cycle locals named _x_@, and a read
 # of a data drive before any assignment of it renders None (every data
-# local starts the cycle unknown).  Each drive is then sliced out: kept
+# local starts the cycle unknown); a local that more than one top-level
+# assignment, and nothing else, stores gets a name per assignment
+# (_x_, _x_1_, ...).  Each drive is then sliced out: kept
 # with the locals it reads, a raise where the locals it reports are live,
 # and a call or a store to node state always.  Its reads are the channel
 # reads of its slice; drives with equal reads form one task, and a port's
 # data drive joins the task of its vp.  A task's slice is refused when it
 # may leave a control write unassigned; a data read feeding a control
 # value must be assigned straight to a local, and is guarded there into
-# diagnose_unknown.  A branch assigning one name on both sides renders as
-# `x = a if c else b`.  In a template, `@` is the node and
-# `@<port>@<signal>` a channel local.
+# diagnose_unknown, after which `x is not None` renders True.  A branch
+# assigning one name on both sides renders as `x = a if c else b`.  A
+# top-level statement that only computes locals, calls nothing and renders
+# alike in two or more tasks is shared: its locals get the node's name and
+# the compiled cycle runs it in the first of those tasks scheduled.  In a
+# template, `@` is the node and `@<port>@<signal>` a channel local.
 # ---------------------------------------------------------------------------
 
 #: attributes through which a method reaches channels other than a folded
@@ -68,7 +74,8 @@ _SIMPLE = (ast.Assign, ast.AugAssign, ast.Expr, ast.Raise, ast.Assert,
 #: a template's placeholders (see above)
 PLACEHOLDER = re.compile(r"@(\w+)@(\w+)|@")
 
-#: a rendered method: its ``text`` (comb: one slice per task, None when one
+#: a rendered method: its ``text`` (comb: one slice per task, each a tuple
+#: of ``(key, text)`` chunks, a shared chunk's key not None; None when one
 #: is refused) and the module ``globals`` it binds; comb's per-cycle locals
 #: (``(name, expression)`` pairs), signal ``tasks`` and wake-up ``reads``
 Template = namedtuple("Template", "text globals head tasks reads",
@@ -351,9 +358,9 @@ class _Inline(ast.NodeTransformer):
         raise _Refused
 
     def _comb(self, body):
-        """comb's slices, one per derived task (None when one is refused;
-        see the comment above); sets :attr:`comb` to ``(head, tasks,
-        reads)``."""
+        """comb's slices, one per derived task, as :func:`_shared` chunks
+        (None when one is refused; see the comment above); sets
+        :attr:`comb` to ``(head, tasks, reads)``."""
         if any(isinstance(n, (ast.While, ast.Break, ast.Continue))
                for s in body for n in ast.walk(s)):
             raise _Refused
@@ -371,7 +378,7 @@ class _Inline(ast.NodeTransformer):
         for n in (n for s in head + body for n in ast.walk(s)):
             if isinstance(n, ast.Name) and n.id in hoisted:
                 n.id += "@"
-        body = _seeds_folded(body)
+        body = _versioned(_seeds_folded(body), locals_)
         in_ports, out_ports = self.port_lists.values()
         drives, opposite = role_pairs(in_ports, out_ports)
         order = {pair: k for k, pair in enumerate(
@@ -386,10 +393,11 @@ class _Inline(ast.NodeTransformer):
             tuple(sorted(_pairs(_reads(body, loads)) & set(opposite),
                          key=order.get)))
         try:
-            return tuple(_task_slice(body, locals_, loads, writes)
-                         for _reads, writes in tasks)
+            slices = [_task_slice(body, locals_, loads, writes)
+                      for _reads, writes in tasks]
         except _Refused:
             return None
+        return _shared(body, slices)
 
     def generic_visit(self, node):
         # a rewritten copy: the parsed trees are shared
@@ -585,10 +593,22 @@ def _assigned_name(body):
 def _finished(body, fed):
     """``body`` as rendered: each ``x = <data read in fed>`` followed by a
     guard that hands an unknown ``x`` to
-    :meth:`~repro.backend.pysim.CodegenBackend.diagnose_unknown`, and a
-    branch that assigns one name on both sides as ``x = a if c else b``."""
-    out = []
+    :meth:`~repro.backend.pysim.CodegenBackend.diagnose_unknown` (which
+    raises, so ``x is not None`` is True after it until ``x`` is assigned
+    again), and a branch that assigns one name on both sides as ``x = a
+    if c else b``."""
+    return [s for group in _finished_groups(body, fed) for s in group]
+
+
+def _finished_groups(body, fed):
+    """:func:`_finished`, one list per statement of ``body`` (the
+    statement and its guard, if any)."""
+    out, known = [], set()
     for s in body:
+        if known:
+            known -= _stores(s)
+        if known:
+            s = _NotNone(known).visit(copy.deepcopy(s))
         if isinstance(s, ast.If):
             then, other = _finished(s.body, fed), _finished(s.orelse, fed)
             name = _assigned_name(then)
@@ -596,17 +616,47 @@ def _finished(body, fed):
                 s.test, then[0].value, other[0].value), lineno=0)
                 if name is not None and name == _assigned_name(other)
                 else ast.If(s.test, then, other))
-        out.append(s)
+        out.append([s])
         if isinstance(s, ast.Assign) and getattr(s.value, "id", None) in fed:
-            out += ast.parse(f"if {s.targets[0].id} is None:\n"
-                             f"    _udiag(cycle, {s.value.id!r})").body
+            out[-1] += ast.parse(f"if {s.targets[0].id} is None:\n"
+                                 f"    _udiag(cycle, {s.value.id!r})").body
+            known.add(s.targets[0].id)
     return out
 
 
+def _is_const(e, value):
+    return isinstance(e, ast.Constant) and e.value is value
+
+
+class _NotNone(ast.NodeTransformer):
+    """``x is not None`` as True for the names ``known`` not to be None,
+    and a True operand but the last left out of an ``and`` (which gives
+    the same value)."""
+
+    def __init__(self, known):
+        self.known = known
+
+    def visit_Compare(self, n):
+        n = self.generic_visit(n)
+        if (isinstance(n.left, ast.Name) and n.left.id in self.known
+                and len(n.ops) == 1 and isinstance(n.ops[0], ast.IsNot)
+                and _is_const(n.comparators[0], None)):
+            return ast.Constant(True)
+        return n
+
+    def visit_BoolOp(self, n):
+        n = self.generic_visit(n)
+        if isinstance(n.op, ast.And):
+            *init, last = n.values
+            n.values = [v for v in init if not _is_const(v, True)] + [last]
+        return n if len(n.values) > 1 else n.values[0]
+
+
 def _task_slice(body, locals_, loads, writes):
-    """The text of comb's task writing ``writes``: comb's rendered
-    ``body`` sliced to it, its control-feeding data reads guarded;
-    refused when it may leave a control write unassigned."""
+    """comb's task writing ``writes``: comb's rendered ``body`` sliced to
+    it, its control-feeding data reads guarded, as one list of statements
+    per top-level statement kept; refused when it may leave a control
+    write unassigned."""
     writes = {"@%s@%s" % pair for pair in writes}
     controls = {w for w in writes if not w.endswith("@data")}
     stmts = _sliced(body, writes, locals_, loads)[0]
@@ -622,4 +672,122 @@ def _task_slice(body, locals_, loads, writes):
             or len(direct) != sum(name in fed for s in stmts
                                   for name in _loads(s))):
         raise _Refused
-    return ast.unparse(ast.Module(_finished(stmts, fed), []))
+    return _finished_groups(stmts, fed)
+
+
+def _stores(tree):
+    """The names ``tree`` assigns."""
+    return {n.id for n in ast.walk(tree)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
+
+
+def _versioned(body, locals_):
+    """``body`` with each local that only top-level assignments store, and
+    more than one does, renamed per assignment (``_x_``, ``_x_1_``, ...)
+    and its reads renamed to the assignment they see: every top-level
+    assignment of such a local then names a value of its own."""
+    stores, top = {}, {}
+    for s in body:
+        for name in _stores(s):
+            stores[name] = stores.get(name, 0) + 1
+        name = _assigned_name([s])
+        if name is not None:
+            top[name] = top.get(name, 0) + 1
+    renamed = {x for x, count in top.items() if count > 1 and stores[x] == count
+               and x in locals_ and not any(f"{x}{k}_" in locals_
+                                            for k in range(1, count))}
+    seen, current = {}, {}
+    for s in body:
+        for n in ast.walk(s):
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load) \
+                    and n.id in current:
+                n.id = current[n.id]
+        name = _assigned_name([s])
+        if name in renamed:
+            k = seen[name] = seen.get(name, -1) + 1
+            current[name] = s.targets[0].id = f"{name}{k}_" if k else name
+    return body
+
+
+#: builtins a computation shared between tasks may call (the mux's range
+#: check calls isinstance)
+_PURE_CALLS = frozenset({"isinstance"})
+
+
+def _outside_raise(tree):
+    """The nodes of ``tree`` that no ``raise`` statement contains."""
+    todo = [tree]
+    while todo:
+        n = todo.pop()
+        if not isinstance(n, ast.Raise):
+            yield n
+            todo.extend(ast.iter_child_nodes(n))
+
+
+def _computes(s):
+    """Whether top-level statement ``s`` only computes method locals: it
+    stores no channel local, attribute or item, reads no attribute and
+    calls nothing but :data:`_PURE_CALLS`, except in a ``raise``."""
+    return all(
+        not (isinstance(n, (ast.Attribute, ast.Subscript))
+             and isinstance(n.ctx, ast.Store))
+        and not (isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)
+                 and n.id[:1] == "@")
+        and not (isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load))
+        and not (isinstance(n, ast.Call) and getattr(
+            n.func, "id", None) not in _PURE_CALLS)
+        for n in _outside_raise(s))
+
+
+def _shared(body, slices):
+    """The task ``slices`` as ``((key, text), ...)`` chunks per task.
+
+    A top-level statement of ``body`` that only computes locals
+    (:func:`_computes`), is the only one storing them, reads no local
+    computed otherwise and renders alike in two or more tasks is *shared*:
+    its locals get the node's name (``_x_@``) and its chunk carries its
+    index as ``key``, so the cycle runs it in the first of those tasks
+    scheduled.  Every value it reads is then settled before that task: a
+    channel local is one of its reads, and a local is shared too.  Other
+    statements form chunks of key None."""
+    stores = [_stores(s) for s in body]
+    owner = {}                # local -> index of the one statement storing it
+    for k, names in enumerate(stores):
+        for name in names:
+            owner[name] = None if name in owner else k
+    texts = {}                # index -> its chunk's texts, one per task
+    keyed = []                # per task: [(index or None, statements)]
+    for stmts in slices:
+        chunks = []
+        for chunk in stmts:
+            stored = {owner.get(name) for name in _stores(chunk[0])}
+            k = stored.pop() if len(stored) == 1 else None
+            chunks.append((k, chunk))
+            if k is not None:
+                texts.setdefault(k, []).append(
+                    ast.unparse(ast.Module(chunk, [])))
+        keyed.append(chunks)
+    shared, names = set(), set()
+    for k, (s, own) in enumerate(zip(body, stores)):
+        if (len(texts.get(k, ())) > 1 and len(set(texts[k])) == 1
+                and _computes(s) and all(
+                    name in names or name in own
+                    for name in set(_loads(s)) & set(owner))
+                and all(owner[name] == k for name in own)):
+            shared.add(k)
+            names |= own
+    out = []
+    for chunks in keyed:
+        task = []
+        for k, chunk in chunks:
+            for n in (n for s in chunk for n in ast.walk(s)):
+                if isinstance(n, ast.Name) and n.id in names:
+                    n.id += "@"
+            key = k if k in shared else None
+            text = ast.unparse(ast.Module(chunk, []))
+            if task and key is None and task[-1][0] is None:
+                task[-1] = (None, task[-1][1] + "\n" + text)
+            else:
+                task.append((key, text))
+        out.append(tuple(task))
+    return tuple(out)

@@ -20,7 +20,13 @@ from repro.verif.encoding import productive
 
 
 def find_deadlocks(result):
-    """Deadlocked state indices of an :class:`ExplorationResult`."""
+    """Deadlocked state indices of an :class:`ExplorationResult`; ``[]``
+    for an incomplete one.  A capped exploration leaves frontier states
+    whose successors were never expanded, so from its graph no state can
+    be shown deadlocked: it has no deadlock verdict either way, which
+    callers read from ``result.complete``."""
+    if not result.complete:
+        return []
     # Seed: sources of productive transitions (the movement happens when
     # leaving the state, so the *source* state is alive).
     moved = [signals is not None and productive(signals)
@@ -42,7 +48,10 @@ def find_deadlocks(result):
 
 
 def assert_deadlock_free(result):
-    """Raise AssertionError with a state dump if any deadlock exists."""
+    """Raise AssertionError with a state dump if any deadlock exists, or
+    if the exploration is incomplete (no verdict)."""
+    if not result.complete:
+        raise AssertionError("incomplete exploration: no deadlock verdict")
     dead = find_deadlocks(result)
     if dead:
         raise AssertionError(

@@ -12,9 +12,11 @@ PR 9 satellites: up-front unknown-engine rejection and the stale-code
 safety guards around the compiled-module cache.
 """
 
+import ast
 import hashlib
 import random
 import re
+import textwrap
 
 import pytest
 
@@ -709,23 +711,27 @@ class TestNothingDeferred:
 #: and again when the tasks came to be derived from that rendering (the
 #: topology signature holds the derived reads; a data task no longer tests
 #: its own unwritten data; a shared module's tick reads the prediction
-#: local)
+#: local), and again when a computation two tasks of one node share came
+#: to run once under a node-named local (with a name per assignment of a
+#: local assigned at several top-level statements, and the guarded mux
+#: select no longer re-tested; the designs without a mux, fork or
+#: function block are unchanged)
 GENERATED_SOURCE_DIGESTS = {
-    "design:fig1a": ("e032cc79b7f690b9", "b43a80f75c557405",
-                     "8bfd661d9e365cd8"),
-    "design:fig1d": ("73b869fd9c930fb1", "954109a427e86a1a",
-                     "83c61218dac65c3e"),
-    "design:fig6b": ("1301a64d2edbb8ef", "07cc6a644b069431",
-                     "8287c694c8658f65"),
-    "design:fig7b": ("cf973ca72109b59d", "d9372ab8e1ee93b1",
-                     "3165c9ceff43362c"),
+    "design:fig1a": ("4cb7ed8247276f4f", "8b3e6400f85165d4",
+                     "47a264b78cb8c35a"),
+    "design:fig1d": ("8960f7bfeb81a7f6", "db791611b01e61fb",
+                     "6e4bbe28411cf068"),
+    "design:fig6b": ("0310ff5874df78d1", "cea20d083bd65ca9",
+                     "9c83f69e1ae3f908"),
+    "design:fig7b": ("cc75a68c0fbaeeaa", "ff82b72e7b4f5e7c",
+                     "f6cfc1dfba8139db"),
     "mc:eb": ("45b5c07d4c41ac00", "8ee7e4a47122d31f", "60c023f5aeb08c04"),
-    "mc:spec-nondet": ("129cfeb860936274", "cd5de12e4bbce0d7",
-                       "ac255aea9b533a05"),
-    "mc:spec-static": ("129cfeb860936274", "cd5de12e4bbce0d7",
-                       "ac255aea9b533a05"),
-    "mc:spec-toggle": ("129cfeb860936274", "cd5de12e4bbce0d7",
-                       "ac255aea9b533a05"),
+    "mc:spec-nondet": ("8dad5ce27d6dfad4", "2a6f43855660a04d",
+                       "5201a93c22abf66d"),
+    "mc:spec-static": ("8dad5ce27d6dfad4", "2a6f43855660a04d",
+                       "5201a93c22abf66d"),
+    "mc:spec-toggle": ("8dad5ce27d6dfad4", "2a6f43855660a04d",
+                       "5201a93c22abf66d"),
     "mc:zbl": ("fb04cf05f25595b3", "903d938a96635da1", "9bee996594c8b2c8"),
 }
 
@@ -1488,6 +1494,56 @@ class TestRetryMinusEverywhere:
                                max_states=300).explore()
         assert any(v.endswith("out: stalled anti-token withdrawn (Retry-)")
                    for v in result.violations)
+
+
+def _task_locals(source):
+    """node name -> {method local: number of the node's comb tasks that
+    assign it} over the straight-line region of ``source`` (the tasks
+    follow ``# <node> (<kind>)`` comments; the region ends at the
+    screen)."""
+    region = source.split(" _bad = (")[0]
+    tasks = []                                # (node, lines)
+    for line in region.splitlines():
+        match = re.fullmatch(r"\s*# (\S+) \(\w+\)", line)
+        if match:
+            tasks.append((match[1], []))
+        elif tasks:
+            tasks[-1][1].append(line)
+    counts = {}
+    for node, lines in tasks:
+        tree = ast.parse(textwrap.dedent("\n".join(lines)) or "pass")
+        for name in {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)
+                     and isinstance(n.ctx, ast.Store) and n.id[:1] == "_"}:
+            per_node = counts.setdefault(node, {})
+            per_node[name] = per_node.get(name, 0) + 1
+    return counts
+
+
+class TestSharedLocals:
+    """A computation two comb tasks of one node share runs once per
+    cycle, in the first of them scheduled: no method local is assigned by
+    two tasks of one node (a local the tasks share has the node's name, as
+    ``_sel__n8``)."""
+
+    @pytest.mark.parametrize("entry", ["run", "expand"])
+    @pytest.mark.parametrize("name", ["fig1d", "fig6b", "fig7b"])
+    def test_each_local_assigned_in_one_task(self, name, entry):
+        counts = _task_locals(pysim.generated_source(DESIGNS[name](),
+                                                     entry=entry))
+        assert sum(map(len, counts.values())) > 10
+        assert {node: {local: n for local, n in names.items() if n > 1}
+                for node, names in counts.items()} == {
+            node: {} for node in counts}
+
+    def test_mux_select_block_once(self):
+        """The early-evaluation mux's select block (its unknown-data guard,
+        range check and ready loop) runs in one of its two tasks, and its
+        range check no longer re-tests the guarded select."""
+        source = pysim.generated_source(DESIGNS["fig6b"]())
+        assert source.count("_udiag(cycle, 'd10')") == 1
+        assert source.count("_sel__n8 = d10") == 1
+        assert "_sel__n8 is not None" not in source
+        assert "_sel_ " not in source and "_sel_)" not in source
 
 
 #: generated_source() lengths (check_protocol=True) before compiled

@@ -109,11 +109,13 @@ class TestStructure:
     @pytest.mark.parametrize("cls,make", CASES)
     def test_task_count_is_a_multiple_of_the_emitters(self, cls, make):
         """The kind's comb renders one slice per derived task, at every
-        arity under test, each assigning the task's control writes."""
+        arity under test, each assigning the task's control writes (a
+        slice is a sequence of ``(key, text)`` chunks)."""
         node = make()
-        texts = _rendered(node).text
-        assert len(texts) == len(node.comb_tasks())
-        for text, (_reads, writes) in zip(texts, node.comb_tasks()):
+        slices = _rendered(node).text
+        assert len(slices) == len(node.comb_tasks())
+        for chunks, (_reads, writes) in zip(slices, node.comb_tasks()):
+            text = "\n".join(text for _key, text in chunks)
             for port, signal in writes:
                 if signal != "data":
                     assert f"@{port}@{signal} =" in text

@@ -122,6 +122,19 @@ class TestSecdedDifferential:
             assert _decoded(code, word) == _decoded(code, word & in_code)
             assert code.decode_raw(word) == reference_decode_raw(code, word)
 
+    def test_correct_is_the_decoded_data(self, code):
+        """``correct`` is ``decode``'s data without the status, at every
+        lane count: the unrolled folds (8 and 9 lanes) and the loop."""
+        rng = random.Random(code.data_bits + 4)
+        encoded = code.encode(rng.getrandbits(code.data_bits))
+        words = [rng.getrandbits(code.code_bits + 4) for _ in range(200)]
+        words += [code.inject(encoded, *bits) for bits in itertools.chain(
+            [()], itertools.combinations(range(code.code_bits), 1),
+            itertools.combinations(range(code.code_bits), 2))]
+        for word in words:
+            assert code.correct(word) == reference_decode(code, word)[0], \
+                hex(word)
+
     def test_syndromes_past_the_last_position(self):
         """In Hamming(72,64) positions run to 71, but a multi-bit error can
         address 72..127: the correction flips no data bit."""
@@ -270,6 +283,70 @@ class TestAluFlag:
     def test_bad_op(self):
         with pytest.raises(ValueError, match="bad ALU op"):
             Alu().mispredicts(7, 1, 2)
+
+
+class TestAluValues:
+    """``exact_value``/``approx_value`` return the ``.value`` of
+    ``exact``/``approx`` for every op, window and 8-bit operand pair: the
+    exact result, the carry-window sum, and for a subtract the carry-window
+    sum of ``a + ~b`` (no carry-in; see :class:`TestApproxSubtract`)."""
+
+    @pytest.mark.parametrize("window", range(1, 5))
+    def test_exhaustive_width_8(self, window):
+        alu = Alu(width=8, window=window)
+        exact = {ALU_OPS["add"]: lambda a, b: (a + b) & 0xFF,
+                 ALU_OPS["sub"]: lambda a, b: (a - b) & 0xFF,
+                 ALU_OPS["and"]: lambda a, b: a & b,
+                 ALU_OPS["or"]: lambda a, b: a | b,
+                 ALU_OPS["xor"]: lambda a, b: a ^ b}
+        approx = {**exact,
+                  ALU_OPS["add"]: lambda a, b: reference_approx_add(
+                      a, b, 8, window),
+                  ALU_OPS["sub"]: lambda a, b: reference_approx_add(
+                      a, ~b & 0xFF, 8, window)}
+        for op in ALU_OPS.values():
+            for a, b in itertools.product(range(256), repeat=2):
+                value = alu.exact_value(op, a, b)
+                assert value == exact[op](a, b) == \
+                    alu.exact(op, a, b).value, (op, a, b)
+                value = alu.approx_value(op, a, b)
+                assert value == approx[op](a, b) == \
+                    alu.approx(op, a, b).value, (op, a, b)
+
+    def test_operands_are_masked(self):
+        alu = Alu(width=8, window=3)
+        for op in ALU_OPS.values():
+            assert alu.exact_value(op, 0x1F0, -3) == \
+                alu.exact_value(op, 0xF0, 0xFD)
+            assert alu.approx_value(op, 0x1F0, -3) == \
+                alu.approx_value(op, 0xF0, 0xFD)
+
+    @pytest.mark.parametrize("method", ["exact_value", "approx_value",
+                                        "exact", "approx"])
+    def test_bad_op(self, method):
+        with pytest.raises(ValueError, match="bad ALU op"):
+            getattr(Alu(), method)(7, 1, 2)
+
+
+class TestApproxSubtract:
+    """The approximate subtract should be the carry-window sum of ``a +
+    ~b`` with the two's-complement carry-in, as the add is of ``a + b``:
+    then its value is right and its flag quiet on most operand pairs, as
+    the add's (58% quiet at width 8, window 3).  ``Alu`` drops the
+    carry-in, so every subtract mispredicts and replays; fixing it changes
+    fig6's throughputs and the sweep digests the benchmark records."""
+
+    @pytest.mark.xfail(strict=True, reason="Alu's approximate subtract has "
+                       "no carry-in: wrong on every operand pair")
+    def test_value_and_flag_as_good_as_the_add(self):
+        alu = Alu(width=8, window=3)
+        pairs = list(itertools.product(range(256), repeat=2))
+        for op in (ALU_OPS["add"], ALU_OPS["sub"]):
+            exact = sum(alu.approx_value(op, a, b) == alu.exact_value(op, a, b)
+                        for a, b in pairs)
+            quiet = sum(not alu.mispredicts(op, a, b) for a, b in pairs)
+            assert exact > len(pairs) // 2, op
+            assert quiet > len(pairs) // 2, op
 
 
 class TestWindowValidation:

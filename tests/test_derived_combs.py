@@ -142,6 +142,31 @@ class PeekingFunc(Func):
             self.drive("o", "data", self.fn(ist.data))
 
 
+class GatedFunc(Func):
+    """In the subset; its gate, which two of its tasks read, comes from a
+    call, so each of those tasks makes the call: only a computation that
+    calls nothing is shared between tasks."""
+
+    kind = "case_gated"
+
+    def _open(self, kills):
+        return kills == 0
+
+    def comb(self):
+        ist = self.st("i0")
+        ost = self.st("o")
+        self.drive("i0", "vm", self._kills[0] > 0)
+        gate = self._open(self._kills[0])
+        avail = kand(ist.vp, gate)
+        self.drive("o", "vp", avail)
+        fire = kand(avail, knot(ost.sp))
+        self.drive("i0", "sp", kite(self._kills[0] > 0, False, knot(fire)))
+        self.drive("o", "sm", kite(avail, False,
+                                   self._kills[0] >= self.max_kills))
+        if avail is True and ost.data is None and ist.data is not None:
+            self.drive("o", "data", self.fn(ist.data))
+
+
 #: case -> (netlist factory, whether it compiles); the case's node is
 #: the sink ``snk`` or the function block ``f``
 CASES = {
@@ -151,6 +176,7 @@ CASES = {
     "extra-parameter": (lambda: _net(ParameterCombSink), False),
     "state-in-list": (lambda: _func_case(ListedFunc), False),
     "undeclared-read": (lambda: _func_case(PeekingFunc), True),
+    "called-gate": (lambda: _func_case(GatedFunc), True),
 }
 
 
@@ -192,6 +218,17 @@ class TestTable:
                                    for cycle, _value in received[0])
         assert "_n2._cycle % 2 == 1" in pysim.generated_source(
             _net(ParitySink))
+
+
+def test_called_local_not_shared():
+    """A local that two tasks compute through a call is computed in
+    each (no node-named copy), and so is one read from it; Func's pure
+    ``all_avail`` is computed once."""
+    gated = pysim.generated_source(_func_case(GatedFunc))
+    assert gated.count("_gate_ = _n1._open(_n1._kills[0])") == 2
+    assert "__n1 = " not in gated.split("# f (")[1]
+    plain = pysim.generated_source(_func_case(Func))
+    assert plain.count("_all_avail__n1 = ") == 1
 
 
 def _same_name_sink(odd):

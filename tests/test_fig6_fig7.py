@@ -137,8 +137,8 @@ _BLOCKS = {const: maker.__name__ for maker in (_correct, _detect, _strip)
 
 
 class CountingSecded(Secded):
-    """Counts ``decode`` and ``detect`` calls by the fig7b block that
-    makes them (None outside the blocks)."""
+    """Counts ``decode``, ``correct`` and ``detect`` calls by the fig7b
+    block that makes them (None outside the blocks)."""
 
     calls = None
 
@@ -146,15 +146,51 @@ class CountingSecded(Secded):
         self.calls["decode", _BLOCKS.get(sys._getframe(1).f_code)] += 1
         return super().decode(code)
 
+    def correct(self, code):
+        self.calls["correct", _BLOCKS.get(sys._getframe(1).f_code)] += 1
+        return super().correct(code)
+
     def detect(self, code):
         self.calls["detect", _BLOCKS.get(sys._getframe(1).f_code)] += 1
         return super().detect(code)
 
 
+class TestNoResultObjects:
+    """The datapath calls of a sweep point's cycle build no result
+    object: a fig6b and a fig7b point run 300 cycles on either engine
+    without constructing an ``AluResult`` or a ``DecodeResult``."""
+
+    @pytest.mark.parametrize("engine", ["worklist", "codegen"])
+    @pytest.mark.parametrize("point", ["fig6b", "fig7b"])
+    def test_none_built(self, point, engine, monkeypatch):
+        from repro.datapath import alu as alu_module, secded
+        from repro.perf.presets import fig6_point, fig7_point
+
+        built = Counter()
+        for module, name in ((alu_module, "AluResult"),
+                             (secded, "DecodeResult")):
+            def counted(*args, cls=getattr(module, name), name=name):
+                built[name] += 1
+                return cls(*args)
+
+            monkeypatch.setattr(module, name, counted)
+        Alu().exact(0, 1, 2)                       # the counters count
+        Secded(64).decode(0)
+        assert built == {"AluResult": 1, "DecodeResult": 1}
+        built.clear()
+        net, names = (fig6_point("speculative", seed=3) if point == "fig6b"
+                      else fig7_point("fig7b", error_rate=0.2, seed=3))
+        sim = Simulator(net, engine=engine)
+        sim.run(300)
+        assert sim.stats.transfers[names["out"]] > 100
+        assert built == {}
+
+
 class TestFig7WorkCounts:
     """Work counted, not timed: fig7b's select channel runs the SECDED
-    detector only (Section 5.2), and only the ``correct`` block decodes,
-    once per operand of each token it consumes."""
+    detector only (Section 5.2), and only the ``correct`` block corrects,
+    once per operand of each token it consumes, without building a
+    ``DecodeResult`` (no ``decode`` call at all)."""
 
     @pytest.mark.parametrize("engine", ["worklist", "codegen"])
     def test_only_correct_decodes(self, engine, monkeypatch):
@@ -169,7 +205,7 @@ class TestFig7WorkCounts:
         sim.run(300)
         consumed = sim.stats.transfers["c_corr"]
         assert consumed > 200
-        correct, detect = ("decode", "_correct"), ("detect", "_detect")
+        correct, detect = ("correct", "_correct"), ("detect", "_detect")
         assert set(calls) == {correct, detect}
         assert calls[correct] == 2 * consumed
         assert calls[detect] >= consumed

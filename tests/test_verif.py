@@ -142,7 +142,22 @@ class TestDeadlockDetection:
         net.connect("never.o", "loop_eb.i", name="cn")
         net.validate()
         result = StateExplorer(net, max_states=2000).explore()
+        assert result.complete
         assert find_deadlocks(result)
+
+    def test_capped_exploration_has_no_verdict(self):
+        """The frontier of a capped graph has no successors recorded, so
+        the reachability argument would call it deadlocked: an incomplete
+        result yields no deadlocks, and ``assert_deadlock_free`` refuses
+        it."""
+        result = StateExplorer(eb_under_nondet(lambda: ElasticBuffer("eb")),
+                               max_states=8).explore()
+        assert not result.complete
+        expanded = {t.source for t in result.transitions}
+        assert len(expanded) < result.n_states       # a frontier exists
+        assert find_deadlocks(result) == []
+        with pytest.raises(AssertionError, match="incomplete"):
+            assert_deadlock_free(result)
 
 
 class _NeverSource(NondetSource):
