@@ -5,17 +5,36 @@ version-memoized :func:`repro.lint.cached_lint` saves in a transform loop.
 The static rule set has to stay cheap enough to run inside every
 transform's rollback scope (``Session(lint_after_transforms=True)``), so
 its per-design cost is recorded into the perf trajectory alongside the
-sweep and incremental numbers."""
+sweep and incremental numbers.  The audit executes every node's ``comb``
+dozens of times through a recording ``drive``, so it also tracks the
+interpreted comb path.
 
+Each design is linted ``REPEATS`` times with the static rules and with
+every rule (audit included), alternating which goes first, after one
+untimed run of each.  ``BENCH_lint.json`` keeps every run, the medians
+with their quartiles, and appends the medians, quartiles, source
+revision and environment to its ``history`` list.
+
+Run:  PYTHONPATH=src python -m pytest -q benchmarks/bench_lint.py
+"""
+
+import json
+import os
+import platform
+import statistics
+import subprocess
 import time
 
-from conftest import merge_json
+from conftest import RESULTS_DIR, merge_json
 
+import repro
 from repro.lint import cached_lint, run_lint
 from repro.netlist import patterns
 from repro.transform import Session
 
-REPEATS = 20
+REPEATS = 15         # alternating static/audit repeats per design
+#: the rule sets timed: the default static rules, and every rule
+RULES = {"static": None, "audit": "all"}
 
 
 def _designs():
@@ -27,33 +46,83 @@ def _designs():
     }
 
 
-def _time_lint(net, rules=None):
-    best = float("inf")
-    for _ in range(REPEATS):
-        start = time.perf_counter()
-        report = run_lint(net, rules=rules)
-        best = min(best, time.perf_counter() - start)
-        assert report.ok, report.format()
-    return best
+def _lint_seconds(net, rules):
+    start = time.perf_counter()
+    report = run_lint(net, rules=rules)
+    seconds = time.perf_counter() - start
+    assert report.ok, report.format()
+    return seconds
+
+
+def _runs(net):
+    """``REPEATS`` timings per rule set, alternating the first."""
+    for rules in RULES.values():
+        _lint_seconds(net, rules)
+    runs = {mode: [] for mode in RULES}
+    for repeat in range(REPEATS):
+        order = list(RULES)[::-1] if repeat % 2 else list(RULES)
+        for mode in order:
+            runs[mode].append(_lint_seconds(net, RULES[mode]))
+    return runs
+
+
+def _spread(values):
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": median, "q1": q1, "q3": q3}
+
+
+def _revision():
+    """``git describe --always --dirty`` of the checkout the timed
+    ``repro`` is imported from, or None outside git."""
+    try:
+        return subprocess.run(
+            ["git", "describe", "--always", "--dirty"],
+            cwd=os.path.dirname(os.path.abspath(repro.__file__)),
+            capture_output=True, text=True, check=True).stdout.strip()
+    except (OSError, subprocess.CalledProcessError):
+        return None
+
+
+def _history(entry):
+    """``BENCH_lint.json``'s recorded runs with ``entry`` appended; a file
+    written before the history existed contributes its best-of-N figures
+    first."""
+    path = os.path.join(RESULTS_DIR, "BENCH_lint.json")
+    old = {}
+    if os.path.exists(path):
+        with open(path) as fh:
+            old = json.load(fh)
+    history = old.get("history")
+    if history is None:
+        history = [{"best_of": 20, "seconds": {
+            name: {key: value for key, value in fields.items()
+                   if key.endswith("_seconds")}
+            for name, fields in old.items()
+            if isinstance(fields, dict) and "static_seconds" in fields}}]
+    return history + [entry]
 
 
 def test_lint_wall_clock():
     payload = {}
     for name, net in _designs().items():
-        static_seconds = _time_lint(net)
+        runs = _runs(net)
         payload[name] = {
             "nodes": len(net.nodes),
             "channels": len(net.channels),
-            "static_seconds": static_seconds,
+            "static_seconds": _spread(runs["static"]),
+            "with_audit_seconds": _spread(runs["audit"]),
+            "runs": runs,
         }
-    # the dynamic audit executes every node's comb() dozens of times; it
-    # is opt-in, but its cost on the reference design is worth tracking
-    net = patterns.table1_design()[0]
-    start = time.perf_counter()
-    report = run_lint(net, rules="all")
-    payload["table1_design"]["with_audit_seconds"] = (
-        time.perf_counter() - start)
-    assert report.ok, report.format()
+    entry = {
+        "repeats": REPEATS,
+        "seconds": {name: {key: fields[key] for key in
+                           ("static_seconds", "with_audit_seconds")}
+                    for name, fields in payload.items()},
+        "revision": _revision(),
+        "environment": {"python": platform.python_version(),
+                        "cpus": os.cpu_count()},
+    }
+    payload["history"] = _history(entry)
     merge_json("BENCH_lint.json", payload)
 
 

@@ -2,11 +2,11 @@
 
 The interpreted worklist engine pays Python dispatch per node
 evaluation: bound-method calls into ``comb()``, attribute loads on
-:class:`~repro.elastic.channel.ChannelState`, the monotone
-``state.set`` funnel, then separate passes for the protocol monitor,
-statistics and ticks.  This module removes all of it by **elaboration**:
-given a netlist, it emits one specialized Python module per *topology*
-in which
+:class:`~repro.elastic.channel.ChannelState`, the monotone write of
+:meth:`~repro.elastic.node.Node.drive`, then separate passes for the
+protocol monitor, statistics and ticks.  This module removes all of it
+by **elaboration**: given a netlist, it emits one specialized Python
+module per *topology* in which
 
 * every node's ``comb`` becomes **straight-line code** — the node's own
   method, rendered once per signal task derived from it

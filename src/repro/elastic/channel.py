@@ -35,18 +35,18 @@ point of view a data token is received only on a forward transfer.
 Signal-change reporting
 -----------------------
 
-:meth:`ChannelState.set` is the single funnel every combinational drive goes
-through.  Besides enforcing monotonicity it can *report* which signal
-changed: the owning simulator registers a shared change log
-(``state.log``) and a per-channel signal-id base (``state.base``); every
-``unknown -> known`` transition appends the global signal id
-``base + SIG_INDEX[name]`` to the log, which is what lets the worklist
-engine enqueue exactly the nodes sensitive to that signal instead of
-re-sweeping the whole netlist.  (Compiled cycles keep signals in locals
-and never touch the log.)  The log is the only
-fix-point progress signal (``comb()`` returns nothing) and doubles as the
-ownership token.  When no log is registered (unit tests) the append is
-skipped and behaviour is exactly the classic one.
+:meth:`repro.elastic.node.Node.drive` is the single place every
+interpreted combinational write goes through.  Besides enforcing
+monotonicity it *reports* which signal changed: the owning simulator
+registers a shared change log (``state.log``) and a per-channel signal-id
+base (``state.base``); every ``unknown -> known`` transition appends the
+global signal id ``base + SIG_INDEX[name]`` to the log, which is what lets
+the worklist engine enqueue exactly the nodes sensitive to that signal
+instead of re-sweeping the whole netlist.  (Compiled cycles keep signals
+in locals and never touch the log.)  The log is the only fix-point
+progress signal (``comb()`` returns nothing) and doubles as the ownership
+token.  When no log is registered (unit tests) the append is skipped and
+behaviour is exactly the classic one.
 """
 
 from __future__ import annotations
@@ -94,8 +94,10 @@ N_SIGNALS = len(ALL_SIGNALS)
 class ChannelState:
     """Per-cycle signal values of one channel (``None`` = unresolved).
 
-    ``base``/``log`` are the change-reporting hooks the owning simulator
-    registers (see the module docstring); both are inert by default.
+    A plain record: :meth:`repro.elastic.node.Node.drive` writes it
+    monotonically, and ``base``/``log`` are the change-reporting hooks the
+    owning simulator registers for those writes (see the module
+    docstring); both are inert by default.
     """
 
     __slots__ = ("vp", "sp", "vm", "sm", "data", "base", "log")
@@ -114,36 +116,6 @@ class ChannelState:
             f"ChannelState(vp={self.vp!r}, sp={self.sp!r}, "
             f"vm={self.vm!r}, sm={self.sm!r}, data={self.data!r})"
         )
-
-    def clear(self):
-        self.vp = None
-        self.sp = None
-        self.vm = None
-        self.sm = None
-        self.data = None
-
-    def set(self, name, value, channel_name="?"):
-        """Monotone signal update: unknown -> known is allowed, a re-write
-        with the same value is a no-op, and a conflicting re-write raises.
-
-        Returns True when the state changed; the change is also appended
-        to ``self.log`` when one is registered (the engines' progress
-        signal).
-        """
-        if value is None:
-            return False
-        old = getattr(self, name)
-        if old is None:
-            setattr(self, name, value)
-            log = self.log
-            if log is not None:
-                log.append(self.base + SIG_INDEX[name])
-            return True
-        if old != value:
-            raise SignalConflictError(
-                f"signal {channel_name}.{name} rewritten {old!r} -> {value!r}"
-            )
-        return False
 
     def resolved(self):
         """True when all four control bits are known (data may stay unknown
@@ -231,13 +203,14 @@ class Channel:
     def clear_cycle(self):
         """Reset the per-cycle signal state *and* the events cache.
 
-        The single clear path shared by every fix-point engine (and by
-        :meth:`Netlist.reset`): signals return to unknown and the cached
-        :class:`ChannelEvents` of the previous cycle is invalidated
-        together, so no engine can observe stale events against fresh
-        signals.
+        Signals return to unknown and the cached :class:`ChannelEvents`
+        of the previous cycle is invalidated together, so no engine can
+        observe stale events against fresh signals.  :meth:`Netlist.reset`
+        and the compiled cycle call this; the worklist fix-point makes the
+        same six stores inline, once per channel per cycle.
         """
-        self.state.clear()
+        state = self.state
+        state.vp = state.sp = state.vm = state.sm = state.data = None
         self.events_cache = None
 
     def events(self):

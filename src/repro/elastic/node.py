@@ -73,7 +73,8 @@ serialisation label only, and chaos splices overwrite it per instance.
 
 from __future__ import annotations
 
-from repro.elastic.channel import PRODUCER, CONSUMER, role_pairs
+from repro.elastic.channel import PRODUCER, CONSUMER, SIG_INDEX, role_pairs
+from repro.errors import SignalConflictError
 
 #: timing planes (see :meth:`Node.timing_arcs`): datapath words, forward
 #: valid bits, backward stop and kill bits.
@@ -258,10 +259,28 @@ class Node(Stateful):
         return self._channels[port].state
 
     def drive(self, port, signal, value):
-        """Monotonically drive ``signal`` on the channel at ``port``; a
-        change is recorded in the owning simulator's change log."""
-        ch = self._channels[port]
-        ch.state.set(signal, value, ch.name)
+        """Monotonically drive ``signal`` on the channel at ``port``: the
+        one interpreted write of a channel signal.
+
+        A ``None`` value does nothing.  An unknown signal takes the value,
+        and its signal id is appended to the owning simulator's change log
+        (the engines' progress signal) when one is registered.  The same
+        value again does nothing; a different one raises
+        :class:`~repro.errors.SignalConflictError`.
+        """
+        if value is None:
+            return
+        state = self._channels[port].state
+        old = getattr(state, signal)
+        if old is None:
+            setattr(state, signal, value)
+            log = state.log
+            if log is not None:
+                log.append(state.base + SIG_INDEX[signal])
+        elif old != value:
+            raise SignalConflictError(
+                f"signal {self._channels[port].name}.{signal} rewritten "
+                f"{old!r} -> {value!r}")
 
     def ev(self, port):
         """Resolved :class:`ChannelEvents` at ``port`` (tick time only)."""

@@ -7,7 +7,9 @@ combinational functions of every node to a least fixed point.  For that to be
 well-defined, node logic is written in *Kleene* three-valued logic where
 ``None`` means "not yet known".  Each helper is monotone with respect to the
 information order (``None`` below ``False``/``True``), which guarantees the
-fix-point iteration converges.
+fix-point iteration converges: a node writes each result through
+:meth:`repro.elastic.node.Node.drive`, which only ever moves a signal from
+unknown to known.
 
 Truth tables follow strong Kleene logic:
 
@@ -19,42 +21,41 @@ Truth tables follow strong Kleene logic:
 from __future__ import annotations
 
 
-def kand(*xs):
-    """Kleene AND over any number of inputs (``None`` = unknown)."""
-    # Fast path for the ubiquitous 2-argument case (node controllers are
-    # almost exclusively built from binary gates): no loop, no flag.
-    if len(xs) == 2:
-        a, b = xs
-        if a is False or b is False:
-            return False
-        if a is None or b is None:
-            return None
-        return True
-    unknown = False
-    for x in xs:
-        if x is False:
-            return False
-        if x is None:
-            unknown = True
-    return None if unknown else True
+def kand(a=True, b=True, *more):
+    """Kleene AND over any number of inputs (``None`` = unknown).
 
-
-def kor(*xs):
-    """Kleene OR over any number of inputs (``None`` = unknown)."""
-    if len(xs) == 2:
-        a, b = xs
-        if a is True or b is True:
-            return True
-        if a is None or b is None:
-            return None
+    Node controllers are built almost entirely from binary gates, so the
+    operands are positional with the identity as default: the binary
+    case packs no tuple, and a longer call folds the extra operands in.
+    Operands are tested by identity (``is False``/``is None``), so a
+    non-bool operand such as ``0`` counts as true.
+    """
+    if more:
+        a = kand(a, b)
+        for x in more:
+            a = kand(a, x)
+        return a
+    if a is False or b is False:
         return False
-    unknown = False
-    for x in xs:
-        if x is True:
-            return True
-        if x is None:
-            unknown = True
-    return None if unknown else False
+    if a is None or b is None:
+        return None
+    return True
+
+
+def kor(a=False, b=False, *more):
+    """Kleene OR over any number of inputs (``None`` = unknown); the
+    operands are positional as in :func:`kand`, and only ``True`` itself
+    counts as true."""
+    if more:
+        a = kor(a, b)
+        for x in more:
+            a = kor(a, x)
+        return a
+    if a is True or b is True:
+        return True
+    if a is None or b is None:
+        return None
+    return False
 
 
 def knot(x):

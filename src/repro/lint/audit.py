@@ -10,7 +10,8 @@ misses produces silently wrong fix-points with no error anywhere; the
 auditor is the derivation's oracle.
 
 The auditor verifies the contract *dynamically*: it replaces a node's
-channels with recording proxies and executes ``comb()`` under a
+channels with recording proxies, binds its ``drive`` to a recorder, and
+executes ``comb()`` under a
 deterministic schedule of fuzzed channel-state assignments (Kleene
 corners plus seeded random trials), recording every channel-signal read
 and write actually performed.  Reads are recorded only for signals the
@@ -43,7 +44,6 @@ from dataclasses import dataclass, field
 
 from repro.elastic.channel import (
     CONSUMER,
-    CONTROL_SIGNALS,
     ChannelEvents,
     PRODUCER,
     SIGNALS_BY_ROLE,
@@ -62,13 +62,13 @@ def _read_recorder(signal):
 
 
 class _AuditState:
-    """Stand-in for :class:`ChannelState` that records reads and writes.
+    """Stand-in for :class:`ChannelState` that records reads.
 
     Signals the opposite endpoint would drive come from the ``env``
     assignment (the fuzz); the node's own drives land in ``own`` and are
-    readable back, mirroring fix-point visibility.  ``set`` keeps the
-    monotone no-op/changed semantics but never raises on conflict — the
-    audit wants maximal execution, not protocol enforcement.
+    readable back, mirroring fix-point visibility.  Writes do not go
+    through the state: :func:`audit_node` binds the node's ``drive`` to
+    :func:`_recording_drive` for the audit's duration.
     """
 
     vp = _read_recorder("vp")
@@ -77,30 +77,28 @@ class _AuditState:
     sm = _read_recorder("sm")
     data = _read_recorder("data")
 
-    def __init__(self, port, env_signals, env, reads, writes):
+    def __init__(self, port, env_signals, env, reads):
         self.port = port
         self.env_signals = env_signals
         self.env = env
         self.own = {}
         self.reads = reads
-        self.writes = writes
 
-    def set(self, name, value, channel_name="?"):
+
+def _recording_drive(node, writes):
+    """The ``drive`` :func:`audit_node` binds on ``node``: it records
+    every write of a known value in ``writes`` and keeps the first value
+    of each signal readable back, like :meth:`Node.drive`, but never
+    raises on conflict — the audit wants maximal execution, not protocol
+    enforcement."""
+    def drive(port, signal, value):
         if value is None:
-            return False
-        self.writes.add((self.port, name))
-        if self.own.get(name) is None:
-            self.own[name] = value
-            return True
-        return False
-
-    def resolved(self):
-        return all(getattr(self, name) is not None
-                   for name in CONTROL_SIGNALS)
-
-    def unresolved_signals(self):
-        return [name for name in CONTROL_SIGNALS
-                if getattr(self, name) is None]
+            return
+        writes.add((port, signal))
+        own = node._channels[port].state.own
+        if own.get(signal) is None:
+            own[signal] = value
+    return drive
 
 
 class _AuditChannel:
@@ -214,9 +212,9 @@ def audit_node(node, trials=64, seed=0, states=None, data_pool=(0, 1, 2, 3),
     ``states`` is an optional list of :meth:`Node.snapshot` values to run
     the schedule under (sequential state picks combinational branches);
     defaults to the node's current state.  ``clone=False`` audits the node
-    in place (its sequential state and channel bindings are restored, but
-    pre-existing channel *signal* state is not touched at all — proxies
-    replace the channels for the duration).
+    in place (its sequential state, channel bindings and class ``drive``
+    are restored, but pre-existing channel *signal* state is not touched
+    at all — proxies replace the channels for the duration).
     """
     if clone:
         node = copy.deepcopy(node)
@@ -230,6 +228,7 @@ def audit_node(node, trials=64, seed=0, states=None, data_pool=(0, 1, 2, 3),
     snapshots = list(states) if states is not None else [node.snapshot()]
     real_channels = node._channels
     widths = {port: channel.width for port, channel in real_channels.items()}
+    node.drive = _recording_drive(node, audit.observed_writes)
     try:
         for snap in snapshots:
             for assignment in _assignments(env_signals, trials, seed,
@@ -240,8 +239,7 @@ def audit_node(node, trials=64, seed=0, states=None, data_pool=(0, 1, 2, 3),
                         port,
                         _AuditState(port, env_signals[port],
                                     assignment.get(port, {}),
-                                    audit.observed_reads,
-                                    audit.observed_writes),
+                                    audit.observed_reads),
                         width=widths.get(port, 8),
                     )
                     for port in node.ports
@@ -256,6 +254,7 @@ def audit_node(node, trials=64, seed=0, states=None, data_pool=(0, 1, 2, 3),
                     # read/write record, count the abort.
                     audit.aborted += 1
     finally:
+        del node.drive
         node._channels = real_channels
     return audit
 

@@ -59,9 +59,9 @@ schedules from, :meth:`Node.comb_tasks`)
 and inverts the read sets into signal -> dependent-node lists; what a
 node may drive follows from its port roles (:meth:`Node.drives`).  Every
 ``unknown -> known`` signal
-transition inside :meth:`ChannelState.set` is appended to a shared change
-log, so after evaluating a node the engine enqueues exactly the nodes
-sensitive to what actually changed.
+transition inside :meth:`Node.drive`, the one interpreted write, is
+appended to a shared change log, so after evaluating a node the engine
+enqueues exactly the nodes sensitive to what actually changed.
 
 The once-per-cycle seed pass visits every node (each node's outputs depend
 on its sequential state, so each must run at least once) in a **levelized
@@ -73,7 +73,7 @@ zero-backward-latency buffers, lazy joins and speculative loops create, and
 only when a signal they read becomes known after they last ran.
 
 *Convergence argument*: node logic is monotone over the Kleene information
-order (``None`` below ``False``/``True``), and :meth:`ChannelState.set`
+order (``None`` below ``False``/``True``), and :meth:`Node.drive`
 only ever moves a signal ``unknown -> known`` (a conflicting re-write
 raises).  Each of the ``5 * |channels|`` signals can thus change at most
 once per cycle, each change enqueues at most ``|nodes|`` dependents, and a
@@ -103,8 +103,8 @@ and entry (run or expansion, each on first use) and cached
 process-wide, least recently used out past 32 (sequential parameters are
 read at run time, so sweeps over one topology compile once); structural
 edits re-elaborate before the next step, never serving stale code.
-Highest per-cycle throughput (~8x over worklist on the deep-pipeline
-bench, and ahead of it on the paper's speculative designs) at the cost
+Highest per-cycle throughput (~21x over worklist on the deep-pipeline
+bench, ~5x on the paper's speculative fig6b and fig7b) at the cost
 of a one-time elaboration per topology; pinned bit-identical to the
 worklist engine by ``tests/test_codegen_diff.py``.
 
@@ -524,9 +524,14 @@ class Simulator:
     # -- per-cycle phases ----------------------------------------------------------
 
     def _fixpoint(self):
-        """The worklist fix-point (see the module docstring)."""
-        for channel in self._channels:
-            channel.clear_cycle()
+        """The worklist fix-point (see the module docstring): clear every
+        channel, drain the worklist, then check that every channel
+        resolved, building the diagnosis only when one did not."""
+        channels = self._channels
+        for channel in channels:
+            state = channel.state
+            state.vp = state.sp = state.vm = state.sm = state.data = None
+            channel.events_cache = None
         log = self._log
         log.clear()
         pending = self._pending
@@ -552,11 +557,14 @@ class Simulator:
                 log.clear()
         if profile:
             self.evals_per_cycle.append(evals)
-        self._check_resolved()
         # Events a comb() resolved while signals settled may hold data that
         # became known later: drop them, so events() recomputes.
-        for channel in self._channels:
+        for channel in channels:
             channel.events_cache = None
+            state = channel.state
+            if (state.vp is None or state.sp is None or state.vm is None
+                    or state.sm is None or state.vp and state.data is None):
+                self._check_resolved()
 
     def _check_resolved(self, cycle=None):
         """Raise the combinational-loop diagnosis, at ``cycle`` (default:

@@ -2,7 +2,10 @@
 
 import pytest
 
-from repro.elastic.channel import Channel, ChannelState, CONSUMER, PRODUCER
+from repro.elastic.channel import (
+    Channel, ChannelState, CONSUMER, PRODUCER, SIG_INDEX,
+)
+from repro.elastic.node import Node
 from repro.errors import SignalConflictError
 
 
@@ -16,41 +19,86 @@ def resolved_channel(vp, sp, vm, sm, data=None):
     return ch
 
 
+def driven_channel(base=0):
+    """A node whose output port ``o`` is bound to channel ``c``, whose
+    state carries a change log with signal-id base ``base``."""
+    node = Node("n")
+    node.add_out("o")
+    channel = Channel("c")
+    channel.state.log = []
+    channel.state.base = base
+    node.bind("o", channel)
+    return node, channel.state
+
+
 class TestChannelState:
+    """The monotone write rule, which lives in :meth:`Node.drive`, and
+    the resolution queries of :class:`ChannelState`."""
+
     def test_set_from_unknown(self):
-        st = ChannelState()
-        assert st.set("vp", True) is True
+        node, st = driven_channel(base=10)
+        node.drive("o", "vp", True)
         assert st.vp is True
+        assert st.log == [10 + SIG_INDEX["vp"]]
 
     def test_set_same_value_is_noop(self):
-        st = ChannelState()
-        st.set("vp", True)
-        assert st.set("vp", True) is False
+        node, st = driven_channel()
+        node.drive("o", "vp", True)
+        node.drive("o", "vp", True)
+        assert st.vp is True
+        assert st.log == [SIG_INDEX["vp"]]
 
     def test_set_none_is_noop(self):
-        st = ChannelState()
-        assert st.set("vp", None) is False
+        node, st = driven_channel()
+        node.drive("o", "vp", None)
         assert st.vp is None
+        assert st.log == []
 
     def test_conflicting_rewrite_raises(self):
-        st = ChannelState()
-        st.set("vp", True)
-        with pytest.raises(SignalConflictError):
-            st.set("vp", False)
+        node, st = driven_channel()
+        node.drive("o", "vp", True)
+        with pytest.raises(SignalConflictError,
+                           match=r"^signal c\.vp rewritten True -> False$"):
+            node.drive("o", "vp", False)
+        assert st.vp is True
+
+    def test_none_and_same_value_drives_log_nothing(self):
+        node, st = driven_channel()
+        node.drive("o", "data", 7)
+        node.drive("o", "sm", False)
+        del st.log[:]
+        node.drive("o", "data", None)
+        node.drive("o", "data", 7)
+        node.drive("o", "sm", None)
+        node.drive("o", "sm", False)
+        assert st.log == []
+        assert (st.data, st.sm) == (7, False)
+
+    def test_drive_without_log(self):
+        node = Node("n")
+        node.add_out("o")
+        channel = Channel("c")
+        node.bind("o", channel)
+        node.drive("o", "sp", False)
+        assert channel.state.sp is False
+        assert channel.state.log is None
 
     def test_resolved_requires_all_controls(self):
-        st = ChannelState()
-        st.set("vp", False)
-        st.set("sp", False)
-        st.set("vm", False)
+        node, st = driven_channel()
+        node.drive("o", "vp", False)
+        node.drive("o", "sp", False)
+        node.drive("o", "vm", False)
         assert not st.resolved()
-        st.set("sm", False)
+        node.drive("o", "sm", False)
         assert st.resolved()
 
     def test_unresolved_signals_named(self):
-        st = ChannelState()
-        st.set("vp", True)
+        node, st = driven_channel()
+        node.drive("o", "vp", True)
         assert set(st.unresolved_signals()) == {"sp", "vm", "sm"}
+
+    def test_state_has_no_write_method(self):
+        assert not hasattr(ChannelState, "set")
 
 
 class TestAttach:

@@ -434,20 +434,20 @@ class TestEventsMidFixpoint:
         assert net.channels["mid"].events() is net.channels["mid"].events_cache
 
     def test_clear_cycle_resets_state_and_cache(self):
-        """The consolidated per-cycle clear path drops the signals and the
-        cached events together."""
+        """The clear of ``Netlist.reset`` and the compiled cycle drops the
+        signals and the cached events together."""
         from repro.elastic.channel import Channel
 
         channel = Channel("c")
-        channel.state.set("vp", True)
-        channel.state.set("sp", False)
-        channel.state.set("vm", False)
-        channel.state.set("sm", False)
+        state = channel.state
+        state.vp, state.sp, state.vm, state.sm = True, False, False, False
+        state.data = 5
         channel.events()
         assert channel.events_cache is not None
         channel.clear_cycle()
         assert channel.events_cache is None
         assert channel.state.vp is None
+        assert channel.state.data is None
         assert channel.state.unresolved_signals() == ["vp", "sp", "vm", "sm"]
 
 

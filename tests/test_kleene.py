@@ -1,5 +1,7 @@
 """Unit tests for the three-valued logic helpers."""
 
+import itertools
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -147,3 +149,43 @@ class TestMonotonicity:
         if cond is None:
             after = kite(value, t, f)
             assert before is None or after == before
+
+
+def _reference(xs, dominant):
+    """Strong Kleene AND (``dominant=False``) or OR (``dominant=True``)
+    over ``xs`` by identity: the dominant value wins, else an unknown
+    operand makes the result unknown, else the identity."""
+    result = not dominant
+    for x in xs:
+        if x is dominant:
+            return dominant
+        if x is None:
+            result = None
+    return result
+
+
+class TestArities:
+    """``kand``/``kor`` take two positional operands with the identity as
+    default plus any more: every arity agrees with the reference fold."""
+
+    @pytest.mark.parametrize("n", range(5))
+    def test_exhaustive(self, n):
+        for xs in itertools.product((True, False, None), repeat=n):
+            assert kand(*xs) is _reference(xs, False), xs
+            assert kor(*xs) is _reference(xs, True), xs
+
+    @pytest.mark.parametrize("n", range(1, 5))
+    def test_non_bool_operands_keep_identity_semantics(self, n):
+        """Only ``False`` itself is false to ``kand`` and only ``True``
+        itself is true to ``kor``: ``0``, ``1`` and ``""`` are neither."""
+        for xs in itertools.product((0, 1, "", True, False, None), repeat=n):
+            assert kand(*xs) is _reference(xs, False), xs
+            assert kor(*xs) is _reference(xs, True), xs
+
+    def test_examples(self):
+        assert kand(0) is True
+        assert kand("", 0) is True
+        assert kand(1, None) is None
+        assert kor(1) is False
+        assert kor(1, None) is None
+        assert kor(0, "", 1) is False

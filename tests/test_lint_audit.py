@@ -103,6 +103,77 @@ class TestBuiltinKinds:
         assert eb._channels == {}
 
 
+class _Interrupt(BaseException):
+    """Escapes the audit's per-trial ``except Exception``."""
+
+
+def _bound_func(fn):
+    """A two-input ``Func`` wired into a netlist, and its channel map."""
+    net = Netlist("audit")
+    net.add(ListSource("a", [1, 2]))
+    net.add(ListSource("b", [3, 4]))
+    node = net.add(Func("f", fn=fn, n_inputs=2))
+    net.add(Sink("snk"))
+    net.connect("a.o", "f.i0")
+    net.connect("b.o", "f.i1")
+    net.connect("f.o", "snk.i")
+    return node, dict(node._channels)
+
+
+class TestAuditRestoresNode:
+    """``audit_node(clone=False)`` binds the node's ``drive`` to a
+    recorder and its ports to proxies; afterwards the node drives through
+    its class's ``drive`` again, over its real channels, also when a
+    trial's ``comb`` raises."""
+
+    def _assert_restored(self, node, channels):
+        assert "drive" not in vars(node)
+        assert node.drive.__func__ is type(node).drive
+        assert node._channels == channels
+        assert all(node._channels[port] is channel
+                   for port, channel in channels.items())
+
+    def test_restored_after_clean_audit(self):
+        node, channels = _bound_func(lambda a, b: a + b)
+        audit = audit_node(node, clone=False)
+        assert audit.aborted == 0 and audit.ok
+        self._assert_restored(node, channels)
+
+    def test_restored_after_aborted_trials(self):
+        def fail(a, b):
+            raise ValueError("fuzzed operands")
+
+        node, channels = _bound_func(fail)
+        audit = audit_node(node, clone=False)
+        assert audit.aborted > 0
+        assert audit.observed_writes
+        self._assert_restored(node, channels)
+
+    def test_restored_when_an_error_escapes(self):
+        def interrupt(a, b):
+            raise _Interrupt
+
+        node, channels = _bound_func(interrupt)
+        with pytest.raises(_Interrupt):
+            audit_node(node, clone=False)
+        self._assert_restored(node, channels)
+
+    def test_in_place_audit_leaves_the_design_simulating(self):
+        """Every node of fig1d audited in place: the netlist still runs
+        and streams exactly what a fresh one does."""
+        from repro.sim.engine import Simulator
+
+        def stream(net):
+            sim = Simulator(net, engine="worklist").run(40)
+            return sim.stats.summary()
+
+        net, _ = patterns.table1_design()
+        for node in net.nodes.values():
+            audit_node(node, clone=False)
+            assert "drive" not in vars(node)
+        assert stream(net) == stream(patterns.table1_design()[0])
+
+
 class TestWholeNetlistAudit:
     def test_table1_design_is_sound(self):
         net, _ = patterns.table1_design()

@@ -6,7 +6,9 @@ interpreted; the deep pipeline must compile with nothing deferred
 (:func:`test_codegen_runs_deep_pipeline_straight_line`); a
 transform-simulate-measure loop must keep one simulator, clone nothing
 and rebuild its sensitivity tables once per refresh, not per edit
-(:func:`test_warm_transform_loop_never_rebuilds`); a chaos-wrapped
+(:func:`test_warm_transform_loop_never_rebuilds`); the worklist fix-point
+must evaluate each paper design's nodes exactly as often as recorded
+(:func:`test_worklist_schedule_is_pinned`); a chaos-wrapped
 design must compile with nothing deferred and keep its worklist
 evaluations per node bounded
 (:func:`test_chaos_wrap_compiles_and_stays_incremental`); and a repeated
@@ -264,3 +266,42 @@ def test_chaos_wrap_compiles_and_stays_incremental():
     assert sum(evals) <= CHAOS_EVALS_PER_NODE * len(net.nodes) * cycles, (
         f"{sum(evals) / cycles:.1f} comb evaluations per cycle over "
         f"{len(net.nodes)} nodes")
+
+
+# -- the worklist schedule -------------------------------------------------------
+
+#: ``comb()`` calls per node over 500 profiled worklist cycles of each
+#: registered design, in node order.  The totals divided by 500 are the
+#: evaluations per cycle: 12 (fig1a), 14 (fig1d), 16.996 (fig6b, fig7b).
+WORKLIST_COMB_CALLS = {
+    "fig1a": {"eb": 500, "fork": 1000, "G": 1000, "P0": 1000, "P1": 1000,
+              "mux": 1000, "F": 500},
+    "fig1d": {"eb": 500, "fork": 1500, "G": 1000, "P0": 1000, "P1": 1000,
+              "mux": 1000, "shared_F_c0": 1000},
+    "fig6b": {"src": 500, "eb_in": 500, "fork": 1998, "Fapprox": 1000,
+              "Fexact": 500, "recovery_eb": 500, "Ferr": 1000,
+              "sharedG": 1000, "mux": 500, "eb_out": 500, "snk": 500},
+    "fig7b": {"src": 500, "eb_in": 500, "fork": 1998, "raw": 1000,
+              "correct": 500, "recovery_eb": 500, "detect": 1000,
+              "sharedAdd": 1000, "mux": 500, "eb_out": 500, "snk": 500},
+}
+
+
+def test_worklist_schedule_is_pinned():
+    """The interpreted cycle's plumbing (the monotone write, the Kleene
+    helpers, the clear and the resolution check) must not change which
+    nodes the worklist evaluates: per-node ``comb()`` calls and the
+    evaluations per cycle of every registered design equal the recorded
+    counts.  Counters, not timings."""
+    from repro.designs import DESIGNS
+    from repro.sim.engine import Simulator
+
+    cycles = 500
+    assert sorted(DESIGNS) == sorted(WORKLIST_COMB_CALLS)
+    for name, make in DESIGNS.items():
+        sim = Simulator(make(), engine="worklist", profile=True).run(cycles)
+        calls = dict(zip(sim.netlist.nodes, sim.comb_calls))
+        assert calls == WORKLIST_COMB_CALLS[name], name
+        evals = sim.profile_report().evals_per_cycle
+        assert len(evals) == cycles
+        assert sum(evals) == sum(WORKLIST_COMB_CALLS[name].values()), name
