@@ -21,7 +21,9 @@ The acceptance bar is a >= 2x median wall-clock speedup.  The runs go as
 every run, the median speedup and its quartiles are merged into
 ``results/BENCH_explore.json`` (merged, not clobbered, like the other
 BENCH files), and each run appends its states/s per engine, speedup and
-environment to the file's ``history`` list.  The ``explore_batching``
+environment and the ``git describe`` of the timed source to the file's
+``history`` list (point ``PYTHONPATH`` at another checkout's ``src`` to
+time that code with this bench).  The ``explore_batching``
 entry of that file is the last run recorded before the history existed
 (when codegen was requested as ``lanes=32``).
 
@@ -34,7 +36,7 @@ import platform
 import statistics
 import time
 
-from conftest import RESULTS_DIR, merge_json, write_result
+from conftest import RESULTS_DIR, merge_json, revision, write_result
 
 from repro.core.scheduler import ToggleScheduler
 from repro.netlist import patterns
@@ -139,6 +141,7 @@ def test_explore_codegen_vs_worklist():
         "speedup_q3": q3,
         "environment": {"python": platform.python_version(),
                         "cpus": os.cpu_count()},
+        "revision": revision(),
     }
     payload = {
         "explore_engines": {

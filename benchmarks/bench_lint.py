@@ -22,12 +22,10 @@ import json
 import os
 import platform
 import statistics
-import subprocess
 import time
 
-from conftest import RESULTS_DIR, merge_json
+from conftest import RESULTS_DIR, merge_json, revision
 
-import repro
 from repro.lint import cached_lint, run_lint
 from repro.netlist import patterns
 from repro.transform import Session
@@ -71,18 +69,6 @@ def _spread(values):
     return {"median": median, "q1": q1, "q3": q3}
 
 
-def _revision():
-    """``git describe --always --dirty`` of the checkout the timed
-    ``repro`` is imported from, or None outside git."""
-    try:
-        return subprocess.run(
-            ["git", "describe", "--always", "--dirty"],
-            cwd=os.path.dirname(os.path.abspath(repro.__file__)),
-            capture_output=True, text=True, check=True).stdout.strip()
-    except (OSError, subprocess.CalledProcessError):
-        return None
-
-
 def _history(entry):
     """``BENCH_lint.json``'s recorded runs with ``entry`` appended; a file
     written before the history existed contributes its best-of-N figures
@@ -118,7 +104,7 @@ def test_lint_wall_clock():
         "seconds": {name: {key: fields[key] for key in
                            ("static_seconds", "with_audit_seconds")}
                     for name, fields in payload.items()},
-        "revision": _revision(),
+        "revision": revision(),
         "environment": {"python": platform.python_version(),
                         "cpus": os.cpu_count()},
     }

@@ -12,6 +12,7 @@ half-file that would silently drop the perf trajectory other PRs recorded.
 
 import json
 import os
+import subprocess
 
 from repro.runtime.checkpoint import atomic_write_text
 
@@ -54,3 +55,17 @@ def merge_json(name, payload):
         else:
             merged[key] = value
     return write_json(name, merged)
+
+
+def revision():
+    """``git describe --always --dirty`` of the checkout the timed
+    ``repro`` is imported from, or None outside git."""
+    import repro
+
+    try:
+        return subprocess.run(
+            ["git", "describe", "--always", "--dirty"],
+            cwd=os.path.dirname(os.path.abspath(repro.__file__)),
+            capture_output=True, text=True, check=True).stdout.strip()
+    except (OSError, subprocess.CalledProcessError):
+        return None

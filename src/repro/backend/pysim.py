@@ -40,8 +40,15 @@ each generated into its own module and compiled only on first use:
   choice space is above 1, runs the cycle body without statistics, packs the
   signals one byte per channel (``v3 | p3 << 1 | a3 << 2 | m3 << 3``,
   the encoding of :mod:`repro.verif.encoding`) in one ``bytes``
-  expression and takes the successor snapshot.  ``sim.cycle`` advances
-  by one per vector.
+  expression and takes the successor snapshot.  The restore is one
+  straight-line assignment of every declared state slot and the snapshot
+  one tuple of slot reads, both over the layout
+  :meth:`Netlist.snapshot <repro.netlist.graph.Netlist.snapshot>` uses
+  (:func:`~repro.netlist.graph.state_layout`), so no state accessor is
+  called; a node that keeps its own ``snapshot``/``restore`` is called.
+  The layout joins the module cache key, since the topology leaves out a
+  shared module's scheduler, which holds its state.  ``sim.cycle``
+  advances by one per vector.
 
 A sweep therefore never compiles an expansion entry, and an exploration
 never compiles a run entry.  Between cycles the run entry keeps in locals
@@ -159,6 +166,7 @@ from itertools import combinations
 
 from repro.elastic.node import Node
 from repro.errors import CombinationalLoopError, ProtocolViolationError
+from repro.netlist.graph import state_layout, state_terms
 from repro.netlist.graphalg import cyclic_sccs
 from repro.sim.inline import PLACEHOLDER, node_template
 from repro.sim.sensitivity import topology_signature
@@ -606,7 +614,8 @@ def _generate_source(netlist, check_protocol, content_hash, entry):
             g, body, ticks, unresolve, flush, exempt, interpreted_tick)
     else:
         fn, signature, defaults, source = _expand_entry(
-            g, body, ticks, unresolve, flush, interpreted_tick)
+            g, body, ticks, unresolve, flush, interpreted_tick,
+            _state_access(g, netlist))
 
     # -- audit: every channel's four controls must be written
     # -- unconditionally by the straight-line region
@@ -715,23 +724,60 @@ def _run_entry(g, body, ticks, unresolve, flush, exempt, interpreted_tick):
     return "_cycle", ["cycle"], {"n": "1"}, src
 
 
-def _expand_entry(g, body, ticks, unresolve, flush, interpreted_tick):
+def _state_access(g, netlist):
+    """The netlist's state layout (:func:`~repro.netlist.graph.state_layout`)
+    as the expansion entry's source terms ``(reads, targets, calls)``
+    (:func:`~repro.netlist.graph.state_terms`): a holder that is its node
+    is read through the node's binding, another one (a shared module's
+    scheduler) through its own, ``_sh<node index>``."""
+    index = {name: ni for ni, name in enumerate(netlist.nodes)}
+    names = sorted(netlist.nodes)
+    holders, layout = state_layout([netlist.nodes[n] for n in names])
+    refs = []
+    for name, holder in zip(names, holders):
+        ni = index[name]
+        if holder is g.plan.nodes[ni]:
+            refs.append(g.node_ref(ni))
+        else:
+            refs.append(f"_sh{ni}")
+            g.bind[refs[-1]] = f"_nodes[{ni}].state_host()"
+    return state_terms(layout, refs, "_st")
+
+
+def _state_key(netlist):
+    """What the expansion entry's inlined state access depends on beyond
+    the topology: the state layout and which holders are their nodes."""
+    nodes = [node for _name, node in sorted(netlist.nodes.items())]
+    holders, layout = state_layout(nodes)
+    return layout, tuple(h is n for h, n in zip(holders, nodes))
+
+
+def _expand_entry(g, body, ticks, unresolve, flush, interpreted_tick,
+                  state):
     """``_expand(cycle, snapshot, vectors)``: one explored state.  For
     each ``(vector, choices)`` of ``vectors`` (``vector`` holds one value
     per chooser, None where its space is 1) it restores ``snapshot``
     (except before the first), sets the choices, runs the cycle body
     without statistics or monitor and appends ``(choices, packed signals,
     successor snapshot)`` to the returned list; ``sim.cycle`` advances by
-    one per vector.  Channel states are flushed once, after the last
-    vector, and before a diagnosis — every vector under an interpreted
-    tick (which reads them).  Returns as :func:`_run_entry` does."""
+    one per vector.  The restore and the successor snapshot are
+    straight-line slot assignments and reads over ``state``, the
+    ``(reads, targets, calls)`` of :func:`_state_access` (a node that
+    keeps its own snapshot is called).  Channel states are flushed once,
+    after the last vector, and before a diagnosis — every vector under an
+    interpreted tick (which reads them).  Returns as :func:`_run_entry`
+    does."""
     n_channels = len(g.plan.channels)
     chans = range(n_channels)
+    reads, targets, calls = state
     src = ["_out = []"]
     if not interpreted_tick:
         src += unresolve
 
-    loop = ["if _i:", "    _restore(snapshot)"]
+    loop = []
+    if targets:
+        loop += ["if _i:"]
+        loop += _indent(_wrapped(targets, "(", ",) = snapshot", 4) + calls)
     xs = [f"_x{k}" for k in range(len(g.plan.choosers))]
     if xs:
         loop += _wrapped(xs, "(", ",) = _vec")
@@ -752,7 +798,9 @@ def _expand_entry(g, body, ticks, unresolve, flush, interpreted_tick):
     for ci in chans:
         vp, sp, vm, sm = (g.csig(ci, s) for s in _CONTROLS)
         loop.append(f"    {vp} | {sp} << 1 | {vm} << 2 | {sm} << 3,")
-    loop += [")), _snap()))", "cycle += 1"]
+    loop += (_wrapped(reads, ")), (", ",)))", 4) if reads
+             else [")), ()))"])
+    loop.append("cycle += 1")
 
     src += ["try:", "    for _i, (_vec, _ch) in enumerate(vectors):"]
     src += _indent(loop, 2)
@@ -762,10 +810,6 @@ def _expand_entry(g, body, ticks, unresolve, flush, interpreted_tick):
         src += ["if _out:"] + _indent(flush)
     src.append("return _out")
     g.bind.update(_ENV_BINDINGS)
-    # the netlist's state accessor itself: the entry is rebuilt on every
-    # structure sync, and Simulator.expand checks the version first
-    g.bind.update({"_snap": 'env["netlist"].state_access()[0]',
-                   "_restore": 'env["netlist"].state_access()[1]'})
     return "_expand", ["cycle", "snapshot", "vectors"], {}, src
 
 
@@ -807,9 +851,14 @@ def _module_for(netlist, check_protocol, entry):
     check_protocol = bool(check_protocol) and entry == "run"
     topology = (topology_signature(netlist), check_protocol)
     # the topology names classes, but the inlined code is their methods'
+    # (and, for the expansion, the state access: a shared module's
+    # scheduler is a sequential parameter the topology leaves out)
     key = topology + (tuple(
         getattr(getattr(type(node), name), "__code__", None)
-        for node in netlist.nodes.values() for name in _INLINED), entry)
+        for node in netlist.nodes.values() for name in _INLINED),)
+    if entry == "expand":
+        key += (_state_key(netlist),)
+    key += (entry,)
     module = _MODULE_CACHE.get(key)
     if module is not None:
         _CACHE_STATS["hits"] += 1

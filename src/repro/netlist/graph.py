@@ -279,13 +279,24 @@ def _state_accessor(nodes):
     and assigned as a plain attribute of its holder, which stores the
     slot's canonical value; a node or holder that overrides
     ``snapshot``/``restore`` is called instead."""
-    hosts, layout = [], []
+    holders, layout = state_layout(nodes)
+    return _accessor_factory(layout)(*holders)
+
+
+def state_layout(nodes):
+    """``(holders, layout)`` of the flat snapshot of ``nodes`` (in
+    snapshot order): per node, the object whose attributes hold its state
+    (its :meth:`~repro.elastic.node.Stateful.state_host`) and that
+    holder's slot names, or the node itself and ``None`` when the node or
+    its holder keeps its own snapshot.  The compiled expansion entry
+    (:mod:`repro.backend.pysim`) inlines the same layout."""
+    holders, layout = [], []
     for node in nodes:
         host = node.state_host()
         slots = _slot_layout(type(node), type(host))
-        hosts.append(node if slots is None else host)
+        holders.append(node if slots is None else host)
         layout.append(slots)
-    return _accessor_factory(tuple(layout))(*hosts)
+    return holders, tuple(layout)
 
 
 @functools.lru_cache(maxsize=None)
@@ -299,18 +310,19 @@ def _slot_layout(node_cls, host_cls):
     return tuple(host_cls.state_slots)
 
 
-@functools.lru_cache(maxsize=64)
-def _accessor_factory(layout):
-    """Compile the accessor factory of one state layout (per node, its
-    slot names, or ``None`` for a node that keeps its own snapshot): every
-    netlist of that shape shares the compiled code."""
+def state_terms(layout, refs, spare):
+    """The source terms of one state ``layout`` with its holders named
+    ``refs``: ``(reads, targets, calls)``, the snapshot's elements, the
+    restore's assignment targets in the same order, and the restore's
+    calls.  A holder that keeps its own snapshot is read with
+    ``snapshot()`` and restored with ``restore(...)`` from the local
+    ``<spare><i>`` (``i`` its position in ``layout``)."""
     reads, targets, calls = [], [], []
-    for i, slots in enumerate(layout):
-        ref = f"n{i}"
+    for i, (ref, slots) in enumerate(zip(refs, layout)):
         if slots is None:
             reads.append(f"{ref}.snapshot()")
-            targets.append(f"s{i}")
-            calls.append(f"        {ref}.restore(s{i})")
+            targets.append(f"{spare}{i}")
+            calls.append(f"{ref}.restore({spare}{i})")
             continue
         for slot in slots:
             if not slot.isidentifier() or keyword.iskeyword(slot):
@@ -318,13 +330,23 @@ def _accessor_factory(layout):
                                 "name")
             reads.append(f"{ref}.{slot}")
             targets.append(f"{ref}.{slot}")
-    lines = [f"def make({', '.join(f'n{i}' for i in range(len(layout)))}):",
+    return reads, targets, calls
+
+
+@functools.lru_cache(maxsize=64)
+def _accessor_factory(layout):
+    """Compile the accessor factory of one state layout (per node, its
+    slot names, or ``None`` for a node that keeps its own snapshot): every
+    netlist of that shape shares the compiled code."""
+    refs = [f"n{i}" for i in range(len(layout))]
+    reads, targets, calls = state_terms(layout, refs, "s")
+    lines = [f"def make({', '.join(refs)}):",
              "    def snapshot():",
              "        return (" + "".join(r + ", " for r in reads) + ")",
              "    def restore(state):",
              "        " + "".join(t + ", " for t in targets) + "= state"
              if targets else "        () = state",
-             *calls,
+             *("        " + call for call in calls),
              "    return snapshot, restore"]
     env = {}
     exec(compile("\n".join(lines) + "\n", "<netlist state>", "exec"), env)

@@ -141,7 +141,7 @@ from repro.sim.sensitivity import sensitivity
 from repro.sim.stats import ChannelStats
 
 __all__ = [
-    "ENGINES", "Simulator", "check_engine", "get_default_engine",
+    "ENGINES", "ChoiceMap", "Simulator", "check_engine", "get_default_engine",
     "lanes_engine", "set_default_engine", "superseded_error",
     "unresolved_signals",
 ]
@@ -202,11 +202,36 @@ def get_default_engine():
     return _default_engine or _BUILTIN_DEFAULT
 
 
+def _read_only(self, *args, **kwargs):
+    raise TypeError("a ChoiceMap is shared between transitions and "
+                    "cannot be changed; copy it with dict(...)")
+
+
+class ChoiceMap(dict):
+    """A read-only ``{chooser name: choice}`` map.
+
+    :meth:`Simulator.expand` builds one per choice vector and caches it
+    per choice-space tuple, so every transition taken with that vector
+    shares the one object; the explorer stores it in each
+    :class:`~repro.verif.explore.Transition` without a copy.  It compares,
+    prints and JSON-encodes as the plain dict; every mutator raises
+    ``TypeError``, and it pickles as ``ChoiceMap(dict)``."""
+
+    __slots__ = ()
+
+    __setitem__ = __delitem__ = __ior__ = _read_only
+    clear = pop = popitem = setdefault = update = _read_only
+
+    def __reduce__(self):
+        return type(self), (dict(self),)
+
+
 def _choice_vectors(choosers, spaces):
     """``(vector, choices)`` for every choice vector of ``choosers`` with
     choice spaces ``spaces``, in ``itertools.product`` order over the
     choosers whose space exceeds 1: ``vector`` holds one choice per
-    chooser (None where the space is 1), ``choices`` names the others'."""
+    chooser (None where the space is 1), ``choices`` names the others'
+    (a :class:`ChoiceMap`)."""
     active = [i for i, space in enumerate(spaces) if space > 1]
     names = [choosers[i].name for i in active]
     blank = [None] * len(choosers)
@@ -215,7 +240,7 @@ def _choice_vectors(choosers, spaces):
         vector = list(blank)
         for i, choice in zip(active, combo):
             vector[i] = choice
-        vectors.append((tuple(vector), dict(zip(names, combo))))
+        vectors.append((tuple(vector), ChoiceMap(zip(names, combo))))
     return vectors
 
 
@@ -661,8 +686,9 @@ class Simulator:
         Returns one ``(choices, packed, successor)`` triple per vector, in
         ``itertools.product`` order over the choosers whose choice space
         exceeds 1 (node order): ``choices`` maps those choosers' names to
-        their choices (the dicts are cached per space tuple and shared, so
-        treat them as read-only), ``packed`` is what
+        their choices (a read-only :class:`ChoiceMap`, cached per space
+        tuple, so every expansion with that vector returns the same
+        object; a caller may keep it without a copy), ``packed`` is what
         :meth:`step_with_choices` returns for them and ``successor`` the
         netlist snapshot after the cycle.  The result, the channel states
         and the cycle counter (one per vector) equal a restore of

@@ -38,9 +38,10 @@ def find_deadlocks(result):
             alive.add(t.source)
             stack.append(t.source)
     # Everything that can reach an alive state is alive too.
+    predecessors = result.adjacency()[1]
     while stack:
         node = stack.pop()
-        for t in result.predecessors(node):
+        for t in predecessors[node]:
             if t.source not in alive:
                 alive.add(t.source)
                 stack.append(t.source)

@@ -18,7 +18,13 @@ decode a state's signals with :meth:`ExplorationResult.signals_of` when a friend
 view is needed.  A :class:`Transition` stores no events: its channels'
 outcomes are those of its target state's signals
 (:data:`repro.verif.encoding.OUTCOME`), since every transition into a
-state saw the signals that state records.
+state saw the signals that state records.  Nor does it own its choices:
+``Transition.choices`` is the read-only
+:class:`~repro.sim.engine.ChoiceMap` that
+:meth:`~repro.sim.engine.Simulator.expand` returned, one object per
+choice vector shared by every transition taken with that vector
+(mutating it raises ``TypeError``; it compares, prints and JSON-encodes
+as the plain dict).
 
 Exploration engines
 -------------------
@@ -35,6 +41,10 @@ another way to ask for ``engine="codegen"``
 (:func:`~repro.sim.engine.lanes_engine`); the engines are bit-identical,
 so the explored graph does not depend on the choice.
 
+Per state the loop computes once which bits the Retry rules oblige its
+successors to keep (:func:`~repro.verif.properties.held_bits`); per
+transition it tests the Invariant (one ``bytes.translate``) and those
+bits, keys the successor, and appends a record built without a copy.
 The dedup index is keyed by the canonical compact byte encoding of
 :mod:`repro.verif.encoding` (hash-consed by the index dict), and the
 returned :class:`ExplorationResult` carries a prebuilt adjacency
@@ -59,7 +69,10 @@ netlist's structure, initial snapshot, ``max_states`` and
 truncated / bit-rotted file) is a loud
 :class:`~repro.errors.CheckpointError`, never silently loaded; a checkpoint
 of an older state format is not resumed, and the exploration starts
-afresh.  On
+afresh.  Format ``explore-v4`` stores the transitions as three columns
+(sources, targets and choice maps): the pickle holds no
+:class:`Transition` and stores each shared choice map once, and a resume
+rebuilds the records.  On
 :class:`KeyboardInterrupt` the explorer rolls back to the last boundary,
 flushes it, and re-raises; a resumed run replays the identical BFS from
 ``k`` — same state indices, transition list, violations and verdicts as
@@ -74,6 +87,7 @@ chains such slices into an exploration that makes progress per slice.
 
 from __future__ import annotations
 
+import marshal
 from collections import deque
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -82,25 +96,29 @@ from repro.errors import CheckpointError, VerificationError
 from repro.runtime.checkpoint import content_key, load_checkpoint, save_checkpoint
 from repro.runtime.faults import fault_point
 from repro.sim.engine import Simulator, lanes_engine
-from repro.verif.encoding import StateCodec, unpack_signals
+from repro.verif.encoding import _MARSHAL_VERSION, StateCodec, unpack_signals
 from repro.verif.properties import (
+    INVARIANT_OK,
+    held_bits,
     protocol_problems,
-    protocol_screen,
     retry_exempt_channels,
     retry_mask,
 )
 
 #: checkpoint kind and key tag; it changes with the stored state shape
 #: (v2: flat snapshots without node names; v3: transitions without
-#: events).  A checkpoint of an older format (kind ``"explore"`` or
-#: ``"explore-v2"``) cannot resume: exploration starts fresh.
-_CHECKPOINT_FORMAT = "explore-v3"
-_STALE_FORMATS = ("explore", "explore-v2")
+#: events; v4: transitions as three columns).  A checkpoint of an older
+#: format (kind ``"explore"``, ``"explore-v2"`` or ``"explore-v3"``)
+#: cannot resume: exploration starts fresh.
+_CHECKPOINT_FORMAT = "explore-v4"
+_STALE_FORMATS = ("explore", "explore-v2", "explore-v3")
 
 
 class Transition(NamedTuple):
     """One explored transition (for counterexample reporting).  Its
-    channel outcomes are read from the target state's packed signals."""
+    channel outcomes are read from the target state's packed signals;
+    ``choices`` is the expansion's shared, read-only
+    :class:`~repro.sim.engine.ChoiceMap`."""
 
     source: int
     target: int
@@ -164,6 +182,14 @@ class ExplorationResult:
         fresh list; mutating it does not touch the index."""
         self._ensure_adjacency()
         return list(self._pred[index])
+
+    def adjacency(self):
+        """``(successors, predecessors)``: per state index, the list of its
+        outgoing and of its incoming :class:`Transition` records.  This is
+        the index itself, not a copy, for the analyses that walk every
+        state (deadlock, leads-to); treat it as read-only."""
+        self._ensure_adjacency()
+        return self._succ, self._pred
 
     def signals_of(self, index):
         """Friendly ``{channel: (vp, sp, vm, sm)}`` view of one state's
@@ -276,7 +302,10 @@ class StateExplorer:
         if body is None:
             return 0
         result.states[:] = body["states"]
-        result.transitions[:] = body["transitions"]
+        new = tuple.__new__
+        result.transitions[:] = [
+            new(Transition, record) for record in zip(
+                body["sources"], body["targets"], body["choices"])]
         result.violations[:] = body["violations"]
         result.complete = body["complete"]
         index.clear()
@@ -324,9 +353,14 @@ class StateExplorer:
         result.complete = complete
         if self.checkpoint is None:
             return
+        # Transitions as columns: the choice maps are shared objects, so
+        # the pickle stores each once and refers back to it.
+        transitions = result.transitions
         save_checkpoint(self.checkpoint, _CHECKPOINT_FORMAT, self._ckpt_key, {
             "states": result.states,
-            "transitions": result.transitions,
+            "sources": [t.source for t in transitions],
+            "targets": [t.target for t in transitions],
+            "choices": [t.choices for t in transitions],
             "violations": result.violations,
             "complete": result.complete,
             "next_index": current,
@@ -372,16 +406,23 @@ class StateExplorer:
         return result
 
     def _explore(self, result, index, start=0):
-        """The BFS loop: one :meth:`Simulator.expand` per state, then per
-        transition the protocol screen (wording the problems only when it
-        fires), state dedup (cap-aware) and the transition record."""
+        """The BFS loop: one :meth:`Simulator.expand` per state, and the
+        Retry obligations its signals leave (:func:`held_bits`) once per
+        state; then per transition the protocol screen (wording the
+        problems only when it fires), the state key, dedup (cap-aware)
+        and the transition record, which keeps the expansion's shared
+        choice map."""
         expand = self.sim.expand
-        key_of = self._key
         check = self.check_protocol
         mask = self._retry_mask
+        ok_bytes = INVARIANT_OK
+        from_bytes = int.from_bytes
+        dumps = marshal.dumps
+        new = tuple.__new__
         cap = self.max_states
         states = result.states
-        transitions = result.transitions
+        record = result.transitions.append
+        lookup = index.get
         frontier = deque(range(start, len(states)))
         while frontier:
             current = frontier[0]
@@ -390,15 +431,21 @@ class StateExplorer:
                 return
             frontier.popleft()
             snapshot, prev_signals = states[current]
+            held = held_bits(prev_signals, mask) if check else 0
             for choices, signals, successor in expand(snapshot):
-                if check and protocol_screen(prev_signals, signals, mask):
+                if check and (signals.translate(None, ok_bytes) or held
+                              and held & ~from_bytes(signals, "little")):
                     result.violations += [
                         f"state {current} choices {choices}: {problem}"
                         for problem in protocol_problems(
                             prev_signals, signals, self._channel_names,
                             self._exempt_indices)]
-                key = key_of(successor, signals)
-                target = index.get(key)
+                # the key of StateCodec.encode, inlined (see _key)
+                try:
+                    key = dumps((signals, successor), _MARSHAL_VERSION)
+                except ValueError:
+                    key = (successor, signals)
+                target = lookup(key)
                 if target is None:
                     if len(states) >= cap:
                         # Over the cap: the successor stays unindexed and
@@ -411,9 +458,7 @@ class StateExplorer:
                     index[key] = target
                     states.append((successor, signals))
                     frontier.append(target)
-                # expand() shares one choices dict per vector space
-                transitions.append(Transition(current, target,
-                                              dict(choices)))
+                record(new(Transition, (current, target, choices)))
 
 
 def explore_or_raise(netlist, max_states=20000, engine=None, lanes=1):

@@ -62,6 +62,7 @@ def check_leads_to(result, in_channel, out_channel=None):
     in_index = result.channel_index(in_channel)
     out_index = (result.channel_index(out_channel)
                  if out_channel is not None else None)
+    successors = result.adjacency()[0]
     for source in range(result.n_states):
         # Starvation requires the token to be waiting across the whole
         # edge; states where it is not waiting are skipped wholesale, and
@@ -70,7 +71,7 @@ def check_leads_to(result, in_channel, out_channel=None):
         src_signals = states[source][1]
         if src_signals is not None and not _token_waiting(src_signals, in_index):
             continue
-        for t in result.successors(source):
+        for t in successors[source]:
             signals = states[t.target][1]
             if not _token_waiting(signals, in_index):
                 continue

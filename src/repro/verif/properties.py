@@ -134,15 +134,24 @@ def retry_mask(n_channels, exempt_indices=frozenset()):
     return mask
 
 
+def held_bits(prev, mask):
+    """The bits the Retry rules ``prev`` left due oblige the next packed
+    vector to keep, as one little-endian int (0 for ``None``, the initial
+    state), with ``mask`` the :func:`retry_mask` of the exempt positions.
+    A vector ``cur`` breaks one exactly when ``held_bits(prev, mask) &
+    ~int.from_bytes(cur, "little")``."""
+    if prev is None:
+        return 0
+    return int.from_bytes(prev.translate(RETRY_HELD), "little") & mask
+
+
 def protocol_screen(prev, cur, mask):
     """Whether :func:`protocol_problems` reports anything for ``(prev,
-    cur)``, with ``mask`` the :func:`retry_mask` of the exempt positions."""
-    if cur.translate(None, INVARIANT_OK):
-        return True
-    if prev is None:
-        return False
-    held = int.from_bytes(prev.translate(RETRY_HELD), "little") & mask
-    return bool(held and held & ~int.from_bytes(cur, "little"))
+    cur)``, with ``mask`` the :func:`retry_mask` of the exempt positions:
+    the Invariant (some byte of ``cur`` outside :data:`INVARIANT_OK`) or
+    a Retry obligation (:func:`held_bits`) broken."""
+    return bool(cur.translate(None, INVARIANT_OK)
+                or held_bits(prev, mask) & ~int.from_bytes(cur, "little"))
 
 
 def retry_exempt_channels(netlist):

@@ -715,24 +715,26 @@ class TestNothingDeferred:
 #: to run once under a node-named local (with a name per assignment of a
 #: local assigned at several top-level statements, and the guarded mux
 #: select no longer re-tested; the designs without a mux, fork or
-#: function block are unchanged)
+#: function block are unchanged); the expansion entries re-recorded when
+#: they came to restore and snapshot with inline slot assignments and
+#: reads instead of calling the netlist's state accessor
 GENERATED_SOURCE_DIGESTS = {
     "design:fig1a": ("4cb7ed8247276f4f", "8b3e6400f85165d4",
-                     "47a264b78cb8c35a"),
+                     "f8cc685567bbba40"),
     "design:fig1d": ("8960f7bfeb81a7f6", "db791611b01e61fb",
-                     "6e4bbe28411cf068"),
+                     "d25ad53c2ac3ff2f"),
     "design:fig6b": ("0310ff5874df78d1", "cea20d083bd65ca9",
-                     "9c83f69e1ae3f908"),
+                     "94c8f7b613f06736"),
     "design:fig7b": ("cc75a68c0fbaeeaa", "ff82b72e7b4f5e7c",
-                     "f6cfc1dfba8139db"),
-    "mc:eb": ("45b5c07d4c41ac00", "8ee7e4a47122d31f", "60c023f5aeb08c04"),
+                     "7933300fc9bc2e81"),
+    "mc:eb": ("45b5c07d4c41ac00", "8ee7e4a47122d31f", "e9a098f92810f4bb"),
     "mc:spec-nondet": ("8dad5ce27d6dfad4", "2a6f43855660a04d",
-                       "5201a93c22abf66d"),
+                       "354d1e3f683e06a4"),
     "mc:spec-static": ("8dad5ce27d6dfad4", "2a6f43855660a04d",
-                       "5201a93c22abf66d"),
+                       "354d1e3f683e06a4"),
     "mc:spec-toggle": ("8dad5ce27d6dfad4", "2a6f43855660a04d",
-                       "5201a93c22abf66d"),
-    "mc:zbl": ("fb04cf05f25595b3", "903d938a96635da1", "9bee996594c8b2c8"),
+                       "354d1e3f683e06a4"),
+    "mc:zbl": ("fb04cf05f25595b3", "903d938a96635da1", "2b4d32f6d5eacd61"),
 }
 
 

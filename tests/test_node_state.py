@@ -662,4 +662,4 @@ class TestKeys:
         net.reset()
         assert resumed.states[0] == (net.snapshot(), None)
         with open(path, "rb") as fh:
-            assert fh.read().split(b"\n")[1] == b"explore-v3"
+            assert fh.read().split(b"\n")[1] == b"explore-v4"
